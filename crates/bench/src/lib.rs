@@ -17,6 +17,7 @@
 //! and remote configurations are directly comparable.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod loadgen;
 

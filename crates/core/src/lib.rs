@@ -33,6 +33,7 @@
 //! `examples/` at the repository root for usage.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cascade;
 pub mod clock;

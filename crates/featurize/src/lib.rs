@@ -23,6 +23,7 @@
 //! query modalities.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod binning;
 mod encode;

@@ -41,6 +41,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod analysis;
 mod cache;

@@ -60,12 +60,16 @@
 //! whole plans.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod cluster;
 mod e2e_cache;
 mod error;
 mod monitor;
 mod protocol;
+#[allow(unsafe_code)]
+#[cfg(unix)]
+mod readiness;
 mod remote;
 mod runtime;
 mod selection;

@@ -108,6 +108,7 @@ use parking_lot::Mutex;
 use willump::PlanCountersSnapshot;
 
 use crate::protocol::{decode_response, encode_request, Request, Response, ERROR_RESPONSE_ID};
+use crate::readiness::{self, Interest, PollSet, WakeListener, Waker};
 use crate::runtime::{RuntimeClient, ServingRuntime};
 use crate::wire2::{
     decode_header, decode_request_payload, decode_response_payload, encode_frame,
@@ -1358,16 +1359,7 @@ impl WorkerTransport for RemoteWorker {
 /// neither wire2 nor newline-JSON and is dropped.
 const NODE_PROBE_LIMIT: usize = 64 * 1024;
 
-/// How long after the last observed activity the event loop keeps
-/// spin-yielding (cheap, low-latency) before falling back to a
-/// blocking completion wait.
-const NODE_SPIN_WINDOW: Duration = Duration::from_micros(500);
-
-/// Blocking completion-wait slice once the loop is idle; also bounds
-/// how stale the shutdown-flag check can get.
-const NODE_IDLE_WAIT: Duration = Duration::from_millis(2);
-
-/// Per-call chunk size of the event loop's nonblocking reads.
+/// Least free room a connection's read buffer offers one `read`.
 const NODE_READ_CHUNK: usize = 16 * 1024;
 
 /// Which protocol a node-side connection speaks.
@@ -1380,6 +1372,51 @@ enum ConnMode {
     Wire2,
 }
 
+/// A connection's inbound bytes: one allocation that sockets are read
+/// into in place and frames are consumed from with a cursor. `buf` is
+/// initialised over its whole length — zero-filled when it grows, not
+/// once per read — and `buf[start..end]` is the unparsed part.
+#[derive(Default)]
+struct ReadBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl ReadBuf {
+    fn unread(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.start = (self.start + n).min(self.end);
+    }
+
+    /// The free tail, at least [`NODE_READ_CHUNK`] long; follow a read
+    /// of `n` bytes into it with [`filled(n)`](Self::filled).
+    fn spare(&mut self) -> &mut [u8] {
+        if self.buf.len() - self.end < NODE_READ_CHUNK {
+            let grown = (self.buf.len() * 2).max(self.end + NODE_READ_CHUNK);
+            self.buf.resize(grown, 0);
+        }
+        &mut self.buf[self.end..]
+    }
+
+    fn filled(&mut self, n: usize) {
+        self.end = (self.end + n).min(self.buf.len());
+    }
+
+    /// Move the unparsed tail to the front: once per sweep, however
+    /// many frames the sweep consumed.
+    fn compact(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+    }
+}
+
 /// Per-connection state owned by the node's event loop.
 struct NodeConn {
     stream: TcpStream,
@@ -1388,7 +1425,7 @@ struct NodeConn {
     gen: u64,
     mode: ConnMode,
     /// Unparsed inbound bytes.
-    rbuf: Vec<u8>,
+    rbuf: ReadBuf,
     /// Outbound bytes not yet written.
     wbuf: Vec<u8>,
     /// How much of `wbuf` has been written so far.
@@ -1414,7 +1451,7 @@ impl NodeConn {
             stream,
             gen,
             mode: ConnMode::Probing,
-            rbuf: Vec::new(),
+            rbuf: ReadBuf::default(),
             wbuf: Vec::new(),
             wpos: 0,
             in_flight: 0,
@@ -1422,6 +1459,20 @@ impl NodeConn {
             json_busy: false,
             draining: false,
             fatal: false,
+        }
+    }
+
+    /// What a parked loop waits for on this connection. `None` — a
+    /// draining connection whose only business is work still with the
+    /// dispatch pool — keeps it out of the poll set: `poll` reports a
+    /// peer's hang-up whatever the interest, and nothing the loop
+    /// could do about it would clear it.
+    fn interest(&self) -> Option<Interest> {
+        match (!self.draining, self.wpos < self.wbuf.len()) {
+            (true, true) => Some(Interest::ReadWrite),
+            (true, false) => Some(Interest::Read),
+            (false, true) => Some(Interest::Write),
+            (false, false) => None,
         }
     }
 }
@@ -1461,6 +1512,29 @@ struct NodeDone {
     json_line: bool,
 }
 
+/// What the event loop, the dispatch workers and the node handle
+/// share.
+///
+/// The loop blocks in `poll` with no timeout, and a completion
+/// arrives on a channel `poll` cannot see, so `parked` and `waker`
+/// close the gap. The loop stores `parked = true`, looks at the
+/// completion channel once more, then polls; a worker sends its
+/// completion, loads `parked`, and rings the waker if it reads true.
+/// Both sides write first and read second, with `SeqCst` throughout,
+/// so one of them always sees the other: either the loop's last look
+/// finds the completion, or the worker finds `parked` set and its
+/// ring — a byte that stays in the socket until drained — ends the
+/// `poll`, even one that starts later. A loop that is busy sweeping
+/// has `parked = false`, and workers pay one load and no syscall.
+struct NodeShared {
+    shutdown: AtomicBool,
+    parked: AtomicBool,
+    waker: Waker,
+    counters: TransportCounters,
+    /// Sweeps the event loop has made; a parked loop makes none.
+    sweeps: AtomicU64,
+}
+
 /// Encode a response into a `BinResponse` frame; a response so large
 /// it exceeds the frame bound degrades to an in-band error frame.
 fn response_frame(mux_id: u32, resp: &Response) -> Vec<u8> {
@@ -1486,14 +1560,16 @@ fn response_frame(mux_id: u32, resp: &Response) -> Vec<u8> {
 }
 
 /// A node worker: executes decoded requests against the hosted
-/// runtime and sends completions back to the event loop. Exits when
-/// the job channel disconnects (the event loop owns the sender).
+/// runtime and sends completions back to the event loop, ringing the
+/// waker when the loop is parked (see [`NodeShared`]). Exits when the
+/// job channel disconnects (the event loop owns the sender).
 fn node_worker(
     jobs: &Receiver<NodeJob>,
     done: &Sender<NodeDone>,
     client: &RuntimeClient,
-    counters: &TransportCounters,
+    shared: &NodeShared,
 ) {
+    let counters = &shared.counters;
     while let Ok(job) = jobs.recv() {
         let start = Instant::now();
         let completion = match job {
@@ -1603,16 +1679,20 @@ fn node_worker(
         if done.send(completion).is_err() {
             return;
         }
+        if shared.parked.load(Ordering::SeqCst) {
+            shared.waker.ring();
+        }
     }
 }
 
-/// Read whatever is ready on a nonblocking connection. Returns true
-/// when any bytes arrived.
+/// Read whatever is ready on a nonblocking connection, straight into
+/// its read buffer. Returns true when any bytes arrived.
 fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
     let mut any = false;
-    let mut chunk = [0u8; NODE_READ_CHUNK];
     loop {
-        match conn.stream.read(&mut chunk) {
+        let spare = conn.rbuf.spare();
+        let room = spare.len();
+        match conn.stream.read(spare) {
             Ok(0) => {
                 conn.draining = true;
                 break;
@@ -1621,9 +1701,9 @@ fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
                 counters
                     .bytes_received
                     .fetch_add(n as u64, Ordering::Relaxed);
-                conn.rbuf.extend_from_slice(&chunk[..n]);
+                conn.rbuf.filled(n);
                 any = true;
-                if n < chunk.len() {
+                if n < room {
                     break;
                 }
             }
@@ -1661,7 +1741,8 @@ fn node_dispatch_json(
     });
 }
 
-/// Parse buffered bytes into jobs according to the connection's mode.
+/// Parse buffered bytes into jobs according to the connection's mode,
+/// then compact the read buffer.
 fn node_parse(
     conn: &mut NodeConn,
     slot: usize,
@@ -1669,110 +1750,126 @@ fn node_parse(
     in_flight_total: &mut usize,
     counters: &TransportCounters,
 ) {
-    loop {
-        if conn.fatal || conn.draining && conn.rbuf.is_empty() {
-            return;
-        }
-        match conn.mode {
-            ConnMode::Probing | ConnMode::Json => {
-                let Some(nl) = conn.rbuf.iter().position(|&b| b == b'\n') else {
-                    if conn.rbuf.len() > NODE_PROBE_LIMIT {
-                        // Neither protocol produces a line this
-                        // long: wire2 opens with a 14-byte preamble,
-                        // and legacy frames are newline-delimited.
-                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        conn.fatal = true;
-                    }
-                    return;
-                };
-                let mut line: Vec<u8> = conn.rbuf.drain(..=nl).collect();
-                line.pop();
-                while line.last() == Some(&b'\r') {
-                    line.pop();
+    while !conn.fatal && node_parse_one(conn, slot, jobs, in_flight_total, counters) {}
+    conn.rbuf.compact();
+}
+
+/// Consume one line or frame from the front of the read buffer.
+/// Returns false when the buffered bytes hold no complete one, or the
+/// connection stopped parsing.
+fn node_parse_one(
+    conn: &mut NodeConn,
+    slot: usize,
+    jobs: &Sender<NodeJob>,
+    in_flight_total: &mut usize,
+    counters: &TransportCounters,
+) -> bool {
+    let unread = conn.rbuf.unread();
+    match conn.mode {
+        ConnMode::Probing | ConnMode::Json => {
+            let Some(nl) = unread.iter().position(|&b| b == b'\n') else {
+                if unread.len() > NODE_PROBE_LIMIT {
+                    // Neither protocol produces a line this long:
+                    // wire2 opens with a 14-byte preamble, and legacy
+                    // frames are newline-delimited.
+                    counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    conn.fatal = true;
                 }
-                if matches!(conn.mode, ConnMode::Probing) {
-                    if line == WIRE2_PREAMBLE_LINE.as_bytes() {
-                        conn.mode = ConnMode::Wire2;
-                        if let Ok(ack) = encode_frame(FrameType::HelloAck, 0, &[]) {
-                            conn.wbuf.extend_from_slice(&ack);
-                        }
-                        continue;
+                return false;
+            };
+            let mut line = &unread[..nl];
+            while let [rest @ .., b'\r'] = line {
+                line = rest;
+            }
+            let preamble =
+                matches!(conn.mode, ConnMode::Probing) && line == WIRE2_PREAMBLE_LINE.as_bytes();
+            let text = (!preamble).then(|| String::from_utf8_lossy(line).into_owned());
+            conn.rbuf.consume(nl + 1);
+            match text {
+                None => {
+                    conn.mode = ConnMode::Wire2;
+                    if let Ok(ack) = encode_frame(FrameType::HelloAck, 0, &[]) {
+                        conn.wbuf.extend_from_slice(&ack);
                     }
+                }
+                Some(text) => {
                     conn.mode = ConnMode::Json;
+                    node_dispatch_json(conn, slot, text, jobs, in_flight_total);
                 }
-                let text = String::from_utf8_lossy(&line).into_owned();
-                node_dispatch_json(conn, slot, text, jobs, in_flight_total);
             }
-            ConnMode::Wire2 => {
-                if conn.rbuf.len() < WIRE2_HEADER_LEN {
-                    return;
-                }
-                let mut header = [0u8; WIRE2_HEADER_LEN];
-                header.copy_from_slice(&conn.rbuf[..WIRE2_HEADER_LEN]);
-                let hdr = match decode_header(&header) {
-                    Ok(hdr) => hdr,
-                    Err(_) => {
-                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        // When the magic/version/type bytes are
-                        // intact only the length prefix is hostile
-                        // and the mux id is still trustworthy: the
-                        // client gets an in-band error before the
-                        // connection drains. Anything else means the
-                        // stream is desynchronized — drop it.
-                        if header[0] == WIRE2_MAGIC
-                            && header[1] == WIRE2_VERSION
-                            && FrameType::from_byte(header[2]).is_some()
-                        {
-                            let mux_id =
-                                u32::from_le_bytes([header[3], header[4], header[5], header[6]]);
-                            let resp = Response::failure(
-                                ERROR_RESPONSE_ID,
-                                "frame rejected: payload length exceeds the frame bound",
-                            );
-                            conn.wbuf.extend_from_slice(&response_frame(mux_id, &resp));
-                            conn.draining = true;
-                        } else {
-                            conn.fatal = true;
-                        }
-                        return;
-                    }
-                };
-                let total = WIRE2_HEADER_LEN + hdr.payload_len as usize;
-                if conn.rbuf.len() < total {
-                    return;
-                }
-                let payload: Vec<u8> = conn.rbuf[WIRE2_HEADER_LEN..total].to_vec();
-                conn.rbuf.drain(..total);
-                match hdr.frame_type {
-                    FrameType::BinRequest => {
-                        conn.in_flight += 1;
-                        *in_flight_total += 1;
-                        let _ = jobs.send(NodeJob::Bin {
-                            slot,
-                            gen: conn.gen,
-                            mux_id: hdr.request_id,
-                            payload,
-                        });
-                    }
-                    FrameType::JsonRequest => {
-                        conn.in_flight += 1;
-                        *in_flight_total += 1;
-                        let _ = jobs.send(NodeJob::JsonFramed {
-                            slot,
-                            gen: conn.gen,
-                            mux_id: hdr.request_id,
-                            payload,
-                        });
-                    }
-                    FrameType::BinResponse | FrameType::JsonResponse | FrameType::HelloAck => {
-                        // Clients send request frames; anything else
-                        // means the stream is desynchronized.
-                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+            true
+        }
+        ConnMode::Wire2 => {
+            let Some(header) = unread.first_chunk::<WIRE2_HEADER_LEN>() else {
+                return false;
+            };
+            let hdr = match decode_header(header) {
+                Ok(hdr) => hdr,
+                Err(_) => {
+                    counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    // When the magic/version/type bytes are intact
+                    // only the length prefix is hostile and the mux
+                    // id is still trustworthy: the client gets an
+                    // in-band error before the connection drains.
+                    // Anything else means the stream is
+                    // desynchronized — drop it.
+                    if header[0] == WIRE2_MAGIC
+                        && header[1] == WIRE2_VERSION
+                        && FrameType::from_byte(header[2]).is_some()
+                    {
+                        let mux_id =
+                            u32::from_le_bytes([header[3], header[4], header[5], header[6]]);
+                        let resp = Response::failure(
+                            ERROR_RESPONSE_ID,
+                            "frame rejected: payload length exceeds the frame bound",
+                        );
+                        conn.wbuf.extend_from_slice(&response_frame(mux_id, &resp));
+                        conn.draining = true;
+                        // Nothing behind a rejected header can be
+                        // framed: discard it, so a later sweep does
+                        // not answer the same header again.
+                        let rest = unread.len();
+                        conn.rbuf.consume(rest);
+                    } else {
                         conn.fatal = true;
-                        return;
                     }
+                    return false;
                 }
+            };
+            let total = WIRE2_HEADER_LEN + hdr.payload_len as usize;
+            if unread.len() < total {
+                return false;
             }
+            // The one copy a frame's payload makes: out of the shared
+            // read buffer, into the job a worker thread will own.
+            let payload = unread[WIRE2_HEADER_LEN..total].to_vec();
+            conn.rbuf.consume(total);
+            let (gen, mux_id) = (conn.gen, hdr.request_id);
+            let job = match hdr.frame_type {
+                FrameType::BinRequest => NodeJob::Bin {
+                    slot,
+                    gen,
+                    mux_id,
+                    payload,
+                },
+                FrameType::JsonRequest => NodeJob::JsonFramed {
+                    slot,
+                    gen,
+                    mux_id,
+                    payload,
+                },
+                FrameType::BinResponse | FrameType::JsonResponse | FrameType::HelloAck => {
+                    // Clients send request frames; anything else
+                    // means the stream is desynchronized.
+                    counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    conn.fatal = true;
+                    return false;
+                }
+            };
+            conn.in_flight += 1;
+            *in_flight_total += 1;
+            let _ = jobs.send(job);
+            true
         }
     }
 }
@@ -1841,56 +1938,81 @@ fn node_complete(
     }
 }
 
+/// Accept every pending connection. Returns false when `accept`
+/// failed for a reason that outlasts this call (descriptor
+/// exhaustion): the backlog stays readable, so the listener has to
+/// sit out the next park or the loop would spin on it. Accepting is
+/// retried on the next sweep — closing a connection is what frees a
+/// descriptor, and that is itself a sweep with progress.
+fn node_accept(
+    listener: &TcpListener,
+    conns: &mut Vec<Option<NodeConn>>,
+    next_gen: &mut u64,
+    progress: &mut bool,
+) -> bool {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                let _ = stream.set_nodelay(true);
+                *next_gen += 1;
+                let conn = NodeConn::new(stream, *next_gen);
+                match conns.iter_mut().position(|slot| slot.is_none()) {
+                    Some(slot) => conns[slot] = Some(conn),
+                    None => conns.push(Some(conn)),
+                }
+                *progress = true;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+            // The pending connection failed, not the listener; it is
+            // gone from the backlog, so try the next one.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                ) => {}
+            Err(_) => return false,
+        }
+    }
+}
+
 /// The node's single event loop: accepts connections, reads and
 /// parses ready sockets, dispatches decoded requests to the worker
 /// pool, and routes completions back onto the right connection.
-/// Adaptive idling: spin-yield briefly after activity (latency), then
-/// block on the completion channel in short slices (CPU).
+///
+/// Readiness-driven: the loop sweeps until a sweep makes no progress,
+/// then parks in `poll` — with no timeout — on the listener, the
+/// waker and every connection it has business with, following the
+/// `parked` protocol described on [`NodeShared`]. An idle node makes
+/// no iterations at all.
 fn node_event_loop(
     listener: &TcpListener,
-    shutdown: &AtomicBool,
+    wake: &WakeListener,
+    shared: &NodeShared,
     jobs: &Sender<NodeJob>,
     done: &Receiver<NodeDone>,
-    counters: &TransportCounters,
 ) {
+    let counters = &shared.counters;
     let mut conns: Vec<Option<NodeConn>> = Vec::new();
     let mut next_gen: u64 = 0;
     let mut in_flight_total: usize = 0;
-    let mut last_activity = Instant::now();
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut activity = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    next_gen += 1;
-                    let conn = NodeConn::new(stream, next_gen);
-                    match conns.iter_mut().position(|slot| slot.is_none()) {
-                        Some(slot) => conns[slot] = Some(conn),
-                        None => conns.push(Some(conn)),
-                    }
-                    activity = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
+    let mut poll = PollSet::default();
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        shared.sweeps.fetch_add(1, Ordering::Relaxed);
+        let mut progress = false;
+        let accepting = node_accept(listener, &mut conns, &mut next_gen, &mut progress);
         while let Ok(completion) = done.try_recv() {
             node_complete(&mut conns, completion, jobs, &mut in_flight_total);
-            activity = true;
+            progress = true;
         }
         for (slot, entry) in conns.iter_mut().enumerate() {
             let Some(conn) = entry.as_mut() else {
                 continue;
             };
             if !conn.fatal && !conn.draining && node_read(conn, counters) {
-                activity = true;
+                progress = true;
             }
             if !conn.fatal {
                 node_parse(conn, slot, jobs, &mut in_flight_total, counters);
@@ -1905,21 +2027,40 @@ fn node_event_loop(
                     && conn.wpos >= conn.wbuf.len());
             if drop_now {
                 *entry = None;
-                activity = true;
+                progress = true;
             }
         }
         counters
             .max_in_flight
             .fetch_max(in_flight_total as u64, Ordering::Relaxed);
-        if activity {
-            last_activity = Instant::now();
+        if progress {
             continue;
         }
-        if last_activity.elapsed() < NODE_SPIN_WINDOW {
-            std::thread::yield_now();
-        } else if let Ok(completion) = done.recv_timeout(NODE_IDLE_WAIT) {
+
+        shared.parked.store(true, Ordering::SeqCst);
+        if let Ok(completion) = done.try_recv() {
+            shared.parked.store(false, Ordering::SeqCst);
             node_complete(&mut conns, completion, jobs, &mut in_flight_total);
-            last_activity = Instant::now();
+            continue;
+        }
+        poll.clear();
+        let wake_entry = poll.push(wake, Interest::Read);
+        if accepting {
+            poll.push(listener, Interest::Read);
+        }
+        for conn in conns.iter().flatten() {
+            if let Some(interest) = conn.interest() {
+                poll.push(&conn.stream, interest);
+            }
+        }
+        let waited = poll.wait();
+        shared.parked.store(false, Ordering::SeqCst);
+        if waited.is_err() {
+            // `poll` itself failed (out of kernel memory): keep
+            // serving by sweeping instead of parking.
+            std::thread::yield_now();
+        } else if poll.is_ready(wake_entry) {
+            wake.drain();
         }
     }
 }
@@ -1928,14 +2069,15 @@ fn node_event_loop(
 /// [`RemoteWorker`] peers — the other process in the cross-process
 /// sharding story.
 ///
-/// A single poll-based event loop over nonblocking sockets owns every
-/// accepted connection: it sniffs each connection's first line to
-/// pick wire2 or legacy-JSON mode, reassembles frames with a bounded
-/// read, and dispatches decoded requests to a small fixed pool of
-/// dispatch workers (whose completions the loop demultiplexes back
-/// onto the right connection by mux id). There is no
+/// A single `poll(2)`-driven event loop over nonblocking sockets owns
+/// every accepted connection: it sniffs each connection's first line
+/// to pick wire2 or legacy-JSON mode, reassembles frames with a
+/// bounded read, and dispatches decoded requests to a small fixed
+/// pool of dispatch workers (whose completions the loop demultiplexes
+/// back onto the right connection by mux id). There is no
 /// thread-per-connection: hundreds of idle multiplexed clients cost
-/// one thread total.
+/// one thread total, and that thread sleeps in the kernel until a
+/// socket or a completion has something for it.
 ///
 /// Frames the node serves run through the runtime's **full admission
 /// path** — shedding, canary split, key routing — exactly like local
@@ -1944,10 +2086,9 @@ fn node_event_loop(
 pub struct RemoteRuntimeNode {
     runtime: ServingRuntime,
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<NodeShared>,
     event: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    counters: Arc<TransportCounters>,
 }
 
 impl std::fmt::Debug for RemoteRuntimeNode {
@@ -1988,8 +2129,14 @@ impl RemoteRuntimeNode {
         let listener = TcpListener::bind(addr).map_err(io)?;
         let local = listener.local_addr().map_err(io)?;
         listener.set_nonblocking(true).map_err(io)?;
-        let counters = Arc::new(TransportCounters::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let (waker, wake) = readiness::waker().map_err(io)?;
+        let shared = Arc::new(NodeShared {
+            shutdown: AtomicBool::new(false),
+            parked: AtomicBool::new(false),
+            waker,
+            counters: TransportCounters::default(),
+            sweeps: AtomicU64::new(0),
+        });
         let (jobs_tx, jobs_rx) = unbounded::<NodeJob>();
         let (done_tx, done_rx) = unbounded::<NodeDone>();
         let mut handles = Vec::with_capacity(workers.max(1));
@@ -1997,10 +2144,10 @@ impl RemoteRuntimeNode {
             let jobs = jobs_rx.clone();
             let done = done_tx.clone();
             let client = runtime.client();
-            let worker_counters = Arc::clone(&counters);
+            let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("willump-node-{i}"))
-                .spawn(move || node_worker(&jobs, &done, &client, &worker_counters))
+                .spawn(move || node_worker(&jobs, &done, &client, &shared))
                 .map_err(|e| ServeError::Transport(format!("spawn node worker: {e}")))?;
             handles.push(handle);
         }
@@ -2008,27 +2155,17 @@ impl RemoteRuntimeNode {
         // its exit disconnects the channel and the workers drain out.
         drop(done_tx);
         drop(jobs_rx);
-        let loop_shutdown = Arc::clone(&shutdown);
-        let loop_counters = Arc::clone(&counters);
+        let loop_shared = Arc::clone(&shared);
         let event = std::thread::Builder::new()
             .name("willump-node-events".to_string())
-            .spawn(move || {
-                node_event_loop(
-                    &listener,
-                    &loop_shutdown,
-                    &jobs_tx,
-                    &done_rx,
-                    &loop_counters,
-                );
-            })
+            .spawn(move || node_event_loop(&listener, &wake, &loop_shared, &jobs_tx, &done_rx))
             .map_err(|e| ServeError::Transport(format!("spawn node event loop: {e}")))?;
         Ok(RemoteRuntimeNode {
             runtime,
             addr: local,
-            shutdown,
+            shared,
             event: Some(event),
             workers: handles,
-            counters,
         })
     }
 
@@ -2049,18 +2186,19 @@ impl RemoteRuntimeNode {
     /// all connections. `failures` and `reconnects` are client-side
     /// concepts and stay 0 here.
     pub fn transport_stats(&self) -> TransportStats {
-        self.counters.snapshot()
+        self.shared.counters.snapshot()
     }
 
     /// Stop accepting, drain the dispatch workers, and shut the
     /// hosted runtime down. Idempotent; also runs on drop. Parked
     /// client connections are dropped, not waited for.
     pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The event loop re-checks the flag at least every
-        // NODE_IDLE_WAIT, so no wake-up connection is needed.
+        // The ring outlives a loop that is not parked yet: the byte
+        // stays in the waker until the loop's next `poll` finds it.
+        self.shared.waker.ring();
         if let Some(handle) = self.event.take() {
             let _ = handle.join();
         }
@@ -2307,23 +2445,316 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn node_shutdown_survives_parked_connections() {
-        let mut node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(1.0)).expect("binds");
-        // Open a connection and never send anything: the event loop
-        // must not pin shutdown on it.
-        let parked = TcpStream::connect(node.local_addr()).expect("connects");
+    /// How long anything below may take before it counts as hung. The
+    /// node parks with no timeout, so a lost wake-up is a hang, never
+    /// a slow pass.
+    const WATCHDOG: Duration = Duration::from_secs(60);
+
+    /// Run `f` on a thread of its own and fail if it has not returned
+    /// within [`WATCHDOG`].
+    fn under_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
         let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            drain(&parked);
-            let _ = tx.send(());
+        let thread = std::thread::spawn(move || {
+            let _ = tx.send(f());
         });
-        node.shutdown();
-        node.shutdown(); // idempotent
-                         // The event loop dropped our connection (read side saw EOF)
-                         // despite us never sending a frame.
-        rx.recv_timeout(Duration::from_secs(5))
-            .expect("node shutdown must close parked connections");
+        match rx.recv_timeout(WATCHDOG) {
+            Ok(out) => {
+                thread.join().expect("joins");
+                out
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("hung: the node lost a wake-up")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(thread.join().expect_err("the thread panicked"))
+            }
+        }
+    }
+
+    fn sweeps(node: &RemoteRuntimeNode) -> u64 {
+        node.shared.sweeps.load(Ordering::SeqCst)
+    }
+
+    /// Spin until the node's loop has published that it is parked.
+    fn wait_until_parked(node: &RemoteRuntimeNode) {
+        let deadline = Instant::now() + WATCHDOG;
+        while !node.shared.parked.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "the loop never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Let real time pass without sleeping: a few hundred round trips
+    /// through a node of its own take tens of milliseconds, in which
+    /// a loop that spins instead of parking makes thousands of sweeps.
+    fn pass_time() {
+        let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(1.0)).expect("binds");
+        let worker = RemoteWorker::new(&node.local_addr().to_string());
+        for i in 0..500 {
+            worker.forward_request(&request(i, 1.0)).expect("served");
+        }
+    }
+
+    #[test]
+    fn shutdown_wakes_a_parked_node_and_joins_every_thread() {
+        let mut node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(1.0)).expect("binds");
+        // An idle client connection that never sends anything must
+        // not pin shutdown, and shutdown must close it.
+        let idle = TcpStream::connect(node.local_addr()).expect("connects");
+        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            drain(&idle);
+            let _ = closed_tx.send(());
+        });
+        wait_until_parked(&node);
+        let node = under_watchdog(move || {
+            node.shutdown();
+            node.shutdown(); // idempotent
+            node
+        });
+        assert!(node.event.is_none() && node.workers.is_empty());
+        closed_rx
+            .recv_timeout(WATCHDOG)
+            .expect("node shutdown must close idle connections");
+        reader.join().expect("joins");
+    }
+
+    #[test]
+    fn sequential_forwards_never_lose_a_wake_up_and_cost_bounded_sweeps() {
+        // A second node with a live but silent connection: it must
+        // not iterate at all while the first one is busy.
+        let idle = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(1.0)).expect("binds");
+        let idle_worker = RemoteWorker::new(&idle.local_addr().to_string());
+        idle_worker
+            .forward_request(&request(1, 1.0))
+            .expect("served");
+        wait_until_parked(&idle);
+        let idle_before = sweeps(&idle);
+
+        let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
+        let worker = RemoteWorker::new(&node.local_addr().to_string());
+        worker.forward_request(&request(0, 0.0)).expect("dials");
+        wait_until_parked(&node);
+        let before = sweeps(&node);
+        // Each forward is issued after the previous reply, so the
+        // loop parks in between: twice per request, once waiting for
+        // the bytes and once for the completion.
+        const N: u64 = 4000;
+        let worker = under_watchdog(move || {
+            for i in 1..=N {
+                let reply = worker
+                    .forward_request(&request(i, i as f64))
+                    .expect("served");
+                assert_eq!(reply.response.scores, vec![2.0 * i as f64]);
+            }
+            worker
+        });
+        assert_eq!(worker.stats().failures, 0);
+        assert_eq!(worker.stats().reconnects, 0);
+        let spent = sweeps(&node) - before;
+        assert!(spent <= 6 * N, "{spent} sweeps for {N} requests");
+
+        assert_eq!(sweeps(&idle), idle_before, "an idle node must not iterate");
+        assert!(idle.shared.parked.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn concurrent_forwards_never_lose_a_wake_up() {
+        let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
+        let worker = Arc::new(RemoteWorker::new(&node.local_addr().to_string()));
+        const THREADS: u64 = 4;
+        const N: u64 = 1000;
+        let stats = under_watchdog(move || {
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let worker = Arc::clone(&worker);
+                    s.spawn(move || {
+                        for i in 0..N {
+                            let x = (t * N + i) as f64;
+                            let reply = worker
+                                .forward_request(&request(t * N + i, x))
+                                .expect("served");
+                            assert_eq!(reply.response.scores, vec![2.0 * x]);
+                        }
+                    });
+                }
+            });
+            worker.stats()
+        });
+        assert_eq!(stats.forwards, THREADS * N);
+        assert_eq!(stats.failures, 0);
+        assert_eq!(node.transport_stats().forwards, THREADS * N);
+    }
+
+    /// The sum of the largest send and receive buffers TCP may grow a
+    /// socket to: more unread bytes than this cannot be in flight.
+    fn tcp_buffer_ceiling() -> usize {
+        ["tcp_wmem", "tcp_rmem"]
+            .iter()
+            .map(|name| {
+                std::fs::read_to_string(format!("/proc/sys/net/ipv4/{name}"))
+                    .expect("readable")
+                    .split_whitespace()
+                    .nth(2)
+                    .and_then(|max| max.parse::<usize>().ok())
+                    .expect("min default max")
+            })
+            .sum()
+    }
+
+    #[test]
+    fn a_slow_reader_gets_every_byte_through_write_interest() {
+        /// Fails every request with a message of the given length:
+        /// the cheapest way to a large response.
+        struct Verbose(usize);
+        impl Servable for Verbose {
+            fn predict_table(&self, _: &Table) -> Result<Vec<f64>, String> {
+                Err("x".repeat(self.0))
+            }
+        }
+        const MESSAGE: usize = 1 << 20;
+        let mut b = ServingRuntime::builder();
+        b.config(ServerConfig::builder().workers(1).build());
+        b.endpoint("verbose", Arc::new(Verbose(MESSAGE)));
+        let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
+
+        // More response bytes than the socket pair can buffer, to a
+        // client that reads nothing until all of them are produced.
+        let frames = (tcp_buffer_ceiling() / MESSAGE + 2) as u32;
+        let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
+        let req = Request {
+            endpoint: Some("verbose".to_string()),
+            ..request(1, 0.0)
+        };
+        let payload = encode_request_payload(&req);
+        for mux_id in 1..=frames {
+            let frame = encode_frame(FrameType::BinRequest, mux_id, &payload).expect("encodes");
+            writer.write_all(&frame).expect("writes");
+        }
+        let deadline = Instant::now() + WATCHDOG;
+        while node.transport_stats().forwards < u64::from(frames) {
+            assert!(Instant::now() < deadline, "requests never completed");
+            std::thread::yield_now();
+        }
+        let produced = u64::from(frames) * MESSAGE as u64;
+        assert!(
+            node.transport_stats().bytes_sent < produced,
+            "the responses must not fit the socket buffers"
+        );
+
+        // Blocked on a full socket, the loop waits for writability:
+        // at most a few sweeps per completion, then none.
+        let before = sweeps(&node);
+        pass_time();
+        let spent = sweeps(&node) - before;
+        assert!(
+            spent <= 4 * u64::from(frames) + 8,
+            "{spent} sweeps while blocked on a full socket"
+        );
+
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..frames {
+            let (hdr, payload) = read_frame(&mut reader).expect("frame").expect("not eof");
+            assert_eq!(hdr.frame_type, FrameType::BinResponse);
+            assert!(seen.insert(hdr.request_id), "mux id answered twice");
+            let resp = decode_response_payload(&payload).expect("decodes");
+            assert_eq!(resp.error.map(|e| e.len()), Some(MESSAGE));
+        }
+        assert!(node.transport_stats().bytes_sent > produced);
+    }
+
+    #[test]
+    fn a_closed_peer_with_work_in_flight_does_not_spin_the_loop() {
+        /// Blocks inside `predict_table` until released.
+        struct Gated {
+            entered: Sender<()>,
+            release: Receiver<()>,
+        }
+        impl Servable for Gated {
+            fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+                let _ = self.entered.send(());
+                let _ = self.release.recv();
+                Scaler(2.0).predict_table(table)
+            }
+        }
+        let (entered_tx, entered_rx) = unbounded();
+        let (release, release_rx) = unbounded();
+        let mut b = ServingRuntime::builder();
+        b.config(ServerConfig::builder().workers(1).build());
+        b.endpoint(
+            "scale",
+            Arc::new(Gated {
+                entered: entered_tx,
+                release: release_rx,
+            }),
+        );
+        let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
+        // Declared after the node, so dropped before it: a failing
+        // assertion below must not leave the node's drop joining a
+        // worker that still waits at the gate.
+        let release_tx = release;
+
+        // Send one request, wait until a worker holds it, hang up.
+        let (mut writer, reader) = raw_wire2_client(node.local_addr());
+        let frame = encode_frame(
+            FrameType::BinRequest,
+            1,
+            &encode_request_payload(&request(1, 1.0)),
+        )
+        .expect("encodes");
+        writer.write_all(&frame).expect("writes");
+        entered_rx.recv_timeout(WATCHDOG).expect("dispatched");
+        drop((writer, reader));
+
+        // The connection now drains with nothing to read or write and
+        // one request in flight: the loop has no business with it,
+        // and its hang-up must not keep ending the park.
+        let before = sweeps(&node);
+        pass_time();
+        let spent = sweeps(&node) - before;
+        assert!(spent <= 8, "{spent} sweeps over a hung-up connection");
+
+        // The completion still finds the loop, and the node serves on
+        // (one release for the abandoned request, one for the next).
+        release_tx.send(()).expect("releases");
+        release_tx.send(()).expect("releases");
+        let worker = RemoteWorker::new(&node.local_addr().to_string());
+        let reply = under_watchdog(move || worker.forward_request(&request(2, 4.0)));
+        assert_eq!(reply.expect("served").response.scores, vec![8.0]);
+    }
+
+    #[test]
+    fn pipelined_frames_split_across_reads_are_reassembled_in_place() {
+        let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
+        let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
+        // Many frames in one write, then one frame dribbled a few
+        // bytes at a time: the cursor and the once-per-sweep
+        // compaction must keep every frame boundary.
+        const FRAMES: u32 = 300;
+        let mut wire = Vec::new();
+        for mux_id in 1..=FRAMES {
+            let payload = encode_request_payload(&request(u64::from(mux_id), f64::from(mux_id)));
+            wire.extend(encode_frame(FrameType::BinRequest, mux_id, &payload).expect("encodes"));
+        }
+        let split = wire.len() - 7;
+        writer.write_all(&wire[..split]).expect("writes");
+        let mut scores = HashMap::new();
+        let mut collect = |n: u32| {
+            for _ in 0..n {
+                let (hdr, payload) = read_frame(&mut reader).expect("frame").expect("not eof");
+                let resp = decode_response_payload(&payload).expect("decodes");
+                scores.insert(hdr.request_id, resp.scores);
+            }
+        };
+        collect(FRAMES - 1);
+        for byte in &wire[split..] {
+            writer.write_all(&[*byte]).expect("writes");
+        }
+        collect(1);
+        for mux_id in 1..=FRAMES {
+            assert_eq!(scores[&mux_id], vec![2.0 * f64::from(mux_id)]);
+        }
+        assert_eq!(node.transport_stats().decode_errors, 0);
     }
 
     /// A hand-rolled legacy node: speaks only newline-JSON and — like

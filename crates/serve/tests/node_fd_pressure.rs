@@ -1,0 +1,129 @@
+//! Descriptor exhaustion on a node: `accept` fails with `EMFILE` while
+//! the pending connection keeps the listener readable, so a loop that
+//! parks on readiness must drop the listener for that park instead of
+//! spinning on it, keep serving the connections it has, and accept
+//! again once descriptors are free.
+//!
+//! This file holds a single test because it uses up the process's
+//! descriptors: any test running beside it would fail at random.
+
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::Duration;
+
+use willump_data::{Table, Value};
+use willump_serve::{
+    RemoteRuntimeNode, RemoteWorker, Request, Servable, ServerConfig, ServingRuntime,
+    WorkerTransport,
+};
+
+struct Doubler;
+impl Servable for Doubler {
+    fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+        let xs = table
+            .column("x")
+            .ok_or_else(|| "missing x".to_string())?
+            .to_f64_vec()
+            .map_err(|e| e.to_string())?;
+        Ok(xs.into_iter().map(|x| 2.0 * x).collect())
+    }
+}
+
+fn request(id: u64, x: f64) -> Request {
+    Request {
+        endpoint: Some("double".to_string()),
+        ..Request::new(id, vec![vec![("x".to_string(), Value::Float(x))]])
+    }
+}
+
+/// The `stat` file of this process's thread named `name` (the kernel
+/// keeps 15 bytes of a thread name).
+fn thread_stat(name: &str) -> File {
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+        let dir = task.expect("entry").path();
+        let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        if comm.trim_end() == &name[..name.len().min(15)] {
+            return File::open(dir.join("stat")).expect("opens");
+        }
+    }
+    panic!("no thread named {name}");
+}
+
+/// CPU time the thread has used, in clock ticks (user + system).
+fn cpu_ticks(stat: &mut File) -> u64 {
+    let mut text = String::new();
+    stat.seek(SeekFrom::Start(0)).expect("seeks");
+    stat.read_to_string(&mut text).expect("reads");
+    // Fields after the parenthesised name; utime and stime are the
+    // 14th and 15th of the line, so the 12th and 13th after `)`.
+    let after = &text[text.rfind(')').expect("comm") + 1..];
+    let fields: Vec<&str> = after.split_whitespace().collect();
+    fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+}
+
+#[test]
+fn accept_failing_with_emfile_neither_spins_nor_stops_the_node() {
+    let mut b = ServingRuntime::builder();
+    b.config(ServerConfig::builder().workers(1).build());
+    b.endpoint("double", Arc::new(Doubler));
+    let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().expect("builds")).expect("binds");
+    let established = RemoteWorker::new(&node.local_addr().to_string());
+    let reply = established
+        .forward_request(&request(1, 1.0))
+        .expect("served");
+    assert_eq!(reply.response.scores, vec![2.0]);
+    let mut stat = thread_stat("willump-node-events");
+
+    // Use up every descriptor, then hand exactly one back for the
+    // client side of a new connection: the node has none to accept it.
+    let mut hog = Vec::new();
+    let exhausted = loop {
+        match File::open("/dev/null") {
+            Ok(file) => hog.push(file),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(
+        exhausted.raw_os_error(),
+        Some(24),
+        "EMFILE, got {exhausted}"
+    );
+    hog.pop();
+    let mut pending = TcpStream::connect(node.local_addr()).expect("the backlog takes it");
+    pending
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+
+    // The node keeps serving the connection it has — each request
+    // also makes it retry the failing accept — and sleeps otherwise:
+    // a loop spinning on the readable listener would burn the whole
+    // window (about 30 ticks of 10 ms). The sleep is the measurement
+    // window for another thread's CPU time, not synchronisation.
+    for i in 0..20 {
+        let reply = established
+            .forward_request(&request(i, i as f64))
+            .expect("served under descriptor pressure");
+        assert_eq!(reply.response.scores, vec![2.0 * i as f64]);
+    }
+    let before = cpu_ticks(&mut stat);
+    std::thread::sleep(Duration::from_millis(300));
+    let burned = cpu_ticks(&mut stat) - before;
+    assert!(
+        burned <= 5,
+        "event loop used {burned} ticks while accept kept failing"
+    );
+
+    // Descriptors come back; the next event of any kind — here a
+    // request — takes the loop through accept again.
+    drop(hog);
+    established
+        .forward_request(&request(99, 1.0))
+        .expect("served");
+    pending.write_all(b"WILLUMP/WIRE2\n").expect("writes");
+    let mut ack = [0u8; 11];
+    pending
+        .read_exact(&mut ack)
+        .expect("the pending connection is accepted and negotiated");
+}

@@ -32,6 +32,7 @@
 //! score concentration (top-K filtering).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod clickstream;
 mod common;

@@ -14,7 +14,7 @@
 //! | WL001 | `wire-compat` | every field of the `crates/serve/src/protocol.rs` wire structs beyond the frozen v1 set carries `#[serde(default)]`, so legacy frames keep decoding; and `wire2.rs`'s binary `WIRE2_LAYOUT` matches its frozen per-version copy, so layout changes must bump `WIRE2_VERSION` |
 //! | WL002 | `stats-completeness` | every numeric counter on `EndpointStats`/`PlanCounters`/`TransportStats` (and their snapshot mirrors) folds into the corresponding `snapshot()`/`merged()` aggregation |
 //! | WL003 | `no-lock-unwrap` | no `.unwrap()`/`.expect()` on lock or channel results in `crates/serve`/`crates/core` non-test code |
-//! | WL004 | `schema-registration` | every recording bench binary's schema header is registered in `RECORDED_SCHEMAS`, no registry entry is stale, and every registered section exists in `EXPERIMENTS.md` |
+//! | WL004 | `schema-registration` | every recording bench binary's schema header is registered in `RECORDED_SCHEMAS`, no registry entry is stale, every registered section exists in `EXPERIMENTS.md`, and no section there carries an older version of a registered schema |
 //! | WL005 | `vendor-hygiene` | every dependency across workspace manifests resolves to a path inside `vendor/` or `crates/` (no registry/git deps — the build env is offline) |
 //!
 //! Run with `cargo run -p xtask -- lint` (add `--fix` to apply the
@@ -23,6 +23,7 @@
 //! comment on the offending line or the line directly above it.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -1144,7 +1145,44 @@ fn rule_schema_registration(root: &Path, out: &mut Vec<Violation>) -> io::Result
             });
         }
     }
+
+    // A section recorded under an older version of a registered schema
+    // is superseded: re-recording upserts by the full marker, so the
+    // old block would otherwise sit beside the live one forever.
+    for (idx, line) in experiments.lines().enumerate() {
+        let Some((name, version)) = schema_name_version(line) else {
+            continue;
+        };
+        let newer = registry
+            .iter()
+            .filter_map(|(_, r)| schema_name_version(r))
+            .find(|(n, v)| *n == name && *v > version);
+        if let Some((_, live)) = newer {
+            out.push(Violation {
+                rule: "WL004",
+                name: "schema-registration",
+                file: EXPERIMENTS_MD.to_string(),
+                line: idx + 1,
+                message: format!(
+                    "section `{name} v{version}` is superseded by the registered v{live}; \
+                     delete the stale block"
+                ),
+                fix: None,
+            });
+        }
+    }
     Ok(())
+}
+
+/// Split a `<!-- schema: NAME vN -->` marker line into `(NAME, N)`.
+fn schema_name_version(marker: &str) -> Option<(&str, u32)> {
+    let body = marker
+        .trim()
+        .strip_prefix(SCHEMA_PREFIX)?
+        .strip_suffix("-->")?
+        .trim();
+    let (name, version) = body.rsplit_once(' ')?;
+    Some((name.trim(), version.strip_prefix('v')?.parse().ok()?))
 }
 
 // ---- rule 5: vendor-hygiene ----------------------------------------

@@ -1,7 +1,7 @@
 //! Healthy recording binary: schema registered and present in
 //! EXPERIMENTS.md — contributes no violation.
 
-const EXPERIMENTS_SCHEMA: &str = "<!-- schema: table1-good v1 -->";
+const EXPERIMENTS_SCHEMA: &str = "<!-- schema: table1-good v2 -->";
 const RECORD_CMD: &str = "cargo run --bin table1 -- --record";
 
 fn main() {

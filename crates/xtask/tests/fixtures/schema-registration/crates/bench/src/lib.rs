@@ -1,11 +1,12 @@
-//! WL004 fixture registry: `table1` is healthy, `table9-stale` is
-//! registered but declared by no binary (and absent from
-//! EXPERIMENTS.md) — two of the fixture's three violations come from
+//! WL004 fixture registry: `table1` is healthy (at v2; the fixture's
+//! EXPERIMENTS.md still carries its superseded v1 block — one
+//! violation), `table9-stale` is registered but declared by no binary
+//! (and absent from EXPERIMENTS.md) — two more violations come from
 //! here.
 
 pub const RECORDED_SCHEMAS: &[(&str, &str)] = &[
     (
-        "<!-- schema: table1-good v1 -->",
+        "<!-- schema: table1-good v2 -->",
         "cargo run --bin table1 -- --record",
     ),
     (

@@ -99,8 +99,9 @@ fn schema_registration_fixture_fires_exactly_wl004() {
     let (ids, violations) = lint_fixture("schema-registration");
     assert_eq!(ids, BTreeSet::from(["WL004"]), "{violations:?}");
     // Unregistered binary schema + stale registry entry + registered
-    // schema missing from EXPERIMENTS.md.
-    assert_eq!(violations.len(), 3, "{violations:?}");
+    // schema missing from EXPERIMENTS.md + a superseded v1 block
+    // beside the registered v2.
+    assert_eq!(violations.len(), 4, "{violations:?}");
     assert!(violations
         .iter()
         .any(|v| v.file.ends_with("table2.rs") && v.message.contains("not registered")));
@@ -110,6 +111,10 @@ fn schema_registration_fixture_fires_exactly_wl004() {
     assert!(violations
         .iter()
         .any(|v| v.file == "EXPERIMENTS.md" && v.message.contains("missing recorded section")));
+    assert!(violations.iter().any(|v| v.file == "EXPERIMENTS.md"
+        && v.line == 3
+        && v.message
+            .contains("`table1-good v1` is superseded by the registered v2")));
 }
 
 #[test]

@@ -10,6 +10,7 @@
 //! and the repository README for a tour.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub use willump;
 pub use willump_data;
