@@ -114,7 +114,7 @@ impl FeatureMatrix {
     /// # Errors
     /// Returns [`DataError::ShapeMismatch`] if row counts differ or
     /// `parts` is empty.
-    pub fn hstack(parts: &[FeatureMatrix]) -> Result<FeatureMatrix, DataError> {
+    pub fn hstack(parts: &[&FeatureMatrix]) -> Result<FeatureMatrix, DataError> {
         if parts.is_empty() {
             return Err(DataError::ShapeMismatch {
                 context: "hstack of zero feature matrices".into(),
@@ -125,29 +125,33 @@ impl FeatureMatrix {
             return Err(DataError::ShapeMismatch {
                 context: format!(
                     "hstack row counts differ: {:?}",
-                    parts.iter().map(FeatureMatrix::n_rows).collect::<Vec<_>>()
+                    parts.iter().map(|p| p.n_rows()).collect::<Vec<_>>()
                 ),
             });
         }
-        if parts.iter().all(|p| matches!(p, FeatureMatrix::Dense(_))) {
-            let mats: Vec<&Matrix> = parts
-                .iter()
-                .map(|p| match p {
-                    FeatureMatrix::Dense(m) => m,
-                    FeatureMatrix::Sparse(_) => unreachable!(),
-                })
-                .collect();
-            return Ok(FeatureMatrix::Dense(Matrix::hstack(&mats)?));
-        }
-        let sparse: Vec<SparseMatrix> = parts
+        let dense: Vec<&Matrix> = parts
             .iter()
-            .map(|p| match p {
-                FeatureMatrix::Dense(m) => SparseMatrix::from_dense(m),
-                FeatureMatrix::Sparse(m) => m.clone(),
+            .filter_map(|p| match p {
+                FeatureMatrix::Dense(m) => Some(m),
+                FeatureMatrix::Sparse(_) => None,
             })
             .collect();
-        let refs: Vec<&SparseMatrix> = sparse.iter().collect();
-        Ok(FeatureMatrix::Sparse(SparseMatrix::hstack(&refs)?))
+        if dense.len() == parts.len() {
+            return Ok(FeatureMatrix::Dense(Matrix::hstack(&dense)?));
+        }
+        // Dense blocks next to text are narrow (string statistics,
+        // lookups): each becomes CSR once; sparse parts are borrowed.
+        let from_dense: Vec<SparseMatrix> =
+            dense.into_iter().map(SparseMatrix::from_dense).collect();
+        let mut converted = from_dense.iter();
+        let sparse: Vec<&SparseMatrix> = parts
+            .iter()
+            .map(|p| match p {
+                FeatureMatrix::Dense(_) => converted.next().expect("one per dense part"),
+                FeatureMatrix::Sparse(m) => m,
+            })
+            .collect();
+        Ok(FeatureMatrix::Sparse(SparseMatrix::hstack(&sparse)?))
     }
 
     /// Select a subset of rows (in the given order) into a new matrix.
@@ -185,7 +189,7 @@ mod tests {
         b.push_row(&[(0, 5.0)]);
         b.push_row(&[(2, 6.0)]);
         let s = b.finish();
-        let out = FeatureMatrix::hstack(&[d.into(), s.into()]).unwrap();
+        let out = FeatureMatrix::hstack(&[&d.into(), &s.into()]).unwrap();
         assert!(matches!(out, FeatureMatrix::Sparse(_)));
         assert_eq!(out.n_cols(), 5);
         assert_eq!(out.row_entries(1), vec![(0, 3.0), (1, 4.0), (4, 6.0)]);
@@ -195,7 +199,7 @@ mod tests {
     fn hstack_dense_stays_dense() {
         let a = Matrix::from_rows(&[vec![1.0], vec![2.0]]);
         let b = Matrix::from_rows(&[vec![3.0], vec![4.0]]);
-        let out = FeatureMatrix::hstack(&[a.into(), b.into()]).unwrap();
+        let out = FeatureMatrix::hstack(&[&a.into(), &b.into()]).unwrap();
         assert!(matches!(out, FeatureMatrix::Dense(_)));
         assert_eq!(out.to_dense().row(0), &[1.0, 3.0]);
     }
@@ -204,7 +208,7 @@ mod tests {
     fn hstack_rejects_mismatched_rows() {
         let a = Matrix::from_rows(&[vec![1.0]]);
         let b = Matrix::from_rows(&[vec![1.0], vec![2.0]]);
-        assert!(FeatureMatrix::hstack(&[a.into(), b.into()]).is_err());
+        assert!(FeatureMatrix::hstack(&[&a.into(), &b.into()]).is_err());
     }
 
     #[test]

@@ -55,11 +55,32 @@ impl SparseRowBuilder {
     /// Append one row given `(column, value)` pairs.
     ///
     /// Entries are sorted by column and zero values are dropped;
-    /// duplicate columns within a row are summed.
+    /// duplicate columns within a row are summed. A row that already
+    /// is strictly ascending and free of zeros — what every
+    /// featurizer and matrix operation in this workspace hands over —
+    /// is appended as it stands, with no intermediate copy.
     ///
     /// # Panics
     /// Panics if any column index is out of range.
     pub fn push_row(&mut self, entries: &[(usize, f64)]) {
+        let canonical =
+            entries.windows(2).all(|w| w[0].0 < w[1].0) && entries.iter().all(|(_, v)| *v != 0.0);
+        if canonical {
+            // Ascending, so the last column is the largest.
+            if let Some(&(c, _)) = entries.last() {
+                assert!(c < self.cols, "column {c} out of range ({})", self.cols);
+            }
+            self.indices.extend(entries.iter().map(|(c, _)| *c as u32));
+            self.data.extend(entries.iter().map(|(_, v)| *v));
+        } else {
+            self.push_unordered(entries);
+        }
+        self.indptr.push(self.indices.len());
+    }
+
+    /// The general case of [`push_row`](Self::push_row): sort, merge
+    /// duplicates, drop zeros.
+    fn push_unordered(&mut self, entries: &[(usize, f64)]) {
         let mut row: Vec<(usize, f64)> =
             entries.iter().copied().filter(|(_, v)| *v != 0.0).collect();
         row.sort_unstable_by_key(|(c, _)| *c);
@@ -77,7 +98,6 @@ impl SparseRowBuilder {
                 self.data.push(v);
             }
         }
-        self.indptr.push(self.indices.len());
     }
 
     /// Number of rows pushed so far.
@@ -109,20 +129,18 @@ impl SparseMatrix {
 
     /// Convert a dense matrix, dropping zeros.
     pub fn from_dense(m: &Matrix) -> SparseMatrix {
-        let mut b = SparseRowBuilder::new(m.n_cols());
-        let mut scratch = Vec::new();
+        let mut out = SparseMatrix::zeros(0, m.n_cols());
+        out.indptr.reserve(m.n_rows());
         for r in 0..m.n_rows() {
-            scratch.clear();
-            scratch.extend(
-                m.row(r)
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| **v != 0.0)
-                    .map(|(c, v)| (c, *v)),
-            );
-            b.push_row(&scratch);
+            for (c, v) in m.row(r).iter().enumerate() {
+                if *v != 0.0 {
+                    out.indices.push(c as u32);
+                    out.data.push(*v);
+                }
+            }
+            out.indptr.push(out.indices.len());
         }
-        b.finish()
+        out
     }
 
     /// Number of rows.
@@ -202,20 +220,22 @@ impl SparseMatrix {
                 context: "sparse hstack row counts differ".into(),
             });
         }
-        let cols = parts.iter().map(|p| p.cols).sum();
-        let mut b = SparseRowBuilder::new(cols);
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        let mut out = SparseMatrix::zeros(0, parts.iter().map(|p| p.cols).sum());
+        let nnz = parts.iter().map(|p| p.nnz()).sum();
+        out.indptr.reserve(rows);
+        out.indices.reserve(nnz);
+        out.data.reserve(nnz);
         for r in 0..rows {
-            scratch.clear();
-            let mut offset = 0usize;
+            let mut offset = 0u32;
             for p in parts {
                 let (cs, vs) = p.row_view(r);
-                scratch.extend(cs.iter().zip(vs).map(|(c, v)| (*c as usize + offset, *v)));
-                offset += p.cols;
+                out.indices.extend(cs.iter().map(|c| c + offset));
+                out.data.extend_from_slice(vs);
+                offset += p.cols as u32;
             }
-            b.push_row(&scratch);
+            out.indptr.push(out.indices.len());
         }
-        Ok(b.finish())
+        Ok(out)
     }
 
     /// Gather rows by index into a new matrix (indices may repeat).
@@ -223,11 +243,21 @@ impl SparseMatrix {
     /// # Panics
     /// Panics if any index is out of bounds.
     pub fn take_rows(&self, rows: &[usize]) -> SparseMatrix {
-        let mut b = SparseRowBuilder::new(self.cols);
+        let mut out = SparseMatrix::zeros(0, self.cols);
+        let nnz = rows
+            .iter()
+            .map(|&r| self.indptr[r + 1] - self.indptr[r])
+            .sum();
+        out.indptr.reserve(rows.len());
+        out.indices.reserve(nnz);
+        out.data.reserve(nnz);
         for &r in rows {
-            b.push_row(&self.row_pairs(r));
+            let (cs, vs) = self.row_view(r);
+            out.indices.extend_from_slice(cs);
+            out.data.extend_from_slice(vs);
+            out.indptr.push(out.indices.len());
         }
-        b.finish()
+        out
     }
 
     /// Per-column mean absolute values over all rows (implicit zeros
@@ -276,6 +306,29 @@ mod tests {
     }
 
     #[test]
+    fn canonical_rows_take_the_same_form_as_unordered_ones() {
+        let mut b = SparseRowBuilder::new(6);
+        b.push_row(&[(0, 1.0), (2, -2.0), (5, f64::NAN)]);
+        b.push_row(&[(5, 3.0), (2, -2.0), (0, 1.0)]);
+        b.push_row(&[(1, 0.0)]);
+        b.push_row(&[(4, 1.0)]);
+        let m = b.finish();
+        assert_eq!(m.n_rows(), 4);
+        assert_eq!(m.row_view(0).0, &[0, 2, 5]);
+        assert!(m.row_view(0).1[2].is_nan());
+        assert_eq!(m.row_pairs(1), vec![(0, 1.0), (2, -2.0), (5, 3.0)]);
+        assert!(m.row_pairs(2).is_empty());
+        assert_eq!(m.row_pairs(3), vec![(4, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 4 out of range")]
+    fn out_of_range_column_panics_on_a_canonical_row() {
+        let mut b = SparseRowBuilder::new(4);
+        b.push_row(&[(1, 1.0), (4, 1.0)]);
+    }
+
+    #[test]
     fn merged_to_zero_is_dropped() {
         let mut b = SparseRowBuilder::new(2);
         b.push_row(&[(1, 1.0), (1, -1.0)]);
@@ -310,6 +363,21 @@ mod tests {
             vec![(0, 1.0), (3, 2.0), (5, 1.0), (8, 2.0)]
         );
         assert!(SparseMatrix::hstack(&[]).is_err());
+    }
+
+    #[test]
+    fn hstack_and_take_rows_keep_empty_rows() {
+        let a = sample();
+        let joined = SparseMatrix::hstack(&[&a, &SparseMatrix::zeros(3, 2), &a]).unwrap();
+        assert_eq!(joined.n_cols(), 12);
+        assert!(joined.row_pairs(1).is_empty());
+        assert_eq!(joined.row_pairs(2), vec![(4, -1.0), (11, -1.0)]);
+        assert_eq!(joined.nnz(), 6);
+        let taken = joined.take_rows(&[1, 1, 2]);
+        assert_eq!(taken.n_rows(), 3);
+        assert_eq!(taken.nnz(), 2);
+        assert_eq!(taken.row_pairs(2), joined.row_pairs(2));
+        assert_eq!(a.take_rows(&[]), SparseMatrix::zeros(0, 5));
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! operators that benchmark pipelines use to turn raw inputs into
 //! numeric features (paper Table 1's "feature-computing operators").
 //!
-//! - text: [`tokenize`], [`ngrams`], [`CountVectorizer`],
-//!   [`TfIdfVectorizer`] (string processing, n-grams, TF-IDF),
+//! - text: [`CountVectorizer`], [`TfIdfVectorizer`] (string
+//!   processing, n-grams, TF-IDF) over [`VectorizerConfig::analyze`];
+//!   [`tokenize`] and [`ngrams`] are the analyzers' reference
+//!   implementation, which `analyze` is tested against,
 //! - categorical: [`OneHotEncoder`], [`OrdinalEncoder`],
 //!   [`FeatureHasher`], [`TargetEncoder`] (feature encoding),
 //! - stateless text: [`HashingVectorizer`] (hashing trick over the

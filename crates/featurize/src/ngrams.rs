@@ -1,4 +1,7 @@
-//! N-gram extraction over word tokens and characters.
+//! N-gram extraction over word tokens and characters: the reference
+//! implementation (see [`crate::tokenize`]), kept as the specification
+//! [`VectorizerConfig::analyze`](crate::VectorizerConfig::analyze) is
+//! tested against.
 
 /// Emit word n-grams of orders `lo..=hi` (joined with spaces) into
 /// `out`, calling `f` once per n-gram.

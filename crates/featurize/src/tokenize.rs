@@ -1,4 +1,10 @@
-//! Word and character tokenization.
+//! Word and character tokenization: the reference implementation.
+//!
+//! These functions (and those of [`crate::ngrams`]) *define* the
+//! analyzers. Nothing on a featurization path calls them:
+//! [`VectorizerConfig::analyze`](crate::VectorizerConfig::analyze)
+//! produces the same n-grams from one reusable buffer, and is tested
+//! against the composition of these, which allocates per token.
 
 /// Split text into lowercase word tokens on non-alphanumeric
 /// boundaries, discarding empty tokens.

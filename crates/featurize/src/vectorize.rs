@@ -5,12 +5,10 @@
 //! sklearn: smooth IDF, optional sublinear TF, and L1/L2/none row
 //! normalization.
 
-use std::collections::HashMap;
+use std::cell::Cell;
 
 use willump_data::{SparseMatrix, SparseRowBuilder};
 
-use crate::ngrams::{char_ngrams, word_ngrams};
-use crate::tokenize::{normalize_chars, words};
 use crate::vocab::{VocabBuilder, Vocabulary};
 use crate::FeatError;
 
@@ -86,18 +84,167 @@ impl VectorizerConfig {
     /// Python-baseline engine in `willump-graph`) can reimplement the
     /// counting loop with their own cost model while sharing the
     /// analyzer semantics.
+    ///
+    /// The document is normalised once into a per-thread buffer and
+    /// every n-gram is a slice of that buffer, in the order
+    /// [`tokenize`](crate::tokenize) + [`ngrams`](crate::ngrams) (the
+    /// specification this is tested against) would produce them.
+    ///
+    /// # Panics
+    /// Panics if `ngram_lo == 0` or `ngram_lo > ngram_hi`.
     pub fn analyze(&self, doc: &str, mut f: impl FnMut(&str)) {
+        let (lo, hi) = (self.ngram_lo, self.ngram_hi);
+        assert!(lo >= 1 && lo <= hi, "invalid n-gram range {lo}..={hi}");
+        // Out of the cell for the duration of the call: a callback
+        // that analyzes another document finds an empty scratch and
+        // fills its own instead of borrowing this one twice.
+        let mut scratch = ANALYZER_SCRATCH.take();
+        scratch.normalise(doc, self.analyzer);
+        let (text, marks) = (scratch.text.as_str(), scratch.marks.as_slice());
         match self.analyzer {
             Analyzer::Word => {
-                let toks = words(doc);
-                word_ngrams(&toks, self.ngram_lo, self.ngram_hi, &mut f);
+                let tokens = marks.len() / 2;
+                for n in lo..=hi.min(tokens) {
+                    for first in 0..=tokens - n {
+                        let last = first + n - 1;
+                        f(&text[marks[2 * first]..marks[2 * last + 1]]);
+                    }
+                }
             }
             Analyzer::Char => {
-                let norm = normalize_chars(doc);
-                char_ngrams(&norm, self.ngram_lo, self.ngram_hi, &mut f);
+                // In ASCII text the i-th char starts at byte i.
+                let ascii = marks.is_empty();
+                let chars = if ascii { text.len() } else { marks.len() - 1 };
+                let at = |i: usize| if ascii { i } else { marks[i] };
+                for n in lo..=hi.min(chars) {
+                    for first in 0..=chars - n {
+                        f(&text[at(first)..at(first + n)]);
+                    }
+                }
+            }
+        }
+        ANALYZER_SCRATCH.set(scratch);
+    }
+}
+
+thread_local! {
+    static ANALYZER_SCRATCH: Cell<AnalyzerScratch> = const {
+        Cell::new(AnalyzerScratch {
+            text: String::new(),
+            marks: Vec::new(),
+        })
+    };
+    static COUNT_SCRATCH: Cell<CountScratch> = const {
+        Cell::new(CountScratch {
+            ids: Vec::new(),
+            row: Vec::new(),
+        })
+    };
+}
+
+/// Per-thread buffers of [`VectorizerConfig::analyze`]; they grow to
+/// the longest document the thread has seen and are reused from then
+/// on.
+#[derive(Default)]
+struct AnalyzerScratch {
+    /// The document's runs of kept characters (alphanumeric for the
+    /// word analyzer, non-whitespace for the char analyzer),
+    /// lower-cased and joined by single spaces.
+    text: String,
+    /// Word analyzer: start and end byte offset of each token, two
+    /// entries per token. Char analyzer: the byte offset of every
+    /// char boundary of `text`, its length included — left empty when
+    /// `text` is ASCII.
+    marks: Vec<usize>,
+}
+
+impl AnalyzerScratch {
+    fn normalise(&mut self, doc: &str, analyzer: Analyzer) {
+        let word = analyzer == Analyzer::Word;
+        self.text.clear();
+        self.marks.clear();
+        if doc.is_ascii() {
+            // Byte classes that agree with the `char` predicates of
+            // the loop below on every ASCII input; `char::is_whitespace`
+            // includes vertical tab, `u8::is_ascii_whitespace` does not.
+            let keep = |b: u8| {
+                if word {
+                    b.is_ascii_alphanumeric()
+                } else {
+                    !matches!(b, b'\t'..=b'\r' | b' ')
+                }
+            };
+            let bytes = doc.as_bytes();
+            let mut i = 0;
+            while i < bytes.len() {
+                let start = i;
+                while i < bytes.len() && keep(bytes[i]) {
+                    i += 1;
+                }
+                if i > start {
+                    self.open_run();
+                    self.text.push_str(&doc[start..i]);
+                    self.close_run();
+                } else {
+                    i += 1;
+                }
+            }
+            self.text.make_ascii_lowercase();
+        } else {
+            let mut in_run = false;
+            for ch in doc.chars() {
+                let keep = if word {
+                    ch.is_alphanumeric()
+                } else {
+                    !ch.is_whitespace()
+                };
+                if keep {
+                    if !in_run {
+                        self.open_run();
+                        in_run = true;
+                    }
+                    // May be more than one char ('İ'), and not
+                    // alphanumeric itself; it stays in the run.
+                    self.text.extend(ch.to_lowercase());
+                } else if in_run {
+                    self.close_run();
+                    in_run = false;
+                }
+            }
+            if in_run {
+                self.close_run();
+            }
+        }
+        if !word {
+            // Chars are sliced at char boundaries, not at runs.
+            self.marks.clear();
+            if !self.text.is_ascii() {
+                self.marks
+                    .extend(self.text.char_indices().map(|(at, _)| at));
+                self.marks.push(self.text.len());
             }
         }
     }
+
+    fn open_run(&mut self) {
+        if !self.text.is_empty() {
+            self.text.push(' ');
+        }
+        self.marks.push(self.text.len());
+    }
+
+    fn close_run(&mut self) {
+        self.marks.push(self.text.len());
+    }
+}
+
+/// Per-thread buffers of the counting step.
+#[derive(Default)]
+struct CountScratch {
+    /// Column of every in-vocabulary n-gram of the document.
+    ids: Vec<u32>,
+    /// The document's `(column, count)` row, in column order.
+    row: Vec<(usize, f64)>,
 }
 
 /// Term-count featurization over n-grams.
@@ -138,20 +285,50 @@ impl CountVectorizer {
     /// Learn the vocabulary from a corpus.
     pub fn fit<S: AsRef<str>>(&mut self, corpus: &[S]) {
         let mut b = VocabBuilder::new();
-        let mut distinct: Vec<String> = Vec::new();
-        let mut seen: HashMap<String, ()> = HashMap::new();
         for doc in corpus {
-            distinct.clear();
-            seen.clear();
-            self.config.analyze(doc.as_ref(), |g| {
-                if !seen.contains_key(g) {
-                    seen.insert(g.to_string(), ());
-                    distinct.push(g.to_string());
-                }
-            });
-            b.add_document(distinct.iter().map(String::as_str));
+            b.start_document();
+            self.config.analyze(doc.as_ref(), |g| b.add_term(g));
         }
         self.vocab = Some(b.finish(self.config.min_df, self.config.max_features));
+    }
+
+    fn fitted(&self) -> Result<&Vocabulary, FeatError> {
+        self.vocab.as_ref().ok_or(FeatError::NotFitted {
+            transformer: "CountVectorizer",
+        })
+    }
+
+    /// Count one document's in-vocabulary n-grams into `scratch.row`:
+    /// collect their columns, sort, and run-length encode.
+    fn count_into(&self, vocab: &Vocabulary, doc: &str, scratch: &mut CountScratch) {
+        let CountScratch { ids, row } = scratch;
+        ids.clear();
+        self.config.analyze(doc, |g| ids.extend(vocab.get(g)));
+        ids.sort_unstable();
+        row.clear();
+        row.extend(
+            ids.chunk_by(|a, b| a == b)
+                .map(|run| (run[0] as usize, run.len() as f64)),
+        );
+    }
+
+    /// [`count_into`](Self::count_into) for every document, each row
+    /// passed through `weigh` on its way into the matrix.
+    fn transform_with<S: AsRef<str>>(
+        &self,
+        docs: &[S],
+        weigh: impl Fn(&mut [(usize, f64)]),
+    ) -> Result<SparseMatrix, FeatError> {
+        let vocab = self.fitted()?;
+        let mut b = SparseRowBuilder::new(vocab.len());
+        let mut scratch = COUNT_SCRATCH.take();
+        for doc in docs {
+            self.count_into(vocab, doc.as_ref(), &mut scratch);
+            weigh(&mut scratch.row);
+            b.push_row(&scratch.row);
+        }
+        COUNT_SCRATCH.set(scratch);
+        Ok(b.finish())
     }
 
     /// Count in-vocabulary n-grams for one document.
@@ -159,17 +336,11 @@ impl CountVectorizer {
     /// # Errors
     /// Returns [`FeatError::NotFitted`] before `fit`.
     pub fn transform_one(&self, doc: &str) -> Result<Vec<(usize, f64)>, FeatError> {
-        let vocab = self.vocab.as_ref().ok_or(FeatError::NotFitted {
-            transformer: "CountVectorizer",
-        })?;
-        let mut counts: HashMap<u32, f64> = HashMap::new();
-        self.config.analyze(doc, |g| {
-            if let Some(id) = vocab.get(g) {
-                *counts.entry(id).or_insert(0.0) += 1.0;
-            }
-        });
-        let mut row: Vec<(usize, f64)> = counts.into_iter().map(|(c, v)| (c as usize, v)).collect();
-        row.sort_unstable_by_key(|(c, _)| *c);
+        let vocab = self.fitted()?;
+        let mut scratch = COUNT_SCRATCH.take();
+        self.count_into(vocab, doc, &mut scratch);
+        let row = scratch.row.clone();
+        COUNT_SCRATCH.set(scratch);
         Ok(row)
     }
 
@@ -178,17 +349,7 @@ impl CountVectorizer {
     /// # Errors
     /// Returns [`FeatError::NotFitted`] before `fit`.
     pub fn transform<S: AsRef<str>>(&self, docs: &[S]) -> Result<SparseMatrix, FeatError> {
-        let n = self.n_features();
-        if self.vocab.is_none() {
-            return Err(FeatError::NotFitted {
-                transformer: "CountVectorizer",
-            });
-        }
-        let mut b = SparseRowBuilder::new(n);
-        for doc in docs {
-            b.push_row(&self.transform_one(doc.as_ref())?);
-        }
-        Ok(b.finish())
+        self.transform_with(docs, |_| {})
     }
 
     /// Fit then transform the same corpus.
@@ -305,16 +466,21 @@ impl TfIdfVectorizer {
             .collect();
     }
 
+    fn fitted(&self) -> Result<(), FeatError> {
+        if self.counter.vocabulary().is_none() {
+            return Err(FeatError::NotFitted {
+                transformer: "TfIdfVectorizer",
+            });
+        }
+        Ok(())
+    }
+
     /// TF-IDF featurize one document as sorted `(column, value)` pairs.
     ///
     /// # Errors
     /// Returns [`FeatError::NotFitted`] before `fit`.
     pub fn transform_one(&self, doc: &str) -> Result<Vec<(usize, f64)>, FeatError> {
-        if self.idf.is_empty() && self.counter.vocabulary().is_none() {
-            return Err(FeatError::NotFitted {
-                transformer: "TfIdfVectorizer",
-            });
-        }
+        self.fitted()?;
         let mut row = self.counter.transform_one(doc)?;
         self.weigh(&mut row);
         Ok(row)
@@ -325,11 +491,8 @@ impl TfIdfVectorizer {
     /// # Errors
     /// Returns [`FeatError::NotFitted`] before `fit`.
     pub fn transform<S: AsRef<str>>(&self, docs: &[S]) -> Result<SparseMatrix, FeatError> {
-        let mut b = SparseRowBuilder::new(self.n_features());
-        for doc in docs {
-            b.push_row(&self.transform_one(doc.as_ref())?);
-        }
-        Ok(b.finish())
+        self.fitted()?;
+        self.counter.transform_with(docs, |row| self.weigh(row))
     }
 
     /// Fit then transform the same corpus.
@@ -479,6 +642,94 @@ mod tests {
         .unwrap();
         v.fit(&["a b c d e", "a b"]);
         assert_eq!(v.n_features(), 2);
+    }
+
+    fn ngrams_of(config: &VectorizerConfig, doc: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        config.analyze(doc, |g| out.push(g.to_string()));
+        out
+    }
+
+    #[test]
+    fn analyze_slices_one_normalised_buffer() {
+        let word = VectorizerConfig {
+            ngram_hi: 2,
+            ..word_config()
+        };
+        assert_eq!(
+            ngrams_of(&word, "Hello,  GBDT-world!"),
+            vec!["hello", "gbdt", "world", "hello gbdt", "gbdt world"]
+        );
+        let chars = VectorizerConfig {
+            analyzer: Analyzer::Char,
+            ngram_lo: 2,
+            ngram_hi: 3,
+            ..word_config()
+        };
+        assert_eq!(ngrams_of(&chars, " A\t b "), vec!["a ", " b", "a b"]);
+        assert_eq!(ngrams_of(&chars, "hÉé"), vec!["hé", "éé", "héé"]);
+        assert!(ngrams_of(&chars, "x").is_empty());
+    }
+
+    #[test]
+    fn ascii_byte_classes_agree_with_char_predicates() {
+        // The byte path of `normalise` stands on these equalities.
+        for b in 0u8..=0x7f {
+            let ch = char::from(b);
+            assert_eq!(b.is_ascii_alphanumeric(), ch.is_alphanumeric(), "{b:#x}");
+            assert_eq!(
+                matches!(b, b'\t'..=b'\r' | b' '),
+                ch.is_whitespace(),
+                "{b:#x}"
+            );
+            assert!(ch.to_lowercase().eq([char::from(b.to_ascii_lowercase())]));
+        }
+    }
+
+    #[test]
+    fn analyze_is_reentrant() {
+        // The callback analyzes another document (and featurizes one)
+        // while the outer call's scratch is checked out.
+        let config = VectorizerConfig {
+            ngram_hi: 2,
+            ..word_config()
+        };
+        let mut v = TfIdfVectorizer::new(config.clone()).unwrap();
+        v.fit(&["x y z", "alpha beta"]);
+        let outer_expected = ngrams_of(&config, "Alpha beta gamma");
+        let inner_expected = ngrams_of(&config, "x Y z");
+        let row_expected = v.transform_one("x y z").unwrap();
+
+        let mut outer = Vec::new();
+        config.analyze("Alpha beta gamma", |g| {
+            outer.push(g.to_string());
+            assert_eq!(ngrams_of(&config, "x Y z"), inner_expected);
+            assert_eq!(v.transform_one("x y z").unwrap(), row_expected);
+        });
+        assert_eq!(outer, outer_expected);
+        // And the scratch is back in place for the next caller.
+        assert_eq!(ngrams_of(&config, "x Y z"), inner_expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid n-gram range")]
+    fn analyze_rejects_a_zero_order() {
+        let config = VectorizerConfig {
+            ngram_lo: 0,
+            ..word_config()
+        };
+        config.analyze("a b", |_| {});
+    }
+
+    #[test]
+    fn repeated_terms_are_run_length_counted() {
+        let mut v = CountVectorizer::new(word_config()).unwrap();
+        v.fit(&["a b c"]);
+        assert_eq!(
+            v.transform_one("c a c b c a zzz").unwrap(),
+            vec![(0, 2.0), (1, 1.0), (2, 3.0)]
+        );
+        assert!(v.transform_one("").unwrap().is_empty());
     }
 
     #[test]

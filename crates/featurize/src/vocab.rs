@@ -1,6 +1,46 @@
 //! Token vocabularies mapping terms to feature-column indices.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hasher for the fitted term index: eight bytes per
+/// multiply instead of SipHash's rounds. It is not collision-resistant
+/// against chosen keys, and does not need to be — the index's keys are
+/// fixed at `fit` and serving only looks terms up, never inserts, so
+/// no input can grow a bucket. [`VocabBuilder`], whose keys do come
+/// from the corpus, keeps the default hasher.
+#[derive(Debug, Clone, Copy, Default)]
+struct TermHasher(u64);
+
+impl TermHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for TermHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.mix(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            // At most seven bytes: the eighth holds their count, so
+            // "ab" and "ab\0" differ.
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            tail[7] = rest.len() as u8;
+            self.mix(u64::from_le_bytes(tail));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // picks buckets by the low ones.
+        self.0.rotate_left(26)
+    }
+}
 
 /// A term → column-index mapping built from a training corpus.
 ///
@@ -9,7 +49,7 @@ use std::collections::HashMap;
 /// vectorizers (used in the Product/Toxic/Price Kaggle entries).
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
-    index: HashMap<String, u32>,
+    index: HashMap<String, u32, BuildHasherDefault<TermHasher>>,
     terms: Vec<String>,
     doc_freq: Vec<u32>,
 }
@@ -68,7 +108,9 @@ impl Vocabulary {
 /// Accumulates per-document term sets and finalizes a [`Vocabulary`].
 #[derive(Debug, Default)]
 pub struct VocabBuilder {
-    doc_freq: HashMap<String, u32>,
+    /// Per term: its document frequency and the (1-based) number of
+    /// the last document it was counted in.
+    doc_freq: HashMap<String, (u32, u32)>,
     n_docs: u32,
 }
 
@@ -83,11 +125,34 @@ impl VocabBuilder {
         self.n_docs
     }
 
-    /// Record one document's distinct terms.
-    pub fn add_document<'a>(&mut self, distinct_terms: impl IntoIterator<Item = &'a str>) {
+    /// Record one document's terms (repeats count once).
+    pub fn add_document<'a>(&mut self, terms: impl IntoIterator<Item = &'a str>) {
+        self.start_document();
+        for t in terms {
+            self.add_term(t);
+        }
+    }
+
+    /// Begin the next document; [`add_term`](Self::add_term) calls
+    /// belong to it until the next call.
+    pub(crate) fn start_document(&mut self) {
         self.n_docs += 1;
-        for t in distinct_terms {
-            *self.doc_freq.entry(t.to_string()).or_insert(0) += 1;
+    }
+
+    /// Record one occurrence of `term` in the current document. A
+    /// term is copied the first time the corpus shows it, and counted
+    /// the first time each document does.
+    pub(crate) fn add_term(&mut self, term: &str) {
+        match self.doc_freq.get_mut(term) {
+            Some((df, last_doc)) => {
+                if *last_doc != self.n_docs {
+                    *last_doc = self.n_docs;
+                    *df += 1;
+                }
+            }
+            None => {
+                self.doc_freq.insert(term.to_string(), (1, self.n_docs));
+            }
         }
     }
 
@@ -98,6 +163,7 @@ impl VocabBuilder {
         let mut entries: Vec<(String, u32)> = self
             .doc_freq
             .into_iter()
+            .map(|(term, (df, _))| (term, df))
             .filter(|(_, df)| *df >= min_df)
             .collect();
         // Sort by descending document frequency, then term, so the

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use willump_data::{FeatureMatrix, Table, Value};
 
-use crate::analysis::{identify_ifvs, subset_layout, IfvAnalysis};
+use crate::analysis::{identify_ifvs, IfvAnalysis};
 use crate::cache::{source_key, FeatureCaches};
 use crate::graph::{NodeId, TransformGraph};
 use crate::interp;
@@ -74,6 +74,11 @@ pub struct Executor {
     /// Per-generator source columns the IFV depends on (cache keys;
     /// precomputed because the serving path consults them per row).
     key_columns: Arc<Vec<Vec<String>>>,
+    /// Per-generator evaluation order of the single-input path: the
+    /// preprocessing nodes and the generator's own, topologically.
+    row_orders: Arc<Vec<Vec<NodeId>>>,
+    /// Per-generator feature widths.
+    widths: Arc<Vec<usize>>,
     /// Per-generator per-row costs (seconds) for LPT assignment.
     generator_costs: Option<Arc<Vec<f64>>>,
     /// Persistent workers for per-input parallelism (created by
@@ -101,6 +106,27 @@ impl Executor {
                 })
                 .collect(),
         );
+        let row_orders = Arc::new(
+            analysis
+                .generators
+                .iter()
+                .map(|g| {
+                    graph
+                        .topo_order()
+                        .iter()
+                        .copied()
+                        .filter(|id| analysis.preprocessing.contains(id) || g.nodes.contains(id))
+                        .collect()
+                })
+                .collect(),
+        );
+        let widths = Arc::new(
+            analysis
+                .generators
+                .iter()
+                .map(|g| graph.node(g.root).op.out_dim())
+                .collect(),
+        );
         Ok(Executor {
             graph,
             analysis,
@@ -108,6 +134,8 @@ impl Executor {
             parallelism: Parallelism::None,
             caches: None,
             key_columns,
+            row_orders,
+            widths,
             generator_costs: None,
             pool: None,
             stats: Arc::new(ExecStats::default()),
@@ -184,9 +212,11 @@ impl Executor {
     /// # Errors
     /// Returns [`GraphError::BadSubset`] for invalid indices.
     pub fn subset_width(&self, subset: Option<&[usize]>) -> Result<usize, GraphError> {
-        let full = self.full_subset();
-        let subset = subset.unwrap_or(&full);
-        crate::analysis::subset_width(&self.graph, &self.analysis, subset)
+        let Some(subset) = subset else {
+            return Ok(self.widths.iter().sum());
+        };
+        self.check_subset(subset)?;
+        Ok(subset.iter().map(|&g| self.widths[g]).sum())
     }
 
     /// Compute the (possibly subset) feature matrix for a batch of
@@ -202,8 +232,7 @@ impl Executor {
     ) -> Result<FeatureMatrix, GraphError> {
         let full = self.full_subset();
         let subset: &[usize] = subset.unwrap_or(&full);
-        // Validate subset indices up front.
-        subset_layout(&self.graph, &self.analysis, subset)?;
+        self.check_subset(subset)?;
         match self.mode {
             EngineMode::Interpreted => interp::features_batch(self, table, subset),
             EngineMode::Compiled => match self.parallelism {
@@ -227,15 +256,25 @@ impl Executor {
     ) -> Result<RowFeatures, GraphError> {
         let full = self.full_subset();
         let subset: &[usize] = subset.unwrap_or(&full);
-        let layout = subset_layout(&self.graph, &self.analysis, subset)?;
+        self.check_subset(subset)?;
         match self.mode {
             EngineMode::Interpreted => interp::features_one(self, input, subset),
             EngineMode::Compiled => match self.parallelism {
                 Parallelism::PerInput(threads) if threads > 1 && subset.len() > 1 => {
-                    self.compiled_one_parallel(input, subset, &layout, threads)
+                    self.compiled_one_parallel(input, subset, threads)
                 }
-                _ => self.compiled_one(input, subset, &layout),
+                _ => self.compiled_one(input, subset),
             },
+        }
+    }
+
+    /// Reject generator indices the graph does not have, before any
+    /// of them is evaluated.
+    fn check_subset(&self, subset: &[usize]) -> Result<(), GraphError> {
+        let n_fgs = self.widths.len();
+        match subset.iter().find(|&&g| g >= n_fgs) {
+            Some(&index) => Err(GraphError::BadSubset { index, n_fgs }),
+            None => Ok(()),
         }
     }
 
@@ -289,18 +328,27 @@ impl Executor {
         self.stats
             .generators_computed
             .fetch_add(subset.len() as u64, Ordering::Relaxed);
-        let parts: Result<Vec<FeatureMatrix>, GraphError> = subset
+        let roots: Vec<NodeId> = subset
             .iter()
-            .map(|&g| {
-                let root = self.analysis.generators[g].root;
+            .map(|&g| self.analysis.generators[g].root)
+            .collect();
+        let parts: Vec<&FeatureMatrix> = roots
+            .iter()
+            .map(|&root| {
                 values[root]
                     .as_ref()
                     .expect("generator root computed")
                     .as_features(&self.graph.node(root).name)
-                    .cloned()
             })
-            .collect();
-        Ok(FeatureMatrix::hstack(&parts?)?)
+            .collect::<Result<_, _>>()?;
+        if let [root] = roots[..] {
+            // Nothing to concatenate with: hand the block over.
+            return match values[root].take() {
+                Some(BatchOut::Features(only)) => Ok(only),
+                _ => unreachable!("checked to be features above"),
+            };
+        }
+        Ok(FeatureMatrix::hstack(&parts)?)
     }
 
     fn compiled_batch_parallel(
@@ -381,13 +429,7 @@ impl Executor {
         }
         let mut values: Vec<Option<RowOut>> = vec![None; self.graph.len()];
         // Preprocessing nodes evaluate first (rule 3).
-        let mut order: Vec<NodeId> = Vec::new();
-        for &id in self.graph.topo_order() {
-            if self.analysis.preprocessing.contains(&id) || generator.nodes.contains(&id) {
-                order.push(id);
-            }
-        }
-        for id in order {
+        for &id in &self.row_orders[g] {
             let node = self.graph.node(id);
             let out = match &node.op {
                 Operator::Source { column } => RowOut::Value(input.try_get(column)?.clone()),
@@ -406,29 +448,24 @@ impl Executor {
             .generators_computed
             .fetch_add(1, Ordering::Relaxed);
         let root = generator.root;
-        let feats = values[root]
-            .take()
-            .expect("root computed")
-            .as_features(&self.graph.node(root).name)?
-            .to_vec();
+        let feats = match values[root].take().expect("root computed") {
+            RowOut::Features(feats) => feats,
+            // Not features: `as_features` words the error.
+            value => value.as_features(&self.graph.node(root).name)?.to_vec(),
+        };
         if let (Some(caches), Some(key)) = (&self.caches, cache_key) {
             caches.put(g, key, feats.clone());
         }
         Ok(feats)
     }
 
-    fn compiled_one(
-        &self,
-        input: &InputRow,
-        subset: &[usize],
-        layout: &[(usize, usize, usize)],
-    ) -> Result<RowFeatures, GraphError> {
+    fn compiled_one(&self, input: &InputRow, subset: &[usize]) -> Result<RowFeatures, GraphError> {
         let mut entries = Vec::new();
         let mut width = 0;
-        for (&g, &(_, offset, w)) in subset.iter().zip(layout) {
+        for &g in subset {
             let feats = self.compute_generator_row(input, g)?;
-            entries.extend(feats.into_iter().map(|(c, v)| (c + offset, v)));
-            width = offset + w;
+            entries.extend(feats.into_iter().map(|(c, v)| (c + width, v)));
+            width += self.widths[g];
         }
         Ok(RowFeatures::new(entries, width))
     }
@@ -437,7 +474,6 @@ impl Executor {
         &self,
         input: &InputRow,
         subset: &[usize],
-        layout: &[(usize, usize, usize)],
         threads: usize,
     ) -> Result<RowFeatures, GraphError> {
         // LPT-assign generators to threads by measured cost (uniform
@@ -453,7 +489,7 @@ impl Executor {
         let mut groups: Vec<Vec<usize>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
         let Some(pool) = &self.pool else {
             // No pool (e.g. threads collapsed to 1): run sequentially.
-            return self.compiled_one(input, subset, layout);
+            return self.compiled_one(input, subset);
         };
 
         // Dispatch all but the heaviest group to pool workers; the
@@ -497,10 +533,10 @@ impl Executor {
         }
         let mut entries = Vec::new();
         let mut width = 0;
-        for (pos, &(_, offset, w)) in layout.iter().enumerate() {
-            let feats = per_position[pos].take().expect("all positions computed");
-            entries.extend(feats.into_iter().map(|(c, v)| (c + offset, v)));
-            width = offset + w;
+        for (feats, &g) in per_position.into_iter().zip(subset) {
+            let feats = feats.expect("all positions computed");
+            entries.extend(feats.into_iter().map(|(c, v)| (c + width, v)));
+            width += self.widths[g];
         }
         entries.sort_unstable_by_key(|(c, _)| *c);
         Ok(RowFeatures::new(entries, width))
@@ -608,6 +644,95 @@ mod tests {
                 assert_eq!(c1, c2);
                 assert!((v1 - v2).abs() < 1e-9);
             }
+        }
+    }
+
+    /// Scaled string statistics, word TF-IDF and char TF-IDF over one
+    /// shared source: dense and sparse blocks side by side, a
+    /// preprocessing node, a two-node generator.
+    fn text_graph_and_table() -> (Arc<TransformGraph>, Table) {
+        use willump_featurize::stringstats::string_stats_batch;
+        use willump_featurize::{Analyzer, StandardScaler, TfIdfVectorizer, VectorizerConfig};
+        let docs = [
+            "Nice hat, NICE hat!",
+            "",
+            "you are a muppet\u{a0}and a half",
+            "Stra\u{df}e \u{130}stanbul caf\u{e9}",
+            "meh meh meh",
+            "\x0B vertical\x0Btab ...",
+        ];
+        let mut scaler = StandardScaler::new();
+        scaler.fit(&string_stats_batch(&docs));
+        let mut word = TfIdfVectorizer::new(VectorizerConfig::default()).unwrap();
+        word.fit(&docs);
+        let mut chars = TfIdfVectorizer::new(VectorizerConfig {
+            analyzer: Analyzer::Char,
+            ngram_lo: 2,
+            ngram_hi: 4,
+            ..VectorizerConfig::default()
+        })
+        .unwrap();
+        chars.fit(&docs);
+
+        let mut b = GraphBuilder::new();
+        let text = b.source("text");
+        let stats = b.add("stats", Operator::StringStats, [text]).unwrap();
+        let scaled = b
+            .add("scaled", Operator::Scale(Arc::new(scaler)), [stats])
+            .unwrap();
+        let w = b
+            .add("word", Operator::TfIdf(Arc::new(word)), [text])
+            .unwrap();
+        let c = b
+            .add("chars", Operator::TfIdf(Arc::new(chars)), [text])
+            .unwrap();
+        let g = Arc::new(b.finish_with_concat("features", [scaled, w, c]).unwrap());
+        let mut t = Table::new();
+        t.add_column("text", Column::from(docs.to_vec())).unwrap();
+        (g, t)
+    }
+
+    #[test]
+    fn text_features_agree_across_engines_paths_and_subsets() {
+        let (g, t) = text_graph_and_table();
+        let compiled = Executor::new(g.clone(), EngineMode::Compiled).unwrap();
+        let interp = Executor::new(g, EngineMode::Interpreted).unwrap();
+        let full = compiled.features_batch(&t, None).unwrap();
+        assert!(matches!(full, FeatureMatrix::Sparse(_)));
+        let subsets: [&[usize]; 6] = [&[0, 1, 2], &[0], &[1], &[2], &[2, 0], &[1, 2]];
+        for subset in subsets {
+            let batch = compiled.features_batch(&t, Some(subset)).unwrap();
+            let reference = interp.features_batch(&t, Some(subset)).unwrap();
+            assert_eq!(batch.n_cols(), compiled.subset_width(Some(subset)).unwrap());
+            // A lone dense generator is handed over as it is.
+            assert_eq!(
+                matches!(batch, FeatureMatrix::Dense(_)),
+                subset == [0],
+                "{subset:?}"
+            );
+            for r in 0..t.n_rows() {
+                let input = InputRow::from_table(&t, r).unwrap();
+                let row = compiled.features_one(&input, Some(subset)).unwrap();
+                assert_eq!(row.width, batch.n_cols());
+                assert_eq!(row.entries, batch.row_entries(r), "{subset:?} row {r}");
+                assert_eq!(
+                    reference.row_entries(r),
+                    batch.row_entries(r),
+                    "{subset:?} row {r}"
+                );
+            }
+        }
+        // The full matrix is its generators' blocks side by side.
+        let word_offset = compiled.subset_width(Some(&[0])).unwrap();
+        let word = compiled.features_batch(&t, Some(&[1])).unwrap();
+        for r in 0..t.n_rows() {
+            let block: Vec<(usize, f64)> = full
+                .row_entries(r)
+                .into_iter()
+                .filter(|(c, _)| (word_offset..word_offset + word.n_cols()).contains(c))
+                .map(|(c, v)| (c - word_offset, v))
+                .collect();
+            assert_eq!(block, word.row_entries(r));
         }
     }
 

@@ -288,8 +288,11 @@ impl Operator {
             }
             Operator::Scale(s) => {
                 arity(1)?;
-                let f = inputs[0].as_features(name)?;
-                Ok(BatchOut::Features(s.transform(&f.to_dense())?.into()))
+                let scaled = match inputs[0].as_features(name)? {
+                    FeatureMatrix::Dense(m) => s.transform(m)?,
+                    FeatureMatrix::Sparse(m) => s.transform(&m.to_dense())?,
+                };
+                Ok(BatchOut::Features(scaled.into()))
             }
             Operator::StoreLookup(j) => {
                 arity(1)?;
@@ -314,12 +317,12 @@ impl Operator {
                         ),
                     });
                 }
-                let mats: Result<Vec<FeatureMatrix>, GraphError> = inputs
+                let mats: Vec<&FeatureMatrix> = inputs
                     .iter()
-                    .map(|i| i.as_features(name).cloned())
-                    .collect();
+                    .map(|i| i.as_features(name))
+                    .collect::<Result<_, _>>()?;
                 let _ = input_table_len;
-                Ok(BatchOut::Features(FeatureMatrix::hstack(&mats?)?))
+                Ok(BatchOut::Features(FeatureMatrix::hstack(&mats)?))
             }
         }
     }
