@@ -10,17 +10,22 @@
 //! - `wirecodec`: per-frame encode/decode cost of the legacy
 //!   newline-JSON wire protocol vs the binary v2 framing — the
 //!   serialization component of the Table 6c remote-shard delta,
-//!   measured without any transport effects.
+//!   measured without any transport effects,
+//! - `treekernel`: scoring a tree ensemble by walking each
+//!   `DecisionTree` per row (the definition) vs the flat
+//!   `TreeEnsemble` kernel every GBDT and forest scores through.
 //!
 //! Run one section with `cargo run -p willump-bench --release --bin
 //! micro -- <section>`, or everything with no argument. The
-//! `wirecodec` section is the recorded one: `--smoke` runs its
-//! CI-speed pass and `--record` rewrites its EXPERIMENTS.md section.
+//! `wirecodec` and `treekernel` sections are the recorded ones:
+//! `--smoke` runs their CI-speed passes and `--record` rewrites their
+//! EXPERIMENTS.md sections.
 
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use rand::Rng;
 use willump::cascade::train_cascade_with_subset;
 use willump::efficient::{select_efficient_ifvs, SelectionStrategy};
 use willump::stats::compute_ifv_stats;
@@ -29,10 +34,10 @@ use willump_bench::{
     batch_throughput, fmt_speedup, format_table, generate, optimize_level, print_table,
     run_recorded_experiment, OptLevel,
 };
-use willump_data::Value;
+use willump_data::{Matrix, Value};
 use willump_graph::cost::measure_costs;
 use willump_graph::{EngineMode, Executor};
-use willump_models::metrics;
+use willump_models::{metrics, BinMapper, DecisionTree, TreeEnsemble, TreeParams};
 use willump_serve::wire2::{
     decode_request_payload, decode_response_payload, encode_request_payload,
     encode_response_payload,
@@ -46,6 +51,7 @@ use willump_workloads::{Workload, WorkloadKind};
 /// The schema header CI greps for in EXPERIMENTS.md; bump the version
 /// when the recorded table shape changes.
 const EXPERIMENTS_SCHEMA: &str = "<!-- schema: micro-wirecodec v1 -->";
+const TREEKERNEL_SCHEMA: &str = "<!-- schema: micro-treekernel v1 -->";
 const RECORD_CMD: &str = "cargo run --release -p willump-bench --bin micro -- --record";
 
 fn gamma_ablation() {
@@ -478,10 +484,137 @@ fn wirecodec_comparison(smoke: bool) -> String {
     )
 }
 
-fn run_recorded_wirecodec() {
+/// Nanoseconds of the fastest of `passes` calls of `a` and of `b`,
+/// the two called in turn. The host changes speed every few seconds:
+/// alternating puts both under the same speeds, and interference only
+/// ever slows a pass down, so each side's fastest pass is the one to
+/// compare. A pass here is long enough (2 000 rows) for the clock's
+/// resolution not to matter.
+fn best_passes_ns(passes: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let timed = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        start.elapsed().as_nanos() as f64
+    };
+    (0..passes).fold((f64::INFINITY, f64::INFINITY), |(best_a, best_b), _| {
+        (best_a.min(timed(&mut a)), best_b.min(timed(&mut b)))
+    })
+}
+
+/// Walking every tree per row vs the flat ensemble kernel, on 60
+/// trees over 20 features, at the depths the workloads train (music 5,
+/// forests 8) and one shallower.
+fn treekernel_comparison(smoke: bool) -> String {
+    const TREES: usize = 60;
+    const FEATURES: usize = 20;
+    const POOL: usize = 2_000;
+    let passes: u32 = if smoke { 2 } else { 300 };
+
+    let mut rng = willump_data::rng::seeded(19);
+    let mut uniform = |rows: usize| {
+        let mut m = Matrix::zeros(rows, FEATURES);
+        for r in 0..rows {
+            m.row_mut(r).fill_with(|| rng.gen::<f64>());
+        }
+        m
+    };
+    let train = uniform(POOL);
+    // Scored rows come from a pool of 2 000 whatever the batch size,
+    // so that a batch of 1 is not the same row (and the same branch
+    // history) every time.
+    let pool = uniform(POOL);
+    let mapper = BinMapper::fit(&train);
+    let bins = mapper.bin_matrix(&train);
+
+    let mut rows = Vec::new();
+    for depth in [3usize, 5, 8] {
+        let params = TreeParams {
+            max_depth: depth,
+            min_samples_leaf: 2,
+            lambda: 1.0,
+            min_gain: 1e-9,
+        };
+        let hess = vec![1.0; POOL];
+        let trees: Vec<DecisionTree> = (0..TREES)
+            .map(|_| {
+                let grad: Vec<f64> = (0..POOL).map(|_| rng.gen::<f64>() - 0.5).collect();
+                DecisionTree::fit_gradients(&bins, &mapper, &grad, &hess, &params).expect("fits")
+            })
+            .collect();
+        let ensemble = TreeEnsemble::from_trees(&trees, FEATURES);
+        let nodes: usize = trees.iter().map(DecisionTree::n_nodes).sum();
+        // What is timed below is one function computed two ways.
+        for (r, sum) in ensemble.sum_rows(&pool).iter().enumerate() {
+            let walked: f64 = trees.iter().map(|t| t.predict_row(pool.row(r))).sum();
+            assert_eq!(sum.to_bits(), walked.to_bits(), "depth {depth}, row {r}");
+        }
+
+        for batch in [1usize, 8, POOL] {
+            let batches: Vec<Matrix> = (0..POOL / batch)
+                .map(|b| pool.take_rows(&(b * batch..(b + 1) * batch).collect::<Vec<_>>()))
+                .collect();
+            let (walk, kernel) = best_passes_ns(
+                passes,
+                || {
+                    for x in &batches {
+                        for r in 0..x.n_rows() {
+                            let row = black_box(x.row(r));
+                            black_box(trees.iter().map(|t| t.predict_row(row)).sum::<f64>());
+                        }
+                    }
+                },
+                || {
+                    for x in &batches {
+                        if batch == 1 {
+                            black_box(ensemble.sum_row(black_box(x.row(0))));
+                        } else {
+                            black_box(ensemble.sum_rows(black_box(x)));
+                        }
+                    }
+                },
+            );
+            let per_row = |ns_per_pass: f64| ns_per_pass / POOL as f64 / 1000.0;
+            rows.push(vec![
+                depth.to_string(),
+                nodes.to_string(),
+                batch.to_string(),
+                format!("{:.3}", per_row(walk)),
+                format!("{:.3}", per_row(kernel)),
+                fmt_speedup(walk / kernel),
+            ]);
+        }
+    }
+    format_table(
+        "Micro (treekernel): tree-ensemble scoring, per-tree walk vs flat kernel",
+        &[
+            "max depth",
+            "nodes",
+            "rows per call",
+            "walk us/row",
+            "kernel us/row",
+            "speedup",
+        ],
+        &rows,
+    )
+}
+
+fn run_recorded_sections() {
     run_recorded_experiment(EXPERIMENTS_SCHEMA, RECORD_CMD, |smoke| {
         let table = wirecodec_comparison(smoke);
         (table.clone(), table)
+    });
+    run_recorded_experiment(TREEKERNEL_SCHEMA, RECORD_CMD, |smoke| {
+        let table = treekernel_comparison(smoke);
+        let body = format!(
+            "60 trees over 20 uniform features, fit to random gradients at each depth limit; \
+             2 000 pool rows scored per pass in calls of 1, 8 and 2 000 rows. `walk` adds \
+             `DecisionTree::predict_row` over the trees (the definition, and what `Gbdt` and \
+             `RandomForest` did per row before the flat ensemble); `kernel` is \
+             `TreeEnsemble::sum_row` for 1-row calls and `TreeEnsemble::sum_rows` otherwise \
+             (the returned `Vec` included). Sums are asserted bit-identical. Regenerate with \
+             `{RECORD_CMD}`.\n{table}"
+        );
+        (table, body)
     });
 }
 
@@ -494,14 +627,16 @@ fn main() {
         Some("opttime") => optimization_times(),
         Some("calibration") => calibration_ablation(),
         Some("wirecodec") => print!("{}", wirecodec_comparison(false)),
+        Some("treekernel") => print!("{}", treekernel_comparison(false)),
         // `--smoke` / `--record` route through the recording harness,
-        // which re-parses the flags itself; only the wirecodec section
-        // is recorded (the others are analyses, not claims).
-        Some("--smoke") | Some("--record") => run_recorded_wirecodec(),
+        // which re-parses the flags itself; only the wirecodec and
+        // treekernel sections are recorded (the others are analyses,
+        // not claims).
+        Some("--smoke") | Some("--record") => run_recorded_sections(),
         Some(other) => {
             eprintln!(
                 "unknown section `{other}`; use \
-                 gamma|threshold|driver|opttime|calibration|wirecodec"
+                 gamma|threshold|driver|opttime|calibration|wirecodec|treekernel"
             );
         }
         None => {
@@ -510,7 +645,7 @@ fn main() {
             driver_overhead();
             optimization_times();
             calibration_ablation();
-            run_recorded_wirecodec();
+            run_recorded_sections();
         }
     }
 }

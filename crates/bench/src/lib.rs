@@ -266,6 +266,10 @@ pub const RECORDED_SCHEMAS: &[(&str, &str)] = &[
         "cargo run --release -p willump-bench --bin micro -- --record",
     ),
     (
+        "<!-- schema: micro-treekernel v1 -->",
+        "cargo run --release -p willump-bench --bin micro -- --record",
+    ),
+    (
         "<!-- schema: table2-remote-requests v1 -->",
         "cargo run --release -p willump-bench --bin table2 -- --record",
     ),

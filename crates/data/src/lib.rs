@@ -25,6 +25,8 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+use std::borrow::Cow;
+
 mod column;
 mod error;
 mod matrix;
@@ -97,7 +99,17 @@ impl FeatureMatrix {
         }
     }
 
-    /// Convert to a dense matrix (copies for the sparse case).
+    /// The features as a dense matrix without copying a dense input:
+    /// dense borrows, sparse converts (models that index features
+    /// positionally read their input through this).
+    pub fn dense_view(&self) -> Cow<'_, Matrix> {
+        match self {
+            FeatureMatrix::Dense(m) => Cow::Borrowed(m),
+            FeatureMatrix::Sparse(m) => Cow::Owned(m.to_dense()),
+        }
+    }
+
+    /// Convert to an owned dense matrix (copies in both cases).
     pub fn to_dense(&self) -> Matrix {
         match self {
             FeatureMatrix::Dense(m) => m.clone(),
@@ -221,6 +233,21 @@ mod tests {
             let ss = FeatureMatrix::Sparse(s.clone()).row_dot(r, &w);
             assert!((dd - ss).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn dense_view_borrows_dense_and_converts_sparse() {
+        let d = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0]]);
+        let dense = FeatureMatrix::Dense(d.clone());
+        let FeatureMatrix::Dense(inner) = &dense else {
+            unreachable!()
+        };
+        match dense.dense_view() {
+            Cow::Borrowed(m) => assert!(std::ptr::eq(m, inner)),
+            Cow::Owned(_) => panic!("a dense input must not be copied"),
+        }
+        let sparse = FeatureMatrix::Sparse(SparseMatrix::from_dense(&d));
+        assert_eq!(*sparse.dense_view(), d);
     }
 
     #[test]

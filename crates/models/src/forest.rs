@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 use willump_data::{FeatureMatrix, Matrix};
 
+use crate::ensemble::TreeEnsemble;
 use crate::tree::{BinMapper, DecisionTree, TreeParams};
 use crate::ModelError;
 
@@ -61,8 +62,7 @@ fn mix(state: &mut u64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RandomForest {
     objective: ForestObjective,
-    trees: Vec<DecisionTree>,
-    n_features: usize,
+    ensemble: TreeEnsemble,
 }
 
 impl RandomForest {
@@ -100,7 +100,7 @@ impl RandomForest {
                 ),
             });
         }
-        let dense = x.to_dense();
+        let dense = x.dense_view();
         let n = dense.n_rows();
         let d = dense.n_cols();
         let mapper = BinMapper::fit(&dense);
@@ -152,11 +152,23 @@ impl RandomForest {
             )?;
             trees.push(tree);
         }
-        Ok(RandomForest {
+        Ok(RandomForest::from_trees(objective, &trees, d))
+    }
+
+    /// Assemble a forest from trained trees: a row's score is the mean
+    /// of the trees' leaf values.
+    ///
+    /// # Panics
+    /// Panics if a tree splits on a feature at or past `n_features`.
+    pub fn from_trees(
+        objective: ForestObjective,
+        trees: &[DecisionTree],
+        n_features: usize,
+    ) -> RandomForest {
+        RandomForest {
             objective,
-            trees,
-            n_features: d,
-        })
+            ensemble: TreeEnsemble::from_trees(trees, n_features),
+        }
     }
 
     /// The forest objective.
@@ -166,50 +178,41 @@ impl RandomForest {
 
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.ensemble.n_trees()
     }
 
-    /// Score one dense row: mean over trees, clamped to [0, 1] for
-    /// classification.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let mean = self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>()
-            / self.trees.len().max(1) as f64;
+    /// The score of a row whose leaf values sum to `leaf_sum`: the
+    /// mean over trees, clamped to [0, 1] for classification.
+    fn score(&self, leaf_sum: f64) -> f64 {
+        let mean = leaf_sum / self.n_trees().max(1) as f64;
         match self.objective {
             ForestObjective::Classification => mean.clamp(0.0, 1.0),
             ForestObjective::Regression => mean,
         }
     }
 
-    /// Score every row of `x`.
+    /// Score one dense row.
+    pub fn predict_row(&self, row: &[f64]) -> f64 {
+        self.score(self.ensemble.sum_row(row))
+    }
+
+    /// Score every row of `x`; a dense `x` is read in place.
     pub fn predict(&self, x: &FeatureMatrix) -> Vec<f64> {
-        let dense = x.to_dense();
-        (0..dense.n_rows())
-            .map(|r| self.predict_row(dense.row(r)))
-            .collect()
+        self.predict_dense(&x.dense_view())
     }
 
     /// Score every row of a dense matrix without conversion.
     pub fn predict_dense(&self, x: &Matrix) -> Vec<f64> {
-        (0..x.n_rows())
-            .map(|r| self.predict_row(x.row(r)))
-            .collect()
+        let mut scores = self.ensemble.sum_rows(x);
+        for s in &mut scores {
+            *s = self.score(*s);
+        }
+        scores
     }
 
     /// Gain-based feature importances, normalized to sum to 1.
     pub fn feature_importances(&self) -> Vec<f64> {
-        let mut gains = vec![0.0; self.n_features];
-        for t in &self.trees {
-            for (g, tg) in gains.iter_mut().zip(t.feature_gains()) {
-                *g += tg;
-            }
-        }
-        let total: f64 = gains.iter().sum();
-        if total > 0.0 {
-            for g in &mut gains {
-                *g /= total;
-            }
-        }
-        gains
+        self.ensemble.feature_importances()
     }
 }
 

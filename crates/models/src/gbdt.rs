@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 use willump_data::{FeatureMatrix, Matrix};
 
+use crate::ensemble::TreeEnsemble;
 use crate::tree::{BinMapper, DecisionTree, TreeParams};
 use crate::ModelError;
 
@@ -58,8 +59,7 @@ pub struct Gbdt {
     objective: GbdtObjective,
     base_score: f64,
     learning_rate: f64,
-    trees: Vec<DecisionTree>,
-    n_features: usize,
+    ensemble: TreeEnsemble,
 }
 
 impl Gbdt {
@@ -91,7 +91,7 @@ impl Gbdt {
                 reason: "logistic GBDT expects labels in {0, 1}".into(),
             });
         }
-        let dense = x.to_dense();
+        let dense = x.dense_view();
         let mapper = BinMapper::fit(&dense);
         let bins = mapper.bin_matrix(&dense);
         let n = y.len();
@@ -130,13 +130,33 @@ impl Gbdt {
             }
             trees.push(tree);
         }
-        Ok(Gbdt {
+        Ok(Gbdt::from_trees(
             objective,
             base_score,
-            learning_rate: params.learning_rate,
-            trees,
-            n_features: dense.n_cols(),
-        })
+            params.learning_rate,
+            &trees,
+            dense.n_cols(),
+        ))
+    }
+
+    /// Assemble an ensemble from trained trees: a row's margin is
+    /// `base_score + learning_rate * (sum of the trees' leaf values)`.
+    ///
+    /// # Panics
+    /// Panics if a tree splits on a feature at or past `n_features`.
+    pub fn from_trees(
+        objective: GbdtObjective,
+        base_score: f64,
+        learning_rate: f64,
+        trees: &[DecisionTree],
+        n_features: usize,
+    ) -> Gbdt {
+        Gbdt {
+            objective,
+            base_score,
+            learning_rate,
+            ensemble: TreeEnsemble::from_trees(trees, n_features),
+        }
     }
 
     /// The ensemble objective.
@@ -146,60 +166,56 @@ impl Gbdt {
 
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.ensemble.n_trees()
     }
 
     /// Number of input features expected.
     pub fn n_features(&self) -> usize {
-        self.n_features
+        self.ensemble.n_features()
     }
 
-    /// Raw (margin) prediction for one dense row.
-    pub fn predict_raw_row(&self, row: &[f64]) -> f64 {
-        self.base_score
-            + self.learning_rate * self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>()
+    /// The margin of a row whose leaf values sum to `leaf_sum`.
+    fn margin(&self, leaf_sum: f64) -> f64 {
+        self.base_score + self.learning_rate * leaf_sum
     }
 
-    /// Score one dense row: probability (logistic) or value (squared).
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let raw = self.predict_raw_row(row);
+    /// The score of a row whose leaf values sum to `leaf_sum`.
+    fn score(&self, leaf_sum: f64) -> f64 {
+        let raw = self.margin(leaf_sum);
         match self.objective {
             GbdtObjective::Logistic => sigmoid(raw),
             GbdtObjective::Squared => raw,
         }
     }
 
-    /// Score every row of `x`.
+    /// Raw (margin) prediction for one dense row.
+    pub fn predict_raw_row(&self, row: &[f64]) -> f64 {
+        self.margin(self.ensemble.sum_row(row))
+    }
+
+    /// Score one dense row: probability (logistic) or value (squared).
+    pub fn predict_row(&self, row: &[f64]) -> f64 {
+        self.score(self.ensemble.sum_row(row))
+    }
+
+    /// Score every row of `x`; a dense `x` is read in place.
     pub fn predict(&self, x: &FeatureMatrix) -> Vec<f64> {
-        let dense = x.to_dense();
-        (0..dense.n_rows())
-            .map(|r| self.predict_row(dense.row(r)))
-            .collect()
+        self.predict_dense(&x.dense_view())
     }
 
     /// Score every row of a dense matrix without conversion.
     pub fn predict_dense(&self, x: &Matrix) -> Vec<f64> {
-        (0..x.n_rows())
-            .map(|r| self.predict_row(x.row(r)))
-            .collect()
+        let mut scores = self.ensemble.sum_rows(x);
+        for s in &mut scores {
+            *s = self.score(*s);
+        }
+        scores
     }
 
     /// Total split gain per feature, normalized to sum to 1 (zero
     /// vector when the ensemble never split).
     pub fn feature_importances(&self) -> Vec<f64> {
-        let mut gains = vec![0.0; self.n_features];
-        for t in &self.trees {
-            for (g, tg) in gains.iter_mut().zip(t.feature_gains()) {
-                *g += tg;
-            }
-        }
-        let total: f64 = gains.iter().sum();
-        if total > 0.0 {
-            for g in &mut gains {
-                *g /= total;
-            }
-        }
-        gains
+        self.ensemble.feature_importances()
     }
 }
 

@@ -58,7 +58,7 @@ pub fn permutation_importances(
     y: &[f64],
     seed: u64,
 ) -> Vec<f64> {
-    let dense = x.to_dense();
+    let dense = x.dense_view();
     let n = dense.n_rows();
     let base_scores = model.predict_scores(x);
     let base_quality = quality(model.task(), &base_scores, y);
@@ -71,7 +71,7 @@ pub fn permutation_importances(
             let j = (mix(&mut state) % (i as u64 + 1)) as usize;
             perm.swap(i, j);
         }
-        let mut shuffled = dense.clone();
+        let mut shuffled = dense.as_ref().clone();
         for (r, &src) in perm.iter().enumerate() {
             let v = dense.get(src, f);
             shuffled.set(r, f, v);

@@ -39,6 +39,7 @@
 #![deny(unsafe_code)]
 
 pub mod calibrate;
+mod ensemble;
 mod error;
 mod forest;
 mod gbdt;
@@ -50,10 +51,11 @@ mod spec;
 mod tree;
 
 pub use calibrate::{IsotonicCalibrator, PlattScaler};
+pub use ensemble::TreeEnsemble;
 pub use error::ModelError;
 pub use forest::{ForestObjective, ForestParams, RandomForest};
-pub use gbdt::{Gbdt, GbdtParams};
+pub use gbdt::{Gbdt, GbdtObjective, GbdtParams};
 pub use linear::{LinearParams, LinearRegression, LogisticParams, LogisticRegression};
 pub use mlp::{Mlp, MlpParams};
 pub use spec::{ModelSpec, Task, TrainedModel};
-pub use tree::{DecisionTree, TreeParams};
+pub use tree::{BinMapper, DecisionTree, TreeParams};

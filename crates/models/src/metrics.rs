@@ -71,14 +71,21 @@ pub fn auc(scores: &[f64], labels: &[f64]) -> f64 {
 /// Indices of the `k` largest scores, best first. Ties broken by lower
 /// index for determinism.
 pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
+    // A total order (no two indices compare equal), so selecting the
+    // best `k` and sorting only those gives what sorting everything
+    // and truncating would.
+    let best_first = |a: &usize, b: &usize| {
+        scores[*b]
+            .partial_cmp(&scores[*a])
             .expect("finite scores")
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
+            .then(a.cmp(b))
+    };
+    let mut idx: Vec<usize> = (0..scores.len()).collect();
+    if k < idx.len() {
+        idx.select_nth_unstable_by(k, best_first);
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(best_first);
     idx
 }
 

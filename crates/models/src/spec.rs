@@ -6,6 +6,8 @@
 //! reusable across feature widths. [`ModelSpec::fit`] is that factory;
 //! [`TrainedModel`] is the width-specific result.
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 use willump_data::FeatureMatrix;
 
@@ -162,27 +164,16 @@ impl TrainedModel {
 
     /// Score one row given sparse `(column, value)` entries.
     ///
-    /// For GBDT this materializes a dense row, since trees index
-    /// features positionally.
+    /// Trees index features positionally, so for GBDTs and forests the
+    /// entries are scattered into a per-thread dense row; a warmed-up
+    /// thread scores without allocating.
     pub fn predict_score_row(&self, entries: &[(usize, f64)], n_cols: usize) -> f64 {
         match self {
             TrainedModel::Logistic(m) => m.predict_proba_row(entries),
             TrainedModel::Linear(m) => m.predict_row(entries),
             TrainedModel::Mlp(m) => m.predict_row(entries),
-            TrainedModel::Gbdt(m) => {
-                let mut row = vec![0.0; n_cols];
-                for (c, v) in entries {
-                    row[*c] = *v;
-                }
-                m.predict_row(&row)
-            }
-            TrainedModel::Forest(m) => {
-                let mut row = vec![0.0; n_cols];
-                for (c, v) in entries {
-                    row[*c] = *v;
-                }
-                m.predict_row(&row)
-            }
+            TrainedModel::Gbdt(m) => with_dense_row(entries, n_cols, |row| m.predict_row(row)),
+            TrainedModel::Forest(m) => with_dense_row(entries, n_cols, |row| m.predict_row(row)),
         }
     }
 
@@ -218,6 +209,34 @@ impl TrainedModel {
             TrainedModel::Mlp(_) => None,
         }
     }
+}
+
+thread_local! {
+    /// An all-zero row, reused by [`with_dense_row`].
+    static DENSE_ROW: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Call `f` on the dense row of width `n_cols` that holds `entries`.
+///
+/// The row is taken out of its thread-local for the call and zeroed
+/// again through the entries just written, so the cost follows the
+/// entries, not the width. A panic in between drops the taken row and
+/// the next call starts from a fresh one.
+fn with_dense_row<R>(entries: &[(usize, f64)], n_cols: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+    let mut buf = DENSE_ROW.take();
+    if buf.len() < n_cols {
+        buf.resize(n_cols, 0.0);
+    }
+    let row = &mut buf[..n_cols];
+    for &(c, v) in entries {
+        row[c] = v;
+    }
+    let out = f(row);
+    for &(c, _) in entries {
+        row[c] = 0.0;
+    }
+    DENSE_ROW.set(buf);
+    out
 }
 
 #[cfg(test)]
@@ -303,7 +322,7 @@ mod tests {
         let batch = m.predict_scores(&x);
         for (r, b) in batch.iter().enumerate() {
             let one = m.predict_score_row(&x.row_entries(r), x.n_cols());
-            assert!((one - b).abs() < 1e-12);
+            assert_eq!(one.to_bits(), b.to_bits());
         }
     }
 

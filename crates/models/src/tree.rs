@@ -48,7 +48,6 @@ pub struct BinMapper {
 impl BinMapper {
     /// Build quantile bin edges from training features.
     pub fn fit(x: &Matrix) -> BinMapper {
-        let n = x.n_rows();
         let mut edges = Vec::with_capacity(x.n_cols());
         for f in 0..x.n_cols() {
             let mut vals = x.column(f);
@@ -67,7 +66,6 @@ impl BinMapper {
                     }
                 }
             }
-            let _ = n;
             edges.push(e);
         }
         BinMapper { edges }
@@ -109,9 +107,10 @@ impl BinMapper {
     }
 }
 
-/// One node of a [`DecisionTree`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
+/// One node of a [`DecisionTree`]; children index the tree's own node
+/// list.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Node {
     Split {
         feature: u32,
         /// Go left iff `value <= threshold`.
@@ -125,7 +124,11 @@ enum Node {
 }
 
 /// A regression tree fit to gradient/hessian targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// This is the training-time form. A trained ensemble is stored and
+/// scored as a [`crate::TreeEnsemble`]; [`DecisionTree::predict_row`]
+/// is the definition that kernel is tested against.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     /// Total split gain credited to each feature (for importances).
@@ -304,6 +307,12 @@ impl DecisionTree {
     /// Number of nodes in the tree.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The nodes in the order they were built: a split precedes both
+    /// of its subtrees, and node 0 is the root.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// Total split gain credited to each feature.

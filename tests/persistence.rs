@@ -5,7 +5,7 @@
 
 use willump_data::{FeatureMatrix, Matrix};
 use willump_models::{
-    GbdtParams, LinearParams, LogisticParams, MlpParams, ModelSpec, TrainedModel,
+    ForestParams, GbdtParams, LinearParams, LogisticParams, MlpParams, ModelSpec, TrainedModel,
 };
 
 fn training_data() -> (FeatureMatrix, Vec<f64>, Vec<f64>) {
@@ -40,6 +40,22 @@ fn assert_round_trip(model: &TrainedModel, x: &FeatureMatrix) {
     }
 }
 
+/// Tree ensembles are stored in the layout they are scored in, so a
+/// reloaded model is the same value and scores the same bits, through
+/// the batch kernel and through the row path.
+fn assert_tree_round_trip(model: &TrainedModel, x: &FeatureMatrix) {
+    let json = serde_json::to_string(model).expect("serializes");
+    let back: TrainedModel = serde_json::from_str(&json).expect("deserializes");
+    assert_eq!(&back, model);
+    let before = model.predict_scores(x);
+    let after = back.predict_scores(x);
+    for (r, (a, b)) in before.iter().zip(&after).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "row {r}: batch");
+        let row = back.predict_score_row(&x.row_entries(r), x.n_cols());
+        assert_eq!(a.to_bits(), row.to_bits(), "row {r}: row path");
+    }
+}
+
 #[test]
 fn logistic_round_trips() {
     let (x, y, _) = training_data();
@@ -64,11 +80,42 @@ fn gbdt_round_trips() {
     let c = ModelSpec::GbdtClassifier(GbdtParams::default())
         .fit(&x, &y, 7)
         .expect("trains");
-    assert_round_trip(&c, &x);
+    assert_tree_round_trip(&c, &x);
     let r = ModelSpec::GbdtRegressor(GbdtParams::default())
         .fit(&x, &v, 7)
         .expect("trains");
-    assert_round_trip(&r, &x);
+    assert_tree_round_trip(&r, &x);
+}
+
+#[test]
+fn forest_round_trips() {
+    let (x, y, v) = training_data();
+    let c = ModelSpec::ForestClassifier(ForestParams::default())
+        .fit(&x, &y, 7)
+        .expect("trains");
+    assert_tree_round_trip(&c, &x);
+    let r = ModelSpec::ForestRegressor(ForestParams::default())
+        .fit(&x, &v, 7)
+        .expect("trains");
+    assert_tree_round_trip(&r, &x);
+}
+
+/// A model file is outside input: one whose node indices the scoring
+/// kernel could not follow is refused at load, not at the first query.
+#[test]
+fn a_tree_model_with_a_dangling_child_is_refused() {
+    let (x, y, _) = training_data();
+    let m = ModelSpec::GbdtClassifier(GbdtParams {
+        n_trees: 2,
+        ..GbdtParams::default()
+    })
+    .fit(&x, &y, 7)
+    .expect("trains");
+    let json = serde_json::to_string(&m).expect("serializes");
+    assert!(json.contains("\"right\":2}"), "a split's right child");
+    let dangling = json.replacen("\"right\":2}", "\"right\":1000000}", 1);
+    let err = serde_json::from_str::<TrainedModel>(&dangling).expect_err("refused");
+    assert!(err.to_string().contains("TreeEnsemble"), "{err}");
 }
 
 #[test]

@@ -268,6 +268,31 @@ proptest! {
         }
     }
 
+    /// `top_k_indices` selects before it sorts; its definition sorts
+    /// everything (score descending, index ascending) and truncates.
+    /// Few distinct scores, so ties are the common case.
+    #[test]
+    fn top_k_is_the_prefix_of_the_full_sort(
+        levels in prop::collection::vec(0u8..5, 0..60),
+        all_equal in any::<bool>(),
+        k in 0usize..70,
+    ) {
+        use willump_models::metrics::top_k_indices;
+        let scores: Vec<f64> = levels
+            .iter()
+            .map(|l| if all_equal { 0.5 } else { f64::from(*l) / 4.0 })
+            .collect();
+        let mut sorted: Vec<usize> = (0..scores.len()).collect();
+        sorted.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
+        sorted.truncate(k);
+        prop_assert_eq!(top_k_indices(&scores, k), sorted);
+        prop_assert!(top_k_indices(&scores, 0).is_empty());
+        prop_assert_eq!(
+            top_k_indices(&scores, scores.len() + k).len(),
+            scores.len()
+        );
+    }
+
     /// Fault plans are deterministic and hit close to the nominal rate.
     #[test]
     fn fault_plan_rate_is_respected(rate in 0.0f64..1.0, seed in any::<u64>()) {
