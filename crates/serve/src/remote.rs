@@ -40,9 +40,13 @@
 //!   thread-per-connection): it sniffs each connection's first line
 //!   to pick v2-binary or legacy-JSON mode, reassembles frames with a
 //!   bounded read (an oversized or corrupt length prefix is counted
-//!   in `decode_errors` and refused, never trusted), and dispatches
-//!   decoded requests to a small fixed worker pool whose completions
-//!   are demultiplexed back onto the right connection by mux id.
+//!   in `decode_errors` and refused, never trusted), decodes binary
+//!   requests in place and admits them into the hosted runtime
+//!   itself; the runtime worker that serves one encodes the response
+//!   and writes it straight through to the connection. Only what
+//!   cannot be admitted without blocking — legacy JSON, a frame
+//!   routed onward to a remote shard, a full worker queue — goes
+//!   through a small fixed dispatch pool.
 //!
 //! The **local queue** implementation of the trait is
 //! [`InProcessWorker`]: it forwards requests to another runtime in
@@ -95,6 +99,7 @@
 //! # }
 //! ```
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -109,10 +114,10 @@ use willump::PlanCountersSnapshot;
 
 use crate::protocol::{decode_response, encode_request, Request, Response, ERROR_RESPONSE_ID};
 use crate::readiness::{self, Interest, PollSet, WakeListener, Waker};
-use crate::runtime::{RuntimeClient, ServingRuntime};
+use crate::runtime::{Deferred, RuntimeClient, ServingRuntime};
 use crate::wire2::{
     decode_header, decode_request_payload, decode_response_payload, encode_frame,
-    encode_request_payload, encode_response_payload, read_frame, FrameReadError, FrameType,
+    encode_request_payload, encode_response_frame, read_frame, FrameReadError, FrameType,
     WIRE2_HEADER_LEN, WIRE2_MAGIC, WIRE2_PREAMBLE, WIRE2_PREAMBLE_LINE, WIRE2_VERSION,
 };
 use crate::ServeError;
@@ -1417,270 +1422,339 @@ impl ReadBuf {
     }
 }
 
+/// A connection's outbound side: the bytes its socket has not taken
+/// yet.
+#[derive(Default)]
+struct Outbox {
+    /// Unwritten bytes are `pending[pos..]`; empty once flushed.
+    pending: Vec<u8>,
+    pos: usize,
+    /// A write failed, or the loop closed the connection: nothing
+    /// more goes out.
+    dead: bool,
+}
+
+/// The half of a connection that its event loop shares with whichever
+/// thread completes one of its requests. The loop alone reads the
+/// socket; anyone may write it, under `out`, which is held across a
+/// nonblocking `write` and nothing else.
+struct ConnShared {
+    stream: TcpStream,
+    out: Mutex<Outbox>,
+    /// Requests handed to the runtime or the dispatch pool and not yet
+    /// answered.
+    in_flight: AtomicUsize,
+    /// Stop reading; close once in-flight work and writes drain.
+    draining: AtomicBool,
+    /// A Json-mode line is with a dispatch worker: a pipelined legacy
+    /// client expects responses in request order (there are no mux
+    /// ids on that path), so its lines are dispatched one at a time.
+    json_busy: AtomicBool,
+}
+
+/// Write as much of `bytes` as the socket takes right now; returns
+/// what it did not take.
+fn write_some<'a>(
+    mut stream: &TcpStream,
+    mut bytes: &'a [u8],
+    dead: &mut bool,
+    counters: &TransportCounters,
+) -> &'a [u8] {
+    while !bytes.is_empty() {
+        match stream.write(bytes) {
+            Ok(n) if n > 0 => {
+                counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
+                bytes = &bytes[n..];
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Ok(_) | Err(_) => {
+                *dead = true;
+                break;
+            }
+        }
+    }
+    bytes
+}
+
+impl ConnShared {
+    /// Send `bytes` to the peer from any thread: straight into the
+    /// socket when nothing is queued ahead of them, and whatever the
+    /// socket does not take — or all of them, behind bytes already
+    /// waiting — into the outbox for the loop to flush on write
+    /// readiness. Returns true when the loop has to look at this
+    /// connection because of it: bytes were left over, or the socket
+    /// failed.
+    fn send(&self, bytes: &[u8], counters: &TransportCounters) -> bool {
+        let mut out = self.out.lock();
+        if out.dead {
+            return false;
+        }
+        let rest = if out.pending.is_empty() {
+            write_some(&self.stream, bytes, &mut out.dead, counters)
+        } else {
+            bytes
+        };
+        out.pending.extend_from_slice(rest);
+        out.dead || !rest.is_empty()
+    }
+
+    /// Flush as much of the outbox as the socket accepts right now.
+    /// Returns `None` once the connection is dead, else whether bytes
+    /// are still waiting.
+    fn flush(&self, counters: &TransportCounters) -> Option<bool> {
+        let mut out = self.out.lock();
+        let Outbox { pending, pos, dead } = &mut *out;
+        if !*dead && !pending.is_empty() {
+            let left = write_some(&self.stream, &pending[*pos..], dead, counters).len();
+            *pos = pending.len() - left;
+            if left == 0 {
+                pending.clear();
+                *pos = 0;
+            }
+        }
+        (!*dead).then_some(!pending.is_empty())
+    }
+
+    /// Hang up. A completion that still holds this half finds it dead
+    /// and drops its bytes, so nothing of an old connection can reach
+    /// a later one whatever slot or descriptor that one reuses.
+    fn close(&self) {
+        let mut out = self.out.lock();
+        out.dead = true;
+        out.pending = Vec::new();
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
 /// Per-connection state owned by the node's event loop.
 struct NodeConn {
-    stream: TcpStream,
-    /// Generation stamp carried by dispatched jobs, so a slot reused
-    /// by a later connection never receives a stale completion.
-    gen: u64,
+    shared: Arc<ConnShared>,
     mode: ConnMode,
     /// Unparsed inbound bytes.
     rbuf: ReadBuf,
-    /// Outbound bytes not yet written.
-    wbuf: Vec<u8>,
-    /// How much of `wbuf` has been written so far.
-    wpos: usize,
-    /// Requests dispatched to workers and not yet completed.
-    in_flight: usize,
-    /// Legacy lines waiting their turn: a pipelined legacy client
-    /// expects responses in request order (there are no mux ids on
-    /// that path), so Json-mode dispatch is serialized per
-    /// connection. Wire2 frames dispatch with unlimited parallelism.
+    /// Legacy lines waiting their turn (see [`ConnShared::json_busy`]).
     json_queue: VecDeque<String>,
-    /// A Json-mode line is currently with a worker.
-    json_busy: bool,
-    /// Stop reading; close once in-flight work and writes drain.
-    draining: bool,
     /// Drop the connection now (protocol violation or I/O error).
     fatal: bool,
 }
 
 impl NodeConn {
-    fn new(stream: TcpStream, gen: u64) -> NodeConn {
+    fn new(stream: TcpStream) -> NodeConn {
         NodeConn {
-            stream,
-            gen,
+            shared: Arc::new(ConnShared {
+                stream,
+                out: Mutex::new(Outbox::default()),
+                in_flight: AtomicUsize::new(0),
+                draining: AtomicBool::new(false),
+                json_busy: AtomicBool::new(false),
+            }),
             mode: ConnMode::Probing,
             rbuf: ReadBuf::default(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            in_flight: 0,
             json_queue: VecDeque::new(),
-            json_busy: false,
-            draining: false,
             fatal: false,
         }
     }
 
+    fn draining(&self) -> bool {
+        self.shared.draining.load(Ordering::SeqCst)
+    }
+
     /// What a parked loop waits for on this connection. `None` — a
-    /// draining connection whose only business is work still with the
-    /// dispatch pool — keeps it out of the poll set: `poll` reports a
-    /// peer's hang-up whatever the interest, and nothing the loop
-    /// could do about it would clear it.
+    /// draining connection whose only business is work still in
+    /// flight — keeps it out of the poll set: `poll` reports a peer's
+    /// hang-up whatever the interest, and nothing the loop could do
+    /// about it would clear it.
     fn interest(&self) -> Option<Interest> {
-        match (!self.draining, self.wpos < self.wbuf.len()) {
+        let unsent = {
+            let out = self.shared.out.lock();
+            !out.dead && !out.pending.is_empty()
+        };
+        match (!self.draining(), unsent) {
             (true, true) => Some(Interest::ReadWrite),
             (true, false) => Some(Interest::Read),
             (false, true) => Some(Interest::Write),
             (false, false) => None,
         }
     }
+
+    /// Flush, then decide whether the connection is finished: dead,
+    /// or draining with nothing left in flight, queued or unsent.
+    fn finished(&self, counters: &TransportCounters) -> bool {
+        // Read before the outbox is looked at: a completion queues
+        // its bytes first and gives up its in-flight count second, so
+        // an idle connection's outbox already holds all of them.
+        let idle = self.shared.in_flight.load(Ordering::SeqCst) == 0;
+        match self.shared.flush(counters) {
+            None => true,
+            Some(unsent) => !unsent && idle && self.draining() && self.json_queue.is_empty(),
+        }
+    }
 }
 
-/// One unit of work dispatched from the event loop to the worker
-/// pool.
-enum NodeJob {
-    /// A legacy newline-JSON line.
-    Json { slot: usize, gen: u64, line: String },
-    /// A binary wire2 request payload.
-    Bin {
-        slot: usize,
-        gen: u64,
-        mux_id: u32,
-        payload: Vec<u8>,
-    },
-    /// A legacy JSON frame carried opaquely over the mux (a v2
-    /// client's raw-frame forward).
-    JsonFramed {
-        slot: usize,
-        gen: u64,
-        mux_id: u32,
-        payload: Vec<u8>,
-    },
-}
-
-/// A worker's completion, routed back to the owning connection.
-struct NodeDone {
-    slot: usize,
-    gen: u64,
-    /// Wire bytes to append to the connection's write buffer.
-    bytes: Vec<u8>,
-    /// Drain the connection after flushing (unservable request).
-    close: bool,
-    /// Finishes a serialized Json-mode line (unblocks the
-    /// connection's next queued line).
-    json_line: bool,
-}
-
-/// What the event loop, the dispatch workers and the node handle
-/// share.
+/// What the event loop, every completion and the node handle share.
 ///
-/// The loop blocks in `poll` with no timeout, and a completion
-/// arrives on a channel `poll` cannot see, so `parked` and `waker`
-/// close the gap. The loop stores `parked = true`, looks at the
-/// completion channel once more, then polls; a worker sends its
-/// completion, loads `parked`, and rings the waker if it reads true.
-/// Both sides write first and read second, with `SeqCst` throughout,
-/// so one of them always sees the other: either the loop's last look
-/// finds the completion, or the worker finds `parked` set and its
-/// ring — a byte that stays in the socket until drained — ends the
-/// `poll`, even one that starts later. A loop that is busy sweeping
-/// has `parked = false`, and workers pay one load and no syscall.
+/// The loop blocks in `poll` with no timeout, and a completion that
+/// leaves it something to do — bytes the socket did not take, a
+/// draining connection's last answer, a finished legacy line —
+/// changes state `poll` cannot see, so `attention`, `parked` and
+/// `waker` close the gap. The loop stores `parked = true`, looks at
+/// `attention` once more, then polls; a completion publishes its
+/// state, stores `attention = true`, loads `parked`, and rings the
+/// waker if it reads true. Both sides write first and read second,
+/// with `SeqCst` throughout, so one of them always sees the other:
+/// either the loop's last look finds `attention`, or the completion
+/// finds `parked` set and its ring — a byte that stays in the socket
+/// until drained — ends the `poll`, even one that starts later. A
+/// completion whose bytes the socket took whole wakes nobody.
 struct NodeShared {
     shutdown: AtomicBool,
     parked: AtomicBool,
+    attention: AtomicBool,
     waker: Waker,
     counters: TransportCounters,
+    /// Requests in flight across all connections.
+    in_flight: AtomicUsize,
     /// Sweeps the event loop has made; a parked loop makes none.
     sweeps: AtomicU64,
+}
+
+impl NodeShared {
+    fn wake_loop(&self) {
+        self.attention.store(true, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) {
+            self.waker.ring();
+        }
+    }
+}
+
+/// One request in flight on a connection, held by whoever will answer
+/// it — for a wire2 request the completion sink inside the runtime's
+/// job. It carries an `Arc` to *its* connection, so an answer can
+/// only ever reach the peer that asked. Dropped unanswered (the
+/// runtime shut down under the request), it drains the connection.
+struct InFlight {
+    conn: Arc<ConnShared>,
+    node: Arc<NodeShared>,
+    start: Instant,
+    answered: Cell<bool>,
+}
+
+impl InFlight {
+    fn begin(conn: &Arc<ConnShared>, node: &Arc<NodeShared>) -> InFlight {
+        conn.in_flight.fetch_add(1, Ordering::SeqCst);
+        let depth = node.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        node.counters
+            .max_in_flight
+            .fetch_max(depth as u64, Ordering::Relaxed);
+        InFlight {
+            conn: Arc::clone(conn),
+            node: Arc::clone(node),
+            start: Instant::now(),
+            answered: Cell::new(false),
+        }
+    }
+
+    /// The request was served: write its response frame or line
+    /// through to the connection.
+    fn complete(&self, bytes: &[u8]) {
+        if self.answered.replace(true) {
+            return;
+        }
+        self.node.counters.record_success(self.start.elapsed());
+        let wake = self.conn.send(bytes, &self.node.counters);
+        self.release(wake);
+    }
+
+    /// Give up the in-flight count — after the bytes are out, so the
+    /// loop never sees an idle connection with an answer missing —
+    /// and wake the loop if this leaves it something to do.
+    fn release(&self, wake: bool) {
+        self.node.in_flight.fetch_sub(1, Ordering::Relaxed);
+        let last = self.conn.in_flight.fetch_sub(1, Ordering::SeqCst) == 1;
+        // The loop stores `draining` and then loads `in_flight`; this
+        // is the mirror image, so one side sees the connection is
+        // ready to close.
+        if wake || (last && self.conn.draining.load(Ordering::SeqCst)) {
+            self.node.wake_loop();
+        }
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        if !self.answered.get() {
+            self.conn.draining.store(true, Ordering::SeqCst);
+            self.release(true);
+        }
+    }
+}
+
+/// One unit of work for the dispatch pool: the lane for everything
+/// whose admission may block.
+enum NodeJob {
+    /// A legacy newline-JSON line.
+    Json { ticket: InFlight, line: String },
+    /// A legacy JSON frame carried opaquely over the mux (a v2
+    /// client's raw-frame forward).
+    JsonFramed {
+        ticket: InFlight,
+        mux_id: u32,
+        payload: Vec<u8>,
+    },
+    /// A binary request the loop routed but could not finish
+    /// admitting without blocking: it goes on to a remote shard, or
+    /// its worker's queue is full.
+    Resume(Deferred),
 }
 
 /// Encode a response into a `BinResponse` frame; a response so large
 /// it exceeds the frame bound degrades to an in-band error frame.
 fn response_frame(mux_id: u32, resp: &Response) -> Vec<u8> {
-    let payload = encode_response_payload(resp);
-    match encode_frame(FrameType::BinResponse, mux_id, &payload) {
-        Ok(bytes) => bytes,
-        Err(_) => {
-            let fallback = Response::failure(
-                resp.id,
-                format!(
-                    "response of {} bytes exceeds the frame bound",
-                    payload.len()
-                ),
-            );
-            encode_frame(
-                FrameType::BinResponse,
-                mux_id,
-                &encode_response_payload(&fallback),
-            )
-            .unwrap_or_default()
-        }
-    }
+    encode_response_frame(mux_id, resp).unwrap_or_else(|e| {
+        let fallback = Response::failure(resp.id, format!("response dropped: {e}"));
+        encode_response_frame(mux_id, &fallback).unwrap_or_default()
+    })
 }
 
-/// A node worker: executes decoded requests against the hosted
-/// runtime and sends completions back to the event loop, ringing the
-/// waker when the loop is parked (see [`NodeShared`]). Exits when the
-/// job channel disconnects (the event loop owns the sender).
-fn node_worker(
-    jobs: &Receiver<NodeJob>,
-    done: &Sender<NodeDone>,
-    client: &RuntimeClient,
-    shared: &NodeShared,
-) {
-    let counters = &shared.counters;
+/// A dispatch worker: runs the admissions that may block — legacy
+/// JSON in either framing, deferred binary requests — against the
+/// hosted runtime. Exits when the job channel disconnects (the event
+/// loop owns the sender).
+fn node_worker(jobs: &Receiver<NodeJob>, client: &RuntimeClient, shared: &NodeShared) {
     while let Ok(job) = jobs.recv() {
-        let start = Instant::now();
-        let completion = match job {
-            NodeJob::Json { slot, gen, line } => match client.call_raw(line) {
-                Ok(wire) => {
-                    counters.record_success(start.elapsed());
+        match job {
+            // On failure the sink inside is dropped unanswered, which
+            // drains its connection.
+            NodeJob::Resume(deferred) => {
+                let _ = client.resume(deferred);
+            }
+            NodeJob::Json { ticket, line } => {
+                if let Ok(wire) = client.call_raw(line) {
                     let mut bytes = wire.into_bytes();
                     bytes.push(b'\n');
-                    NodeDone {
-                        slot,
-                        gen,
-                        bytes,
-                        close: false,
-                        json_line: true,
-                    }
+                    ticket.complete(&bytes);
                 }
-                Err(_) => NodeDone {
-                    slot,
-                    gen,
-                    bytes: Vec::new(),
-                    close: true,
-                    json_line: true,
-                },
-            },
-            NodeJob::Bin {
-                slot,
-                gen,
-                mux_id,
-                payload,
-            } => match decode_request_payload(&payload) {
-                Ok(req) => match client.call_request(req) {
-                    Ok(resp) => {
-                        counters.record_success(start.elapsed());
-                        NodeDone {
-                            slot,
-                            gen,
-                            bytes: response_frame(mux_id, &resp),
-                            close: false,
-                            json_line: false,
-                        }
-                    }
-                    Err(_) => NodeDone {
-                        slot,
-                        gen,
-                        bytes: Vec::new(),
-                        close: true,
-                        json_line: false,
-                    },
-                },
-                Err(e) => {
-                    // The framing was intact — only this payload is
-                    // bad — so answer in band and keep the
-                    // connection in service.
-                    counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::failure(
-                        ERROR_RESPONSE_ID,
-                        format!("binary request decode failed: {e}"),
-                    );
-                    NodeDone {
-                        slot,
-                        gen,
-                        bytes: response_frame(mux_id, &resp),
-                        close: false,
-                        json_line: false,
-                    }
-                }
-            },
+                let conn = Arc::clone(&ticket.conn);
+                drop(ticket);
+                // The connection's next queued line is the loop's to
+                // dispatch.
+                conn.json_busy.store(false, Ordering::SeqCst);
+                shared.wake_loop();
+            }
             NodeJob::JsonFramed {
-                slot,
-                gen,
+                ticket,
                 mux_id,
                 payload,
             } => {
                 let line = String::from_utf8_lossy(&payload).into_owned();
-                match client.call_raw(line) {
-                    Ok(wire) => {
-                        match encode_frame(FrameType::JsonResponse, mux_id, wire.as_bytes()) {
-                            Ok(bytes) => {
-                                counters.record_success(start.elapsed());
-                                NodeDone {
-                                    slot,
-                                    gen,
-                                    bytes,
-                                    close: false,
-                                    json_line: false,
-                                }
-                            }
-                            Err(_) => NodeDone {
-                                slot,
-                                gen,
-                                bytes: Vec::new(),
-                                close: true,
-                                json_line: false,
-                            },
-                        }
-                    }
-                    Err(_) => NodeDone {
-                        slot,
-                        gen,
-                        bytes: Vec::new(),
-                        close: true,
-                        json_line: false,
-                    },
+                let frame = client.call_raw(line).ok().and_then(|wire| {
+                    encode_frame(FrameType::JsonResponse, mux_id, wire.as_bytes()).ok()
+                });
+                if let Some(bytes) = frame {
+                    ticket.complete(&bytes);
                 }
             }
-        };
-        if done.send(completion).is_err() {
-            return;
-        }
-        if shared.parked.load(Ordering::SeqCst) {
-            shared.waker.ring();
         }
     }
 }
@@ -1692,9 +1766,9 @@ fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
     loop {
         let spare = conn.rbuf.spare();
         let room = spare.len();
-        match conn.stream.read(spare) {
+        match (&conn.shared.stream).read(spare) {
             Ok(0) => {
-                conn.draining = true;
+                conn.shared.draining.store(true, Ordering::SeqCst);
                 break;
             }
             Ok(n) => {
@@ -1718,52 +1792,59 @@ fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
     any
 }
 
-/// Dispatch one legacy JSON line, serialized per connection so a
-/// pipelined legacy client gets its responses in request order.
-fn node_dispatch_json(
-    conn: &mut NodeConn,
-    slot: usize,
-    line: String,
-    jobs: &Sender<NodeJob>,
-    in_flight_total: &mut usize,
-) {
-    if conn.json_busy {
-        conn.json_queue.push_back(line);
-        return;
-    }
-    conn.json_busy = true;
-    conn.in_flight += 1;
-    *in_flight_total += 1;
-    let _ = jobs.send(NodeJob::Json {
-        slot,
-        gen: conn.gen,
-        line,
-    });
+/// Where the loop sends what it parses: the hosted runtime for
+/// everything it can admit without blocking, the dispatch pool for
+/// the rest.
+struct NodeLanes<'a> {
+    shared: &'a Arc<NodeShared>,
+    client: &'a RuntimeClient,
+    jobs: &'a Sender<NodeJob>,
 }
 
-/// Parse buffered bytes into jobs according to the connection's mode,
-/// then compact the read buffer.
-fn node_parse(
-    conn: &mut NodeConn,
-    slot: usize,
-    jobs: &Sender<NodeJob>,
-    in_flight_total: &mut usize,
-    counters: &TransportCounters,
-) {
-    while !conn.fatal && node_parse_one(conn, slot, jobs, in_flight_total, counters) {}
+impl NodeLanes<'_> {
+    /// Admit one decoded binary request from the loop thread. The
+    /// runtime routes it here and queues it for the worker that owns
+    /// its shard; the sink — run by that worker — encodes the response
+    /// and writes it through to the connection, so the loop and the
+    /// dispatch pool never hear of the request again. What would
+    /// block comes back and goes to the dispatch pool.
+    fn admit(&self, conn: &Arc<ConnShared>, mux_id: u32, req: Request) {
+        let ticket = InFlight::begin(conn, self.shared);
+        let sink = Box::new(move |resp: Response| ticket.complete(&response_frame(mux_id, &resp)));
+        // A runtime that has shut down drops the sink, which drains
+        // the connection.
+        if let Ok(Some(deferred)) = self.client.submit(req, sink) {
+            let _ = self.jobs.send(NodeJob::Resume(deferred));
+        }
+    }
+
+    /// Dispatch a Json-mode connection's next line unless one is
+    /// still with a worker.
+    fn pump_json(&self, conn: &mut NodeConn) {
+        if conn.shared.json_busy.load(Ordering::SeqCst) {
+            return;
+        }
+        if let Some(line) = conn.json_queue.pop_front() {
+            conn.shared.json_busy.store(true, Ordering::SeqCst);
+            let ticket = InFlight::begin(&conn.shared, self.shared);
+            let _ = self.jobs.send(NodeJob::Json { ticket, line });
+        }
+    }
+}
+
+/// Parse buffered bytes into admitted requests and dispatch-pool jobs
+/// according to the connection's mode, then compact the read buffer.
+fn node_parse(conn: &mut NodeConn, lanes: &NodeLanes<'_>) {
+    while !conn.fatal && node_parse_one(conn, lanes) {}
     conn.rbuf.compact();
+    lanes.pump_json(conn);
 }
 
 /// Consume one line or frame from the front of the read buffer.
 /// Returns false when the buffered bytes hold no complete one, or the
 /// connection stopped parsing.
-fn node_parse_one(
-    conn: &mut NodeConn,
-    slot: usize,
-    jobs: &Sender<NodeJob>,
-    in_flight_total: &mut usize,
-    counters: &TransportCounters,
-) -> bool {
+fn node_parse_one(conn: &mut NodeConn, lanes: &NodeLanes<'_>) -> bool {
+    let counters = &lanes.shared.counters;
     let unread = conn.rbuf.unread();
     match conn.mode {
         ConnMode::Probing | ConnMode::Json => {
@@ -1789,12 +1870,12 @@ fn node_parse_one(
                 None => {
                     conn.mode = ConnMode::Wire2;
                     if let Ok(ack) = encode_frame(FrameType::HelloAck, 0, &[]) {
-                        conn.wbuf.extend_from_slice(&ack);
+                        conn.shared.send(&ack, counters);
                     }
                 }
                 Some(text) => {
                     conn.mode = ConnMode::Json;
-                    node_dispatch_json(conn, slot, text, jobs, in_flight_total);
+                    conn.json_queue.push_back(text);
                 }
             }
             true
@@ -1823,8 +1904,8 @@ fn node_parse_one(
                             ERROR_RESPONSE_ID,
                             "frame rejected: payload length exceeds the frame bound",
                         );
-                        conn.wbuf.extend_from_slice(&response_frame(mux_id, &resp));
-                        conn.draining = true;
+                        conn.shared.send(&response_frame(mux_id, &resp), counters);
+                        conn.shared.draining.store(true, Ordering::SeqCst);
                         // Nothing behind a rejected header can be
                         // framed: discard it, so a later sweep does
                         // not answer the same header again.
@@ -1840,24 +1921,32 @@ fn node_parse_one(
             if unread.len() < total {
                 return false;
             }
-            // The one copy a frame's payload makes: out of the shared
-            // read buffer, into the job a worker thread will own.
-            let payload = unread[WIRE2_HEADER_LEN..total].to_vec();
-            conn.rbuf.consume(total);
-            let (gen, mux_id) = (conn.gen, hdr.request_id);
-            let job = match hdr.frame_type {
-                FrameType::BinRequest => NodeJob::Bin {
-                    slot,
-                    gen,
-                    mux_id,
-                    payload,
+            let payload = &unread[WIRE2_HEADER_LEN..total];
+            let mux_id = hdr.request_id;
+            match hdr.frame_type {
+                // Decoded where it lies in the read buffer: the
+                // request's own strings are the only copy made.
+                FrameType::BinRequest => match decode_request_payload(payload) {
+                    Ok(req) => lanes.admit(&conn.shared, mux_id, req),
+                    Err(e) => {
+                        // The framing was intact — only this payload
+                        // is bad — so answer in band and keep the
+                        // connection in service.
+                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                        let resp = Response::failure(
+                            ERROR_RESPONSE_ID,
+                            format!("binary request decode failed: {e}"),
+                        );
+                        conn.shared.send(&response_frame(mux_id, &resp), counters);
+                    }
                 },
-                FrameType::JsonRequest => NodeJob::JsonFramed {
-                    slot,
-                    gen,
-                    mux_id,
-                    payload,
-                },
+                FrameType::JsonRequest => {
+                    let _ = lanes.jobs.send(NodeJob::JsonFramed {
+                        ticket: InFlight::begin(&conn.shared, lanes.shared),
+                        mux_id,
+                        payload: payload.to_vec(),
+                    });
+                }
                 FrameType::BinResponse | FrameType::JsonResponse | FrameType::HelloAck => {
                     // Clients send request frames; anything else
                     // means the stream is desynchronized.
@@ -1865,75 +1954,9 @@ fn node_parse_one(
                     conn.fatal = true;
                     return false;
                 }
-            };
-            conn.in_flight += 1;
-            *in_flight_total += 1;
-            let _ = jobs.send(job);
+            }
+            conn.rbuf.consume(total);
             true
-        }
-    }
-}
-
-/// Flush as much buffered output as the socket accepts right now.
-fn node_flush(conn: &mut NodeConn, counters: &TransportCounters) {
-    while conn.wpos < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => {
-                conn.fatal = true;
-                return;
-            }
-            Ok(n) => {
-                counters.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-                conn.wpos += n;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.fatal = true;
-                return;
-            }
-        }
-    }
-    conn.wbuf.clear();
-    conn.wpos = 0;
-}
-
-/// Route a worker completion back onto its connection. A completion
-/// whose generation does not match the slot's current occupant
-/// belongs to a connection that already closed and is dropped.
-fn node_complete(
-    conns: &mut [Option<NodeConn>],
-    done: NodeDone,
-    jobs: &Sender<NodeJob>,
-    in_flight_total: &mut usize,
-) {
-    *in_flight_total = in_flight_total.saturating_sub(1);
-    let slot = done.slot;
-    let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
-        return;
-    };
-    if conn.gen != done.gen {
-        return;
-    }
-    conn.in_flight = conn.in_flight.saturating_sub(1);
-    conn.wbuf.extend_from_slice(&done.bytes);
-    if done.close {
-        conn.draining = true;
-        conn.json_queue.clear();
-    }
-    if done.json_line {
-        conn.json_busy = false;
-        if !conn.draining {
-            if let Some(line) = conn.json_queue.pop_front() {
-                conn.json_busy = true;
-                conn.in_flight += 1;
-                *in_flight_total += 1;
-                let _ = jobs.send(NodeJob::Json {
-                    slot,
-                    gen: conn.gen,
-                    line,
-                });
-            }
         }
     }
 }
@@ -1947,7 +1970,6 @@ fn node_complete(
 fn node_accept(
     listener: &TcpListener,
     conns: &mut Vec<Option<NodeConn>>,
-    next_gen: &mut u64,
     progress: &mut bool,
 ) -> bool {
     loop {
@@ -1957,8 +1979,7 @@ fn node_accept(
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                *next_gen += 1;
-                let conn = NodeConn::new(stream, *next_gen);
+                let conn = NodeConn::new(stream);
                 match conns.iter_mut().position(|slot| slot.is_none()) {
                     Some(slot) => conns[slot] = Some(conn),
                     None => conns.push(Some(conn)),
@@ -1979,68 +2000,64 @@ fn node_accept(
 }
 
 /// The node's single event loop: accepts connections, reads and
-/// parses ready sockets, dispatches decoded requests to the worker
-/// pool, and routes completions back onto the right connection.
+/// parses ready sockets, admits decoded requests into the hosted
+/// runtime itself — or, when that could block, hands them to the
+/// dispatch pool — and flushes what a completion's write-through left
+/// behind.
 ///
 /// Readiness-driven: the loop sweeps until a sweep makes no progress,
 /// then parks in `poll` — with no timeout — on the listener, the
 /// waker and every connection it has business with, following the
 /// `parked` protocol described on [`NodeShared`]. An idle node makes
-/// no iterations at all.
+/// no iterations at all, and a request whose response its socket
+/// takes whole costs the loop one park: it never hears of the
+/// completion.
 fn node_event_loop(
     listener: &TcpListener,
     wake: &WakeListener,
-    shared: &NodeShared,
+    shared: &Arc<NodeShared>,
+    client: &RuntimeClient,
     jobs: &Sender<NodeJob>,
-    done: &Receiver<NodeDone>,
 ) {
     let counters = &shared.counters;
+    let lanes = NodeLanes {
+        shared,
+        client,
+        jobs,
+    };
     let mut conns: Vec<Option<NodeConn>> = Vec::new();
-    let mut next_gen: u64 = 0;
-    let mut in_flight_total: usize = 0;
     let mut poll = PollSet::default();
     while !shared.shutdown.load(Ordering::SeqCst) {
         shared.sweeps.fetch_add(1, Ordering::Relaxed);
+        // Cleared before the sweep looks at anything: whatever a
+        // completion publishes from here on either is seen by this
+        // sweep or sets the flag again.
+        shared.attention.store(false, Ordering::SeqCst);
         let mut progress = false;
-        let accepting = node_accept(listener, &mut conns, &mut next_gen, &mut progress);
-        while let Ok(completion) = done.try_recv() {
-            node_complete(&mut conns, completion, jobs, &mut in_flight_total);
-            progress = true;
-        }
-        for (slot, entry) in conns.iter_mut().enumerate() {
+        let accepting = node_accept(listener, &mut conns, &mut progress);
+        for entry in conns.iter_mut() {
             let Some(conn) = entry.as_mut() else {
                 continue;
             };
-            if !conn.fatal && !conn.draining && node_read(conn, counters) {
+            if !conn.fatal && !conn.draining() && node_read(conn, counters) {
                 progress = true;
             }
             if !conn.fatal {
-                node_parse(conn, slot, jobs, &mut in_flight_total, counters);
+                node_parse(conn, &lanes);
             }
-            if !conn.fatal {
-                node_flush(conn, counters);
-            }
-            let drop_now = conn.fatal
-                || (conn.draining
-                    && conn.in_flight == 0
-                    && conn.json_queue.is_empty()
-                    && conn.wpos >= conn.wbuf.len());
-            if drop_now {
+            if conn.fatal || conn.finished(counters) {
+                conn.shared.close();
                 *entry = None;
                 progress = true;
             }
         }
-        counters
-            .max_in_flight
-            .fetch_max(in_flight_total as u64, Ordering::Relaxed);
         if progress {
             continue;
         }
 
         shared.parked.store(true, Ordering::SeqCst);
-        if let Ok(completion) = done.try_recv() {
+        if shared.attention.load(Ordering::SeqCst) {
             shared.parked.store(false, Ordering::SeqCst);
-            node_complete(&mut conns, completion, jobs, &mut in_flight_total);
             continue;
         }
         poll.clear();
@@ -2050,7 +2067,7 @@ fn node_event_loop(
         }
         for conn in conns.iter().flatten() {
             if let Some(interest) = conn.interest() {
-                poll.push(&conn.stream, interest);
+                poll.push(&conn.shared.stream, interest);
             }
         }
         let waited = poll.wait();
@@ -2063,6 +2080,11 @@ fn node_event_loop(
             wake.drain();
         }
     }
+    // A completion may outlive the loop holding its connection's
+    // half; the peer must see the hang-up now, not when it finishes.
+    for conn in conns.iter().flatten() {
+        conn.shared.close();
+    }
 }
 
 /// Hosts a whole [`ServingRuntime`] behind a TCP listener for
@@ -2072,12 +2094,20 @@ fn node_event_loop(
 /// A single `poll(2)`-driven event loop over nonblocking sockets owns
 /// every accepted connection: it sniffs each connection's first line
 /// to pick wire2 or legacy-JSON mode, reassembles frames with a
-/// bounded read, and dispatches decoded requests to a small fixed
-/// pool of dispatch workers (whose completions the loop demultiplexes
-/// back onto the right connection by mux id). There is no
+/// bounded read, decodes each binary request where it lies and admits
+/// it into the runtime without blocking. The response never comes
+/// back to the loop: the runtime worker that produced it encodes the
+/// frame and writes it through the connection's shared write half, so
+/// a request costs the node two thread hand-offs — the loop on the
+/// bytes, the worker on the queue — and the loop hears of a
+/// completion only when the socket would not take all of its bytes.
+/// Admissions that may block (legacy JSON in either framing, a frame
+/// this node forwards onward to a remote shard of its own, a full
+/// worker queue) go to a small fixed pool of dispatch workers
+/// instead, chosen by what the frame is. There is no
 /// thread-per-connection: hundreds of idle multiplexed clients cost
 /// one thread total, and that thread sleeps in the kernel until a
-/// socket or a completion has something for it.
+/// socket has something for it.
 ///
 /// Frames the node serves run through the runtime's **full admission
 /// path** — shedding, canary split, key routing — exactly like local
@@ -2101,10 +2131,10 @@ impl std::fmt::Debug for RemoteRuntimeNode {
 
 impl RemoteRuntimeNode {
     /// Bind `addr` (use port 0 for an ephemeral port) and start
-    /// serving `runtime` with the default dispatch pool: twice the
-    /// runtime's worker count, at least 4 — enough that the node's
-    /// own workers stay fed even when some dispatchers sit in the
-    /// admission queue.
+    /// serving `runtime` with the default dispatch pool for blocking
+    /// admissions: twice the runtime's worker count, at least 4 —
+    /// enough that the node's own workers stay fed even when some
+    /// dispatchers wait on a full queue or a downstream shard.
     ///
     /// # Errors
     /// Returns [`ServeError::Transport`] when the listener cannot be
@@ -2133,32 +2163,32 @@ impl RemoteRuntimeNode {
         let shared = Arc::new(NodeShared {
             shutdown: AtomicBool::new(false),
             parked: AtomicBool::new(false),
+            attention: AtomicBool::new(false),
             waker,
             counters: TransportCounters::default(),
+            in_flight: AtomicUsize::new(0),
             sweeps: AtomicU64::new(0),
         });
         let (jobs_tx, jobs_rx) = unbounded::<NodeJob>();
-        let (done_tx, done_rx) = unbounded::<NodeDone>();
         let mut handles = Vec::with_capacity(workers.max(1));
         for i in 0..workers.max(1) {
             let jobs = jobs_rx.clone();
-            let done = done_tx.clone();
             let client = runtime.client();
             let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("willump-node-{i}"))
-                .spawn(move || node_worker(&jobs, &done, &client, &shared))
+                .spawn(move || node_worker(&jobs, &client, &shared))
                 .map_err(|e| ServeError::Transport(format!("spawn node worker: {e}")))?;
             handles.push(handle);
         }
-        // The event loop owns the only jobs sender and done receiver:
-        // its exit disconnects the channel and the workers drain out.
-        drop(done_tx);
+        // The event loop owns the only jobs sender: its exit
+        // disconnects the channel and the workers drain out.
         drop(jobs_rx);
         let loop_shared = Arc::clone(&shared);
+        let client = runtime.client();
         let event = std::thread::Builder::new()
             .name("willump-node-events".to_string())
-            .spawn(move || node_event_loop(&listener, &wake, &loop_shared, &jobs_tx, &done_rx))
+            .spawn(move || node_event_loop(&listener, &wake, &loop_shared, &client, &jobs_tx))
             .map_err(|e| ServeError::Transport(format!("spawn node event loop: {e}")))?;
         Ok(RemoteRuntimeNode {
             runtime,
@@ -2537,8 +2567,10 @@ mod tests {
         wait_until_parked(&node);
         let before = sweeps(&node);
         // Each forward is issued after the previous reply, so the
-        // loop parks in between: twice per request, once waiting for
-        // the bytes and once for the completion.
+        // loop parks in between — once per request, waiting for its
+        // bytes: the sweep that reads and admits them, and the idle
+        // sweep before the park. The completion is written through by
+        // the runtime worker and never comes back to the loop.
         const N: u64 = 4000;
         let worker = under_watchdog(move || {
             for i in 1..=N {
@@ -2552,7 +2584,7 @@ mod tests {
         assert_eq!(worker.stats().failures, 0);
         assert_eq!(worker.stats().reconnects, 0);
         let spent = sweeps(&node) - before;
-        assert!(spent <= 6 * N, "{spent} sweeps for {N} requests");
+        assert!(spent <= 2 * N + 8, "{spent} sweeps for {N} requests");
 
         assert_eq!(sweeps(&idle), idle_before, "an idle node must not iterate");
         assert!(idle.shared.parked.load(Ordering::SeqCst));
@@ -2604,30 +2636,41 @@ mod tests {
 
     #[test]
     fn a_slow_reader_gets_every_byte_through_write_interest() {
-        /// Fails every request with a message of the given length:
-        /// the cheapest way to a large response.
+        /// Fails every request with a long message made of its `x`:
+        /// the cheapest way to a large response that names its
+        /// request.
         struct Verbose(usize);
+        fn message(x: f64, len: usize) -> String {
+            let unit = format!("<{x}>");
+            let mut message = unit.repeat(len / unit.len() + 1);
+            message.truncate(len);
+            message
+        }
         impl Servable for Verbose {
-            fn predict_table(&self, _: &Table) -> Result<Vec<f64>, String> {
-                Err("x".repeat(self.0))
+            fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+                let xs = table.column("x").expect("x").to_f64_vec().expect("floats");
+                Err(message(xs[0], self.0))
             }
         }
-        const MESSAGE: usize = 1 << 20;
+        const MESSAGE: usize = 1 << 18;
+        // Four runtime workers complete requests of one connection
+        // side by side, so its write half is contended.
         let mut b = ServingRuntime::builder();
-        b.config(ServerConfig::builder().workers(1).build());
-        b.endpoint("verbose", Arc::new(Verbose(MESSAGE)));
+        b.config(ServerConfig::builder().workers(4).build());
+        b.endpoint("verbose", Arc::new(Verbose(MESSAGE))).shards(4);
         let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
 
-        // More response bytes than the socket pair can buffer, to a
-        // client that reads nothing until all of them are produced.
-        let frames = (tcp_buffer_ceiling() / MESSAGE + 2) as u32;
+        // At least 64 requests in flight at once, and more response
+        // bytes than the socket pair can buffer, to a client that
+        // reads nothing until all of them are produced.
+        let frames = (tcp_buffer_ceiling() / MESSAGE + 2).max(64) as u32;
         let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
-        let req = Request {
-            endpoint: Some("verbose".to_string()),
-            ..request(1, 0.0)
-        };
-        let payload = encode_request_payload(&req);
         for mux_id in 1..=frames {
+            let req = Request {
+                endpoint: Some("verbose".to_string()),
+                ..request(1, f64::from(mux_id))
+            };
+            let payload = encode_request_payload(&req);
             let frame = encode_frame(FrameType::BinRequest, mux_id, &payload).expect("encodes");
             writer.write_all(&frame).expect("writes");
         }
@@ -2641,6 +2684,7 @@ mod tests {
             node.transport_stats().bytes_sent < produced,
             "the responses must not fit the socket buffers"
         );
+        assert!(node.transport_stats().max_in_flight >= 64);
 
         // Blocked on a full socket, the loop waits for writability:
         // at most a few sweeps per completion, then none.
@@ -2652,35 +2696,44 @@ mod tests {
             "{spent} sweeps while blocked on a full socket"
         );
 
+        // Every frame arrives whole — a frame torn by another would
+        // break the framing or the message — and once per mux id.
         let mut seen = std::collections::HashSet::new();
         for _ in 0..frames {
             let (hdr, payload) = read_frame(&mut reader).expect("frame").expect("not eof");
             assert_eq!(hdr.frame_type, FrameType::BinResponse);
             assert!(seen.insert(hdr.request_id), "mux id answered twice");
             let resp = decode_response_payload(&payload).expect("decodes");
-            assert_eq!(resp.error.map(|e| e.len()), Some(MESSAGE));
+            let expected = message(f64::from(hdr.request_id), MESSAGE);
+            assert!(resp.error.is_some_and(|e| e == expected), "torn message");
         }
         assert!(node.transport_stats().bytes_sent > produced);
     }
 
-    #[test]
-    fn a_closed_peer_with_work_in_flight_does_not_spin_the_loop() {
-        /// Blocks inside `predict_table` until released.
-        struct Gated {
-            entered: Sender<()>,
-            release: Receiver<()>,
+    /// Blocks inside `predict_table` until released; once the release
+    /// sender is dropped every call passes straight through.
+    struct Gated {
+        entered: Sender<()>,
+        release: Receiver<()>,
+    }
+    impl Servable for Gated {
+        fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+            let _ = self.entered.send(());
+            let _ = self.release.recv();
+            Scaler(2.0).predict_table(table)
         }
-        impl Servable for Gated {
-            fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
-                let _ = self.entered.send(());
-                let _ = self.release.recv();
-                Scaler(2.0).predict_table(table)
-            }
-        }
+    }
+
+    /// A node serving `scale` through a [`Gated`] doubler on one
+    /// runtime worker, the receiver of its `entered` signals, and the
+    /// release sender. Bind them in this order: the sender is then
+    /// dropped before the node, so a failing assertion cannot leave
+    /// the node's drop joining a worker that still waits at the gate.
+    fn gated_node(config: ServerConfig) -> (RemoteRuntimeNode, Receiver<()>, Sender<()>) {
         let (entered_tx, entered_rx) = unbounded();
-        let (release, release_rx) = unbounded();
+        let (release_tx, release_rx) = unbounded();
         let mut b = ServingRuntime::builder();
-        b.config(ServerConfig::builder().workers(1).build());
+        b.config(config);
         b.endpoint(
             "scale",
             Arc::new(Gated {
@@ -2689,20 +2742,32 @@ mod tests {
             }),
         );
         let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
-        // Declared after the node, so dropped before it: a failing
-        // assertion below must not leave the node's drop joining a
-        // worker that still waits at the gate.
-        let release_tx = release;
+        (node, entered_rx, release_tx)
+    }
+
+    fn bin_frame(mux_id: u32, req: &Request) -> Vec<u8> {
+        encode_frame(FrameType::BinRequest, mux_id, &encode_request_payload(req)).expect("encodes")
+    }
+
+    /// Read one response frame: its mux id and the decoded response.
+    fn read_response(reader: &mut BufReader<TcpStream>) -> (u32, Response) {
+        let (hdr, payload) = read_frame(reader).expect("frame").expect("not eof");
+        assert_eq!(hdr.frame_type, FrameType::BinResponse);
+        (
+            hdr.request_id,
+            decode_response_payload(&payload).expect("decodes"),
+        )
+    }
+
+    #[test]
+    fn a_closed_peer_with_work_in_flight_does_not_spin_the_loop() {
+        let (node, entered_rx, release_tx) = gated_node(ServerConfig::builder().workers(1).build());
 
         // Send one request, wait until a worker holds it, hang up.
         let (mut writer, reader) = raw_wire2_client(node.local_addr());
-        let frame = encode_frame(
-            FrameType::BinRequest,
-            1,
-            &encode_request_payload(&request(1, 1.0)),
-        )
-        .expect("encodes");
-        writer.write_all(&frame).expect("writes");
+        writer
+            .write_all(&bin_frame(1, &request(1, 1.0)))
+            .expect("writes");
         entered_rx.recv_timeout(WATCHDOG).expect("dispatched");
         drop((writer, reader));
 
@@ -2721,6 +2786,175 @@ mod tests {
         let worker = RemoteWorker::new(&node.local_addr().to_string());
         let reply = under_watchdog(move || worker.forward_request(&request(2, 4.0)));
         assert_eq!(reply.expect("served").response.scores, vec![8.0]);
+    }
+
+    #[test]
+    fn a_dropped_connections_answer_never_reaches_its_successor() {
+        under_watchdog(|| {
+            let (node, entered_rx, release_tx) =
+                gated_node(ServerConfig::builder().workers(1).build());
+            // One request, held at the gate; then garbage, which gets
+            // the connection dropped on the spot — work in flight and
+            // all. The hang-up is how the old peer knows it happened.
+            let (mut old_writer, mut old_reader) = raw_wire2_client(node.local_addr());
+            old_writer
+                .write_all(&bin_frame(1, &request(1, 1.0)))
+                .expect("writes");
+            entered_rx.recv_timeout(WATCHDOG).expect("admitted");
+            old_writer
+                .write_all(&[0xFFu8; WIRE2_HEADER_LEN])
+                .expect("writes");
+            assert!(matches!(read_frame(&mut old_reader), Ok(None)));
+
+            // A new connection takes over the freed slot — and, with
+            // the old peer gone, its descriptor — and reuses the very
+            // mux id still in flight.
+            drop((old_writer, old_reader));
+            let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
+            writer
+                .write_all(&bin_frame(1, &request(10, 5.0)))
+                .expect("writes");
+            writer
+                .write_all(&bin_frame(2, &request(11, 6.0)))
+                .expect("writes");
+            drop(release_tx);
+
+            // The abandoned request completes first (one worker, FIFO);
+            // were its answer routed by slot or descriptor, the new
+            // peer would read `[2.0]` under mux id 1.
+            let mut answers = HashMap::new();
+            for _ in 0..2 {
+                let (mux_id, resp) = read_response(&mut reader);
+                assert!(answers.insert(mux_id, (resp.id, resp.scores)).is_none());
+            }
+            assert_eq!(answers[&1], (10, vec![10.0]));
+            assert_eq!(answers[&2], (11, vec![12.0]));
+            assert_eq!(node.transport_stats().forwards, 3);
+        });
+    }
+
+    #[test]
+    fn a_saturated_queue_never_blocks_the_loop() {
+        under_watchdog(|| {
+            // One request fits the worker, one the queue; every other
+            // one has to wait its turn somewhere that is not the loop.
+            let (node, entered_rx, release_tx) = gated_node(
+                ServerConfig::builder()
+                    .workers(1)
+                    .queue_capacity(1)
+                    .max_batch_requests(1)
+                    .build(),
+            );
+            const REQUESTS: u32 = 32;
+            let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
+            let mut sent = node.transport_stats().bytes_received;
+            for mux_id in 1..=REQUESTS {
+                let frame = bin_frame(mux_id, &request(u64::from(mux_id), f64::from(mux_id)));
+                sent += frame.len() as u64;
+                writer.write_all(&frame).expect("writes");
+            }
+            entered_rx.recv_timeout(WATCHDOG).expect("admitted");
+            while node.transport_stats().bytes_received < sent {
+                std::thread::yield_now();
+            }
+
+            // The loop has taken in all of them, the servable has not
+            // let go of the first: a control frame on a second
+            // connection is answered all the same, by the loop itself.
+            let (mut control, mut control_reader) = raw_wire2_client(node.local_addr());
+            control
+                .write_all(&bin_frame(7, &Request::counters_probe(99)))
+                .expect("writes");
+            let (mux_id, resp) = read_response(&mut control_reader);
+            assert_eq!((mux_id, resp.id), (7, 99));
+            assert!(resp.counters.is_some() && resp.error.is_none());
+            assert_eq!(node.transport_stats().forwards, 1, "only the probe is done");
+            // All of them — and, for a moment, the probe — in flight.
+            assert_eq!(
+                node.transport_stats().max_in_flight,
+                u64::from(REQUESTS) + 1
+            );
+
+            // Released, every queued request is answered exactly once.
+            drop(release_tx);
+            let mut seen = std::collections::HashSet::new();
+            for _ in 0..REQUESTS {
+                let (mux_id, resp) = read_response(&mut reader);
+                assert!(seen.insert(mux_id), "mux id answered twice");
+                assert_eq!(resp.scores, vec![2.0 * f64::from(mux_id)]);
+            }
+            assert_eq!(node.transport_stats().forwards, u64::from(REQUESTS) + 1);
+        });
+    }
+
+    #[test]
+    fn a_frame_forwarded_onward_does_not_delay_one_served_here() {
+        /// A downstream that accepts a forward and never answers it:
+        /// the forward fails once the test lets go.
+        struct Stuck {
+            entered: Sender<()>,
+            release: Receiver<()>,
+        }
+        impl WorkerTransport for Stuck {
+            fn forward(&self, _: &str) -> Result<String, ServeError> {
+                let _ = self.entered.send(());
+                let _ = self.release.recv();
+                Err(ServeError::Transport("downstream is dead".to_string()))
+            }
+            fn describe(&self) -> String {
+                "stuck".to_string()
+            }
+            fn stats(&self) -> TransportStats {
+                TransportStats::default()
+            }
+        }
+        under_watchdog(|| {
+            let (entered_tx, entered_rx) = unbounded();
+            let (release_tx, release_rx) = unbounded::<()>();
+            let mut b = ServingRuntime::builder();
+            b.config(ServerConfig::builder().workers(1).build());
+            b.endpoint("scale", Arc::new(Scaler(2.0)))
+                .shards(1)
+                .shard_transport(Arc::new(Stuck {
+                    entered: entered_tx,
+                    release: release_rx,
+                }));
+            let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
+            // Shard 1 of the endpoint's two is the remote one.
+            let key = (0..)
+                .map(|i| format!("k{i}"))
+                .find(|k| crate::shard_for_key(k, 2) == 1)
+                .expect("some key routes to the remote shard");
+
+            // A plain frame routed to the remote shard: its admission
+            // blocks on the downstream, on a dispatch worker.
+            let (mut plain, mut plain_reader) = raw_wire2_client(node.local_addr());
+            let onward = Request {
+                key: Some(key),
+                ..request(1, 3.0)
+            };
+            plain.write_all(&bin_frame(1, &onward)).expect("writes");
+            entered_rx.recv_timeout(WATCHDOG).expect("forwarded onward");
+
+            // A forwarded frame can only be served here, and is —
+            // while the other still hangs.
+            let (mut pinned, mut pinned_reader) = raw_wire2_client(node.local_addr());
+            let here = Request {
+                forwarded: true,
+                ..request(2, 4.0)
+            };
+            pinned.write_all(&bin_frame(1, &here)).expect("writes");
+            let (_, resp) = read_response(&mut pinned_reader);
+            assert_eq!((resp.id, resp.scores), (2, vec![8.0]));
+            assert_eq!(node.transport_stats().forwards, 1);
+
+            // The downstream gives up; the plain frame fails over to
+            // the local shard and is answered after all.
+            drop(release_tx);
+            let (_, resp) = read_response(&mut plain_reader);
+            assert_eq!((resp.id, resp.scores), (1, vec![6.0]));
+            assert_eq!(node.runtime().stats().failovers(), 1);
+        });
     }
 
     #[test]

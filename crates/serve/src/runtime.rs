@@ -1198,11 +1198,26 @@ pub enum SchedulerPolicy {
 
 // ---- plumbing ------------------------------------------------------
 
-struct RoutedJob {
+/// A completion sink: called with the response on the thread that
+/// produced it — a runtime worker, or the submitting thread itself
+/// when admission answers — so it must not block. A sink dropped
+/// without being called means the runtime shut down (or a predictor
+/// panicked) before the request was answered.
+pub(crate) type ResponseSink = Box<dyn Fn(Response) + Send>;
+
+/// Where a routed job's response goes.
+enum Reply {
+    /// To the admitting caller, which blocks on the other end.
+    Channel(Sender<Response>),
+    /// Into a sink handed to [`RuntimeClient::submit`].
+    Sink(ResponseSink),
+}
+
+pub(crate) struct RoutedJob {
     req: Request,
     entry: Arc<Endpoint>,
     /// `None` for shadow-mirrored copies (response discarded).
-    reply: Option<Sender<Response>>,
+    reply: Option<Reply>,
     /// Admission control put this request in the degrade band: serve
     /// it with the endpoint's degraded lowering. Only ever `true`
     /// when the endpoint has one.
@@ -1257,6 +1272,38 @@ enum Admitted {
     Immediate(Response),
     /// Queued; the response arrives on this channel.
     Pending(Receiver<Response>),
+}
+
+/// A request that passed routing and admission control and has only
+/// its hop left: onto the worker queue of a local shard, or through
+/// the transport of a remote one.
+pub(crate) struct Routed {
+    req: Request,
+    entry: Arc<Endpoint>,
+    shard: usize,
+    /// The remote slots `shard` was picked over (empty for forwarded
+    /// frames), snapshotted once so topology changes cannot touch a
+    /// request in flight.
+    remote_active: Vec<Arc<RemoteShard>>,
+    shadow_jobs: Vec<(usize, RoutedJob)>,
+    degraded: bool,
+}
+
+/// What routing one request decided.
+enum Planned {
+    /// Answered at admission (control frames, route errors, shed and
+    /// drain markers).
+    Answered(Response),
+    Routed(Routed),
+}
+
+/// The rest of a [`RuntimeClient::submit`] that could not finish
+/// without blocking; [`RuntimeClient::resume`] finishes it.
+pub(crate) enum Deferred {
+    /// Routed to a remote shard: the forward is a network round trip.
+    Forward(Routed, ResponseSink),
+    /// Routed to a worker whose queue is full.
+    Enqueue(RoutedJob, usize),
 }
 
 impl Shared {
@@ -1379,13 +1426,7 @@ impl Shared {
     /// Decode, route, and enqueue one wire payload (the legacy JSON
     /// boundary over [`admit_request`](Self::admit_request)).
     fn admit(&self, payload: &str) -> Result<Admitted, ServeError> {
-        // Fast-fail before any side effects: a closed runtime admits
-        // nothing and records nothing — post-shutdown retries must not
-        // skew stats or version-router state.
-        if self.gate.lock().closed {
-            return Err(ServeError::Disconnected);
-        }
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.count_request()?;
         match decode_request(payload) {
             Ok(req) => self.route_request(req),
             Err(e) => {
@@ -1404,20 +1445,84 @@ impl Shared {
     /// wire path, which never pays a JSON encode/decode inside the
     /// runtime.
     fn admit_request(&self, req: Request) -> Result<Admitted, ServeError> {
+        self.count_request()?;
+        self.route_request(req)
+    }
+
+    /// Count one arriving request — unless the runtime is closed,
+    /// which fails fast before any side effect: a closed runtime
+    /// admits nothing and records nothing, so post-shutdown retries
+    /// cannot skew stats or version-router state.
+    fn count_request(&self) -> Result<(), ServeError> {
         if self.gate.lock().closed {
             return Err(ServeError::Disconnected);
         }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.route_request(req)
+        Ok(())
     }
 
-    /// The shared admission body: control frames, routing, admission
-    /// control, shadow mirroring, remote forwarding, and enqueueing.
+    /// The blocking admission body: route, take the hop — a remote
+    /// shard's round trip included — and enqueue, sleeping while the
+    /// target queue is full.
     fn route_request(&self, req: Request) -> Result<Admitted, ServeError> {
+        let mut routed = match self.plan_route(req) {
+            Planned::Answered(resp) => return Ok(Admitted::Immediate(resp)),
+            Planned::Routed(routed) => routed,
+        };
+        let worker = match self.resolve_hop(&mut routed) {
+            Ok(worker) => worker,
+            Err(resp) => return Ok(Admitted::Immediate(resp)),
+        };
+        let (reply_tx, reply_rx) = bounded(1);
+        self.enqueue(routed, Reply::Channel(reply_tx), worker)?;
+        Ok(Admitted::Pending(reply_rx))
+    }
+
+    /// [`route_request`](Self::route_request) for a caller that must
+    /// not block: everything up to the hop runs here, a local hop is
+    /// one `try_send`, and whatever could block comes back as a
+    /// [`Deferred`] with every counter already recorded exactly once.
+    fn submit(&self, req: Request, sink: ResponseSink) -> Result<Option<Deferred>, ServeError> {
+        self.count_request()?;
+        let routed = match self.plan_route(req) {
+            Planned::Answered(resp) => {
+                sink(resp);
+                return Ok(None);
+            }
+            Planned::Routed(routed) => routed,
+        };
+        if routed.shard >= routed.entry.local_shards {
+            return Ok(Some(Deferred::Forward(routed, sink)));
+        }
+        let worker = routed.entry.assignment[routed.shard].load(Ordering::Relaxed);
+        let job = self.job_for(routed, Reply::Sink(sink));
+        Ok(self
+            .enqueue_job(job, worker, false)?
+            .map(|job| Deferred::Enqueue(job, worker)))
+    }
+
+    /// Finish a deferred [`submit`](Self::submit) on a thread that
+    /// may block.
+    fn resume(&self, deferred: Deferred) -> Result<(), ServeError> {
+        match deferred {
+            Deferred::Forward(mut routed, sink) => match self.resolve_hop(&mut routed) {
+                Ok(worker) => self.enqueue(routed, Reply::Sink(sink), worker),
+                Err(resp) => {
+                    sink(resp);
+                    Ok(())
+                }
+            },
+            Deferred::Enqueue(job, worker) => self.enqueue_job(job, worker, true).map(|_| ()),
+        }
+    }
+
+    /// Control frames, routing, admission control and shadow
+    /// mirroring: every step of admission that never waits.
+    fn plan_route(&self, req: Request) -> Planned {
         // Control frames are answered at admission — they never touch
         // worker queues or row counters.
         if let Some(op) = req.control {
-            return Ok(Admitted::Immediate(self.control_response(req.id, op)));
+            return Planned::Answered(self.control_response(req.id, op));
         }
         // A draining node refuses new predictions; control frames are
         // answered above so a parent can keep polling counters while
@@ -1429,25 +1534,25 @@ impl Shared {
                 "node is draining: new requests are not admitted".to_string(),
             );
             resp.overloaded = true;
-            return Ok(Admitted::Immediate(resp));
+            return Planned::Answered(resp);
         }
         let Some(group) = self.find_group(req.endpoint.as_deref()) else {
             self.stats.route_errors.fetch_add(1, Ordering::Relaxed);
             let name = req.endpoint.as_deref().unwrap_or(DEFAULT_ENDPOINT);
-            return Ok(Admitted::Immediate(Response::failure(
+            return Planned::Answered(Response::failure(
                 req.id,
                 format!("unknown endpoint `{name}`"),
-            )));
+            ));
         };
         let entry = match req.version {
             Some(v) => match group.primaries.iter().find(|e| e.version == v) {
                 Some(e) => Arc::clone(e),
                 None => {
                     self.stats.route_errors.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Admitted::Immediate(Response::failure(
+                    return Planned::Answered(Response::failure(
                         req.id,
                         format!("endpoint `{}` has no version {v}", group.name),
-                    )));
+                    ));
                 }
             },
             None => Arc::clone(&group.primaries[group.pick_version()]),
@@ -1524,10 +1629,10 @@ impl Shared {
             } else {
                 "no shards admitting new requests"
             };
-            return Ok(Admitted::Immediate(Response::failure(
+            return Planned::Answered(Response::failure(
                 req.id,
                 format!("endpoint `{}` has {why}", entry.name),
-            )));
+            ));
         }
         let shard = pick_shard(&entry, key.as_deref(), domain, req.forwarded);
 
@@ -1558,7 +1663,7 @@ impl Shared {
                     // and not mirrored: shadows exist to validate
                     // serving, and nothing was served.
                     let resp = Response::shed(req.id, &entry.name, entry.version);
-                    return Ok(Admitted::Immediate(resp));
+                    return Planned::Answered(resp);
                 }
             }
         }
@@ -1567,49 +1672,86 @@ impl Shared {
         self.stats
             .rows
             .fetch_add(req.rows.len() as u64, Ordering::Relaxed);
-
-        let worker = if shard < entry.local_shards {
-            entry.assignment[shard].load(Ordering::Relaxed)
-        } else {
-            match self.forward_remote(&entry, shard, &remote_active, &req) {
-                RemoteOutcome::Served(response) => {
-                    // The remote node already executed this request;
-                    // its answer must reach the caller even when the
-                    // gate closed mid-round-trip, so the (best-effort
-                    // anyway) shadow mirrors cannot fail it.
-                    self.send_shadows(shadow_jobs);
-                    self.maybe_rebalance();
-                    return Ok(Admitted::Immediate(response));
-                }
-                RemoteOutcome::AllFailed if entry.local_shards == 0 => {
-                    self.send_shadows(shadow_jobs);
-                    return Ok(Admitted::Immediate(Response::failure(
-                        req.id,
-                        format!(
-                            "endpoint `{}`: every remote shard's transport failed",
-                            entry.name
-                        ),
-                    )));
-                }
-                RemoteOutcome::AllFailed => {
-                    // Fail over onto the local shards, round-robin.
-                    entry.stats.failovers.fetch_add(1, Ordering::Relaxed);
-                    self.stats.failovers.fetch_add(1, Ordering::Relaxed);
-                    let fallback =
-                        entry.next_failover.fetch_add(1, Ordering::Relaxed) % entry.local_shards;
-                    entry.assignment[fallback].load(Ordering::Relaxed)
-                }
-            }
-        };
-
-        self.send_shadows(shadow_jobs);
-        let (reply_tx, reply_rx) = bounded(1);
-        let mut primary = RoutedJob {
+        Planned::Routed(Routed {
             req,
             entry,
-            reply: Some(reply_tx),
+            shard,
+            remote_active,
+            shadow_jobs,
             degraded,
-        };
+        })
+    }
+
+    /// The worker whose queue serves `routed`. For a local shard that
+    /// is a lookup; for a remote shard it **blocks** for the forward,
+    /// and the answer — or, when every transport failed and there is
+    /// no local shard to fail over to, the failure — comes back as
+    /// `Err` with the shadow mirrors already sent.
+    fn resolve_hop(&self, routed: &mut Routed) -> Result<usize, Response> {
+        let entry = &routed.entry;
+        if routed.shard < entry.local_shards {
+            return Ok(entry.assignment[routed.shard].load(Ordering::Relaxed));
+        }
+        let outcome =
+            self.forward_remote(entry, routed.shard, &routed.remote_active, &mut routed.req);
+        match outcome {
+            RemoteOutcome::Served(response) => {
+                // The remote node already executed this request;
+                // its answer must reach the caller even when the
+                // gate closed mid-round-trip, so the (best-effort
+                // anyway) shadow mirrors cannot fail it.
+                self.send_shadows(std::mem::take(&mut routed.shadow_jobs));
+                self.maybe_rebalance();
+                Err(response)
+            }
+            RemoteOutcome::AllFailed if entry.local_shards == 0 => {
+                self.send_shadows(std::mem::take(&mut routed.shadow_jobs));
+                Err(Response::failure(
+                    routed.req.id,
+                    format!(
+                        "endpoint `{}`: every remote shard's transport failed",
+                        entry.name
+                    ),
+                ))
+            }
+            RemoteOutcome::AllFailed => {
+                // Fail over onto the local shards, round-robin.
+                entry.stats.failovers.fetch_add(1, Ordering::Relaxed);
+                self.stats.failovers.fetch_add(1, Ordering::Relaxed);
+                let fallback =
+                    entry.next_failover.fetch_add(1, Ordering::Relaxed) % entry.local_shards;
+                Ok(entry.assignment[fallback].load(Ordering::Relaxed))
+            }
+        }
+    }
+
+    /// Send the shadow mirrors and turn a routed request into the job
+    /// a worker serves.
+    fn job_for(&self, routed: Routed, reply: Reply) -> RoutedJob {
+        self.send_shadows(routed.shadow_jobs);
+        RoutedJob {
+            req: routed.req,
+            entry: routed.entry,
+            reply: Some(reply),
+            degraded: routed.degraded,
+        }
+    }
+
+    /// Put `routed` on `worker`'s queue, sleeping while it is full.
+    fn enqueue(&self, routed: Routed, reply: Reply, worker: usize) -> Result<(), ServeError> {
+        let job = self.job_for(routed, reply);
+        self.enqueue_job(job, worker, true).map(|_| ())
+    }
+
+    /// Put `job` on `worker`'s queue. A full queue hands the job back
+    /// unless `may_block`, in which case the send is retried until it
+    /// fits.
+    fn enqueue_job(
+        &self,
+        mut job: RoutedJob,
+        worker: usize,
+        may_block: bool,
+    ) -> Result<Option<RoutedJob>, ServeError> {
         loop {
             let gate = self.gate.lock();
             if gate.closed {
@@ -1623,18 +1765,21 @@ impl Shared {
             // a sleep-poll with no FIFO fairness among blocked
             // senders; that is the price of not holding the global
             // gate while a queue is full.
-            match gate.senders[worker].try_send(Job::Request(primary)) {
+            match gate.senders[worker].try_send(Job::Request(job)) {
                 Ok(()) => break,
-                Err(crossbeam::channel::TrySendError::Full(Job::Request(job))) => {
-                    primary = job;
+                Err(crossbeam::channel::TrySendError::Full(Job::Request(back))) => {
                     drop(gate);
+                    if !may_block {
+                        return Ok(Some(back));
+                    }
+                    job = back;
                     std::thread::sleep(std::time::Duration::from_micros(100));
                 }
                 Err(_) => return Err(ServeError::Disconnected),
             }
         }
         self.maybe_rebalance();
-        Ok(Admitted::Pending(reply_rx))
+        Ok(None)
     }
 
     /// Enqueue shadow-mirror copies, best-effort: a full shadow
@@ -1664,7 +1809,7 @@ impl Shared {
         entry: &Endpoint,
         shard: usize,
         slots: &[Arc<RemoteShard>],
-        req: &Request,
+        req: &mut Request,
     ) -> RemoteOutcome {
         let depth = self.remote_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats
@@ -1675,28 +1820,34 @@ impl Shared {
             .stats
             .remote_max_in_flight
             .fetch_max(entry_depth as u64, Ordering::Relaxed);
-        let outcome = self.forward_remote_inner(entry, shard, slots, req);
+        // The forwarding frame differs from the request in three
+        // header fields only, so it borrows the rows and the key for
+        // the round trip and hands them back: a fail-over onto a
+        // local shard serves the request it was given.
+        let frame = Request {
+            id: req.id,
+            rows: std::mem::take(&mut req.rows),
+            endpoint: Some(entry.name.clone()),
+            version: Some(entry.version),
+            key: req.key.take(),
+            forwarded: true,
+            control: None,
+        };
+        let outcome = self.forward_frame(entry, shard, slots, &frame);
+        req.rows = frame.rows;
+        req.key = frame.key;
         entry.remote_in_flight.fetch_sub(1, Ordering::Relaxed);
         self.remote_in_flight.fetch_sub(1, Ordering::Relaxed);
         outcome
     }
 
-    fn forward_remote_inner(
+    fn forward_frame(
         &self,
         entry: &Endpoint,
         shard: usize,
         slots: &[Arc<RemoteShard>],
-        req: &Request,
+        frame: &Request,
     ) -> RemoteOutcome {
-        let frame = Request {
-            id: req.id,
-            rows: req.rows.clone(),
-            endpoint: Some(entry.name.clone()),
-            version: Some(entry.version),
-            key: req.key.clone(),
-            forwarded: true,
-            control: None,
-        };
         let n_remote = slots.len();
         let first = shard - entry.local_shards;
         for i in 0..n_remote {
@@ -1712,7 +1863,7 @@ impl Shared {
             // The slot gauge brackets the transport call so
             // `drain_shard` knows when the slot has gone quiet.
             slot.in_flight.fetch_add(1, Ordering::SeqCst);
-            let forwarded = slot.transport.forward_request(&frame);
+            let forwarded = slot.transport.forward_request(frame);
             slot.in_flight.fetch_sub(1, Ordering::SeqCst);
             match forwarded {
                 Ok(reply) => {
@@ -1748,7 +1899,7 @@ impl Shared {
                     entry.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
                     self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
                     return RemoteOutcome::Served(Response::failure(
-                        req.id,
+                        frame.id,
                         format!("forwarding frame codec failure: {e}"),
                     ));
                 }
@@ -1921,13 +2072,18 @@ fn request_schema(req: &Request) -> SchemaKey<'_> {
     })
 }
 
-/// Send one response back to the waiting caller as a decoded struct;
-/// the wire boundary (JSON or binary v2) encodes it only where the
-/// bytes actually leave the process. Shadow jobs (no reply channel)
-/// drop the response.
+/// Hand one response to whoever waits for it, as a decoded struct: the
+/// wire boundary (JSON or binary v2) encodes it only where the bytes
+/// actually leave the process — for a sink, right here on the worker.
+/// Shadow jobs (no reply) drop the response.
 fn respond(job: &RoutedJob, resp: Response) {
-    let Some(reply) = &job.reply else { return };
-    let _ = reply.send(resp);
+    match &job.reply {
+        None => {}
+        Some(Reply::Channel(reply)) => {
+            let _ = reply.send(resp);
+        }
+        Some(Reply::Sink(sink)) => sink(resp),
+    }
 }
 
 /// Feed one completed local prediction's wall time into the
@@ -3041,6 +3197,36 @@ impl RuntimeClient {
             Admitted::Immediate(resp) => Ok(resp),
             Admitted::Pending(rx) => rx.recv().map_err(|_| ServeError::Disconnected),
         }
+    }
+
+    /// [`call_request`](Self::call_request) for a thread that must
+    /// never block — the node's event loop: the request is routed and
+    /// admitted here exactly as there, but its response goes to
+    /// `sink` (on the serving worker, or right here when admission
+    /// itself answers) instead of a channel this thread would wait
+    /// on. `Some` is the part of admission that could block — a
+    /// forward to a remote shard, a full worker queue — left undone
+    /// for [`resume`](Self::resume).
+    ///
+    /// # Errors
+    /// Returns [`ServeError::Disconnected`] when the runtime has shut
+    /// down; the sink is dropped uncalled.
+    pub(crate) fn submit(
+        &self,
+        req: Request,
+        sink: ResponseSink,
+    ) -> Result<Option<Deferred>, ServeError> {
+        self.shared.submit(req, sink)
+    }
+
+    /// Finish what [`submit`](Self::submit) deferred, blocking for as
+    /// long as the forward or the full queue takes.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::Disconnected`] when the runtime has shut
+    /// down; the sink is dropped uncalled.
+    pub(crate) fn resume(&self, deferred: Deferred) -> Result<(), ServeError> {
+        self.shared.resume(deferred)
     }
 
     /// Send a raw wire payload and return the raw wire response,

@@ -577,38 +577,71 @@ pub fn decode_request_payload(buf: &[u8]) -> Result<Request, ServeError> {
 #[must_use]
 pub fn encode_response_payload(resp: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + resp.scores.len() * 8);
-    put_u64(&mut out, resp.id);
-    put_u32(&mut out, resp.scores.len() as u32);
+    put_response(&mut out, resp);
+    out
+}
+
+/// Encode a whole [`FrameType::BinResponse`] frame into one buffer:
+/// the header goes in first with its length left open, the payload is
+/// encoded behind it in place, and the length is patched in last —
+/// one allocation where [`encode_response_payload`] plus
+/// [`encode_frame`] make two and copy the payload between them.
+///
+/// # Errors
+/// Returns [`ServeError::Codec`] when the payload exceeds
+/// [`MAX_FRAME_PAYLOAD`], exactly as [`encode_frame`] does.
+pub fn encode_response_frame(request_id: u32, resp: &Response) -> Result<Vec<u8>, ServeError> {
+    let strings =
+        resp.error.as_ref().map_or(0, String::len) + resp.endpoint.as_ref().map_or(0, String::len);
+    let mut out = Vec::with_capacity(WIRE2_HEADER_LEN + 40 + resp.scores.len() * 8 + strings);
+    out.extend_from_slice(&encode_header(FrameType::BinResponse, request_id, 0));
+    put_response(&mut out, resp);
+    let payload = out.len() - WIRE2_HEADER_LEN;
+    let len = u32::try_from(payload)
+        .ok()
+        .filter(|&n| n <= MAX_FRAME_PAYLOAD)
+        .ok_or_else(|| {
+            ServeError::Codec(format!(
+                "frame payload of {payload} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte bound"
+            ))
+        })?;
+    out[7..WIRE2_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    Ok(out)
+}
+
+#[inline]
+fn put_response(out: &mut Vec<u8>, resp: &Response) {
+    put_u64(out, resp.id);
+    put_u32(out, resp.scores.len() as u32);
     for s in &resp.scores {
         out.extend_from_slice(&s.to_le_bytes());
     }
-    put_opt_str(&mut out, resp.error.as_deref());
-    put_opt_str(&mut out, resp.endpoint.as_deref());
+    put_opt_str(out, resp.error.as_deref());
+    put_opt_str(out, resp.endpoint.as_deref());
     match resp.version {
         None => out.push(0),
         Some(v) => {
             out.push(1);
-            put_u32(&mut out, v);
+            put_u32(out, v);
         }
     }
     match &resp.counters {
         None => out.push(0),
         Some(report) => {
             out.push(1);
-            put_u32(&mut out, report.len() as u32);
+            put_u32(out, report.len() as u32);
             for ec in report {
-                put_str(&mut out, &ec.endpoint);
-                put_u32(&mut out, ec.version);
-                put_u64(&mut out, ec.counters.rows);
-                put_u64(&mut out, ec.counters.gate_resolved);
-                put_u64(&mut out, ec.counters.escalated);
-                put_u64(&mut out, ec.counters.filter_dropped);
+                put_str(out, &ec.endpoint);
+                put_u32(out, ec.version);
+                put_u64(out, ec.counters.rows);
+                put_u64(out, ec.counters.gate_resolved);
+                put_u64(out, ec.counters.escalated);
+                put_u64(out, ec.counters.filter_dropped);
             }
         }
     }
     out.push(u8::from(resp.degraded));
     out.push(u8::from(resp.overloaded));
-    out
 }
 
 /// Decode a v2 binary [`Response`] payload.
@@ -730,6 +763,11 @@ mod tests {
         };
         let buf = encode_response_payload(&resp);
         assert_eq!(decode_response_payload(&buf).unwrap(), resp);
+        // The frame encoded in place is the frame built in two steps.
+        assert_eq!(
+            encode_response_frame(7, &resp).unwrap(),
+            encode_frame(FrameType::BinResponse, 7, &buf).unwrap()
+        );
     }
 
     #[test]

@@ -1,0 +1,120 @@
+//! One request path through a node, counted in threads woken: a wire2
+//! request on a warmed-up idle node wakes the event loop (on the
+//! bytes) and one runtime worker (on the queue), and nobody else —
+//! the worker writes the response itself, so no dispatch worker runs
+//! and the loop parks once per request, not twice.
+//!
+//! The kernel keeps the count: a thread's `voluntary_ctxt_switches`
+//! goes up by one each time it blocks, which is once per wake-up.
+//!
+//! This file holds a single test because it tells the node's threads
+//! apart by name, and every node in a process names its threads the
+//! same.
+
+use std::sync::Arc;
+
+use willump_data::{Table, Value};
+use willump_serve::{
+    RemoteRuntimeNode, RemoteWorker, Request, Servable, ServerConfig, ServingRuntime,
+    WorkerTransport,
+};
+
+struct Doubler;
+impl Servable for Doubler {
+    fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+        let xs = table
+            .column("x")
+            .ok_or_else(|| "missing x".to_string())?
+            .to_f64_vec()
+            .map_err(|e| e.to_string())?;
+        Ok(xs.into_iter().map(|x| 2.0 * x).collect())
+    }
+}
+
+fn request(id: u64, forwarded: bool) -> Request {
+    Request {
+        endpoint: Some("double".to_string()),
+        forwarded,
+        ..Request::new(id, vec![vec![("x".to_string(), Value::Float(id as f64))]])
+    }
+}
+
+/// How often each thread of this process has blocked so far, by
+/// thread name (the kernel keeps 15 bytes of it), summed over the
+/// threads sharing a name. The calling thread is left out: an unnamed
+/// thread — the runtime's workers are — inherits the name of the
+/// thread that spawned it, which is this one.
+fn blocked_by_name() -> std::collections::HashMap<String, u64> {
+    let me = std::fs::read_link("/proc/thread-self").expect("procfs");
+    let mut counts = std::collections::HashMap::new();
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+        let dir = task.expect("entry").path();
+        if dir.file_name() == me.file_name() {
+            continue;
+        }
+        let name = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        let status = std::fs::read_to_string(dir.join("status")).unwrap_or_default();
+        let blocked = status
+            .lines()
+            .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|n| n.trim().parse::<u64>().ok())
+            .unwrap_or(0);
+        *counts.entry(name.trim_end().to_string()).or_insert(0) += blocked;
+    }
+    counts
+}
+
+#[test]
+fn one_remote_request_wakes_the_loop_and_one_runtime_worker() {
+    let mut b = ServingRuntime::builder();
+    b.config(ServerConfig::builder().workers(1).build());
+    b.endpoint("double", Arc::new(Doubler));
+    let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().expect("builds")).expect("binds");
+    let worker = RemoteWorker::new(&node.local_addr().to_string());
+    for i in 0..100 {
+        worker.forward_request(&request(i, true)).expect("warms up");
+    }
+    let unnamed = std::fs::read_to_string("/proc/thread-self/comm").expect("procfs");
+    let unnamed = unnamed.trim_end();
+
+    const N: u64 = 2000;
+    let batches =
+        |node: &RemoteRuntimeNode| -> u64 { node.runtime().stats().worker_batches().iter().sum() };
+    let (before, batches_before) = (blocked_by_name(), batches(&node));
+    // Back to back, a forwarded frame and a plain one alternating:
+    // with no remote shard behind this node both are admitted by the
+    // loop itself.
+    for i in 0..N {
+        let reply = worker
+            .forward_request(&request(i, i % 2 == 0))
+            .expect("served");
+        assert_eq!(reply.response.scores, vec![2.0 * i as f64]);
+    }
+    let (after, batches_after) = (blocked_by_name(), batches(&node));
+    let woken = |name: &str| after.get(name).copied().unwrap_or(0) - before[name];
+
+    // No dispatch worker ran for any of them.
+    let dispatchers: Vec<&String> = before
+        .keys()
+        .filter(|name| name.starts_with("willump-node-") && *name != "willump-node-ev")
+        .collect();
+    assert_eq!(dispatchers.len(), 4, "the default dispatch pool");
+    for name in dispatchers {
+        assert_eq!(woken(name), 0, "{name} woke up");
+    }
+    // The loop parked once per request (fewer when the next request
+    // was already there), the one runtime worker served one batch per
+    // request, and that is every wake-up on the node: two per
+    // request, where the dispatch worker in between made it five.
+    assert_eq!(batches_after - batches_before, N);
+    let (event_loop, runtime_worker) = (woken("willump-node-ev"), woken(unnamed));
+    assert!(event_loop <= N + N / 10, "{event_loop} parks for {N}");
+    assert!(
+        runtime_worker <= N + N / 10,
+        "{runtime_worker} worker wake-ups for {N}"
+    );
+    assert!(
+        event_loop + runtime_worker >= N,
+        "the count saw neither thread"
+    );
+}
