@@ -1441,6 +1441,12 @@ struct Outbox {
 struct ConnShared {
     stream: TcpStream,
     out: Mutex<Outbox>,
+    /// The outbox has business for the loop: unsent bytes, or a dead
+    /// socket. Written under `out`; the loop reads it *instead of*
+    /// taking `out`, so a sweep never waits behind a completion that
+    /// is inside its `write` — one worker's system call must not hold
+    /// up the admission of every other connection's requests.
+    backlog: AtomicBool,
     /// Requests handed to the runtime or the dispatch pool and not yet
     /// answered.
     in_flight: AtomicUsize,
@@ -1496,7 +1502,11 @@ impl ConnShared {
             bytes
         };
         out.pending.extend_from_slice(rest);
-        out.dead || !rest.is_empty()
+        let backlog = out.dead || !rest.is_empty();
+        if backlog {
+            self.backlog.store(true, Ordering::SeqCst);
+        }
+        backlog
     }
 
     /// Flush as much of the outbox as the socket accepts right now.
@@ -1513,6 +1523,8 @@ impl ConnShared {
                 *pos = 0;
             }
         }
+        self.backlog
+            .store(*dead || !pending.is_empty(), Ordering::SeqCst);
         (!*dead).then_some(!pending.is_empty())
     }
 
@@ -1523,6 +1535,7 @@ impl ConnShared {
         let mut out = self.out.lock();
         out.dead = true;
         out.pending = Vec::new();
+        self.backlog.store(true, Ordering::SeqCst);
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
@@ -1545,6 +1558,7 @@ impl NodeConn {
             shared: Arc::new(ConnShared {
                 stream,
                 out: Mutex::new(Outbox::default()),
+                backlog: AtomicBool::new(false),
                 in_flight: AtomicUsize::new(0),
                 draining: AtomicBool::new(false),
                 json_busy: AtomicBool::new(false),
@@ -1566,10 +1580,10 @@ impl NodeConn {
     /// hang-up whatever the interest, and nothing the loop could do
     /// about it would clear it.
     fn interest(&self) -> Option<Interest> {
-        let unsent = {
-            let out = self.shared.out.lock();
-            !out.dead && !out.pending.is_empty()
-        };
+        // Asked right after `finished` flushed, so a backlog here is
+        // unsent bytes — or a socket that died since, which `poll`
+        // reports at once and the next sweep closes.
+        let unsent = self.shared.backlog.load(Ordering::SeqCst);
         match (!self.draining(), unsent) {
             (true, true) => Some(Interest::ReadWrite),
             (true, false) => Some(Interest::Read),
@@ -1585,10 +1599,18 @@ impl NodeConn {
         // its bytes first and gives up its in-flight count second, so
         // an idle connection's outbox already holds all of them.
         let idle = self.shared.in_flight.load(Ordering::SeqCst) == 0;
-        match self.shared.flush(counters) {
-            None => true,
-            Some(unsent) => !unsent && idle && self.draining() && self.json_queue.is_empty(),
-        }
+        // The common case — every answer went straight into the
+        // socket — is decided on atomics alone; the outbox lock is
+        // taken only when there is a backlog to flush.
+        let unsent = if self.shared.backlog.load(Ordering::SeqCst) {
+            match self.shared.flush(counters) {
+                None => return true,
+                Some(unsent) => unsent,
+            }
+        } else {
+            false
+        };
+        !unsent && idle && self.draining() && self.json_queue.is_empty()
     }
 }
 
@@ -2786,6 +2808,57 @@ mod tests {
         let worker = RemoteWorker::new(&node.local_addr().to_string());
         let reply = under_watchdog(move || worker.forward_request(&request(2, 4.0)));
         assert_eq!(reply.expect("served").response.scores, vec![8.0]);
+    }
+
+    #[test]
+    fn a_sweep_never_waits_for_a_completion_inside_its_write() {
+        under_watchdog(|| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+            let peer = TcpStream::connect(listener.local_addr().expect("bound")).expect("connects");
+            let (stream, _) = listener.accept().expect("accepts");
+            stream.set_nonblocking(true).expect("nonblocking");
+            let conn = NodeConn::new(stream);
+            let counters = TransportCounters::default();
+
+            // A completion in the middle of its `write` holds the
+            // outbox. What the loop asks of the connection on every
+            // sweep must be answered without it: taking the lock here
+            // would hang this thread on itself.
+            let writing = conn.shared.out.lock();
+            assert!(!conn.finished(&counters));
+            assert!(matches!(conn.interest(), Some(Interest::Read)));
+            drop(writing);
+
+            // An answer the socket takes whole leaves no backlog...
+            assert!(!conn.shared.send(b"whole", &counters));
+            assert!(!conn.shared.backlog.load(Ordering::SeqCst));
+            // ...one it cannot take does, until the loop has flushed it.
+            let big = vec![7u8; tcp_buffer_ceiling() + 1024];
+            assert!(conn.shared.send(&big, &counters));
+            assert!(matches!(conn.interest(), Some(Interest::ReadWrite)));
+            let reader = std::thread::spawn(move || {
+                let mut got = Vec::new();
+                (&peer)
+                    .take((5 + big.len()) as u64)
+                    .read_to_end(&mut got)
+                    .expect("reads");
+                got.len()
+            });
+            while conn.shared.backlog.load(Ordering::SeqCst) {
+                assert!(!conn.finished(&counters));
+                std::thread::yield_now();
+            }
+            assert_eq!(
+                reader.join().expect("joins"),
+                5 + tcp_buffer_ceiling() + 1024
+            );
+            assert!(matches!(conn.interest(), Some(Interest::Read)));
+
+            // A dead socket is a backlog too: the sweep that sees it
+            // closes the connection.
+            conn.shared.close();
+            assert!(conn.finished(&counters));
+        });
     }
 
     #[test]
