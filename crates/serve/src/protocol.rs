@@ -1,16 +1,19 @@
-//! The wire protocol: JSON-encoded prediction requests and responses.
+//! The request and response types, and their JSON wire form.
 //!
-//! Using a real serializer matters: paper Table 6 attributes Clipper's
-//! residual overhead to "large variable overheads (serialization time,
-//! etc.) which Willump cannot reduce". Encoding/decoding here costs
-//! genuine CPU proportional to payload size.
-//!
-//! This newline-delimited JSON form is the *client boundary* and the
-//! legacy peer format. Between current shard-forwarding peers the same
-//! [`Request`]/[`Response`] structs travel as compact binary frames
-//! instead — see [`crate::wire2`] for the frame layout, version
+//! Admission is typed: an in-process caller hands the runtime a
+//! [`Request`] and gets a [`Response`] back
+//! ([`crate::RuntimeClient::call`]), and nothing is serialized inside
+//! the process. Bytes are encoded only where they leave it. Between
+//! current shard-forwarding peers the structs travel as compact binary
+//! frames — see [`crate::wire2`] for the frame layout, version
 //! negotiation, and the JSON fallback (the `micro` bench's
-//! `wirecodec` section records the per-frame cost of each).
+//! `wirecodec` section records the per-frame cost of each). This
+//! newline-delimited JSON form is one lane in front of admission, for
+//! bytes that arrive as JSON: legacy peers and clients, and
+//! [`crate::RuntimeClient::call_raw`]. Paper Table 6 attributes
+//! Clipper's residual overhead to "large variable overheads
+//! (serialization time, etc.) which Willump cannot reduce"; here a
+//! request pays that cost only on a lane that really carries bytes.
 //!
 //! # Addressing and back-compat
 //!
@@ -308,8 +311,9 @@ pub fn is_overloaded_wire(wire: &str) -> bool {
 /// Build a guaranteed-well-formed error response wire string.
 ///
 /// This is the server's last-resort path when [`encode_response`]
-/// itself fails (e.g. a predictor produced non-finite scores, which
-/// JSON cannot represent). The error text is routed through the real
+/// itself fails (e.g. a remote peer relayed non-finite scores, which
+/// JSON cannot represent; the runtime's own workers never answer
+/// with one). The error text is routed through the real
 /// encoder so arbitrary message content — quotes, backslashes,
 /// control characters — stays valid JSON; if even that fails the
 /// string is hand-escaped via [`escape_json_string`].

@@ -452,7 +452,7 @@ impl WorkerTransport for InProcessWorker {
     fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError> {
         let start = Instant::now();
         let _guard = enter_in_flight(&self.in_flight, &self.counters);
-        match self.client.call_request(req.clone()) {
+        match self.client.call(req.clone()) {
             Ok(response) => {
                 self.counters.record_success(start.elapsed());
                 Ok(ForwardReply {

@@ -71,8 +71,8 @@ use willump::{
 use willump_data::{Column, DataType, Table};
 
 use crate::protocol::{
-    decode_request, decode_response, encode_request, encode_response, error_wire, ControlRequest,
-    EndpointCounters, Request, Response, WireRow, ERROR_RESPONSE_ID,
+    decode_request, encode_response, error_wire, ControlRequest, EndpointCounters, Request,
+    Response, WireRow, ERROR_RESPONSE_ID,
 };
 use crate::remote::{BreakerState, RemoteWorker, TransportStats, WorkerTransport};
 use crate::selection::{ModelSelector, SelectionPolicy};
@@ -1266,14 +1266,6 @@ pub(crate) struct Shared {
     n_workers: usize,
 }
 
-enum Admitted {
-    /// Answered at admission time (control frames, decode/route
-    /// errors, shed markers, remote-served requests).
-    Immediate(Response),
-    /// Queued; the response arrives on this channel.
-    Pending(Receiver<Response>),
-}
-
 /// A request that passed routing and admission control and has only
 /// its hop left: onto the worker queue of a local shard, or through
 /// the transport of a remote one.
@@ -1423,28 +1415,24 @@ impl Shared {
         }
     }
 
-    /// Decode, route, and enqueue one wire payload (the legacy JSON
-    /// boundary over [`admit_request`](Self::admit_request)).
-    fn admit(&self, payload: &str) -> Result<Admitted, ServeError> {
+    /// Decode one JSON payload and answer it: the lane for bytes that
+    /// arrive as JSON, in front of the typed admission
+    /// [`admit_request`](Self::admit_request) runs.
+    fn admit(&self, payload: &str) -> Result<Response, ServeError> {
         self.count_request()?;
         match decode_request(payload) {
             Ok(req) => self.route_request(req),
             Err(e) => {
                 self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                Ok(Admitted::Immediate(Response::failure(
-                    ERROR_RESPONSE_ID,
-                    e.to_string(),
-                )))
+                Ok(Response::failure(ERROR_RESPONSE_ID, e.to_string()))
             }
         }
     }
 
-    /// Route and enqueue one already-decoded request — the
-    /// struct-native admission boundary used by
-    /// [`RuntimeClient::call_request`] and (through it) the binary
-    /// wire path, which never pays a JSON encode/decode inside the
-    /// runtime.
-    fn admit_request(&self, req: Request) -> Result<Admitted, ServeError> {
+    /// Admit one request and wait for its answer — the typed admission
+    /// boundary behind [`RuntimeClient::call`], which every in-process
+    /// caller and the in-process transport use.
+    fn admit_request(&self, req: Request) -> Result<Response, ServeError> {
         self.count_request()?;
         self.route_request(req)
     }
@@ -1462,20 +1450,20 @@ impl Shared {
     }
 
     /// The blocking admission body: route, take the hop — a remote
-    /// shard's round trip included — and enqueue, sleeping while the
-    /// target queue is full.
-    fn route_request(&self, req: Request) -> Result<Admitted, ServeError> {
+    /// shard's round trip included — enqueue, sleeping while the
+    /// target queue is full, and wait for the worker's answer.
+    fn route_request(&self, req: Request) -> Result<Response, ServeError> {
         let mut routed = match self.plan_route(req) {
-            Planned::Answered(resp) => return Ok(Admitted::Immediate(resp)),
+            Planned::Answered(resp) => return Ok(resp),
             Planned::Routed(routed) => routed,
         };
         let worker = match self.resolve_hop(&mut routed) {
             Ok(worker) => worker,
-            Err(resp) => return Ok(Admitted::Immediate(resp)),
+            Err(resp) => return Ok(resp),
         };
         let (reply_tx, reply_rx) = bounded(1);
         self.enqueue(routed, Reply::Channel(reply_tx), worker)?;
-        Ok(Admitted::Pending(reply_rx))
+        reply_rx.recv().map_err(|_| ServeError::Disconnected)
     }
 
     /// [`route_request`](Self::route_request) for a caller that must
@@ -2021,32 +2009,35 @@ fn control_ack(id: u64) -> Response {
 // ---- worker-side serving -------------------------------------------
 
 /// Build a table from wire rows; all rows must share the first row's
-/// schema.
-pub(crate) fn rows_to_table(rows: &[WireRow]) -> Result<Table, ServeError> {
-    rows_to_table_refs(&rows.iter().collect::<Vec<_>>())
-}
-
-/// Like [`rows_to_table`] but over borrowed rows, so coalesced batches
-/// can merge rows from several requests without cloning them.
-fn rows_to_table_refs(rows: &[&WireRow]) -> Result<Table, ServeError> {
-    let Some(first) = rows.first() else {
+/// schema. The rows are borrowed and walked once per column, so a
+/// coalesced group merges its requests' rows without collecting them.
+pub(crate) fn rows_to_table<'a, I>(rows: I) -> Result<Table, ServeError>
+where
+    I: IntoIterator<Item = &'a WireRow>,
+    I::IntoIter: Clone,
+{
+    let rows = rows.into_iter();
+    let Some(first) = rows.clone().next() else {
         return Ok(Table::new());
     };
     let mut table = Table::new();
-    for (name, proto) in first.iter() {
+    for (at, (name, proto)) in first.iter().enumerate() {
         let dt = proto.data_type();
         let mut col = Column::empty(dt).ok_or_else(|| ServeError::BadRequest {
             reason: format!("column `{name}` has null prototype value"),
         })?;
-        for row in rows {
-            let v = row
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
-                .ok_or_else(|| ServeError::BadRequest {
-                    reason: format!("row missing column `{name}`"),
-                })?;
-            col.push(v).map_err(|e| ServeError::BadRequest {
+        for row in rows.clone() {
+            // Rows of one client list their columns in one order, so
+            // the value is at the first row's position; a row in
+            // another order is searched by name.
+            let cell = match row.get(at) {
+                Some(cell) if cell.0 == *name => Some(cell),
+                _ => row.iter().find(|(n, _)| n == name),
+            };
+            let (_, v) = cell.ok_or_else(|| ServeError::BadRequest {
+                reason: format!("row missing column `{name}`"),
+            })?;
+            col.push(v.clone()).map_err(|e| ServeError::BadRequest {
                 reason: format!("column `{name}`: {e}"),
             })?;
         }
@@ -2116,18 +2107,33 @@ fn handle_one(job: &RoutedJob, stats: &ServerStats) -> Response {
             let n = req.rows.len() as u64;
             stats.max_batch_rows.fetch_max(n, Ordering::Relaxed);
             entry.stats.max_batch_rows.fetch_max(n, Ordering::Relaxed);
-            Response {
-                id: req.id,
-                scores,
-                error: None,
-                endpoint: Some(entry.name.clone()),
-                version: Some(entry.version),
-                counters: None,
-                degraded: job.degraded,
-                overloaded: false,
-            }
+            scored(job, scores)
         }
         Err(e) => endpoint_failure(entry, req.id, e),
+    }
+}
+
+/// The response carrying a servable's scores for `job` — or, when one
+/// is NaN or infinite, the predictor error every boundary answers it
+/// with: JSON cannot encode such a score, so no caller gets one.
+fn scored(job: &RoutedJob, scores: Vec<f64>) -> Response {
+    let entry = &job.entry;
+    if let Some(row) = scores.iter().position(|s| !s.is_finite()) {
+        let message = format!(
+            "response encoding failed: the score of row {row} is {}",
+            scores[row]
+        );
+        return endpoint_failure(entry, job.req.id, message);
+    }
+    Response {
+        id: job.req.id,
+        scores,
+        error: None,
+        endpoint: Some(entry.name.clone()),
+        version: Some(entry.version),
+        counters: None,
+        degraded: job.degraded,
+        overloaded: false,
     }
 }
 
@@ -2156,13 +2162,12 @@ fn serve_group(group: &[&RoutedJob], stats: &ServerStats) {
         return;
     }
     let entry = &group[0].entry;
-    let merged: Vec<&WireRow> = group.iter().flat_map(|j| j.req.rows.iter()).collect();
-    let total = merged.len();
+    let total: usize = group.iter().map(|j| j.req.rows.len()).sum();
     // Grouping keys on the degrade marker, so the whole group shares
     // the first job's servable choice.
     let degraded = group[0].degraded;
     let started = Instant::now();
-    let batched = rows_to_table_refs(&merged)
+    let batched = rows_to_table(group.iter().flat_map(|j| &j.req.rows))
         .map_err(|e| e.to_string())
         .and_then(|table| entry.active_servable(degraded).predict_table(&table))
         .ok()
@@ -2194,19 +2199,7 @@ fn serve_group(group: &[&RoutedJob], stats: &ServerStats) {
             let mut offset = 0;
             for job in group {
                 let n = job.req.rows.len();
-                respond(
-                    job,
-                    Response {
-                        id: job.req.id,
-                        scores: scores[offset..offset + n].to_vec(),
-                        error: None,
-                        endpoint: Some(entry.name.clone()),
-                        version: Some(entry.version),
-                        counters: None,
-                        degraded: job.degraded,
-                        overloaded: false,
-                    },
-                );
+                respond(job, scored(job, scores[offset..offset + n].to_vec()));
                 offset += n;
             }
         }
@@ -2731,8 +2724,9 @@ impl EndpointBuilder<'_> {
 
 /// A multi-endpoint model serving runtime.
 ///
-/// Requests cross a real serialization boundary (JSON in, JSON out),
-/// are routed by endpoint name, version, and shard key at admission,
+/// Requests are admitted as typed [`Request`]s (JSON is decoded only on
+/// the lane that receives it, [`RuntimeClient::call_raw`]), are routed
+/// by endpoint name, version, and shard key at admission,
 /// and are handled by [`ServerConfig::workers`] executor threads with
 /// adaptive, coalescing batching (per endpoint + schema). Shards may
 /// also be **remote** — served by a [`crate::RemoteRuntimeNode`] in
@@ -3102,8 +3096,10 @@ impl RuntimeClient {
     /// Predict through the runtime's default endpoint.
     ///
     /// # Errors
-    /// Returns [`ServeError`] on codec failures, a shut-down runtime,
-    /// or a predictor error.
+    /// Returns [`ServeError::Disconnected`] on a shut-down runtime and
+    /// [`ServeError::Predictor`] when the response carries an error: a
+    /// predictor failure, a non-finite score, a request refused at
+    /// admission.
     pub fn predict(&self, rows: Vec<WireRow>) -> Result<Vec<f64>, ServeError> {
         self.call(Request::new(self.next_id(), rows))
             .and_then(Self::scores)
@@ -3168,45 +3164,27 @@ impl RuntimeClient {
         .and_then(Self::scores)
     }
 
-    /// Send a fully-specified [`Request`] and return the decoded
-    /// [`Response`] (including the endpoint/version echo). The
-    /// request's `id` is used as given — assign nonzero ids.
-    ///
-    /// # Errors
-    /// Returns [`ServeError`] on codec failures or a shut-down
-    /// runtime. A predictor-side failure is *not* an `Err` here; it
-    /// arrives as [`Response::error`].
-    pub fn call(&self, req: Request) -> Result<Response, ServeError> {
-        let payload = encode_request(&req)?;
-        let wire = self.call_raw(payload)?;
-        decode_response(&wire)
-    }
-
-    /// Send a fully-specified [`Request`] and return the decoded
-    /// [`Response`] without ever touching the JSON wire form: the
-    /// request struct is routed and answered as structs end to end.
-    /// This is the hot path for the binary v2 remote transport, which
-    /// decodes frames straight into [`Request`] values.
+    /// Send a fully-specified [`Request`] and return its [`Response`]
+    /// (including the endpoint/version echo). Both stay structs end to
+    /// end: nothing is serialized inside the process. The request's
+    /// `id` is used as given — assign nonzero ids.
     ///
     /// # Errors
     /// Returns [`ServeError::Disconnected`] when the runtime has shut
     /// down. A predictor-side failure is *not* an `Err` here; it
     /// arrives as [`Response::error`].
-    pub fn call_request(&self, req: Request) -> Result<Response, ServeError> {
-        match self.shared.admit_request(req)? {
-            Admitted::Immediate(resp) => Ok(resp),
-            Admitted::Pending(rx) => rx.recv().map_err(|_| ServeError::Disconnected),
-        }
+    pub fn call(&self, req: Request) -> Result<Response, ServeError> {
+        self.shared.admit_request(req)
     }
 
-    /// [`call_request`](Self::call_request) for a thread that must
-    /// never block — the node's event loop: the request is routed and
-    /// admitted here exactly as there, but its response goes to
-    /// `sink` (on the serving worker, or right here when admission
-    /// itself answers) instead of a channel this thread would wait
-    /// on. `Some` is the part of admission that could block — a
-    /// forward to a remote shard, a full worker queue — left undone
-    /// for [`resume`](Self::resume).
+    /// [`call`](Self::call) for a thread that must never block — the
+    /// node's event loop: the request is routed and admitted here
+    /// exactly as there, but its response goes to `sink` (on the
+    /// serving worker, or right here when admission itself answers)
+    /// instead of a channel this thread would wait on. `Some` is the
+    /// part of admission that could block — a forward to a remote
+    /// shard, a full worker queue — left undone for
+    /// [`resume`](Self::resume).
     ///
     /// # Errors
     /// Returns [`ServeError::Disconnected`] when the runtime has shut
@@ -3229,9 +3207,12 @@ impl RuntimeClient {
         self.shared.resume(deferred)
     }
 
-    /// Send a raw wire payload and return the raw wire response,
-    /// bypassing client-side encoding (useful for testing the
-    /// runtime's handling of malformed or legacy frames).
+    /// Send a JSON request payload and return the JSON response: the
+    /// lane for bytes that arrive as JSON (the node's legacy
+    /// connections, tests of malformed or legacy frames). The payload
+    /// is decoded and then admitted exactly as [`call`](Self::call)
+    /// admits a [`Request`]; an undecodable one is answered with
+    /// [`ERROR_RESPONSE_ID`].
     ///
     /// Enqueues happen under a shared lock (the same one
     /// [`ServingRuntime::shutdown`] takes), which is what makes the
@@ -3243,10 +3224,7 @@ impl RuntimeClient {
     /// Returns [`ServeError::Disconnected`] when the runtime has shut
     /// down.
     pub fn call_raw(&self, payload: String) -> Result<String, ServeError> {
-        let resp = match self.shared.admit(&payload)? {
-            Admitted::Immediate(resp) => resp,
-            Admitted::Pending(rx) => rx.recv().map_err(|_| ServeError::Disconnected)?,
-        };
+        let resp = self.shared.admit(&payload)?;
         Ok(encode_response(&resp)
             .unwrap_or_else(|e| error_wire(resp.id, &format!("response encoding failed: {e}"))))
     }
@@ -3764,5 +3742,74 @@ mod tests {
         ));
         // Rejected post-shutdown calls leave no trace in the stats.
         assert_eq!(rt.stats().requests(), before);
+    }
+
+    fn x_then_n(x: f64, n: i64) -> WireRow {
+        vec![
+            ("x".to_string(), Value::Float(x)),
+            ("n".to_string(), Value::Int(n)),
+        ]
+    }
+
+    fn n_then_x(x: f64, n: i64) -> WireRow {
+        x_then_n(x, n).into_iter().rev().collect()
+    }
+
+    fn bad_request(built: Result<Table, ServeError>) -> String {
+        match built {
+            Err(ServeError::BadRequest { reason }) => reason,
+            other => panic!("expected a bad request, got {other:?}"),
+        }
+    }
+
+    /// A row listing its columns in another order than the first row
+    /// puts its values in the right columns, whether the rows are one
+    /// request's (`handle_one`) or a coalesced group's (`serve_group`).
+    #[test]
+    fn a_reordered_row_lands_in_the_right_columns() {
+        let single = vec![x_then_n(1.0, 10), n_then_x(2.0, 20), x_then_n(3.0, 30)];
+        let group = [
+            vec![x_then_n(1.0, 10)],
+            vec![n_then_x(2.0, 20), x_then_n(3.0, 30)],
+        ];
+        for table in [
+            rows_to_table(&single).unwrap(),
+            rows_to_table(group.iter().flatten()).unwrap(),
+        ] {
+            assert_eq!(table.column_names(), vec!["x", "n"]);
+            let xs = table.column("x").unwrap().to_f64_vec().unwrap();
+            assert_eq!(xs, vec![1.0, 2.0, 3.0]);
+            let ns = table.column("n").unwrap().to_f64_vec().unwrap();
+            assert_eq!(ns, vec![10.0, 20.0, 30.0]);
+        }
+    }
+
+    /// A row without one of the first row's columns is a bad request on
+    /// both paths; so are a value of the wrong type and a null value in
+    /// the first row, each with its own reason.
+    #[test]
+    fn a_row_missing_a_column_is_a_bad_request() {
+        let short = vec![("n".to_string(), Value::Int(20))];
+        let single = vec![x_then_n(1.0, 10), short.clone()];
+        let group = [vec![x_then_n(1.0, 10)], vec![short]];
+        for built in [
+            rows_to_table(&single),
+            rows_to_table(group.iter().flatten()),
+        ] {
+            assert_eq!(bad_request(built), "row missing column `x`");
+        }
+
+        let mistyped = vec![
+            ("x".to_string(), Value::from("two")),
+            ("n".to_string(), Value::Int(20)),
+        ];
+        let reason = bad_request(rows_to_table(&[x_then_n(1.0, 10), mistyped]));
+        assert!(reason.starts_with("column `x`: "), "{reason}");
+
+        let null = vec![("x".to_string(), Value::Null)];
+        assert_eq!(
+            bad_request(rows_to_table(&[null])),
+            "column `x` has null prototype value"
+        );
     }
 }

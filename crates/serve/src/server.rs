@@ -169,9 +169,10 @@ impl ServerConfigBuilder {
 ///
 /// Deprecated in spirit (new code should build a runtime with named
 /// endpoints); kept green because the paper experiments and the
-/// original examples speak this API. Identical semantics: JSON
-/// serialization boundary, [`ServerConfig::workers`] executors,
-/// coalescing, explicit deadlock-free shutdown.
+/// original examples speak this API. Identical semantics:
+/// [`ServerConfig::workers`] executors, coalescing, explicit
+/// deadlock-free shutdown, and a JSON lane
+/// ([`ClipperClient::call_raw`]) for raw frames.
 pub struct ClipperServer {
     runtime: ServingRuntime,
 }
@@ -245,20 +246,21 @@ pub struct ClipperClient {
 
 impl ClipperClient {
     /// Predict scores for a batch of raw-input rows through the
-    /// serving boundary (serialize request → route → queue → worker →
-    /// serialized response). Requests are unaddressed, so the runtime
-    /// routes them to the default endpoint.
+    /// serving runtime (typed admission → route → queue → worker →
+    /// response), with no serialization inside the process. Requests
+    /// are unaddressed, so the runtime routes them to the default
+    /// endpoint.
     ///
     /// # Errors
-    /// Returns [`ServeError`] on codec failures, a shut-down server,
-    /// or a predictor error.
+    /// Same conditions as [`RuntimeClient::predict`]: a shut-down
+    /// server, or a response carrying an error.
     pub fn predict(&self, rows: Vec<WireRow>) -> Result<Vec<f64>, ServeError> {
         self.inner.predict(rows)
     }
 
-    /// Send a raw wire payload and return the raw wire response,
-    /// bypassing client-side encoding (useful for testing the server's
-    /// handling of malformed or legacy frames). See
+    /// Send a JSON request payload and return the JSON response
+    /// (useful for testing the server's handling of malformed or
+    /// legacy frames). See
     /// [`RuntimeClient::call_raw`] for admission semantics.
     ///
     /// # Errors
@@ -395,9 +397,8 @@ mod tests {
                 blocker.predict(wire_rows(&[0.0])).unwrap();
             });
             // Generous margin: the blocker holds the worker for 500ms
-            // while these clients only need to enqueue (a JSON encode
-            // plus a channel send each), so even a heavily loaded
-            // machine coalesces them.
+            // while these clients only need to enqueue (a channel send
+            // each), so even a heavily loaded machine coalesces them.
             std::thread::sleep(Duration::from_millis(100));
             for t in 1..7 {
                 let client = server.client();

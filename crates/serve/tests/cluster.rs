@@ -337,7 +337,7 @@ fn drain_and_join_control_frames_flip_node_admission() {
 
     assert!(!runtime.is_draining());
     let ack = client
-        .call_request(Request::control_frame(7, ControlRequest::Drain))
+        .call(Request::control_frame(7, ControlRequest::Drain))
         .expect("drain frame answered");
     assert_eq!(ack.id, 7);
     assert_eq!(ack.error, None);
@@ -345,7 +345,7 @@ fn drain_and_join_control_frames_flip_node_admission() {
 
     // New predictions are refused with the Overloaded marker...
     let refused = client
-        .call_request(Request {
+        .call(Request {
             endpoint: Some("affine".to_string()),
             ..Request::new(8, wire_rows(&[1.0]))
         })
@@ -359,13 +359,13 @@ fn drain_and_join_control_frames_flip_node_admission() {
     // ...while control frames still work (a parent can keep polling
     // counters during the wind-down).
     let counters = client
-        .call_request(Request::control_frame(9, ControlRequest::Counters))
+        .call(Request::control_frame(9, ControlRequest::Counters))
         .expect("counters probe answered while draining");
     assert!(counters.counters.is_some());
 
     // Join re-admits.
     let ack = client
-        .call_request(Request::control_frame(10, ControlRequest::Join))
+        .call(Request::control_frame(10, ControlRequest::Join))
         .expect("join frame answered");
     assert_eq!(ack.error, None);
     assert!(!runtime.is_draining());
@@ -378,7 +378,7 @@ fn drain_and_join_control_frames_flip_node_admission() {
 
     // Leave behaves as Drain today (permanent-departure intent).
     client
-        .call_request(Request::control_frame(11, ControlRequest::Leave))
+        .call(Request::control_frame(11, ControlRequest::Leave))
         .expect("leave frame answered");
     assert!(runtime.is_draining());
 }

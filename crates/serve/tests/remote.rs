@@ -813,3 +813,46 @@ fn mixed_protocol_versions_interoperate_over_tcp() {
     drop(runtime);
     legacy.join().expect("legacy node thread exits");
 }
+
+/// A servable whose scores JSON cannot encode gets one answer on every
+/// boundary into a runtime: the typed call, a JSON payload and a wire2
+/// frame all return the same predictor error, never the NaN.
+#[test]
+fn a_non_finite_score_is_one_predictor_error_on_every_boundary() {
+    struct NanScores;
+    impl Servable for NanScores {
+        fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+            Ok(vec![f64::NAN; table.n_rows()])
+        }
+    }
+    let mut b = ServingRuntime::builder();
+    b.endpoint("nan", Arc::new(NanScores));
+    let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().expect("node builds"))
+        .expect("node binds");
+    let client = node.runtime().client();
+    let req = Request {
+        endpoint: Some("nan".to_string()),
+        ..Request::new(5, wire_rows(&[1.0]))
+    };
+
+    let typed = client.call(req.clone()).expect("typed call answers");
+    let error = typed.error.as_deref().expect("NaN is an error");
+    assert!(error.contains("encoding failed"), "got: {error}");
+    assert!(typed.scores.is_empty());
+
+    let wire = client
+        .call_raw(encode_request(&req).expect("encodable"))
+        .expect("JSON call answers");
+    assert_eq!(decode_response(&wire).expect("decodes"), typed);
+
+    let wire2 = RemoteWorker::new(&node.local_addr().to_string())
+        .with_timeout(Duration::from_secs(5))
+        .forward_request(&req)
+        .expect("wire2 frame answers");
+    assert_eq!(wire2.response, typed);
+
+    assert!(matches!(
+        client.predict_endpoint("nan", wire_rows(&[1.0])),
+        Err(ServeError::Predictor(m)) if m == error
+    ));
+}

@@ -145,6 +145,78 @@ fn wire_row(x: f64, y: f64) -> WireRow {
     ]
 }
 
+/// One of two identical runtimes: an endpoint split 3:1 over two
+/// versions, two shards, two workers.
+fn twin_runtime() -> ServingRuntime {
+    let mut b = ServingRuntime::builder();
+    b.config(ServerConfig::builder().workers(2).build());
+    b.endpoint("affine", Arc::new(AffineSummer))
+        .shards(2)
+        .weight(3.0);
+    b.endpoint("affine", Arc::new(AffineSummer))
+        .version(2)
+        .weight(1.0);
+    b.build().expect("runtime builds")
+}
+
+/// Rows, then picks of endpoint, version and control op, and a key.
+type FrameSpec = (Vec<(f64, f64)>, usize, usize, usize, Option<String>);
+
+fn frame(id: u64, (rows, endpoint, version, control, key): FrameSpec) -> Request {
+    use willump_serve::ControlRequest::{Counters, Drain, Join, Leave};
+    Request {
+        id,
+        rows: rows.iter().map(|&(x, y)| wire_row(x, y)).collect(),
+        endpoint: [None, Some("affine"), Some("nonesuch")][endpoint].map(str::to_string),
+        version: [None, Some(1), Some(2), Some(9)][version],
+        key,
+        forwarded: false,
+        control: [Some(Counters), Some(Drain), Some(Join), Some(Leave)]
+            .get(control)
+            .copied()
+            .flatten(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The typed call and the JSON lane answer alike: one runtime takes
+    /// a sequence of requests through `call`, its twin takes the same
+    /// sequence as JSON through `call_raw`, and every response matches
+    /// field for field, scores bit for bit. The twins route in step
+    /// (version split, round-robin cursors, drain latch), so the
+    /// sequence covers keyed and unkeyed requests, unknown endpoints,
+    /// pinned and unknown versions, control frames and a draining node.
+    #[test]
+    fn typed_call_answers_like_the_json_lane(
+        frames in prop::collection::vec(
+            (
+                prop::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 0..4),
+                0usize..3,
+                0usize..4,
+                0usize..12,
+                prop::option::of(".{1,6}"),
+            ),
+            1..12,
+        ),
+    ) {
+        let (typed_rt, json_rt) = (twin_runtime(), twin_runtime());
+        let (typed_client, json_client) = (typed_rt.client(), json_rt.client());
+        for (i, spec) in frames.into_iter().enumerate() {
+            let req = frame(i as u64 + 1, spec);
+            let wire = json_client
+                .call_raw(encode_request(&req).expect("encodable"))
+                .expect("JSON lane answers");
+            let json = decode_response(&wire).expect("decodable");
+            let typed = typed_client.call(req).expect("typed call answers");
+            let bits = |r: &Response| r.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&typed), bits(&json));
+            prop_assert_eq!(typed, json);
+        }
+    }
+}
+
 /// Coalesced multi-request batches must score identically to
 /// sequential single-request serving: pile concurrent requests behind
 /// a slow first call so they merge, then compare every score against
@@ -552,7 +624,7 @@ fn shard_routing_is_sticky_per_key() {
 /// A composed serving plan — cascade confidence gate + end-to-end
 /// cache + top-K filter in ONE plan — served through the legacy shim
 /// as a single `Servable`. This is the composition the pre-plan
-/// wrapper structs could not express: scores round-trip the JSON
+/// wrapper structs could not express: scores cross the serving
 /// boundary, repeats hit the shared cache, and the batch answer
 /// matches a direct local run bit-for-bit.
 #[test]
