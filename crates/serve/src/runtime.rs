@@ -37,7 +37,11 @@
 //!   absorb a viral key) and get their end-to-end cache entries
 //!   pinned against LRU eviction.
 //!
-//! Workers keep the coalescing behavior paper Table 6 measures: each
+//! At most [`ServerConfig::workers`] predictions run at once, each
+//! holding one of as many execution slots. A blocking in-process call
+//! whose routed worker has nothing queued runs on the calling thread
+//! when a slot is free, waking no thread; otherwise it is queued, and
+//! workers keep the coalescing behavior paper Table 6 measures: each
 //! worker drains its queue up to [`ServerConfig::max_batch_requests`]
 //! envelopes and merges same-endpoint, same-schema requests into one
 //! model-level `predict_table` call.
@@ -58,7 +62,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -163,7 +167,9 @@ impl ServerStats {
         self.rows.load(Ordering::Relaxed)
     }
 
-    /// Worker iterations (each handling >= 1 coalesced requests).
+    /// Batches served (each handling >= 1 coalesced requests): worker
+    /// iterations, plus requests their caller ran inline, which count
+    /// as one batch of the worker they were routed to.
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
     }
@@ -263,7 +269,8 @@ impl ServerStats {
         self.probes_ok.load(Ordering::Relaxed)
     }
 
-    /// Worker-iteration counts, one entry per worker thread.
+    /// [`batches`](ServerStats::batches) per worker, one entry per
+    /// worker thread; they sum to `batches`.
     pub fn worker_batches(&self) -> Vec<u64> {
         self.worker_batches
             .iter()
@@ -1216,7 +1223,8 @@ enum Reply {
 pub(crate) struct RoutedJob {
     req: Request,
     entry: Arc<Endpoint>,
-    /// `None` for shadow-mirrored copies (response discarded).
+    /// `None` for shadow-mirrored copies (response discarded) and for
+    /// a job its caller runs inline (response returned).
     reply: Option<Reply>,
     /// Admission control put this request in the degrade band: serve
     /// it with the endpoint's degraded lowering. Only ever `true`
@@ -1239,6 +1247,94 @@ struct GateState {
     closed: bool,
 }
 
+/// The runtime's `workers` execution slots. A prediction runs — on a
+/// worker thread, or inline on the thread that called — only while it
+/// holds a slot, so at most `workers` run at once, whoever runs them.
+///
+/// A worker waits for a slot after it received a job and before it
+/// drains the rest of its queue. A caller never waits: it takes a free
+/// slot that no waiting thread is owed, or queues its request. Callers
+/// take theirs under the admission gate (gate → slots, never the
+/// reverse), so once the gate is closed no prediction starts inline.
+struct Slots {
+    /// Free slots, and threads waiting on `freed` — workers for a slot,
+    /// [`ServingRuntime::shutdown`] for all of them.
+    state: std::sync::Mutex<(usize, usize)>,
+    freed: Condvar,
+}
+
+impl Slots {
+    fn new(n: usize) -> Slots {
+        Slots {
+            state: std::sync::Mutex::new((n, 0)),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// No code runs under this lock but the count updates below, each
+    /// of which leaves the counts valid, so a poisoned lock is sound.
+    fn lock(&self) -> MutexGuard<'_, (usize, usize)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait, counted as waiting, until `ready` holds for the counts.
+    fn wait_until(
+        &self,
+        ready: impl Fn(&(usize, usize)) -> bool,
+    ) -> MutexGuard<'_, (usize, usize)> {
+        let mut state = self.lock();
+        state.1 += 1;
+        while !ready(&state) {
+            state = self
+                .freed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.1 -= 1;
+        state
+    }
+
+    /// A worker's slot: waits until one is free.
+    fn acquire(&self) -> Slot<'_> {
+        self.wait_until(|&(free, _)| free > 0).0 -= 1;
+        Slot(self)
+    }
+
+    /// A caller's slot: one that is free while no thread waits.
+    fn try_acquire(&self) -> Option<Slot<'_>> {
+        let mut state = self.lock();
+        if state.0 == 0 || state.1 > 0 {
+            return None;
+        }
+        state.0 -= 1;
+        Some(Slot(self))
+    }
+
+    /// Wait until all `n` slots are free: nothing is executing.
+    fn wait_idle(&self, n: usize) {
+        drop(self.wait_until(|&(free, _)| free == n));
+    }
+}
+
+/// A held execution slot, given back on drop — also when the
+/// prediction under it panics, so the panic unwinds into its caller
+/// without taking a slot from the runtime.
+struct Slot<'a>(&'a Slots);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.0 += 1;
+        let waiting = state.1 > 0;
+        drop(state);
+        // Waiters differ in what they wait for, so wake them all; with
+        // none waiting, skip the system call.
+        if waiting {
+            self.0.freed.notify_all();
+        }
+    }
+}
+
 pub(crate) struct Shared {
     groups: Vec<Group>,
     default_group: usize,
@@ -1253,6 +1349,7 @@ pub(crate) struct Shared {
     queue_probes: Vec<Sender<Job>>,
     admitted: AtomicU64,
     gate: Mutex<GateState>,
+    slots: Slots,
     /// Remote forwards currently in flight runtime-wide (feeds the
     /// global `remote_max_in_flight` high-water mark).
     remote_in_flight: AtomicUsize,
@@ -1450,8 +1547,10 @@ impl Shared {
     }
 
     /// The blocking admission body: route, take the hop — a remote
-    /// shard's round trip included — enqueue, sleeping while the
-    /// target queue is full, and wait for the worker's answer.
+    /// shard's round trip included — then run the request right here
+    /// when [`inline_slot`](Self::inline_slot) gives a slot; otherwise
+    /// enqueue, sleeping while the target queue is full, and wait for
+    /// the worker's answer.
     fn route_request(&self, req: Request) -> Result<Response, ServeError> {
         let mut routed = match self.plan_route(req) {
             Planned::Answered(resp) => return Ok(resp),
@@ -1461,9 +1560,34 @@ impl Shared {
             Ok(worker) => worker,
             Err(resp) => return Ok(resp),
         };
+        if let Some(slot) = self.inline_slot(worker)? {
+            let job = self.job_for(routed, None);
+            self.stats.batches.fetch_add(1, Ordering::Relaxed);
+            self.stats.worker_batches[worker].fetch_add(1, Ordering::Relaxed);
+            let resp = handle_one(&job, &self.stats);
+            drop(slot);
+            self.maybe_rebalance();
+            return Ok(resp);
+        }
         let (reply_tx, reply_rx) = bounded(1);
         self.enqueue(routed, Reply::Channel(reply_tx), worker)?;
         reply_rx.recv().map_err(|_| ServeError::Disconnected)
+    }
+
+    /// A slot for running a request routed to `worker` on the calling
+    /// thread, given only while that worker's queue is empty — nothing
+    /// to coalesce with or to overtake — and a slot is free that no
+    /// waiting thread is owed. Taken under the gate, so a closed
+    /// runtime starts nothing.
+    fn inline_slot(&self, worker: usize) -> Result<Option<Slot<'_>>, ServeError> {
+        let gate = self.gate.lock();
+        if gate.closed {
+            return Err(ServeError::Disconnected);
+        }
+        if !self.queue_probes[worker].is_empty() {
+            return Ok(None);
+        }
+        Ok(self.slots.try_acquire())
     }
 
     /// [`route_request`](Self::route_request) for a caller that must
@@ -1483,7 +1607,7 @@ impl Shared {
             return Ok(Some(Deferred::Forward(routed, sink)));
         }
         let worker = routed.entry.assignment[routed.shard].load(Ordering::Relaxed);
-        let job = self.job_for(routed, Reply::Sink(sink));
+        let job = self.job_for(routed, Some(Reply::Sink(sink)));
         Ok(self
             .enqueue_job(job, worker, false)?
             .map(|job| Deferred::Enqueue(job, worker)))
@@ -1714,20 +1838,20 @@ impl Shared {
     }
 
     /// Send the shadow mirrors and turn a routed request into the job
-    /// a worker serves.
-    fn job_for(&self, routed: Routed, reply: Reply) -> RoutedJob {
+    /// a worker serves — or, with no `reply`, the caller runs itself.
+    fn job_for(&self, routed: Routed, reply: Option<Reply>) -> RoutedJob {
         self.send_shadows(routed.shadow_jobs);
         RoutedJob {
             req: routed.req,
             entry: routed.entry,
-            reply: Some(reply),
+            reply,
             degraded: routed.degraded,
         }
     }
 
     /// Put `routed` on `worker`'s queue, sleeping while it is full.
     fn enqueue(&self, routed: Routed, reply: Reply, worker: usize) -> Result<(), ServeError> {
-        let job = self.job_for(routed, reply);
+        let job = self.job_for(routed, Some(reply));
         self.enqueue_job(job, worker, true).map(|_| ())
     }
 
@@ -2252,6 +2376,9 @@ fn worker_loop(shared: &Shared, wi: usize, rx: &Receiver<Job>) {
             // worker; each worker's queue carries exactly one.
             Ok(Job::Shutdown) | Err(_) => return,
         };
+        // While this waits for a slot, the queue fills and coalesces
+        // into one batch.
+        let _slot = shared.slots.acquire();
         // Adaptive batching: drain whatever else is queued, stopping
         // at the shutdown sentinel (FIFO guarantees every admitted
         // request precedes it).
@@ -2611,6 +2738,7 @@ impl RuntimeBuilder {
                 senders,
                 closed: false,
             }),
+            slots: Slots::new(n_workers),
             remote_in_flight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             stats: ServerStats::new(n_workers),
@@ -2728,7 +2856,9 @@ impl EndpointBuilder<'_> {
 /// the lane that receives it, [`RuntimeClient::call_raw`]), are routed
 /// by endpoint name, version, and shard key at admission,
 /// and are handled by [`ServerConfig::workers`] executor threads with
-/// adaptive, coalescing batching (per endpoint + schema). Shards may
+/// adaptive, coalescing batching (per endpoint + schema) — or, while
+/// the routed worker has nothing queued and fewer than `workers`
+/// predictions run, by the blocking caller itself. Shards may
 /// also be **remote** — served by a [`crate::RemoteRuntimeNode`] in
 /// another process via a [`WorkerTransport`] — behind the same
 /// admission path.
@@ -2769,8 +2899,9 @@ impl EndpointBuilder<'_> {
 ///
 /// [`shutdown`](ServingRuntime::shutdown) (idempotent, also invoked by
 /// `Drop`) closes the admission gate, enqueues one sentinel per
-/// worker, and joins the workers. Requests admitted before the gate
-/// closed are all answered; client calls issued afterwards return
+/// worker, joins the workers, and waits until no caller runs a request
+/// inline. Requests admitted before the gate closed are all answered;
+/// client calls issued afterwards return
 /// [`ServeError::Disconnected`]. Live clients never prevent the
 /// runtime from shutting down.
 pub struct ServingRuntime {
@@ -3020,9 +3151,11 @@ impl ServingRuntime {
     }
 
     /// Shut the runtime down: close the admission gate, signal every
-    /// worker, and join them. Idempotent; invoked automatically on
-    /// drop. Requests admitted before the call are still answered;
-    /// later client calls return [`ServeError::Disconnected`].
+    /// worker, join them, and wait for the requests callers are running
+    /// inline. Idempotent; invoked automatically on drop. Requests
+    /// admitted before the call are still answered, and when it returns
+    /// no prediction is executing; later client calls return
+    /// [`ServeError::Disconnected`].
     pub fn shutdown(&mut self) {
         {
             let mut gate = self.shared.gate.lock();
@@ -3038,6 +3171,7 @@ impl ServingRuntime {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
+        self.shared.slots.wait_idle(self.shared.n_workers);
     }
 }
 
@@ -3169,10 +3303,21 @@ impl RuntimeClient {
     /// end: nothing is serialized inside the process. The request's
     /// `id` is used as given — assign nonzero ids.
     ///
+    /// A request routed to a local shard whose worker has nothing
+    /// queued runs on the calling thread when one of the runtime's
+    /// [`ServerConfig::workers`] execution slots is free, so no thread
+    /// is woken; otherwise it is queued for the worker.
+    ///
     /// # Errors
     /// Returns [`ServeError::Disconnected`] when the runtime has shut
     /// down. A predictor-side failure is *not* an `Err` here; it
     /// arrives as [`Response::error`].
+    ///
+    /// # Panics
+    /// Panics when the servable panics while running this request on
+    /// the calling thread. The request's execution slot is given back
+    /// as the panic unwinds, so the runtime keeps serving and still
+    /// shuts down.
     pub fn call(&self, req: Request) -> Result<Response, ServeError> {
         self.shared.admit_request(req)
     }
@@ -3742,6 +3887,118 @@ mod tests {
         ));
         // Rejected post-shutdown calls leave no trace in the stats.
         assert_eq!(rt.stats().requests(), before);
+    }
+
+    /// Execution slots through a panic and a shutdown. A leaked slot or
+    /// a lost wake-up hangs instead of failing, so each test runs under
+    /// a watchdog.
+    mod slots {
+        use super::*;
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        use std::thread::ThreadId;
+
+        /// Run `body` on a thread of its own; fail when it panics or
+        /// has not returned within ten seconds.
+        fn under_watchdog(body: impl FnOnce() + Send + 'static) {
+            let (done_tx, done_rx) = mpsc::channel();
+            let body = std::thread::spawn(move || {
+                body();
+                let _ = done_tx.send(());
+            });
+            // A panicking body drops the sender; the join reports it.
+            if done_rx.recv_timeout(Duration::from_secs(10)) == Err(RecvTimeoutError::Timeout) {
+                panic!("hung: a slot leaked or a wake-up was lost");
+            }
+            if let Err(panic) = body.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+
+        /// Scores 2x, and panics on a negative x.
+        struct PanicsOnNegative;
+        impl Servable for PanicsOnNegative {
+            fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+                let scores = Scaler(2.0).predict_table(table)?;
+                assert!(scores.iter().all(|&s| s >= 0.0), "negative input");
+                Ok(scores)
+            }
+        }
+
+        #[test]
+        fn a_panic_unwinds_into_its_caller_and_gives_the_slot_back() {
+            under_watchdog(|| {
+                let mut b = ServingRuntime::builder();
+                b.config(ServerConfig::builder().workers(1).build());
+                b.endpoint("m", Arc::new(PanicsOnNegative));
+                let rt = b.build().unwrap();
+                let client = rt.client();
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    client.predict(wire_rows(&[-1.0]))
+                }));
+                assert!(
+                    caught.is_err(),
+                    "the panic must reach the caller that ran it"
+                );
+                // Had the runtime's one slot leaked, this request would
+                // queue for a worker that never gets a slot, and the
+                // drop would wait for the slot forever.
+                assert_eq!(client.predict(wire_rows(&[3.0])).unwrap(), vec![6.0]);
+                drop(rt);
+            });
+        }
+
+        /// Scores 2x once the test opens it, after reporting which
+        /// thread runs it; `finished` is set on the way out.
+        struct Gated {
+            entered: mpsc::Sender<ThreadId>,
+            open: Mutex<mpsc::Receiver<()>>,
+            finished: AtomicBool,
+        }
+        impl Servable for Gated {
+            fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+                let _ = self.entered.send(std::thread::current().id());
+                let _ = self.open.lock().recv();
+                let scores = Scaler(2.0).predict_table(table);
+                self.finished.store(true, Ordering::SeqCst);
+                scores
+            }
+        }
+
+        #[test]
+        fn shutdown_returns_only_after_an_inline_request_is_answered() {
+            under_watchdog(|| {
+                let (entered_tx, entered_rx) = mpsc::channel();
+                let (open_tx, open_rx) = mpsc::channel();
+                let gated = Arc::new(Gated {
+                    entered: entered_tx,
+                    open: Mutex::new(open_rx),
+                    finished: AtomicBool::new(false),
+                });
+                let mut b = ServingRuntime::builder();
+                b.config(ServerConfig::builder().workers(1).build());
+                b.endpoint("m", Arc::clone(&gated) as Arc<dyn Servable>);
+                let mut rt = b.build().unwrap();
+                let client = rt.client();
+                let caller = std::thread::spawn(move || client.predict(wire_rows(&[2.0])));
+                let runs_on = entered_rx.recv().unwrap();
+                assert_eq!(runs_on, caller.thread().id(), "the caller runs it");
+
+                let (down_tx, down_rx) = mpsc::channel();
+                let shutdown = std::thread::spawn(move || {
+                    rt.shutdown();
+                    let _ = down_tx.send(gated.finished.load(Ordering::SeqCst));
+                });
+                assert_eq!(
+                    down_rx.recv_timeout(Duration::from_millis(50)),
+                    Err(RecvTimeoutError::Timeout),
+                    "shutdown returned while the request ran"
+                );
+                open_tx.send(()).unwrap();
+                assert_eq!(down_rx.recv(), Ok(true), "the request finished first");
+                assert_eq!(caller.join().unwrap(), Ok(vec![4.0]));
+                shutdown.join().unwrap();
+            });
+        }
     }
 
     fn x_then_n(x: f64, n: i64) -> WireRow {

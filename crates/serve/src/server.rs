@@ -294,7 +294,7 @@ mod tests {
     }
 
     /// A Doubler that also sleeps, to force requests to pile up behind
-    /// the worker so batching tests are deterministic.
+    /// the execution slot it holds so batching tests are deterministic.
     struct SlowDoubler(Duration);
     impl Servable for SlowDoubler {
         fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
@@ -385,8 +385,9 @@ mod tests {
 
     #[test]
     fn coalesced_batches_match_sequential_scores() {
-        // Pin the single worker down with a slow first request so the
-        // other clients' requests pile up and must be coalesced.
+        // A slow first request holds the only execution slot on its
+        // caller's thread, so the other clients' requests pile up on
+        // the worker's queue and must be coalesced.
         let server = ClipperServer::start(
             Arc::new(SlowDoubler(Duration::from_millis(500))),
             ServerConfig::default(),
@@ -396,7 +397,7 @@ mod tests {
             s.spawn(move || {
                 blocker.predict(wire_rows(&[0.0])).unwrap();
             });
-            // Generous margin: the blocker holds the worker for 500ms
+            // Generous margin: the blocker holds the slot for 500ms
             // while these clients only need to enqueue (a channel send
             // each), so even a heavily loaded machine coalesces them.
             std::thread::sleep(Duration::from_millis(100));
@@ -529,7 +530,7 @@ mod tests {
     #[test]
     fn mixed_schema_batches_fall_back_per_request() {
         // Pile up requests with two different schemas behind a slow
-        // worker; each group must still be answered correctly.
+        // first request; each group must still be answered correctly.
         struct SlowSummer;
         impl Servable for SlowSummer {
             fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {

@@ -4,7 +4,8 @@
 //! `ServingRuntime`'s routing, sharding, and scheduling behavior.
 
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use willump_data::{Table, Value};
@@ -250,8 +251,10 @@ fn coalesced_batches_equal_sequential_serving() {
         })
         .collect();
 
-    // Concurrent: same requests, forced to pile up and coalesce. A
-    // single worker guarantees the pile-up lands on one queue.
+    // Concurrent: same requests, forced to pile up and coalesce. With a
+    // single worker there is a single execution slot, which the slow
+    // first call holds on its caller's thread, so the pile-up lands on
+    // one queue.
     let server = ClipperServer::start(
         Arc::new(Slowed(AffineSummer, Duration::from_millis(400))),
         ServerConfig::default(),
@@ -260,7 +263,7 @@ fn coalesced_batches_equal_sequential_serving() {
         let blocker = server.client();
         let warm = s.spawn(move || blocker.predict(vec![wire_row(0.0, 0.0)]));
         // Generous margin: the 12 clients only need to enqueue while
-        // the blocker holds the worker for 400ms.
+        // the blocker holds the slot for 400ms.
         std::thread::sleep(Duration::from_millis(100));
         let handles: Vec<_> = inputs
             .iter()
@@ -284,6 +287,72 @@ fn coalesced_batches_equal_sequential_serving() {
         "no coalescing happened: {:?}",
         server.stats()
     );
+}
+
+/// At most `workers` predictions run at once, whether worker threads or
+/// their callers run them: eight callers on two workers, held inside
+/// the servable until all eight are admitted, never overlap more than
+/// two `predict_table` calls, and the requests that found no free slot
+/// queue and coalesce.
+#[test]
+fn at_most_workers_predictions_run_at_once() {
+    struct Gated {
+        running: AtomicUsize,
+        peak: AtomicUsize,
+        open: (Mutex<bool>, Condvar),
+    }
+    impl Servable for Gated {
+        fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+            let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            let (open, opened) = &self.open;
+            drop(opened.wait_while(open.lock().unwrap(), |open| !*open));
+            let scores = AffineSummer.predict_table(table);
+            self.running.fetch_sub(1, Ordering::SeqCst);
+            scores
+        }
+    }
+    let gated = Arc::new(Gated {
+        running: AtomicUsize::new(0),
+        peak: AtomicUsize::new(0),
+        open: (Mutex::new(false), Condvar::new()),
+    });
+    let mut b = ServingRuntime::builder();
+    b.config(ServerConfig::builder().workers(2).build());
+    b.endpoint("gated", Arc::clone(&gated) as Arc<dyn Servable>)
+        .shards(2);
+    let runtime = b.build().expect("runtime builds");
+
+    std::thread::scope(|s| {
+        let callers: Vec<_> = (0..8)
+            .map(|i| {
+                let client = runtime.client();
+                s.spawn(move || {
+                    let x = f64::from(i);
+                    let rows = vec![wire_row(x, 1.0)];
+                    let scores = client.predict_endpoint("gated", rows).expect("served");
+                    assert_eq!(scores, vec![3.0 * x - 0.5 + 1.0], "caller {i}");
+                })
+            })
+            .collect();
+        while runtime.stats().requests() < 8 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Generous margin for the last admitted callers to reach a
+        // queue: a few microseconds of routing each.
+        std::thread::sleep(Duration::from_millis(100));
+        *gated.open.0.lock().unwrap() = true;
+        gated.open.1.notify_all();
+        for caller in callers {
+            caller.join().unwrap();
+        }
+    });
+
+    let peak = gated.peak.load(Ordering::SeqCst);
+    assert!((1..=2).contains(&peak), "{peak} predictions ran at once");
+    let stats = runtime.stats();
+    assert!(stats.coalesced_rows() > 0, "no coalescing: {stats:?}");
+    assert_eq!(stats.worker_batches().iter().sum::<u64>(), stats.batches());
 }
 
 /// Synthetic two-feature-generator workload shared by the plan-serving
