@@ -38,9 +38,10 @@
 //!   pinned against LRU eviction.
 //!
 //! At most [`ServerConfig::workers`] predictions run at once, each
-//! holding one of as many execution slots. A blocking in-process call
-//! whose routed worker has nothing queued runs on the calling thread
-//! when a slot is free, waking no thread; otherwise it is queued, and
+//! holding one of as many execution slots. While blocking in-process
+//! callers number no more than the workers, a call whose routed worker
+//! has nothing queued runs on the calling thread when a slot is free,
+//! waking no thread; otherwise it is queued, and
 //! workers keep the coalescing behavior paper Table 6 measures: each
 //! worker drains its queue up to [`ServerConfig::max_batch_requests`]
 //! envelopes and merges same-endpoint, same-schema requests into one
@@ -61,6 +62,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -1297,7 +1299,7 @@ impl Slots {
     /// A worker's slot: waits until one is free.
     fn acquire(&self) -> Slot<'_> {
         self.wait_until(|&(free, _)| free > 0).0 -= 1;
-        Slot(self)
+        Slot::held(self)
     }
 
     /// A caller's slot: one that is free while no thread waits.
@@ -1307,7 +1309,7 @@ impl Slots {
             return None;
         }
         state.0 -= 1;
-        Some(Slot(self))
+        Some(Slot::held(self))
     }
 
     /// Wait until all `n` slots are free: nothing is executing.
@@ -1316,13 +1318,30 @@ impl Slots {
     }
 }
 
-/// A held execution slot, given back on drop — also when the
-/// prediction under it panics, so the panic unwinds into its caller
-/// without taking a slot from the runtime.
+/// A held execution slot, given back on drop — also when a servable
+/// panics on a worker thread, so the dead worker takes no slot from the
+/// runtime.
 struct Slot<'a>(&'a Slots);
+
+#[cfg(test)]
+thread_local! {
+    /// Whether this thread holds a slot: the unit tests check that no
+    /// thread takes the gate while it does.
+    static HOLDS_SLOT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+impl<'a> Slot<'a> {
+    fn held(slots: &'a Slots) -> Slot<'a> {
+        #[cfg(test)]
+        HOLDS_SLOT.set(true);
+        Slot(slots)
+    }
+}
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
+        #[cfg(test)]
+        HOLDS_SLOT.set(false);
         let mut state = self.0.lock();
         state.0 += 1;
         let waiting = state.1 > 0;
@@ -1350,6 +1369,10 @@ pub(crate) struct Shared {
     admitted: AtomicU64,
     gate: Mutex<GateState>,
     slots: Slots,
+    /// Blocking callers between a local hop and their answer. Only
+    /// while they number no more than the workers may one run its
+    /// request itself.
+    local_callers: AtomicUsize,
     /// Remote forwards currently in flight runtime-wide (feeds the
     /// global `remote_max_in_flight` high-water mark).
     remote_in_flight: AtomicUsize,
@@ -1396,6 +1419,15 @@ pub(crate) enum Deferred {
 }
 
 impl Shared {
+    /// The admission gate. No thread takes it while holding a slot:
+    /// [`ServingRuntime::shutdown`] holds it while its sentinels wait
+    /// for queue room, which only a worker that gets a slot makes.
+    fn gate(&self) -> parking_lot::MutexGuard<'_, GateState> {
+        #[cfg(test)]
+        assert!(!HOLDS_SLOT.get(), "the gate was taken under a slot");
+        self.gate.lock()
+    }
+
     /// Every endpoint (primaries then shadows per group) — the
     /// cluster prober's sweep list.
     pub(crate) fn all_endpoints(&self) -> Vec<Arc<Endpoint>> {
@@ -1539,7 +1571,7 @@ impl Shared {
     /// admits nothing and records nothing, so post-shutdown retries
     /// cannot skew stats or version-router state.
     fn count_request(&self) -> Result<(), ServeError> {
-        if self.gate.lock().closed {
+        if self.gate().closed {
             return Err(ServeError::Disconnected);
         }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -1547,10 +1579,8 @@ impl Shared {
     }
 
     /// The blocking admission body: route, take the hop — a remote
-    /// shard's round trip included — then run the request right here
-    /// when [`inline_slot`](Self::inline_slot) gives a slot; otherwise
-    /// enqueue, sleeping while the target queue is full, and wait for
-    /// the worker's answer.
+    /// shard's round trip included — then serve a local request with
+    /// [`serve_local`](Self::serve_local).
     fn route_request(&self, req: Request) -> Result<Response, ServeError> {
         let mut routed = match self.plan_route(req) {
             Planned::Answered(resp) => return Ok(resp),
@@ -1560,14 +1590,49 @@ impl Shared {
             Ok(worker) => worker,
             Err(resp) => return Ok(resp),
         };
-        if let Some(slot) = self.inline_slot(worker)? {
+        // The shadows take the gate, so they go before any slot does: a
+        // thread holding a slot never waits for the gate, which
+        // `shutdown` holds while its sentinels wait for queue room that
+        // only a worker with a slot makes.
+        self.send_shadows(std::mem::take(&mut routed.shadow_jobs));
+        let others = self.local_callers.fetch_add(1, Ordering::Relaxed);
+        let served = self.serve_local(routed, worker, others < self.n_workers);
+        self.local_callers.fetch_sub(1, Ordering::Relaxed);
+        served
+    }
+
+    /// Run a locally routed request right here when `may_run_inline`
+    /// and [`inline_slot`](Self::inline_slot) gives a slot; otherwise
+    /// enqueue it on `worker`, sleeping while the queue is full, and
+    /// wait for the worker's answer. Callers that outnumber the workers
+    /// never run inline, so they queue and coalesce as they did when
+    /// workers ran every request: a request run alone in a slot costs a
+    /// batch's fixed cost — a feature store's round trip — for its rows
+    /// only.
+    fn serve_local(
+        &self,
+        routed: Routed,
+        worker: usize,
+        may_run_inline: bool,
+    ) -> Result<Response, ServeError> {
+        let slot = if may_run_inline {
+            self.inline_slot(worker)?
+        } else {
+            None
+        };
+        if let Some(slot) = slot {
             let job = self.job_for(routed, None);
             self.stats.batches.fetch_add(1, Ordering::Relaxed);
             self.stats.worker_batches[worker].fetch_add(1, Ordering::Relaxed);
-            let resp = handle_one(&job, &self.stats);
+            // A servable that panics on a worker thread ends that
+            // worker and its caller reads `Disconnected`; one that
+            // panics here answers the same, so no caller of `call` —
+            // the forwarding and node paths included — ever unwinds.
+            let served =
+                std::panic::catch_unwind(AssertUnwindSafe(|| handle_one(&job, &self.stats)));
             drop(slot);
             self.maybe_rebalance();
-            return Ok(resp);
+            return served.map_err(|_| ServeError::Disconnected);
         }
         let (reply_tx, reply_rx) = bounded(1);
         self.enqueue(routed, Reply::Channel(reply_tx), worker)?;
@@ -1580,7 +1645,7 @@ impl Shared {
     /// waiting thread is owed. Taken under the gate, so a closed
     /// runtime starts nothing.
     fn inline_slot(&self, worker: usize) -> Result<Option<Slot<'_>>, ServeError> {
-        let gate = self.gate.lock();
+        let gate = self.gate();
         if gate.closed {
             return Err(ServeError::Disconnected);
         }
@@ -1865,7 +1930,7 @@ impl Shared {
         may_block: bool,
     ) -> Result<Option<RoutedJob>, ServeError> {
         loop {
-            let gate = self.gate.lock();
+            let gate = self.gate();
             if gate.closed {
                 return Err(ServeError::Disconnected);
             }
@@ -1902,7 +1967,7 @@ impl Shared {
         if shadow_jobs.is_empty() {
             return;
         }
-        let gate = self.gate.lock();
+        let gate = self.gate();
         if gate.closed {
             return;
         }
@@ -2739,6 +2804,7 @@ impl RuntimeBuilder {
                 closed: false,
             }),
             slots: Slots::new(n_workers),
+            local_callers: AtomicUsize::new(0),
             remote_in_flight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             stats: ServerStats::new(n_workers),
@@ -2857,8 +2923,9 @@ impl EndpointBuilder<'_> {
 /// by endpoint name, version, and shard key at admission,
 /// and are handled by [`ServerConfig::workers`] executor threads with
 /// adaptive, coalescing batching (per endpoint + schema) — or, while
-/// the routed worker has nothing queued and fewer than `workers`
-/// predictions run, by the blocking caller itself. Shards may
+/// blocking callers number no more than `workers`, the routed worker
+/// has nothing queued and fewer than `workers` predictions run, by the
+/// blocking caller itself. Shards may
 /// also be **remote** — served by a [`crate::RemoteRuntimeNode`] in
 /// another process via a [`WorkerTransport`] — behind the same
 /// admission path.
@@ -3158,7 +3225,7 @@ impl ServingRuntime {
     /// [`ServeError::Disconnected`].
     pub fn shutdown(&mut self) {
         {
-            let mut gate = self.shared.gate.lock();
+            let mut gate = self.shared.gate();
             if !gate.closed {
                 gate.closed = true;
                 for sender in &gate.senders {
@@ -3305,19 +3372,17 @@ impl RuntimeClient {
     ///
     /// A request routed to a local shard whose worker has nothing
     /// queued runs on the calling thread when one of the runtime's
-    /// [`ServerConfig::workers`] execution slots is free, so no thread
-    /// is woken; otherwise it is queued for the worker.
+    /// [`ServerConfig::workers`] execution slots is free and no more
+    /// than `workers` callers wait for local answers, so no thread is
+    /// woken; otherwise it is queued for the worker.
     ///
     /// # Errors
     /// Returns [`ServeError::Disconnected`] when the runtime has shut
-    /// down. A predictor-side failure is *not* an `Err` here; it
-    /// arrives as [`Response::error`].
-    ///
-    /// # Panics
-    /// Panics when the servable panics while running this request on
-    /// the calling thread. The request's execution slot is given back
-    /// as the panic unwinds, so the runtime keeps serving and still
-    /// shuts down.
+    /// down, or when the servable panicked while serving this request
+    /// — on a worker thread, which the panic ends, or on this one, where
+    /// it is caught and the runtime keeps serving. A predictor-side
+    /// failure is *not* an `Err` here; it arrives as
+    /// [`Response::error`].
     pub fn call(&self, req: Request) -> Result<Response, ServeError> {
         self.shared.admit_request(req)
     }
@@ -3367,7 +3432,7 @@ impl RuntimeClient {
     ///
     /// # Errors
     /// Returns [`ServeError::Disconnected`] when the runtime has shut
-    /// down.
+    /// down or the servable panicked, as for [`call`](Self::call).
     pub fn call_raw(&self, payload: String) -> Result<String, ServeError> {
         let resp = self.shared.admit(&payload)?;
         Ok(encode_response(&resp)
@@ -3925,25 +3990,62 @@ mod tests {
         }
 
         #[test]
-        fn a_panic_unwinds_into_its_caller_and_gives_the_slot_back() {
+        fn an_inline_panic_answers_disconnected_and_gives_the_slot_back() {
             under_watchdog(|| {
                 let mut b = ServingRuntime::builder();
                 b.config(ServerConfig::builder().workers(1).build());
                 b.endpoint("m", Arc::new(PanicsOnNegative));
                 let rt = b.build().unwrap();
                 let client = rt.client();
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    client.predict(wire_rows(&[-1.0]))
-                }));
-                assert!(
-                    caught.is_err(),
-                    "the panic must reach the caller that ran it"
+                // The caller runs it, and reads what a worker's panic
+                // would have given it.
+                assert_eq!(
+                    client.predict(wire_rows(&[-1.0])),
+                    Err(ServeError::Disconnected)
                 );
+                assert_eq!(rt.stats().worker_batches(), vec![1]);
                 // Had the runtime's one slot leaked, this request would
                 // queue for a worker that never gets a slot, and the
                 // drop would wait for the slot forever.
                 assert_eq!(client.predict(wire_rows(&[3.0])).unwrap(), vec![6.0]);
                 drop(rt);
+            });
+        }
+
+        /// Shutdown against inline callers of an endpoint with a
+        /// shadow, on one worker with a one-job queue. Shutdown holds
+        /// the gate while a sentinel waits for room in a queue that a
+        /// worker drains only once it has a slot, so a caller that
+        /// waited for the gate while holding its slot would hang all
+        /// three. The race is rare; the check in [`Shared::gate`] fails
+        /// the first caller that takes the gate under its slot.
+        #[test]
+        fn shutdown_racing_inline_callers_with_a_shadow_returns() {
+            under_watchdog(|| {
+                for _ in 0..200 {
+                    let mut b = ServingRuntime::builder();
+                    b.config(ServerConfig::builder().workers(1).queue_capacity(1).build());
+                    b.endpoint("m", Arc::new(Scaler(2.0)));
+                    b.endpoint("m", Arc::new(Scaler(3.0))).version(2).shadow();
+                    let mut rt = b.build().unwrap();
+                    let callers: Vec<_> = (0..3)
+                        .map(|_| {
+                            let client = rt.client();
+                            std::thread::spawn(move || {
+                                while let Ok(scores) = client.predict(wire_rows(&[1.0])) {
+                                    assert_eq!(scores, vec![2.0]);
+                                }
+                            })
+                        })
+                        .collect();
+                    while rt.stats().requests() < 8 {
+                        std::thread::yield_now();
+                    }
+                    rt.shutdown();
+                    for caller in callers {
+                        caller.join().unwrap();
+                    }
+                }
             });
         }
 
@@ -3997,6 +4099,88 @@ mod tests {
                 assert_eq!(down_rx.recv(), Ok(true), "the request finished first");
                 assert_eq!(caller.join().unwrap(), Ok(vec![4.0]));
                 shutdown.join().unwrap();
+            });
+        }
+
+        fn gated() -> (Arc<Gated>, mpsc::Receiver<ThreadId>, mpsc::Sender<()>) {
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (open_tx, open_rx) = mpsc::channel();
+            let gated = Arc::new(Gated {
+                entered: entered_tx,
+                open: Mutex::new(open_rx),
+                finished: AtomicBool::new(false),
+            });
+            (gated, entered_rx, open_tx)
+        }
+
+        /// Callers that outnumber the workers queue even while a slot
+        /// is free: on two workers, with worker 0 busy and two callers
+        /// queued behind it, a third caller, routed to the idle worker
+        /// 1, is served by that worker rather than on its own thread.
+        #[test]
+        fn callers_that_outnumber_the_workers_queue() {
+            under_watchdog(|| {
+                let (g, _, g_open) = gated();
+                let (t, t_entered, t_open) = gated();
+                let mut b = ServingRuntime::builder();
+                b.config(
+                    ServerConfig::builder()
+                        .workers(2)
+                        .max_batch_requests(1)
+                        .build(),
+                );
+                b.endpoint("g", g as Arc<dyn Servable>).shards(2);
+                b.endpoint("t", t as Arc<dyn Servable>).shards(2);
+                let rt = b.build().unwrap();
+                // A key of `endpoint` that routes to `worker`.
+                let key = |endpoint: &str, worker: usize| {
+                    let assignment = rt.endpoint(endpoint, 1).unwrap().assignment();
+                    (0..)
+                        .map(|i| format!("k{i}"))
+                        .find(|k| assignment[shard_for_key(k, 2)] == worker)
+                        .unwrap()
+                };
+                let (g0, k0, k1) = (key("g", 0), key("t", 0), key("t", 1));
+
+                // Submissions never run inline: the first holds worker 0
+                // and a slot, the second waits in worker 0's queue.
+                let client = rt.client();
+                for id in 1..=2 {
+                    let req = Request {
+                        endpoint: Some("g".into()),
+                        key: Some(g0.clone()),
+                        ..Request::new(id, wire_rows(&[1.0]))
+                    };
+                    assert!(client.submit(req, Box::new(|_| {})).unwrap().is_none());
+                }
+                let callers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let client = rt.client();
+                        let k0 = k0.clone();
+                        std::thread::spawn(move || {
+                            client.predict_keyed("t", &k0, wire_rows(&[1.0]))
+                        })
+                    })
+                    .collect();
+                while rt.shared.queue_probes[0].len() < 3 {
+                    std::thread::yield_now();
+                }
+
+                let client = rt.client();
+                let third =
+                    std::thread::spawn(move || client.predict_keyed("t", &k1, wire_rows(&[1.0])));
+                let runs_on = t_entered.recv().unwrap();
+                assert_ne!(runs_on, third.thread().id(), "the third caller ran it");
+                for _ in 0..2 {
+                    g_open.send(()).unwrap();
+                }
+                for _ in 0..3 {
+                    t_open.send(()).unwrap();
+                }
+                assert_eq!(third.join().unwrap(), Ok(vec![2.0]));
+                for caller in callers {
+                    assert_eq!(caller.join().unwrap(), Ok(vec![2.0]));
+                }
             });
         }
     }

@@ -368,6 +368,58 @@ fn in_process_transport_behaves_like_a_remote_shard() {
     assert_eq!(front.stats().remote_forwards(), 5);
 }
 
+/// A servable that panics behind an `InProcessWorker` reads to the
+/// front runtime as a failed transport: the request fails over to the
+/// local shard, no forward stays counted in flight, so the shard still
+/// drains, and the backend keeps serving.
+#[test]
+fn a_panicking_in_process_backend_fails_over_and_still_drains() {
+    /// `Affine`, panicking on a negative x.
+    struct PanicsOnNegative;
+    impl Servable for PanicsOnNegative {
+        fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+            let scores = Affine.predict_table(table)?;
+            assert!(scores.iter().all(|&s| s >= -1.0), "negative x");
+            Ok(scores)
+        }
+    }
+    let mut backend = ServingRuntime::builder();
+    backend.config(ServerConfig::builder().workers(1).build());
+    backend.endpoint("affine", Arc::new(PanicsOnNegative));
+    let backend = backend.build().expect("backend builds");
+
+    let mut front = ServingRuntime::builder();
+    front
+        .endpoint("affine", Arc::new(Affine))
+        .shards(1)
+        .shard_transport(Arc::new(InProcessWorker::new(&backend)));
+    let front = front.build().expect("front builds");
+    let client = front.client();
+    let remote_key = (0..1000)
+        .map(|i| format!("key-{i}"))
+        .find(|k| willump_serve::shard_for_key(k, 2) == 1)
+        .expect("some key hashes to shard 1");
+
+    assert_eq!(
+        client
+            .predict_keyed("affine", &remote_key, wire_rows(&[-1.0]))
+            .expect("the local shard serves it"),
+        vec![-4.0]
+    );
+    assert_eq!(front.stats().transport_errors(), 1);
+    assert_eq!(front.stats().failovers(), 1);
+    assert_eq!(
+        client
+            .predict_keyed("affine", &remote_key, wire_rows(&[2.0]))
+            .expect("the backend serves it"),
+        vec![5.0]
+    );
+    assert_eq!(front.stats().remote_forwards(), 1);
+    front
+        .drain_shard("affine", 1, 1, Duration::from_secs(5))
+        .expect("no forward is left in flight");
+}
+
 /// Remote plan counters feed the parent: a child whose cascade plan
 /// escalates every row reports its `PlanCountersSnapshot` through a
 /// counters control frame, and after `refresh_remote_counters` the
