@@ -3,14 +3,14 @@
 //! Admission is typed: an in-process caller hands the runtime a
 //! [`Request`] and gets a [`Response`] back
 //! ([`crate::RuntimeClient::call`]), and nothing is serialized inside
-//! the process. Bytes are encoded only where they leave it. Between
-//! current shard-forwarding peers the structs travel as compact binary
-//! frames — see [`crate::wire2`] for the frame layout, version
-//! negotiation, and the JSON fallback (the `micro` bench's
-//! `wirecodec` section records the per-frame cost of each). This
-//! newline-delimited JSON form is one lane in front of admission, for
-//! bytes that arrive as JSON: legacy peers and clients, and
-//! [`crate::RuntimeClient::call_raw`]. Paper Table 6 attributes
+//! the process. Bytes are encoded only where they leave it, and
+//! between processes the structs travel only as compact binary frames
+//! — see [`crate::wire2`] for the frame layout and the handshake (the
+//! `micro` bench's `wirecodec` section records the per-frame cost of
+//! binary against JSON). This JSON form is one in-process lane in
+//! front of admission, for bytes that arrive as JSON:
+//! [`crate::RuntimeClient::call_raw`] and the
+//! [`crate::ClipperClient`] shim. Paper Table 6 attributes
 //! Clipper's residual overhead to "large variable overheads
 //! (serialization time, etc.) which Willump cannot reduce"; here a
 //! request pays that cost only on a lane that really carries bytes.
@@ -31,10 +31,10 @@
 //!
 //! # Shard-forwarding and control frames
 //!
-//! Cross-process sharding (see [`crate::RemoteWorker`]) reuses this
-//! same protocol between a parent router and a remote node, with two
-//! additions — both `#[serde(default)]`, so every pre-existing frame
-//! still decodes:
+//! Cross-process sharding (see [`crate::RemoteWorker`]) carries these
+//! same structs, as wire2 frames, between a parent router and a remote
+//! node, with two additions — both `#[serde(default)]` in the JSON
+//! form, so every pre-existing JSON frame still decodes:
 //!
 //! - **Shard-forwarding frames** set [`Request::forwarded`]: the
 //!   parent already resolved endpoint, version, and shard, so the

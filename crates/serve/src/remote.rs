@@ -17,36 +17,34 @@
 //!   reconnects, cumulative latency, bytes on the wire, peak
 //!   in-flight depth, decode errors), which the runtime surfaces per
 //!   shard.
-//! - [`RemoteWorker`]: the TCP implementation. It negotiates the
-//!   [`crate::wire2`] binary protocol and **multiplexes** every
-//!   in-flight forward onto one socket: each forward is tagged with a
-//!   mux request id, written without waiting, and parked until a
-//!   demultiplexing reader thread routes the matching response frame
-//!   back to it — so concurrent forwards overlap on one connection
-//!   instead of checking out pooled sockets. Peers that do not speak
-//!   v2 (an older node answers the negotiation preamble with a JSON
-//!   error line) transparently fall back to the legacy pooled
-//!   newline-JSON path. Both paths preserve the same failure
-//!   semantics: one transparent retry on a *connection-level* failure
-//!   (the response can no longer arrive), but **never** after a read
-//!   timeout — the node may still be executing the request, and
-//!   resending would double-execute it exactly when the node is most
-//!   loaded — plus a consecutive-failure circuit breaker that fails
-//!   fast while a shard stays dead.
+//! - [`RemoteWorker`]: the TCP implementation. It speaks the
+//!   [`crate::wire2`] binary protocol — the only protocol on a socket
+//!   — and **multiplexes** every in-flight forward onto one
+//!   connection: each forward is tagged with a mux request id,
+//!   written without waiting, and parked until a demultiplexing
+//!   reader thread routes the matching response frame back to it, so
+//!   concurrent forwards overlap on one socket. A peer that does not
+//!   answer the preamble with a `HelloAck` is a failed forward, not a
+//!   fallback. Failures get one transparent retry when they are
+//!   *connection-level* (the response can no longer arrive), but
+//!   **never** after a read timeout — the node may still be executing
+//!   the request, and resending would double-execute it exactly when
+//!   the node is most loaded — plus a consecutive-failure circuit
+//!   breaker that fails fast while a shard stays dead.
 //! - [`RemoteRuntimeNode`]: the host side. Binds a listener and
 //!   exposes a whole [`crate::ServingRuntime`] — all of its endpoints
 //!   — to parent routers. A single **poll-based event loop** over
 //!   nonblocking sockets owns every accepted connection (no
-//!   thread-per-connection): it sniffs each connection's first line
-//!   to pick v2-binary or legacy-JSON mode, reassembles frames with a
-//!   bounded read (an oversized or corrupt length prefix is counted
-//!   in `decode_errors` and refused, never trusted), decodes binary
-//!   requests in place and admits them into the hosted runtime
-//!   itself; the runtime worker that serves one encodes the response
-//!   and writes it straight through to the connection. Only what
-//!   cannot be admitted without blocking — legacy JSON, a frame
-//!   routed onward to a remote shard, a full worker queue — goes
-//!   through a small fixed dispatch pool.
+//!   thread-per-connection): it checks that each connection opens
+//!   with the wire2 preamble (anything else is counted in
+//!   `decode_errors` and closed), reassembles frames with a bounded
+//!   read (an oversized or corrupt length prefix is counted and
+//!   refused, never trusted), decodes requests in place and admits
+//!   them into the hosted runtime itself; the runtime worker that
+//!   serves one encodes the response and writes it straight through
+//!   to the connection. Only what cannot be admitted without blocking
+//!   — a frame routed onward to a remote shard, a full worker queue —
+//!   goes through a small fixed dispatch pool.
 //!
 //! The **local queue** implementation of the trait is
 //! [`InProcessWorker`]: it forwards requests to another runtime in
@@ -100,8 +98,8 @@
 //! ```
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::collections::HashMap;
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -112,13 +110,13 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use willump::PlanCountersSnapshot;
 
-use crate::protocol::{decode_response, encode_request, Request, Response, ERROR_RESPONSE_ID};
+use crate::protocol::{Request, Response, ERROR_RESPONSE_ID};
 use crate::readiness::{self, Interest, PollSet, WakeListener, Waker};
 use crate::runtime::{Deferred, RuntimeClient, ServingRuntime};
 use crate::wire2::{
     decode_header, decode_request_payload, decode_response_payload, encode_frame,
     encode_request_payload, encode_response_frame, read_frame, FrameReadError, FrameType,
-    WIRE2_HEADER_LEN, WIRE2_MAGIC, WIRE2_PREAMBLE, WIRE2_PREAMBLE_LINE, WIRE2_VERSION,
+    WIRE2_HEADER_LEN, WIRE2_MAGIC, WIRE2_PREAMBLE, WIRE2_VERSION,
 };
 use crate::ServeError;
 
@@ -132,18 +130,17 @@ use crate::ServeError;
 /// counters; implementations additionally keep their own
 /// [`TransportStats`].
 pub trait WorkerTransport: Send + Sync {
-    /// Forward one encoded legacy JSON request frame; return the raw
-    /// wire response. This is the lowest common denominator every
-    /// transport speaks; [`forward_request`] rides on it by default.
-    ///
-    /// [`forward_request`]: WorkerTransport::forward_request
+    /// Forward one [`Request`]; return the [`Response`] plus the
+    /// bytes that crossed the wire. [`RemoteWorker`] ships it as a
+    /// [`crate::wire2`] binary frame over its multiplexed connection;
+    /// [`InProcessWorker`] hands the struct over unserialized.
     ///
     /// # Errors
     /// Returns [`ServeError::Transport`] (or
     /// [`ServeError::Disconnected`]) when the backing worker cannot
-    /// be reached; the runtime then fails the request over to a
-    /// surviving shard.
-    fn forward(&self, frame: &str) -> Result<String, ServeError>;
+    /// be reached or its reply cannot be decoded; the runtime then
+    /// fails the request over to a surviving shard.
+    fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError>;
 
     /// Human-readable backend description (`"tcp://127.0.0.1:9001"`,
     /// `"in-process"`), used in stats dumps and error messages.
@@ -152,44 +149,18 @@ pub trait WorkerTransport: Send + Sync {
     /// Cumulative transport counters.
     fn stats(&self) -> TransportStats;
 
-    /// Forward one structured [`Request`]; return the decoded
-    /// [`Response`] plus the bytes that crossed the wire. The default
-    /// encodes to the legacy JSON frame and rides
-    /// [`forward`](WorkerTransport::forward); [`RemoteWorker`]
-    /// overrides it to skip JSON entirely and ship the compact
-    /// [`crate::wire2`] binary payload over its multiplexed
-    /// connection.
+    /// Forward a control/probe request. Defaults to
+    /// [`forward_request`] (probes then count as ordinary forwards);
+    /// implementations whose stats feed latency dashboards should
+    /// override this to keep probe round trips out of
+    /// [`TransportStats`], as [`RemoteWorker`] does.
+    ///
+    /// [`forward_request`]: WorkerTransport::forward_request
     ///
     /// # Errors
-    /// [`ServeError::Transport`]/[`ServeError::Disconnected`] when
-    /// the backing worker cannot be reached, [`ServeError::Codec`]
-    /// when the request cannot be encoded or the reply cannot be
-    /// decoded.
-    fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError> {
-        let frame = encode_request(req)?;
-        let bytes_sent = frame.len() as u64;
-        let wire = self.forward(&frame)?;
-        let bytes_received = wire.len() as u64;
-        let response = decode_response(&wire)?;
-        Ok(ForwardReply {
-            response,
-            bytes_sent,
-            bytes_received,
-        })
-    }
-
-    /// Forward a control/probe frame. Defaults to [`forward`]
-    /// (probes then count as ordinary forwards); implementations
-    /// whose stats feed latency dashboards should override this to
-    /// keep probe round trips out of [`TransportStats`], as
-    /// [`RemoteWorker`] does.
-    ///
-    /// [`forward`]: WorkerTransport::forward
-    ///
-    /// # Errors
-    /// Same conditions as [`forward`](WorkerTransport::forward).
-    fn forward_probe(&self, frame: &str) -> Result<String, ServeError> {
-        self.forward(frame)
+    /// Same conditions as [`forward_request`].
+    fn forward_probe(&self, req: &Request) -> Result<Response, ServeError> {
+        self.forward_request(req).map(|reply| reply.response)
     }
 
     /// Where this transport's circuit breaker stands right now.
@@ -202,7 +173,7 @@ pub trait WorkerTransport: Send + Sync {
 
     /// Ask the backing runtime for one endpoint's
     /// [`PlanCountersSnapshot`] via a
-    /// [`crate::ControlRequest::Counters`] probe frame.
+    /// [`crate::ControlRequest::Counters`] probe.
     ///
     /// This is how a parent's escalation-aware scheduler reads plan
     /// statistics that accumulated in another process (see
@@ -216,8 +187,7 @@ pub trait WorkerTransport: Send + Sync {
         endpoint: &str,
         version: u32,
     ) -> Result<PlanCountersSnapshot, ServeError> {
-        let frame = encode_request(&Request::counters_probe(1))?;
-        let resp = decode_response(&self.forward_probe(&frame)?)?;
+        let resp = self.forward_probe(&Request::counters_probe(1))?;
         extract_counters(resp, endpoint, version, &self.describe())
     }
 }
@@ -395,7 +365,7 @@ fn enter_in_flight<'a>(gauge: &'a AtomicUsize, counters: &TransportCounters) -> 
 
 // ---- the local-queue transport -------------------------------------
 
-/// The local implementation of [`WorkerTransport`]: forwards frames
+/// The local implementation of [`WorkerTransport`]: forwards requests
 /// to another [`ServingRuntime`] *in the same process* through a
 /// regular client handle (whose sends land on the target runtime's
 /// worker queues).
@@ -431,24 +401,8 @@ impl InProcessWorker {
 }
 
 impl WorkerTransport for InProcessWorker {
-    fn forward(&self, frame: &str) -> Result<String, ServeError> {
-        let start = Instant::now();
-        let _guard = enter_in_flight(&self.in_flight, &self.counters);
-        match self.client.call_raw(frame.to_string()) {
-            Ok(wire) => {
-                self.counters.record_success(start.elapsed());
-                Ok(wire)
-            }
-            Err(e) => {
-                self.counters.failures.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
-    }
-
-    /// Skips the JSON boundary entirely: the request reaches the
-    /// target runtime's admission path as a struct (the "wire" is a
-    /// channel send, so both byte counts are 0).
+    /// The request reaches the target runtime's admission path as a
+    /// struct (nothing is serialized, so both byte counts are 0).
     fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError> {
         let start = Instant::now();
         let _guard = enter_in_flight(&self.in_flight, &self.counters);
@@ -481,17 +435,10 @@ impl WorkerTransport for InProcessWorker {
 
 // ---- the TCP transport ---------------------------------------------
 
-/// One half-open legacy connection: the write side and a buffered
-/// read side of the same stream.
-struct Conn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
 /// One response (or drop notice) routed to a parked mux waiter.
 enum MuxEvent {
-    /// A response frame arrived for this waiter's mux id.
-    Frame(FrameType, Vec<u8>),
+    /// A response payload arrived for this waiter's mux id.
+    Frame(Vec<u8>),
     /// The connection died before the response arrived; the response
     /// can no longer arrive here, so a fresh-connection retry is safe.
     Dropped,
@@ -545,14 +492,14 @@ fn mux_reader(
                     .bytes_received
                     .fetch_add((WIRE2_HEADER_LEN + payload.len()) as u64, Ordering::Relaxed);
                 match hdr.frame_type {
-                    FrameType::BinResponse | FrameType::JsonResponse => {
+                    FrameType::BinResponse => {
                         let waiter = conn.waiters.lock().remove(&hdr.request_id);
                         if let Some(tx) = waiter {
-                            let _ = tx.send(MuxEvent::Frame(hdr.frame_type, payload));
+                            let _ = tx.send(MuxEvent::Frame(payload));
                         }
                     }
                     FrameType::HelloAck => {}
-                    FrameType::BinRequest | FrameType::JsonRequest => {
+                    FrameType::BinRequest => {
                         // A node must answer with response frames;
                         // request frames here mean the stream is torn.
                         counters.decode_errors.fetch_add(1, Ordering::Relaxed);
@@ -578,15 +525,6 @@ fn mux_reader(
     }
 }
 
-/// What a fresh dial negotiated.
-enum Negotiated {
-    /// The peer speaks wire2: a live multiplexed connection.
-    Mux(Arc<MuxConn>),
-    /// The peer answered the preamble with a JSON line: a legacy
-    /// newline-JSON connection.
-    Legacy(Conn),
-}
-
 /// How one mux round trip failed.
 struct MuxFailure {
     /// Connection-level: the response can no longer arrive on this
@@ -595,16 +533,6 @@ struct MuxFailure {
     retryable: bool,
     timed_out: bool,
     error: ServeError,
-}
-
-/// What a mux forward produced.
-enum MuxServed {
-    /// A response frame (type, payload, bytes sent, bytes received).
-    Frame(FrameType, Vec<u8>, u64, u64),
-    /// The dial discovered a legacy peer mid-forward: the connection
-    /// went to the idle pool and the caller should take the legacy
-    /// JSON path.
-    PeerIsLegacy,
 }
 
 /// A TCP [`WorkerTransport`]: forwards requests to a
@@ -616,16 +544,13 @@ enum MuxServed {
 /// demux reader routes its response frame back — so parallel requests
 /// to one shard overlap their round trips without per-request
 /// sockets. Dialing is **lazy** (nothing until the first forward) and
-/// **negotiated**: a peer that does not speak v2 is detected on the
-/// first dial and served over the legacy pooled newline-JSON path for
-/// the life of this worker
-/// ([`with_legacy_json`](Self::with_legacy_json) forces that path
-/// without probing).
+/// **checked**: the node must answer the preamble with a `HelloAck`
+/// frame, and a peer that answers anything else fails the forward
+/// like an unreachable one.
 ///
-/// Failure semantics match the legacy transport exactly: a connect,
-/// send, or connection-drop failure retries once on a fresh
-/// connection before the error is reported, so a restarted node is
-/// picked back up without intervention. A **read timeout** is
+/// A connect, send, or connection-drop failure retries once on a
+/// fresh connection before the error is reported, so a restarted node
+/// is picked back up without intervention. A **read timeout** is
 /// deliberately *not* retried: the node may be alive and still
 /// executing the request, and resending the frame would execute it a
 /// second time exactly when the node is at its most loaded — the
@@ -637,20 +562,13 @@ enum MuxServed {
 pub struct RemoteWorker {
     addr: String,
     timeout: Duration,
-    /// Never negotiate v2 (forced by [`Self::with_legacy_json`]).
-    force_legacy: bool,
-    /// The peer answered the v2 preamble with a JSON line: stop
-    /// negotiating and speak legacy for the life of this worker.
-    peer_legacy: AtomicBool,
     /// The live multiplexed connection, if any.
     mux: Mutex<Option<Arc<MuxConn>>>,
-    /// Idle legacy connections (only used against legacy peers).
-    idle: Mutex<Vec<Conn>>,
     /// Current in-flight depth (feeds `TransportStats::max_in_flight`).
     in_flight: AtomicUsize,
     /// A failure happened since the last successful dial (drives
     /// reconnect accounting: a dial that clears this counts as a
-    /// reconnect, a dial that merely grows the pool does not).
+    /// reconnect, the first-ever dial does not).
     broken: AtomicBool,
     /// Circuit breaker: consecutive failed forwards, and when the
     /// last one happened. Once `consecutive_failures` reaches
@@ -667,12 +585,6 @@ pub struct RemoteWorker {
     counters: Arc<TransportCounters>,
 }
 
-/// Idle legacy connections kept per [`RemoteWorker`]; checkouts
-/// beyond this still dial (concurrency is unbounded), the surplus is
-/// just not pooled on return. Only the legacy-JSON fallback path
-/// pools connections — the v2 path multiplexes one socket.
-const REMOTE_WORKER_POOL: usize = 8;
-
 /// Default consecutive-failure threshold that opens a
 /// [`RemoteWorker`]'s circuit breaker (see
 /// [`RemoteWorker::with_breaker`]).
@@ -681,14 +593,6 @@ pub const REMOTE_WORKER_BREAKER_FAILURES: u64 = 3;
 /// Default cool-down an open [`RemoteWorker`] breaker waits before
 /// letting a half-open trial forward through.
 pub const REMOTE_WORKER_BREAKER_COOLDOWN: Duration = Duration::from_secs(1);
-
-/// An I/O failure, classified by whether it was a read timeout (the
-/// request may still be executing remotely — never resent) or a
-/// connection-level failure (safe to retry on a fresh connection).
-struct IoFailure {
-    timed_out: bool,
-    error: ServeError,
-}
 
 impl std::fmt::Debug for RemoteWorker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -712,10 +616,7 @@ impl RemoteWorker {
         RemoteWorker {
             addr: addr.to_string(),
             timeout: REMOTE_WORKER_TIMEOUT,
-            force_legacy: false,
-            peer_legacy: AtomicBool::new(false),
             mux: Mutex::new(None),
-            idle: Mutex::new(Vec::new()),
             in_flight: AtomicUsize::new(0),
             broken: AtomicBool::new(false),
             consecutive_failures: AtomicU64::new(0),
@@ -748,32 +649,16 @@ impl RemoteWorker {
         self
     }
 
-    /// Skip v2 negotiation entirely and speak the legacy pooled
-    /// newline-JSON protocol (what [`RemoteWorker`] falls back to
-    /// automatically when the peer rejects the preamble). Useful for
-    /// pinning interop behavior in tests or against intermediaries
-    /// that cannot pass unknown bytes through.
-    #[must_use]
-    pub fn with_legacy_json(mut self) -> RemoteWorker {
-        self.force_legacy = true;
-        self
-    }
-
     /// The target address this transport forwards to.
     pub fn addr(&self) -> &str {
         &self.addr
     }
 
-    fn legacy_peer(&self) -> bool {
-        self.force_legacy || self.peer_legacy.load(Ordering::Relaxed)
-    }
-
-    /// Dial and negotiate. Sends the v2 preamble (unless this worker
-    /// is pinned legacy) and sniffs the first reply byte: the frame
-    /// magic means a v2 node (consume its `HelloAck`, start the demux
-    /// reader); anything else is a legacy node answering with a JSON
-    /// error line (consume the line, remember the peer is legacy).
-    fn dial(&self) -> Result<Negotiated, ServeError> {
+    /// Dial, send the wire2 preamble and check the node's answer: a
+    /// `HelloAck` frame starts the demux reader; anything else — a
+    /// peer that speaks some other protocol, or another wire2 version
+    /// — is a transport error.
+    fn dial(&self) -> Result<Arc<MuxConn>, ServeError> {
         let io = |e: std::io::Error| ServeError::Transport(format!("{}: {e}", self.addr));
         let sockaddr = self
             .addr
@@ -789,108 +674,48 @@ impl RemoteWorker {
         stream.set_nodelay(true).map_err(io)?;
         let mut writer = stream;
         let mut reader = BufReader::new(writer.try_clone().map_err(io)?);
-        if self.legacy_peer() {
-            return Ok(Negotiated::Legacy(Conn { writer, reader }));
-        }
         writer.write_all(WIRE2_PREAMBLE).map_err(io)?;
-        writer.flush().map_err(io)?;
-        let first = loop {
-            match reader.fill_buf() {
-                Ok([]) => {
-                    return Err(ServeError::Transport(format!(
-                        "{}: node closed the connection during negotiation",
-                        self.addr
-                    )))
-                }
-                Ok(buf) => break buf[0],
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(io(e)),
-            }
-        };
-        if first == WIRE2_MAGIC {
-            match read_frame(&mut reader) {
-                Ok(Some((hdr, _))) if hdr.frame_type == FrameType::HelloAck => {}
-                Ok(_) => {
-                    return Err(ServeError::Transport(format!(
-                        "{}: unexpected frame during negotiation",
-                        self.addr
-                    )))
-                }
-                Err(e) => return Err(ServeError::Transport(format!("{}: {e}", self.addr))),
-            }
-            // The demux reader blocks without a read timeout (a
-            // timeout mid-frame would tear the stream for every
-            // in-flight forward); per-forward timeouts live on the
-            // waiters, and teardown wakes the reader via shutdown.
-            writer.set_read_timeout(None).map_err(io)?;
-            let wake = writer.try_clone().map_err(io)?;
-            let conn = Arc::new(MuxConn {
-                writer: Mutex::new(writer),
-                wake,
-                waiters: Mutex::new(HashMap::new()),
-                next_id: AtomicU32::new(1),
-                dead: AtomicBool::new(false),
-            });
-            let thread_conn = Arc::clone(&conn);
-            let counters = Arc::clone(&self.counters);
-            std::thread::Builder::new()
-                .name("willump-mux-reader".to_string())
-                .spawn(move || mux_reader(&thread_conn, &mut reader, &counters))
-                .map_err(io)?;
-            Ok(Negotiated::Mux(conn))
-        } else {
-            // A legacy node answered the preamble with a JSON error
-            // line: consume it, then reuse the connection as a
-            // perfectly good legacy one.
-            let mut line = Vec::new();
-            let n = reader.read_until(b'\n', &mut line).map_err(io)?;
-            if n == 0 {
+        match read_frame(&mut reader) {
+            Ok(Some((hdr, _))) if hdr.frame_type == FrameType::HelloAck => {}
+            Ok(Some(_)) => {
                 return Err(ServeError::Transport(format!(
-                    "{}: node closed the connection during negotiation",
+                    "{}: node answered the preamble with a frame that is not a HelloAck",
                     self.addr
-                )));
+                )))
             }
-            self.peer_legacy.store(true, Ordering::Relaxed);
-            Ok(Negotiated::Legacy(Conn { writer, reader }))
+            Ok(None) => {
+                return Err(ServeError::Transport(format!(
+                    "{}: node closed the connection during the handshake",
+                    self.addr
+                )))
+            }
+            Err(e) => {
+                return Err(ServeError::Transport(format!(
+                    "{}: no wire2 handshake: {e}",
+                    self.addr
+                )))
+            }
         }
-    }
-
-    /// One write + read round trip on an established legacy
-    /// connection.
-    fn round_trip(&self, conn: &mut Conn, frame: &str) -> Result<String, IoFailure> {
-        let io = |e: std::io::Error| IoFailure {
-            timed_out: matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ),
-            error: ServeError::Transport(format!("{}: {e}", self.addr)),
-        };
-        conn.writer.write_all(frame.as_bytes()).map_err(io)?;
-        conn.writer.write_all(b"\n").map_err(io)?;
-        conn.writer.flush().map_err(io)?;
-        self.counters
-            .bytes_sent
-            .fetch_add(frame.len() as u64 + 1, Ordering::Relaxed);
-        // Read raw bytes (a timeout mid-frame must not be confused
-        // with a UTF-8 boundary), then decode once the line is whole.
-        let mut buf = Vec::new();
-        let n = conn.reader.read_until(b'\n', &mut buf).map_err(io)?;
-        if n == 0 {
-            return Err(IoFailure {
-                timed_out: false,
-                error: ServeError::Transport(format!("{}: node closed the connection", self.addr)),
-            });
-        }
-        self.counters
-            .bytes_received
-            .fetch_add(n as u64, Ordering::Relaxed);
-        while matches!(buf.last(), Some(b'\n') | Some(b'\r')) {
-            buf.pop();
-        }
-        String::from_utf8(buf).map_err(|e| IoFailure {
-            timed_out: false,
-            error: ServeError::Transport(format!("{}: response is not UTF-8: {e}", self.addr)),
-        })
+        // The demux reader blocks without a read timeout (a timeout
+        // mid-frame would tear the stream for every in-flight
+        // forward); per-forward timeouts live on the waiters, and
+        // teardown wakes the reader via shutdown.
+        writer.set_read_timeout(None).map_err(io)?;
+        let wake = writer.try_clone().map_err(io)?;
+        let conn = Arc::new(MuxConn {
+            writer: Mutex::new(writer),
+            wake,
+            waiters: Mutex::new(HashMap::new()),
+            next_id: AtomicU32::new(1),
+            dead: AtomicBool::new(false),
+        });
+        let thread_conn = Arc::clone(&conn);
+        let counters = Arc::clone(&self.counters);
+        std::thread::Builder::new()
+            .name("willump-mux-reader".to_string())
+            .spawn(move || mux_reader(&thread_conn, &mut reader, &counters))
+            .map_err(io)?;
+        Ok(conn)
     }
 
     /// Fail this forward: remember the transport is broken (the next
@@ -952,59 +777,39 @@ impl RemoteWorker {
         }
     }
 
-    /// Return a healthy legacy connection to the idle pool (bounded).
-    fn check_in(&self, conn: Conn) {
-        let mut idle = self.idle.lock();
-        if idle.len() < REMOTE_WORKER_POOL {
-            idle.push(conn);
-        }
-    }
-
-    /// Get the live mux connection or dial one. `Ok(None)` means the
-    /// dial discovered a legacy peer (its connection went to the idle
-    /// pool and `peer_legacy` is now set).
-    fn mux_establish(&self) -> Result<Option<Arc<MuxConn>>, ServeError> {
+    /// Get the live mux connection or dial one.
+    fn mux_establish(&self) -> Result<Arc<MuxConn>, ServeError> {
         let mut slot = self.mux.lock();
         if let Some(conn) = slot.as_ref() {
             if !conn.dead.load(Ordering::Relaxed) {
-                return Ok(Some(Arc::clone(conn)));
+                return Ok(Arc::clone(conn));
             }
             // The connection died since the last successful dial
-            // (node restart, reader error): like a stale pooled
-            // legacy connection, the fresh dial below must count as
-            // a reconnect even when no forward failed in between.
+            // (node restart, reader error): the fresh dial below must
+            // count as a reconnect even when no forward failed in
+            // between.
             self.broken.store(true, Ordering::Relaxed);
         }
-        match self.dial()? {
-            Negotiated::Mux(conn) => {
-                if self.broken.swap(false, Ordering::Relaxed) {
-                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                *slot = Some(Arc::clone(&conn));
-                Ok(Some(conn))
-            }
-            Negotiated::Legacy(conn) => {
-                if self.broken.swap(false, Ordering::Relaxed) {
-                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                self.check_in(conn);
-                Ok(None)
-            }
+        let conn = self.dial()?;
+        if self.broken.swap(false, Ordering::Relaxed) {
+            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
         }
+        *slot = Some(Arc::clone(&conn));
+        Ok(conn)
     }
 
     /// One tagged round trip on an established mux connection: board
-    /// a waiter, write the frame (the writer lock covers the write
-    /// only, never the wait), then park until the demux reader routes
-    /// the response back or the per-forward timeout fires.
+    /// a waiter, write the request frame (the writer lock covers the
+    /// write only, never the wait), then park until the demux reader
+    /// routes the response back or the per-forward timeout fires.
+    /// Returns the response payload and the bytes sent and received.
     fn mux_round(
         &self,
         conn: &Arc<MuxConn>,
-        ftype: FrameType,
         payload: &[u8],
-    ) -> Result<(FrameType, Vec<u8>, u64, u64), MuxFailure> {
+    ) -> Result<(Vec<u8>, u64, u64), MuxFailure> {
         let id = conn.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = encode_frame(ftype, id, payload).map_err(|e| MuxFailure {
+        let frame = encode_frame(FrameType::BinRequest, id, payload).map_err(|e| MuxFailure {
             retryable: false,
             timed_out: false,
             error: e,
@@ -1041,9 +846,9 @@ impl RemoteWorker {
         let sent = frame.len() as u64;
         self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
         match rx.recv_timeout(self.timeout) {
-            Ok(MuxEvent::Frame(frame_type, body)) => {
+            Ok(MuxEvent::Frame(body)) => {
                 let received = (WIRE2_HEADER_LEN + body.len()) as u64;
-                Ok((frame_type, body, sent, received))
+                Ok((body, sent, received))
             }
             Ok(MuxEvent::Dropped) => Err(MuxFailure {
                 retryable: true,
@@ -1072,16 +877,17 @@ impl RemoteWorker {
 
     /// The shared mux forward path: breaker check, one round on the
     /// live connection, and — only for connection-level failures —
-    /// one retry on a fresh dial. `record: false` (counters probes)
-    /// skips the stats counters and breaker accounting.
-    fn mux_forward(
-        &self,
-        ftype: FrameType,
-        payload: &[u8],
-        record: bool,
-    ) -> Result<MuxServed, ServeError> {
-        // Probes (`record: false`) bypass the open breaker: they are
-        // exactly how an open shard is discovered to have recovered.
+    /// one retry on a fresh dial. `record: false` (probes) skips the
+    /// stats counters and breaker accounting, so periodic probes
+    /// cannot dilute the mean forward latency or flap the breaker.
+    /// Returns the response payload and the bytes sent and received.
+    fn mux_forward(&self, payload: &[u8], record: bool) -> Result<(Vec<u8>, u64, u64), ServeError> {
+        // Circuit breaker: a shard that keeps failing fails fast — no
+        // dial, no timeout wait — so keyed traffic sticky to a dead
+        // node degrades by one cheap error instead of a full connect
+        // timeout per request. Probes (`record: false`) bypass it:
+        // they are exactly how an open shard is discovered to have
+        // recovered.
         if record && self.breaker_open() {
             self.counters.failures.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Transport(format!(
@@ -1094,12 +900,12 @@ impl RemoteWorker {
         // Attempt 1: the live multiplexed connection, if any.
         let existing = { self.mux.lock().clone() };
         if let Some(conn) = existing.filter(|c| !c.dead.load(Ordering::Relaxed)) {
-            match self.mux_round(&conn, ftype, payload) {
-                Ok((frame_type, body, sent, received)) => {
+            match self.mux_round(&conn, payload) {
+                Ok(reply) => {
                     if record {
                         self.succeed(start);
                     }
-                    return Ok(MuxServed::Frame(frame_type, body, sent, received));
+                    return Ok(reply);
                 }
                 Err(f) if !f.retryable => return Err(self.fail_keep(f.error, record)),
                 // The connection dropped mid-flight: the response
@@ -1110,196 +916,39 @@ impl RemoteWorker {
             }
         }
         // Attempt 2: a fresh connection.
-        let conn = match self.mux_establish() {
-            Ok(Some(conn)) => conn,
-            Ok(None) => return Ok(MuxServed::PeerIsLegacy),
-            Err(e) => return Err(self.fail(e, record)),
-        };
-        match self.mux_round(&conn, ftype, payload) {
-            Ok((frame_type, body, sent, received)) => {
+        let conn = self.mux_establish().map_err(|e| self.fail(e, record))?;
+        match self.mux_round(&conn, payload) {
+            Ok(reply) => {
                 if record {
                     self.succeed(start);
                 }
-                Ok(MuxServed::Frame(frame_type, body, sent, received))
+                Ok(reply)
             }
             Err(f) if f.timed_out => Err(self.fail_keep(f.error, record)),
             Err(f) => Err(self.fail(f.error, record)),
         }
     }
 
-    /// The shared legacy-JSON forward path (pooled connections);
-    /// `record: false` (counters probes) skips the stats counters and
-    /// breaker accounting, so periodic probes cannot dilute the mean
-    /// forward latency or flap the breaker.
-    fn forward_impl(&self, frame: &str, record: bool) -> Result<String, ServeError> {
-        // Circuit breaker: a shard that keeps failing fails fast —
-        // no dial, no timeout wait — so keyed traffic sticky to a
-        // dead node degrades by one cheap error instead of a full
-        // connect timeout per request. Probes (`record: false`)
-        // bypass it — they are how recovery is discovered.
-        if record && self.breaker_open() {
-            self.counters.failures.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Transport(format!(
-                "{}: circuit open after {} consecutive failures",
-                self.addr,
-                self.consecutive_failures.load(Ordering::Relaxed)
-            )));
-        }
-        let start = Instant::now();
-        // Attempt 1: a pooled idle connection, held OUTSIDE the pool
-        // lock so concurrent forwards overlap their round trips (the
-        // pop is bound to a `let` first — an `if let` scrutinee would
-        // keep the pool locked for the whole block).
-        let pooled = self.idle.lock().pop();
-        if let Some(mut conn) = pooled {
-            match self.round_trip(&mut conn, frame) {
-                Ok(line) => {
-                    if record {
-                        self.succeed(start);
-                    }
-                    self.check_in(conn);
-                    return Ok(line);
-                }
-                // The node may still be executing this request: do
-                // NOT resend it (that would double-execute exactly
-                // when the node is most loaded). Fail and let the
-                // runtime's shard fail-over decide.
-                Err(f) if f.timed_out => return Err(self.fail(f.error, record)),
-                // A dropped/stale pooled connection (e.g. the node
-                // restarted): the response cannot arrive on it, so a
-                // single fresh-connection retry is safe. Mark the
-                // transport broken — the fresh dial below counts as
-                // a reconnect — and fall through.
-                Err(_) => self.broken.store(true, Ordering::Relaxed),
-            }
-        }
-        // Attempt 2: a fresh connection.
-        let mut conn = match self.dial() {
-            Ok(Negotiated::Legacy(conn)) => {
-                if self.broken.swap(false, Ordering::Relaxed) {
-                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                conn
-            }
-            // Unreachable in practice: this path only runs once the
-            // peer is known legacy, and dial() then skips
-            // negotiation entirely.
-            Ok(Negotiated::Mux(mux)) => {
-                mux.kill();
-                return Err(self.fail(
-                    ServeError::Transport(format!(
-                        "{}: peer switched protocols between connections",
-                        self.addr
-                    )),
-                    record,
-                ));
-            }
-            Err(e) => return Err(self.fail(e, record)),
-        };
-        match self.round_trip(&mut conn, frame) {
-            Ok(line) => {
-                if record {
-                    self.succeed(start);
-                }
-                self.check_in(conn);
-                Ok(line)
-            }
-            Err(f) => Err(self.fail(f.error, record)),
-        }
-    }
-
-    /// Forward one raw legacy JSON frame: over the mux (as an opaque
-    /// [`FrameType::JsonRequest`]) when the peer speaks v2, else over
-    /// the pooled legacy path.
-    fn forward_raw(&self, frame: &str, record: bool) -> Result<String, ServeError> {
-        // The JSON encoder escapes control characters inside strings,
-        // so a well-formed frame is always newline-free; reject
-        // anything else rather than desynchronize the stream.
-        if frame.contains('\n') {
-            if record {
-                self.counters.failures.fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(ServeError::Transport(
-                "frame contains a raw newline".to_string(),
-            ));
-        }
-        let _guard = enter_in_flight(&self.in_flight, &self.counters);
-        if self.legacy_peer() {
-            return self.forward_impl(frame, record);
-        }
-        match self.mux_forward(FrameType::JsonRequest, frame.as_bytes(), record)? {
-            MuxServed::PeerIsLegacy => self.forward_impl(frame, record),
-            MuxServed::Frame(FrameType::JsonResponse, body, _, _) => String::from_utf8(body)
-                .map_err(|e| {
-                    self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    ServeError::Transport(format!("{}: response is not UTF-8: {e}", self.addr))
-                }),
-            MuxServed::Frame(other, _, _, _) => {
-                self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Transport(format!(
-                    "{}: unexpected {other:?} response to a JSON frame",
-                    self.addr
-                )))
-            }
-        }
-    }
-
-    /// Forward one structured request, binary end to end when the
-    /// peer speaks v2.
+    /// Forward one request as a binary frame and decode the reply.
     fn forward_request_impl(
         &self,
         req: &Request,
         record: bool,
     ) -> Result<ForwardReply, ServeError> {
         let _guard = enter_in_flight(&self.in_flight, &self.counters);
-        if self.legacy_peer() {
-            return self.forward_request_legacy(req, record);
-        }
         let payload = encode_request_payload(req);
-        match self.mux_forward(FrameType::BinRequest, &payload, record)? {
-            MuxServed::PeerIsLegacy => self.forward_request_legacy(req, record),
-            MuxServed::Frame(frame_type, body, bytes_sent, bytes_received) => {
-                let decoded = match frame_type {
-                    FrameType::BinResponse => decode_response_payload(&body),
-                    FrameType::JsonResponse => std::str::from_utf8(&body)
-                        .map_err(|e| ServeError::Codec(format!("response is not UTF-8: {e}")))
-                        .and_then(decode_response),
-                    other => Err(ServeError::Codec(format!(
-                        "unexpected {other:?} response to a binary request"
-                    ))),
-                };
-                match decoded {
-                    Ok(response) => Ok(ForwardReply {
-                        response,
-                        bytes_sent,
-                        bytes_received,
-                    }),
-                    Err(e) => {
-                        self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        Err(self.fail_keep(
-                            ServeError::Transport(format!("{}: {e}", self.addr)),
-                            record,
-                        ))
-                    }
-                }
+        let (body, bytes_sent, bytes_received) = self.mux_forward(&payload, record)?;
+        match decode_response_payload(&body) {
+            Ok(response) => Ok(ForwardReply {
+                response,
+                bytes_sent,
+                bytes_received,
+            }),
+            Err(e) => {
+                self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                Err(self.fail_keep(ServeError::Transport(format!("{}: {e}", self.addr)), record))
             }
         }
-    }
-
-    /// The structured forward over the legacy pooled JSON path.
-    fn forward_request_legacy(
-        &self,
-        req: &Request,
-        record: bool,
-    ) -> Result<ForwardReply, ServeError> {
-        let frame = encode_request(req)?;
-        let wire = self.forward_impl(&frame, record)?;
-        let response = decode_response(&wire)?;
-        Ok(ForwardReply {
-            response,
-            bytes_sent: frame.len() as u64 + 1,
-            bytes_received: wire.len() as u64 + 1,
-        })
     }
 }
 
@@ -1314,10 +963,6 @@ impl Drop for RemoteWorker {
 }
 
 impl WorkerTransport for RemoteWorker {
-    fn forward(&self, frame: &str) -> Result<String, ServeError> {
-        self.forward_raw(frame, true)
-    }
-
     fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError> {
         self.forward_request_impl(req, true)
     }
@@ -1338,10 +983,10 @@ impl WorkerTransport for RemoteWorker {
     /// reads [`BreakerState::Probing`] while one is in flight), and a
     /// successful probe closes it — this is how a health prober
     /// re-admits a recovered node.
-    fn forward_probe(&self, frame: &str) -> Result<String, ServeError> {
+    fn forward_probe(&self, req: &Request) -> Result<Response, ServeError> {
         self.counters.probes_sent.fetch_add(1, Ordering::Relaxed);
         self.probing.store(true, Ordering::Relaxed);
-        let result = self.forward_raw(frame, false);
+        let result = self.forward_request_impl(req, false);
         self.probing.store(false, Ordering::Relaxed);
         if result.is_ok() {
             self.counters.probes_ok.fetch_add(1, Ordering::Relaxed);
@@ -1349,7 +994,7 @@ impl WorkerTransport for RemoteWorker {
             // forwards flow again (automatic re-admission).
             self.consecutive_failures.store(0, Ordering::Relaxed);
         }
-        result
+        result.map(|reply| reply.response)
     }
 
     fn breaker_state(&self) -> BreakerState {
@@ -1359,20 +1004,13 @@ impl WorkerTransport for RemoteWorker {
 
 // ---- the host side -------------------------------------------------
 
-/// Upper bound on the first line read while sniffing a connection's
-/// protocol: a client that sends this much without a newline speaks
-/// neither wire2 nor newline-JSON and is dropped.
-const NODE_PROBE_LIMIT: usize = 64 * 1024;
-
 /// Least free room a connection's read buffer offers one `read`.
 const NODE_READ_CHUNK: usize = 16 * 1024;
 
-/// Which protocol a node-side connection speaks.
+/// Where a node-side connection stands in the protocol.
 enum ConnMode {
-    /// First line not seen yet.
-    Probing,
-    /// Legacy newline-delimited JSON.
-    Json,
+    /// The [`WIRE2_PREAMBLE`] has not been read whole yet.
+    AwaitingPreamble,
     /// Multiplexed wire2 frames.
     Wire2,
 }
@@ -1452,10 +1090,6 @@ struct ConnShared {
     in_flight: AtomicUsize,
     /// Stop reading; close once in-flight work and writes drain.
     draining: AtomicBool,
-    /// A Json-mode line is with a dispatch worker: a pipelined legacy
-    /// client expects responses in request order (there are no mux
-    /// ids on that path), so its lines are dispatched one at a time.
-    json_busy: AtomicBool,
 }
 
 /// Write as much of `bytes` as the socket takes right now; returns
@@ -1546,8 +1180,6 @@ struct NodeConn {
     mode: ConnMode,
     /// Unparsed inbound bytes.
     rbuf: ReadBuf,
-    /// Legacy lines waiting their turn (see [`ConnShared::json_busy`]).
-    json_queue: VecDeque<String>,
     /// Drop the connection now (protocol violation or I/O error).
     fatal: bool,
 }
@@ -1561,11 +1193,9 @@ impl NodeConn {
                 backlog: AtomicBool::new(false),
                 in_flight: AtomicUsize::new(0),
                 draining: AtomicBool::new(false),
-                json_busy: AtomicBool::new(false),
             }),
-            mode: ConnMode::Probing,
+            mode: ConnMode::AwaitingPreamble,
             rbuf: ReadBuf::default(),
-            json_queue: VecDeque::new(),
             fatal: false,
         }
     }
@@ -1593,7 +1223,7 @@ impl NodeConn {
     }
 
     /// Flush, then decide whether the connection is finished: dead,
-    /// or draining with nothing left in flight, queued or unsent.
+    /// or draining with nothing left in flight or unsent.
     fn finished(&self, counters: &TransportCounters) -> bool {
         // Read before the outbox is looked at: a completion queues
         // its bytes first and gives up its in-flight count second, so
@@ -1610,7 +1240,7 @@ impl NodeConn {
         } else {
             false
         };
-        !unsent && idle && self.draining() && self.json_queue.is_empty()
+        !unsent && idle && self.draining()
     }
 }
 
@@ -1618,8 +1248,7 @@ impl NodeConn {
 ///
 /// The loop blocks in `poll` with no timeout, and a completion that
 /// leaves it something to do — bytes the socket did not take, a
-/// draining connection's last answer, a finished legacy line —
-/// changes state `poll` cannot see, so `attention`, `parked` and
+/// draining connection's last answer — changes state `poll` cannot see, so `attention`, `parked` and
 /// `waker` close the gap. The loop stores `parked = true`, looks at
 /// `attention` once more, then polls; a completion publishes its
 /// state, stores `attention = true`, loads `parked`, and rings the
@@ -1651,8 +1280,7 @@ impl NodeShared {
 }
 
 /// One request in flight on a connection, held by whoever will answer
-/// it — for a wire2 request the completion sink inside the runtime's
-/// job. It carries an `Arc` to *its* connection, so an answer can
+/// it: the completion sink inside the runtime's job. It carries an `Arc` to *its* connection, so an answer can
 /// only ever reach the peer that asked. Dropped unanswered (the
 /// runtime shut down under the request), it drains the connection.
 struct InFlight {
@@ -1677,8 +1305,8 @@ impl InFlight {
         }
     }
 
-    /// The request was served: write its response frame or line
-    /// through to the connection.
+    /// The request was served: write its response frame through to
+    /// the connection.
     fn complete(&self, bytes: &[u8]) {
         if self.answered.replace(true) {
             return;
@@ -1712,24 +1340,6 @@ impl Drop for InFlight {
     }
 }
 
-/// One unit of work for the dispatch pool: the lane for everything
-/// whose admission may block.
-enum NodeJob {
-    /// A legacy newline-JSON line.
-    Json { ticket: InFlight, line: String },
-    /// A legacy JSON frame carried opaquely over the mux (a v2
-    /// client's raw-frame forward).
-    JsonFramed {
-        ticket: InFlight,
-        mux_id: u32,
-        payload: Vec<u8>,
-    },
-    /// A binary request the loop routed but could not finish
-    /// admitting without blocking: it goes on to a remote shard, or
-    /// its worker's queue is full.
-    Resume(Deferred),
-}
-
 /// Encode a response into a `BinResponse` frame; a response so large
 /// it exceeds the frame bound degrades to an in-band error frame.
 fn response_frame(mux_id: u32, resp: &Response) -> Vec<u8> {
@@ -1739,45 +1349,15 @@ fn response_frame(mux_id: u32, resp: &Response) -> Vec<u8> {
     })
 }
 
-/// A dispatch worker: runs the admissions that may block — legacy
-/// JSON in either framing, deferred binary requests — against the
-/// hosted runtime. Exits when the job channel disconnects (the event
-/// loop owns the sender).
-fn node_worker(jobs: &Receiver<NodeJob>, client: &RuntimeClient, shared: &NodeShared) {
-    while let Ok(job) = jobs.recv() {
-        match job {
-            // On failure the sink inside is dropped unanswered, which
-            // drains its connection.
-            NodeJob::Resume(deferred) => {
-                let _ = client.resume(deferred);
-            }
-            NodeJob::Json { ticket, line } => {
-                if let Ok(wire) = client.call_raw(line) {
-                    let mut bytes = wire.into_bytes();
-                    bytes.push(b'\n');
-                    ticket.complete(&bytes);
-                }
-                let conn = Arc::clone(&ticket.conn);
-                drop(ticket);
-                // The connection's next queued line is the loop's to
-                // dispatch.
-                conn.json_busy.store(false, Ordering::SeqCst);
-                shared.wake_loop();
-            }
-            NodeJob::JsonFramed {
-                ticket,
-                mux_id,
-                payload,
-            } => {
-                let line = String::from_utf8_lossy(&payload).into_owned();
-                let frame = client.call_raw(line).ok().and_then(|wire| {
-                    encode_frame(FrameType::JsonResponse, mux_id, wire.as_bytes()).ok()
-                });
-                if let Some(bytes) = frame {
-                    ticket.complete(&bytes);
-                }
-            }
-        }
+/// A dispatch worker: finishes the admissions the loop deferred
+/// because they may block — a request routed onward to a remote
+/// shard, or one whose worker queue is full. Exits when the job
+/// channel disconnects (the event loop owns the sender).
+fn node_worker(jobs: &Receiver<Deferred>, client: &RuntimeClient) {
+    while let Ok(deferred) = jobs.recv() {
+        // On failure the sink inside is dropped unanswered, which
+        // drains its connection.
+        let _ = client.resume(deferred);
     }
 }
 
@@ -1820,11 +1400,11 @@ fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
 struct NodeLanes<'a> {
     shared: &'a Arc<NodeShared>,
     client: &'a RuntimeClient,
-    jobs: &'a Sender<NodeJob>,
+    jobs: &'a Sender<Deferred>,
 }
 
 impl NodeLanes<'_> {
-    /// Admit one decoded binary request from the loop thread. The
+    /// Admit one decoded request from the loop thread. The
     /// runtime routes it here and queues it for the worker that owns
     /// its shard; the sink — run by that worker — encodes the response
     /// and writes it through to the connection, so the loop and the
@@ -1836,69 +1416,42 @@ impl NodeLanes<'_> {
         // A runtime that has shut down drops the sink, which drains
         // the connection.
         if let Ok(Some(deferred)) = self.client.submit(req, sink) {
-            let _ = self.jobs.send(NodeJob::Resume(deferred));
-        }
-    }
-
-    /// Dispatch a Json-mode connection's next line unless one is
-    /// still with a worker.
-    fn pump_json(&self, conn: &mut NodeConn) {
-        if conn.shared.json_busy.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Some(line) = conn.json_queue.pop_front() {
-            conn.shared.json_busy.store(true, Ordering::SeqCst);
-            let ticket = InFlight::begin(&conn.shared, self.shared);
-            let _ = self.jobs.send(NodeJob::Json { ticket, line });
+            let _ = self.jobs.send(deferred);
         }
     }
 }
 
-/// Parse buffered bytes into admitted requests and dispatch-pool jobs
-/// according to the connection's mode, then compact the read buffer.
+/// Parse buffered bytes into admitted requests and dispatch-pool jobs,
+/// then compact the read buffer.
 fn node_parse(conn: &mut NodeConn, lanes: &NodeLanes<'_>) {
     while !conn.fatal && node_parse_one(conn, lanes) {}
     conn.rbuf.compact();
-    lanes.pump_json(conn);
 }
 
-/// Consume one line or frame from the front of the read buffer.
-/// Returns false when the buffered bytes hold no complete one, or the
-/// connection stopped parsing.
+/// Consume the preamble or one frame from the front of the read
+/// buffer. Returns false when the buffered bytes hold no complete
+/// one, or the connection stopped parsing.
 fn node_parse_one(conn: &mut NodeConn, lanes: &NodeLanes<'_>) -> bool {
     let counters = &lanes.shared.counters;
     let unread = conn.rbuf.unread();
     match conn.mode {
-        ConnMode::Probing | ConnMode::Json => {
-            let Some(nl) = unread.iter().position(|&b| b == b'\n') else {
-                if unread.len() > NODE_PROBE_LIMIT {
-                    // Neither protocol produces a line this long:
-                    // wire2 opens with a 14-byte preamble, and legacy
-                    // frames are newline-delimited.
-                    counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    conn.fatal = true;
-                }
+        ConnMode::AwaitingPreamble => {
+            // Compared as far as it has arrived, so a peer speaking
+            // anything else is refused on its first bytes rather than
+            // left waiting for a preamble that never completes.
+            let n = unread.len().min(WIRE2_PREAMBLE.len());
+            if unread[..n] != WIRE2_PREAMBLE[..n] {
+                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                conn.fatal = true;
                 return false;
-            };
-            let mut line = &unread[..nl];
-            while let [rest @ .., b'\r'] = line {
-                line = rest;
             }
-            let preamble =
-                matches!(conn.mode, ConnMode::Probing) && line == WIRE2_PREAMBLE_LINE.as_bytes();
-            let text = (!preamble).then(|| String::from_utf8_lossy(line).into_owned());
-            conn.rbuf.consume(nl + 1);
-            match text {
-                None => {
-                    conn.mode = ConnMode::Wire2;
-                    if let Ok(ack) = encode_frame(FrameType::HelloAck, 0, &[]) {
-                        conn.shared.send(&ack, counters);
-                    }
-                }
-                Some(text) => {
-                    conn.mode = ConnMode::Json;
-                    conn.json_queue.push_back(text);
-                }
+            if n < WIRE2_PREAMBLE.len() {
+                return false;
+            }
+            conn.rbuf.consume(n);
+            conn.mode = ConnMode::Wire2;
+            if let Ok(ack) = encode_frame(FrameType::HelloAck, 0, &[]) {
+                conn.shared.send(&ack, counters);
             }
             true
         }
@@ -1962,14 +1515,7 @@ fn node_parse_one(conn: &mut NodeConn, lanes: &NodeLanes<'_>) -> bool {
                         conn.shared.send(&response_frame(mux_id, &resp), counters);
                     }
                 },
-                FrameType::JsonRequest => {
-                    let _ = lanes.jobs.send(NodeJob::JsonFramed {
-                        ticket: InFlight::begin(&conn.shared, lanes.shared),
-                        mux_id,
-                        payload: payload.to_vec(),
-                    });
-                }
-                FrameType::BinResponse | FrameType::JsonResponse | FrameType::HelloAck => {
+                FrameType::BinResponse | FrameType::HelloAck => {
                     // Clients send request frames; anything else
                     // means the stream is desynchronized.
                     counters.decode_errors.fetch_add(1, Ordering::Relaxed);
@@ -2039,7 +1585,7 @@ fn node_event_loop(
     wake: &WakeListener,
     shared: &Arc<NodeShared>,
     client: &RuntimeClient,
-    jobs: &Sender<NodeJob>,
+    jobs: &Sender<Deferred>,
 ) {
     let counters = &shared.counters;
     let lanes = NodeLanes {
@@ -2114,19 +1660,18 @@ fn node_event_loop(
 /// sharding story.
 ///
 /// A single `poll(2)`-driven event loop over nonblocking sockets owns
-/// every accepted connection: it sniffs each connection's first line
-/// to pick wire2 or legacy-JSON mode, reassembles frames with a
-/// bounded read, decodes each binary request where it lies and admits
-/// it into the runtime without blocking. The response never comes
+/// every accepted connection: it refuses a connection that does not
+/// open with the wire2 preamble, reassembles frames with a bounded
+/// read, decodes each request where it lies and admits it into the
+/// runtime without blocking. The response never comes
 /// back to the loop: the runtime worker that produced it encodes the
 /// frame and writes it through the connection's shared write half, so
 /// a request costs the node two thread hand-offs — the loop on the
 /// bytes, the worker on the queue — and the loop hears of a
 /// completion only when the socket would not take all of its bytes.
-/// Admissions that may block (legacy JSON in either framing, a frame
-/// this node forwards onward to a remote shard of its own, a full
-/// worker queue) go to a small fixed pool of dispatch workers
-/// instead, chosen by what the frame is. There is no
+/// Admissions that may block (a frame this node forwards onward to a
+/// remote shard of its own, a full worker queue) go to a small fixed
+/// pool of dispatch workers instead. There is no
 /// thread-per-connection: hundreds of idle multiplexed clients cost
 /// one thread total, and that thread sleeps in the kernel until a
 /// socket has something for it.
@@ -2191,15 +1736,14 @@ impl RemoteRuntimeNode {
             in_flight: AtomicUsize::new(0),
             sweeps: AtomicU64::new(0),
         });
-        let (jobs_tx, jobs_rx) = unbounded::<NodeJob>();
+        let (jobs_tx, jobs_rx) = unbounded::<Deferred>();
         let mut handles = Vec::with_capacity(workers.max(1));
         for i in 0..workers.max(1) {
             let jobs = jobs_rx.clone();
             let client = runtime.client();
-            let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("willump-node-{i}"))
-                .spawn(move || node_worker(&jobs, &client, &shared))
+                .spawn(move || node_worker(&jobs, &client))
                 .map_err(|e| ServeError::Transport(format!("spawn node worker: {e}")))?;
             handles.push(handle);
         }
@@ -2278,9 +1822,9 @@ fn drain<R: std::io::Read>(mut r: R) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::decode_request;
     use crate::server::{Servable, ServerConfig};
     use crate::wire2::{encode_header, MAX_FRAME_PAYLOAD};
+    use std::io::BufRead;
     use willump_data::{Table, Value};
 
     struct Scaler(f64);
@@ -2302,10 +1846,6 @@ mod tests {
         b.build().expect("runtime builds")
     }
 
-    fn frame(id: u64, x: f64) -> String {
-        encode_request(&request(id, x)).expect("encodable")
-    }
-
     fn request(id: u64, x: f64) -> Request {
         Request {
             endpoint: Some("scale".to_string()),
@@ -2313,11 +1853,20 @@ mod tests {
         }
     }
 
+    /// The scores of one forward, which must succeed.
+    fn scores(worker: &impl WorkerTransport, id: u64, x: f64) -> Vec<f64> {
+        worker
+            .forward_request(&request(id, x))
+            .expect("forwarded")
+            .response
+            .scores
+    }
+
     #[test]
     fn remote_worker_round_trips_through_node() {
         let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
         let worker = RemoteWorker::new(&node.local_addr().to_string());
-        let resp = decode_response(&worker.forward(&frame(7, 3.0)).unwrap()).unwrap();
+        let resp = worker.forward_request(&request(7, 3.0)).unwrap().response;
         assert_eq!(resp.id, 7);
         assert_eq!(resp.scores, vec![6.0]);
         let stats = worker.stats();
@@ -2354,20 +1903,19 @@ mod tests {
         let mut node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
         let addr = node.local_addr().to_string();
         let worker = RemoteWorker::new(&addr).with_timeout(Duration::from_secs(2));
-        assert!(worker.forward(&frame(1, 1.0)).is_ok());
+        assert!(worker.forward_request(&request(1, 1.0)).is_ok());
         node.shutdown();
 
         // Node down: the forward fails (counted), connection dropped.
         assert!(matches!(
-            worker.forward(&frame(2, 1.0)),
+            worker.forward_request(&request(2, 1.0)),
             Err(ServeError::Transport(_))
         ));
         assert_eq!(worker.stats().failures, 1);
 
         // Node back (same port): the next forward reconnects.
         let mut node2 = RemoteRuntimeNode::bind(&addr, runtime(2.0)).expect("rebinds");
-        let resp = decode_response(&worker.forward(&frame(3, 5.0)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![10.0]);
+        assert_eq!(scores(&worker, 3, 5.0), vec![10.0]);
         assert_eq!(worker.stats().reconnects, 1);
 
         // Restart again while the worker holds a live-looking mux
@@ -2376,8 +1924,7 @@ mod tests {
         // failure, since the forward succeeds.
         node2.shutdown();
         let _node3 = RemoteRuntimeNode::bind(&addr, runtime(2.0)).expect("rebinds again");
-        let resp = decode_response(&worker.forward(&frame(4, 7.0)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![14.0]);
+        assert_eq!(scores(&worker, 4, 7.0), vec![14.0]);
         assert_eq!(worker.stats().reconnects, 2);
         assert_eq!(worker.stats().failures, 1);
     }
@@ -2389,14 +1936,14 @@ mod tests {
         let worker = RemoteWorker::new(&addr)
             .with_timeout(Duration::from_secs(2))
             .with_breaker(2, Duration::from_millis(100));
-        assert!(worker.forward(&frame(1, 1.0)).is_ok());
+        assert!(worker.forward_request(&request(1, 1.0)).is_ok());
         node.shutdown();
 
         // Two real failures open the breaker…
-        assert!(worker.forward(&frame(2, 1.0)).is_err());
-        assert!(worker.forward(&frame(3, 1.0)).is_err());
+        assert!(worker.forward_request(&request(2, 1.0)).is_err());
+        assert!(worker.forward_request(&request(3, 1.0)).is_err());
         // …after which forwards fail fast without dialing.
-        match worker.forward(&frame(4, 1.0)) {
+        match worker.forward_request(&request(4, 1.0)) {
             Err(ServeError::Transport(msg)) => {
                 assert!(msg.contains("circuit open"), "got: {msg}");
             }
@@ -2408,16 +1955,18 @@ mod tests {
         // half-open trial succeeds and closes the breaker.
         let _node2 = RemoteRuntimeNode::bind(&addr, runtime(2.0)).expect("rebinds");
         std::thread::sleep(Duration::from_millis(150));
-        let resp = decode_response(&worker.forward(&frame(5, 3.0)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![6.0]);
-        assert!(worker.forward(&frame(6, 1.0)).is_ok(), "breaker closed");
+        assert_eq!(scores(&worker, 5, 3.0), vec![6.0]);
+        assert!(
+            worker.forward_request(&request(6, 1.0)).is_ok(),
+            "breaker closed"
+        );
     }
 
     #[test]
     fn counter_probes_do_not_count_as_forwards() {
         let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
         let worker = RemoteWorker::new(&node.local_addr().to_string());
-        assert!(worker.forward(&frame(1, 1.0)).is_ok());
+        assert!(worker.forward_request(&request(1, 1.0)).is_ok());
         let before = worker.stats();
         // Probes must not inflate forwards or dilute mean latency.
         assert!(worker.probe_counters("scale", 1).is_ok());
@@ -2426,45 +1975,61 @@ mod tests {
         assert_eq!(after.forwards, before.forwards);
         assert_eq!(after.total_nanos, before.total_nanos);
         assert_eq!(after.failures, before.failures);
+        assert_eq!((after.probes_sent, after.probes_ok), (2, 2));
     }
 
     #[test]
     fn concurrent_forwards_overlap_via_the_mux() {
-        struct SlowScaler(Duration);
-        impl Servable for SlowScaler {
+        /// Holds every prediction until a second one has entered
+        /// `predict_table` too, so no forward can finish unless
+        /// another was in flight beside it.
+        struct Rendezvous {
+            entered: std::sync::Mutex<usize>,
+            arrived: std::sync::Condvar,
+        }
+        impl Servable for Rendezvous {
             fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
-                std::thread::sleep(self.0);
+                let mut entered = self.entered.lock().expect("not poisoned");
+                *entered += 1;
+                self.arrived.notify_all();
+                while *entered < 2 {
+                    entered = self.arrived.wait(entered).expect("not poisoned");
+                }
+                drop(entered);
                 Scaler(2.0).predict_table(table)
             }
         }
-        let mut b = ServingRuntime::builder();
-        b.config(ServerConfig::builder().workers(4).build());
-        b.endpoint("scale", Arc::new(SlowScaler(Duration::from_millis(200))))
+        let stats = under_watchdog(|| {
+            let mut b = ServingRuntime::builder();
+            b.config(ServerConfig::builder().workers(4).build());
+            b.endpoint(
+                "scale",
+                Arc::new(Rendezvous {
+                    entered: std::sync::Mutex::new(0),
+                    arrived: std::sync::Condvar::new(),
+                }),
+            )
             .shards(4);
-        let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
-        let worker = Arc::new(RemoteWorker::new(&node.local_addr().to_string()));
+            let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
+            let worker = RemoteWorker::new(&node.local_addr().to_string());
 
-        // 4 concurrent forwards through ONE transport: a serialized
-        // connection would need >= 800ms; the mux tags each forward
-        // and overlaps the round trips on a single socket.
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for i in 0..4u64 {
-                let worker = Arc::clone(&worker);
-                s.spawn(move || {
-                    let reply = worker.forward_request(&request(i + 1, i as f64)).unwrap();
-                    assert_eq!(reply.response.scores, vec![2.0 * i as f64]);
-                });
-            }
+            // 4 concurrent forwards through ONE transport: a
+            // connection that serialized its round trips would wait
+            // at the rendezvous forever; the mux tags each forward
+            // and overlaps them on a single socket.
+            std::thread::scope(|s| {
+                for i in 0..4u64 {
+                    let worker = &worker;
+                    s.spawn(move || {
+                        assert_eq!(scores(worker, i + 1, i as f64), vec![2.0 * i as f64]);
+                    });
+                }
+            });
+            worker.stats()
         });
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(600),
-            "4 x 200ms forwards must overlap, took {elapsed:?}"
-        );
-        assert_eq!(worker.stats().forwards, 4);
-        assert_eq!(worker.stats().failures, 0);
-        assert!(worker.stats().max_in_flight >= 2, "forwards overlapped");
+        assert_eq!(stats.forwards, 4);
+        assert_eq!(stats.failures, 0);
+        assert!(stats.max_in_flight >= 2, "forwards overlapped");
     }
 
     #[test]
@@ -2475,26 +2040,17 @@ mod tests {
         // for one runtime dedupe while distinct runtimes do not.
         assert!(worker.describe().starts_with("in-process:"));
         assert_eq!(worker.describe(), InProcessWorker::new(&target).describe());
-        let resp = decode_response(&worker.forward(&frame(4, 2.0)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![6.0]);
-        assert_eq!(worker.stats().forwards, 1);
-        // The struct-native path skips the JSON boundary entirely.
+        // Nothing is serialized: the request crosses as a struct.
         let reply = worker.forward_request(&request(6, 2.0)).unwrap();
         assert_eq!(reply.response.scores, vec![6.0]);
         assert_eq!((reply.bytes_sent, reply.bytes_received), (0, 0));
+        assert_eq!(worker.stats().forwards, 1);
+        // Its probes take the same path and count as forwards.
+        assert!(worker.probe_counters("scale", 1).is_ok());
         assert_eq!(worker.stats().forwards, 2);
         drop(target);
-        assert!(worker.forward(&frame(5, 1.0)).is_err());
+        assert!(worker.forward_request(&request(5, 1.0)).is_err());
         assert_eq!(worker.stats().failures, 1);
-    }
-
-    #[test]
-    fn newline_frames_are_rejected_not_sent() {
-        let worker = RemoteWorker::new("127.0.0.1:1");
-        assert!(matches!(
-            worker.forward("{\"id\":1}\n{\"id\":2}"),
-            Err(ServeError::Transport(_))
-        ));
     }
 
     /// How long anything below may take before it counts as hung. The
@@ -2969,7 +2525,7 @@ mod tests {
             release: Receiver<()>,
         }
         impl WorkerTransport for Stuck {
-            fn forward(&self, _: &str) -> Result<String, ServeError> {
+            fn forward_request(&self, _: &Request) -> Result<ForwardReply, ServeError> {
                 let _ = self.entered.send(());
                 let _ = self.release.recv();
                 Err(ServeError::Transport("downstream is dead".to_string()))
@@ -3064,111 +2620,95 @@ mod tests {
         assert_eq!(node.transport_stats().decode_errors, 0);
     }
 
-    /// A hand-rolled legacy node: speaks only newline-JSON and — like
-    /// a pre-wire2 node — answers the v2 preamble with a JSON error
-    /// line (its runtime would reject the preamble as unparseable).
-    fn spawn_legacy_node() -> SocketAddr {
+    /// A stand-in for a node that predates wire2, serving
+    /// `connections` connections one after another. It reads
+    /// newline-delimited JSON, so the only line it ever gets — the
+    /// preamble — is answered with a JSON decode-error line.
+    fn spawn_legacy_node(connections: usize) -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
         let addr = listener.local_addr().expect("addr");
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { return };
-                std::thread::spawn(move || {
-                    let Ok(read_side) = stream.try_clone() else {
-                        return;
+        let node = std::thread::spawn(move || {
+            for stream in listener.incoming().take(connections) {
+                let stream = stream.expect("accepts");
+                let mut writer = stream.try_clone().expect("clones");
+                for line in BufReader::new(stream).lines() {
+                    let Ok(line) = line else { break };
+                    let Err(e) = crate::protocol::decode_request(&line) else {
+                        break;
                     };
-                    let mut reader = BufReader::new(read_side);
-                    let mut writer = stream;
-                    let mut line = String::new();
-                    loop {
-                        line.clear();
-                        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                            return;
-                        }
-                        let resp = match decode_request(line.trim_end()) {
-                            Ok(req) => {
-                                let scores: Vec<f64> = req
-                                    .rows
-                                    .iter()
-                                    .filter_map(|row| {
-                                        row.iter().find_map(|(k, v)| match v {
-                                            Value::Float(x) if k == "x" => Some(2.0 * x),
-                                            _ => None,
-                                        })
-                                    })
-                                    .collect();
-                                Response {
-                                    scores,
-                                    error: None,
-                                    ..Response::failure(req.id, "")
-                                }
-                            }
-                            Err(e) => Response::failure(0, format!("bad frame: {e}")),
-                        };
-                        let wire = crate::protocol::encode_response(&resp).expect("encodable");
-                        if writer
-                            .write_all(wire.as_bytes())
-                            .and_then(|()| writer.write_all(b"\n"))
-                            .is_err()
-                        {
-                            return;
-                        }
+                    let reply = crate::protocol::error_wire(ERROR_RESPONSE_ID, &e.to_string());
+                    if writer.write_all(format!("{reply}\n").as_bytes()).is_err() {
+                        break;
                     }
-                });
+                }
             }
         });
-        addr
+        (addr, node)
     }
 
+    /// A peer that answers the preamble with anything but a `HelloAck`
+    /// is not fallen back to: the forward fails, is counted, and feeds
+    /// the circuit breaker like an unreachable node.
     #[test]
     fn v2_client_falls_back_to_a_legacy_node() {
-        let addr = spawn_legacy_node();
-        let worker = RemoteWorker::new(&addr.to_string());
-        // The structured path negotiates, discovers a legacy peer,
-        // and transparently rides the pooled JSON protocol.
-        let reply = worker.forward_request(&request(3, 4.0)).unwrap();
-        assert_eq!(reply.response.id, 3);
-        assert_eq!(reply.response.scores, vec![8.0]);
-        assert!(reply.bytes_sent > 0 && reply.bytes_received > 0);
-        // The raw path works too, and negotiation is remembered: no
-        // preamble is sent again (a second dial would otherwise eat
-        // the first real frame).
-        let resp = decode_response(&worker.forward(&frame(4, 1.5)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![3.0]);
-        assert_eq!(worker.stats().forwards, 2);
-        assert_eq!(worker.stats().failures, 0);
+        under_watchdog(|| {
+            let (addr, legacy) = spawn_legacy_node(2);
+            let worker = RemoteWorker::new(&addr.to_string())
+                .with_timeout(Duration::from_secs(5))
+                .with_breaker(2, Duration::from_secs(600));
+            match worker.forward_request(&request(3, 4.0)) {
+                Err(ServeError::Transport(msg)) => assert!(msg.contains("handshake"), "got: {msg}"),
+                other => panic!("expected a transport error, got {other:?}"),
+            }
+            let stats = worker.stats();
+            assert_eq!((stats.forwards, stats.failures), (0, 1));
+            assert_eq!(worker.state(), BreakerState::Closed);
+            // The second refusal opens the breaker; the third forward
+            // fails fast without dialing.
+            assert!(worker.forward_request(&request(4, 1.0)).is_err());
+            assert_eq!(worker.state(), BreakerState::Open);
+            match worker.forward_request(&request(5, 1.0)) {
+                Err(ServeError::Transport(msg)) => {
+                    assert!(msg.contains("circuit open"), "got: {msg}");
+                }
+                other => panic!("expected an open-circuit error, got {other:?}"),
+            }
+            assert_eq!(worker.stats().failures, 3);
+            legacy.join().expect("the stand-in served both dials");
+        });
     }
 
     #[test]
-    fn pinned_legacy_client_talks_to_a_v2_node() {
+    fn a_node_refuses_a_connection_that_does_not_open_with_the_preamble() {
         let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
-        let worker = RemoteWorker::new(&node.local_addr().to_string()).with_legacy_json();
-        let reply = worker.forward_request(&request(9, 2.5)).unwrap();
-        assert_eq!(reply.response.scores, vec![5.0]);
-        let resp = decode_response(&worker.forward(&frame(10, 1.0)).unwrap()).unwrap();
-        assert_eq!(resp.scores, vec![2.0]);
-        assert_eq!(worker.stats().forwards, 2);
-    }
-
-    #[test]
-    fn v2_node_serves_pipelined_legacy_json_clients_in_order() {
-        let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
-        let stream = TcpStream::connect(node.local_addr()).expect("connects");
-        let mut writer = stream.try_clone().expect("clones");
-        let mut reader = BufReader::new(stream);
-        // Two pipelined frames before reading anything: a legacy
-        // client has no mux ids, so responses must come back in
-        // request order.
-        writer
-            .write_all(format!("{}\n{}\n", frame(1, 1.0), frame(2, 2.0)).as_bytes())
+        // A newline-JSON request line where the preamble belongs: the
+        // node hangs up without serving it.
+        let legacy = TcpStream::connect(node.local_addr()).expect("connects");
+        legacy.set_read_timeout(Some(WATCHDOG)).expect("timeout");
+        let line = crate::protocol::encode_request(&request(1, 1.0)).expect("encodes");
+        (&legacy)
+            .write_all(format!("{line}\n").as_bytes())
             .expect("writes");
-        for expect in [(1u64, 2.0f64), (2, 4.0)] {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("reads");
-            let resp = decode_response(line.trim_end()).expect("decodes");
-            assert_eq!(resp.id, expect.0);
-            assert_eq!(resp.scores, vec![expect.1]);
+        let mut reply = Vec::new();
+        if let Err(e) = (&legacy).read_to_end(&mut reply) {
+            assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}");
         }
+        assert!(reply.is_empty(), "a refused connection gets no answer");
+        assert_eq!(node.transport_stats().decode_errors, 1);
+        assert_eq!(node.runtime().stats().requests(), 0);
+
+        // After the handshake, frame types 3 and 4 are unassigned: a
+        // header carrying one drops the connection like any corrupt
+        // header.
+        for unassigned in [3u8, 4] {
+            let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
+            let mut frame = encode_frame(FrameType::BinRequest, 1, b"{}").expect("encodes");
+            frame[2] = unassigned;
+            writer.write_all(&frame).expect("writes");
+            assert!(matches!(read_frame(&mut reader), Ok(None)));
+        }
+        assert_eq!(node.transport_stats().decode_errors, 3);
+        assert_eq!(node.runtime().stats().requests(), 0);
     }
 
     /// Connect a raw wire2 client: send the preamble, consume the

@@ -3418,8 +3418,8 @@ impl RuntimeClient {
     }
 
     /// Send a JSON request payload and return the JSON response: the
-    /// lane for bytes that arrive as JSON (the node's legacy
-    /// connections, tests of malformed or legacy frames). The payload
+    /// lane for bytes that arrive as JSON (the [`crate::ClipperClient`]
+    /// shim, tests of malformed or legacy frames). The payload
     /// is decoded and then admitted exactly as [`call`](Self::call)
     /// admits a [`Request`]; an undecodable one is answered with
     /// [`ERROR_RESPONSE_ID`].
@@ -4120,7 +4120,7 @@ mod tests {
         #[test]
         fn callers_that_outnumber_the_workers_queue() {
             under_watchdog(|| {
-                let (g, _, g_open) = gated();
+                let (g, g_entered, g_open) = gated();
                 let (t, t_entered, t_open) = gated();
                 let mut b = ServingRuntime::builder();
                 b.config(
@@ -4153,6 +4153,9 @@ mod tests {
                     };
                     assert!(client.submit(req, Box::new(|_| {})).unwrap().is_none());
                 }
+                // Worker 0 has taken the first off its queue: the queue
+                // below counts the second and the two callers only.
+                g_entered.recv().unwrap();
                 let callers: Vec<_> = (0..2)
                     .map(|_| {
                         let client = rt.client();

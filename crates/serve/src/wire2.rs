@@ -1,14 +1,12 @@
 //! The v2 binary wire protocol: multiplexed, length-prefixed frames.
 //!
-//! The legacy protocol (`protocol.rs`, whose codec is re-exported at
-//! the crate root as [`crate::encode_request`] &c.) is newline-delimited JSON
-//! with one blocking round trip per pooled connection. That is the
-//! right boundary for *clients* (Table 6 deliberately measures a real
-//! serialization cost there), but between a parent router and a
-//! [`crate::RemoteRuntimeNode`] it pays the JSON tax twice more per
-//! hop and forces head-of-line blocking per socket. `wire2` replaces
-//! the *internal* hop with compact binary frames that many in-flight
-//! requests share on one socket.
+//! This is the only protocol on a socket between processes: a parent
+//! router's [`crate::RemoteWorker`] and a [`crate::RemoteRuntimeNode`]
+//! exchange compact binary frames that many in-flight requests share
+//! on one connection. The JSON codec in `protocol.rs` (re-exported at
+//! the crate root as [`crate::encode_request`] &c.) stays an
+//! in-process lane for bytes that arrive as JSON; it never crosses a
+//! socket.
 //!
 //! # Frame layout
 //!
@@ -38,23 +36,21 @@
 //! |------|------|---------|
 //! | 1 | [`FrameType::BinRequest`] | binary [`Request`] ([`encode_request_payload`]) |
 //! | 2 | [`FrameType::BinResponse`] | binary [`Response`] ([`encode_response_payload`]) |
-//! | 3 | [`FrameType::JsonRequest`] | one legacy JSON request, passed through opaquely |
-//! | 4 | [`FrameType::JsonResponse`] | one legacy JSON response |
-//! | 5 | [`FrameType::HelloAck`] | empty (version-negotiation accept) |
+//! | 5 | [`FrameType::HelloAck`] | empty (handshake accept) |
 //!
-//! # Version negotiation
+//! Bytes 3 and 4 are unassigned (they once carried JSON frames) and,
+//! like every other unknown type, are rejected as corrupt.
 //!
-//! A v2 client opens its connection by sending the ASCII preamble
-//! [`WIRE2_PREAMBLE`] (`"WILLUMP/WIRE2\n"`). A v2 node answers with a
-//! [`FrameType::HelloAck`] frame — whose first byte is the magic
-//! [`WIRE2_MAGIC`], never valid as the start of a JSON line — and the
-//! connection switches to binary frames. A *legacy* node instead
-//! treats the preamble as an undecodable JSON line and answers a JSON
-//! error object starting with `{`; the client consumes that line,
-//! remembers the peer is legacy, and falls back to pooled
-//! newline-JSON transparently. A legacy *client* never sends the
-//! preamble, so a v2 node serves its first `{`-prefixed line — and
-//! the rest of the connection — in legacy JSON mode.
+//! # Handshake
+//!
+//! A client opens its connection by sending the ASCII preamble
+//! [`WIRE2_PREAMBLE`] (`"WILLUMP/WIRE2\n"`), and the node answers
+//! with a [`FrameType::HelloAck`] frame. The handshake is a check,
+//! not a negotiation: a node closes a connection whose first bytes
+//! are not the preamble, and a client treats any first reply other
+//! than a `HelloAck` as a transport failure. Which frame versions a
+//! peer accepts is carried in every header instead
+//! ([`WIRE2_MIN_VERSION`]`..=`[`WIRE2_VERSION`]).
 //!
 //! # Encoding
 //!
@@ -63,7 +59,7 @@
 //! `Option`. It is not self-describing: the field order is frozen per
 //! protocol version in [`WIRE2_LAYOUT`], and `xtask lint` rule WL001
 //! fails the build when the layout changes without bumping
-//! [`WIRE2_VERSION`] (the negotiation byte), mirroring the
+//! [`WIRE2_VERSION`] (the header's version byte), mirroring the
 //! `#[serde(default)]` discipline the JSON structs get.
 
 use std::io::Read;
@@ -74,9 +70,8 @@ use willump_data::Value;
 use crate::protocol::{ControlRequest, EndpointCounters, Request, Response, WireRow};
 use crate::ServeError;
 
-/// First byte of every v2 frame. Deliberately not `{` (0x7B) and not
-/// printable ASCII, so a binary frame can never be mistaken for the
-/// start of a legacy JSON line (and vice versa).
+/// First byte of every v2 frame. Not printable ASCII, so a frame can
+/// never be mistaken for text, nor text for a frame.
 pub const WIRE2_MAGIC: u8 = 0xB2;
 
 /// The binary protocol version carried in byte 1 of every frame.
@@ -102,14 +97,9 @@ pub const WIRE2_HEADER_LEN: usize = 11;
 /// past it and drop the connection instead of trusting the prefix.
 pub const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
 
-/// The ASCII preamble a v2 client sends immediately after connecting
-/// to negotiate the binary protocol (newline included, so a legacy
-/// node consumes it as exactly one bad JSON line).
+/// The ASCII preamble a client sends immediately after connecting;
+/// the node answers it with a [`FrameType::HelloAck`].
 pub const WIRE2_PREAMBLE: &[u8] = b"WILLUMP/WIRE2\n";
-
-/// [`WIRE2_PREAMBLE`] as a newline-stripped line, for line-oriented
-/// probing on the node side.
-pub const WIRE2_PREAMBLE_LINE: &str = "WILLUMP/WIRE2";
 
 /// The frozen per-version field order of the binary encoding. Each
 /// entry is a struct (or enum) name and its encoded field (or
@@ -159,12 +149,7 @@ pub enum FrameType {
     BinRequest = 1,
     /// A binary-encoded [`Response`] payload.
     BinResponse = 2,
-    /// One legacy JSON request line (no trailing newline), carried
-    /// opaquely so raw-frame forwarding keeps working over the mux.
-    JsonRequest = 3,
-    /// One legacy JSON response line (no trailing newline).
-    JsonResponse = 4,
-    /// Version-negotiation accept (empty payload, request id 0).
+    /// Handshake accept (empty payload, request id 0).
     HelloAck = 5,
 }
 
@@ -175,8 +160,6 @@ impl FrameType {
         match b {
             1 => Some(FrameType::BinRequest),
             2 => Some(FrameType::BinResponse),
-            3 => Some(FrameType::JsonRequest),
-            4 => Some(FrameType::JsonResponse),
             5 => Some(FrameType::HelloAck),
             _ => None,
         }
@@ -790,12 +773,14 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("version"));
-        let mut bad = h;
-        bad[2] = 77;
-        assert!(decode_header(&bad)
-            .unwrap_err()
-            .to_string()
-            .contains("frame type"));
+        for unassigned in [3, 4, 77] {
+            let mut bad = h;
+            bad[2] = unassigned;
+            assert!(decode_header(&bad)
+                .unwrap_err()
+                .to_string()
+                .contains("frame type"));
+        }
     }
 
     #[test]

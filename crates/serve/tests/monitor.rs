@@ -15,10 +15,10 @@ use std::time::{Duration, Instant};
 use willump::ManualClock;
 use willump_data::{Table, Value};
 use willump_serve::{
-    AdmissionPolicy, BreakerState, ClusterConfig, ClusterCoordinator, InProcessWorker,
-    MonitorConfig, MonitorEvent, MonitorSample, RemoteRuntimeNode, RemoteWorker, Request, Servable,
-    ServeError, ServerConfig, ServingRuntime, StatsHub, TimedEvent, TransportStats, WireRow,
-    WorkerTransport,
+    AdmissionPolicy, BreakerState, ClusterConfig, ClusterCoordinator, ForwardReply,
+    InProcessWorker, MonitorConfig, MonitorEvent, MonitorSample, RemoteRuntimeNode, RemoteWorker,
+    Request, Servable, ServeError, ServerConfig, ServingRuntime, StatsHub, TimedEvent,
+    TransportStats, WireRow, WorkerTransport,
 };
 
 /// Deterministic predictor shared with the cluster.rs suite.
@@ -101,12 +101,12 @@ struct GatedTransport {
 }
 
 impl WorkerTransport for GatedTransport {
-    fn forward(&self, frame: &str) -> Result<String, ServeError> {
+    fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError> {
         self.entered.fetch_add(1, Ordering::SeqCst);
         while self.gate.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_micros(200));
         }
-        self.inner.forward(frame)
+        self.inner.forward_request(req)
     }
 
     fn describe(&self) -> String {

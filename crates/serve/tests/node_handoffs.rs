@@ -12,6 +12,7 @@
 //! same.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use willump_data::{Table, Value};
 use willump_serve::{
@@ -64,6 +65,24 @@ fn blocked_by_name() -> std::collections::HashMap<String, u64> {
     counts
 }
 
+/// Whether every other thread of this process is asleep. None is
+/// runnable, so each has parked where it waits for work: one that has
+/// not started yet — still wearing its parent's name — or one still
+/// holding a lock another waits for would be running.
+fn others_asleep() -> bool {
+    let me = std::fs::read_link("/proc/thread-self").expect("procfs");
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .all(|task| {
+            let dir = task.expect("entry").path();
+            let status = std::fs::read_to_string(dir.join("status")).unwrap_or_default();
+            dir.file_name() == me.file_name()
+                || status
+                    .lines()
+                    .any(|line| line.starts_with("State:") && line.contains("(sleeping)"))
+        })
+}
+
 #[test]
 fn one_remote_request_wakes_the_loop_and_one_runtime_worker() {
     let mut b = ServingRuntime::builder();
@@ -80,7 +99,24 @@ fn one_remote_request_wakes_the_loop_and_one_runtime_worker() {
     const N: u64 = 2000;
     let batches =
         |node: &RemoteRuntimeNode| -> u64 { node.runtime().stats().worker_batches().iter().sum() };
-    let (before, batches_before) = (blocked_by_name(), batches(&node));
+    // A thread's first park is not a wake-up. On a busy host a
+    // dispatch worker may not have run yet, or may still be on its way
+    // to its first `recv` behind another worker on the job channel's
+    // lock, and would park inside the counting window. Count from a
+    // moment every thread is asleep and no count moves.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let before = loop {
+        let counts = blocked_by_name();
+        if others_asleep() && blocked_by_name() == counts {
+            break counts;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "threads never settled: {counts:?}"
+        );
+        std::thread::yield_now();
+    };
+    let batches_before = batches(&node);
     // Back to back, a forwarded frame and a plain one alternating:
     // with no remote shard behind this node both are admitted by the
     // loop itself.

@@ -11,8 +11,9 @@ use std::time::Duration;
 use willump_data::{Table, Value};
 use willump_serve::{
     decode_request, decode_response, encode_request, encode_response, is_overloaded_wire,
-    EndpointCounters, InProcessWorker, RemoteRuntimeNode, RemoteWorker, Request, Response,
-    Servable, ServeError, ServerConfig, ServingRuntime, TransportStats, WireRow, WorkerTransport,
+    EndpointCounters, ForwardReply, InProcessWorker, RemoteRuntimeNode, RemoteWorker, Request,
+    Response, Servable, ServeError, ServerConfig, ServingRuntime, TransportStats, WireRow,
+    WorkerTransport,
 };
 
 /// A deterministic predictor with a visible formula, so local and
@@ -562,17 +563,20 @@ proptest! {
 }
 
 /// A transport standing in for an overloaded remote node: every
-/// forwarded frame comes back as an admission-control shed response.
+/// forwarded request comes back as an admission-control shed response.
 #[derive(Default)]
 struct SheddingTransport {
     forwards: std::sync::atomic::AtomicU64,
 }
 impl WorkerTransport for SheddingTransport {
-    fn forward(&self, frame: &str) -> Result<String, ServeError> {
+    fn forward_request(&self, req: &Request) -> Result<ForwardReply, ServeError> {
         self.forwards
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let req = decode_request(frame)?;
-        encode_response(&Response::shed(req.id, "affine", 1))
+        Ok(ForwardReply {
+            response: Response::shed(req.id, "affine", 1),
+            bytes_sent: 0,
+            bytes_received: 0,
+        })
     }
     fn describe(&self) -> String {
         "always-shedding".to_string()
@@ -778,92 +782,6 @@ proptest! {
         prop_assert!(back.overloaded);
         prop_assert_eq!(back, resp);
     }
-}
-
-/// Mixed versions over real TCP, driven through the full runtime
-/// path: a parent pinned to the legacy JSON protocol
-/// (`with_legacy_json`) interoperates with a v2 node, and a v2 parent
-/// transparently falls back when its peer only speaks newline JSON.
-#[test]
-fn mixed_protocol_versions_interoperate_over_tcp() {
-    // Legacy-pinned client -> v2 node.
-    let node = spawn_node("affine", 1);
-    let addr = node.local_addr().to_string();
-    let mut b = ServingRuntime::builder();
-    b.endpoint("affine", Arc::new(Affine))
-        .shards(0)
-        .shard_transport(Arc::new(
-            RemoteWorker::new(&addr)
-                .with_legacy_json()
-                .with_timeout(Duration::from_secs(5)),
-        ));
-    let runtime = b.build().expect("parent builds");
-    assert_eq!(
-        runtime
-            .client()
-            .predict_endpoint("affine", wire_rows(&[2.0]))
-            .expect("legacy client serves through a v2 node"),
-        vec![5.0]
-    );
-
-    // v2 client -> legacy node (a raw newline-JSON server).
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
-    let legacy_addr = listener.local_addr().expect("addr").to_string();
-    let legacy = std::thread::spawn(move || {
-        use std::io::{BufRead, BufReader, Write};
-        let (stream, _) = listener.accept().expect("accepts");
-        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                return;
-            }
-            let trimmed = line.trim_end();
-            let reply = match decode_request(trimmed) {
-                Ok(req) => {
-                    let scores = req
-                        .rows
-                        .iter()
-                        .map(|row| match &row[0].1 {
-                            Value::Float(x) => 3.0 * x - 1.0,
-                            _ => f64::NAN,
-                        })
-                        .collect();
-                    Response {
-                        scores,
-                        error: None,
-                        ..Response::failure(req.id, "")
-                    }
-                }
-                // The v2 preamble is not JSON: a legacy node answers
-                // it with an in-band error line, which is exactly the
-                // signal the v2 client falls back on.
-                Err(e) => Response::failure(0, e.to_string()),
-            };
-            let wire = encode_response(&reply).expect("encodes");
-            if writer.write_all(wire.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
-                return;
-            }
-        }
-    });
-    let mut b = ServingRuntime::builder();
-    b.endpoint("affine", Arc::new(Affine))
-        .shards(0)
-        .shard_transport(Arc::new(
-            RemoteWorker::new(&legacy_addr).with_timeout(Duration::from_secs(5)),
-        ));
-    let runtime = b.build().expect("parent builds");
-    assert_eq!(
-        runtime
-            .client()
-            .predict_endpoint("affine", wire_rows(&[4.0]))
-            .expect("v2 client falls back to a legacy node"),
-        vec![11.0]
-    );
-    drop(runtime);
-    legacy.join().expect("legacy node thread exits");
 }
 
 /// A servable whose scores JSON cannot encode gets one answer on every
