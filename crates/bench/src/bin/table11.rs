@@ -274,7 +274,7 @@ fn sweep(smoke: bool) -> (String, String) {
     // hub history and events — no runtime inspection.
     let final_sample = top_cell.hub.latest().expect("sampler ran");
     assert_eq!(
-        final_sample.requests, top_cell.report.offered,
+        final_sample.server.requests, top_cell.report.offered,
         "the hub's final sample must account for every offered request"
     );
     let peak_rate = top_cell
@@ -330,7 +330,7 @@ fn sweep(smoke: bool) -> (String, String) {
          {}, peak interval rate {peak_rate:.0} rows/s; live drain observed as \
          events [draining: {drained}, removed: {removed}].\n",
         top_cell.hub.samples().len(),
-        final_sample.requests,
+        final_sample.server.requests,
     );
     let output = format!("{table}{monitor_summary}");
     let body = format!(

@@ -38,6 +38,7 @@
 pub mod cascade;
 pub mod clock;
 mod config;
+pub mod counters;
 pub mod efficient;
 mod error;
 mod layout;

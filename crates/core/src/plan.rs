@@ -217,38 +217,54 @@ impl ArmState {
     }
 }
 
-/// Cumulative serving counters of a plan, shared by every clone (the
-/// per-stage introspection the serving layer reads for scheduling
-/// decisions).
-#[derive(Debug, Default)]
-pub struct PlanCounters {
-    rows: AtomicU64,
-    gate_resolved: AtomicU64,
-    escalated: AtomicU64,
-    filter_dropped: AtomicU64,
+crate::counter_set! {
+    /// Cumulative serving counters of a plan, shared by every clone (the
+    /// per-stage introspection the serving layer reads for scheduling
+    /// decisions).
+    #[derive(Debug)]
+    pub struct PlanCounters;
+
+    /// A wire-friendly, point-in-time copy of a [`PlanCounters`].
+    ///
+    /// [`PlanCounters`] itself is a block of shared atomics — clones of a
+    /// plan in one process update it in place, but it cannot cross a
+    /// process boundary. A snapshot is plain integers with serde derives:
+    /// a remote serving node reports its plans' statistics to a parent
+    /// router as snapshots, and the parent's escalation-aware scheduler
+    /// folds them into its own view with [`merged`](Self::merged).
+    ///
+    /// Every field is `#[serde(default)]`, so frames from an older node
+    /// that lacks a counter still decode (missing counters read 0).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use willump::{PlanCounters, PlanCountersSnapshot};
+    ///
+    /// let local = PlanCounters::default().snapshot();
+    /// let remote = PlanCountersSnapshot {
+    ///     rows: 100,
+    ///     escalated: 40,
+    ///     ..PlanCountersSnapshot::default()
+    /// };
+    /// let combined = local.merged(&remote);
+    /// assert_eq!(combined.rows, 100);
+    /// assert!((combined.escalation_rate() - 0.4).abs() < 1e-12);
+    /// ```
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct PlanCountersSnapshot {
+        /// Total input rows run through the plan.
+        sum rows,
+        /// Rows resolved early by a [`PlanStage::ConfidenceGate`].
+        sum gate_resolved,
+        /// Rows escalated to the full feature layout.
+        sum escalated,
+        /// Rows dropped from candidacy by a [`PlanStage::TopKFilter`].
+        sum filter_dropped,
+    }
 }
 
 impl PlanCounters {
-    /// Total input rows run through the plan.
-    pub fn rows(&self) -> u64 {
-        self.rows.load(Ordering::Relaxed)
-    }
-
-    /// Rows resolved early by a [`PlanStage::ConfidenceGate`].
-    pub fn gate_resolved(&self) -> u64 {
-        self.gate_resolved.load(Ordering::Relaxed)
-    }
-
-    /// Rows escalated to the full feature layout.
-    pub fn escalated(&self) -> u64 {
-        self.escalated.load(Ordering::Relaxed)
-    }
-
-    /// Rows dropped from candidacy by a [`PlanStage::TopKFilter`].
-    pub fn filter_dropped(&self) -> u64 {
-        self.filter_dropped.load(Ordering::Relaxed)
-    }
-
     /// Fraction of rows escalated to the full feature layout
     /// (0 before any rows have run). This is the statistic a serving
     /// scheduler reads to give escalation-heavy plans dedicated
@@ -261,60 +277,6 @@ impl PlanCounters {
             self.escalated() as f64 / rows as f64
         }
     }
-
-    /// A serializable point-in-time copy of these counters (see
-    /// [`PlanCountersSnapshot`]).
-    pub fn snapshot(&self) -> PlanCountersSnapshot {
-        PlanCountersSnapshot {
-            rows: self.rows(),
-            gate_resolved: self.gate_resolved(),
-            escalated: self.escalated(),
-            filter_dropped: self.filter_dropped(),
-        }
-    }
-}
-
-/// A wire-friendly, point-in-time copy of a [`PlanCounters`].
-///
-/// [`PlanCounters`] itself is a block of shared atomics — clones of a
-/// plan in one process update it in place, but it cannot cross a
-/// process boundary. A snapshot is plain integers with serde derives:
-/// a remote serving node reports its plans' statistics to a parent
-/// router as snapshots, and the parent's escalation-aware scheduler
-/// folds them into its own view with [`merged`](Self::merged).
-///
-/// Every field is `#[serde(default)]`, so frames from an older node
-/// that lacks a counter still decode (missing counters read 0).
-///
-/// # Examples
-///
-/// ```
-/// use willump::{PlanCounters, PlanCountersSnapshot};
-///
-/// let local = PlanCounters::default().snapshot();
-/// let remote = PlanCountersSnapshot {
-///     rows: 100,
-///     escalated: 40,
-///     ..PlanCountersSnapshot::default()
-/// };
-/// let combined = local.merged(remote);
-/// assert_eq!(combined.rows, 100);
-/// assert!((combined.escalation_rate() - 0.4).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlanCountersSnapshot {
-    /// Total input rows run through the plan.
-    #[serde(default)]
-    pub rows: u64,
-    /// Rows resolved early by a [`PlanStage::ConfidenceGate`].
-    #[serde(default)]
-    pub gate_resolved: u64,
-    /// Rows escalated to the full feature layout.
-    #[serde(default)]
-    pub escalated: u64,
-    /// Rows dropped from candidacy by a [`PlanStage::TopKFilter`].
-    #[serde(default)]
-    pub filter_dropped: u64,
 }
 
 impl PlanCountersSnapshot {
@@ -339,19 +301,6 @@ impl PlanCountersSnapshot {
     #[must_use]
     pub fn placement_pressure(&self) -> f64 {
         self.rows as f64 * (1.0 + self.escalation_rate()) / 1000.0
-    }
-
-    /// Field-wise sum of two snapshots: fold a remote node's counters
-    /// into a local view so rates are computed over the combined
-    /// traffic.
-    #[must_use]
-    pub fn merged(self, other: PlanCountersSnapshot) -> PlanCountersSnapshot {
-        PlanCountersSnapshot {
-            rows: self.rows + other.rows,
-            gate_resolved: self.gate_resolved + other.gate_resolved,
-            escalated: self.escalated + other.escalated,
-            filter_dropped: self.filter_dropped + other.filter_dropped,
-        }
     }
 }
 

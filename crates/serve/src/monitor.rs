@@ -7,7 +7,7 @@
 //! that pattern as a first-class subsystem:
 //!
 //! - A [`StatsHub`] holds a bounded ring of [`MonitorSample`]s — each
-//!   a coherent point-in-time flattening of the global
+//!   a coherent point-in-time copy of the global
 //!   [`ServerStatsSnapshot`](crate::ServerStatsSnapshot), per-endpoint
 //!   [`EndpointStatsSnapshot`], and per-remote-shard transport /
 //!   breaker state — plus a typed [`MonitorEvent`] feed.
@@ -43,7 +43,7 @@ use willump::{Clock, SystemClock};
 
 use crate::cluster::Migration;
 use crate::remote::{BreakerState, TransportStats};
-use crate::runtime::{EndpointStatsSnapshot, ServingRuntime, Shared};
+use crate::runtime::{EndpointStatsSnapshot, ServerStatsSnapshot, ServingRuntime, Shared};
 
 /// Events are small and drops are costly (a missed `ShardRemoved`
 /// breaks lifecycle reconstruction), so the event ring holds this
@@ -75,9 +75,9 @@ impl Default for MonitorConfig {
 
 // ---- samples -------------------------------------------------------
 
-/// One coherent monitor observation: the global server counters
-/// flattened next to a timestamp and sequence number, plus one
-/// [`EndpointSample`] per endpoint.
+/// One coherent monitor observation: the global server counters next
+/// to a timestamp and sequence number, plus one [`EndpointSample`] per
+/// endpoint.
 ///
 /// All counter fields are cumulative since runtime start;
 /// [`delta`](MonitorSample::delta) turns two consecutive samples into
@@ -90,44 +90,8 @@ pub struct MonitorSample {
     /// [`delta`](MonitorSample::delta) this holds the interval length
     /// instead.
     pub at_nanos: u64,
-    /// Requests received (including decode/route failures).
-    pub requests: u64,
-    /// Input rows across decoded and routed requests.
-    pub rows: u64,
-    /// Worker iterations.
-    pub batches: u64,
-    /// Requests whose payload failed to decode.
-    pub decode_errors: u64,
-    /// Requests addressing an unknown endpoint or version.
-    pub route_errors: u64,
-    /// Rows served through merged multi-request model batches.
-    pub coalesced_rows: u64,
-    /// Largest single successful `predict_table` batch (high-water
-    /// mark; a delta carries the later value, not a difference).
-    pub max_batch_rows: u64,
-    /// Requests answered by a remote shard.
-    pub remote_forwards: u64,
-    /// Bytes written to remote-shard transports.
-    pub remote_bytes_sent: u64,
-    /// Bytes read back from remote-shard transports.
-    pub remote_bytes_received: u64,
-    /// Peak remote forwards simultaneously in flight (high-water
-    /// mark; a delta carries the later value, not a difference).
-    pub remote_max_in_flight: u64,
-    /// Failed transport forwards.
-    pub transport_errors: u64,
-    /// Requests re-routed after their shard's transport failed.
-    pub failovers: u64,
-    /// Requests served by a degraded plan lowering.
-    pub degraded: u64,
-    /// Requests shed at admission.
-    pub shed: u64,
-    /// Requests whose routing key tested as a heavy hitter.
-    pub hot_keys: u64,
-    /// Health probes sent by the cluster control plane.
-    pub probes_sent: u64,
-    /// Health probes the probed node answered.
-    pub probes_ok: u64,
+    /// The runtime's global counters at sample time.
+    pub server: ServerStatsSnapshot,
     /// Per-endpoint observations, primaries then shadows per group.
     pub endpoints: Vec<EndpointSample>,
 }
@@ -137,48 +101,19 @@ impl MonitorSample {
     /// from the same hub, `prev` earlier): counters become
     /// differences, high-water marks and gauges carry the later
     /// value, `at_nanos` becomes the interval length, and endpoint
-    /// stats are differenced per (name, version). Every counter field
-    /// MUST be folded here — `xtask lint` rule WL002
-    /// (stats-completeness) enforces it.
+    /// stats are differenced per (name, version).
     #[must_use]
     pub fn delta(&self, prev: &MonitorSample) -> MonitorSample {
         MonitorSample {
             seq: self.seq,
             at_nanos: self.at_nanos.saturating_sub(prev.at_nanos),
-            requests: self.requests.saturating_sub(prev.requests),
-            rows: self.rows.saturating_sub(prev.rows),
-            batches: self.batches.saturating_sub(prev.batches),
-            decode_errors: self.decode_errors.saturating_sub(prev.decode_errors),
-            route_errors: self.route_errors.saturating_sub(prev.route_errors),
-            coalesced_rows: self.coalesced_rows.saturating_sub(prev.coalesced_rows),
-            max_batch_rows: self.max_batch_rows,
-            remote_forwards: self.remote_forwards.saturating_sub(prev.remote_forwards),
-            remote_bytes_sent: self
-                .remote_bytes_sent
-                .saturating_sub(prev.remote_bytes_sent),
-            remote_bytes_received: self
-                .remote_bytes_received
-                .saturating_sub(prev.remote_bytes_received),
-            remote_max_in_flight: self.remote_max_in_flight,
-            transport_errors: self.transport_errors.saturating_sub(prev.transport_errors),
-            failovers: self.failovers.saturating_sub(prev.failovers),
-            degraded: self.degraded.saturating_sub(prev.degraded),
-            shed: self.shed.saturating_sub(prev.shed),
-            hot_keys: self.hot_keys.saturating_sub(prev.hot_keys),
-            probes_sent: self.probes_sent.saturating_sub(prev.probes_sent),
-            probes_ok: self.probes_ok.saturating_sub(prev.probes_ok),
+            server: self.server.delta(&prev.server),
             endpoints: self
                 .endpoints
                 .iter()
-                .map(|e| {
-                    let before = prev
-                        .endpoints
-                        .iter()
-                        .find(|p| p.name == e.name && p.version == e.version);
-                    match before {
-                        Some(p) => e.delta(p),
-                        None => e.clone(),
-                    }
+                .map(|e| match prev.endpoint(&e.name, e.version) {
+                    Some(p) => e.delta(p),
+                    None => e.clone(),
                 })
                 .collect(),
         }
@@ -199,25 +134,25 @@ impl MonitorSample {
         if secs <= 0.0 {
             return 0.0;
         }
-        self.requests as f64 / secs
+        self.server.requests as f64 / secs
     }
 
     /// Fraction of requests shed at admission (0 with no requests).
     #[must_use]
     pub fn shed_fraction(&self) -> f64 {
-        if self.requests == 0 {
+        if self.server.requests == 0 {
             return 0.0;
         }
-        self.shed as f64 / self.requests as f64
+        self.server.shed as f64 / self.server.requests as f64
     }
 
     /// Fraction of requests served degraded (0 with no requests).
     #[must_use]
     pub fn degraded_fraction(&self) -> f64 {
-        if self.requests == 0 {
+        if self.server.requests == 0 {
             return 0.0;
         }
-        self.degraded as f64 / self.requests as f64
+        self.server.degraded as f64 / self.server.requests as f64
     }
 
     /// The sample of one endpoint by name and version, if present.
@@ -250,49 +185,30 @@ pub struct EndpointSample {
 
 impl EndpointSample {
     /// Per-interval view against an earlier sample of the same
-    /// endpoint: cumulative counters become differences; gauges
-    /// (arrival rate, service p99, shard states) carry the later
-    /// value.
+    /// endpoint: cumulative counters, the shards' transport counters
+    /// among them, become differences; gauges (arrival rate, service
+    /// p99, shard states) carry the later value. A shard slot absent
+    /// from `prev` keeps its full counts.
     #[must_use]
     pub fn delta(&self, prev: &EndpointSample) -> EndpointSample {
         EndpointSample {
             name: self.name.clone(),
             version: self.version,
-            stats: snapshot_delta(self.stats, prev.stats),
+            stats: self.stats.delta(&prev.stats),
             arrival_rate: self.arrival_rate,
             service_p99_nanos: self.service_p99_nanos,
-            shards: self.shards.clone(),
+            shards: self
+                .shards
+                .iter()
+                .map(|shard| {
+                    let before = prev.shards.iter().find(|p| p.slot_id == shard.slot_id);
+                    ShardSample {
+                        stats: before.map_or(shard.stats, |p| shard.stats.delta(&p.stats)),
+                        ..shard.clone()
+                    }
+                })
+                .collect(),
         }
-    }
-}
-
-/// Field-wise difference of two endpoint snapshots (counters
-/// subtract, high-water marks carry the later value).
-fn snapshot_delta(
-    now: EndpointStatsSnapshot,
-    prev: EndpointStatsSnapshot,
-) -> EndpointStatsSnapshot {
-    EndpointStatsSnapshot {
-        requests: now.requests.saturating_sub(prev.requests),
-        rows: now.rows.saturating_sub(prev.rows),
-        coalesced_rows: now.coalesced_rows.saturating_sub(prev.coalesced_rows),
-        max_batch_rows: now.max_batch_rows,
-        shard_requests: now.shard_requests.saturating_sub(prev.shard_requests),
-        shard_transport_nanos: now
-            .shard_transport_nanos
-            .saturating_sub(prev.shard_transport_nanos),
-        remote_bytes_sent: now.remote_bytes_sent.saturating_sub(prev.remote_bytes_sent),
-        remote_bytes_received: now
-            .remote_bytes_received
-            .saturating_sub(prev.remote_bytes_received),
-        remote_max_in_flight: now.remote_max_in_flight,
-        transport_errors: now.transport_errors.saturating_sub(prev.transport_errors),
-        failovers: now.failovers.saturating_sub(prev.failovers),
-        degraded: now.degraded.saturating_sub(prev.degraded),
-        shed: now.shed.saturating_sub(prev.shed),
-        hot_keys: now.hot_keys.saturating_sub(prev.hot_keys),
-        probes_sent: now.probes_sent.saturating_sub(prev.probes_sent),
-        probes_ok: now.probes_ok.saturating_sub(prev.probes_ok),
     }
 }
 
@@ -529,24 +445,7 @@ impl StatsHub {
         let sample = MonitorSample {
             seq: st.next_sample_seq,
             at_nanos,
-            requests: server.requests,
-            rows: server.rows,
-            batches: server.batches,
-            decode_errors: server.decode_errors,
-            route_errors: server.route_errors,
-            coalesced_rows: server.coalesced_rows,
-            max_batch_rows: server.max_batch_rows,
-            remote_forwards: server.remote_forwards,
-            remote_bytes_sent: server.remote_bytes_sent,
-            remote_bytes_received: server.remote_bytes_received,
-            remote_max_in_flight: server.remote_max_in_flight,
-            transport_errors: server.transport_errors,
-            failovers: server.failovers,
-            degraded: server.degraded,
-            shed: server.shed,
-            hot_keys: server.hot_keys,
-            probes_sent: server.probes_sent,
-            probes_ok: server.probes_ok,
+            server,
             endpoints,
         };
         st.next_sample_seq += 1;

@@ -108,6 +108,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use willump::PlanCountersSnapshot;
 
 use crate::protocol::{Request, Response, ERROR_RESPONSE_ID};
@@ -230,33 +231,39 @@ fn extract_counters(
         })
 }
 
-/// Point-in-time counters of one [`WorkerTransport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Frames forwarded successfully.
-    pub forwards: u64,
-    /// Forwards that ultimately failed (after any reconnect attempt).
-    pub failures: u64,
-    /// Connections re-established after a drop (the first-ever
-    /// connection does not count).
-    pub reconnects: u64,
-    /// Cumulative round-trip nanoseconds of successful forwards.
-    pub total_nanos: u64,
-    /// Bytes written to the transport (frame headers included).
-    pub bytes_sent: u64,
-    /// Bytes read from the transport.
-    pub bytes_received: u64,
-    /// Peak number of requests simultaneously in flight.
-    pub max_in_flight: u64,
-    /// Frames rejected as oversized or corrupt (bad magic/version,
-    /// unknown frame type, length prefix past the bound, undecodable
-    /// payload).
-    pub decode_errors: u64,
-    /// Health/counters probes attempted (never counted as forwards).
-    pub probes_sent: u64,
-    /// Probes that completed successfully. A success against an
-    /// open-breaker node closes the breaker (re-admission).
-    pub probes_ok: u64,
+willump::counter_set! {
+    /// Shared atomic counters behind a [`TransportStats`] snapshot.
+    #[derive(Debug)]
+    struct TransportCounters;
+
+    /// Point-in-time counters of one [`WorkerTransport`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct TransportStats {
+        /// Frames forwarded successfully.
+        sum forwards,
+        /// Forwards that ultimately failed (after any reconnect attempt).
+        sum failures,
+        /// Connections re-established after a drop (the first-ever
+        /// connection does not count).
+        sum reconnects,
+        /// Cumulative round-trip nanoseconds of successful forwards.
+        sum total_nanos,
+        /// Bytes written to the transport (frame headers included).
+        sum bytes_sent,
+        /// Bytes read from the transport.
+        sum bytes_received,
+        /// Peak number of requests simultaneously in flight.
+        peak max_in_flight,
+        /// Frames rejected as oversized or corrupt (bad magic/version,
+        /// unknown frame type, length prefix past the bound, undecodable
+        /// payload).
+        sum decode_errors,
+        /// Health/counters probes attempted (never counted as forwards).
+        sum probes_sent,
+        /// Probes that completed successfully. A success against an
+        /// open-breaker node closes the breaker (re-admission).
+        sum probes_ok,
+    }
 }
 
 impl TransportStats {
@@ -267,24 +274,6 @@ impl TransportStats {
             0.0
         } else {
             self.total_nanos as f64 / self.forwards as f64 / 1e9
-        }
-    }
-
-    /// Combine two snapshots (e.g. across an endpoint's shards):
-    /// counters add, peak in-flight depth takes the max.
-    #[must_use]
-    pub fn merged(&self, other: &TransportStats) -> TransportStats {
-        TransportStats {
-            forwards: self.forwards + other.forwards,
-            failures: self.failures + other.failures,
-            reconnects: self.reconnects + other.reconnects,
-            total_nanos: self.total_nanos + other.total_nanos,
-            bytes_sent: self.bytes_sent + other.bytes_sent,
-            bytes_received: self.bytes_received + other.bytes_received,
-            max_in_flight: self.max_in_flight.max(other.max_in_flight),
-            decode_errors: self.decode_errors + other.decode_errors,
-            probes_sent: self.probes_sent + other.probes_sent,
-            probes_ok: self.probes_ok + other.probes_ok,
         }
     }
 }
@@ -305,37 +294,7 @@ pub enum BreakerState {
     Probing,
 }
 
-/// Shared atomic counters behind a [`TransportStats`] snapshot.
-#[derive(Debug, Default)]
-struct TransportCounters {
-    forwards: AtomicU64,
-    failures: AtomicU64,
-    reconnects: AtomicU64,
-    total_nanos: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    max_in_flight: AtomicU64,
-    decode_errors: AtomicU64,
-    probes_sent: AtomicU64,
-    probes_ok: AtomicU64,
-}
-
 impl TransportCounters {
-    fn snapshot(&self) -> TransportStats {
-        TransportStats {
-            forwards: self.forwards.load(Ordering::Relaxed),
-            failures: self.failures.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            total_nanos: self.total_nanos.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            max_in_flight: self.max_in_flight.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            probes_sent: self.probes_sent.load(Ordering::Relaxed),
-            probes_ok: self.probes_ok.load(Ordering::Relaxed),
-        }
-    }
-
     fn record_success(&self, elapsed: Duration) {
         self.forwards.fetch_add(1, Ordering::Relaxed);
         self.total_nanos

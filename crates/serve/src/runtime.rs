@@ -105,172 +105,90 @@ pub fn shard_for_key(key: &str, shards: usize) -> usize {
 
 // ---- statistics ----------------------------------------------------
 
-/// Global server-side counters for a [`ServingRuntime`].
-#[derive(Debug)]
-pub struct ServerStats {
-    requests: AtomicU64,
-    rows: AtomicU64,
-    batches: AtomicU64,
-    decode_errors: AtomicU64,
-    route_errors: AtomicU64,
-    coalesced_rows: AtomicU64,
-    max_batch_rows: AtomicU64,
-    remote_forwards: AtomicU64,
-    remote_bytes_sent: AtomicU64,
-    remote_bytes_received: AtomicU64,
-    remote_max_in_flight: AtomicU64,
-    transport_errors: AtomicU64,
-    failovers: AtomicU64,
-    degraded: AtomicU64,
-    shed: AtomicU64,
-    hot_keys: AtomicU64,
-    probes_sent: AtomicU64,
-    probes_ok: AtomicU64,
-    worker_batches: Vec<AtomicU64>,
+/// `n` counters at zero.
+fn zeroed(n: usize) -> Vec<AtomicU64> {
+    (0..n).map(|_| AtomicU64::new(0)).collect()
+}
+
+willump::counter_set! {
+    /// Global server-side counters for a [`ServingRuntime`].
+    #[derive(Debug)]
+    pub struct ServerStats(workers: usize);
+
+    /// Owned point-in-time copy of [`ServerStats`] (see
+    /// [`ServerStats::snapshot`]), for export or before/after diffing.
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ServerStatsSnapshot {
+        /// Requests received, including ones that failed to decode or
+        /// route. Shadow-mirrored copies are *not* counted here (they are
+        /// counted on the shadow endpoint's own [`EndpointStats`]).
+        sum requests,
+        /// Total input rows across successfully decoded *and routed*
+        /// requests (rows of requests addressing an unknown endpoint or
+        /// version are not counted — see
+        /// [`route_errors`](ServerStats::route_errors)).
+        sum rows,
+        /// Batches served (each handling >= 1 coalesced requests): worker
+        /// iterations, plus requests their caller ran inline, which count
+        /// as one batch of the worker they were routed to.
+        sum batches,
+        /// Requests whose payload failed [`decode_request`]; these are
+        /// counted in [`requests`](ServerStats::requests) too and are
+        /// answered with [`ERROR_RESPONSE_ID`].
+        sum decode_errors,
+        /// Well-formed requests addressing an unknown endpoint or version;
+        /// counted in [`requests`](ServerStats::requests) too and answered
+        /// with an error response echoing the request id.
+        sum route_errors,
+        /// Rows served through merged model batches spanning more than
+        /// one request (0 until concurrency actually coalesces).
+        sum coalesced_rows,
+        /// Largest number of rows handed to a single successful
+        /// `predict_table` call.
+        peak max_batch_rows,
+        /// Requests answered by a remote shard (successful
+        /// [`crate::WorkerTransport`] forwards, including ones that
+        /// succeeded only after fail-over to another remote shard).
+        sum remote_forwards,
+        /// Bytes written to remote-shard transports (0 for in-process
+        /// transports, whose "wire" is a channel send).
+        sum remote_bytes_sent,
+        /// Bytes read back from remote-shard transports.
+        sum remote_bytes_received,
+        /// Peak number of remote forwards simultaneously in flight across
+        /// all endpoints.
+        peak remote_max_in_flight,
+        /// Transport forwards that failed (each triggers fail-over; a
+        /// request can count more than once when several shards fail).
+        sum transport_errors,
+        /// Requests re-routed to a surviving shard after their routed
+        /// shard's transport failed.
+        sum failovers,
+        /// Requests served by an endpoint's *degraded* plan lowering
+        /// because admission control judged the latency SLO at risk.
+        sum degraded,
+        /// Requests shed at admission with a [`Response::overloaded`]
+        /// marker (no prediction ran; not counted in
+        /// [`rows`](ServerStats::rows)).
+        sum shed,
+        /// Requests whose routing key tested as a heavy hitter at
+        /// admission (routed round-robin instead of key-hash, cache
+        /// entries pinned).
+        sum hot_keys,
+        /// Health probes sent by the cluster control plane (counter
+        /// probes against open-breaker shards; never counted as
+        /// [`remote_forwards`](ServerStats::remote_forwards)).
+        sum probes_sent,
+        /// Health probes the probed node answered (each closes the
+        /// shard's circuit breaker, re-admitting the node).
+        sum probes_ok,
+        /// Worker-iteration counts, one entry per worker thread.
+        sum worker_batches: Vec<AtomicU64> = zeroed(workers)
+            => Vec<u64> = |s| s.worker_batches(),
+    }
 }
 
 impl ServerStats {
-    fn new(workers: usize) -> ServerStats {
-        ServerStats {
-            requests: AtomicU64::new(0),
-            rows: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            decode_errors: AtomicU64::new(0),
-            route_errors: AtomicU64::new(0),
-            coalesced_rows: AtomicU64::new(0),
-            max_batch_rows: AtomicU64::new(0),
-            remote_forwards: AtomicU64::new(0),
-            remote_bytes_sent: AtomicU64::new(0),
-            remote_bytes_received: AtomicU64::new(0),
-            remote_max_in_flight: AtomicU64::new(0),
-            transport_errors: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            hot_keys: AtomicU64::new(0),
-            probes_sent: AtomicU64::new(0),
-            probes_ok: AtomicU64::new(0),
-            worker_batches: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Requests received, including ones that failed to decode or
-    /// route. Shadow-mirrored copies are *not* counted here (they are
-    /// counted on the shadow endpoint's own [`EndpointStats`]).
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Total input rows across successfully decoded *and routed*
-    /// requests (rows of requests addressing an unknown endpoint or
-    /// version are not counted — see
-    /// [`route_errors`](ServerStats::route_errors)).
-    pub fn rows(&self) -> u64 {
-        self.rows.load(Ordering::Relaxed)
-    }
-
-    /// Batches served (each handling >= 1 coalesced requests): worker
-    /// iterations, plus requests their caller ran inline, which count
-    /// as one batch of the worker they were routed to.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Requests whose payload failed [`decode_request`]; these are
-    /// counted in [`requests`](ServerStats::requests) too and are
-    /// answered with [`ERROR_RESPONSE_ID`].
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
-    }
-
-    /// Well-formed requests addressing an unknown endpoint or version;
-    /// counted in [`requests`](ServerStats::requests) too and answered
-    /// with an error response echoing the request id.
-    pub fn route_errors(&self) -> u64 {
-        self.route_errors.load(Ordering::Relaxed)
-    }
-
-    /// Rows served through merged model batches spanning more than
-    /// one request (0 until concurrency actually coalesces).
-    pub fn coalesced_rows(&self) -> u64 {
-        self.coalesced_rows.load(Ordering::Relaxed)
-    }
-
-    /// Largest number of rows handed to a single successful
-    /// `predict_table` call.
-    pub fn max_batch_rows(&self) -> u64 {
-        self.max_batch_rows.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered by a remote shard (successful
-    /// [`crate::WorkerTransport`] forwards, including ones that
-    /// succeeded only after fail-over to another remote shard).
-    pub fn remote_forwards(&self) -> u64 {
-        self.remote_forwards.load(Ordering::Relaxed)
-    }
-
-    /// Bytes written to remote-shard transports (0 for in-process
-    /// transports, whose "wire" is a channel send).
-    pub fn remote_bytes_sent(&self) -> u64 {
-        self.remote_bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Bytes read back from remote-shard transports.
-    pub fn remote_bytes_received(&self) -> u64 {
-        self.remote_bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Peak number of remote forwards simultaneously in flight across
-    /// all endpoints.
-    pub fn remote_max_in_flight(&self) -> u64 {
-        self.remote_max_in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Transport forwards that failed (each triggers fail-over; a
-    /// request can count more than once when several shards fail).
-    pub fn transport_errors(&self) -> u64 {
-        self.transport_errors.load(Ordering::Relaxed)
-    }
-
-    /// Requests re-routed to a surviving shard after their routed
-    /// shard's transport failed.
-    pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
-    /// Requests served by an endpoint's *degraded* plan lowering
-    /// because admission control judged the latency SLO at risk.
-    pub fn degraded(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed at admission with a [`Response::overloaded`]
-    /// marker (no prediction ran; not counted in
-    /// [`rows`](ServerStats::rows)).
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Requests whose routing key tested as a heavy hitter at
-    /// admission (routed round-robin instead of key-hash, cache
-    /// entries pinned).
-    pub fn hot_keys(&self) -> u64 {
-        self.hot_keys.load(Ordering::Relaxed)
-    }
-
-    /// Health probes sent by the cluster control plane (counter
-    /// probes against open-breaker shards; never counted as
-    /// [`remote_forwards`](ServerStats::remote_forwards)).
-    pub fn probes_sent(&self) -> u64 {
-        self.probes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Health probes the probed node answered (each closes the
-    /// shard's circuit breaker, re-admitting the node).
-    pub fn probes_ok(&self) -> u64 {
-        self.probes_ok.load(Ordering::Relaxed)
-    }
-
     /// [`batches`](ServerStats::batches) per worker, one entry per
     /// worker thread; they sum to `batches`.
     pub fn worker_batches(&self) -> Vec<u64> {
@@ -286,172 +204,74 @@ impl ServerStats {
             self.probes_ok.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
 
-    /// A coherent point-in-time copy of every counter, for export or
-    /// before/after diffing in experiments. Every numeric counter on
-    /// [`ServerStats`] MUST be folded here — `xtask lint` rule WL002
-    /// (stats-completeness) enforces it.
-    pub fn snapshot(&self) -> ServerStatsSnapshot {
-        ServerStatsSnapshot {
-            requests: self.requests(),
-            rows: self.rows(),
-            batches: self.batches(),
-            decode_errors: self.decode_errors(),
-            route_errors: self.route_errors(),
-            coalesced_rows: self.coalesced_rows(),
-            max_batch_rows: self.max_batch_rows(),
-            remote_forwards: self.remote_forwards(),
-            remote_bytes_sent: self.remote_bytes_sent(),
-            remote_bytes_received: self.remote_bytes_received(),
-            remote_max_in_flight: self.remote_max_in_flight(),
-            transport_errors: self.transport_errors(),
-            failovers: self.failovers(),
-            degraded: self.degraded(),
-            shed: self.shed(),
-            hot_keys: self.hot_keys(),
-            probes_sent: self.probes_sent(),
-            probes_ok: self.probes_ok(),
-            worker_batches: self.worker_batches(),
-        }
+willump::counter_set! {
+    /// Per-endpoint (name + version) serving counters.
+    ///
+    /// Per-shard views cover local shards (backed by fixed counters here)
+    /// followed by the endpoint's **live** remote slots (counters ride on
+    /// the live topology slot itself, so they follow the slot through
+    /// drain/re-add instead of being pinned to a build-time index).
+    #[derive(Debug)]
+    pub struct EndpointStats(local_shards: usize, remote: Arc<RemoteTopology>) {
+        /// The endpoint's remote slots, shared with [`Endpoint`] so
+        /// per-shard views stay index-aligned with routing.
+        remote: Arc<RemoteTopology> = remote,
     }
-}
 
-/// Owned point-in-time copy of [`ServerStats`] (see
-/// [`ServerStats::snapshot`]), for export or before/after diffing.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServerStatsSnapshot {
-    /// Requests received (including decode/route failures).
-    #[serde(default)]
-    pub requests: u64,
-    /// Input rows across decoded and routed requests.
-    #[serde(default)]
-    pub rows: u64,
-    /// Worker iterations.
-    #[serde(default)]
-    pub batches: u64,
-    /// Requests whose payload failed to decode.
-    #[serde(default)]
-    pub decode_errors: u64,
-    /// Requests addressing an unknown endpoint or version.
-    #[serde(default)]
-    pub route_errors: u64,
-    /// Rows served through merged multi-request model batches.
-    #[serde(default)]
-    pub coalesced_rows: u64,
-    /// Largest single successful `predict_table` batch.
-    #[serde(default)]
-    pub max_batch_rows: u64,
-    /// Requests answered by a remote shard.
-    #[serde(default)]
-    pub remote_forwards: u64,
-    /// Bytes written to remote-shard transports.
-    #[serde(default)]
-    pub remote_bytes_sent: u64,
-    /// Bytes read back from remote-shard transports.
-    #[serde(default)]
-    pub remote_bytes_received: u64,
-    /// Peak remote forwards simultaneously in flight.
-    #[serde(default)]
-    pub remote_max_in_flight: u64,
-    /// Failed transport forwards.
-    #[serde(default)]
-    pub transport_errors: u64,
-    /// Requests re-routed after their shard's transport failed.
-    #[serde(default)]
-    pub failovers: u64,
-    /// Requests served by a degraded plan lowering.
-    #[serde(default)]
-    pub degraded: u64,
-    /// Requests shed at admission.
-    #[serde(default)]
-    pub shed: u64,
-    /// Requests whose routing key tested as a heavy hitter.
-    #[serde(default)]
-    pub hot_keys: u64,
-    /// Health probes sent by the cluster control plane.
-    #[serde(default)]
-    pub probes_sent: u64,
-    /// Health probes the probed node answered.
-    #[serde(default)]
-    pub probes_ok: u64,
-    /// Worker-iteration counts, one entry per worker thread.
-    #[serde(default)]
-    pub worker_batches: Vec<u64>,
-}
-
-/// Per-endpoint (name + version) serving counters.
-///
-/// Per-shard views cover local shards (backed by fixed counters here)
-/// followed by the endpoint's **live** remote slots (counters ride on
-/// the live topology slot itself, so they follow the slot through
-/// drain/re-add instead of being pinned to a build-time index).
-#[derive(Debug)]
-pub struct EndpointStats {
-    requests: AtomicU64,
-    rows: AtomicU64,
-    coalesced_rows: AtomicU64,
-    max_batch_rows: AtomicU64,
-    shard_requests: Vec<AtomicU64>,
-    shard_transport_nanos: Vec<AtomicU64>,
-    remote_bytes_sent: AtomicU64,
-    remote_bytes_received: AtomicU64,
-    remote_max_in_flight: AtomicU64,
-    transport_errors: AtomicU64,
-    failovers: AtomicU64,
-    degraded: AtomicU64,
-    shed: AtomicU64,
-    hot_keys: AtomicU64,
-    probes_sent: AtomicU64,
-    probes_ok: AtomicU64,
-    /// The endpoint's remote slots, shared with [`Endpoint`] so
-    /// per-shard views stay index-aligned with routing.
-    remote: Arc<RemoteTopology>,
+    /// Owned point-in-time copy of [`EndpointStats`], additive across
+    /// endpoints via [`merged`](EndpointStatsSnapshot::merged) (see
+    /// [`ServingRuntime::summed_endpoint_stats`]). Per-shard vectors are
+    /// collapsed to totals so snapshots from endpoints with different
+    /// shard counts still merge.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct EndpointStatsSnapshot {
+        /// Requests routed to this endpoint (shadow copies included on
+        /// shadow endpoints).
+        sum requests,
+        /// Input rows routed to this endpoint.
+        sum rows,
+        /// Rows served through merged multi-request model batches.
+        sum coalesced_rows,
+        /// Largest successful `predict_table` batch for this endpoint.
+        peak max_batch_rows,
+        /// Shard-routed requests summed across shards.
+        sum shard_requests: Vec<AtomicU64> = zeroed(local_shards)
+            => u64 = |s| s.shard_requests().iter().sum(),
+        /// Cumulative transport round-trip nanoseconds summed across
+        /// shards.
+        sum shard_transport_nanos: Vec<AtomicU64> = zeroed(local_shards)
+            => u64 = |s| s.shard_transport_nanos().iter().sum(),
+        /// Bytes written to this endpoint's remote-shard transports (0
+        /// for in-process transports, whose "wire" is a channel send).
+        sum remote_bytes_sent,
+        /// Bytes read back from this endpoint's remote-shard transports.
+        sum remote_bytes_received,
+        /// Peak number of this endpoint's remote forwards simultaneously
+        /// in flight.
+        peak remote_max_in_flight,
+        /// Failed transport forwards to this endpoint's remote shards.
+        sum transport_errors,
+        /// Requests re-routed to a surviving shard after a transport
+        /// failure.
+        sum failovers,
+        /// Requests served by this endpoint's *degraded* plan lowering.
+        sum degraded,
+        /// Requests shed at admission (answered with
+        /// [`Response::overloaded`], no prediction ran).
+        sum shed,
+        /// Requests whose routing key tested as a heavy hitter at
+        /// admission.
+        sum hot_keys,
+        /// Health probes sent against this endpoint's remote shards.
+        sum probes_sent,
+        /// Health probes this endpoint's remote shards answered.
+        sum probes_ok,
+    }
 }
 
 impl EndpointStats {
-    fn new(local_shards: usize, remote: Arc<RemoteTopology>) -> EndpointStats {
-        EndpointStats {
-            requests: AtomicU64::new(0),
-            rows: AtomicU64::new(0),
-            coalesced_rows: AtomicU64::new(0),
-            max_batch_rows: AtomicU64::new(0),
-            shard_requests: (0..local_shards).map(|_| AtomicU64::new(0)).collect(),
-            shard_transport_nanos: (0..local_shards).map(|_| AtomicU64::new(0)).collect(),
-            remote_bytes_sent: AtomicU64::new(0),
-            remote_bytes_received: AtomicU64::new(0),
-            remote_max_in_flight: AtomicU64::new(0),
-            transport_errors: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            hot_keys: AtomicU64::new(0),
-            probes_sent: AtomicU64::new(0),
-            probes_ok: AtomicU64::new(0),
-            remote,
-        }
-    }
-
-    /// Requests routed to this endpoint (shadow copies included on
-    /// shadow endpoints).
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Input rows routed to this endpoint.
-    pub fn rows(&self) -> u64 {
-        self.rows.load(Ordering::Relaxed)
-    }
-
-    /// Rows served through merged multi-request model batches.
-    pub fn coalesced_rows(&self) -> u64 {
-        self.coalesced_rows.load(Ordering::Relaxed)
-    }
-
-    /// Largest successful `predict_table` batch for this endpoint.
-    pub fn max_batch_rows(&self) -> u64 {
-        self.max_batch_rows.load(Ordering::Relaxed)
-    }
-
     /// Requests per shard, local shards first then the current remote
     /// slots (shard-routing observability: equal keys increment
     /// exactly one entry). Remote entries follow their slot through
@@ -491,176 +311,10 @@ impl EndpointStats {
         per_shard
     }
 
-    /// Bytes written to this endpoint's remote-shard transports (0
-    /// for in-process transports, whose "wire" is a channel send).
-    pub fn remote_bytes_sent(&self) -> u64 {
-        self.remote_bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Bytes read back from this endpoint's remote-shard transports.
-    pub fn remote_bytes_received(&self) -> u64 {
-        self.remote_bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Peak number of this endpoint's remote forwards simultaneously
-    /// in flight.
-    pub fn remote_max_in_flight(&self) -> u64 {
-        self.remote_max_in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Failed transport forwards to this endpoint's remote shards.
-    pub fn transport_errors(&self) -> u64 {
-        self.transport_errors.load(Ordering::Relaxed)
-    }
-
-    /// Requests re-routed to a surviving shard after a transport
-    /// failure.
-    pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
-    /// Requests served by this endpoint's *degraded* plan lowering.
-    pub fn degraded(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed at admission (answered with
-    /// [`Response::overloaded`], no prediction ran).
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Requests whose routing key tested as a heavy hitter at
-    /// admission.
-    pub fn hot_keys(&self) -> u64 {
-        self.hot_keys.load(Ordering::Relaxed)
-    }
-
-    /// Health probes sent against this endpoint's remote shards.
-    pub fn probes_sent(&self) -> u64 {
-        self.probes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Health probes this endpoint's remote shards answered.
-    pub fn probes_ok(&self) -> u64 {
-        self.probes_ok.load(Ordering::Relaxed)
-    }
-
     pub(crate) fn record_probe(&self, ok: bool) {
         self.probes_sent.fetch_add(1, Ordering::Relaxed);
         if ok {
             self.probes_ok.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A coherent point-in-time copy of every counter, for export or
-    /// cross-endpoint aggregation. Every numeric counter on
-    /// [`EndpointStats`] MUST be folded here — `xtask lint` rule
-    /// WL002 (stats-completeness) enforces it.
-    pub fn snapshot(&self) -> EndpointStatsSnapshot {
-        EndpointStatsSnapshot {
-            requests: self.requests(),
-            rows: self.rows(),
-            coalesced_rows: self.coalesced_rows(),
-            max_batch_rows: self.max_batch_rows(),
-            shard_requests: self.shard_requests().iter().sum(),
-            shard_transport_nanos: self.shard_transport_nanos().iter().sum(),
-            remote_bytes_sent: self.remote_bytes_sent(),
-            remote_bytes_received: self.remote_bytes_received(),
-            remote_max_in_flight: self.remote_max_in_flight(),
-            transport_errors: self.transport_errors(),
-            failovers: self.failovers(),
-            degraded: self.degraded(),
-            shed: self.shed(),
-            hot_keys: self.hot_keys(),
-            probes_sent: self.probes_sent(),
-            probes_ok: self.probes_ok(),
-        }
-    }
-}
-
-/// Owned point-in-time copy of [`EndpointStats`], additive across
-/// endpoints via [`merged`](EndpointStatsSnapshot::merged) (see
-/// [`ServingRuntime::summed_endpoint_stats`]). Per-shard vectors are
-/// collapsed to totals so snapshots from endpoints with different
-/// shard counts still merge.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EndpointStatsSnapshot {
-    /// Requests routed to the endpoint (shadow copies included).
-    #[serde(default)]
-    pub requests: u64,
-    /// Input rows routed to the endpoint.
-    #[serde(default)]
-    pub rows: u64,
-    /// Rows served through merged multi-request model batches.
-    #[serde(default)]
-    pub coalesced_rows: u64,
-    /// Largest successful `predict_table` batch.
-    #[serde(default)]
-    pub max_batch_rows: u64,
-    /// Shard-routed requests summed across shards.
-    #[serde(default)]
-    pub shard_requests: u64,
-    /// Cumulative transport round-trip nanoseconds summed across
-    /// shards.
-    #[serde(default)]
-    pub shard_transport_nanos: u64,
-    /// Bytes written to remote-shard transports.
-    #[serde(default)]
-    pub remote_bytes_sent: u64,
-    /// Bytes read back from remote-shard transports.
-    #[serde(default)]
-    pub remote_bytes_received: u64,
-    /// Peak number of remote forwards simultaneously in flight.
-    #[serde(default)]
-    pub remote_max_in_flight: u64,
-    /// Failed transport forwards to remote shards.
-    #[serde(default)]
-    pub transport_errors: u64,
-    /// Requests re-routed to a surviving shard after a transport
-    /// failure.
-    #[serde(default)]
-    pub failovers: u64,
-    /// Requests served by the degraded plan lowering.
-    #[serde(default)]
-    pub degraded: u64,
-    /// Requests shed at admission.
-    #[serde(default)]
-    pub shed: u64,
-    /// Requests whose routing key tested as a heavy hitter.
-    #[serde(default)]
-    pub hot_keys: u64,
-    /// Health probes sent against remote shards.
-    #[serde(default)]
-    pub probes_sent: u64,
-    /// Health probes the remote shards answered.
-    #[serde(default)]
-    pub probes_ok: u64,
-}
-
-impl EndpointStatsSnapshot {
-    /// Field-wise combination of two snapshots: counters add,
-    /// high-water marks take the max. Every counter field MUST be
-    /// folded here — `xtask lint` rule WL002 enforces it.
-    #[must_use]
-    pub fn merged(self, other: EndpointStatsSnapshot) -> EndpointStatsSnapshot {
-        EndpointStatsSnapshot {
-            requests: self.requests + other.requests,
-            rows: self.rows + other.rows,
-            coalesced_rows: self.coalesced_rows + other.coalesced_rows,
-            max_batch_rows: self.max_batch_rows.max(other.max_batch_rows),
-            shard_requests: self.shard_requests + other.shard_requests,
-            shard_transport_nanos: self.shard_transport_nanos + other.shard_transport_nanos,
-            remote_bytes_sent: self.remote_bytes_sent + other.remote_bytes_sent,
-            remote_bytes_received: self.remote_bytes_received + other.remote_bytes_received,
-            remote_max_in_flight: self.remote_max_in_flight.max(other.remote_max_in_flight),
-            transport_errors: self.transport_errors + other.transport_errors,
-            failovers: self.failovers + other.failovers,
-            degraded: self.degraded + other.degraded,
-            shed: self.shed + other.shed,
-            hot_keys: self.hot_keys + other.hot_keys,
-            probes_sent: self.probes_sent + other.probes_sent,
-            probes_ok: self.probes_ok + other.probes_ok,
         }
     }
 }
@@ -1090,7 +744,7 @@ impl Endpoint {
             if seen.contains(&who) {
                 continue;
             }
-            acc = acc.merged(*slot.counters.lock());
+            acc = acc.merged(&slot.counters.lock());
             seen.push(who);
         }
         acc
@@ -3026,7 +2680,7 @@ impl ServingRuntime {
         self.endpoints()
             .iter()
             .map(|e| e.stats().snapshot())
-            .fold(EndpointStatsSnapshot::default(), |acc, s| acc.merged(s))
+            .fold(EndpointStatsSnapshot::default(), |acc, s| acc.merged(&s))
     }
 
     /// Look up one primary endpoint by name and version.

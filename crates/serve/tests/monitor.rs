@@ -124,28 +124,28 @@ impl WorkerTransport for GatedTransport {
 /// not telescope).
 fn additive_counters(s: &MonitorSample) -> [u64; 16] {
     [
-        s.requests,
-        s.rows,
-        s.batches,
-        s.decode_errors,
-        s.route_errors,
-        s.coalesced_rows,
-        s.remote_forwards,
-        s.remote_bytes_sent,
-        s.remote_bytes_received,
-        s.transport_errors,
-        s.failovers,
-        s.degraded,
-        s.shed,
-        s.hot_keys,
-        s.probes_sent,
-        s.probes_ok,
+        s.server.requests,
+        s.server.rows,
+        s.server.batches,
+        s.server.decode_errors,
+        s.server.route_errors,
+        s.server.coalesced_rows,
+        s.server.remote_forwards,
+        s.server.remote_bytes_sent,
+        s.server.remote_bytes_received,
+        s.server.transport_errors,
+        s.server.failovers,
+        s.server.degraded,
+        s.server.shed,
+        s.server.hot_keys,
+        s.server.probes_sent,
+        s.server.probes_ok,
     ]
 }
 
 /// The high-water-mark fields (monotone, non-telescoping).
 fn watermark_counters(s: &MonitorSample) -> [u64; 2] {
-    [s.max_batch_rows, s.remote_max_in_flight]
+    [s.server.max_batch_rows, s.server.remote_max_in_flight]
 }
 
 proptest! {
@@ -213,7 +213,7 @@ proptest! {
 
         // Every offered request is accounted for in the final sample,
         // at both the server and the endpoint level.
-        prop_assert_eq!(last.requests, 4 * per_thread as u64);
+        prop_assert_eq!(last.server.requests, 4 * per_thread as u64);
         let ep = last.endpoint("affine", 1).expect("endpoint sampled");
         prop_assert_eq!(ep.stats.requests, 4 * per_thread as u64);
 
@@ -418,6 +418,41 @@ fn topology_events_and_bounded_rings() {
     assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1));
 }
 
+/// A delta differences each remote shard's transport counters against
+/// the same slot in the earlier sample, like every other cumulative
+/// counter.
+#[test]
+fn shard_transport_counters_are_differenced_per_slot() {
+    let mut backend_builder = ServingRuntime::builder();
+    backend_builder.endpoint("affine", Arc::new(Affine));
+    let backend = backend_builder.build().expect("backend builds");
+
+    let mut b = ServingRuntime::builder();
+    b.endpoint("affine", Arc::new(Affine))
+        .shards(0)
+        .shard_transport(Arc::new(InProcessWorker::new(&backend)));
+    let runtime = b.build().expect("runtime builds");
+    let client = runtime.client();
+    let send = |n: usize| {
+        for i in 0..n {
+            client
+                .predict_endpoint("affine", wire_rows(&[i as f64]))
+                .expect("remote shard serves");
+        }
+    };
+
+    let hub = StatsHub::new(8);
+    send(3);
+    let _ = hub.sample_now(&runtime);
+    send(2);
+    let _ = hub.sample_now(&runtime);
+
+    let deltas = hub.deltas();
+    let shards = &deltas[0].endpoint("affine", 1).expect("sampled").shards;
+    assert_eq!(shards.len(), 1);
+    assert_eq!(shards[0].stats.forwards, 2, "{:?}", shards[0].stats);
+}
+
 /// Shed episodes are derived from the endpoint's shed counter alone:
 /// a still → moving edge starts one, a full still interval ends it,
 /// and the episode's shed total matches the counter delta exactly.
@@ -500,7 +535,7 @@ fn shed_episode_events_bracket_the_overload() {
     assert_eq!(end, shed_sent);
     // Reconstructable from samples too: the final sample's shed
     // counter carries the same total.
-    assert_eq!(hub.latest().expect("sampled").shed, shed_sent);
+    assert_eq!(hub.latest().expect("sampled").server.shed, shed_sent);
 }
 
 /// THE soak test: a full cluster lifecycle — node death, breaker
@@ -565,8 +600,8 @@ fn soak_full_lifecycle_is_reconstructable_from_the_hub_alone() {
             .expect("steady state serves");
     }
     let phase1 = hub.sample_now(&runtime);
-    assert_eq!(phase1.failovers, 0, "no failovers in steady state");
-    assert!(phase1.remote_forwards >= 1, "remote shard served");
+    assert_eq!(phase1.server.failovers, 0, "no failovers in steady state");
+    assert!(phase1.server.remote_forwards >= 1, "remote shard served");
 
     // ---- phase 2: node death → breakers open ----------------------
     node.shutdown();
@@ -584,10 +619,10 @@ fn soak_full_lifecycle_is_reconstructable_from_the_hub_alone() {
     });
     let phase2 = hub.sample_now(&runtime);
     assert!(
-        phase2.failovers >= phase1.failovers + 3,
+        phase2.server.failovers >= phase1.server.failovers + 3,
         "the death phase must show up as failovers in the samples: {} -> {}",
-        phase1.failovers,
-        phase2.failovers
+        phase1.server.failovers,
+        phase2.server.failovers
     );
 
     // ---- phase 3: recovery → prober re-admission ------------------
@@ -602,7 +637,7 @@ fn soak_full_lifecycle_is_reconstructable_from_the_hub_alone() {
     });
     let phase3 = hub.sample_now(&runtime);
     assert!(
-        phase3.probes_ok > phase2.probes_ok,
+        phase3.server.probes_ok > phase2.server.probes_ok,
         "re-admission must show as successful probes in the samples"
     );
 

@@ -627,7 +627,7 @@ fn endpoint_stats_sum_to_global_stats_under_concurrency() {
     let by_hand = per_endpoint
         .iter()
         .map(|e| e.stats().snapshot())
-        .fold(EndpointStatsSnapshot::default(), |acc, s| acc.merged(s));
+        .fold(EndpointStatsSnapshot::default(), |acc, s| acc.merged(&s));
     assert_eq!(summed, by_hand);
     assert_eq!(
         summed.max_batch_rows,
@@ -637,6 +637,32 @@ fn endpoint_stats_sum_to_global_stats_under_concurrency() {
             .max()
             .unwrap_or(0),
         "max_batch_rows merges as a high-water mark, not a sum"
+    );
+}
+
+/// The serialized stats snapshots keep their keys and key order:
+/// exporters and remote peers read them by name.
+#[test]
+fn stats_snapshot_json_keys_are_stable() {
+    assert_eq!(
+        serde_json::to_string(&willump_serve::ServerStatsSnapshot::default()).unwrap(),
+        "{\"requests\":0,\"rows\":0,\"batches\":0,\"decode_errors\":0,\"route_errors\":0,\
+         \"coalesced_rows\":0,\"max_batch_rows\":0,\"remote_forwards\":0,\
+         \"remote_bytes_sent\":0,\"remote_bytes_received\":0,\"remote_max_in_flight\":0,\
+         \"transport_errors\":0,\"failovers\":0,\"degraded\":0,\"shed\":0,\"hot_keys\":0,\
+         \"probes_sent\":0,\"probes_ok\":0,\"worker_batches\":[]}"
+    );
+    assert_eq!(
+        serde_json::to_string(&EndpointStatsSnapshot::default()).unwrap(),
+        "{\"requests\":0,\"rows\":0,\"coalesced_rows\":0,\"max_batch_rows\":0,\
+         \"shard_requests\":0,\"shard_transport_nanos\":0,\"remote_bytes_sent\":0,\
+         \"remote_bytes_received\":0,\"remote_max_in_flight\":0,\"transport_errors\":0,\
+         \"failovers\":0,\"degraded\":0,\"shed\":0,\"hot_keys\":0,\"probes_sent\":0,\
+         \"probes_ok\":0}"
+    );
+    assert_eq!(
+        serde_json::to_string(&willump::PlanCountersSnapshot::default()).unwrap(),
+        "{\"rows\":0,\"gate_resolved\":0,\"escalated\":0,\"filter_dropped\":0}"
     );
 }
 

@@ -2,9 +2,8 @@
 //!
 //! Six PRs in, the runtime's correctness rests on cross-cutting
 //! invariants that no general-purpose tool checks: wire back-compat
-//! attributes, counter-aggregation completeness, lock hygiene on hot
-//! paths, experiment-schema registration, and the offline vendored
-//! dependency policy. This crate is a small line/token-level Rust and
+//! attributes, lock hygiene on hot paths, experiment-schema
+//! registration, and the offline vendored dependency policy. This crate is a small line/token-level Rust and
 //! TOML scanner (deliberately dependency-free — no `syn`, because no
 //! crates.io access is itself one of the invariants) that enforces
 //! them mechanically:
@@ -12,7 +11,6 @@
 //! | ID | name | invariant |
 //! |----|------|-----------|
 //! | WL001 | `wire-compat` | every field of the `crates/serve/src/protocol.rs` wire structs beyond the frozen v1 set carries `#[serde(default)]`, so legacy frames keep decoding; and `wire2.rs`'s binary `WIRE2_LAYOUT` matches its frozen per-version copy, so layout changes must bump `WIRE2_VERSION` |
-//! | WL002 | `stats-completeness` | every numeric counter on `EndpointStats`/`PlanCounters`/`TransportStats` (and their snapshot mirrors) folds into the corresponding `snapshot()`/`merged()` aggregation |
 //! | WL003 | `no-lock-unwrap` | no `.unwrap()`/`.expect()` on lock or channel results in `crates/serve`/`crates/core` non-test code |
 //! | WL004 | `schema-registration` | every recording bench binary's schema header is registered in `RECORDED_SCHEMAS`, no registry entry is stale, every registered section exists in `EXPERIMENTS.md`, and no section there carries an older version of a registered schema |
 //! | WL005 | `vendor-hygiene` | every dependency across workspace manifests resolves to a path inside `vendor/` or `crates/` (no registry/git deps — the build env is offline) |
@@ -51,11 +49,6 @@ pub const RULES: &[Rule] = &[
         summary:
             "protocol.rs wire-struct fields beyond the frozen v1 set carry #[serde(default)]; \
                   wire2.rs binary layout changes bump WIRE2_VERSION",
-    },
-    Rule {
-        id: "WL002",
-        name: "stats-completeness",
-        summary: "every numeric stats counter folds into its snapshot()/merged() aggregation",
     },
     Rule {
         id: "WL003",
@@ -408,11 +401,10 @@ fn matching_brace(text: &str, open: usize) -> Option<usize> {
     None
 }
 
-/// A parsed struct field: `(line, name, type_text, has_serde_default)`.
+/// A parsed struct field: `(line, name, has_serde_default)`.
 struct FieldInfo {
     line: usize,
     name: String,
-    ty: String,
     serde_default: bool,
 }
 
@@ -435,11 +427,9 @@ fn parse_fields(body: &str, body_offset: usize, full: &str) -> Vec<FieldInfo> {
                 let is_ident =
                     !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
                 if is_ident && !t.starts_with("//") {
-                    let ty = t[colon + 1..].trim_end_matches(',').trim().to_string();
                     fields.push(FieldInfo {
                         line,
                         name: name.to_string(),
-                        ty,
                         serde_default: attrs.iter().any(|a| a.contains("serde(default)")),
                     });
                     attrs.clear();
@@ -457,21 +447,6 @@ fn parse_fields(body: &str, body_offset: usize, full: &str) -> Vec<FieldInfo> {
         }
     }
     fields
-}
-
-/// Body text of `fn <fn_name>` inside `impl <impl_name> { … }`
-/// (stripped text), with the 1-based line of the fn.
-fn impl_fn_body<'a>(stripped: &'a str, impl_name: &str, fn_name: &str) -> Option<(usize, &'a str)> {
-    let needle = format!("impl {impl_name} {{");
-    let impl_open = stripped.find(&needle)? + needle.len() - 1;
-    let impl_end = matching_brace(stripped, impl_open)?;
-    let body = &stripped[impl_open..impl_end];
-    let fn_needle = format!("fn {fn_name}(");
-    let fn_pos = body.find(&fn_needle)?;
-    let open = impl_open + fn_pos + body[fn_pos..].find('{')?;
-    let end = matching_brace(stripped, open)?;
-    let line = stripped[..open].matches('\n').count() + 1;
-    Some((line, &stripped[open + 1..end]))
 }
 
 /// Extract every double-quoted string literal from original source
@@ -747,151 +722,6 @@ fn rule_wire2_layout(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
             ),
             fix: None,
         });
-    }
-    Ok(())
-}
-
-// ---- rule 2: stats-completeness ------------------------------------
-
-/// One counter-aggregation invariant: every numeric field of `source`
-/// (in `file`) must appear in `impl agg_impl { fn agg_fn }`, and — when
-/// `mirror` is set — as a field of the mirror snapshot struct too.
-struct StatsCheck {
-    file: &'static str,
-    source: &'static str,
-    agg_impl: &'static str,
-    agg_fn: &'static str,
-    mirror: Option<&'static str>,
-}
-
-const STATS_CHECKS: &[StatsCheck] = &[
-    StatsCheck {
-        file: "crates/core/src/plan.rs",
-        source: "PlanCounters",
-        agg_impl: "PlanCounters",
-        agg_fn: "snapshot",
-        mirror: Some("PlanCountersSnapshot"),
-    },
-    StatsCheck {
-        file: "crates/core/src/plan.rs",
-        source: "PlanCountersSnapshot",
-        agg_impl: "PlanCountersSnapshot",
-        agg_fn: "merged",
-        mirror: None,
-    },
-    StatsCheck {
-        file: "crates/serve/src/runtime.rs",
-        source: "EndpointStats",
-        agg_impl: "EndpointStats",
-        agg_fn: "snapshot",
-        mirror: Some("EndpointStatsSnapshot"),
-    },
-    StatsCheck {
-        file: "crates/serve/src/runtime.rs",
-        source: "EndpointStatsSnapshot",
-        agg_impl: "EndpointStatsSnapshot",
-        agg_fn: "merged",
-        mirror: None,
-    },
-    StatsCheck {
-        file: "crates/serve/src/runtime.rs",
-        source: "ServerStats",
-        agg_impl: "ServerStats",
-        agg_fn: "snapshot",
-        mirror: Some("ServerStatsSnapshot"),
-    },
-    StatsCheck {
-        file: "crates/serve/src/remote.rs",
-        source: "TransportCounters",
-        agg_impl: "TransportCounters",
-        agg_fn: "snapshot",
-        mirror: Some("TransportStats"),
-    },
-    StatsCheck {
-        file: "crates/serve/src/remote.rs",
-        source: "TransportStats",
-        agg_impl: "TransportStats",
-        agg_fn: "merged",
-        mirror: None,
-    },
-    StatsCheck {
-        file: "crates/serve/src/monitor.rs",
-        source: "MonitorSample",
-        agg_impl: "MonitorSample",
-        agg_fn: "delta",
-        mirror: None,
-    },
-];
-
-fn rule_stats_completeness(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
-    for check in STATS_CHECKS {
-        let Some(src) = SourceFile::load(root, check.file)? else {
-            continue;
-        };
-        let Some((_, body, off)) = struct_body(&src.stripped, check.source) else {
-            continue;
-        };
-        let counters: Vec<FieldInfo> = parse_fields(body, off, &src.stripped)
-            .into_iter()
-            .filter(|f| f.ty.contains("u64") || f.ty.contains("U64"))
-            .collect();
-        let agg = impl_fn_body(&src.stripped, check.agg_impl, check.agg_fn);
-        let mirror_fields: Option<Vec<String>> = check.mirror.and_then(|m| {
-            struct_body(&src.stripped, m).map(|(_, mb, moff)| {
-                parse_fields(mb, moff, &src.stripped)
-                    .into_iter()
-                    .map(|f| f.name)
-                    .collect()
-            })
-        });
-        for f in &counters {
-            match &agg {
-                Some((_, agg_body)) => {
-                    if !contains_word(agg_body, &f.name) {
-                        out.push(Violation {
-                            rule: "WL002",
-                            name: "stats-completeness",
-                            file: src.rel.clone(),
-                            line: f.line,
-                            message: format!(
-                                "counter `{}::{}` is never folded by `{}::{}` — \
-                                 aggregated views silently drop it",
-                                check.source, f.name, check.agg_impl, check.agg_fn
-                            ),
-                            fix: None,
-                        });
-                    }
-                }
-                None => out.push(Violation {
-                    rule: "WL002",
-                    name: "stats-completeness",
-                    file: src.rel.clone(),
-                    line: f.line,
-                    message: format!(
-                        "`{}::{}` exists but `{}::{}` was not found to fold it into",
-                        check.source, f.name, check.agg_impl, check.agg_fn
-                    ),
-                    fix: None,
-                }),
-            }
-            if let Some(mirror) = &mirror_fields {
-                if !mirror.iter().any(|m| m == &f.name) {
-                    out.push(Violation {
-                        rule: "WL002",
-                        name: "stats-completeness",
-                        file: src.rel.clone(),
-                        line: f.line,
-                        message: format!(
-                            "counter `{}::{}` has no matching field on `{}`",
-                            check.source,
-                            f.name,
-                            check.mirror.unwrap_or("?")
-                        ),
-                        fix: None,
-                    });
-                }
-            }
-        }
     }
     Ok(())
 }
@@ -1413,7 +1243,6 @@ fn rule_vendor_hygiene(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> 
 pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
     let mut out = Vec::new();
     rule_wire_compat(root, &mut out)?;
-    rule_stats_completeness(root, &mut out)?;
     rule_no_lock_unwrap(root, &mut out)?;
     rule_schema_registration(root, &mut out)?;
     rule_vendor_hygiene(root, &mut out)?;

@@ -71,18 +71,6 @@ fn wire2_compat_fixture_fires_exactly_wl001() {
 }
 
 #[test]
-fn stats_completeness_fixture_fires_exactly_wl002() {
-    let (ids, violations) = lint_fixture("stats-completeness");
-    assert_eq!(ids, BTreeSet::from(["WL002"]), "{violations:?}");
-    // `gate_resolved` is both unfolded in snapshot() and missing from
-    // the mirror struct.
-    assert_eq!(violations.len(), 2, "{violations:?}");
-    assert!(violations
-        .iter()
-        .all(|v| v.message.contains("gate_resolved")));
-}
-
-#[test]
 fn no_lock_unwrap_fixture_fires_exactly_wl003() {
     let (ids, violations) = lint_fixture("no-lock-unwrap");
     assert_eq!(ids, BTreeSet::from(["WL003"]), "{violations:?}");
@@ -171,7 +159,6 @@ fn binary_exit_codes_match_contract() {
     for name in [
         "wire-compat",
         "wire2-compat",
-        "stats-completeness",
         "no-lock-unwrap",
         "schema-registration",
         "vendor-hygiene",
@@ -190,11 +177,12 @@ fn binary_exit_codes_match_contract() {
     }
 }
 
-/// Rule metadata stays well-formed: ids unique, sequential, named.
+/// Rule metadata stays well-formed: ids unique and in order (a
+/// retired id is never reused), names unique, summaries present.
 #[test]
 fn rule_table_is_consistent() {
     let ids: Vec<&str> = xtask::RULES.iter().map(|r| r.id).collect();
-    assert_eq!(ids, ["WL001", "WL002", "WL003", "WL004", "WL005"]);
+    assert_eq!(ids, ["WL001", "WL003", "WL004", "WL005"]);
     let names: BTreeSet<&str> = xtask::RULES.iter().map(|r| r.name).collect();
     assert_eq!(names.len(), xtask::RULES.len());
     assert!(xtask::RULES.iter().all(|r| !r.summary.is_empty()));

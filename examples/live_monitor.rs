@@ -132,7 +132,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let deltas = hub.deltas();
     let busiest: Vec<&MonitorSample> = {
         let mut d: Vec<&MonitorSample> = deltas.iter().collect();
-        d.sort_by_key(|d| std::cmp::Reverse(d.requests));
+        d.sort_by_key(|d| std::cmp::Reverse(d.server.requests));
         d.into_iter().take(8).collect()
     };
     for d in &busiest {
@@ -141,7 +141,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             d.seq,
             d.elapsed_secs() * 1e3,
             d.requests_per_sec(),
-            d.shed
+            d.server.shed
         );
     }
     println!("(8 busiest of {} sampled intervals)\n", deltas.len());
@@ -154,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total = u64::try_from(LOAD_THREADS * REQUESTS_PER_THREAD).expect("fits");
     let last = hub.latest().expect("sampler ran");
     assert_eq!(
-        last.requests, total,
+        last.server.requests, total,
         "the hub's final sample must account for every request"
     );
     assert!(
@@ -167,8 +167,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nfinal sample: {} requests ({} rows), {} folds applied by the writer, \
          endpoint now {} remote shard(s)",
-        last.requests,
-        last.rows,
+        last.server.requests,
+        last.server.rows,
         folder.folded(),
         ep.shards.len()
     );
