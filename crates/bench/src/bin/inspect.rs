@@ -52,12 +52,13 @@ fn main() {
             let (scores, stats) = opt.predict_batch_with_stats(&w.test).expect("predicts");
             let acc = metrics::accuracy(&scores, &w.test_y);
             println!("  test accuracy: {acc:.4}");
-            if let Some(s) = stats {
+            if opt.cascade().is_some() {
+                let rows = stats.gate_resolved + stats.escalated;
                 println!(
                     "  test serving: {} small / {} escalated ({:.1}% kept)",
-                    s.resolved_small,
-                    s.escalated,
-                    s.small_fraction() * 100.0
+                    stats.gate_resolved,
+                    stats.escalated,
+                    stats.gate_resolved as f64 / rows.max(1) as f64 * 100.0
                 );
             }
         }

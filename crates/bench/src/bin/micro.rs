@@ -7,19 +7,14 @@
 //! - `opttime`: end-to-end optimization times,
 //! - `calibration`: cascade confidence calibration ablation (an
 //!   extension beyond the paper; see DESIGN.md §4b),
-//! - `wirecodec`: per-frame encode/decode cost of the legacy
-//!   newline-JSON wire protocol vs the binary v2 framing — the
-//!   serialization component of the Table 6c remote-shard delta,
-//!   measured without any transport effects,
 //! - `treekernel`: scoring a tree ensemble by walking each
 //!   `DecisionTree` per row (the definition) vs the flat
 //!   `TreeEnsemble` kernel every GBDT and forest scores through.
 //!
 //! Run one section with `cargo run -p willump-bench --release --bin
 //! micro -- <section>`, or everything with no argument. The
-//! `wirecodec` and `treekernel` sections are the recorded ones:
-//! `--smoke` runs their CI-speed passes and `--record` rewrites their
-//! EXPERIMENTS.md sections.
+//! `treekernel` section is the recorded one: `--smoke` runs its
+//! CI-speed pass and `--record` rewrites its EXPERIMENTS.md section.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -29,28 +24,19 @@ use rand::Rng;
 use willump::cascade::train_cascade_with_subset;
 use willump::efficient::{select_efficient_ifvs, SelectionStrategy};
 use willump::stats::compute_ifv_stats;
-use willump::{Calibration, PlanCountersSnapshot, QueryMode, Willump, WillumpConfig};
+use willump::{Calibration, QueryMode, Willump, WillumpConfig};
 use willump_bench::{
     batch_throughput, fmt_speedup, format_table, generate, optimize_level, print_table,
     run_recorded_experiment, OptLevel,
 };
-use willump_data::{Matrix, Value};
+use willump_data::Matrix;
 use willump_graph::cost::measure_costs;
 use willump_graph::{EngineMode, Executor};
 use willump_models::{metrics, BinMapper, DecisionTree, TreeEnsemble, TreeParams};
-use willump_serve::wire2::{
-    decode_request_payload, decode_response_payload, encode_request_payload,
-    encode_response_payload,
-};
-use willump_serve::{
-    decode_request, decode_response, encode_request, encode_response, EndpointCounters, Request,
-    Response, WireRow,
-};
 use willump_workloads::{Workload, WorkloadKind};
 
 /// The schema header CI greps for in EXPERIMENTS.md; bump the version
 /// when the recorded table shape changes.
-const EXPERIMENTS_SCHEMA: &str = "<!-- schema: micro-wirecodec v1 -->";
 const TREEKERNEL_SCHEMA: &str = "<!-- schema: micro-treekernel v1 -->";
 const RECORD_CMD: &str = "cargo run --release -p willump-bench --bin micro -- --record";
 
@@ -299,7 +285,8 @@ fn calibration_ablation() {
             };
             let (scores, stats) = opt.predict_batch_with_stats(&w.test).expect("predicts");
             let acc = metrics::accuracy(&scores, &w.test_y);
-            let kept = stats.map_or(0.0, |s| s.small_fraction());
+            let kept =
+                stats.gate_resolved as f64 / (stats.gate_resolved + stats.escalated).max(1) as f64;
             rows.push(vec![
                 kind.name().to_string(),
                 label.to_string(),
@@ -320,168 +307,6 @@ fn calibration_ablation() {
         ],
         &rows,
     );
-}
-
-/// A forwarding-shaped request: `batch` rows of the mixed-type column
-/// layout the Table 6 workload ships per prediction (eight float
-/// features, an int, and a string key).
-fn codec_request(batch: usize) -> Request {
-    let rows: Vec<WireRow> = (0..batch)
-        .map(|i| {
-            let mut row: WireRow = (0..8)
-                .map(|c| (format!("f{c}"), Value::Float(0.25 * (i + c) as f64)))
-                .collect();
-            row.push(("count".to_string(), Value::Int(i as i64)));
-            row.push(("key".to_string(), Value::str(format!("user-{i:04}"))));
-            row
-        })
-        .collect();
-    Request {
-        id: 7,
-        rows,
-        endpoint: Some("product".to_string()),
-        version: Some(3),
-        key: Some("tenant-a".to_string()),
-        forwarded: true,
-        control: None,
-    }
-}
-
-/// A scored reply of `scores` predictions, optionally carrying the
-/// per-endpoint counters block a stats poll returns.
-fn codec_response(scores: usize, with_counters: bool) -> Response {
-    let counters = with_counters.then(|| {
-        (0..3u32)
-            .map(|i| EndpointCounters {
-                endpoint: format!("endpoint-{i}"),
-                version: i + 1,
-                counters: PlanCountersSnapshot {
-                    rows: 100_000 + u64::from(i),
-                    gate_resolved: 60_000,
-                    escalated: 40_000,
-                    filter_dropped: 12_345,
-                },
-            })
-            .collect::<Vec<_>>()
-    });
-    Response {
-        id: 7,
-        scores: (0..scores).map(|i| 0.001 * i as f64).collect(),
-        error: None,
-        endpoint: Some("product".to_string()),
-        version: Some(3),
-        counters,
-        degraded: false,
-        overloaded: false,
-    }
-}
-
-/// Mean nanoseconds per call of `f` over `iters` iterations.
-fn ns_per_op(iters: u32, mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(iters)
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 10_000.0 {
-        format!("{:.1}us", ns / 1000.0)
-    } else {
-        format!("{ns:.0}ns")
-    }
-}
-
-/// JSON vs binary-v2 codec cost per frame, isolated from transport.
-fn wirecodec_comparison(smoke: bool) -> String {
-    let iters: u32 = if smoke { 500 } else { 50_000 };
-
-    // Frame shapes: request batches spanning the Table 6 batch sweep,
-    // a scored reply, and a counters (stats-poll) reply.
-    let frames: Vec<(String, Request)> = [1usize, 10, 100]
-        .iter()
-        .map(|&b| (format!("request, batch {b}"), codec_request(b)))
-        .collect();
-    let responses = vec![
-        (
-            "response, 100 scores".to_string(),
-            codec_response(100, false),
-        ),
-        ("response, counters".to_string(), codec_response(0, true)),
-    ];
-
-    let mut rows = Vec::new();
-    for (label, req) in &frames {
-        let json = encode_request(req).expect("json encodes");
-        let bin = encode_request_payload(req);
-        let json_enc = ns_per_op(iters, || {
-            black_box(encode_request(black_box(req)).expect("json encodes"));
-        });
-        let bin_enc = ns_per_op(iters, || {
-            black_box(encode_request_payload(black_box(req)));
-        });
-        let json_dec = ns_per_op(iters, || {
-            black_box(decode_request(black_box(&json)).expect("json decodes"));
-        });
-        let bin_dec = ns_per_op(iters, || {
-            black_box(decode_request_payload(black_box(&bin)).expect("binary decodes"));
-        });
-        rows.push(vec![
-            label.clone(),
-            json.len().to_string(),
-            bin.len().to_string(),
-            fmt_ns(json_enc),
-            fmt_ns(bin_enc),
-            fmt_speedup(json_enc / bin_enc),
-            fmt_ns(json_dec),
-            fmt_ns(bin_dec),
-            fmt_speedup(json_dec / bin_dec),
-        ]);
-    }
-    for (label, resp) in &responses {
-        let json = encode_response(resp).expect("json encodes");
-        let bin = encode_response_payload(resp);
-        let json_enc = ns_per_op(iters, || {
-            black_box(encode_response(black_box(resp)).expect("json encodes"));
-        });
-        let bin_enc = ns_per_op(iters, || {
-            black_box(encode_response_payload(black_box(resp)));
-        });
-        let json_dec = ns_per_op(iters, || {
-            black_box(decode_response(black_box(&json)).expect("json decodes"));
-        });
-        let bin_dec = ns_per_op(iters, || {
-            black_box(decode_response_payload(black_box(&bin)).expect("binary decodes"));
-        });
-        rows.push(vec![
-            label.clone(),
-            json.len().to_string(),
-            bin.len().to_string(),
-            fmt_ns(json_enc),
-            fmt_ns(bin_enc),
-            fmt_speedup(json_enc / bin_enc),
-            fmt_ns(json_dec),
-            fmt_ns(bin_dec),
-            fmt_speedup(json_dec / bin_dec),
-        ]);
-    }
-
-    format_table(
-        "Micro (wirecodec): per-frame codec cost, legacy JSON vs binary v2",
-        &[
-            "frame",
-            "json bytes",
-            "bin bytes",
-            "json enc",
-            "bin enc",
-            "enc speedup",
-            "json dec",
-            "bin dec",
-            "dec speedup",
-        ],
-        &rows,
-    )
 }
 
 /// Nanoseconds of the fastest of `passes` calls of `a` and of `b`,
@@ -599,10 +424,6 @@ fn treekernel_comparison(smoke: bool) -> String {
 }
 
 fn run_recorded_sections() {
-    run_recorded_experiment(EXPERIMENTS_SCHEMA, RECORD_CMD, |smoke| {
-        let table = wirecodec_comparison(smoke);
-        (table.clone(), table)
-    });
     run_recorded_experiment(TREEKERNEL_SCHEMA, RECORD_CMD, |smoke| {
         let table = treekernel_comparison(smoke);
         let body = format!(
@@ -626,17 +447,15 @@ fn main() {
         Some("driver") => driver_overhead(),
         Some("opttime") => optimization_times(),
         Some("calibration") => calibration_ablation(),
-        Some("wirecodec") => print!("{}", wirecodec_comparison(false)),
         Some("treekernel") => print!("{}", treekernel_comparison(false)),
         // `--smoke` / `--record` route through the recording harness,
-        // which re-parses the flags itself; only the wirecodec and
-        // treekernel sections are recorded (the others are analyses,
-        // not claims).
+        // which re-parses the flags itself; only the treekernel
+        // section is recorded (the others are analyses, not claims).
         Some("--smoke") | Some("--record") => run_recorded_sections(),
         Some(other) => {
             eprintln!(
                 "unknown section `{other}`; use \
-                 gamma|threshold|driver|opttime|calibration|wirecodec|treekernel"
+                 gamma|threshold|driver|opttime|calibration|treekernel"
             );
         }
         None => {

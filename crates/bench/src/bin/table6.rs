@@ -43,8 +43,7 @@ use willump_workloads::{Workload, WorkloadConfig, WorkloadKind};
 const EXPERIMENTS_SCHEMA: &str = "<!-- schema: table6-serving-sweep v3 -->";
 const RECORD_CMD: &str = "cargo run --release -p willump-bench --bin table6 -- --record";
 
-/// A single-endpoint runtime over one predictor (the modern spelling
-/// of the old one-predictor `ClipperServer`), sharded across its
+/// A single-endpoint runtime over one predictor, sharded across its
 /// workers.
 fn single_endpoint_runtime(predictor: Arc<dyn Servable>, config: ServerConfig) -> ServingRuntime {
     let workers = config.workers.max(1);
@@ -422,8 +421,7 @@ fn main() {
              concurrency ratios top out near parity\n\
              and the per-row transport tax shows directly — with \
              more cores the remote deployments\n\
-             gain the node's pool outright. See the micro-wirecodec \
-             section for the codec-level costs.\n{latency}{sweep}{remote}"
+             gain the node's pool outright.\n{latency}{sweep}{remote}"
         );
         // The first two tables were printed as they finished (the full
         // sweep takes minutes); only the remote table is left to print.

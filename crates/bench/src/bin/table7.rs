@@ -76,16 +76,16 @@ fn subset_tables(smoke: bool) -> String {
             continue;
         }
         for &frac in &fractions {
-            {
-                let filter = opt.filter_mut().expect("filter deployed");
-                filter.set_config(TopKConfig {
-                    ck: 1,
-                    min_subset_frac: frac,
-                });
-            }
+            let config = TopKConfig {
+                ck: 1,
+                min_subset_frac: frac,
+            };
+            opt.filter_mut()
+                .expect("filter deployed")
+                .set_topk_config(config);
             let (secs, approx) =
                 effective_seconds(&w, || opt.top_k(&w.test, k).expect("top-K succeeds").0);
-            let subset_size = opt.filter().expect("filter deployed").subset_size(n, k);
+            let subset_size = config.subset_size(n, k);
             rows.push(vec![
                 format!("{:.1}% subset", frac * 100.0),
                 subset_size.to_string(),

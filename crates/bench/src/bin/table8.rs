@@ -54,7 +54,7 @@ fn subset_throughput(
         42,
     )
     .ok()?;
-    let (scores, _) = cascade.predict_batch(&w.test).ok()?;
+    let scores = cascade.predict_batch(&w.test).ok()?;
     let acc = metrics::accuracy(&scores, &w.test_y);
     // Enforce the accuracy target with the paper's significance margin
     // (95 % CI half-width on the test set).

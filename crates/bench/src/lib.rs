@@ -262,10 +262,6 @@ pub fn record_experiments_section(schema: &str, body: &str) {
 /// registry cannot silently go stale.
 pub const RECORDED_SCHEMAS: &[(&str, &str)] = &[
     (
-        "<!-- schema: micro-wirecodec v1 -->",
-        "cargo run --release -p willump-bench --bin micro -- --record",
-    ),
-    (
         "<!-- schema: micro-treekernel v1 -->",
         "cargo run --release -p willump-bench --bin micro -- --record",
     ),
@@ -460,13 +456,11 @@ pub fn fmt_speedup(x: f64) -> String {
 /// [`ServingRuntime`] under `clients` closed-loop concurrent client
 /// threads, each sending `reqs` requests of `batch` rows drawn
 /// cyclically from `test` at a per-client offset. Requests address
-/// `endpoint` when given (`None` measures the default endpoint, which
-/// is also what the legacy `ClipperServer` shim serves — reach its
-/// runtime via `ClipperServer::runtime`). Request payloads are
-/// pre-serialized into wire rows before the clock starts and each
-/// client sends one warm-up request, so the measurement covers the
-/// serving boundary (JSON codec, routing, queueing, batching,
-/// prediction), not test-harness setup.
+/// `endpoint` when given (`None` measures the default endpoint).
+/// Request payloads are built into wire rows before the clock starts
+/// and each client sends one warm-up request, so the measurement
+/// covers the serving boundary (admission, routing, queueing,
+/// batching, prediction), not test-harness setup.
 ///
 /// # Panics
 /// Panics if serving fails or `test` is empty.

@@ -1,24 +1,25 @@
 //! Automatic end-to-end cascades (paper §4.2).
 //!
-//! A [`CascadePredictor`] serves with a *small* model over the
-//! efficient IFVs first; if the small model's confidence exceeds the
-//! cascade threshold the prediction is returned, otherwise the
-//! *inefficient* features are computed, merged with the
-//! already-computed efficient features, and the full model predicts
-//! (paper Figure 3 — escalation never recomputes the efficient
-//! features, which is what cuts remote requests in Table 2).
+//! A cascade serves with a *small* model over the efficient IFVs
+//! first; if the small model's confidence exceeds the cascade
+//! threshold the prediction is returned, otherwise the *inefficient*
+//! features are computed, merged with the already-computed efficient
+//! features, and the full model predicts (paper Figure 3 — escalation
+//! never recomputes the efficient features, which is what cuts remote
+//! requests in Table 2).
 //!
-//! Since the plan-IR refactor the predictor is a thin shim over a
-//! lowered [`ServingPlan`] (`compute_features(efficient)` →
+//! This module chooses the cascade's parameters: the threshold
+//! ([`select_threshold`]) and the small model's calibration
+//! ([`ScoreCalibrator`]). Serving is a [`ServingPlan`] lowered by
+//! [`ServingPlan::cascade`] (`compute_features(efficient)` →
 //! `predict(small)` → `confidence_gate` → `escalate` →
-//! `predict(full)`); the executor logic, including the
-//! efficient/inefficient feature merge, lives in [`crate::plan`].
+//! `predict(full)`), run by [`crate::plan::PlanExecutor`].
 
 use std::sync::Arc;
 
 use willump_data::Table;
-use willump_graph::{Executor, InputRow};
-use willump_models::{metrics, IsotonicCalibrator, PlattScaler, Task, TrainedModel};
+use willump_graph::Executor;
+use willump_models::{metrics, IsotonicCalibrator, PlattScaler, TrainedModel};
 
 use crate::config::Calibration;
 use crate::plan::ServingPlan;
@@ -149,15 +150,15 @@ pub fn select_threshold(
 
 /// Train a cascade for an explicit efficient subset: fit the small
 /// model on the subset's features, select the threshold on the
-/// validation set, and assemble a [`CascadePredictor`] around an
-/// already-trained full model.
+/// validation set, and lower the cascade around an already-trained
+/// full model into a [`ServingPlan`].
 ///
 /// [`crate::Willump::optimize`] uses Algorithm 1 to pick the subset;
 /// this lower-level entry point lets experiments force one (the
 /// paper's Table 8 strategy comparison and §6.4 γ-rule ablation).
 ///
 /// # Errors
-/// Propagates execution, training, and assembly failures.
+/// Propagates execution, training, and lowering failures.
 #[allow(clippy::too_many_arguments)]
 pub fn train_cascade_with_subset(
     exec: &Executor,
@@ -170,7 +171,7 @@ pub fn train_cascade_with_subset(
     efficient: Vec<usize>,
     accuracy_target: f64,
     seed: u64,
-) -> Result<(CascadePredictor, ThresholdSelection), WillumpError> {
+) -> Result<(ServingPlan, ThresholdSelection), WillumpError> {
     let eff_train = exec.features_batch(train, Some(&efficient))?;
     let small = Arc::new(spec.fit(&eff_train, train_labels, seed)?);
     let eff_valid = exec.features_batch(valid, Some(&efficient))?;
@@ -181,143 +182,8 @@ pub fn train_cascade_with_subset(
         valid_labels,
         accuracy_target,
     )?;
-    let predictor =
-        CascadePredictor::new(exec.clone(), small, full, selection.threshold, efficient)?;
-    Ok((predictor, selection))
-}
-
-/// Serving statistics for one batch/stream of cascade predictions.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CascadeServeStats {
-    /// Inputs answered by the small model alone.
-    pub resolved_small: usize,
-    /// Inputs escalated to the full model.
-    pub escalated: usize,
-}
-
-impl CascadeServeStats {
-    /// Fraction of inputs the small model resolved.
-    pub fn small_fraction(&self) -> f64 {
-        let n = self.resolved_small + self.escalated;
-        if n == 0 {
-            0.0
-        } else {
-            self.resolved_small as f64 / n as f64
-        }
-    }
-}
-
-/// A deployed end-to-end cascade: a thin shim over a lowered
-/// [`ServingPlan`].
-#[derive(Debug, Clone)]
-pub struct CascadePredictor {
-    plan: ServingPlan,
-}
-
-impl CascadePredictor {
-    /// Assemble a cascade from its parts by lowering them into a plan.
-    ///
-    /// # Errors
-    /// Returns [`WillumpError`] if the task is not classification, the
-    /// efficient set is empty or total, or layouts cannot be built.
-    pub fn new(
-        exec: Executor,
-        small: Arc<TrainedModel>,
-        full: Arc<TrainedModel>,
-        threshold: f64,
-        efficient: Vec<usize>,
-    ) -> Result<CascadePredictor, WillumpError> {
-        if full.task() != Task::BinaryClassification {
-            return Err(WillumpError::Unsupported {
-                reason: "end-to-end cascades apply only to classification pipelines".into(),
-            });
-        }
-        CascadePredictor::from_plan(ServingPlan::cascade(
-            exec, small, full, threshold, efficient,
-        )?)
-    }
-
-    /// Wrap an already-lowered cascade plan (it must contain a
-    /// confidence gate).
-    ///
-    /// # Errors
-    /// Returns [`WillumpError::BadConfig`] when the plan has no
-    /// [`crate::plan::PlanStage::ConfidenceGate`] stage.
-    pub fn from_plan(plan: ServingPlan) -> Result<CascadePredictor, WillumpError> {
-        if plan.threshold().is_none() {
-            return Err(WillumpError::BadConfig {
-                reason: "cascade predictors need a plan with a confidence gate".into(),
-            });
-        }
-        Ok(CascadePredictor { plan })
-    }
-
-    /// The lowered serving plan backing this cascade.
-    pub fn plan(&self) -> &ServingPlan {
-        &self.plan
-    }
-
-    /// Attach a fitted score calibrator: small-model scores are mapped
-    /// through it before the confidence/threshold comparison and when
-    /// returned as predictions.
-    #[must_use]
-    pub fn with_calibrator(mut self, calibrator: Option<ScoreCalibrator>) -> CascadePredictor {
-        self.plan = self.plan.with_calibrator(calibrator);
-        self
-    }
-
-    /// The attached calibrator, if any.
-    pub fn calibrator(&self) -> Option<&ScoreCalibrator> {
-        self.plan.calibrator()
-    }
-
-    /// The cascade threshold in effect.
-    pub fn threshold(&self) -> f64 {
-        self.plan.threshold().expect("validated confidence gate")
-    }
-
-    /// Override the cascade threshold (used by the Figure 7 sweep).
-    pub fn set_threshold(&mut self, tc: f64) {
-        self.plan.set_threshold(tc);
-    }
-
-    /// The efficient generator subset.
-    pub fn efficient_set(&self) -> &[usize] {
-        self.plan
-            .efficient_set()
-            .expect("cascade plans have an efficient subset")
-    }
-
-    /// The executor used for feature computation.
-    pub fn executor(&self) -> &Executor {
-        self.plan.executor()
-    }
-
-    /// Predict scores for a batch, cascading per input.
-    ///
-    /// # Errors
-    /// Propagates feature-computation failures.
-    pub fn predict_batch(
-        &self,
-        table: &Table,
-    ) -> Result<(Vec<f64>, CascadeServeStats), WillumpError> {
-        let out = self.plan.run_batch(table)?;
-        let stats = CascadeServeStats {
-            resolved_small: out.report.gate_resolved,
-            escalated: out.report.escalated,
-        };
-        Ok((out.scores, stats))
-    }
-
-    /// Predict the score for one input, cascading if needed. Returns
-    /// the score and whether the input escalated to the full model.
-    ///
-    /// # Errors
-    /// Propagates feature-computation failures.
-    pub fn predict_one(&self, input: &InputRow) -> Result<(f64, bool), WillumpError> {
-        let row = self.plan.run_one(input)?;
-        Ok((row.score, row.escalated))
-    }
+    let plan = ServingPlan::cascade(exec.clone(), small, full, selection.threshold, efficient)?;
+    Ok((plan, selection))
 }
 
 #[cfg(test)]
@@ -325,7 +191,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use willump_data::Column;
-    use willump_graph::{EngineMode, GraphBuilder, Operator};
+    use willump_graph::{EngineMode, GraphBuilder, InputRow, Operator};
     use willump_models::{LogisticParams, ModelSpec};
 
     /// Two numeric FGs; FG0 alone classifies "easy" inputs (|a| large),
@@ -411,47 +277,46 @@ mod tests {
         )
         .unwrap();
         let cascade =
-            CascadePredictor::new(exec.clone(), small, full.clone(), sel.threshold, vec![0])
+            ServingPlan::cascade(exec.clone(), small, full.clone(), sel.threshold, vec![0])
                 .unwrap();
-        let (scores, stats) = cascade.predict_batch(&t).unwrap();
-        let cascade_acc = metrics::accuracy(&scores, &y);
+        let out = cascade.run_batch(&t).unwrap();
+        let cascade_acc = metrics::accuracy(&out.scores, &y);
         let full_acc = metrics::accuracy(&full.predict_scores(&fullf), &y);
         assert!(
             cascade_acc >= full_acc - 0.001,
             "{cascade_acc} vs {full_acc}"
         );
-        assert!(stats.resolved_small > 0);
-        assert!(stats.escalated > 0);
+        assert!(out.report.gate_resolved > 0);
+        assert!(out.report.escalated > 0);
     }
 
     #[test]
     fn single_input_matches_batch() {
         let (exec, t, y) = setup();
         let (small, full) = train(&exec, &t, &y);
-        let cascade = CascadePredictor::new(exec, small, full, 0.8, vec![0]).unwrap();
-        let (batch_scores, _) = cascade.predict_batch(&t).unwrap();
+        let cascade = ServingPlan::cascade(exec, small, full, 0.8, vec![0]).unwrap();
+        let batch_scores = cascade.predict_batch(&t).unwrap();
         for r in (0..t.n_rows()).step_by(29) {
             let input = InputRow::from_table(&t, r).unwrap();
-            let (score, _) = cascade.predict_one(&input).unwrap();
+            let score = cascade.predict_one(&input).unwrap();
             assert!(
                 (score - batch_scores[r]).abs() < 1e-9,
                 "row {r}: {score} vs {}",
                 batch_scores[r]
             );
         }
-        let _ = y;
     }
 
     #[test]
     fn threshold_one_always_escalates() {
         let (exec, t, y) = setup();
         let (small, full) = train(&exec, &t, &y);
-        let cascade = CascadePredictor::new(exec, small, full.clone(), 1.0, vec![0]).unwrap();
-        let (scores, stats) = cascade.predict_batch(&t).unwrap();
-        assert_eq!(stats.resolved_small, 0);
+        let cascade = ServingPlan::cascade(exec, small, full.clone(), 1.0, vec![0]).unwrap();
+        let out = cascade.run_batch(&t).unwrap();
+        assert_eq!(out.report.gate_resolved, 0);
         let fullf = cascade.executor().features_batch(&t, None).unwrap();
         let full_scores = full.predict_scores(&fullf);
-        for (a, b) in scores.iter().zip(&full_scores) {
+        for (a, b) in out.scores.iter().zip(&full_scores) {
             assert!((a - b).abs() < 1e-9);
         }
     }
@@ -462,19 +327,9 @@ mod tests {
         let (small, full) = train(&exec, &t, &y);
         // Empty efficient set.
         assert!(
-            CascadePredictor::new(exec.clone(), small.clone(), full.clone(), 0.8, vec![]).is_err()
+            ServingPlan::cascade(exec.clone(), small.clone(), full.clone(), 0.8, vec![]).is_err()
         );
         // Efficient set = everything.
-        assert!(CascadePredictor::new(exec, small, full, 0.8, vec![0, 1]).is_err());
-    }
-
-    #[test]
-    fn serve_stats_fraction() {
-        let s = CascadeServeStats {
-            resolved_small: 3,
-            escalated: 1,
-        };
-        assert!((s.small_fraction() - 0.75).abs() < 1e-12);
-        assert_eq!(CascadeServeStats::default().small_fraction(), 0.0);
+        assert!(ServingPlan::cascade(exec, small, full, 0.8, vec![0, 1]).is_err());
     }
 }

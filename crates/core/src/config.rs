@@ -35,6 +35,17 @@ impl Default for TopKConfig {
     }
 }
 
+impl TopKConfig {
+    /// Candidates the filter keeps from a batch of `n` for a top-`k`
+    /// query: `max(ck * k, ceil(min_subset_frac * n))`, at most `n`.
+    #[must_use]
+    pub fn subset_size(&self, n: usize, k: usize) -> usize {
+        let by_ck = self.ck.saturating_mul(k);
+        let by_frac = (self.min_subset_frac * n as f64).ceil() as usize;
+        by_ck.max(by_frac).min(n)
+    }
+}
+
 /// Feature-level caching configuration (paper §4.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CachingConfig {
@@ -211,6 +222,17 @@ mod tests {
             ..WillumpConfig::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn subset_size_rules() {
+        let config = TopKConfig::default();
+        // ck*K dominates: 10*20 = 200 > 5% of 500 = 25.
+        assert_eq!(config.subset_size(500, 20), 200);
+        // Fraction floor dominates for tiny K: max(10, 25) = 25.
+        assert_eq!(config.subset_size(500, 1), 25);
+        // Clamped to batch size.
+        assert_eq!(config.subset_size(50, 20), 50);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! [`ServingPlan`] IR — an explicit stage sequence run by one
 //! [`plan::PlanExecutor`] — so cascades, top-K filters, end-to-end
 //! caching, and model selection *compose* instead of living in
-//! separate wrapper structs. [`CascadePredictor`] and [`TopKFilter`]
-//! are thin shims over lowered plans.
+//! separate wrapper structs: a deployed cascade or top-K filter *is*
+//! a plan ([`OptimizedPipeline::cascade`], [`OptimizedPipeline::filter`]).
 //!
 //! See `willump-workloads` for ready-made benchmark pipelines and
 //! `examples/` at the repository root for usage.
@@ -49,7 +49,7 @@ pub mod sketch;
 pub mod stats;
 pub mod topk;
 
-pub use cascade::{CascadePredictor, ScoreCalibrator};
+pub use cascade::ScoreCalibrator;
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use config::{CachingConfig, Calibration, QueryMode, TopKConfig, WillumpConfig};
 pub use error::WillumpError;
@@ -61,4 +61,3 @@ pub use plan::{
 };
 pub use sketch::CountMinSketch;
 pub use stats::{IfvStats, LatencyHistogram, RateEstimator};
-pub use topk::TopKFilter;

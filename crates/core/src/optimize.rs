@@ -8,15 +8,12 @@ use willump_data::Table;
 use willump_graph::{EngineMode, Executor, FeatureCaches, InputRow, Parallelism};
 use willump_models::{Task, TrainedModel};
 
-use crate::cascade::{
-    select_threshold, CascadePredictor, CascadeServeStats, ScoreCalibrator, ThresholdSelection,
-};
+use crate::cascade::{select_threshold, ScoreCalibrator, ThresholdSelection};
 use crate::config::{QueryMode, WillumpConfig};
 use crate::efficient::{select_efficient_ifvs, SelectionStrategy};
 use crate::pipeline::Pipeline;
-use crate::plan::ServingPlan;
+use crate::plan::{PlanRunReport, ServingPlan};
 use crate::stats::{compute_ifv_stats_with_basis, CostBasis, IfvStats};
-use crate::topk::{TopKFilter, TopKServeStats};
 use crate::WillumpError;
 
 /// What the optimizer did and measured (paper §6.4's "optimization
@@ -202,8 +199,7 @@ impl Willump {
             };
             if deploy {
                 // Lower the decisions (efficient subset, threshold,
-                // calibration) into a serving plan; the predictor is a
-                // thin shim over it.
+                // calibration) into a serving plan.
                 let plan = ServingPlan::cascade(
                     exec.clone(),
                     small,
@@ -213,7 +209,7 @@ impl Willump {
                 )?
                 .with_calibrator(calibrator);
                 threshold = Some(sel);
-                Some(CascadePredictor::from_plan(plan)?)
+                Some(plan)
             } else {
                 None
             }
@@ -224,15 +220,14 @@ impl Willump {
         // Top-K filter deployment (any task), lowered the same way.
         let filter = if let (QueryMode::TopK { k }, true) = (cfg.mode, proper) {
             let small = small_model.clone().expect("proper subset has small model");
-            let plan = ServingPlan::top_k_filter(
+            Some(ServingPlan::top_k_filter(
                 exec.clone(),
                 small,
                 full_model.clone(),
                 k,
                 cfg.topk,
                 efficient.clone(),
-            )?;
-            Some(TopKFilter::from_plan(plan)?)
+            )?)
         } else {
             None
         };
@@ -246,37 +241,28 @@ impl Willump {
             filter_deployed: filter.is_some(),
             ifv_stats,
         };
-        // The lowered plan this pipeline serves with: filter plan for
-        // top-K query modes, else the cascade plan, else the plain
-        // compiled full-model plan. Built once so every
-        // `serving_plan()` clone shares its counters.
-        let plan = if let Some(f) = &filter {
-            f.plan().clone()
-        } else if let Some(c) = &cascade {
-            c.plan().clone()
-        } else {
-            ServingPlan::full_model_plan(exec.clone(), full_model.clone())
-        };
         Ok(OptimizedPipeline {
-            exec,
-            full_model,
+            full: ServingPlan::full_model_plan(exec, full_model),
             cascade,
             filter,
-            plan,
             report,
         })
     }
 }
 
 /// A pipeline after Willump optimization: compiled execution, plus
-/// cascades and/or a top-K filter when deployed.
+/// cascades and/or a top-K filter when deployed, each a lowered
+/// [`ServingPlan`].
+///
+/// Every plan is built once at optimization time, so clones of the
+/// pipeline and of [`serving_plan`](OptimizedPipeline::serving_plan)
+/// share each plan's counters; a plan's stage list (threshold, top-K
+/// configuration) belongs to the pipeline that holds it.
 #[derive(Debug, Clone)]
 pub struct OptimizedPipeline {
-    exec: Executor,
-    full_model: Arc<TrainedModel>,
-    cascade: Option<CascadePredictor>,
-    filter: Option<TopKFilter>,
-    plan: ServingPlan,
+    full: ServingPlan,
+    cascade: Option<ServingPlan>,
+    filter: Option<ServingPlan>,
     report: OptimizationReport,
 }
 
@@ -288,43 +274,54 @@ impl OptimizedPipeline {
 
     /// The compiled executor (for instrumentation).
     pub fn executor(&self) -> &Executor {
-        &self.exec
+        self.full.executor()
     }
 
     /// The trained full model.
     pub fn full_model(&self) -> &Arc<TrainedModel> {
-        &self.full_model
+        self.full.full_model()
     }
 
-    /// The deployed cascade, if any.
-    pub fn cascade(&self) -> Option<&CascadePredictor> {
+    /// The deployed cascade plan, if any.
+    pub fn cascade(&self) -> Option<&ServingPlan> {
         self.cascade.as_ref()
     }
 
-    /// Mutable access to the deployed cascade (threshold sweeps).
-    pub fn cascade_mut(&mut self) -> Option<&mut CascadePredictor> {
+    /// Mutable access to the deployed cascade plan (threshold sweeps).
+    pub fn cascade_mut(&mut self) -> Option<&mut ServingPlan> {
         self.cascade.as_mut()
     }
 
-    /// The deployed top-K filter, if any.
-    pub fn filter(&self) -> Option<&TopKFilter> {
+    /// The deployed top-K filter plan, if any.
+    pub fn filter(&self) -> Option<&ServingPlan> {
         self.filter.as_ref()
+    }
+
+    /// Mutable access to the deployed filter plan (subset-size sweeps).
+    pub fn filter_mut(&mut self) -> Option<&mut ServingPlan> {
+        self.filter.as_mut()
     }
 
     /// The lowered [`ServingPlan`] this pipeline serves with: the
     /// top-K plan when a filter deployed (the pipeline was optimized
     /// for top-K queries), otherwise the cascade plan when cascades
     /// deployed, otherwise the plain compiled full-model plan.
-    /// The returned plan is a clone sharing the deployed plan's
-    /// counters and executor — compose freely (e.g.
+    /// The returned plan is a clone of the deployed one — same stages,
+    /// shared counters and executor — so compose freely (e.g.
     /// [`ServingPlan::with_e2e_cache`]) and serve it directly.
     pub fn serving_plan(&self) -> ServingPlan {
-        self.plan.clone()
+        self.filter
+            .as_ref()
+            .or(self.cascade.as_ref())
+            .unwrap_or(&self.full)
+            .clone()
     }
 
-    /// Mutable access to the deployed filter (subset-size sweeps).
-    pub fn filter_mut(&mut self) -> Option<&mut TopKFilter> {
-        self.filter.as_mut()
+    /// The plan [`predict_batch`](Self::predict_batch) and
+    /// [`predict_one`](Self::predict_one) run: the cascade when one
+    /// deployed, else the full model.
+    fn scoring_plan(&self) -> &ServingPlan {
+        self.cascade.as_ref().unwrap_or(&self.full)
     }
 
     /// Predict scores for a batch: cascaded when a cascade is
@@ -333,27 +330,21 @@ impl OptimizedPipeline {
     /// # Errors
     /// Propagates execution failures.
     pub fn predict_batch(&self, table: &Table) -> Result<Vec<f64>, WillumpError> {
-        Ok(self.predict_batch_with_stats(table)?.0)
+        self.scoring_plan().predict_batch(table)
     }
 
-    /// Batch prediction returning cascade serving statistics.
+    /// Batch prediction returning the plan's run report (its
+    /// `gate_resolved` and `escalated` counts are zero without a
+    /// cascade).
     ///
     /// # Errors
     /// Propagates execution failures.
     pub fn predict_batch_with_stats(
         &self,
         table: &Table,
-    ) -> Result<(Vec<f64>, Option<CascadeServeStats>), WillumpError> {
-        match &self.cascade {
-            Some(c) => {
-                let (scores, stats) = c.predict_batch(table)?;
-                Ok((scores, Some(stats)))
-            }
-            None => {
-                let feats = self.exec.features_batch(table, None)?;
-                Ok((self.full_model.predict_scores(&feats), None))
-            }
-        }
+    ) -> Result<(Vec<f64>, PlanRunReport), WillumpError> {
+        let out = self.scoring_plan().run_batch(table)?;
+        Ok((out.scores, out.report))
     }
 
     /// Predict the score for one input.
@@ -361,16 +352,11 @@ impl OptimizedPipeline {
     /// # Errors
     /// Propagates execution failures.
     pub fn predict_one(&self, input: &InputRow) -> Result<f64, WillumpError> {
-        match &self.cascade {
-            Some(c) => Ok(c.predict_one(input)?.0),
-            None => {
-                let row = self.exec.features_one(input, None)?;
-                Ok(self.full_model.predict_score_row(&row.entries, row.width))
-            }
-        }
+        self.scoring_plan().predict_one(input)
     }
 
-    /// Answer a top-K query: filtered when a filter is deployed,
+    /// Answer a top-K query: filtered when a filter is deployed, with
+    /// the filter plan's run report (`filter_batch`, `filter_kept`),
     /// otherwise exact.
     ///
     /// # Errors
@@ -379,14 +365,14 @@ impl OptimizedPipeline {
         &self,
         table: &Table,
         k: usize,
-    ) -> Result<(Vec<usize>, Option<TopKServeStats>), WillumpError> {
+    ) -> Result<(Vec<usize>, Option<PlanRunReport>), WillumpError> {
         match &self.filter {
             Some(f) => {
-                let (idx, stats) = f.top_k(table, k)?;
-                Ok((idx, Some(stats)))
+                let (idx, report) = f.top_k(table, k)?;
+                Ok((idx, Some(report)))
             }
             None => {
-                let idx = crate::topk::exact_top_k(&self.exec, &self.full_model, table, k)?;
+                let idx = crate::topk::exact_top_k(self.executor(), self.full_model(), table, k)?;
                 Ok((idx, None))
             }
         }
@@ -463,8 +449,8 @@ mod tests {
         );
         assert!(acc >= full_acc - 0.002, "{acc} vs {full_acc}");
         if report.cascades_deployed {
-            let stats = opt.predict_batch_with_stats(&valid).unwrap().1.unwrap();
-            assert!(stats.resolved_small + stats.escalated == valid.n_rows());
+            let stats = opt.predict_batch_with_stats(&valid).unwrap().1;
+            assert!(stats.gate_resolved + stats.escalated == valid.n_rows());
         }
     }
 
@@ -509,7 +495,7 @@ mod tests {
         let (idx, stats) = opt.top_k(&valid, 10).unwrap();
         assert_eq!(idx.len(), 10);
         if opt.report().filter_deployed {
-            assert!(stats.unwrap().subset_size >= 10);
+            assert!(stats.unwrap().filter_kept.unwrap() >= 10);
         }
     }
 

@@ -16,9 +16,8 @@
 //! the same [`PlanExecutor`], batch-wise or row-wise, and all report
 //! per-stage cost and row counters the serving layer can inspect.
 //!
-//! [`crate::Willump::optimize`] lowers its decisions into a plan;
-//! [`crate::CascadePredictor`] and [`crate::TopKFilter`] are thin
-//! shims over lowered plans.
+//! [`crate::Willump::optimize`] lowers its decisions into plans, and
+//! [`crate::OptimizedPipeline`] serves through them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -233,8 +232,8 @@ crate::counter_set! {
     /// router as snapshots, and the parent's escalation-aware scheduler
     /// folds them into its own view with [`merged`](Self::merged).
     ///
-    /// Every field is `#[serde(default)]`, so frames from an older node
-    /// that lacks a counter still decode (missing counters read 0).
+    /// Every field is `#[serde(default)]`, so a serialized snapshot that
+    /// lacks a counter still deserializes (missing counters read 0).
     ///
     /// # Examples
     ///
@@ -1371,9 +1370,7 @@ impl<'p> PlanExecutor<'p> {
                 PlanStage::TopKFilter { k, config } => {
                     let k = k_override.unwrap_or(*k);
                     let nn = active.len();
-                    let by_ck = config.ck.saturating_mul(k);
-                    let by_frac = (config.min_subset_frac * nn as f64).ceil() as usize;
-                    let subset_size = by_ck.max(by_frac).min(nn);
+                    let subset_size = config.subset_size(nn, k);
                     let active_scores: Vec<f64> = active.iter().map(|&r| scores[r]).collect();
                     let kept_pos = metrics::top_k_indices(&active_scores, subset_size);
                     for &r in &active {

@@ -3,128 +3,21 @@
 //! For top-K queries only the relative ranking of the K top-scoring
 //! inputs matters. The filter model — constructed exactly like a
 //! cascade's small model — scores the whole batch cheaply, keeps a
-//! subset of `max(ck * K, min_frac * N)` top candidates, and only
-//! those are scored by the full model (reusing the already-computed
-//! efficient features). The returned ranking is the full model's
-//! ordering of the surviving candidates.
+//! subset of [`crate::TopKConfig::subset_size`] top candidates, and
+//! only those are scored by the full model (reusing the
+//! already-computed efficient features). The returned ranking is the
+//! full model's ordering of the surviving candidates.
 //!
-//! Since the plan-IR refactor the filter is a thin shim over a
-//! lowered [`ServingPlan`] (`compute_features(efficient)` →
-//! `predict(small)` → `topk_filter` → `escalate` → `predict(full)`);
-//! the executor logic, including the efficient/inefficient feature
-//! merge, lives in [`crate::plan`].
-
-use std::sync::Arc;
+//! The filter is a [`crate::ServingPlan`] lowered by
+//! [`crate::ServingPlan::top_k_filter`] (`compute_features(efficient)`
+//! → `predict(small)` → `topk_filter` → `escalate` → `predict(full)`);
+//! this module keeps the exact baseline it is measured against.
 
 use willump_data::Table;
 use willump_graph::Executor;
 use willump_models::{metrics, TrainedModel};
 
-use crate::config::TopKConfig;
-use crate::plan::ServingPlan;
 use crate::WillumpError;
-
-/// Statistics from one top-K query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TopKServeStats {
-    /// Batch size scored by the filter model.
-    pub batch_size: usize,
-    /// Candidates kept for the full model.
-    pub subset_size: usize,
-}
-
-/// A deployed top-K filter: a thin shim over a lowered
-/// [`ServingPlan`].
-#[derive(Debug, Clone)]
-pub struct TopKFilter {
-    plan: ServingPlan,
-}
-
-impl TopKFilter {
-    /// Assemble a top-K filter from its parts by lowering them into a
-    /// plan.
-    ///
-    /// # Errors
-    /// Returns [`WillumpError::Unsupported`] when the efficient subset
-    /// is empty or covers every generator (no filtering is possible).
-    pub fn new(
-        exec: Executor,
-        filter: Arc<TrainedModel>,
-        full: Arc<TrainedModel>,
-        config: TopKConfig,
-        efficient: Vec<usize>,
-    ) -> Result<TopKFilter, WillumpError> {
-        TopKFilter::from_plan(ServingPlan::top_k_filter(
-            exec, filter, full, 1, config, efficient,
-        )?)
-    }
-
-    /// Wrap an already-lowered top-K plan (it must contain a filter
-    /// stage).
-    ///
-    /// # Errors
-    /// Returns [`WillumpError::BadConfig`] when the plan has no
-    /// [`crate::plan::PlanStage::TopKFilter`] stage.
-    pub fn from_plan(plan: ServingPlan) -> Result<TopKFilter, WillumpError> {
-        if plan.topk_config().is_none() {
-            return Err(WillumpError::BadConfig {
-                reason: "top-K filters need a plan with a topk_filter stage".into(),
-            });
-        }
-        Ok(TopKFilter { plan })
-    }
-
-    /// The lowered serving plan backing this filter.
-    pub fn plan(&self) -> &ServingPlan {
-        &self.plan
-    }
-
-    /// The filter configuration.
-    pub fn config(&self) -> TopKConfig {
-        self.plan.topk_config().expect("validated filter stage")
-    }
-
-    /// Override the configuration (used by the Table 7 subset-size
-    /// sweep).
-    pub fn set_config(&mut self, config: TopKConfig) {
-        self.plan.set_topk_config(config);
-    }
-
-    /// The efficient generator subset the filter model reads.
-    pub fn efficient_set(&self) -> &[usize] {
-        self.plan
-            .efficient_set()
-            .expect("top-K plans have an efficient subset")
-    }
-
-    /// The subset size used for a batch of `n` when requesting top-`k`.
-    pub fn subset_size(&self, n: usize, k: usize) -> usize {
-        let config = self.config();
-        let by_ck = config.ck.saturating_mul(k);
-        let by_frac = (config.min_subset_frac * n as f64).ceil() as usize;
-        by_ck.max(by_frac).min(n)
-    }
-
-    /// Answer a top-`k` query over `table`: returns the indices of the
-    /// predicted top K, best first, plus serving statistics.
-    ///
-    /// # Errors
-    /// Propagates feature-computation failures; errors when `k == 0`.
-    pub fn top_k(
-        &self,
-        table: &Table,
-        k: usize,
-    ) -> Result<(Vec<usize>, TopKServeStats), WillumpError> {
-        let (ranked, report) = self.plan.top_k(table, k)?;
-        Ok((
-            ranked,
-            TopKServeStats {
-                batch_size: report.filter_batch.expect("filter stage ran"),
-                subset_size: report.filter_kept.expect("filter stage ran"),
-            },
-        ))
-    }
-}
 
 /// Exact top-K baseline: full model over the whole batch.
 ///
@@ -144,6 +37,8 @@ pub fn exact_top_k(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TopKConfig;
+    use crate::plan::ServingPlan;
     use std::sync::Arc;
     use willump_data::Column;
     use willump_graph::{EngineMode, GraphBuilder, Operator};
@@ -193,36 +88,24 @@ mod tests {
     }
 
     #[test]
-    fn subset_size_rules() {
-        let (exec, t, y) = setup();
-        let (filter, full) = models(&exec, &t, &y);
-        let f = TopKFilter::new(exec, filter, full, TopKConfig::default(), vec![0]).unwrap();
-        // ck*K dominates: 10*20 = 200 > 5% of 500 = 25.
-        assert_eq!(f.subset_size(500, 20), 200);
-        // Fraction floor dominates for tiny K: max(10, 25) = 25.
-        assert_eq!(f.subset_size(500, 1), 25);
-        // Clamped to batch size.
-        assert_eq!(f.subset_size(50, 20), 50);
-    }
-
-    #[test]
     fn filtered_topk_is_accurate() {
         let (exec, t, y) = setup();
         let (filter, full) = models(&exec, &t, &y);
-        let f = TopKFilter::new(
+        let f = ServingPlan::top_k_filter(
             exec.clone(),
             filter,
             full.clone(),
+            1,
             TopKConfig::default(),
             vec![0],
         )
         .unwrap();
         let k = 20;
-        let (approx, stats) = f.top_k(&t, k).unwrap();
+        let (approx, report) = f.top_k(&t, k).unwrap();
         let exact = exact_top_k(&exec, &full, &t, k).unwrap();
         assert_eq!(approx.len(), k);
-        assert_eq!(stats.batch_size, 500);
-        assert_eq!(stats.subset_size, 200);
+        assert_eq!(report.filter_batch, Some(500));
+        assert_eq!(report.filter_kept, Some(200));
         let precision = metrics::precision_at_k(&approx, &exact);
         assert!(precision >= 0.9, "precision {precision}");
         // Average value of the approximate top-K should be close to
@@ -239,10 +122,11 @@ mod tests {
     fn tiny_subset_hurts_accuracy() {
         let (exec, t, y) = setup();
         let (filter, full) = models(&exec, &t, &y);
-        let generous = TopKFilter::new(
+        let generous = ServingPlan::top_k_filter(
             exec.clone(),
             filter.clone(),
             full.clone(),
+            1,
             TopKConfig {
                 ck: 10,
                 min_subset_frac: 0.05,
@@ -251,14 +135,14 @@ mod tests {
         )
         .unwrap();
         let mut stingy = generous.clone();
-        stingy.set_config(TopKConfig {
+        stingy.set_topk_config(TopKConfig {
             ck: 1,
             min_subset_frac: 0.0,
         });
         let exact = exact_top_k(&exec, &full, &t, 20).unwrap();
         let (gen_k, _) = generous.top_k(&t, 20).unwrap();
-        let (sting_k, sting_stats) = stingy.top_k(&t, 20).unwrap();
-        assert_eq!(sting_stats.subset_size, 20);
+        let (sting_k, sting_report) = stingy.top_k(&t, 20).unwrap();
+        assert_eq!(sting_report.filter_kept, Some(20));
         let p_gen = metrics::precision_at_k(&gen_k, &exact);
         let p_sting = metrics::precision_at_k(&sting_k, &exact);
         assert!(p_gen >= p_sting, "{p_gen} vs {p_sting}");
@@ -268,7 +152,8 @@ mod tests {
     fn k_zero_rejected() {
         let (exec, t, y) = setup();
         let (filter, full) = models(&exec, &t, &y);
-        let f = TopKFilter::new(exec, filter, full, TopKConfig::default(), vec![0]).unwrap();
+        let f = ServingPlan::top_k_filter(exec, filter, full, 1, TopKConfig::default(), vec![0])
+            .unwrap();
         assert!(f.top_k(&t, 0).is_err());
     }
 
@@ -276,15 +161,24 @@ mod tests {
     fn bad_subsets_rejected() {
         let (exec, t, y) = setup();
         let (filter, full) = models(&exec, &t, &y);
-        assert!(TopKFilter::new(
+        assert!(ServingPlan::top_k_filter(
             exec.clone(),
             filter.clone(),
             full.clone(),
+            1,
             TopKConfig::default(),
             vec![]
         )
         .is_err());
-        assert!(TopKFilter::new(exec, filter, full, TopKConfig::default(), vec![0, 1]).is_err());
+        assert!(ServingPlan::top_k_filter(
+            exec,
+            filter,
+            full,
+            1,
+            TopKConfig::default(),
+            vec![0, 1]
+        )
+        .is_err());
         let _ = t;
     }
 
@@ -292,7 +186,8 @@ mod tests {
     fn k_larger_than_batch() {
         let (exec, t, y) = setup();
         let (filter, full) = models(&exec, &t, &y);
-        let f = TopKFilter::new(exec, filter, full, TopKConfig::default(), vec![0]).unwrap();
+        let f = ServingPlan::top_k_filter(exec, filter, full, 1, TopKConfig::default(), vec![0])
+            .unwrap();
         let small = t.take_rows(&(0..5).collect::<Vec<_>>());
         let (idx, _) = f.top_k(&small, 10).unwrap();
         assert_eq!(idx.len(), 5);

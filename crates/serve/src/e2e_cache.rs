@@ -117,10 +117,10 @@ impl E2eCachedPredictor {
 
 /// An end-to-end-cached predictor is servable, so the Clipper-style
 /// baseline can sit directly behind a (multi-worker)
-/// [`crate::ClipperServer`]: each row of a (possibly coalesced) batch
-/// is looked up — and on miss, computed — individually, which is
-/// exactly the per-input granularity end-to-end prediction caches
-/// operate at.
+/// [`crate::ServingRuntime`] endpoint: each row of a (possibly
+/// coalesced) batch is looked up — and on miss, computed —
+/// individually, which is exactly the per-input granularity
+/// end-to-end prediction caches operate at.
 impl Servable for E2eCachedPredictor {
     fn predict_table(&self, table: &willump_data::Table) -> Result<Vec<f64>, String> {
         (0..table.n_rows())
@@ -197,11 +197,13 @@ mod tests {
 
     #[test]
     fn cached_predictor_serves_behind_clipper_server() {
-        use crate::{ClipperServer, ServerConfig};
+        use crate::{ServingRuntime, DEFAULT_ENDPOINT};
         use willump_data::Value;
 
         let (p, calls) = counting_predictor();
-        let server = ClipperServer::start(Arc::new(p), ServerConfig::default());
+        let mut builder = ServingRuntime::builder();
+        builder.endpoint(DEFAULT_ENDPOINT, Arc::new(p));
+        let server = builder.build().unwrap();
         let client = server.client();
         let wire_row = |x: f64, y: &str| {
             vec![

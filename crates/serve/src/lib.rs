@@ -1,21 +1,21 @@
 //! # willump-serve
 //!
 //! The serving layer for the Willump reproduction (see DESIGN.md's
-//! substitution table): an RPC-style boundary with real JSON
-//! serialization overhead, per-worker request queues with adaptive
-//! coalescing batching, and a **multi-endpoint runtime** —
+//! substitution table): a **multi-endpoint runtime** —
 //! [`ServingRuntime`] — serving named, versioned, shard-routed
-//! deployments behind one worker pool.
+//! deployments behind one worker pool, with per-worker request queues
+//! and adaptive coalescing batching.
 //!
 //! Paper Table 6 serves Willump-optimized pipelines through Clipper
 //! and observes that (a) fixed per-request overheads amortize with
-//! batch size, and (b) variable serialization overheads remain. Both
-//! effects are real here: every request and response passes through
-//! `serde_json`, and workers *coalesce* — all same-endpoint,
-//! same-schema requests drained in one iteration merge into a single
-//! model-level batch (one `predict_table` call), so concurrent small
-//! requests amortize per-call fixed overheads exactly the way
-//! client-side batching does in Table 6.
+//! batch size, and (b) variable serialization overheads remain. Here
+//! in-process callers hand the runtime typed [`Request`]s, so a
+//! request is serialized only where it crosses a process boundary —
+//! as a binary [`wire2`] frame. Workers *coalesce*: all
+//! same-endpoint, same-schema requests drained in one iteration merge
+//! into a single model-level batch (one `predict_table` call), so
+//! concurrent small requests amortize per-call fixed overheads exactly
+//! the way client-side batching does in Table 6.
 //!
 //! The runtime goes beyond the paper's single-predictor Clipper
 //! substrate:
@@ -42,11 +42,12 @@
 //!   IR's per-stage introspection) and gives escalation-heavy
 //!   endpoints a dedicated tail of the worker pool.
 //!
-//! The legacy single-predictor surface — [`ClipperServer`] /
-//! [`ClipperClient`] — is a thin shim over a single-endpoint runtime
-//! and stays fully supported, including legacy wire frames without
-//! endpoint fields. Shutdown is explicit and deadlock-free even while
-//! client handles are still alive (see [`ServingRuntime::shutdown`]).
+//! A request without an endpoint name goes to [`DEFAULT_ENDPOINT`], so
+//! a single-predictor deployment is one
+//! `builder.endpoint(DEFAULT_ENDPOINT, predictor)` and a
+//! [`RuntimeClient::predict`]. Shutdown is explicit and deadlock-free
+//! even while client handles are still alive (see
+//! [`ServingRuntime::shutdown`]).
 //!
 //! The crate also reproduces Clipper's *model selection layer*
 //! (paper §7): [`ModelSelector`] routes queries across several
@@ -84,9 +85,7 @@ pub use monitor::{
     StatsHub, TimedEvent,
 };
 pub use protocol::{
-    decode_request, decode_response, encode_request, encode_response, error_wire,
-    escape_json_string, is_overloaded_wire, ControlRequest, EndpointCounters, Request, Response,
-    WireRow, ERROR_RESPONSE_ID,
+    ControlRequest, EndpointCounters, Request, Response, WireRow, ERROR_RESPONSE_ID,
 };
 pub use remote::{
     BreakerState, ForwardReply, InProcessWorker, RemoteRuntimeNode, RemoteWorker, TransportStats,
@@ -99,4 +98,4 @@ pub use runtime::{
     ServerStatsSnapshot, ServingRuntime, DEFAULT_ENDPOINT,
 };
 pub use selection::{ArmStats, ModelSelector, SelectionPolicy};
-pub use server::{ClipperClient, ClipperServer, Servable, ServerConfig, ServerConfigBuilder};
+pub use server::{Servable, ServerConfig, ServerConfigBuilder};

@@ -1467,6 +1467,7 @@ fn node_parse_one(conn: &mut NodeConn, lanes: &NodeLanes<'_>) -> bool {
                         // is bad — so answer in band and keep the
                         // connection in service.
                         counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                        lanes.client.count_decode_error();
                         let resp = Response::failure(
                             ERROR_RESPONSE_ID,
                             format!("binary request decode failed: {e}"),
@@ -2591,12 +2592,11 @@ mod tests {
                 let stream = stream.expect("accepts");
                 let mut writer = stream.try_clone().expect("clones");
                 for line in BufReader::new(stream).lines() {
-                    let Ok(line) = line else { break };
-                    let Err(e) = crate::protocol::decode_request(&line) else {
-                        break;
-                    };
-                    let reply = crate::protocol::error_wire(ERROR_RESPONSE_ID, &e.to_string());
-                    if writer.write_all(format!("{reply}\n").as_bytes()).is_err() {
+                    if line.is_err()
+                        || writer
+                            .write_all(b"{\"id\":0,\"scores\":[],\"error\":\"expected value\"}\n")
+                            .is_err()
+                    {
                         break;
                     }
                 }
@@ -2644,9 +2644,8 @@ mod tests {
         // node hangs up without serving it.
         let legacy = TcpStream::connect(node.local_addr()).expect("connects");
         legacy.set_read_timeout(Some(WATCHDOG)).expect("timeout");
-        let line = crate::protocol::encode_request(&request(1, 1.0)).expect("encodes");
         (&legacy)
-            .write_all(format!("{line}\n").as_bytes())
+            .write_all(b"{\"id\":1,\"rows\":[[[\"x\",{\"Float\":1.0}]]]}\n")
             .expect("writes");
         let mut reply = Vec::new();
         if let Err(e) = (&legacy).read_to_end(&mut reply) {
@@ -2745,5 +2744,9 @@ mod tests {
         let resp = decode_response_payload(&payload).expect("decodes");
         assert_eq!(resp.scores, vec![6.0]);
         assert_eq!(node.transport_stats().decode_errors, 1);
+        // The runtime behind the node counts the undecodable frame as
+        // a request that failed to decode.
+        let stats = node.runtime().stats();
+        assert_eq!((stats.requests(), stats.decode_errors()), (2, 1));
     }
 }

@@ -1,11 +1,11 @@
 //! The multi-endpoint serving runtime: named, versioned, shard-routed
 //! deployments behind one worker pool.
 //!
-//! The legacy [`crate::ClipperServer`] deployed exactly one anonymous
-//! [`Servable`] per server, so the paper's six workloads — and the
-//! cascade / top-K / cached plan variants of each — could not share a
-//! runtime, be A/B'd, or be scheduled by their cost profiles. A
-//! [`ServingRuntime`] instead serves a **registry of endpoints**:
+//! Paper Table 6 fronts one pipeline per Clipper deployment; here the
+//! paper's six workloads — and the cascade / top-K / cached plan
+//! variants of each — share one runtime, are A/B'd, and are scheduled
+//! by their cost profiles. A [`ServingRuntime`] serves a **registry of
+//! endpoints**:
 //!
 //! - each endpoint has a **name** and a **version** (several versions
 //!   of one name coexist; unpinned traffic splits across them by
@@ -76,18 +76,13 @@ use willump::{
 };
 use willump_data::{Column, DataType, Table};
 
-use crate::protocol::{
-    decode_request, encode_response, error_wire, ControlRequest, EndpointCounters, Request,
-    Response, WireRow, ERROR_RESPONSE_ID,
-};
+use crate::protocol::{ControlRequest, EndpointCounters, Request, Response, WireRow};
 use crate::remote::{BreakerState, RemoteWorker, TransportStats, WorkerTransport};
 use crate::selection::{ModelSelector, SelectionPolicy};
 use crate::server::{Servable, ServerConfig};
 use crate::ServeError;
 
-/// The endpoint name the [`RuntimeBuilder`] assigns when the caller
-/// does not pick one, and the name the [`crate::ClipperServer`] shim
-/// registers its single predictor under.
+/// The endpoint a request without [`Request::endpoint`] is routed to.
 pub const DEFAULT_ENDPOINT: &str = "default";
 
 /// Deterministic shard routing: hash a key onto one of `shards`
@@ -132,9 +127,11 @@ willump::counter_set! {
         /// iterations, plus requests their caller ran inline, which count
         /// as one batch of the worker they were routed to.
         sum batches,
-        /// Requests whose payload failed [`decode_request`]; these are
-        /// counted in [`requests`](ServerStats::requests) too and are
-        /// answered with [`ERROR_RESPONSE_ID`].
+        /// Request frames a [`crate::RemoteRuntimeNode`] serving this
+        /// runtime could not decode; these are counted in
+        /// [`requests`](ServerStats::requests) too and are answered with
+        /// [`crate::ERROR_RESPONSE_ID`]. (The node's transport counters
+        /// also count them, with its framing and preamble errors.)
         sum decode_errors,
         /// Well-formed requests addressing an unknown endpoint or version;
         /// counted in [`requests`](ServerStats::requests) too and answered
@@ -1198,17 +1195,11 @@ impl Shared {
         }
     }
 
-    /// Decode one JSON payload and answer it: the lane for bytes that
-    /// arrive as JSON, in front of the typed admission
-    /// [`admit_request`](Self::admit_request) runs.
-    fn admit(&self, payload: &str) -> Result<Response, ServeError> {
-        self.count_request()?;
-        match decode_request(payload) {
-            Ok(req) => self.route_request(req),
-            Err(e) => {
-                self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                Ok(Response::failure(ERROR_RESPONSE_ID, e.to_string()))
-            }
+    /// Count a request frame that arrived but could not be decoded —
+    /// unless the runtime is closed, which records nothing.
+    fn count_decode_error(&self) {
+        if self.count_request().is_ok() {
+            self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -1907,7 +1898,7 @@ fn request_schema(req: &Request) -> SchemaKey<'_> {
 }
 
 /// Hand one response to whoever waits for it, as a decoded struct: the
-/// wire boundary (JSON or binary v2) encodes it only where the bytes
+/// wire boundary encodes it only where the bytes
 /// actually leave the process — for a sink, right here on the worker.
 /// Shadow jobs (no reply) drop the response.
 fn respond(job: &RoutedJob, resp: Response) {
@@ -1958,7 +1949,7 @@ fn handle_one(job: &RoutedJob, stats: &ServerStats) -> Response {
 
 /// The response carrying a servable's scores for `job` — or, when one
 /// is NaN or infinite, the predictor error every boundary answers it
-/// with: JSON cannot encode such a score, so no caller gets one.
+/// with, so no caller in or out of process is handed such a score.
 fn scored(job: &RoutedJob, scores: Vec<f64>) -> Response {
     let entry = &job.entry;
     if let Some(row) = scores.iter().position(|s| !s.is_finite()) {
@@ -2572,8 +2563,7 @@ impl EndpointBuilder<'_> {
 
 /// A multi-endpoint model serving runtime.
 ///
-/// Requests are admitted as typed [`Request`]s (JSON is decoded only on
-/// the lane that receives it, [`RuntimeClient::call_raw`]), are routed
+/// Requests are admitted as typed [`Request`]s, are routed
 /// by endpoint name, version, and shard key at admission,
 /// and are handled by [`ServerConfig::workers`] executor threads with
 /// adaptive, coalescing batching (per endpoint + schema) — or, while
@@ -3071,26 +3061,10 @@ impl RuntimeClient {
         self.shared.resume(deferred)
     }
 
-    /// Send a JSON request payload and return the JSON response: the
-    /// lane for bytes that arrive as JSON (the [`crate::ClipperClient`]
-    /// shim, tests of malformed or legacy frames). The payload
-    /// is decoded and then admitted exactly as [`call`](Self::call)
-    /// admits a [`Request`]; an undecodable one is answered with
-    /// [`ERROR_RESPONSE_ID`].
-    ///
-    /// Enqueues happen under a shared lock (the same one
-    /// [`ServingRuntime::shutdown`] takes), which is what makes the
-    /// close/send ordering airtight — but a *full* target queue
-    /// releases the lock between retries, so a saturated endpoint
-    /// delays only its own callers, not other endpoints' admissions.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Disconnected`] when the runtime has shut
-    /// down or the servable panicked, as for [`call`](Self::call).
-    pub fn call_raw(&self, payload: String) -> Result<String, ServeError> {
-        let resp = self.shared.admit(&payload)?;
-        Ok(encode_response(&resp)
-            .unwrap_or_else(|e| error_wire(resp.id, &format!("response encoding failed: {e}"))))
+    /// Count a request frame the node could not decode (see
+    /// [`ServerStats::decode_errors`]).
+    pub(crate) fn count_decode_error(&self) {
+        self.shared.count_decode_error();
     }
 
     fn scores(resp: Response) -> Result<Vec<f64>, ServeError> {

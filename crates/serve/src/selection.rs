@@ -335,8 +335,8 @@ impl ModelSelector {
 }
 
 /// A selector is itself servable, so a bandit-routed ensemble can sit
-/// behind a (multi-worker) [`crate::ClipperServer`]: each coalesced
-/// batch is routed through the policy-chosen arm. The served arm index
+/// behind a (multi-worker) [`crate::ServingRuntime`] endpoint: each
+/// coalesced batch is routed through the policy-chosen arm. The served arm index
 /// is not observable through this path — keep a shared `Arc` to the
 /// selector and feed [`ModelSelector::reward`] out of band once ground
 /// truth arrives, as Clipper does with delayed feedback.
@@ -498,11 +498,13 @@ mod tests {
 
     #[test]
     fn selector_serves_behind_clipper_server() {
-        use crate::{table_row_to_wire, ClipperServer, ServerConfig};
+        use crate::{table_row_to_wire, ServingRuntime, DEFAULT_ENDPOINT};
         use willump_data::Column;
 
         let sel = Arc::new(two_arm_selector(SelectionPolicy::Ucb1));
-        let server = ClipperServer::start(sel.clone(), ServerConfig::default());
+        let mut builder = ServingRuntime::builder();
+        builder.endpoint(DEFAULT_ENDPOINT, sel.clone());
+        let server = builder.build().unwrap();
         let client = server.client();
         let mut t = Table::new();
         t.add_column("x", Column::from(vec![1.0f64, 2.0])).unwrap();

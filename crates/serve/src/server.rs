@@ -1,32 +1,11 @@
-//! The single-predictor Clipper-like serving surface, now a thin shim
-//! over the multi-endpoint [`ServingRuntime`].
+//! The serving-side predictor abstraction and the runtime's
+//! worker-pool configuration.
 //!
-//! [`ClipperServer::start`] registers its one predictor as the
-//! runtime's [`DEFAULT_ENDPOINT`] (sharded across the worker pool)
-//! and [`ClipperClient`] sends unaddressed requests, which the
-//! runtime routes to that default endpoint — the API, wire protocol
-//! (including legacy frames without endpoint fields), stats, and
-//! shutdown semantics of every legacy caller keep working. One
-//! behavioral difference from the old shared-queue server: requests
-//! are now pinned to a worker queue at admission (unkeyed traffic
-//! round-robins), so under strongly heterogeneous request costs a
-//! queued request no longer migrates to whichever worker frees up
-//! first. New code should use [`ServingRuntime::builder`] directly:
-//! it serves many named, versioned, sharded endpoints — local or
-//! cross-process via [`crate::WorkerTransport`] — behind one worker
-//! pool and one client. The README's "Migrating from `ClipperServer`"
-//! section is the single consolidated migration guide.
-//!
-//! This module also defines the [`Servable`] trait (the serving-side
-//! predictor abstraction) and [`ServerConfig`] (the worker-pool and
-//! batching knobs, shared by the shim and the runtime).
-
-use std::sync::Arc;
+//! [`Servable`] is what a [`crate::ServingRuntime`] endpoint serves;
+//! [`ServerConfig`] holds the worker-pool and batching knobs the
+//! runtime is built with ([`crate::RuntimeBuilder::config`]).
 
 use willump_data::Table;
-
-use crate::runtime::{ServerStats, ServingRuntime};
-use crate::{RuntimeClient, ServeError, WireRow, DEFAULT_ENDPOINT};
 
 /// Anything that can serve batch predictions for raw-input tables.
 ///
@@ -77,8 +56,8 @@ impl Servable for willump::ServingPlan {
     }
 }
 
-/// Server configuration: worker-pool and batching knobs shared by
-/// [`ServingRuntime`] and the [`ClipperServer`] shim.
+/// Server configuration: the worker-pool and batching knobs of a
+/// [`crate::ServingRuntime`].
 ///
 /// Construct with [`ServerConfig::builder`] (the struct is
 /// `#[non_exhaustive]`, so future fields — scheduler knobs, shard
@@ -163,122 +142,26 @@ impl ServerConfigBuilder {
     }
 }
 
-/// An in-process Clipper-like model server over a single anonymous
-/// predictor — the legacy surface, kept as a shim over
-/// [`ServingRuntime`].
-///
-/// Deprecated in spirit (new code should build a runtime with named
-/// endpoints); kept green because the paper experiments and the
-/// original examples speak this API. Identical semantics:
-/// [`ServerConfig::workers`] executors, coalescing, explicit
-/// deadlock-free shutdown, and a JSON lane
-/// ([`ClipperClient::call_raw`]) for raw frames.
-pub struct ClipperServer {
-    runtime: ServingRuntime,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::{rows_to_table, table_row_to_wire};
+    use crate::{Request, ServeError, ServingRuntime, WireRow, DEFAULT_ENDPOINT};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+    use willump_data::{Column, Value};
 
-impl std::fmt::Debug for ClipperServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClipperServer")
-            .field("runtime", &self.runtime)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ClipperServer {
-    /// Start a server over the given predictor: a single-endpoint
-    /// [`ServingRuntime`] serving it as [`DEFAULT_ENDPOINT`], with
-    /// one shard per worker.
-    pub fn start(predictor: Arc<dyn Servable>, config: ServerConfig) -> ClipperServer {
-        let workers = config.workers.max(1);
+    /// A runtime serving `predictor` as its default endpoint, one shard
+    /// per worker.
+    fn one_endpoint(predictor: Arc<dyn Servable>, config: ServerConfig) -> ServingRuntime {
         let mut builder = ServingRuntime::builder();
         builder.config(config);
         builder
             .endpoint(DEFAULT_ENDPOINT, predictor)
-            .shards(workers);
-        ClipperServer {
-            runtime: builder
-                .build()
-                .expect("a single-endpoint runtime is always valid"),
-        }
+            .shards(config.workers.max(1));
+        builder.build().expect("a one-endpoint runtime builds")
     }
-
-    /// Server counters.
-    pub fn stats(&self) -> &ServerStats {
-        self.runtime.stats()
-    }
-
-    /// Number of executor threads.
-    pub fn n_workers(&self) -> usize {
-        self.runtime.n_workers()
-    }
-
-    /// The underlying multi-endpoint runtime (for callers migrating
-    /// incrementally to the endpoint API).
-    pub fn runtime(&self) -> &ServingRuntime {
-        &self.runtime
-    }
-
-    /// A client handle for this server.
-    pub fn client(&self) -> ClipperClient {
-        ClipperClient {
-            inner: self.runtime.client(),
-        }
-    }
-
-    /// Shut the server down (see [`ServingRuntime::shutdown`]):
-    /// idempotent, also run on drop, answers everything admitted
-    /// before the gate closed, and never deadlocks on live clients.
-    pub fn shutdown(&mut self) {
-        self.runtime.shutdown();
-    }
-}
-
-/// A client for a [`ClipperServer`].
-///
-/// Clients stay valid across server shutdown: once the server is shut
-/// down (or dropped), calls return [`ServeError::Disconnected`]
-/// instead of blocking.
-#[derive(Debug)]
-pub struct ClipperClient {
-    inner: RuntimeClient,
-}
-
-impl ClipperClient {
-    /// Predict scores for a batch of raw-input rows through the
-    /// serving runtime (typed admission → route → queue → worker →
-    /// response), with no serialization inside the process. Requests
-    /// are unaddressed, so the runtime routes them to the default
-    /// endpoint.
-    ///
-    /// # Errors
-    /// Same conditions as [`RuntimeClient::predict`]: a shut-down
-    /// server, or a response carrying an error.
-    pub fn predict(&self, rows: Vec<WireRow>) -> Result<Vec<f64>, ServeError> {
-        self.inner.predict(rows)
-    }
-
-    /// Send a JSON request payload and return the JSON response
-    /// (useful for testing the server's handling of malformed or
-    /// legacy frames). See
-    /// [`RuntimeClient::call_raw`] for admission semantics.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Disconnected`] when the server has shut
-    /// down.
-    pub fn call_raw(&self, payload: String) -> Result<String, ServeError> {
-        self.inner.call_raw(payload)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::protocol::{decode_response, ERROR_RESPONSE_ID};
-    use crate::runtime::{rows_to_table, table_row_to_wire};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
-    use willump_data::{Column, Value};
 
     /// A trivial predictor: score = 2 * x.
     struct Doubler;
@@ -326,7 +209,7 @@ mod tests {
 
     #[test]
     fn round_trip_through_server() {
-        let server = ClipperServer::start(Arc::new(Doubler), ServerConfig::default());
+        let server = one_endpoint(Arc::new(Doubler), ServerConfig::default());
         let client = server.client();
         let scores = client.predict(wire_rows(&[1.0, 2.5])).unwrap();
         assert_eq!(scores, vec![2.0, 5.0]);
@@ -336,7 +219,7 @@ mod tests {
 
     #[test]
     fn many_requests_from_multiple_clients() {
-        let server = ClipperServer::start(Arc::new(Doubler), ServerConfig::default());
+        let server = one_endpoint(Arc::new(Doubler), ServerConfig::default());
         std::thread::scope(|s| {
             for t in 0..4 {
                 let client = server.client();
@@ -357,7 +240,7 @@ mod tests {
 
     #[test]
     fn multi_worker_round_trip() {
-        let server = ClipperServer::start(
+        let server = one_endpoint(
             Arc::new(Doubler),
             ServerConfig::builder().workers(4).build(),
         );
@@ -377,9 +260,8 @@ mod tests {
         let per_worker = server.stats().worker_batches();
         assert_eq!(per_worker.len(), 4);
         assert_eq!(per_worker.iter().sum::<u64>(), server.stats().batches());
-        // The shim shards its default endpoint across the pool and
-        // unkeyed requests spread round-robin, so more than one
-        // worker serves.
+        // The default endpoint is sharded across the pool and unkeyed
+        // requests spread round-robin, so more than one worker serves.
         assert!(per_worker.iter().filter(|&&b| b > 0).count() > 1);
     }
 
@@ -388,7 +270,7 @@ mod tests {
         // A slow first request holds the only execution slot on its
         // caller's thread, so the other clients' requests pile up on
         // the worker's queue and must be coalesced.
-        let server = ClipperServer::start(
+        let server = one_endpoint(
             Arc::new(SlowDoubler(Duration::from_millis(500))),
             ServerConfig::default(),
         );
@@ -428,7 +310,7 @@ mod tests {
         // cloned client senders kept the channel open, hanging forever.
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let server = ClipperServer::start(Arc::new(Doubler), ServerConfig::default());
+            let server = one_endpoint(Arc::new(Doubler), ServerConfig::default());
             let client = server.client();
             assert_eq!(client.predict(wire_rows(&[1.0])).unwrap(), vec![2.0]);
             drop(server); // client is still alive
@@ -445,7 +327,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_explicit_and_idempotent() {
-        let mut server = ClipperServer::start(
+        let mut server = one_endpoint(
             Arc::new(Doubler),
             ServerConfig::builder().workers(3).build(),
         );
@@ -460,29 +342,12 @@ mod tests {
     }
 
     #[test]
-    fn decode_errors_are_counted_and_answered_with_reserved_id() {
-        let server = ClipperServer::start(Arc::new(Doubler), ServerConfig::default());
-        let client = server.client();
-        let wire = client.call_raw("this is not json".to_string()).unwrap();
-        let resp = decode_response(&wire).expect("error response is valid JSON");
-        assert_eq!(resp.id, ERROR_RESPONSE_ID);
-        assert!(resp.error.is_some());
-        // Arrivals are counted even when they fail to decode.
-        assert_eq!(server.stats().requests(), 1);
-        assert_eq!(server.stats().decode_errors(), 1);
-        assert_eq!(server.stats().rows(), 0);
-    }
-
-    #[test]
     fn legacy_wire_frame_routes_to_default_endpoint() {
-        // A pre-runtime frame: no endpoint/version/key fields. The
-        // shim's default endpoint must still answer it.
-        let server = ClipperServer::start(Arc::new(Doubler), ServerConfig::default());
+        // A request in the pre-runtime shape: no endpoint, version or
+        // key. The default endpoint answers it and names itself.
+        let server = one_endpoint(Arc::new(Doubler), ServerConfig::default());
         let client = server.client();
-        let wire = client
-            .call_raw(r#"{"id":1,"rows":[[["x",{"Float":4.0}]]]}"#.to_string())
-            .unwrap();
-        let resp = decode_response(&wire).expect("response decodes");
+        let resp = client.call(Request::new(1, wire_rows(&[4.0]))).unwrap();
         assert_eq!(resp.error, None);
         assert_eq!(resp.scores, vec![8.0]);
         assert_eq!(resp.endpoint.as_deref(), Some(DEFAULT_ENDPOINT));
@@ -497,33 +362,13 @@ mod tests {
                 Err("bad \"quotes\" and \\slashes\\\nand newlines".to_string())
             }
         }
-        let server = ClipperServer::start(Arc::new(Hostile), ServerConfig::default());
+        let server = one_endpoint(Arc::new(Hostile), ServerConfig::default());
         let client = server.client();
         match client.predict(wire_rows(&[1.0])) {
             Err(ServeError::Predictor(msg)) => {
                 assert_eq!(msg, "bad \"quotes\" and \\slashes\\\nand newlines");
             }
             other => panic!("expected predictor error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn non_finite_scores_produce_valid_error_wire() {
-        struct NanPredictor;
-        impl Servable for NanPredictor {
-            fn predict_table(&self, _t: &Table) -> Result<Vec<f64>, String> {
-                Ok(vec![f64::NAN])
-            }
-        }
-        let server = ClipperServer::start(Arc::new(NanPredictor), ServerConfig::default());
-        let client = server.client();
-        // encode_response cannot represent NaN; the fallback must
-        // still be well-formed JSON the client can decode.
-        match client.predict(wire_rows(&[1.0])) {
-            Err(ServeError::Predictor(msg)) => {
-                assert!(msg.contains("encoding failed"), "got: {msg}");
-            }
-            other => panic!("expected encoding-failure error, got {other:?}"),
         }
     }
 
@@ -544,7 +389,7 @@ mod tests {
                     .map_err(|e| e.to_string())
             }
         }
-        let server = ClipperServer::start(Arc::new(SlowSummer), ServerConfig::default());
+        let server = one_endpoint(Arc::new(SlowSummer), ServerConfig::default());
         std::thread::scope(|s| {
             let blocker = server.client();
             s.spawn(move || {
@@ -571,7 +416,7 @@ mod tests {
                 Err("nope".to_string())
             }
         }
-        let server = ClipperServer::start(Arc::new(Failing), ServerConfig::default());
+        let server = one_endpoint(Arc::new(Failing), ServerConfig::default());
         let client = server.client();
         assert!(matches!(
             client.predict(wire_rows(&[1.0])),
@@ -591,7 +436,7 @@ mod tests {
             }
         }
         let predictor = Arc::new(CountingFailer(AtomicU64::new(0)));
-        let server = ClipperServer::start(predictor.clone(), ServerConfig::default());
+        let server = one_endpoint(predictor.clone(), ServerConfig::default());
         let client = server.client();
         assert!(client.predict(wire_rows(&[1.0])).is_err());
         assert_eq!(predictor.0.load(Ordering::Relaxed), 1);
@@ -599,7 +444,7 @@ mod tests {
 
     #[test]
     fn inconsistent_rows_rejected() {
-        let server = ClipperServer::start(Arc::new(Doubler), ServerConfig::default());
+        let server = one_endpoint(Arc::new(Doubler), ServerConfig::default());
         let client = server.client();
         let rows = vec![
             vec![("x".to_string(), Value::Float(1.0))],
@@ -624,7 +469,7 @@ mod tests {
 
     #[test]
     fn empty_request_is_fine() {
-        let server = ClipperServer::start(Arc::new(Doubler), ServerConfig::default());
+        let server = one_endpoint(Arc::new(Doubler), ServerConfig::default());
         let client = server.client();
         // Zero rows: zero scores (Doubler sees an empty table with no
         // columns and errors on missing x — acceptable too; accept

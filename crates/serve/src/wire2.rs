@@ -3,10 +3,8 @@
 //! This is the only protocol on a socket between processes: a parent
 //! router's [`crate::RemoteWorker`] and a [`crate::RemoteRuntimeNode`]
 //! exchange compact binary frames that many in-flight requests share
-//! on one connection. The JSON codec in `protocol.rs` (re-exported at
-//! the crate root as [`crate::encode_request`] &c.) stays an
-//! in-process lane for bytes that arrive as JSON; it never crosses a
-//! socket.
+//! on one connection. In-process callers never encode: they hand the
+//! runtime the [`Request`] struct itself.
 //!
 //! # Frame layout
 //!
@@ -59,8 +57,7 @@
 //! `Option`. It is not self-describing: the field order is frozen per
 //! protocol version in [`WIRE2_LAYOUT`], and `xtask lint` rule WL001
 //! fails the build when the layout changes without bumping
-//! [`WIRE2_VERSION`] (the header's version byte), mirroring the
-//! `#[serde(default)]` discipline the JSON structs get.
+//! [`WIRE2_VERSION`] (the header's version byte).
 
 use std::io::Read;
 

@@ -10,10 +10,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use willump_data::{Table, Value};
+use willump_serve::wire2::{decode_request_payload, encode_request_payload};
 use willump_serve::{
-    decode_request, encode_request, BreakerState, ClusterConfig, ClusterCoordinator,
-    ControlRequest, InProcessWorker, RemoteRuntimeNode, RemoteWorker, Request, Servable,
-    ServeError, ServerConfig, ServingRuntime, WireRow,
+    BreakerState, ClusterConfig, ClusterCoordinator, ControlRequest, InProcessWorker,
+    RemoteRuntimeNode, RemoteWorker, Request, Servable, ServeError, ServerConfig, ServingRuntime,
+    WireRow,
 };
 
 /// Deterministic predictor shared with the remote.rs suite: local and
@@ -464,11 +465,11 @@ fn coordinator_migrates_at_most_one_shard_per_cycle() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every lifecycle control frame survives the JSON wire (the
-    /// legacy protocol), and a legacy router's frame with the control
-    /// field stripped still decodes with no control op.
+    /// Every lifecycle control frame survives the binary codec, and
+    /// an unknown control tag from a *newer* peer is a codec error on
+    /// this build, not a silent misroute.
     #[test]
-    fn control_frames_round_trip_json_and_strip_to_legacy(
+    fn control_frames_round_trip_the_binary_codec(
         id in 1u64..u64::MAX,
         op in prop_oneof![
             Just(ControlRequest::Counters),
@@ -476,23 +477,16 @@ proptest! {
             Just(ControlRequest::Drain),
             Just(ControlRequest::Leave),
         ],
+        unknown_tag in 4u32..256,
     ) {
         let req = Request::control_frame(id, op);
-        let wire = encode_request(&req).expect("encodable");
-        let back = decode_request(&wire).expect("decodable");
+        let mut wire = encode_request_payload(&req);
+        let back = decode_request_payload(&wire).expect("decodable");
         prop_assert_eq!(&back, &req);
         prop_assert_eq!(back.control, Some(op));
 
-        // A legacy peer's frame carries no control field at all.
-        let stripped = wire
-            .replace(&format!(",\"control\":\"{op:?}\""), "")
-            .replace(",\"control\":null", "");
-        let legacy = decode_request(&stripped).expect("legacy frame decodes");
-        prop_assert_eq!(legacy.control, None);
-
-        // An unknown variant from a *newer* peer is a decode error on
-        // this build, not a silent misroute.
-        let bogus = wire.replace(&format!("\"{op:?}\""), "\"Frobnicate\"");
-        prop_assert!(decode_request(&bogus).is_err());
+        // The control tag is the frame's last byte.
+        *wire.last_mut().expect("non-empty frame") = unknown_tag as u8;
+        prop_assert!(decode_request_payload(&wire).is_err());
     }
 }

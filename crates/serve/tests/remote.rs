@@ -9,11 +9,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use willump_data::{Table, Value};
+use willump_serve::wire2::{
+    decode_request_payload, decode_response_payload, encode_request_payload, encode_response_frame,
+    encode_response_payload, read_frame, FrameType,
+};
 use willump_serve::{
-    decode_request, decode_response, encode_request, encode_response, is_overloaded_wire,
-    EndpointCounters, ForwardReply, InProcessWorker, RemoteRuntimeNode, RemoteWorker, Request,
-    Response, Servable, ServeError, ServerConfig, ServingRuntime, TransportStats, WireRow,
-    WorkerTransport,
+    ControlRequest, EndpointCounters, ForwardReply, InProcessWorker, RemoteRuntimeNode,
+    RemoteWorker, Request, Response, Servable, ServeError, ServerConfig, ServingRuntime,
+    TransportStats, WireRow, WorkerTransport,
 };
 
 /// A deterministic predictor with a visible formula, so local and
@@ -50,9 +53,7 @@ proptest! {
 
     /// Shard-forwarding frames — the wire form a parent router sends a
     /// remote node, with the `forwarded` loop guard and resolved
-    /// endpoint/version — round-trip losslessly, and stripping the
-    /// new fields textually (an old router's frame) still decodes
-    /// with the guard off.
+    /// endpoint/version — round-trip losslessly.
     #[test]
     fn forwarding_frame_round_trip_is_lossless(
         id in 1u64..u64::MAX,
@@ -69,19 +70,8 @@ proptest! {
             forwarded,
             ..Request::new(id, wire_rows(&xs))
         };
-        let wire = encode_request(&req).expect("encodable");
-        let back = decode_request(&wire).expect("decodable");
+        let back = decode_request_payload(&encode_request_payload(&req)).expect("decodable");
         prop_assert_eq!(&back, &req);
-
-        // An old frame without the new fields decodes with the guard
-        // off and no control op.
-        let legacy = wire
-            .replace(",\"forwarded\":false", "")
-            .replace(",\"forwarded\":true", "")
-            .replace(",\"control\":null", "");
-        let back = decode_request(&legacy).expect("legacy frame decodes");
-        prop_assert!(!back.forwarded);
-        prop_assert_eq!(back.control, None);
     }
 
     /// Counters control responses round-trip losslessly for arbitrary
@@ -119,8 +109,8 @@ proptest! {
             degraded: false,
             overloaded: false,
         };
-        let wire = encode_response(&resp).expect("encodable");
-        prop_assert_eq!(decode_response(&wire).expect("decodable"), resp);
+        let wire = encode_response_payload(&resp);
+        prop_assert_eq!(decode_response_payload(&wire).expect("decodable"), resp);
     }
 }
 
@@ -325,10 +315,7 @@ fn forwarded_frames_never_forward_again() {
         forwarded: true,
         ..Request::new(41, wire_rows(&[1.0]))
     };
-    let wire = client
-        .call_raw(encode_request(&forwarded).unwrap())
-        .expect("admission answers");
-    let resp = decode_response(&wire).unwrap();
+    let resp = client.call(forwarded).expect("admission answers");
     assert_eq!(resp.id, 41);
     let err = resp.error.expect("forwarded frame must not hop again");
     assert!(err.contains("no local shards"), "unexpected error: {err}");
@@ -531,37 +518,6 @@ fn remote_counters_reach_the_parent_scheduler() {
     assert!(probe.probe_counters("nonesuch", 1).is_err());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Shed responses — the `Overloaded` wire form admission control
-    /// emits — round-trip the wire encoder losslessly for arbitrary
-    /// endpoint names, and a legacy frame for the same request never
-    /// reads as shed.
-    #[test]
-    fn shed_responses_round_trip_the_wire(
-        id in 0u64..u64::MAX,
-        endpoint in "[a-z0-9./ -]{0,16}",
-        version in 0u32..u32::MAX,
-    ) {
-        let resp = Response::shed(id, &endpoint, version);
-        let wire = encode_response(&resp).expect("shed response encodes");
-        prop_assert!(is_overloaded_wire(&wire));
-        let back = decode_response(&wire).expect("shed response decodes");
-        prop_assert!(back.overloaded);
-        prop_assert!(!back.degraded);
-        prop_assert!(back.scores.is_empty());
-        prop_assert_eq!(&back, &resp);
-        // A legacy frame (no admission-era fields at all) for the same
-        // id decodes with the markers defaulted off.
-        let legacy = format!("{{\"id\":{id},\"scores\":[1.5],\"error\":null}}");
-        let old = decode_response(&legacy).expect("legacy frame decodes");
-        prop_assert!(!old.overloaded);
-        prop_assert!(!old.degraded);
-        prop_assert!(!is_overloaded_wire(&legacy));
-    }
-}
-
 /// A transport standing in for an overloaded remote node: every
 /// forwarded request comes back as an admission-control shed response.
 #[derive(Default)]
@@ -641,13 +597,7 @@ fn remote_shed_responses_skip_transport_latency_accounting() {
     );
 }
 
-// ---- wire2 binary <-> legacy JSON equivalence ----------------------
-
-use willump_serve::wire2::{
-    decode_request_payload, decode_response_payload, encode_request_payload,
-    encode_response_payload,
-};
-use willump_serve::ControlRequest;
+// ---- wire2 round trips over arbitrary frames -------------------------
 
 /// A strategy over wire rows exercising every `Value` variant.
 fn arb_rows() -> impl Strategy<Value = Vec<WireRow>> {
@@ -742,30 +692,22 @@ fn arb_response() -> impl Strategy<Value = Response> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every request expressible on the legacy JSON wire round-trips
-    /// the binary v2 codec to the identical struct: the two encodings
-    /// are interchangeable views of the same `Request`.
+    /// Every request — any value shape, addressing, loop guard and
+    /// control op — round-trips the binary v2 codec to the identical
+    /// struct.
     #[test]
-    fn binary_and_json_request_encodings_are_equivalent(req in arb_request()) {
-        let json = encode_request(&req).expect("json encodes");
-        let via_json = decode_request(&json).expect("json decodes");
+    fn binary_request_encoding_round_trips(req in arb_request()) {
         let bin = encode_request_payload(&req);
-        let via_bin = decode_request_payload(&bin).expect("binary decodes");
-        prop_assert_eq!(&via_json, &req);
-        prop_assert_eq!(&via_bin, &via_json);
+        prop_assert_eq!(decode_request_payload(&bin).expect("binary decodes"), req);
     }
 
     /// Every response — including shed, degraded, error, and counters
-    /// frames — round-trips the binary v2 codec to exactly what the
-    /// legacy JSON codec produces.
+    /// frames — round-trips the binary v2 codec to the identical
+    /// struct.
     #[test]
-    fn binary_and_json_response_encodings_are_equivalent(resp in arb_response()) {
-        let json = encode_response(&resp).expect("json encodes");
-        let via_json = decode_response(&json).expect("json decodes");
+    fn binary_response_encoding_round_trips(resp in arb_response()) {
         let bin = encode_response_payload(&resp);
-        let via_bin = decode_response_payload(&bin).expect("binary decodes");
-        prop_assert_eq!(&via_json, &resp);
-        prop_assert_eq!(&via_bin, &via_json);
+        prop_assert_eq!(decode_response_payload(&bin).expect("binary decodes"), resp);
     }
 
     /// Shed responses specifically survive the binary codec with the
@@ -782,11 +724,34 @@ proptest! {
         prop_assert!(back.overloaded);
         prop_assert_eq!(back, resp);
     }
+
+    /// A shed response survives a whole wire2 frame — header, mux id
+    /// and payload, as a node writes it and a client reads it — with
+    /// only the overloaded marker set.
+    #[test]
+    fn shed_responses_round_trip_the_wire(
+        id in 0u64..u64::MAX,
+        mux_id in 1u32..u32::MAX,
+        endpoint in "[a-z0-9./ -]{0,16}",
+        version in 0u32..u32::MAX,
+    ) {
+        let resp = Response::shed(id, &endpoint, version);
+        let frame = encode_response_frame(mux_id, &resp).expect("shed response frames");
+        let mut reader: &[u8] = &frame;
+        let (hdr, payload) = read_frame(&mut reader).expect("frame reads").expect("not eof");
+        prop_assert_eq!(hdr.frame_type, FrameType::BinResponse);
+        prop_assert_eq!(hdr.request_id, mux_id);
+        let back = decode_response_payload(&payload).expect("shed response decodes");
+        prop_assert!(back.overloaded);
+        prop_assert!(!back.degraded);
+        prop_assert!(back.scores.is_empty());
+        prop_assert_eq!(back, resp);
+    }
 }
 
-/// A servable whose scores JSON cannot encode gets one answer on every
-/// boundary into a runtime: the typed call, a JSON payload and a wire2
-/// frame all return the same predictor error, never the NaN.
+/// A servable that scores NaN gets one answer on every boundary into a
+/// runtime: the typed call and a wire2 frame both return the same
+/// predictor error, never the NaN.
 #[test]
 fn a_non_finite_score_is_one_predictor_error_on_every_boundary() {
     struct NanScores;
@@ -809,11 +774,6 @@ fn a_non_finite_score_is_one_predictor_error_on_every_boundary() {
     let error = typed.error.as_deref().expect("NaN is an error");
     assert!(error.contains("encoding failed"), "got: {error}");
     assert!(typed.scores.is_empty());
-
-    let wire = client
-        .call_raw(encode_request(&req).expect("encodable"))
-        .expect("JSON call answers");
-    assert_eq!(decode_response(&wire).expect("decodes"), typed);
 
     let wire2 = RemoteWorker::new(&node.local_addr().to_string())
         .with_timeout(Duration::from_secs(5))

@@ -9,10 +9,25 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use willump_data::{Table, Value};
-use willump_serve::{
-    decode_request, decode_response, encode_request, encode_response, ClipperServer,
-    EndpointStatsSnapshot, Request, Response, Servable, ServerConfig, ServingRuntime, WireRow,
+use willump_serve::wire2::{
+    decode_request_payload, decode_response_payload, encode_request_payload,
+    encode_response_payload,
 };
+use willump_serve::{
+    EndpointStatsSnapshot, RemoteRuntimeNode, RemoteWorker, Request, Response, Servable,
+    ServerConfig, ServingRuntime, WireRow, WorkerTransport, DEFAULT_ENDPOINT,
+};
+
+/// A runtime serving `predictor` as its default endpoint, one shard
+/// per worker.
+fn one_endpoint(predictor: Arc<dyn Servable>, config: ServerConfig) -> ServingRuntime {
+    let mut builder = ServingRuntime::builder();
+    builder.config(config);
+    builder
+        .endpoint(DEFAULT_ENDPOINT, predictor)
+        .shards(config.workers.max(1));
+    builder.build().expect("a one-endpoint runtime builds")
+}
 
 /// Build a request whose rows exercise every wire-representable value
 /// shape: strings (arbitrary printable content), finite floats, ints,
@@ -53,15 +68,12 @@ proptest! {
         req.endpoint = endpoint.0.then_some(endpoint.1);
         req.version = version.0.then_some(version.1);
         req.key = key.0.then_some(key.1);
-        let wire = encode_request(&req).expect("encodable");
-        let back = decode_request(&wire).expect("decodable");
+        let back = decode_request_payload(&encode_request_payload(&req)).expect("decodable");
         prop_assert_eq!(req, back);
     }
 
     /// Response wire round-trip is lossless for arbitrary scores and
-    /// error strings (including quotes/backslashes the seed's
-    /// hand-built fallback JSON used to mangle), with or without the
-    /// endpoint/version echo.
+    /// error strings, with or without the endpoint/version echo.
     #[test]
     fn response_wire_round_trip_is_lossless(
         id in 0u64..u64::MAX,
@@ -82,38 +94,10 @@ proptest! {
             degraded,
             overloaded,
         };
-        let wire = encode_response(&resp).expect("encodable");
-        let back = decode_response(&wire).expect("decodable");
+        let back = decode_response_payload(&encode_response_payload(&resp)).expect("decodable");
         prop_assert_eq!(resp, back);
     }
 
-    /// Every encoded addressed request, re-encoded after stripping the
-    /// addressing fields the way a legacy client would have sent it,
-    /// still decodes — and the stripped frame routes exactly like
-    /// `Request::new` (all addressing fields `None`).
-    #[test]
-    fn legacy_frames_always_decode(
-        id in 1u64..u64::MAX,
-        cells in prop::collection::vec(
-            (".{0,12}", -1e6f64..1e6, any::<i64>(), any::<bool>()),
-            1..4,
-        ),
-    ) {
-        let req = build_request(id, cells);
-        // The modern encoder emits endpoint/version/key (as null); a
-        // legacy frame omits the fields entirely. Rebuild the legacy
-        // wire form by dropping them textually.
-        let legacy = encode_request(&req)
-            .expect("encodable")
-            .replace(",\"endpoint\":null", "")
-            .replace(",\"version\":null", "")
-            .replace(",\"key\":null", "");
-        let back = decode_request(&legacy).expect("legacy frame decodes");
-        prop_assert_eq!(&back, &req);
-        prop_assert_eq!(back.endpoint, None);
-        prop_assert_eq!(back.version, None);
-        prop_assert_eq!(back.key, None);
-    }
 }
 
 /// A predictor with a visible formula, so expected scores can be
@@ -182,15 +166,15 @@ fn frame(id: u64, (rows, endpoint, version, control, key): FrameSpec) -> Request
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The typed call and the JSON lane answer alike: one runtime takes
-    /// a sequence of requests through `call`, its twin takes the same
-    /// sequence as JSON through `call_raw`, and every response matches
-    /// field for field, scores bit for bit. The twins route in step
-    /// (version split, round-robin cursors, drain latch), so the
+    /// The typed call and a wire2 frame answer alike: one runtime takes
+    /// a sequence of requests through `call`, its twin behind a node
+    /// takes the same sequence as wire2 frames, and every response
+    /// matches field for field, scores bit for bit. The twins route in
+    /// step (version split, round-robin cursors, drain latch), so the
     /// sequence covers keyed and unkeyed requests, unknown endpoints,
     /// pinned and unknown versions, control frames and a draining node.
     #[test]
-    fn typed_call_answers_like_the_json_lane(
+    fn typed_call_answers_like_a_wire2_frame(
         frames in prop::collection::vec(
             (
                 prop::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 0..4),
@@ -202,18 +186,18 @@ proptest! {
             1..12,
         ),
     ) {
-        let (typed_rt, json_rt) = (twin_runtime(), twin_runtime());
-        let (typed_client, json_client) = (typed_rt.client(), json_rt.client());
+        let typed_rt = twin_runtime();
+        let typed_client = typed_rt.client();
+        let node = RemoteRuntimeNode::bind("127.0.0.1:0", twin_runtime()).expect("node binds");
+        let wire_client =
+            RemoteWorker::new(&node.local_addr().to_string()).with_timeout(Duration::from_secs(5));
         for (i, spec) in frames.into_iter().enumerate() {
             let req = frame(i as u64 + 1, spec);
-            let wire = json_client
-                .call_raw(encode_request(&req).expect("encodable"))
-                .expect("JSON lane answers");
-            let json = decode_response(&wire).expect("decodable");
+            let framed = wire_client.forward_request(&req).expect("the node answers").response;
             let typed = typed_client.call(req).expect("typed call answers");
             let bits = |r: &Response| r.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&typed), bits(&json));
-            prop_assert_eq!(typed, json);
+            prop_assert_eq!(bits(&typed), bits(&framed));
+            prop_assert_eq!(typed, framed);
         }
     }
 }
@@ -233,7 +217,7 @@ fn coalesced_batches_equal_sequential_serving() {
     }
 
     // Sequential reference: one request at a time, coalescing moot.
-    let sequential = ClipperServer::start(Arc::new(AffineSummer), ServerConfig::default());
+    let sequential = one_endpoint(Arc::new(AffineSummer), ServerConfig::default());
     let seq_client = sequential.client();
     let inputs: Vec<Vec<(f64, f64)>> = (0..12)
         .map(|t| {
@@ -255,7 +239,7 @@ fn coalesced_batches_equal_sequential_serving() {
     // single worker there is a single execution slot, which the slow
     // first call holds on its caller's thread, so the pile-up lands on
     // one queue.
-    let server = ClipperServer::start(
+    let server = one_endpoint(
         Arc::new(Slowed(AffineSummer, Duration::from_millis(400))),
         ServerConfig::default(),
     );
@@ -425,10 +409,10 @@ mod plan_fixture {
 /// THE acceptance test for the multi-endpoint redesign: one
 /// `ServingRuntime` serves a cascade plan and a top-K plan as two
 /// named endpoints with two shards each, behind one client — and for
-/// each, the legacy `ClipperServer` shim (wrapping a clone of the
-/// same plan) returns bit-identical predictions.
+/// each, the answer is bit-identical to running the same plan
+/// directly.
 #[test]
-fn runtime_serves_two_endpoints_identically_to_clipper_shims() {
+fn runtime_serves_two_endpoints_identically_to_their_plans() {
     use willump::{ServingPlan, TopKConfig};
 
     let exec = plan_fixture::executor();
@@ -449,10 +433,6 @@ fn runtime_serves_two_endpoints_identically_to_clipper_shims() {
     assert_eq!(runtime.endpoints().len(), 2);
     assert!(runtime.endpoints().iter().all(|e| e.shards() == 2));
 
-    // Legacy shims over clones of the same plans.
-    let shim_cascade = ClipperServer::start(Arc::new(cascade), ServerConfig::default());
-    let shim_topk = ClipperServer::start(Arc::new(topk), ServerConfig::default());
-
     let client = runtime.client();
     let rows: Vec<WireRow> = (0..t.n_rows())
         .map(|r| willump_serve::table_row_to_wire(&t, r).unwrap())
@@ -464,11 +444,9 @@ fn runtime_serves_two_endpoints_identically_to_clipper_shims() {
     let rt_topk = client
         .predict_endpoint("topk", rows.clone())
         .expect("runtime topk serves");
-    let shim_cascade_scores = shim_cascade.client().predict(rows.clone()).unwrap();
-    let shim_topk_scores = shim_topk.client().predict(rows).unwrap();
-
-    assert_eq!(rt_cascade, shim_cascade_scores);
-    assert_eq!(rt_topk, shim_topk_scores);
+    let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&rt_cascade), bits(&cascade.predict_batch(&t).unwrap()));
+    assert_eq!(bits(&rt_topk), bits(&topk.predict_batch(&t).unwrap()));
 
     // Both endpoints really served through the one runtime.
     assert_eq!(runtime.stats().requests(), 2);
@@ -717,7 +695,7 @@ fn shard_routing_is_sticky_per_key() {
 }
 
 /// A composed serving plan — cascade confidence gate + end-to-end
-/// cache + top-K filter in ONE plan — served through the legacy shim
+/// cache + top-K filter in ONE plan — served through the runtime
 /// as a single `Servable`. This is the composition the pre-plan
 /// wrapper structs could not express: scores cross the serving
 /// boundary, repeats hit the shared cache, and the batch answer
@@ -749,7 +727,7 @@ fn composed_plan_serves_through_clipper_server() {
     plan.clear_cache();
 
     let served_plan = plan.clone();
-    let server = ClipperServer::start(
+    let server = one_endpoint(
         Arc::new(served_plan),
         ServerConfig::builder().workers(2).build(),
     );
@@ -836,7 +814,7 @@ fn model_selector_routes_across_plans() {
     .unwrap();
     assert_eq!(selector.n_models(), 2);
 
-    let server = ClipperServer::start(Arc::new(selector), ServerConfig::default());
+    let server = one_endpoint(Arc::new(selector), ServerConfig::default());
     let client = server.client();
     let rows: Vec<WireRow> = (0..4).map(|r| table_row_to_wire(&t, r).unwrap()).collect();
     for _ in 0..3 {
@@ -850,7 +828,7 @@ fn model_selector_routes_across_plans() {
 /// late requests fail cleanly with `Disconnected` instead of hanging.
 #[test]
 fn shutdown_under_load_answers_admitted_requests() {
-    let mut server = ClipperServer::start(
+    let mut server = one_endpoint(
         Arc::new(AffineSummer),
         ServerConfig::builder().workers(3).build(),
     );

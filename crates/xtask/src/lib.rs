@@ -1,24 +1,24 @@
 //! Repo-specific static analysis for the Willump workspace.
 //!
 //! Six PRs in, the runtime's correctness rests on cross-cutting
-//! invariants that no general-purpose tool checks: wire back-compat
-//! attributes, lock hygiene on hot paths, experiment-schema
-//! registration, and the offline vendored dependency policy. This crate is a small line/token-level Rust and
-//! TOML scanner (deliberately dependency-free — no `syn`, because no
-//! crates.io access is itself one of the invariants) that enforces
-//! them mechanically:
+//! invariants that no general-purpose tool checks: a frozen binary
+//! wire layout, lock hygiene on hot paths, experiment-schema
+//! registration, and the offline vendored dependency policy. This
+//! crate is a small line/token-level Rust and TOML scanner
+//! (deliberately dependency-free — no `syn`, because no crates.io
+//! access is itself one of the invariants) that enforces them
+//! mechanically:
 //!
 //! | ID | name | invariant |
 //! |----|------|-----------|
-//! | WL001 | `wire-compat` | every field of the `crates/serve/src/protocol.rs` wire structs beyond the frozen v1 set carries `#[serde(default)]`, so legacy frames keep decoding; and `wire2.rs`'s binary `WIRE2_LAYOUT` matches its frozen per-version copy, so layout changes must bump `WIRE2_VERSION` |
+//! | WL001 | `wire-compat` | `crates/serve/src/wire2.rs`'s binary `WIRE2_LAYOUT` matches its frozen per-version copy, so layout changes must bump `WIRE2_VERSION` |
 //! | WL003 | `no-lock-unwrap` | no `.unwrap()`/`.expect()` on lock or channel results in `crates/serve`/`crates/core` non-test code |
 //! | WL004 | `schema-registration` | every recording bench binary's schema header is registered in `RECORDED_SCHEMAS`, no registry entry is stale, every registered section exists in `EXPERIMENTS.md`, and no section there carries an older version of a registered schema |
 //! | WL005 | `vendor-hygiene` | every dependency across workspace manifests resolves to a path inside `vendor/` or `crates/` (no registry/git deps — the build env is offline) |
 //!
-//! Run with `cargo run -p xtask -- lint` (add `--fix` to apply the
-//! mechanical fixes, currently WL001 attribute insertion). A finding
-//! can be suppressed — with a reason — by a `lint:allow(WLxxx: why)`
-//! comment on the offending line or the line directly above it.
+//! Run with `cargo run -p xtask -- lint`. A finding can be suppressed
+//! — with a reason — by a `lint:allow(WLxxx: why)` comment on the
+//! offending line or the line directly above it.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -46,9 +46,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "WL001",
         name: "wire-compat",
-        summary:
-            "protocol.rs wire-struct fields beyond the frozen v1 set carry #[serde(default)]; \
-                  wire2.rs binary layout changes bump WIRE2_VERSION",
+        summary: "wire2.rs binary layout changes bump WIRE2_VERSION",
     },
     Rule {
         id: "WL003",
@@ -80,8 +78,6 @@ pub struct Violation {
     pub line: usize,
     /// Human-readable description of the violation.
     pub message: String,
-    /// Mechanical fix, when the rule has one (applied by `--fix`).
-    pub fix: Option<Fix>,
 }
 
 impl fmt::Display for Violation {
@@ -94,28 +90,11 @@ impl fmt::Display for Violation {
     }
 }
 
-/// A mechanical fix attached to a [`Violation`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Fix {
-    /// Insert `text` as a new line directly above 1-based `line` of
-    /// `file` (relative to the workspace root).
-    InsertLineAbove {
-        /// Target file, relative to the workspace root.
-        file: String,
-        /// 1-based line number the new line is inserted above.
-        line: usize,
-        /// The full text of the inserted line (indentation included).
-        text: String,
-    },
-}
-
 // ---- source model ---------------------------------------------------
 
 /// A loaded Rust source file with the derived views the rules scan.
 struct SourceFile {
     rel: String,
-    /// Original text, line-split (allow markers, string literals).
-    lines: Vec<String>,
     /// Comments and literals blanked out, newlines preserved, so
     /// token scans cannot match inside strings or docs.
     stripped: String,
@@ -134,7 +113,6 @@ impl SourceFile {
         let test_mask = test_line_mask(&stripped);
         Ok(Some(SourceFile {
             rel: rel.to_string(),
-            lines: text.lines().map(str::to_string).collect(),
             stripped,
             test_mask,
         }))
@@ -350,105 +328,6 @@ fn contains_word(hay: &str, word: &str) -> bool {
     false
 }
 
-/// Find `struct <name>`'s brace-delimited body in stripped source:
-/// `(line_of_open_brace, body_text, body_offset)`.
-fn struct_body<'a>(stripped: &'a str, name: &str) -> Option<(usize, &'a str, usize)> {
-    let mut search = 0;
-    while let Some(pos) = stripped[search..].find("struct ") {
-        let p = search + pos + "struct ".len();
-        let rest = &stripped[p..];
-        if rest.trim_start().starts_with(name) {
-            let after = rest.trim_start()[name.len()..].trim_start();
-            // Reject prefixes: `struct RequestBody` when asked for
-            // `Request`.
-            if after.starts_with('{') || after.starts_with('<') {
-                let name_ok = {
-                    let n = rest.trim_start();
-                    n.len() == name.len()
-                        || !n.as_bytes()[name.len()].is_ascii_alphanumeric()
-                            && n.as_bytes()[name.len()] != b'_'
-                };
-                if name_ok {
-                    if let Some(open_rel) = stripped[p..].find('{') {
-                        let open = p + open_rel;
-                        let body_end = matching_brace(stripped, open)?;
-                        let line = stripped[..open].matches('\n').count() + 1;
-                        return Some((line, &stripped[open + 1..body_end], open + 1));
-                    }
-                }
-            }
-        }
-        search = p;
-    }
-    None
-}
-
-/// Offset of the `}` matching the `{` at `open`.
-fn matching_brace(text: &str, open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, c) in text[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(open + i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// A parsed struct field: `(line, name, has_serde_default)`.
-struct FieldInfo {
-    line: usize,
-    name: String,
-    serde_default: bool,
-}
-
-/// Parse the top-level fields of a struct body (stripped text), with
-/// the attributes attached to each.
-fn parse_fields(body: &str, body_offset: usize, full: &str) -> Vec<FieldInfo> {
-    let base_line = full[..body_offset].matches('\n').count() + 1;
-    let mut fields = Vec::new();
-    let mut attrs: Vec<String> = Vec::new();
-    let mut depth = 0i64;
-    for (i, raw) in body.lines().enumerate() {
-        let line = base_line + i;
-        let t = raw.trim();
-        if depth == 0 {
-            if t.starts_with("#[") {
-                attrs.push(t.to_string());
-            } else if let Some(colon) = t.find(':') {
-                let head = t[..colon].trim();
-                let name = head.strip_prefix("pub ").unwrap_or(head).trim();
-                let is_ident =
-                    !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-                if is_ident && !t.starts_with("//") {
-                    fields.push(FieldInfo {
-                        line,
-                        name: name.to_string(),
-                        serde_default: attrs.iter().any(|a| a.contains("serde(default)")),
-                    });
-                    attrs.clear();
-                }
-            } else if !t.is_empty() {
-                attrs.clear();
-            }
-        }
-        for c in raw.chars() {
-            match c {
-                '{' | '(' => depth += 1,
-                '}' | ')' => depth -= 1,
-                _ => {}
-            }
-        }
-    }
-    fields
-}
-
 /// Extract every double-quoted string literal from original source
 /// text along with its 1-based line (good enough for the literal
 /// tables the WL004 rule reads — no escapes in schema strings).
@@ -482,18 +361,6 @@ fn string_literals(src: &str) -> Vec<(usize, String)> {
 
 // ---- rule 1: wire-compat -------------------------------------------
 
-/// The wire structs of `protocol.rs` and their frozen v1 field sets.
-/// Fields in these sets predate versioned decoding and MUST stay; any
-/// field beyond them must be `#[serde(default)]` so legacy frames
-/// keep decoding. Adding a new wire struct? Register it here with the
-/// fields of its first released shape.
-const WIRE_STRUCTS: &[(&str, &[&str])] = &[
-    ("Request", &["id", "rows"]),
-    ("Response", &["id", "scores", "error"]),
-    ("EndpointCounters", &["endpoint", "version", "counters"]),
-];
-
-const PROTOCOL_RS: &str = "crates/serve/src/protocol.rs";
 const WIRE2_RS: &str = "crates/serve/src/wire2.rs";
 
 /// The frozen v2 binary layout: `WIRE2_LAYOUT`'s string literals,
@@ -581,52 +448,13 @@ const WIRE2_V3_LAYOUT: &[&str] = &[
     "Leave",
 ];
 
-fn rule_wire_compat(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
-    rule_wire2_layout(root, out)?;
-    let Some(src) = SourceFile::load(root, PROTOCOL_RS)? else {
-        return Ok(());
-    };
-    for (name, frozen) in WIRE_STRUCTS {
-        let Some((_, body, off)) = struct_body(&src.stripped, name) else {
-            continue;
-        };
-        for f in parse_fields(body, off, &src.stripped) {
-            if frozen.contains(&f.name.as_str()) || f.serde_default {
-                continue;
-            }
-            let indent: String = src
-                .lines
-                .get(f.line - 1)
-                .map(|l| l.chars().take_while(|c| c.is_whitespace()).collect())
-                .unwrap_or_default();
-            out.push(Violation {
-                rule: "WL001",
-                name: "wire-compat",
-                file: src.rel.clone(),
-                line: f.line,
-                message: format!(
-                    "field `{}::{}` is beyond the frozen v1 wire set and lacks \
-                     #[serde(default)]; legacy frames would fail to decode",
-                    name, f.name
-                ),
-                fix: Some(Fix::InsertLineAbove {
-                    file: src.rel.clone(),
-                    line: f.line,
-                    text: format!("{indent}#[serde(default)]"),
-                }),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// The wire2 half of WL001: the source's `WIRE2_LAYOUT` manifest must
-/// match the frozen copy for its declared `WIRE2_VERSION`
+/// WL001: the source's `WIRE2_LAYOUT` manifest must match the frozen
+/// copy for its declared `WIRE2_VERSION`
 /// ([`WIRE2_V2_LAYOUT`] / [`WIRE2_V3_LAYOUT`]) exactly; any drift
 /// means the binary encoding changed shape and the version byte must
 /// be bumped (a new version is accepted — its layout gets frozen in
 /// the PR that bumps).
-fn rule_wire2_layout(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
+fn rule_wire_compat(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
     let path = root.join(WIRE2_RS);
     if !path.is_file() {
         return Ok(());
@@ -648,7 +476,6 @@ fn rule_wire2_layout(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
             message: "could not parse `WIRE2_VERSION: u8 = <n>;` — the layout freeze \
                       cannot be checked"
                 .to_string(),
-            fix: None,
         });
         return Ok(());
     };
@@ -671,7 +498,6 @@ fn rule_wire2_layout(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
             message: "wire2.rs has no WIRE2_LAYOUT manifest to check the frozen binary \
                       field order against"
                 .to_string(),
-            fix: None,
         });
         return Ok(());
     };
@@ -720,7 +546,6 @@ fn rule_wire2_layout(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
                  but WIRE2_VERSION is still {version} — layout changes must bump the \
                  version byte so peers renegotiate instead of misdecoding frames"
             ),
-            fix: None,
         });
     }
     Ok(())
@@ -830,7 +655,6 @@ fn scan_guarded_unwraps(src: &SourceFile, out: &mut Vec<Violation>) {
                  channel must degrade, not panic the worker; handle the Err or route \
                  through the shutdown path"
             ),
-            fix: None,
         });
     }
 }
@@ -912,7 +736,6 @@ fn rule_schema_registration(root: &Path, out: &mut Vec<Violation>) -> io::Result
                     message: "recording binary calls run_recorded_experiment but declares \
                               no `<!-- schema: … -->` header constant"
                         .to_string(),
-                    fix: None,
                 });
             }
             for (line, schema) in schemas {
@@ -926,7 +749,6 @@ fn rule_schema_registration(root: &Path, out: &mut Vec<Violation>) -> io::Result
                             "schema {schema:?} is not registered in RECORDED_SCHEMAS \
                              ({BENCH_LIB}); the schema sweep would miss this binary"
                         ),
-                        fix: None,
                     });
                 }
                 declared.push((rel.clone(), line, schema));
@@ -946,7 +768,6 @@ fn rule_schema_registration(root: &Path, out: &mut Vec<Violation>) -> io::Result
                     "registry entry {schema:?} is declared by no recording binary \
                      under {BENCH_BIN_DIR}/ — stale after a rename or deletion?"
                 ),
-                fix: None,
             });
         }
     }
@@ -971,7 +792,6 @@ fn rule_schema_registration(root: &Path, out: &mut Vec<Violation>) -> io::Result
                 message: format!(
                     "missing recorded section {schema:?}; re-record with {cmd} and commit"
                 ),
-                fix: None,
             });
         }
     }
@@ -997,7 +817,6 @@ fn rule_schema_registration(root: &Path, out: &mut Vec<Violation>) -> io::Result
                     "section `{name} v{version}` is superseded by the registered v{live}; \
                      delete the stale block"
                 ),
-                fix: None,
             });
         }
     }
@@ -1224,7 +1043,6 @@ fn rule_vendor_hygiene(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> 
                     file: rel_manifest.clone(),
                     line: dep.line,
                     message: why,
-                    fix: None,
                 });
             }
         }
@@ -1272,43 +1090,6 @@ fn filter_allowed(root: &Path, violations: Vec<Violation>) -> Vec<Violation> {
         .collect()
 }
 
-/// Apply the mechanical fixes attached to `violations` (currently
-/// WL001 `#[serde(default)]` insertion). Returns how many were
-/// applied.
-///
-/// # Errors
-/// Returns any I/O error encountered while rewriting files.
-pub fn apply_fixes(root: &Path, violations: &[Violation]) -> io::Result<usize> {
-    let mut by_file: BTreeMap<String, Vec<(usize, String)>> = BTreeMap::new();
-    for v in violations {
-        if let Some(Fix::InsertLineAbove { file, line, text }) = &v.fix {
-            by_file
-                .entry(file.clone())
-                .or_default()
-                .push((*line, text.clone()));
-        }
-    }
-    let mut applied = 0;
-    for (file, mut inserts) in by_file {
-        let path = root.join(&file);
-        let src = fs::read_to_string(&path)?;
-        let mut lines: Vec<String> = src.lines().map(str::to_string).collect();
-        // Bottom-up so earlier insertions don't shift later targets.
-        inserts.sort_by_key(|(line, _)| std::cmp::Reverse(*line));
-        for (line, text) in inserts {
-            let idx = line.saturating_sub(1).min(lines.len());
-            lines.insert(idx, text);
-            applied += 1;
-        }
-        let mut out = lines.join("\n");
-        if src.ends_with('\n') {
-            out.push('\n');
-        }
-        fs::write(&path, out)?;
-    }
-    Ok(applied)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1352,7 +1133,6 @@ mod tests {
             let test_mask = test_line_mask(&stripped);
             SourceFile {
                 rel: "x.rs".to_string(),
-                lines: code.lines().map(str::to_string).collect(),
                 stripped,
                 test_mask,
             }

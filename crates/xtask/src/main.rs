@@ -1,15 +1,14 @@
-//! `cargo run -p xtask -- lint [--fix] [--root PATH]`
+//! `cargo run -p xtask -- lint [--root PATH]`
 //!
 //! Exit code 0 when the workspace satisfies every invariant, 1 when
-//! violations remain (after `--fix` applied what it could), 2 on
-//! usage or I/O errors.
+//! violations remain, 2 on usage or I/O errors.
 
 use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cargo run -p xtask -- lint [--fix] [--root PATH]");
+    eprintln!("usage: cargo run -p xtask -- lint [--root PATH]");
     eprintln!();
     eprintln!("rules:");
     for r in xtask::RULES {
@@ -48,11 +47,9 @@ fn main() -> ExitCode {
     if cmd != "lint" {
         return usage();
     }
-    let mut fix = false;
     let mut root_arg: Option<PathBuf> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--fix" => fix = true,
             "--root" => match args.next() {
                 Some(p) => root_arg = Some(PathBuf::from(p)),
                 None => return usage(),
@@ -62,32 +59,13 @@ fn main() -> ExitCode {
     }
 
     let root = workspace_root(root_arg);
-    let mut violations = match xtask::lint(&root) {
+    let violations = match xtask::lint(&root) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("xtask lint: I/O error: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if fix && violations.iter().any(|v| v.fix.is_some()) {
-        match xtask::apply_fixes(&root, &violations) {
-            Ok(n) => {
-                eprintln!("xtask lint: applied {n} fix(es), re-checking");
-                violations = match xtask::lint(&root) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("xtask lint: I/O error: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            Err(e) => {
-                eprintln!("xtask lint: failed to apply fixes: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     if violations.is_empty() {
         println!(

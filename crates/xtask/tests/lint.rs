@@ -1,6 +1,6 @@
 //! Fixture-backed coverage for every lint rule: each rule fires in
 //! its own known-bad fixture tree (and only there), the real tree is
-//! clean, `--fix` round-trips, and the binary's exit codes match.
+//! clean, and the binary's exit codes match.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -44,21 +44,10 @@ fn real_tree_is_clean() {
 }
 
 #[test]
-fn wire_compat_fixture_fires_exactly_wl001() {
-    let (ids, violations) = lint_fixture("wire-compat");
-    assert_eq!(ids, BTreeSet::from(["WL001"]), "{violations:?}");
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    let v = &violations[0];
-    assert!(v.message.contains("Request::endpoint"), "{v}");
-    assert!(v.fix.is_some(), "WL001 must offer a mechanical fix");
-}
-
-#[test]
 fn wire2_compat_fixture_fires_exactly_wl001() {
     let (ids, violations) = lint_fixture("wire2-compat");
     assert_eq!(ids, BTreeSet::from(["WL001"]), "{violations:?}");
-    // One finding, anchored at the first diverging layout entry, and
-    // no mechanical fix — a wire break needs a human version bump.
+    // One finding, anchored at the first diverging layout entry.
     assert_eq!(violations.len(), 1, "{violations:?}");
     let v = &violations[0];
     assert!(v.file.ends_with("wire2.rs"), "{v}");
@@ -67,7 +56,6 @@ fn wire2_compat_fixture_fires_exactly_wl001() {
         v.message.contains("`version` where v2 froze `endpoint`"),
         "{v}"
     );
-    assert!(v.fix.is_none(), "{v}");
 }
 
 #[test]
@@ -115,32 +103,6 @@ fn vendor_hygiene_fixture_fires_exactly_wl005() {
     assert!(violations[0].message.contains("rand"), "{violations:?}");
 }
 
-/// `--fix` inserts `#[serde(default)]` and the tree lints clean
-/// afterwards (run against a scratch copy, never the fixture itself).
-#[test]
-fn wire_compat_fix_round_trips() {
-    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR")).join("wire-compat-fix");
-    let proto_dir = scratch.join("crates/serve/src");
-    std::fs::create_dir_all(&proto_dir).expect("scratch dirs");
-    std::fs::copy(
-        fixture("wire-compat").join("crates/serve/src/protocol.rs"),
-        proto_dir.join("protocol.rs"),
-    )
-    .expect("copy fixture");
-
-    let before = xtask::lint(&scratch).expect("lint scratch");
-    assert_eq!(before.len(), 1);
-    let applied = xtask::apply_fixes(&scratch, &before).expect("apply fixes");
-    assert_eq!(applied, 1);
-    let after = xtask::lint(&scratch).expect("re-lint scratch");
-    assert!(after.is_empty(), "{after:?}");
-    let fixed = std::fs::read_to_string(proto_dir.join("protocol.rs")).expect("read fixed");
-    assert!(
-        fixed.contains("#[serde(default)]\n    pub endpoint: Option<String>,"),
-        "attribute inserted with field indentation:\n{fixed}"
-    );
-}
-
 /// The shipped binary exits 0 on the real tree and nonzero on every
 /// fixture — the exact contract the CI lint job relies on.
 #[test]
@@ -157,7 +119,6 @@ fn binary_exit_codes_match_contract() {
         String::from_utf8_lossy(&ok.stdout)
     );
     for name in [
-        "wire-compat",
         "wire2-compat",
         "no-lock-unwrap",
         "schema-registration",

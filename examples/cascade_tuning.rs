@@ -58,7 +58,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         let start = Instant::now();
         let (scores, stats) = optimized.predict_batch_with_stats(&w.test)?;
         let secs = start.elapsed().as_secs_f64();
-        let stats = stats.expect("cascade stats present");
 
         let acc = metrics::accuracy(&scores, &w.test_y);
         println!(
@@ -67,7 +66,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             w.test.n_rows() as f64 / secs,
             acc,
             acc - full_acc,
-            100.0 * stats.resolved_small as f64 / w.test.n_rows() as f64,
+            100.0 * stats.gate_resolved as f64 / (stats.gate_resolved + stats.escalated) as f64,
         );
     }
 

@@ -45,8 +45,7 @@ fn mean_latency(
 fn main() -> Result<(), Box<dyn Error>> {
     let w = WorkloadKind::Toxic.generate(&WorkloadConfig::default())?;
 
-    // Both pipelines behind ONE runtime, as named endpoints — the
-    // legacy API needed one `ClipperServer` per predictor.
+    // Both pipelines behind ONE runtime, as named endpoints.
     let plain: Arc<dyn Servable> = Arc::new(w.pipeline.fit_baseline(&w.train, &w.train_y, 42)?);
     let optimized: Arc<dyn Servable> = Arc::new(Willump::new(WillumpConfig::default()).optimize(
         &w.pipeline,

@@ -50,7 +50,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     if let Some(s) = stats {
         println!(
             "filter kept {} of {} candidates for the full model",
-            s.subset_size, s.batch_size
+            s.filter_kept.unwrap_or(0),
+            s.filter_batch.unwrap_or(0)
         );
     }
     println!("\nexact:    {exact_time:>8.1?}");

@@ -65,12 +65,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             sel.threshold, sel.full_accuracy, sel.cascade_accuracy
         );
     }
-    if let Some(s) = stats {
+    if optimized.cascade().is_some() {
+        let rows = stats.gate_resolved + stats.escalated;
         println!(
-            "small model resolved {}/{} comments ({:.0}%)",
-            s.resolved_small,
-            s.resolved_small + s.escalated,
-            100.0 * s.small_fraction()
+            "small model resolved {}/{rows} comments ({:.0}%)",
+            stats.gate_resolved,
+            100.0 * stats.gate_resolved as f64 / rows.max(1) as f64
         );
     }
     println!(

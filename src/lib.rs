@@ -48,15 +48,10 @@ pub use willump_workloads;
 /// # }
 /// ```
 ///
-/// Migrating from the deprecated single-predictor `ClipperServer`:
-/// `ClipperServer::start(p, cfg)` is now literally a one-endpoint
-/// runtime (`builder.endpoint(DEFAULT_ENDPOINT, p)`), so replace the
-/// server with a [`willump_serve::RuntimeBuilder`] and
-/// `client.predict(rows)` with
-/// [`willump_serve::RuntimeClient::predict`] (identical
-/// unaddressed-request semantics) or the explicit
-/// [`predict_endpoint`](willump_serve::RuntimeClient::predict_endpoint)
-/// family.
+/// A single-predictor deployment is a one-endpoint runtime:
+/// `builder.endpoint(DEFAULT_ENDPOINT, p)`, then
+/// [`willump_serve::RuntimeClient::predict`] routes unaddressed rows
+/// to it.
 pub mod prelude {
     pub use willump::{
         OptimizedPipeline, PlanCounters, PlanCountersSnapshot, PlanRunReport, QueryMode,
@@ -64,12 +59,12 @@ pub mod prelude {
     };
     pub use willump_data::{Table, Value};
     pub use willump_serve::{
-        shard_for_key, table_row_to_wire, BreakerState, ClipperClient, ClipperServer,
-        ClusterConfig, ClusterCoordinator, ClusterHandle, Endpoint, InProcessWorker, ModelSelector,
-        MonitorConfig, MonitorEvent, MonitorHandle, MonitorSample, RemoteRuntimeNode, RemoteWorker,
-        Request, Response, RuntimeBuilder, RuntimeClient, SchedulerPolicy, SelectionPolicy,
-        Servable, ServeError, ServerConfig, ServingRuntime, StatsHub, TimedEvent, TransportStats,
-        WireRow, WorkerTransport, DEFAULT_ENDPOINT,
+        shard_for_key, table_row_to_wire, BreakerState, ClusterConfig, ClusterCoordinator,
+        ClusterHandle, Endpoint, InProcessWorker, ModelSelector, MonitorConfig, MonitorEvent,
+        MonitorHandle, MonitorSample, RemoteRuntimeNode, RemoteWorker, Request, Response,
+        RuntimeBuilder, RuntimeClient, SchedulerPolicy, SelectionPolicy, Servable, ServeError,
+        ServerConfig, ServingRuntime, StatsHub, TimedEvent, TransportStats, WireRow,
+        WorkerTransport, DEFAULT_ENDPOINT,
     };
     pub use willump_workloads::{Workload, WorkloadConfig, WorkloadKind};
 }

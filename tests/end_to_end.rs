@@ -219,7 +219,7 @@ fn topk_filter_stays_close_to_exact() {
 #[test]
 fn clipper_layer_serves_optimized_pipelines() {
     use std::sync::Arc;
-    use willump_serve::{table_row_to_wire, ClipperServer, Servable, ServerConfig};
+    use willump_serve::{table_row_to_wire, Servable, ServingRuntime, DEFAULT_ENDPOINT};
 
     let w = small(WorkloadKind::Product, false);
     let opt = Willump::new(WillumpConfig::default())
@@ -228,7 +228,9 @@ fn clipper_layer_serves_optimized_pipelines() {
     let direct = opt.predict_batch(&w.test).expect("direct predicts");
 
     let servable: Arc<dyn Servable> = Arc::new(opt);
-    let server = ClipperServer::start(servable, ServerConfig::default());
+    let mut builder = ServingRuntime::builder();
+    builder.endpoint(DEFAULT_ENDPOINT, servable);
+    let server = builder.build().expect("runtime builds");
     let client = server.client();
     let rows: Vec<_> = (0..10)
         .map(|r| table_row_to_wire(&w.test, r).expect("wire row"))

@@ -227,8 +227,7 @@ fn cascade_threshold_extremes_behave() {
     // so predictions equal the full model's.
     cascade.set_threshold(1.01);
     let (scores, stats) = opt.predict_batch_with_stats(&w.test).expect("predicts");
-    let stats = stats.expect("cascade stats");
-    assert_eq!(stats.resolved_small, 0);
+    assert_eq!(stats.gate_resolved, 0);
     let full_feats = opt
         .executor()
         .features_batch(&w.test, None)
@@ -243,7 +242,7 @@ fn cascade_threshold_extremes_behave() {
     let cascade = opt.cascade_mut().expect("cascade still deployed");
     cascade.set_threshold(0.0);
     let (_, stats) = opt.predict_batch_with_stats(&w.test).expect("predicts");
-    assert_eq!(stats.expect("cascade stats").escalated, 0);
+    assert_eq!(stats.escalated, 0);
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! (the CI `locks` job). Everything here deliberately creates a
-//! classic two-lock inversion — the pattern behind the `ClipperServer`
-//! shutdown deadlock fixed in PR 2 — and asserts the detector reports
+//! classic two-lock inversion — the pattern behind a server shutdown
+//! deadlock fixed early in the project — and asserts the detector reports
 //! it with both of the conflicting acquisition sites instead of
 //! letting the suite hang.
 

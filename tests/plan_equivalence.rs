@@ -2,17 +2,16 @@
 //! outputs identical to the optimization it was lowered from, on
 //! arbitrary generated batches.
 //!
-//! Each property checks three implementations against each other:
-//! an independently-coded *reference* of the paper semantics (computed
-//! straight from the executor and models), the lowered plan run by the
-//! `PlanExecutor`, and the legacy wrapper shim (`CascadePredictor` /
-//! `TopKFilter` / `E2eCachedPredictor`).
+//! Each property checks the lowered plan run by the `PlanExecutor`
+//! against an independently-coded *reference* of the paper semantics
+//! (computed straight from the executor and models) or, for the
+//! end-to-end cache, against the `E2eCachedPredictor` wrapper.
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 use willump::cascade::THRESHOLD_CANDIDATES;
-use willump::{CascadePredictor, ServingPlan, TopKConfig, TopKFilter};
+use willump::{ServingPlan, TopKConfig};
 use willump_data::{Column, Table};
 use willump_graph::{EngineMode, Executor, GraphBuilder, InputRow, TransformGraph};
 use willump_models::{metrics, LinearParams, LogisticParams, ModelSpec, TrainedModel};
@@ -117,11 +116,11 @@ fn fixture() -> &'static Fixture {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The lowered cascade plan matches both an independent reference
-    /// of the paper's cascade semantics and the legacy wrapper shim,
-    /// batch-wise and row-wise, on arbitrary batches and thresholds.
+    /// The lowered cascade plan matches an independent reference of
+    /// the paper's cascade semantics, batch-wise and row-wise, on
+    /// arbitrary batches and thresholds.
     #[test]
-    fn cascade_plan_matches_reference_and_shim(
+    fn cascade_plan_matches_reference(
         rows in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 1..40),
         t_idx in 0usize..THRESHOLD_CANDIDATES.len(),
     ) {
@@ -161,31 +160,19 @@ proptest! {
             .count();
         prop_assert_eq!(out.report.escalated, escalated_ref);
 
-        // Legacy shim agrees (batch and row paths).
-        let shim = CascadePredictor::new(
-            fx.exec.clone(),
-            fx.small.clone(),
-            fx.full.clone(),
-            threshold,
-            vec![0],
-        )
-        .unwrap();
-        let (shim_scores, stats) = shim.predict_batch(&t).unwrap();
-        prop_assert_eq!(&shim_scores, &out.scores);
-        prop_assert_eq!(stats.escalated, escalated_ref);
+        // The row path agrees with the batch path.
         for (r, &s) in small_scores.iter().enumerate().take(5) {
             let input = InputRow::from_table(&t, r).unwrap();
-            let (one, escalated) = shim.predict_one(&input).unwrap();
-            prop_assert!((one - out.scores[r]).abs() <= 1e-9);
-            prop_assert_eq!(escalated, s.max(1.0 - s) <= threshold);
+            let one = plan.run_one(&input).unwrap();
+            prop_assert!((one.score - out.scores[r]).abs() <= 1e-9);
+            prop_assert_eq!(one.escalated, s.max(1.0 - s) <= threshold);
         }
     }
 
     /// The lowered top-K plan returns exactly the indices the paper's
-    /// filter semantics prescribe, and the legacy wrapper shim agrees
-    /// including its serving statistics.
+    /// filter semantics prescribe, and reports the subset it kept.
     #[test]
-    fn topk_plan_matches_reference_and_shim(
+    fn topk_plan_matches_reference(
         rows in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 2..50),
         k in 1usize..8,
         ck in 1usize..5,
@@ -227,19 +214,6 @@ proptest! {
         prop_assert_eq!(&ranked, &reference);
         prop_assert_eq!(report.filter_batch, Some(n));
         prop_assert_eq!(report.filter_kept, Some(subset_size));
-
-        let shim = TopKFilter::new(
-            fx.exec.clone(),
-            fx.filter.clone(),
-            fx.ranker.clone(),
-            config,
-            vec![0],
-        )
-        .unwrap();
-        let (shim_ranked, stats) = shim.top_k(&t, k).unwrap();
-        prop_assert_eq!(&shim_ranked, &reference);
-        prop_assert_eq!(stats.batch_size, n);
-        prop_assert_eq!(stats.subset_size, subset_size);
     }
 
     /// A plan with composed cache stages behaves exactly like the
@@ -275,8 +249,8 @@ proptest! {
     }
 }
 
-/// The optimizer's deployed serving plan is the same object the
-/// legacy accessors expose, and its batch path equals the
+/// The optimizer's deployed serving plan is the plan the
+/// `OptimizedPipeline` accessors expose, and its batch path equals the
 /// `OptimizedPipeline` prediction path.
 #[test]
 fn optimizer_lowered_plan_matches_pipeline_path() {
@@ -299,10 +273,7 @@ fn optimizer_lowered_plan_matches_pipeline_path() {
     assert_eq!(via_plan, via_pipeline);
     if opt.report().cascades_deployed {
         assert!(plan.threshold().is_some(), "cascade plan carries its gate");
-        assert_eq!(
-            plan.efficient_set().unwrap(),
-            opt.cascade().unwrap().efficient_set()
-        );
+        assert_eq!(plan.efficient_set(), opt.cascade().unwrap().efficient_set());
     }
 
     // Top-K mode lowers a filter plan.
@@ -319,4 +290,60 @@ fn optimizer_lowered_plan_matches_pipeline_path() {
         let (via_pipeline, _) = opt.top_k(&w.test, 10).expect("pipeline top-k");
         assert_eq!(via_plan, via_pipeline);
     }
+}
+
+fn bits(scores: &[f64]) -> Vec<u64> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+/// A sweep through `cascade_mut()` / `filter_mut()` changes the plan
+/// `serving_plan()` hands to a runtime endpoint, not only the one
+/// `predict_batch` / `top_k` run.
+#[test]
+fn serving_plan_follows_sweeps_through_the_mutable_accessors() {
+    use willump::{QueryMode, Willump, WillumpConfig};
+    use willump_workloads::{WorkloadConfig, WorkloadKind};
+
+    let w = WorkloadKind::Toxic
+        .generate(&WorkloadConfig::small())
+        .expect("generates");
+    let mut opt = Willump::new(WillumpConfig {
+        cascade_gate: false,
+        ..WillumpConfig::default()
+    })
+    .optimize(&w.pipeline, &w.train, &w.train_y, &w.valid, &w.valid_y)
+    .expect("optimizes");
+    opt.cascade_mut()
+        .expect("gate off deploys a cascade")
+        .set_threshold(1.01);
+    let plan = opt.serving_plan();
+    assert_eq!(plan.threshold(), Some(1.01));
+    assert_eq!(
+        bits(&plan.predict_batch(&w.test).expect("plan predicts")),
+        bits(&opt.predict_batch(&w.test).expect("pipeline predicts"))
+    );
+
+    let mut opt = Willump::new(WillumpConfig {
+        mode: QueryMode::TopK { k: 10 },
+        cascade_gate: false,
+        ..WillumpConfig::default()
+    })
+    .optimize(&w.pipeline, &w.train, &w.train_y, &w.valid, &w.valid_y)
+    .expect("optimizes");
+    let config = TopKConfig {
+        ck: 2,
+        min_subset_frac: 0.0,
+    };
+    opt.filter_mut()
+        .expect("top-K mode deploys a filter")
+        .set_topk_config(config);
+    let plan = opt.serving_plan();
+    assert_eq!(plan.topk_config(), Some(config));
+    let (via_plan, plan_report) = plan.top_k(&w.test, 10).expect("plan top-k");
+    let (via_pipeline, pipeline_report) = opt.top_k(&w.test, 10).expect("pipeline top-k");
+    assert_eq!(via_plan, via_pipeline);
+    assert_eq!(
+        plan_report.filter_kept,
+        pipeline_report.expect("filter ran").filter_kept
+    );
 }
