@@ -85,6 +85,30 @@ impl FeatureMatrix {
         }
     }
 
+    /// Call `f` with each `(column, value)` pair of one row, in column
+    /// order and in place: the pairs [`row_entries`](Self::row_entries)
+    /// returns, without collecting them.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of bounds.
+    pub fn for_each_entry(&self, row: usize, mut f: impl FnMut(usize, f64)) {
+        match self {
+            FeatureMatrix::Dense(m) => {
+                for (c, &v) in m.row(row).iter().enumerate() {
+                    if v != 0.0 {
+                        f(c, v);
+                    }
+                }
+            }
+            FeatureMatrix::Sparse(m) => {
+                let (cols, vals) = m.row_view(row);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    f(c as usize, v);
+                }
+            }
+        }
+    }
+
     /// The `(column, value)` pairs of one row, zeros omitted.
     pub fn row_entries(&self, row: usize) -> Vec<(usize, f64)> {
         match self {

@@ -388,9 +388,12 @@ impl Executor {
             // Sparse vstack via row re-push.
             let width = mats[0].n_cols();
             let mut b = willump_data::SparseRowBuilder::new(width);
+            let mut row = Vec::new();
             for m in &mats {
                 for r in 0..m.n_rows() {
-                    b.push_row(&m.row_entries(r));
+                    row.clear();
+                    m.for_each_entry(r, |c, v| row.push((c, v)));
+                    b.push_row(&row);
                 }
             }
             Ok(FeatureMatrix::Sparse(b.finish()))

@@ -119,9 +119,7 @@ pub fn gbdt_proxy_importances(
     // columns.
     let mut mass = vec![0.0f64; n_cols];
     for r in 0..n_rows {
-        for (c, v) in x.row_entries(r) {
-            mass[c] += v.abs();
-        }
+        x.for_each_entry(r, |c, v| mass[c] += v.abs());
     }
     let mut order: Vec<usize> = (0..n_cols).collect();
     order.sort_unstable_by(|&a, &b| {
@@ -140,12 +138,13 @@ pub fn gbdt_proxy_importances(
     }
     let mut sub = willump_data::Matrix::zeros(n_rows, selected.len().max(1));
     for r in 0..n_rows {
-        for (c, v) in x.row_entries(r) {
+        let row = sub.row_mut(r);
+        x.for_each_entry(r, |c, v| {
             let slot = col_to_slot[c];
             if slot != usize::MAX {
-                sub.row_mut(r)[slot] = v;
+                row[slot] = v;
             }
-        }
+        });
     }
 
     let params = GbdtParams {

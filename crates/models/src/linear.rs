@@ -134,9 +134,7 @@ impl LogisticRegression {
                 t += 1.0;
                 let z = x.row_dot(i, &w) + b;
                 let err = sigmoid(z) - y[i];
-                for (c, v) in x.row_entries(i) {
-                    w[c] -= lr * (err * v + params.l2 * w[c]);
-                }
+                x.for_each_entry(i, |c, v| w[c] -= lr * (err * v + params.l2 * w[c]));
                 b -= lr * err;
             }
         }
@@ -202,9 +200,7 @@ impl LinearRegression {
                 let lr = params.learning_rate / (1.0 + t * params.decay);
                 t += 1.0;
                 let err = x.row_dot(i, &w) + b - y[i];
-                for (c, v) in x.row_entries(i) {
-                    w[c] -= lr * (err * v + params.l2 * w[c]);
-                }
+                x.for_each_entry(i, |c, v| w[c] -= lr * (err * v + params.l2 * w[c]));
                 b -= lr * err;
             }
         }

@@ -121,6 +121,9 @@ impl Mlp {
         let n = x.n_rows();
         let mut hidden = vec![0.0; h];
         let mut act = vec![0.0; h];
+        // The current row's entries, read from `x` once per row and
+        // reused across rows.
+        let mut entries: Vec<(usize, f64)> = Vec::new();
         for epoch in 0..params.epochs {
             // Deterministic per-epoch row order.
             let mut order: Vec<usize> = (0..n).collect();
@@ -131,7 +134,8 @@ impl Mlp {
             }
             let lr = params.learning_rate / (1.0 + epoch as f64 * 0.1);
             for &i in &order {
-                let entries = x.row_entries(i);
+                entries.clear();
+                x.for_each_entry(i, |c, v| entries.push((c, v)));
                 for k in 0..h {
                     let mut z = b1[k];
                     let wrow = &w1[k];

@@ -4,7 +4,8 @@
 //! of scores it returns and nothing else — the input is read in
 //! place, not cloned — and scoring one row from its `(column, value)`
 //! entries allocates nothing once the thread's dense row has grown to
-//! the model's width.
+//! the model's width. Training reads its rows in place too: a linear
+//! model or an MLP allocates per fit and per epoch, never per row.
 //!
 //! This is a test binary of its own because it installs a counting
 //! `#[global_allocator]` (the same one as
@@ -16,8 +17,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use willump_data::{FeatureMatrix, Matrix};
-use willump_models::{ForestParams, GbdtParams, ModelSpec, TrainedModel};
+use willump_data::{FeatureMatrix, Matrix, SparseMatrix};
+use willump_models::{
+    ForestParams, GbdtParams, LinearParams, LogisticParams, MlpParams, ModelSpec, TrainedModel,
+};
 
 struct CountingAllocator;
 
@@ -135,6 +138,31 @@ fn warmed_up_row_scoring_allocates_nothing() {
             let (score, n) = allocations(|| model.predict_score_row(entries, N_FEATURES));
             assert!((0.0..=1.0).contains(&score));
             assert_eq!(n, 0, "predict_score_row");
+        }
+    }
+}
+
+#[test]
+fn gradient_fits_do_not_allocate_per_row() {
+    let specs = [
+        ModelSpec::Logistic(LogisticParams::default()),
+        ModelSpec::Linear(LinearParams::default()),
+        ModelSpec::MlpClassifier(MlpParams::default()),
+    ];
+    let dense = |n: usize| FeatureMatrix::Dense(features(n));
+    let sparse = |n: usize| FeatureMatrix::Sparse(SparseMatrix::from_dense(&features(n)));
+    for make in [&dense as &dyn Fn(usize) -> FeatureMatrix, &sparse] {
+        for spec in &specs {
+            let fit = |n: usize| {
+                let x = make(n);
+                let y: Vec<f64> = (0..n).map(|r| (r % 2) as f64).collect();
+                allocations(|| spec.fit(&x, &y, 5).expect("trains")).1
+            };
+            let (short, long) = (fit(200), fit(400));
+            assert_eq!(
+                short, long,
+                "{spec:?}: {short} allocations on 200 rows, {long} on 400"
+            );
         }
     }
 }

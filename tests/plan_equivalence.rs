@@ -292,6 +292,51 @@ fn optimizer_lowered_plan_matches_pipeline_path() {
     }
 }
 
+/// At the benchmark's sizes and seeds the toxic cascade's efficient
+/// set is its two cheap IFVs, string statistics and word TF-IDF, and
+/// not the char n-gram TF-IDF, behind a 0.5 confidence gate. The
+/// optimizer selects from costs it measures, so this pins the
+/// selection while the text kernels' costs change.
+#[test]
+fn toxic_cascade_selects_string_stats_and_word_tfidf() {
+    use willump::{QueryMode, Willump, WillumpConfig};
+    use willump_workloads::{WorkloadConfig, WorkloadKind};
+
+    for seed in [42, 7] {
+        let w = WorkloadKind::Toxic
+            .generate(&WorkloadConfig {
+                n_train: 2_000,
+                n_valid: 1_000,
+                n_test: 2_000,
+                seed,
+                remote: None,
+            })
+            .expect("generates");
+        let opt = Willump::new(WillumpConfig {
+            mode: QueryMode::Batch,
+            seed,
+            ..WillumpConfig::default()
+        })
+        .optimize(&w.pipeline, &w.train, &w.train_y, &w.valid, &w.valid_y)
+        .expect("optimizes");
+        let plan = opt.serving_plan();
+        let exec = plan.executor();
+        let generators = &exec.analysis().generators;
+        let efficient: Vec<&str> = plan
+            .efficient_set()
+            .expect("a cascade plan")
+            .iter()
+            .map(|&g| exec.graph().node(generators[g].root).name.as_str())
+            .collect();
+        assert_eq!(
+            efficient,
+            ["comment_stats_scaled", "word_tfidf"],
+            "seed {seed}"
+        );
+        assert_eq!(plan.threshold(), Some(0.5), "seed {seed}");
+    }
+}
+
 fn bits(scores: &[f64]) -> Vec<u64> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
