@@ -1,6 +1,6 @@
-//! Blocking readiness for the node's event loop: `poll(2)` over a
+//! Blocking readiness for the node's threads: `poll(2)` over a
 //! reusable descriptor set, and a [`Waker`] other threads use to end
-//! a wait.
+//! the leader's wait.
 //!
 //! This is the only module in the workspace that contains `unsafe`:
 //! one foreign call, declared by hand because std already links libc
@@ -13,6 +13,7 @@ use std::ffi::{c_int, c_short, c_ulong};
 use std::io::{self, Read, Write};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 const POLLIN: c_short = 0x001;
 const POLLOUT: c_short = 0x004;
@@ -69,14 +70,18 @@ impl PollSet {
         self.fds.len() - 1
     }
 
-    /// Block — with no timeout — until at least one entry is ready,
-    /// failed or hung up. A wait cut short by a signal is retried.
+    /// Block until at least one entry is ready, failed or hung up, or
+    /// — given a timeout, which is rounded up to whole milliseconds —
+    /// until it has passed. A wait cut short by a signal is retried.
     ///
     /// # Errors
     /// Whatever `poll(2)` reports other than `EINTR` (`ENOMEM`, or
     /// `EINVAL` for a set larger than `RLIMIT_NOFILE`).
-    pub(crate) fn wait(&mut self) -> io::Result<()> {
-        self.poll_with_timeout(-1).map(|_| ())
+    pub(crate) fn wait(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        let timeout_ms = timeout.map_or(-1, |t| {
+            c_int::try_from(t.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX)
+        });
+        self.poll_with_timeout(timeout_ms).map(|_| ())
     }
 
     /// `poll(2)` with a timeout in milliseconds (negative = none);
@@ -166,7 +171,6 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
-    use std::time::Duration;
 
     /// How often any wait in this test binary was restarted after
     /// `EINTR`.
@@ -194,7 +198,7 @@ mod tests {
         for _ in 0..100_000 {
             waker.ring();
         }
-        set.wait().expect("waits");
+        set.wait(None).expect("waits");
         assert!(set.is_ready(idx));
         listener.drain();
         assert_eq!(
@@ -205,13 +209,26 @@ mod tests {
     }
 
     #[test]
+    fn a_timed_wait_ends_when_the_timeout_passes() {
+        let (_waker, listener) = waker().expect("pair");
+        let mut set = PollSet::default();
+        let idx = set.push(&listener, Interest::Read);
+        // Rounded up to a whole millisecond, never down to a poll that
+        // returns at once.
+        let start = std::time::Instant::now();
+        set.wait(Some(Duration::from_micros(100))).expect("waits");
+        assert!(start.elapsed() >= Duration::from_millis(1));
+        assert!(!set.is_ready(idx));
+    }
+
+    #[test]
     fn a_ring_from_another_thread_wakes_a_blocked_wait() {
         let (waker, listener) = waker().expect("pair");
         let (tx, rx) = mpsc::channel();
         let waiter = std::thread::spawn(move || {
             let mut set = PollSet::default();
             let idx = set.push(&listener, Interest::Read);
-            set.wait().expect("waits");
+            set.wait(None).expect("waits");
             let _ = tx.send(set.is_ready(idx));
         });
         waker.ring();
@@ -229,7 +246,7 @@ mod tests {
         assert_eq!(set.poll_with_timeout(0).expect("polls"), 1);
         assert!(!set.is_ready(r) && set.is_ready(w));
         client.write_all(b"x").expect("writes");
-        set.wait().expect("waits");
+        set.wait(None).expect("waits");
         assert!(set.is_ready(r) && set.is_ready(w));
     }
 
@@ -241,7 +258,7 @@ mod tests {
         drop(client);
         let mut set = PollSet::default();
         let idx = set.push(&server, Interest::Write);
-        set.wait().expect("waits");
+        set.wait(None).expect("waits");
         assert!(set.is_ready(idx));
     }
 
@@ -270,7 +287,7 @@ mod tests {
             let _ = tid_tx.send(unsafe { pthread_self() });
             let mut set = PollSet::default();
             let idx = set.push(&listener, Interest::Read);
-            let result = set.wait();
+            let result = set.wait(None);
             let _ = done_tx.send(result.map(|()| set.is_ready(idx)));
         });
         let tid = tid_rx.recv_timeout(WATCHDOG).expect("thread id");

@@ -20,31 +20,33 @@
 //! - [`RemoteWorker`]: the TCP implementation. It speaks the
 //!   [`crate::wire2`] binary protocol — the only protocol on a socket
 //!   — and **multiplexes** every in-flight forward onto one
-//!   connection: each forward is tagged with a mux request id,
-//!   written without waiting, and parked until a demultiplexing
-//!   reader thread routes the matching response frame back to it, so
-//!   concurrent forwards overlap on one socket. A peer that does not
-//!   answer the preamble with a `HelloAck` is a failed forward, not a
-//!   fallback. Failures get one transparent retry when they are
-//!   *connection-level* (the response can no longer arrive), but
-//!   **never** after a read timeout — the node may still be executing
-//!   the request, and resending would double-execute it exactly when
-//!   the node is most loaded — plus a consecutive-failure circuit
-//!   breaker that fails fast while a shard stays dead.
+//!   connection: each forward is tagged with a mux request id and
+//!   written without waiting, so concurrent forwards overlap on one
+//!   socket. No thread of its own reads the socket: a forward reads
+//!   it itself while no other forward does, routing every frame to
+//!   the forward waiting under its mux id, so a lone caller reads its
+//!   own answer. A peer that does not answer the preamble with a
+//!   `HelloAck` is a failed forward, not a fallback. Failures get one
+//!   transparent retry when they are *connection-level* (the response
+//!   can no longer arrive), but **never** after a read timeout — the
+//!   node may still be executing the request, and resending would
+//!   double-execute it exactly when the node is most loaded — plus a
+//!   consecutive-failure circuit breaker that fails fast while a
+//!   shard stays dead.
 //! - [`RemoteRuntimeNode`]: the host side. Binds a listener and
 //!   exposes a whole [`crate::ServingRuntime`] — all of its endpoints
-//!   — to parent routers. A single **poll-based event loop** over
-//!   nonblocking sockets owns every accepted connection (no
-//!   thread-per-connection): it checks that each connection opens
-//!   with the wire2 preamble (anything else is counted in
+//!   — to parent routers. A small pool of threads takes turns holding
+//!   one `poll(2)` set over nonblocking sockets (leader/followers; no
+//!   thread-per-connection): the holder checks that each connection
+//!   opens with the wire2 preamble (anything else is counted in
 //!   `decode_errors` and closed), reassembles frames with a bounded
 //!   read (an oversized or corrupt length prefix is counted and
 //!   refused, never trusted), decodes requests in place and admits
-//!   them into the hosted runtime itself; the runtime worker that
-//!   serves one encodes the response and writes it straight through
-//!   to the connection. Only what cannot be admitted without blocking
-//!   — a frame routed onward to a remote shard, a full worker queue —
-//!   goes through a small fixed dispatch pool.
+//!   them into the hosted runtime itself. A request that may run at
+//!   once it runs on its own thread, after handing the poll set to
+//!   another; the rest are queued for the runtime's workers. Whichever
+//!   thread serves a request encodes the response and writes it
+//!   straight through to the connection.
 //!
 //! The **local queue** implementation of the trait is
 //! [`InProcessWorker`]: it forwards requests to another runtime in
@@ -98,26 +100,26 @@
 //! ```
 
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::io::{BufReader, Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use willump::PlanCountersSnapshot;
 
 use crate::protocol::{Request, Response, ERROR_RESPONSE_ID};
 use crate::readiness::{self, Interest, PollSet, WakeListener, Waker};
-use crate::runtime::{Deferred, RuntimeClient, ServingRuntime};
+use crate::runtime::{Forward, Queued, Runnable, RuntimeClient, ServingRuntime, Submitted};
 use crate::wire2::{
     decode_header, decode_request_payload, decode_response_payload, encode_frame,
-    encode_request_payload, encode_response_frame, read_frame, FrameReadError, FrameType,
-    WIRE2_HEADER_LEN, WIRE2_MAGIC, WIRE2_PREAMBLE, WIRE2_VERSION,
+    encode_request_payload, encode_response_frame, FrameHeader, FrameType, WIRE2_HEADER_LEN,
+    WIRE2_MAGIC, WIRE2_PREAMBLE, WIRE2_VERSION,
 };
 use crate::ServeError;
 
@@ -394,33 +396,113 @@ impl WorkerTransport for InProcessWorker {
 
 // ---- the TCP transport ---------------------------------------------
 
-/// One response (or drop notice) routed to a parked mux waiter.
+/// One message to a forward waiting for its answer.
 enum MuxEvent {
     /// A response payload arrived for this waiter's mux id.
     Frame(Vec<u8>),
     /// The connection died before the response arrived; the response
     /// can no longer arrive here, so a fresh-connection retry is safe.
     Dropped,
+    /// The forward that was reading the socket ended its turn: take
+    /// the turn over.
+    Turn,
+}
+
+/// Why a turn at the socket produced no frame.
+enum ReadStop {
+    /// The reading forward's deadline passed.
+    TimedOut,
+    /// End of stream or an I/O error: the connection is gone.
+    Closed,
+    /// The buffered bytes are not a frame, or not one a node sends: the
+    /// stream cannot be resynchronized.
+    Corrupt,
+}
+
+/// The read half of a mux connection. The forward holding it reads
+/// the socket for every forward in flight. The bytes of a frame that
+/// has not arrived whole stay in `buf` from one turn to the next, so a
+/// turn that ends at its deadline never tears the stream.
+struct MuxReader {
+    stream: TcpStream,
+    buf: ReadBuf,
+}
+
+impl MuxReader {
+    /// The next whole frame: one already buffered, or one read from
+    /// the socket by `deadline`.
+    fn next_frame(&mut self, deadline: Instant) -> Result<(FrameHeader, Vec<u8>), ReadStop> {
+        loop {
+            if let Some(frame) = self.buffered()? {
+                return Ok(frame);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(ReadStop::TimedOut);
+            }
+            // The socket blocks; its read timeout is the turn's deadline.
+            self.stream
+                .set_read_timeout(Some(left))
+                .map_err(|_| ReadStop::Closed)?;
+            self.buf.compact();
+            match (&self.stream).read(self.buf.spare()) {
+                Ok(0) => return Err(ReadStop::Closed),
+                Ok(n) => self.buf.filled(n),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => return Err(ReadStop::Closed),
+            }
+        }
+    }
+
+    /// Take a whole frame off the front of the buffer, if one is there.
+    fn buffered(&mut self) -> Result<Option<(FrameHeader, Vec<u8>)>, ReadStop> {
+        let unread = self.buf.unread();
+        let Some(header) = unread.first_chunk::<WIRE2_HEADER_LEN>() else {
+            return Ok(None);
+        };
+        let hdr = decode_header(header).map_err(|_| ReadStop::Corrupt)?;
+        let total = WIRE2_HEADER_LEN + hdr.payload_len as usize;
+        if unread.len() < total {
+            return Ok(None);
+        }
+        let payload = unread[WIRE2_HEADER_LEN..total].to_vec();
+        self.buf.consume(total);
+        Ok(Some((hdr, payload)))
+    }
 }
 
 /// One multiplexed v2 connection: many in-flight forwards share the
-/// socket, each tagged with a mux request id; a dedicated reader
-/// thread demultiplexes response frames back to the parked waiters.
+/// socket, each tagged with a mux request id. No thread of its own
+/// reads it: a forward that has written its frame reads the socket
+/// itself when no other forward is reading, and routes every frame it
+/// reads to the forward waiting under that frame's mux id; otherwise
+/// it waits for its answer, or for the reading turn.
+///
+/// The turn is never lost while forwards wait: the reader passes it to
+/// one waiter when its own turn ends, and a waiter handed the turn
+/// that gives up without reading passes it on.
 struct MuxConn {
     /// Write half. Locked per frame write only — never across a round
     /// trip — so concurrent forwards interleave their frames.
     writer: Mutex<TcpStream>,
-    /// Extra handle used to `shutdown()` the socket: the reader
-    /// thread blocks without a read timeout (a timeout mid-frame
-    /// would tear the stream for every in-flight request), so socket
-    /// shutdown is how it is woken for teardown.
+    /// Read half: held by the forward that is reading, across its
+    /// blocking reads. Only ever taken with `try_lock` — a forward
+    /// that finds it taken waits for its answer instead.
+    reader: Mutex<MuxReader>,
+    /// Extra handle used to `shutdown()` the socket, which ends the
+    /// reading forward's read at once.
     wake: TcpStream,
-    /// Parked forwards by mux id.
+    /// Forwards waiting for their answer, by mux id. A waiter's
+    /// channel holds at most one `Turn` and then its answer.
     waiters: Mutex<HashMap<u32, Sender<MuxEvent>>>,
     /// Next mux correlation id (wraps; ids are transient).
     next_id: AtomicU32,
-    /// Set once the reader exits (EOF, I/O error, corrupt frame) or
-    /// the connection is killed; no new forwards board after this.
+    /// Set once the connection is torn down (end of stream, I/O error,
+    /// corrupt frame) or killed; no new forwards board after this.
     dead: AtomicBool,
 }
 
@@ -429,58 +511,102 @@ impl MuxConn {
         self.dead.store(true, Ordering::Relaxed);
         let _ = self.wake.shutdown(Shutdown::Both);
     }
-}
 
-/// Demultiplexing reader loop: routes each response frame to the
-/// waiter registered under its mux id. An id with no waiter is a
-/// response that arrived after its forward timed out — dropped by
-/// design, because the forward was never resent. On exit every parked
-/// waiter is notified that the connection dropped.
-fn mux_reader(
-    conn: &Arc<MuxConn>,
-    reader: &mut BufReader<TcpStream>,
-    counters: &TransportCounters,
-) {
-    loop {
-        if conn.dead.load(Ordering::Relaxed) {
-            break;
-        }
-        match read_frame(reader) {
-            Ok(Some((hdr, payload))) => {
-                counters
-                    .bytes_received
-                    .fetch_add((WIRE2_HEADER_LEN + payload.len()) as u64, Ordering::Relaxed);
-                match hdr.frame_type {
-                    FrameType::BinResponse => {
-                        let waiter = conn.waiters.lock().remove(&hdr.request_id);
-                        if let Some(tx) = waiter {
-                            let _ = tx.send(MuxEvent::Frame(payload));
-                        }
-                    }
-                    FrameType::HelloAck => {}
-                    FrameType::BinRequest => {
-                        // A node must answer with response frames;
-                        // request frames here mean the stream is torn.
-                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-            Ok(None) => break,
-            Err(FrameReadError::Corrupt(_)) => {
-                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            Err(FrameReadError::Io(_)) => break,
+    /// Tell every waiter that its answer can no longer arrive. Order
+    /// matters: `dead` is set before the drain (both sides touch the
+    /// waiters map under its lock), so a forward either boards in time
+    /// to be drained or observes `dead` after boarding.
+    fn tear_down(&self) {
+        self.dead.store(true, Ordering::Relaxed);
+        let waiters: Vec<(u32, Sender<MuxEvent>)> = self.waiters.lock().drain().collect();
+        for (_, tx) in waiters {
+            let _ = tx.try_send(MuxEvent::Dropped);
         }
     }
-    // Order matters: `dead` is set before the drain (both sides
-    // touch the waiters map under its lock), so a forward either
-    // boards in time to be drained or observes `dead` after boarding.
-    conn.dead.store(true, Ordering::Relaxed);
-    let waiters: Vec<(u32, Sender<MuxEvent>)> = conn.waiters.lock().drain().collect();
-    for (_, tx) in waiters {
-        let _ = tx.send(MuxEvent::Dropped);
+
+    /// Hand the reading turn to one waiting forward, if any. One whose
+    /// channel is empty is picked: a waiter holding a `Turn` already
+    /// acts on it.
+    fn pass_turn(&self) {
+        let waiters = self.waiters.lock();
+        if let Some(tx) = waiters.values().find(|tx| tx.is_empty()) {
+            let _ = tx.try_send(MuxEvent::Turn);
+        }
+    }
+
+    /// Take a forward that gives up without its answer off the waiters
+    /// map. Nobody can hand it the turn after that; if somebody did
+    /// before, the turn is passed on.
+    fn leave(&self, id: u32, rx: &Receiver<MuxEvent>) {
+        self.waiters.lock().remove(&id);
+        let mut turn = false;
+        while let Ok(event) = rx.try_recv() {
+            turn |= matches!(event, MuxEvent::Turn);
+        }
+        if turn {
+            self.pass_turn();
+        }
+    }
+
+    /// One turn at the socket for the forward waiting under `id`: read
+    /// frames and route each to its waiter — an id with none is a
+    /// response whose forward timed out, dropped by design, because
+    /// that forward was never resent — until this forward's own answer
+    /// arrives. Stops early at the forward's deadline
+    /// ([`ReadStop::TimedOut`]) or when the connection is gone
+    /// ([`ReadStop::Closed`], after every waiter was told).
+    fn read_turn(
+        &self,
+        reader: &mut MuxReader,
+        id: u32,
+        rx: &Receiver<MuxEvent>,
+        deadline: Instant,
+        counters: &TransportCounters,
+    ) -> Result<Vec<u8>, ReadStop> {
+        // The forward that read before this one may have routed this
+        // one's answer already: it did so before it gave up the turn.
+        while let Ok(event) = rx.try_recv() {
+            match event {
+                MuxEvent::Frame(body) => return Ok(body),
+                MuxEvent::Dropped => return Err(ReadStop::Closed),
+                MuxEvent::Turn => {}
+            }
+        }
+        loop {
+            let stop = match reader.next_frame(deadline) {
+                Ok((hdr, body)) => {
+                    counters
+                        .bytes_received
+                        .fetch_add((WIRE2_HEADER_LEN + body.len()) as u64, Ordering::Relaxed);
+                    match hdr.frame_type {
+                        FrameType::BinResponse => {
+                            let waiter = self.waiters.lock().remove(&hdr.request_id);
+                            if hdr.request_id == id {
+                                return Ok(body);
+                            }
+                            if let Some(tx) = waiter {
+                                let _ = tx.try_send(MuxEvent::Frame(body));
+                            }
+                            continue;
+                        }
+                        FrameType::HelloAck => continue,
+                        // A node must answer with response frames;
+                        // request frames here mean the stream is torn.
+                        FrameType::BinRequest => ReadStop::Corrupt,
+                    }
+                }
+                Err(ReadStop::TimedOut) => {
+                    self.waiters.lock().remove(&id);
+                    return Err(ReadStop::TimedOut);
+                }
+                Err(stop) => stop,
+            };
+            if matches!(stop, ReadStop::Corrupt) {
+                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            self.tear_down();
+            return Err(ReadStop::Closed);
+        }
     }
 }
 
@@ -499,13 +625,17 @@ struct MuxFailure {
 /// [`crate::wire2`] binary protocol.
 ///
 /// The connection is **multiplexed**: every concurrent forward shares
-/// one socket, tagged with a mux request id and parked until the
-/// demux reader routes its response frame back — so parallel requests
-/// to one shard overlap their round trips without per-request
-/// sockets. Dialing is **lazy** (nothing until the first forward) and
-/// **checked**: the node must answer the preamble with a `HelloAck`
-/// frame, and a peer that answers anything else fails the forward
-/// like an unreachable one.
+/// one socket, tagged with a mux request id, so parallel requests to
+/// one shard overlap their round trips without per-request sockets.
+/// There is no reader thread: after writing its frame, a forward reads
+/// the socket itself when no other forward is reading, and hands every
+/// frame it reads to the forward it answers; otherwise it waits until
+/// the reading forward hands it its answer, or the reading turn. A
+/// lone caller therefore reads its own answer — the only thread woken
+/// in this process is the one that asked. Dialing is **lazy** (nothing
+/// until the first forward) and **checked**: the node must answer the
+/// preamble with a `HelloAck` frame, and a peer that answers anything
+/// else fails the forward like an unreachable one.
 ///
 /// A connect, send, or connection-drop failure retries once on a
 /// fresh connection before the error is reported, so a restarted node
@@ -515,9 +645,11 @@ struct MuxFailure {
 /// second time exactly when the node is at its most loaded — the
 /// error surfaces instead, and the runtime's shard fail-over decides
 /// what to do. (Unlike a drop, a timeout leaves the multiplexed
-/// connection in service: other in-flight forwards are unaffected,
-/// and a response arriving after its waiter gave up is discarded by
-/// mux id.)
+/// connection in service: other in-flight forwards are unaffected, the
+/// bytes of a frame half read stay buffered for the next reader, and a
+/// response arriving after its waiter gave up is discarded by mux id.)
+///
+/// Dropping the worker shuts its socket down; it owns no thread.
 pub struct RemoteWorker {
     addr: String,
     timeout: Duration,
@@ -538,9 +670,9 @@ pub struct RemoteWorker {
     last_failure: Mutex<Option<Instant>>,
     breaker_threshold: u64,
     breaker_cooldown: Duration,
-    /// A health probe is in flight right now (drives
+    /// Health probes in flight right now (any drives
     /// [`BreakerState::Probing`] independent of the cool-down clock).
-    probing: AtomicBool,
+    probing: AtomicUsize,
     counters: Arc<TransportCounters>,
 }
 
@@ -582,7 +714,7 @@ impl RemoteWorker {
             last_failure: Mutex::new(None),
             breaker_threshold: REMOTE_WORKER_BREAKER_FAILURES,
             breaker_cooldown: REMOTE_WORKER_BREAKER_COOLDOWN,
-            probing: AtomicBool::new(false),
+            probing: AtomicUsize::new(0),
             counters: Arc::new(TransportCounters::default()),
         }
     }
@@ -614,9 +746,9 @@ impl RemoteWorker {
     }
 
     /// Dial, send the wire2 preamble and check the node's answer: a
-    /// `HelloAck` frame starts the demux reader; anything else — a
-    /// peer that speaks some other protocol, or another wire2 version
-    /// — is a transport error.
+    /// `HelloAck` frame puts the connection in service; anything else —
+    /// a peer that speaks some other protocol, or another wire2
+    /// version — is a transport error.
     fn dial(&self) -> Result<Arc<MuxConn>, ServeError> {
         let io = |e: std::io::Error| ServeError::Transport(format!("{}: {e}", self.addr));
         let sockaddr = self
@@ -627,54 +759,36 @@ impl RemoteWorker {
             .ok_or_else(|| {
                 ServeError::Transport(format!("{}: address resolves to nothing", self.addr))
             })?;
-        let stream = TcpStream::connect_timeout(&sockaddr, self.timeout).map_err(io)?;
-        stream.set_read_timeout(Some(self.timeout)).map_err(io)?;
-        stream.set_write_timeout(Some(self.timeout)).map_err(io)?;
-        stream.set_nodelay(true).map_err(io)?;
-        let mut writer = stream;
-        let mut reader = BufReader::new(writer.try_clone().map_err(io)?);
+        let mut writer = TcpStream::connect_timeout(&sockaddr, self.timeout).map_err(io)?;
+        writer.set_write_timeout(Some(self.timeout)).map_err(io)?;
+        writer.set_nodelay(true).map_err(io)?;
+        let mut reader = MuxReader {
+            stream: writer.try_clone().map_err(io)?,
+            buf: ReadBuf::default(),
+        };
         writer.write_all(WIRE2_PREAMBLE).map_err(io)?;
-        match read_frame(&mut reader) {
-            Ok(Some((hdr, _))) if hdr.frame_type == FrameType::HelloAck => {}
-            Ok(Some(_)) => {
-                return Err(ServeError::Transport(format!(
-                    "{}: node answered the preamble with a frame that is not a HelloAck",
-                    self.addr
-                )))
-            }
-            Ok(None) => {
-                return Err(ServeError::Transport(format!(
-                    "{}: node closed the connection during the handshake",
-                    self.addr
-                )))
-            }
-            Err(e) => {
-                return Err(ServeError::Transport(format!(
-                    "{}: no wire2 handshake: {e}",
-                    self.addr
-                )))
-            }
+        let refused = |why: &str| {
+            Err(ServeError::Transport(format!(
+                "{}: no wire2 handshake: {why}",
+                self.addr
+            )))
+        };
+        match reader.next_frame(Instant::now() + self.timeout) {
+            Ok((hdr, _)) if hdr.frame_type == FrameType::HelloAck => {}
+            Ok(_) => return refused("the node answered with a frame that is not a HelloAck"),
+            Err(ReadStop::Closed) => return refused("the node closed the connection"),
+            Err(ReadStop::TimedOut) => return refused("no answer in time"),
+            Err(ReadStop::Corrupt) => return refused("the answer is not a wire2 frame"),
         }
-        // The demux reader blocks without a read timeout (a timeout
-        // mid-frame would tear the stream for every in-flight
-        // forward); per-forward timeouts live on the waiters, and
-        // teardown wakes the reader via shutdown.
-        writer.set_read_timeout(None).map_err(io)?;
         let wake = writer.try_clone().map_err(io)?;
-        let conn = Arc::new(MuxConn {
+        Ok(Arc::new(MuxConn {
             writer: Mutex::new(writer),
+            reader: Mutex::new(reader),
             wake,
             waiters: Mutex::new(HashMap::new()),
             next_id: AtomicU32::new(1),
             dead: AtomicBool::new(false),
-        });
-        let thread_conn = Arc::clone(&conn);
-        let counters = Arc::clone(&self.counters);
-        std::thread::Builder::new()
-            .name("willump-mux-reader".to_string())
-            .spawn(move || mux_reader(&thread_conn, &mut reader, &counters))
-            .map_err(io)?;
-        Ok(conn)
+        }))
     }
 
     /// Fail this forward: remember the transport is broken (the next
@@ -722,7 +836,7 @@ impl RemoteWorker {
         {
             return BreakerState::Closed;
         }
-        if self.probing.load(Ordering::Relaxed) {
+        if self.probing.load(Ordering::Relaxed) > 0 {
             return BreakerState::Probing;
         }
         let cooling = self
@@ -759,9 +873,11 @@ impl RemoteWorker {
 
     /// One tagged round trip on an established mux connection: board
     /// a waiter, write the request frame (the writer lock covers the
-    /// write only, never the wait), then park until the demux reader
-    /// routes the response back or the per-forward timeout fires.
-    /// Returns the response payload and the bytes sent and received.
+    /// write only, never the wait), then read the socket while no
+    /// other forward does, or wait for the reading forward to hand over
+    /// the answer or the turn, until the answer arrives or the
+    /// per-forward timeout passes. Returns the response payload and
+    /// the bytes sent and received.
     fn mux_round(
         &self,
         conn: &Arc<MuxConn>,
@@ -773,13 +889,15 @@ impl RemoteWorker {
             timed_out: false,
             error: e,
         })?;
-        let (tx, rx) = bounded(1);
+        // Room for one `Turn` and the answer.
+        let (tx, rx) = bounded(2);
         conn.waiters.lock().insert(id, tx);
-        // The reader sets `dead` before draining waiters (both under
-        // the waiters lock), so either it saw this waiter and will
-        // notify it, or this check observes `dead` — never neither.
+        // The connection is torn down with `dead` set before the
+        // waiters are drained (both under the waiters lock), so either
+        // this waiter will be told, or this check observes `dead` —
+        // never neither.
         if conn.dead.load(Ordering::Relaxed) {
-            conn.waiters.lock().remove(&id);
+            conn.leave(id, &rx);
             return Err(MuxFailure {
                 retryable: true,
                 timed_out: false,
@@ -788,12 +906,9 @@ impl RemoteWorker {
         }
         let write_result = { conn.writer.lock().write_all(&frame) };
         if let Err(e) = write_result {
-            conn.waiters.lock().remove(&id);
+            conn.leave(id, &rx);
             conn.kill();
-            let timed_out = matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            );
+            let timed_out = matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
             return Err(MuxFailure {
                 // A write timeout may have torn a partial frame onto
                 // the wire; like a read timeout it is never retried.
@@ -804,12 +919,42 @@ impl RemoteWorker {
         }
         let sent = frame.len() as u64;
         self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
-        match rx.recv_timeout(self.timeout) {
-            Ok(MuxEvent::Frame(body)) => {
+        let deadline = Instant::now() + self.timeout;
+        let answer = loop {
+            if let Some(mut reader) = conn.reader.try_lock() {
+                let answer = conn.read_turn(&mut reader, id, &rx, deadline, &self.counters);
+                drop(reader);
+                conn.pass_turn();
+                break answer;
+            }
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(MuxEvent::Frame(body)) => break Ok(body),
+                Ok(MuxEvent::Dropped) => break Err(ReadStop::Closed),
+                // The reader's turn ended: try to take it.
+                Ok(MuxEvent::Turn) => {}
+                Err(_) => {
+                    conn.leave(id, &rx);
+                    break Err(ReadStop::TimedOut);
+                }
+            }
+        };
+        match answer {
+            Ok(body) => {
                 let received = (WIRE2_HEADER_LEN + body.len()) as u64;
                 Ok((body, sent, received))
             }
-            Ok(MuxEvent::Dropped) => Err(MuxFailure {
+            // The node may still be executing this request: do NOT
+            // resend it. The connection stays in service; a late
+            // response is discarded by mux id.
+            Err(ReadStop::TimedOut) => Err(MuxFailure {
+                retryable: false,
+                timed_out: true,
+                error: ServeError::Transport(format!(
+                    "{}: read timed out after {:?}",
+                    self.addr, self.timeout
+                )),
+            }),
+            Err(_) => Err(MuxFailure {
                 retryable: true,
                 timed_out: false,
                 error: ServeError::Transport(format!(
@@ -817,20 +962,6 @@ impl RemoteWorker {
                     self.addr
                 )),
             }),
-            Err(_) => {
-                // The node may still be executing this request: do
-                // NOT resend it. Unpark, leave the connection in
-                // service; a late response is discarded by mux id.
-                conn.waiters.lock().remove(&id);
-                Err(MuxFailure {
-                    retryable: false,
-                    timed_out: true,
-                    error: ServeError::Transport(format!(
-                        "{}: read timed out after {:?}",
-                        self.addr, self.timeout
-                    )),
-                })
-            }
         }
     }
 
@@ -913,8 +1044,7 @@ impl RemoteWorker {
 
 impl Drop for RemoteWorker {
     fn drop(&mut self) {
-        // Wake the demux reader (it blocks without a read timeout) so
-        // its thread exits instead of outliving this worker.
+        // A forward still reading sees the hang-up at once.
         if let Some(conn) = self.mux.lock().take() {
             conn.kill();
         }
@@ -939,14 +1069,15 @@ impl WorkerTransport for RemoteWorker {
     /// polling cannot dilute the mean forward latency or desync
     /// `TransportStats::forwards` from the runtime's own
     /// `remote_forwards`. They bypass an open breaker (the breaker
-    /// reads [`BreakerState::Probing`] while one is in flight), and a
+    /// reads [`BreakerState::Probing`] while any is in flight — the
+    /// cluster prober and a counters refresh may probe at once), and a
     /// successful probe closes it — this is how a health prober
     /// re-admits a recovered node.
     fn forward_probe(&self, req: &Request) -> Result<Response, ServeError> {
         self.counters.probes_sent.fetch_add(1, Ordering::Relaxed);
-        self.probing.store(true, Ordering::Relaxed);
+        self.probing.fetch_add(1, Ordering::Relaxed);
         let result = self.forward_request_impl(req, false);
-        self.probing.store(false, Ordering::Relaxed);
+        self.probing.fetch_sub(1, Ordering::Relaxed);
         if result.is_ok() {
             self.counters.probes_ok.fetch_add(1, Ordering::Relaxed);
             // The node answered: close the breaker so counted
@@ -964,7 +1095,7 @@ impl WorkerTransport for RemoteWorker {
 // ---- the host side -------------------------------------------------
 
 /// Least free room a connection's read buffer offers one `read`.
-const NODE_READ_CHUNK: usize = 16 * 1024;
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Where a node-side connection stands in the protocol.
 enum ConnMode {
@@ -974,7 +1105,8 @@ enum ConnMode {
     Wire2,
 }
 
-/// A connection's inbound bytes: one allocation that sockets are read
+/// A connection's inbound bytes — a node connection's, or a
+/// [`MuxReader`]'s: one allocation that sockets are read
 /// into in place and frames are consumed from with a cursor. `buf` is
 /// initialised over its whole length — zero-filled when it grows, not
 /// once per read — and `buf[start..end]` is the unparsed part.
@@ -994,11 +1126,11 @@ impl ReadBuf {
         self.start = (self.start + n).min(self.end);
     }
 
-    /// The free tail, at least [`NODE_READ_CHUNK`] long; follow a read
+    /// The free tail, at least [`READ_CHUNK`] long; follow a read
     /// of `n` bytes into it with [`filled(n)`](Self::filled).
     fn spare(&mut self) -> &mut [u8] {
-        if self.buf.len() - self.end < NODE_READ_CHUNK {
-            let grown = (self.buf.len() * 2).max(self.end + NODE_READ_CHUNK);
+        if self.buf.len() - self.end < READ_CHUNK {
+            let grown = (self.buf.len() * 2).max(self.end + READ_CHUNK);
             self.buf.resize(grown, 0);
         }
         &mut self.buf[self.end..]
@@ -1008,8 +1140,9 @@ impl ReadBuf {
         self.end = (self.end + n).min(self.buf.len());
     }
 
-    /// Move the unparsed tail to the front: once per sweep, however
-    /// many frames the sweep consumed.
+    /// Move the unparsed tail to the front: on a node once per sweep,
+    /// however many frames the sweep consumed; on a mux connection
+    /// before each read.
     fn compact(&mut self) {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
@@ -1026,26 +1159,25 @@ struct Outbox {
     /// Unwritten bytes are `pending[pos..]`; empty once flushed.
     pending: Vec<u8>,
     pos: usize,
-    /// A write failed, or the loop closed the connection: nothing
+    /// A write failed, or the leader closed the connection: nothing
     /// more goes out.
     dead: bool,
 }
 
-/// The half of a connection that its event loop shares with whichever
-/// thread completes one of its requests. The loop alone reads the
-/// socket; anyone may write it, under `out`, which is held across a
-/// nonblocking `write` and nothing else.
+/// The half of a connection that the node's leader shares with
+/// whichever thread completes one of its requests. The leader alone
+/// reads the socket; anyone may write it, under `out`, which is held
+/// across a nonblocking `write` and nothing else.
 struct ConnShared {
     stream: TcpStream,
     out: Mutex<Outbox>,
-    /// The outbox has business for the loop: unsent bytes, or a dead
-    /// socket. Written under `out`; the loop reads it *instead of*
+    /// The outbox has business for the leader: unsent bytes, or a dead
+    /// socket. Written under `out`; the leader reads it *instead of*
     /// taking `out`, so a sweep never waits behind a completion that
     /// is inside its `write` — one worker's system call must not hold
     /// up the admission of every other connection's requests.
     backlog: AtomicBool,
-    /// Requests handed to the runtime or the dispatch pool and not yet
-    /// answered.
+    /// Requests admitted and not yet answered.
     in_flight: AtomicUsize,
     /// Stop reading; close once in-flight work and writes drain.
     draining: AtomicBool,
@@ -1080,8 +1212,8 @@ impl ConnShared {
     /// Send `bytes` to the peer from any thread: straight into the
     /// socket when nothing is queued ahead of them, and whatever the
     /// socket does not take — or all of them, behind bytes already
-    /// waiting — into the outbox for the loop to flush on write
-    /// readiness. Returns true when the loop has to look at this
+    /// waiting — into the outbox for the leader to flush on write
+    /// readiness. Returns true when the leader has to look at this
     /// connection because of it: bytes were left over, or the socket
     /// failed.
     fn send(&self, bytes: &[u8], counters: &TransportCounters) -> bool {
@@ -1133,7 +1265,7 @@ impl ConnShared {
     }
 }
 
-/// Per-connection state owned by the node's event loop.
+/// Per-connection state that moves with the poll set.
 struct NodeConn {
     shared: Arc<ConnShared>,
     mode: ConnMode,
@@ -1141,6 +1273,14 @@ struct NodeConn {
     rbuf: ReadBuf,
     /// Drop the connection now (protocol violation or I/O error).
     fatal: bool,
+    /// The socket may hold bytes not read yet: set when the connection
+    /// is accepted and when a park reports it ready, cleared once a
+    /// read drains it. A sweep reads only sockets that may hold bytes,
+    /// so a new leader's first sweep does not contend for the socket
+    /// with the thread writing the answer to the request it just read.
+    readable: bool,
+    /// Where the last park registered this connection in the poll set.
+    polled: Option<usize>,
 }
 
 impl NodeConn {
@@ -1156,6 +1296,8 @@ impl NodeConn {
             mode: ConnMode::AwaitingPreamble,
             rbuf: ReadBuf::default(),
             fatal: false,
+            readable: true,
+            polled: None,
         }
     }
 
@@ -1163,10 +1305,10 @@ impl NodeConn {
         self.shared.draining.load(Ordering::SeqCst)
     }
 
-    /// What a parked loop waits for on this connection. `None` — a
+    /// What a parked leader waits for on this connection. `None` — a
     /// draining connection whose only business is work still in
     /// flight — keeps it out of the poll set: `poll` reports a peer's
-    /// hang-up whatever the interest, and nothing the loop could do
+    /// hang-up whatever the interest, and nothing the leader could do
     /// about it would clear it.
     fn interest(&self) -> Option<Interest> {
         // Asked right after `finished` flushed, so a backlog here is
@@ -1203,20 +1345,24 @@ impl NodeConn {
     }
 }
 
-/// What the event loop, every completion and the node handle share.
+/// What the node's threads, every completion and the node handle
+/// share.
 ///
-/// The loop blocks in `poll` with no timeout, and a completion that
-/// leaves it something to do — bytes the socket did not take, a
-/// draining connection's last answer — changes state `poll` cannot see, so `attention`, `parked` and
-/// `waker` close the gap. The loop stores `parked = true`, looks at
+/// The leader blocks in `poll` (with no timeout unless a request waits
+/// for queue room), and a completion that leaves it something to do —
+/// bytes the socket did not take, a draining connection's last answer
+/// — changes state `poll` cannot see, so `attention`, `parked` and
+/// `waker` close the gap. The leader stores `parked = true`, looks at
 /// `attention` once more, then polls; a completion publishes its
 /// state, stores `attention = true`, loads `parked`, and rings the
 /// waker if it reads true. Both sides write first and read second,
 /// with `SeqCst` throughout, so one of them always sees the other:
-/// either the loop's last look finds `attention`, or the completion
+/// either the leader's last look finds `attention`, or the completion
 /// finds `parked` set and its ring — a byte that stays in the socket
-/// until drained — ends the `poll`, even one that starts later. A
-/// completion whose bytes the socket took whole wakes nobody.
+/// until drained — ends the `poll`, even one that starts later. Only
+/// one thread leads at a time, and the next leader's first sweep
+/// looks at everything, so a hand-over loses nothing. A completion
+/// whose bytes the socket took whole wakes nobody.
 struct NodeShared {
     shutdown: AtomicBool,
     parked: AtomicBool,
@@ -1225,7 +1371,7 @@ struct NodeShared {
     counters: TransportCounters,
     /// Requests in flight across all connections.
     in_flight: AtomicUsize,
-    /// Sweeps the event loop has made; a parked loop makes none.
+    /// Sweeps the node's leaders have made; a parked leader makes none.
     sweeps: AtomicU64,
 }
 
@@ -1239,9 +1385,11 @@ impl NodeShared {
 }
 
 /// One request in flight on a connection, held by whoever will answer
-/// it: the completion sink inside the runtime's job. It carries an `Arc` to *its* connection, so an answer can
-/// only ever reach the peer that asked. Dropped unanswered (the
-/// runtime shut down under the request), it drains the connection.
+/// it: the completion sink inside the runtime's job or the leader's
+/// [`Runnable`]. It carries an `Arc` to *its* connection, so an answer
+/// can only ever reach the peer that asked. Dropped unanswered (the
+/// runtime shut down under the request, or its servable panicked), it
+/// drains the connection.
 struct InFlight {
     conn: Arc<ConnShared>,
     node: Arc<NodeShared>,
@@ -1264,24 +1412,26 @@ impl InFlight {
         }
     }
 
-    /// The request was served: write its response frame through to
-    /// the connection.
-    fn complete(&self, bytes: &[u8]) {
+    /// The request was served: count it, then write its response
+    /// frame through to the connection.
+    fn complete(&self, mux_id: u32, resp: &Response) {
         if self.answered.replace(true) {
             return;
         }
         self.node.counters.record_success(self.start.elapsed());
-        let wake = self.conn.send(bytes, &self.node.counters);
+        let wake = self
+            .conn
+            .send(&response_frame(mux_id, resp), &self.node.counters);
         self.release(wake);
     }
 
     /// Give up the in-flight count — after the bytes are out, so the
-    /// loop never sees an idle connection with an answer missing —
-    /// and wake the loop if this leaves it something to do.
+    /// leader never sees an idle connection with an answer missing —
+    /// and wake the leader if this leaves it something to do.
     fn release(&self, wake: bool) {
         self.node.in_flight.fetch_sub(1, Ordering::Relaxed);
         let last = self.conn.in_flight.fetch_sub(1, Ordering::SeqCst) == 1;
-        // The loop stores `draining` and then loads `in_flight`; this
+        // The leader stores `draining` and then loads `in_flight`; this
         // is the mirror image, so one side sees the connection is
         // ready to close.
         if wake || (last && self.conn.draining.load(Ordering::SeqCst)) {
@@ -1308,23 +1458,12 @@ fn response_frame(mux_id: u32, resp: &Response) -> Vec<u8> {
     })
 }
 
-/// A dispatch worker: finishes the admissions the loop deferred
-/// because they may block — a request routed onward to a remote
-/// shard, or one whose worker queue is full. Exits when the job
-/// channel disconnects (the event loop owns the sender).
-fn node_worker(jobs: &Receiver<Deferred>, client: &RuntimeClient) {
-    while let Ok(deferred) = jobs.recv() {
-        // On failure the sink inside is dropped unanswered, which
-        // drains its connection.
-        let _ = client.resume(deferred);
-    }
-}
-
 /// Read whatever is ready on a nonblocking connection, straight into
-/// its read buffer. Returns true when any bytes arrived.
+/// its read buffer, unless the socket is known to be drained. Returns
+/// true when any bytes arrived.
 fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
     let mut any = false;
-    loop {
+    while conn.readable {
         let spare = conn.rbuf.spare();
         let room = spare.len();
         match (&conn.shared.stream).read(spare) {
@@ -1338,11 +1477,10 @@ fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
                     .fetch_add(n as u64, Ordering::Relaxed);
                 conn.rbuf.filled(n);
                 any = true;
-                if n < room {
-                    break;
-                }
+                // A read that did not fill the buffer took everything.
+                conn.readable = n == room;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => conn.readable = false,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => {
                 conn.fatal = true;
@@ -1353,44 +1491,59 @@ fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
     any
 }
 
-/// Where the loop sends what it parses: the hosted runtime for
-/// everything it can admit without blocking, the dispatch pool for
-/// the rest.
-struct NodeLanes<'a> {
-    shared: &'a Arc<NodeShared>,
+/// Where the leader sends what it parses: the hosted runtime for
+/// everything it can admit without blocking, the pool's forward queue
+/// for frames routed onward, and back to the leader what it keeps.
+struct NodeLanes<'l, 'a> {
+    shared: &'l Arc<NodeShared>,
+    pool: &'a Pool,
     client: &'a RuntimeClient,
-    jobs: &'a Sender<Deferred>,
+    /// Requests whose worker queue was full.
+    full: &'l mut VecDeque<Queued>,
+    /// A request to run once the poll set is handed over; parsing
+    /// stops as soon as there is one.
+    runnable: Option<Runnable<'a>>,
 }
 
-impl NodeLanes<'_> {
-    /// Admit one decoded request from the loop thread. The
-    /// runtime routes it here and queues it for the worker that owns
-    /// its shard; the sink — run by that worker — encodes the response
-    /// and writes it through to the connection, so the loop and the
-    /// dispatch pool never hear of the request again. What would
-    /// block comes back and goes to the dispatch pool.
-    fn admit(&self, conn: &Arc<ConnShared>, mux_id: u32, req: Request) {
+impl NodeLanes<'_, '_> {
+    /// Admit one decoded request from the leader. The runtime routes
+    /// it here; its sink encodes the response and writes it through to
+    /// the connection on whichever thread serves it, so the leader
+    /// hears of the request again only when it may run right now — the
+    /// leader keeps it to run after handing the poll set over — or its
+    /// worker queue is full, when the leader keeps it to retry. A
+    /// frame routed onward to a remote shard goes to a follower.
+    ///
+    /// Only a request that is `alone` — nothing else buffered behind
+    /// it on its connection — may run on the leader's thread: the
+    /// frames of a pipelined burst queue for their workers, where they
+    /// coalesce, and a leader that holds a slot takes no more requests.
+    fn admit(&mut self, conn: &Arc<ConnShared>, mux_id: u32, req: Request, alone: bool) {
         let ticket = InFlight::begin(conn, self.shared);
-        let sink = Box::new(move |resp: Response| ticket.complete(&response_frame(mux_id, &resp)));
+        let sink = Box::new(move |resp: Response| ticket.complete(mux_id, &resp));
+        let may_run = alone && self.pool.size > 1;
         // A runtime that has shut down drops the sink, which drains
         // the connection.
-        if let Ok(Some(deferred)) = self.client.submit(req, sink) {
-            let _ = self.jobs.send(deferred);
+        match self.client.submit(req, sink, may_run) {
+            Ok(Submitted::Runnable(runnable)) => self.runnable = Some(runnable),
+            Ok(Submitted::Full(queued)) => self.full.push_back(queued),
+            Ok(Submitted::Forward(forward)) => self.pool.forward(forward, self.client),
+            Ok(Submitted::Done) | Err(_) => {}
         }
     }
 }
 
-/// Parse buffered bytes into admitted requests and dispatch-pool jobs,
-/// then compact the read buffer.
-fn node_parse(conn: &mut NodeConn, lanes: &NodeLanes<'_>) {
-    while !conn.fatal && node_parse_one(conn, lanes) {}
+/// Parse buffered bytes into admitted requests — up to the first one
+/// that may run now — then compact the read buffer.
+fn node_parse(conn: &mut NodeConn, lanes: &mut NodeLanes<'_, '_>) {
+    while !conn.fatal && lanes.runnable.is_none() && node_parse_one(conn, lanes) {}
     conn.rbuf.compact();
 }
 
 /// Consume the preamble or one frame from the front of the read
 /// buffer. Returns false when the buffered bytes hold no complete
 /// one, or the connection stopped parsing.
-fn node_parse_one(conn: &mut NodeConn, lanes: &NodeLanes<'_>) -> bool {
+fn node_parse_one(conn: &mut NodeConn, lanes: &mut NodeLanes<'_, '_>) -> bool {
     let counters = &lanes.shared.counters;
     let unread = conn.rbuf.unread();
     match conn.mode {
@@ -1461,7 +1614,7 @@ fn node_parse_one(conn: &mut NodeConn, lanes: &NodeLanes<'_>) -> bool {
                 // Decoded where it lies in the read buffer: the
                 // request's own strings are the only copy made.
                 FrameType::BinRequest => match decode_request_payload(payload) {
-                    Ok(req) => lanes.admit(&conn.shared, mux_id, req),
+                    Ok(req) => lanes.admit(&conn.shared, mux_id, req, unread.len() == total),
                     Err(e) => {
                         // The framing was intact — only this payload
                         // is bad — so answer in band and keep the
@@ -1492,7 +1645,7 @@ fn node_parse_one(conn: &mut NodeConn, lanes: &NodeLanes<'_>) -> bool {
 /// Accept every pending connection. Returns false when `accept`
 /// failed for a reason that outlasts this call (descriptor
 /// exhaustion): the backlog stays readable, so the listener has to
-/// sit out the next park or the loop would spin on it. Accepting is
+/// sit out the next park or the leader would spin on it. Accepting is
 /// retried on the next sweep — closing a connection is what frees a
 /// descriptor, and that is itself a sweep with progress.
 fn node_accept(
@@ -1527,43 +1680,205 @@ fn node_accept(
     }
 }
 
-/// The node's single event loop: accepts connections, reads and
-/// parses ready sockets, admits decoded requests into the hosted
-/// runtime itself — or, when that could block, hands them to the
-/// dispatch pool — and flushes what a completion's write-through left
-/// behind.
+/// How long a parked leader waits before it retries requests whose
+/// worker queue was full: a worker taking work off its queue wakes
+/// nobody.
+const FULL_QUEUE_RETRY: Duration = Duration::from_millis(1);
+
+/// The poll set and everything only the thread holding it touches. It
+/// moves between the pool's threads: whoever holds it is the leader.
+struct EventLoop {
+    listener: TcpListener,
+    wake: WakeListener,
+    conns: Vec<Option<NodeConn>>,
+    poll: PollSet,
+    /// Admitted requests whose worker queue was full, retried every
+    /// sweep.
+    full: VecDeque<Queued>,
+    /// Where the next sweep starts: after the connection whose request
+    /// ended the last turn, so that one connection's frames do not
+    /// keep overtaking every other connection's.
+    next: usize,
+}
+
+impl EventLoop {
+    /// Retry every request waiting for queue room, without blocking.
+    /// Returns true when any left the list.
+    fn retry_full(&mut self, client: &RuntimeClient) -> bool {
+        let mut progress = false;
+        for _ in 0..self.full.len() {
+            let Some(waiting) = self.full.pop_front() else {
+                break;
+            };
+            match client.requeue(waiting) {
+                Ok(Some(still)) => self.full.push_back(still),
+                // Queued — or the runtime shut down, which drops the
+                // sink and so drains its connection.
+                Ok(None) | Err(_) => progress = true,
+            }
+        }
+        progress
+    }
+
+    /// Hang up every connection. A completion may outlive the pool
+    /// holding its connection's half; the peer must see the hang-up
+    /// now, not when it finishes.
+    fn close(&self) {
+        for conn in self.conns.iter().flatten() {
+            conn.shared.close();
+        }
+    }
+}
+
+/// The node's threads, which take turns holding the [`EventLoop`]
+/// (leader/followers). The leader reads, parses and admits; a request
+/// that may run at once it runs itself, after handing the poll set to
+/// a waiting follower, so the thread woken by a request's bytes is the
+/// one that serves it. Followers wait for the poll set or for a frame
+/// routed onward, which they forward (a round trip that blocks).
+struct Pool {
+    state: std::sync::Mutex<PoolState>,
+    /// Where followers wait.
+    turn: Condvar,
+    /// Threads in the pool.
+    size: usize,
+}
+
+struct PoolState {
+    /// The event loop, while no thread leads.
+    events: Option<EventLoop>,
+    /// Frames routed onward to a remote shard, waiting for a follower.
+    forwards: VecDeque<Forward>,
+    /// Followers waiting on `turn`.
+    idle: usize,
+}
+
+impl Pool {
+    /// No code runs under this lock but the moves and counts below,
+    /// each of which leaves the state valid, so a poisoned lock is
+    /// sound.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Leave the poll set to a waiting follower and wake it; with none
+    /// waiting, hand it back.
+    fn hand_over(&self, events: EventLoop) -> Result<(), EventLoop> {
+        let mut state = self.lock();
+        if state.idle == 0 {
+            return Err(events);
+        }
+        state.events = Some(events);
+        drop(state);
+        self.turn.notify_one();
+        Ok(())
+    }
+
+    /// Queue a frame routed onward for a follower. A pool of one thread
+    /// has no follower: its leader forwards the frame itself, and
+    /// admits nothing else until the round trip is over.
+    fn forward(&self, forward: Forward, client: &RuntimeClient) {
+        if self.size == 1 {
+            // On failure the sink inside is dropped unanswered, which
+            // drains its connection.
+            let _ = client.forward(forward);
+            return;
+        }
+        let mut state = self.lock();
+        state.forwards.push_back(forward);
+        let waiting = state.idle > 0;
+        drop(state);
+        if waiting {
+            self.turn.notify_one();
+        }
+    }
+}
+
+/// One thread of the pool: lead while the poll set is free, run the
+/// request a turn ends with, forward what waits to be forwarded, and
+/// otherwise wait for either. Exits once the node shuts down and the
+/// forward queue is empty.
+fn node_thread(shared: &Arc<NodeShared>, pool: &Pool, client: &RuntimeClient) {
+    let mut state = pool.lock();
+    state.idle += 1;
+    loop {
+        if let Some(events) = state.events.take() {
+            state.idle -= 1;
+            drop(state);
+            let Some(runnable) = lead(shared, pool, client, events) else {
+                return;
+            };
+            // Free again before the answer goes out: the request it
+            // lets in may be handed this thread's turn.
+            runnable.run(|| pool.lock().idle += 1);
+        } else if let Some(forward) = state.forwards.pop_front() {
+            state.idle -= 1;
+            drop(state);
+            // On failure the sink inside is dropped unanswered, which
+            // drains its connection.
+            let _ = client.forward(forward);
+            state = pool.lock();
+            state.idle += 1;
+            continue;
+        } else if shared.shutdown.load(Ordering::SeqCst) {
+            state.idle -= 1;
+            return;
+        } else {
+            state = pool
+                .turn
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            continue;
+        }
+        state = pool.lock();
+    }
+}
+
+/// One thread's turn holding the poll set: accept connections, read
+/// and parse ready sockets, admit the requests they carry into the
+/// hosted runtime, retry the ones whose worker queue was full, and
+/// flush what a completion's write-through left behind.
 ///
-/// Readiness-driven: the loop sweeps until a sweep makes no progress,
-/// then parks in `poll` — with no timeout — on the listener, the
-/// waker and every connection it has business with, following the
-/// `parked` protocol described on [`NodeShared`]. An idle node makes
-/// no iterations at all, and a request whose response its socket
-/// takes whole costs the loop one park: it never hears of the
-/// completion.
-fn node_event_loop(
-    listener: &TcpListener,
-    wake: &WakeListener,
+/// Readiness-driven: the leader sweeps until a sweep makes no
+/// progress, then parks in `poll` — with no timeout unless a request
+/// waits for queue room — on the listener, the waker and every
+/// connection it has business with, following the `parked` protocol
+/// described on [`NodeShared`]. An idle node makes no iterations at
+/// all.
+///
+/// The turn ends at the first request that may run right now: the
+/// leader hands the poll set to a waiting follower and returns the
+/// request, for its thread to run. With no follower waiting, the
+/// request is queued for its runtime worker instead and the turn goes
+/// on, so the thread holding the poll set never runs a servable and
+/// never blocks (a pool of one thread forwarding onward excepted; see
+/// [`Pool::forward`]). `None`: the node shut down.
+fn lead<'a>(
     shared: &Arc<NodeShared>,
-    client: &RuntimeClient,
-    jobs: &Sender<Deferred>,
-) {
+    pool: &'a Pool,
+    client: &'a RuntimeClient,
+    mut events: EventLoop,
+) -> Option<Runnable<'a>> {
     let counters = &shared.counters;
-    let lanes = NodeLanes {
-        shared,
-        client,
-        jobs,
-    };
-    let mut conns: Vec<Option<NodeConn>> = Vec::new();
-    let mut poll = PollSet::default();
     while !shared.shutdown.load(Ordering::SeqCst) {
         shared.sweeps.fetch_add(1, Ordering::Relaxed);
         // Cleared before the sweep looks at anything: whatever a
         // completion publishes from here on either is seen by this
         // sweep or sets the flag again.
         shared.attention.store(false, Ordering::SeqCst);
-        let mut progress = false;
-        let accepting = node_accept(listener, &mut conns, &mut progress);
-        for entry in conns.iter_mut() {
+        let mut progress = events.retry_full(client);
+        let accepting = node_accept(&events.listener, &mut events.conns, &mut progress);
+        let mut lanes = NodeLanes {
+            shared,
+            pool,
+            client,
+            full: &mut events.full,
+            runnable: None,
+        };
+        let n = events.conns.len();
+        for i in 0..n {
+            let index = (events.next + i) % n;
+            let entry = &mut events.conns[index];
             let Some(conn) = entry.as_mut() else {
                 continue;
             };
@@ -1571,12 +1886,28 @@ fn node_event_loop(
                 progress = true;
             }
             if !conn.fatal {
-                node_parse(conn, &lanes);
+                node_parse(conn, &mut lanes);
             }
             if conn.fatal || conn.finished(counters) {
                 conn.shared.close();
                 *entry = None;
                 progress = true;
+            }
+            if lanes.runnable.is_some() {
+                events.next = index + 1;
+                break;
+            }
+        }
+        if let Some(runnable) = lanes.runnable {
+            match pool.hand_over(events) {
+                Ok(()) => return Some(runnable),
+                Err(back) => {
+                    events = back;
+                    if let Ok(Some(full)) = runnable.queue() {
+                        events.full.push_back(full);
+                    }
+                    continue;
+                }
             }
         }
         if progress {
@@ -1588,53 +1919,66 @@ fn node_event_loop(
             shared.parked.store(false, Ordering::SeqCst);
             continue;
         }
+        let EventLoop {
+            listener,
+            wake,
+            conns,
+            poll,
+            full,
+            ..
+        } = &mut events;
         poll.clear();
         let wake_entry = poll.push(wake, Interest::Read);
         if accepting {
             poll.push(listener, Interest::Read);
         }
-        for conn in conns.iter().flatten() {
-            if let Some(interest) = conn.interest() {
-                poll.push(&conn.shared.stream, interest);
-            }
+        for conn in conns.iter_mut().flatten() {
+            conn.polled = conn
+                .interest()
+                .map(|interest| poll.push(&conn.shared.stream, interest));
         }
-        let waited = poll.wait();
+        let waited = poll.wait((!full.is_empty()).then_some(FULL_QUEUE_RETRY));
         shared.parked.store(false, Ordering::SeqCst);
+        for conn in conns.iter_mut().flatten() {
+            // `poll` itself failing (out of kernel memory) leaves the
+            // node serving by sweeping instead of parking.
+            conn.readable |= waited.is_err() || conn.polled.is_some_and(|i| poll.is_ready(i));
+        }
         if waited.is_err() {
-            // `poll` itself failed (out of kernel memory): keep
-            // serving by sweeping instead of parking.
             std::thread::yield_now();
         } else if poll.is_ready(wake_entry) {
             wake.drain();
         }
     }
-    // A completion may outlive the loop holding its connection's
-    // half; the peer must see the hang-up now, not when it finishes.
-    for conn in conns.iter().flatten() {
-        conn.shared.close();
-    }
+    events.close();
+    None
 }
 
 /// Hosts a whole [`ServingRuntime`] behind a TCP listener for
 /// [`RemoteWorker`] peers — the other process in the cross-process
 /// sharding story.
 ///
-/// A single `poll(2)`-driven event loop over nonblocking sockets owns
-/// every accepted connection: it refuses a connection that does not
+/// A small pool of threads serves every accepted connection over
+/// nonblocking sockets, taking turns holding one `poll(2)` set
+/// (leader/followers): the leader refuses a connection that does not
 /// open with the wire2 preamble, reassembles frames with a bounded
 /// read, decodes each request where it lies and admits it into the
-/// runtime without blocking. The response never comes
-/// back to the loop: the runtime worker that produced it encodes the
-/// frame and writes it through the connection's shared write half, so
-/// a request costs the node two thread hand-offs — the loop on the
-/// bytes, the worker on the queue — and the loop hears of a
-/// completion only when the socket would not take all of its bytes.
-/// Admissions that may block (a frame this node forwards onward to a
-/// remote shard of its own, a full worker queue) go to a small fixed
-/// pool of dispatch workers instead. There is no
+/// runtime without blocking. A request that may run at once — its
+/// worker has nothing queued and an execution slot is free, the rule a
+/// blocking in-process caller runs by — the leader runs itself, after
+/// handing the poll set to a waiting follower; any other request is
+/// queued for the runtime worker that owns its shard, which coalesces
+/// it with what waits there. Either way the thread that produced the
+/// response encodes the frame and writes it through the connection's
+/// shared write half, so a back-to-back request wakes one node thread
+/// on its path — the leader, on the bytes — and the poll set's next
+/// holder beside it. The thread holding the poll set never runs a
+/// servable and never blocks, so a probe is answered while servables
+/// are held. A frame this node routes onward to a remote shard of its
+/// own waits for a follower to forward it. There is no
 /// thread-per-connection: hundreds of idle multiplexed clients cost
-/// one thread total, and that thread sleeps in the kernel until a
-/// socket has something for it.
+/// nothing, and an idle pool sleeps in the kernel until a socket has
+/// something for it.
 ///
 /// Frames the node serves run through the runtime's **full admission
 /// path** — shedding, canary split, key routing — exactly like local
@@ -1644,8 +1988,8 @@ pub struct RemoteRuntimeNode {
     runtime: ServingRuntime,
     addr: SocketAddr,
     shared: Arc<NodeShared>,
-    event: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    pool: Arc<Pool>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for RemoteRuntimeNode {
@@ -1658,21 +2002,24 @@ impl std::fmt::Debug for RemoteRuntimeNode {
 
 impl RemoteRuntimeNode {
     /// Bind `addr` (use port 0 for an ephemeral port) and start
-    /// serving `runtime` with the default dispatch pool for blocking
-    /// admissions: twice the runtime's worker count, at least 4 —
-    /// enough that the node's own workers stay fed even when some
-    /// dispatchers wait on a full queue or a downstream shard.
+    /// serving `runtime` with the default pool: twice the runtime's
+    /// worker count, at least 4 — enough that a leader usually finds a
+    /// follower to hand the poll set to while others run requests or
+    /// wait on a downstream shard.
     ///
     /// # Errors
     /// Returns [`ServeError::Transport`] when the listener cannot be
     /// bound or threads cannot be spawned.
     pub fn bind(addr: &str, runtime: ServingRuntime) -> Result<RemoteRuntimeNode, ServeError> {
-        let dispatchers = (runtime.n_workers() * 2).max(4);
-        RemoteRuntimeNode::bind_with_workers(addr, runtime, dispatchers)
+        let threads = (runtime.n_workers() * 2).max(4);
+        RemoteRuntimeNode::bind_with_workers(addr, runtime, threads)
     }
 
-    /// [`bind`](Self::bind) with an explicit dispatch worker count
-    /// (minimum 1).
+    /// [`bind`](Self::bind) with an explicit pool size (minimum 1). A
+    /// pool of one thread has nobody to hand the poll set to: it runs
+    /// no request itself — every one is queued for the runtime's
+    /// workers — and it forwards a frame routed onward to a remote
+    /// shard of this node's own before it admits anything else.
     ///
     /// # Errors
     /// Returns [`ServeError::Transport`] when the listener cannot be
@@ -1696,33 +2043,43 @@ impl RemoteRuntimeNode {
             in_flight: AtomicUsize::new(0),
             sweeps: AtomicU64::new(0),
         });
-        let (jobs_tx, jobs_rx) = unbounded::<Deferred>();
-        let mut handles = Vec::with_capacity(workers.max(1));
-        for i in 0..workers.max(1) {
-            let jobs = jobs_rx.clone();
-            let client = runtime.client();
-            let handle = std::thread::Builder::new()
-                .name(format!("willump-node-{i}"))
-                .spawn(move || node_worker(&jobs, &client))
-                .map_err(|e| ServeError::Transport(format!("spawn node worker: {e}")))?;
-            handles.push(handle);
-        }
-        // The event loop owns the only jobs sender: its exit
-        // disconnects the channel and the workers drain out.
-        drop(jobs_rx);
-        let loop_shared = Arc::clone(&shared);
-        let client = runtime.client();
-        let event = std::thread::Builder::new()
-            .name("willump-node-events".to_string())
-            .spawn(move || node_event_loop(&listener, &wake, &loop_shared, &client, &jobs_tx))
-            .map_err(|e| ServeError::Transport(format!("spawn node event loop: {e}")))?;
-        Ok(RemoteRuntimeNode {
+        let events = EventLoop {
+            listener,
+            wake,
+            conns: Vec::new(),
+            poll: PollSet::default(),
+            full: VecDeque::new(),
+            next: 0,
+        };
+        let size = workers.max(1);
+        let pool = Arc::new(Pool {
+            state: std::sync::Mutex::new(PoolState {
+                events: Some(events),
+                forwards: VecDeque::new(),
+                idle: 0,
+            }),
+            turn: Condvar::new(),
+            size,
+        });
+        // Should a spawn fail, dropping the node shuts down the
+        // threads already started.
+        let mut node = RemoteRuntimeNode {
             runtime,
             addr: local,
             shared,
-            event: Some(event),
-            workers: handles,
-        })
+            pool,
+            threads: Vec::with_capacity(size),
+        };
+        for i in 0..size {
+            let (shared, pool) = (Arc::clone(&node.shared), Arc::clone(&node.pool));
+            let client = node.runtime.client();
+            let handle = std::thread::Builder::new()
+                .name(format!("willump-node-{i}"))
+                .spawn(move || node_thread(&shared, &pool, &client))
+                .map_err(|e| ServeError::Transport(format!("spawn node thread: {e}")))?;
+            node.threads.push(handle);
+        }
+        Ok(node)
     }
 
     /// The bound address (with the real port when bound to port 0).
@@ -1745,20 +2102,24 @@ impl RemoteRuntimeNode {
         self.shared.counters.snapshot()
     }
 
-    /// Stop accepting, drain the dispatch workers, and shut the
-    /// hosted runtime down. Idempotent; also runs on drop. Parked
-    /// client connections are dropped, not waited for.
+    /// Stop accepting, hang up every connection, let the pool finish
+    /// the requests it is running and the frames it has to forward,
+    /// join its threads, and shut the hosted runtime down. Idempotent;
+    /// also runs on drop. Parked client connections are dropped, not
+    /// waited for.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The ring outlives a loop that is not parked yet: the byte
-        // stays in the waker until the loop's next `poll` finds it.
+        // The ring outlives a leader that is not parked yet: the byte
+        // stays in the waker until its next `poll` finds it.
         self.shared.waker.ring();
-        if let Some(handle) = self.event.take() {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
+        // A follower reads the flag under the pool lock before it
+        // waits, so once the lock has been through this thread's hands
+        // every follower either saw the flag or waits for this.
+        drop(self.pool.lock());
+        self.pool.turn.notify_all();
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
         self.runtime.shutdown();
@@ -1783,8 +2144,9 @@ fn drain<R: std::io::Read>(mut r: R) {
 mod tests {
     use super::*;
     use crate::server::{Servable, ServerConfig};
-    use crate::wire2::{encode_header, MAX_FRAME_PAYLOAD};
-    use std::io::BufRead;
+    use crate::wire2::{encode_header, read_frame, MAX_FRAME_PAYLOAD};
+    use crossbeam::channel::unbounded;
+    use std::io::{BufRead, BufReader};
     use willump_data::{Table, Value};
 
     struct Scaler(f64);
@@ -2080,7 +2442,7 @@ mod tests {
             node.shutdown(); // idempotent
             node
         });
-        assert!(node.event.is_none() && node.workers.is_empty());
+        assert!(node.threads.is_empty());
         closed_rx
             .recv_timeout(WATCHDOG)
             .expect("node shutdown must close idle connections");
@@ -2105,10 +2467,11 @@ mod tests {
         wait_until_parked(&node);
         let before = sweeps(&node);
         // Each forward is issued after the previous reply, so the
-        // loop parks in between — once per request, waiting for its
-        // bytes: the sweep that reads and admits them, and the idle
-        // sweep before the park. The completion is written through by
-        // the runtime worker and never comes back to the loop.
+        // node parks in between — once per request, waiting for its
+        // bytes: the sweep that reads and admits them, and the next
+        // leader's idle sweep before the park. The completion is
+        // written through by the thread that ran it and never comes
+        // back to the poll set.
         const N: u64 = 4000;
         let worker = under_watchdog(move || {
             for i in 1..=N {
@@ -2249,25 +2612,39 @@ mod tests {
     }
 
     /// Blocks inside `predict_table` until released; once the release
-    /// sender is dropped every call passes straight through.
+    /// sender is dropped every call passes straight through. On entry
+    /// it sends the name of the thread running it (empty for an
+    /// unnamed one, such as a runtime worker).
     struct Gated {
-        entered: Sender<()>,
+        entered: Sender<String>,
         release: Receiver<()>,
     }
     impl Servable for Gated {
         fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
-            let _ = self.entered.send(());
+            let thread = std::thread::current();
+            let _ = self
+                .entered
+                .send(thread.name().unwrap_or_default().to_string());
             let _ = self.release.recv();
             Scaler(2.0).predict_table(table)
         }
     }
 
-    /// A node serving `scale` through a [`Gated`] doubler on one
-    /// runtime worker, the receiver of its `entered` signals, and the
+    /// A node serving `scale` through a [`Gated`] doubler, with the
+    /// default pool, the receiver of its `entered` signals, and the
     /// release sender. Bind them in this order: the sender is then
     /// dropped before the node, so a failing assertion cannot leave
-    /// the node's drop joining a worker that still waits at the gate.
-    fn gated_node(config: ServerConfig) -> (RemoteRuntimeNode, Receiver<()>, Sender<()>) {
+    /// the node's drop joining a thread that still waits at the gate.
+    fn gated_node(config: ServerConfig) -> (RemoteRuntimeNode, Receiver<String>, Sender<()>) {
+        gated_node_with_pool(config, None)
+    }
+
+    /// [`gated_node`] with a pool of `pool` threads (`None`: the
+    /// default).
+    fn gated_node_with_pool(
+        config: ServerConfig,
+        pool: Option<usize>,
+    ) -> (RemoteRuntimeNode, Receiver<String>, Sender<()>) {
         let (entered_tx, entered_rx) = unbounded();
         let (release_tx, release_rx) = unbounded();
         let mut b = ServingRuntime::builder();
@@ -2279,8 +2656,12 @@ mod tests {
                 release: release_rx,
             }),
         );
-        let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
-        (node, entered_rx, release_tx)
+        let runtime = b.build().unwrap();
+        let node = match pool {
+            None => RemoteRuntimeNode::bind("127.0.0.1:0", runtime),
+            Some(threads) => RemoteRuntimeNode::bind_with_workers("127.0.0.1:0", runtime, threads),
+        };
+        (node.expect("binds"), entered_rx, release_tx)
     }
 
     fn bin_frame(mux_id: u32, req: &Request) -> Vec<u8> {
@@ -2424,56 +2805,66 @@ mod tests {
 
     #[test]
     fn a_saturated_queue_never_blocks_the_loop() {
-        under_watchdog(|| {
-            // One request fits the worker, one the queue; every other
-            // one has to wait its turn somewhere that is not the loop.
-            let (node, entered_rx, release_tx) = gated_node(
-                ServerConfig::builder()
-                    .workers(1)
-                    .queue_capacity(1)
-                    .max_batch_requests(1)
-                    .build(),
-            );
-            const REQUESTS: u32 = 32;
-            let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
-            let mut sent = node.transport_stats().bytes_received;
-            for mux_id in 1..=REQUESTS {
-                let frame = bin_frame(mux_id, &request(u64::from(mux_id), f64::from(mux_id)));
-                sent += frame.len() as u64;
-                writer.write_all(&frame).expect("writes");
-            }
-            entered_rx.recv_timeout(WATCHDOG).expect("admitted");
-            while node.transport_stats().bytes_received < sent {
-                std::thread::yield_now();
-            }
+        // The default pool, one with nobody to hand the poll set to, and
+        // one whose only follower ends up holding the servable.
+        for pool in [None, Some(1), Some(2)] {
+            under_watchdog(move || saturate(pool));
+        }
+    }
 
-            // The loop has taken in all of them, the servable has not
-            // let go of the first: a control frame on a second
-            // connection is answered all the same, by the loop itself.
-            let (mut control, mut control_reader) = raw_wire2_client(node.local_addr());
-            control
-                .write_all(&bin_frame(7, &Request::counters_probe(99)))
-                .expect("writes");
-            let (mux_id, resp) = read_response(&mut control_reader);
-            assert_eq!((mux_id, resp.id), (7, 99));
-            assert!(resp.counters.is_some() && resp.error.is_none());
-            assert_eq!(node.transport_stats().forwards, 1, "only the probe is done");
-            // All of them — and, for a moment, the probe — in flight.
-            assert_eq!(
-                node.transport_stats().max_in_flight,
-                u64::from(REQUESTS) + 1
-            );
+    /// [`a_saturated_queue_never_blocks_the_loop`] on a pool of `pool`
+    /// threads.
+    fn saturate(pool: Option<usize>) {
+        // One request fits the worker, one the queue; every other
+        // one has to wait its turn somewhere that is not the thread
+        // holding the poll set.
+        let (node, entered_rx, release_tx) = gated_node_with_pool(
+            ServerConfig::builder()
+                .workers(1)
+                .queue_capacity(1)
+                .max_batch_requests(1)
+                .build(),
+            pool,
+        );
+        const REQUESTS: u32 = 32;
+        let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
+        let mut sent = node.transport_stats().bytes_received;
+        for mux_id in 1..=REQUESTS {
+            let frame = bin_frame(mux_id, &request(u64::from(mux_id), f64::from(mux_id)));
+            sent += frame.len() as u64;
+            writer.write_all(&frame).expect("writes");
+        }
+        entered_rx.recv_timeout(WATCHDOG).expect("admitted");
+        while node.transport_stats().bytes_received < sent {
+            std::thread::yield_now();
+        }
 
-            // Released, every queued request is answered exactly once.
-            drop(release_tx);
-            let mut seen = std::collections::HashSet::new();
-            for _ in 0..REQUESTS {
-                let (mux_id, resp) = read_response(&mut reader);
-                assert!(seen.insert(mux_id), "mux id answered twice");
-                assert_eq!(resp.scores, vec![2.0 * f64::from(mux_id)]);
-            }
-            assert_eq!(node.transport_stats().forwards, u64::from(REQUESTS) + 1);
-        });
+        // The leader has taken in all of them, the servable has not
+        // let go of the first: a control frame on a second
+        // connection is answered all the same, by the leader itself.
+        let (mut control, mut control_reader) = raw_wire2_client(node.local_addr());
+        control
+            .write_all(&bin_frame(7, &Request::counters_probe(99)))
+            .expect("writes");
+        let (mux_id, resp) = read_response(&mut control_reader);
+        assert_eq!((mux_id, resp.id), (7, 99));
+        assert!(resp.counters.is_some() && resp.error.is_none());
+        assert_eq!(node.transport_stats().forwards, 1, "only the probe is done");
+        // All of them — and, for a moment, the probe — in flight.
+        assert_eq!(
+            node.transport_stats().max_in_flight,
+            u64::from(REQUESTS) + 1
+        );
+
+        // Released, every queued request is answered exactly once.
+        drop(release_tx);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..REQUESTS {
+            let (mux_id, resp) = read_response(&mut reader);
+            assert!(seen.insert(mux_id), "mux id answered twice");
+            assert_eq!(resp.scores, vec![2.0 * f64::from(mux_id)]);
+        }
+        assert_eq!(node.transport_stats().forwards, u64::from(REQUESTS) + 1);
     }
 
     #[test]
@@ -2516,7 +2907,7 @@ mod tests {
                 .expect("some key routes to the remote shard");
 
             // A plain frame routed to the remote shard: its admission
-            // blocks on the downstream, on a dispatch worker.
+            // blocks on the downstream, on a follower.
             let (mut plain, mut plain_reader) = raw_wire2_client(node.local_addr());
             let onward = Request {
                 key: Some(key),
@@ -2748,5 +3139,245 @@ mod tests {
         // a request that failed to decode.
         let stats = node.runtime().stats();
         assert_eq!((stats.requests(), stats.decode_errors()), (2, 1));
+    }
+
+    /// A scored response to request `id`.
+    fn scored(id: u64, scores: Vec<f64>) -> Response {
+        Response {
+            scores,
+            error: None,
+            ..Response::failure(id, "")
+        }
+    }
+
+    /// A stand-in node that serves connections one after another:
+    /// `serve` gets each one after the wire2 handshake and returns
+    /// whether to wait for another. Returns what `serve` returned last.
+    fn fake_node(
+        mut serve: impl FnMut(TcpStream) -> Option<u32> + Send + 'static,
+    ) -> (String, JoinHandle<u32>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let node = std::thread::spawn(move || loop {
+            let (mut stream, _) = listener.accept().expect("accepts");
+            let mut preamble = vec![0u8; WIRE2_PREAMBLE.len()];
+            stream.read_exact(&mut preamble).expect("preamble");
+            assert_eq!(preamble, WIRE2_PREAMBLE);
+            let ack = encode_frame(FrameType::HelloAck, 0, &[]).expect("encodes");
+            stream.write_all(&ack).expect("acks");
+            if let Some(out) = serve(stream) {
+                return out;
+            }
+        });
+        (addr, node)
+    }
+
+    /// Read one request frame: its header.
+    fn read_request(stream: &mut TcpStream) -> crate::wire2::FrameHeader {
+        let (hdr, _) = read_frame(stream).expect("frame").expect("not eof");
+        assert_eq!(hdr.frame_type, FrameType::BinRequest);
+        hdr
+    }
+
+    #[test]
+    fn a_forward_that_times_out_mid_frame_leaves_the_stream_whole() {
+        under_watchdog(|| {
+            let (timed_out_tx, timed_out_rx) = std::sync::mpsc::channel::<()>();
+            let (addr, node) = fake_node(move |mut stream| {
+                // Half of the answer to forward 1, then nothing until
+                // it has given up.
+                let first = read_request(&mut stream);
+                let late = encode_response_frame(first.request_id, &scored(1, vec![2.0]))
+                    .expect("encodes");
+                let half = late.len() / 2;
+                stream.write_all(&late[..half]).expect("writes");
+                timed_out_rx.recv().expect("forward 1 gave up");
+                // The rest of it, then forward 2's answer.
+                let second = read_request(&mut stream);
+                stream.write_all(&late[half..]).expect("writes");
+                let answer = encode_response_frame(second.request_id, &scored(2, vec![6.0]))
+                    .expect("encodes");
+                stream.write_all(&answer).expect("writes");
+                // Until the worker hangs up: a frame resent would show.
+                let mut frames = 2;
+                while let Ok(Some(_)) = read_frame(&mut stream) {
+                    frames += 1;
+                }
+                Some(frames)
+            });
+            let worker = RemoteWorker::new(&addr).with_timeout(Duration::from_millis(300));
+            match worker.forward_request(&request(1, 1.0)) {
+                Err(ServeError::Transport(msg)) => assert!(msg.contains("timed out"), "{msg}"),
+                other => panic!("expected a timeout, got {other:?}"),
+            }
+            timed_out_tx.send(()).expect("sends");
+            // The bytes of answer 1 read so far stay buffered: answer 2
+            // is framed behind the rest of it, which is discarded by mux
+            // id.
+            let reply = worker.forward_request(&request(2, 3.0)).expect("served");
+            assert_eq!((reply.response.id, reply.response.scores), (2, vec![6.0]));
+            let stats = worker.stats();
+            assert_eq!((stats.forwards, stats.failures), (1, 1));
+            assert_eq!((stats.reconnects, stats.decode_errors), (0, 0));
+            drop(worker);
+            assert_eq!(node.join().expect("joins"), 2, "a request was resent");
+        });
+    }
+
+    #[test]
+    fn the_reading_turn_survives_answers_out_of_order() {
+        /// Every other prediction takes a millisecond, so answers
+        /// overtake each other on the connection.
+        struct EveryOtherSlow(AtomicUsize);
+        impl Servable for EveryOtherSlow {
+            fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+                if self.0.fetch_add(1, Ordering::Relaxed) % 2 == 1 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Scaler(2.0).predict_table(table)
+            }
+        }
+        const THREADS: u64 = 4;
+        const N: u64 = 250;
+        let stats = under_watchdog(|| {
+            let mut b = ServingRuntime::builder();
+            b.config(ServerConfig::builder().workers(4).build());
+            b.endpoint("scale", Arc::new(EveryOtherSlow(AtomicUsize::new(0))))
+                .shards(4);
+            let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
+            let worker = RemoteWorker::new(&node.local_addr().to_string());
+            // Were the turn ever lost, the forwards waiting when it was
+            // would hang until the watchdog.
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let worker = &worker;
+                    s.spawn(move || {
+                        for i in 0..N {
+                            let x = (t * N + i) as f64;
+                            assert_eq!(scores(worker, t * N + i, x), vec![2.0 * x]);
+                        }
+                    });
+                }
+            });
+            worker.stats()
+        });
+        assert_eq!((stats.forwards, stats.failures), (THREADS * N, 0));
+        assert!(stats.max_in_flight >= 2, "forwards overlapped");
+    }
+
+    #[test]
+    fn a_probe_that_returns_first_leaves_the_breaker_probing() {
+        under_watchdog(|| {
+            let (answer_tx, answer_rx) = std::sync::mpsc::channel::<()>();
+            let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+            let mut dials = 0;
+            let (addr, node) = fake_node(move |mut stream| {
+                dials += 1;
+                let first = read_request(&mut stream);
+                if dials == 1 {
+                    // The forward: hung up on, which opens the breaker.
+                    return None;
+                }
+                // Two probes, held; the first gets an undecodable
+                // answer (a failed probe), the second a good one.
+                let second = read_request(&mut stream);
+                held_tx.send(()).expect("both probes are held");
+                answer_rx.recv().expect("answer the first");
+                let bad = encode_frame(FrameType::BinResponse, first.request_id, &[0xAB; 8])
+                    .expect("encodes");
+                stream.write_all(&bad).expect("writes");
+                answer_rx.recv().expect("answer the second");
+                let good = encode_response_frame(second.request_id, &scored(7, Vec::new()))
+                    .expect("encodes");
+                stream.write_all(&good).expect("writes");
+                drain(&stream);
+                Some(dials)
+            });
+            let worker = RemoteWorker::new(&addr)
+                .with_timeout(Duration::from_secs(30))
+                .with_breaker(1, Duration::from_secs(600));
+            assert!(worker.forward_request(&request(1, 1.0)).is_err());
+            assert_eq!(worker.breaker_state(), BreakerState::Open);
+            std::thread::scope(|s| {
+                let probe = || worker.forward_probe(&Request::counters_probe(7));
+                let probes = [s.spawn(probe), s.spawn(probe)];
+                held_rx
+                    .recv_timeout(WATCHDOG)
+                    .expect("both probes went out");
+                let deadline = Instant::now() + WATCHDOG;
+                assert_eq!(worker.breaker_state(), BreakerState::Probing);
+                answer_tx.send(()).expect("sends");
+                while !probes.iter().any(|p| p.is_finished()) {
+                    assert!(Instant::now() < deadline, "no probe returned");
+                    std::thread::yield_now();
+                }
+                // One probe failed and returned; the other is still in
+                // flight, so the breaker lets trial traffic through.
+                assert_eq!(worker.breaker_state(), BreakerState::Probing);
+                answer_tx.send(()).expect("sends");
+                let results: Vec<bool> = probes
+                    .into_iter()
+                    .map(|p| p.join().expect("joins").is_ok())
+                    .collect();
+                assert_eq!(results.iter().filter(|ok| **ok).count(), 1);
+            });
+            // The successful probe closed the breaker.
+            assert_eq!(worker.breaker_state(), BreakerState::Closed);
+            drop(worker);
+            assert_eq!(node.join().expect("joins"), 2);
+        });
+    }
+
+    #[test]
+    fn a_pool_of_one_thread_queues_every_request_and_still_answers_probes() {
+        under_watchdog(|| {
+            let (node, entered_rx, release_tx) =
+                gated_node_with_pool(ServerConfig::builder().workers(1).build(), Some(1));
+            let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
+            writer
+                .write_all(&bin_frame(1, &request(1, 1.0)))
+                .expect("writes");
+            // Nobody to hand the poll set to: the runtime worker (an
+            // unnamed thread) holds the request, not the pool's thread.
+            let runs_on = entered_rx.recv_timeout(WATCHDOG).expect("admitted");
+            assert!(!runs_on.starts_with("willump-node"), "ran on {runs_on}");
+            let (mut control, mut control_reader) = raw_wire2_client(node.local_addr());
+            control
+                .write_all(&bin_frame(7, &Request::counters_probe(99)))
+                .expect("writes");
+            let (mux_id, resp) = read_response(&mut control_reader);
+            assert_eq!((mux_id, resp.id), (7, 99));
+            drop(release_tx);
+            let (mux_id, resp) = read_response(&mut reader);
+            assert_eq!((mux_id, resp.scores), (1, vec![2.0]));
+        });
+    }
+
+    #[test]
+    fn a_request_runs_on_the_thread_that_read_it_while_another_leads() {
+        under_watchdog(|| {
+            let (node, entered_rx, release_tx) =
+                gated_node(ServerConfig::builder().workers(1).build());
+            let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
+            writer
+                .write_all(&bin_frame(1, &request(1, 1.0)))
+                .expect("writes");
+            // The worker had nothing queued and the slot was free: the
+            // pool thread that read the request runs it...
+            let runs_on = entered_rx.recv_timeout(WATCHDOG).expect("admitted");
+            assert!(runs_on.starts_with("willump-node-"), "ran on {runs_on:?}");
+            // ...having handed the poll set to another, which answers a
+            // probe while the servable is held.
+            let (mut control, mut control_reader) = raw_wire2_client(node.local_addr());
+            control
+                .write_all(&bin_frame(7, &Request::counters_probe(99)))
+                .expect("writes");
+            let (mux_id, resp) = read_response(&mut control_reader);
+            assert_eq!((mux_id, resp.id), (7, 99));
+            drop(release_tx);
+            let (mux_id, resp) = read_response(&mut reader);
+            assert_eq!((mux_id, resp.scores), (1, vec![2.0]));
+            assert_eq!(node.runtime().stats().worker_batches(), vec![1]);
+        });
     }
 }

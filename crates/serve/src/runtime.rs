@@ -859,8 +859,9 @@ pub enum SchedulerPolicy {
 // ---- plumbing ------------------------------------------------------
 
 /// A completion sink: called with the response on the thread that
-/// produced it — a runtime worker, or the submitting thread itself
-/// when admission answers — so it must not block. A sink dropped
+/// produced it — a runtime worker, the thread that ran a
+/// [`Runnable`], or the submitting thread itself when admission
+/// answers — so it must not block. A sink dropped
 /// without being called means the runtime shut down (or a predictor
 /// panicked) before the request was answered.
 pub(crate) type ResponseSink = Box<dyn Fn(Response) + Send>;
@@ -987,6 +988,22 @@ impl<'a> Slot<'a> {
         HOLDS_SLOT.set(true);
         Slot(slots)
     }
+
+    /// Give the slot back now unless a thread waits for one; a waiter
+    /// keeps it held.
+    fn give_back_unless_awaited(self) -> Option<Slot<'a>> {
+        let mut state = self.0.lock();
+        if state.1 > 0 {
+            drop(state);
+            return Some(self);
+        }
+        state.0 += 1;
+        drop(state);
+        #[cfg(test)]
+        HOLDS_SLOT.set(false);
+        std::mem::forget(self);
+        None
+    }
 }
 
 impl Drop for Slot<'_> {
@@ -1060,13 +1077,87 @@ enum Planned {
     Routed(Routed),
 }
 
-/// The rest of a [`RuntimeClient::submit`] that could not finish
-/// without blocking; [`RuntimeClient::resume`] finishes it.
-pub(crate) enum Deferred {
-    /// Routed to a remote shard: the forward is a network round trip.
-    Forward(Routed, ResponseSink),
-    /// Routed to a worker whose queue is full.
-    Enqueue(RoutedJob, usize),
+/// What [`RuntimeClient::submit`] did with a request.
+pub(crate) enum Submitted<'a> {
+    /// Answered at admission, or queued for the worker that owns its
+    /// shard: the sink has the response or will get it.
+    Done,
+    /// Free to run on the submitting thread right now.
+    Runnable(Runnable<'a>),
+    /// Routed to a remote shard: the forward is a network round trip,
+    /// for [`RuntimeClient::forward`] on a thread that may block.
+    Forward(Forward),
+    /// Routed to a worker whose queue is full: for
+    /// [`RuntimeClient::requeue`] to try again.
+    Full(Queued),
+}
+
+/// A submitted request routed to a remote shard, not yet forwarded.
+pub(crate) struct Forward(Routed, ResponseSink);
+
+/// A submitted request whose worker queue was full: the job and the
+/// worker.
+pub(crate) struct Queued(RoutedJob, usize);
+
+/// A submitted request that may run right now on the thread that
+/// submitted it, by the rule a blocking caller's request runs by: the
+/// worker that owns its shard has nothing queued, and it holds one of
+/// the runtime's execution slots. Run it with [`run`](Self::run), or
+/// give the slot back and queue it with [`queue`](Self::queue).
+pub(crate) struct Runnable<'a> {
+    shared: &'a Shared,
+    slot: Slot<'a>,
+    /// The request; its response goes to `sink`.
+    job: RoutedJob,
+    worker: usize,
+    sink: ResponseSink,
+}
+
+impl Runnable<'_> {
+    /// Serve the request on this thread, exactly as a blocking
+    /// caller's is served inline, and hand the response to the sink;
+    /// `answering` runs in between, once the servable has returned. The
+    /// slot goes back before the sink gets the response, so the
+    /// request the answer lets in finds it free — unless a thread waits
+    /// for a slot: then the answer goes out first, before anything the
+    /// slot lets run. A servable that panics is caught: the sink is
+    /// then dropped unanswered.
+    pub(crate) fn run(self, answering: impl FnOnce()) {
+        let Runnable {
+            shared,
+            slot,
+            job,
+            worker,
+            sink,
+        } = self;
+        let served = shared.serve_here(&job, worker);
+        answering();
+        let slot = slot.give_back_unless_awaited();
+        if let Ok(resp) = served {
+            sink(resp);
+        }
+        drop(slot);
+        shared.maybe_rebalance();
+    }
+
+    /// Give the slot back and queue the request for its worker
+    /// without blocking; a full queue hands it back.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::Disconnected`] when the runtime has shut
+    /// down; the sink is dropped uncalled.
+    pub(crate) fn queue(self) -> Result<Option<Queued>, ServeError> {
+        let Runnable {
+            shared,
+            slot,
+            mut job,
+            worker,
+            sink,
+        } = self;
+        drop(slot);
+        job.reply = Some(Reply::Sink(sink));
+        shared.requeue(Queued(job, worker))
+    }
 }
 
 impl Shared {
@@ -1267,14 +1358,7 @@ impl Shared {
         };
         if let Some(slot) = slot {
             let job = self.job_for(routed, None);
-            self.stats.batches.fetch_add(1, Ordering::Relaxed);
-            self.stats.worker_batches[worker].fetch_add(1, Ordering::Relaxed);
-            // A servable that panics on a worker thread ends that
-            // worker and its caller reads `Disconnected`; one that
-            // panics here answers the same, so no caller of `call` —
-            // the forwarding and node paths included — ever unwinds.
-            let served =
-                std::panic::catch_unwind(AssertUnwindSafe(|| handle_one(&job, &self.stats)));
+            let served = self.serve_here(&job, worker);
             drop(slot);
             self.maybe_rebalance();
             return served.map_err(|_| ServeError::Disconnected);
@@ -1282,6 +1366,17 @@ impl Shared {
         let (reply_tx, reply_rx) = bounded(1);
         self.enqueue(routed, Reply::Channel(reply_tx), worker)?;
         reply_rx.recv().map_err(|_| ServeError::Disconnected)
+    }
+
+    /// Serve `job` on the calling thread, which holds a slot, as one
+    /// batch of `worker`. A servable that panics on a worker thread
+    /// ends that worker and its caller reads `Disconnected`; one that
+    /// panics here is caught, so no caller of `call` — the forwarding
+    /// and node paths included — ever unwinds.
+    fn serve_here(&self, job: &RoutedJob, worker: usize) -> std::thread::Result<Response> {
+        self.stats.batches.fetch_add(1, Ordering::Relaxed);
+        self.stats.worker_batches[worker].fetch_add(1, Ordering::Relaxed);
+        std::panic::catch_unwind(AssertUnwindSafe(|| handle_one(job, &self.stats)))
     }
 
     /// A slot for running a request routed to `worker` on the calling
@@ -1301,41 +1396,72 @@ impl Shared {
     }
 
     /// [`route_request`](Self::route_request) for a caller that must
-    /// not block: everything up to the hop runs here, a local hop is
-    /// one `try_send`, and whatever could block comes back as a
-    /// [`Deferred`] with every counter already recorded exactly once.
-    fn submit(&self, req: Request, sink: ResponseSink) -> Result<Option<Deferred>, ServeError> {
+    /// not block: everything up to the hop runs here, and whatever
+    /// could block comes back undone ([`Submitted::Forward`],
+    /// [`Submitted::Full`]) with every counter already recorded exactly
+    /// once. A local hop is one `try_send` — unless `may_run` and the
+    /// request could run inline by [`inline_slot`](Self::inline_slot)'s
+    /// rule, in which case it comes back [`Runnable`], holding the slot,
+    /// and nothing runs here.
+    fn submit(
+        &self,
+        req: Request,
+        sink: ResponseSink,
+        may_run: bool,
+    ) -> Result<Submitted<'_>, ServeError> {
         self.count_request()?;
-        let routed = match self.plan_route(req) {
+        let mut routed = match self.plan_route(req) {
             Planned::Answered(resp) => {
                 sink(resp);
-                return Ok(None);
+                return Ok(Submitted::Done);
             }
             Planned::Routed(routed) => routed,
         };
         if routed.shard >= routed.entry.local_shards {
-            return Ok(Some(Deferred::Forward(routed, sink)));
+            return Ok(Submitted::Forward(Forward(routed, sink)));
         }
         let worker = routed.entry.assignment[routed.shard].load(Ordering::Relaxed);
+        if may_run {
+            // The shadows take the gate, so they go before the slot.
+            self.send_shadows(std::mem::take(&mut routed.shadow_jobs));
+            if let Some(slot) = self.inline_slot(worker)? {
+                return Ok(Submitted::Runnable(Runnable {
+                    shared: self,
+                    slot,
+                    job: self.job_for(routed, None),
+                    worker,
+                    sink,
+                }));
+            }
+        }
         let job = self.job_for(routed, Some(Reply::Sink(sink)));
-        Ok(self
-            .enqueue_job(job, worker, false)?
-            .map(|job| Deferred::Enqueue(job, worker)))
+        Ok(match self.enqueue_job(job, worker, false)? {
+            None => Submitted::Done,
+            Some(job) => Submitted::Full(Queued(job, worker)),
+        })
     }
 
-    /// Finish a deferred [`submit`](Self::submit) on a thread that
-    /// may block.
-    fn resume(&self, deferred: Deferred) -> Result<(), ServeError> {
-        match deferred {
-            Deferred::Forward(mut routed, sink) => match self.resolve_hop(&mut routed) {
-                Ok(worker) => self.enqueue(routed, Reply::Sink(sink), worker),
-                Err(resp) => {
-                    sink(resp);
-                    Ok(())
-                }
-            },
-            Deferred::Enqueue(job, worker) => self.enqueue_job(job, worker, true).map(|_| ()),
+    /// Forward a [`submit`](Self::submit)ted request to its remote
+    /// shard, on a thread that may block, and — when every transport
+    /// failed — fail it over onto a local worker's queue.
+    fn forward(&self, forward: Forward) -> Result<(), ServeError> {
+        let Forward(mut routed, sink) = forward;
+        match self.resolve_hop(&mut routed) {
+            Ok(worker) => self.enqueue(routed, Reply::Sink(sink), worker),
+            Err(resp) => {
+                sink(resp);
+                Ok(())
+            }
         }
+    }
+
+    /// Try once more to queue a [`submit`](Self::submit)ted request
+    /// whose worker queue was full; `Some` while it still is.
+    fn requeue(&self, queued: Queued) -> Result<Option<Queued>, ServeError> {
+        let Queued(job, worker) = queued;
+        Ok(self
+            .enqueue_job(job, worker, false)?
+            .map(|job| Queued(job, worker)))
     }
 
     /// Control frames, routing, admission control and shadow
@@ -3032,13 +3158,16 @@ impl RuntimeClient {
     }
 
     /// [`call`](Self::call) for a thread that must never block — the
-    /// node's event loop: the request is routed and admitted here
-    /// exactly as there, but its response goes to `sink` (on the
-    /// serving worker, or right here when admission itself answers)
-    /// instead of a channel this thread would wait on. `Some` is the
-    /// part of admission that could block — a forward to a remote
-    /// shard, a full worker queue — left undone for
-    /// [`resume`](Self::resume).
+    /// node thread holding the poll set: the request is routed and
+    /// admitted here exactly as there, but its response goes to `sink`
+    /// (on whichever thread serves it, or right here when admission
+    /// itself answers) instead of a channel this thread would wait on.
+    /// With `may_run`, a request that [`call`](Self::call) would run
+    /// on its caller's thread comes back [`Submitted::Runnable`]
+    /// instead of queued; [`Submitted::Forward`] and
+    /// [`Submitted::Full`] are the parts of admission that could block
+    /// — a forward to a remote shard, a full worker queue — left
+    /// undone. This never runs a servable.
     ///
     /// # Errors
     /// Returns [`ServeError::Disconnected`] when the runtime has shut
@@ -3047,18 +3176,29 @@ impl RuntimeClient {
         &self,
         req: Request,
         sink: ResponseSink,
-    ) -> Result<Option<Deferred>, ServeError> {
-        self.shared.submit(req, sink)
+        may_run: bool,
+    ) -> Result<Submitted<'_>, ServeError> {
+        self.shared.submit(req, sink, may_run)
     }
 
-    /// Finish what [`submit`](Self::submit) deferred, blocking for as
-    /// long as the forward or the full queue takes.
+    /// Forward what [`submit`](Self::submit) routed to a remote shard,
+    /// blocking for the round trip.
     ///
     /// # Errors
     /// Returns [`ServeError::Disconnected`] when the runtime has shut
     /// down; the sink is dropped uncalled.
-    pub(crate) fn resume(&self, deferred: Deferred) -> Result<(), ServeError> {
-        self.shared.resume(deferred)
+    pub(crate) fn forward(&self, forward: Forward) -> Result<(), ServeError> {
+        self.shared.forward(forward)
+    }
+
+    /// Queue what [`submit`](Self::submit) found the worker queue full
+    /// for, if it has room now; `Some` hands it back.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::Disconnected`] when the runtime has shut
+    /// down; the sink is dropped uncalled.
+    pub(crate) fn requeue(&self, queued: Queued) -> Result<Option<Queued>, ServeError> {
+        self.shared.requeue(queued)
     }
 
     /// Count a request frame the node could not decode (see
@@ -3779,7 +3919,8 @@ mod tests {
                         key: Some(g0.clone()),
                         ..Request::new(id, wire_rows(&[1.0]))
                     };
-                    assert!(client.submit(req, Box::new(|_| {})).unwrap().is_none());
+                    let submitted = client.submit(req, Box::new(|_| {}), false).unwrap();
+                    assert!(matches!(submitted, Submitted::Done));
                 }
                 // Worker 0 has taken the first off its queue: the queue
                 // below counts the second and the two callers only.

@@ -12,8 +12,8 @@
 //! A request that finds no free execution slot is queued and served on
 //! a worker thread instead; on top of the same allocations it pays for
 //! its reply channel and the worker's batch of jobs. That path — every
-//! request of a caller that finds all slots taken, and every request of
-//! a node's event loop — has a budget of its own.
+//! request of a caller that finds all slots taken, and every request a
+//! node queues for its workers — has a budget of its own.
 //!
 //! This is a test binary of its own, with one test, because it installs
 //! a counting `#[global_allocator]`; the `unsafe impl` lives here so

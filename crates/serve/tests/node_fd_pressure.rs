@@ -1,8 +1,8 @@
 //! Descriptor exhaustion on a node: `accept` fails with `EMFILE` while
-//! the pending connection keeps the listener readable, so a loop that
-//! parks on readiness must drop the listener for that park instead of
-//! spinning on it, keep serving the connections it has, and accept
-//! again once descriptors are free.
+//! the pending connection keeps the listener readable, so a node
+//! thread that parks on readiness must drop the listener for that park
+//! instead of spinning on it, keep serving the connections it has, and
+//! accept again once descriptors are free.
 //!
 //! This file holds a single test because it uses up the process's
 //! descriptors: any test running beside it would fail at random.
@@ -38,29 +38,38 @@ fn request(id: u64, x: f64) -> Request {
     }
 }
 
-/// The `stat` file of this process's thread named `name` (the kernel
-/// keeps 15 bytes of a thread name).
-fn thread_stat(name: &str) -> File {
+/// The `stat` files of this process's threads whose name starts with
+/// `prefix` (the kernel keeps 15 bytes of a thread name).
+fn thread_stats(prefix: &str) -> Vec<File> {
+    let mut stats = Vec::new();
     for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
         let dir = task.expect("entry").path();
         let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
-        if comm.trim_end() == &name[..name.len().min(15)] {
-            return File::open(dir.join("stat")).expect("opens");
+        if comm.starts_with(prefix) {
+            stats.push(File::open(dir.join("stat")).expect("opens"));
         }
     }
-    panic!("no thread named {name}");
+    assert!(!stats.is_empty(), "no thread named {prefix}*");
+    stats
 }
 
-/// CPU time the thread has used, in clock ticks (user + system).
-fn cpu_ticks(stat: &mut File) -> u64 {
-    let mut text = String::new();
-    stat.seek(SeekFrom::Start(0)).expect("seeks");
-    stat.read_to_string(&mut text).expect("reads");
-    // Fields after the parenthesised name; utime and stime are the
-    // 14th and 15th of the line, so the 12th and 13th after `)`.
-    let after = &text[text.rfind(')').expect("comm") + 1..];
-    let fields: Vec<&str> = after.split_whitespace().collect();
-    fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+/// CPU time the threads have used together, in clock ticks (user +
+/// system).
+fn cpu_ticks(stats: &mut [File]) -> u64 {
+    stats
+        .iter_mut()
+        .map(|stat| {
+            let mut text = String::new();
+            stat.seek(SeekFrom::Start(0)).expect("seeks");
+            stat.read_to_string(&mut text).expect("reads");
+            // Fields after the parenthesised name; utime and stime are
+            // the 14th and 15th of the line, so the 12th and 13th
+            // after `)`.
+            let after = &text[text.rfind(')').expect("comm") + 1..];
+            let fields: Vec<&str> = after.split_whitespace().collect();
+            fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+        })
+        .sum()
 }
 
 #[test]
@@ -74,7 +83,8 @@ fn accept_failing_with_emfile_neither_spins_nor_stops_the_node() {
         .forward_request(&request(1, 1.0))
         .expect("served");
     assert_eq!(reply.response.scores, vec![2.0]);
-    let mut stat = thread_stat("willump-node-events");
+    // Every thread of the node's pool: whichever holds the poll set.
+    let mut stats = thread_stats("willump-node-");
 
     // Use up every descriptor, then hand exactly one back for the
     // client side of a new connection: the node has none to accept it.
@@ -100,23 +110,23 @@ fn accept_failing_with_emfile_neither_spins_nor_stops_the_node() {
     // also makes it retry the failing accept — and sleeps otherwise:
     // a loop spinning on the readable listener would burn the whole
     // window (about 30 ticks of 10 ms). The sleep is the measurement
-    // window for another thread's CPU time, not synchronisation.
+    // window for other threads' CPU time, not synchronisation.
     for i in 0..20 {
         let reply = established
             .forward_request(&request(i, i as f64))
             .expect("served under descriptor pressure");
         assert_eq!(reply.response.scores, vec![2.0 * i as f64]);
     }
-    let before = cpu_ticks(&mut stat);
+    let before = cpu_ticks(&mut stats);
     std::thread::sleep(Duration::from_millis(300));
-    let burned = cpu_ticks(&mut stat) - before;
+    let burned = cpu_ticks(&mut stats) - before;
     assert!(
         burned <= 5,
-        "event loop used {burned} ticks while accept kept failing"
+        "the node's threads used {burned} ticks while accept kept failing"
     );
 
     // Descriptors come back; the next event of any kind — here a
-    // request — takes the loop through accept again.
+    // request — takes the leader through accept again.
     drop(hog);
     established
         .forward_request(&request(99, 1.0))
