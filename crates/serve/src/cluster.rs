@@ -24,9 +24,7 @@
 //!   [`PlanCountersSnapshot`]s, transport latency, failure counts,
 //!   breaker state — and [`rebalance`](ClusterCoordinator::rebalance)
 //!   migrates **at most one shard per cycle** from the hottest node
-//!   to the coolest (drain, detach, re-attach), extending the
-//!   escalation-aware worker scheduler to cluster placement without
-//!   thrash.
+//!   to the coolest (drain, detach, re-attach), without thrash.
 //!
 //! The drain lifecycle underneath ([`ServingRuntime::drain_shard`])
 //! guarantees zero in-flight loss structurally: every request routes
@@ -227,13 +225,12 @@ pub struct Migration {
 /// Statistics-driven shard placement across a set of registered
 /// nodes.
 ///
-/// The coordinator extends [`crate::SchedulerPolicy::EscalationAware`]
-/// from worker placement to *cluster* placement: where the worker
-/// scheduler reads each plan's [`PlanCounters`] to give
-/// escalation-heavy endpoints dedicated workers, the coordinator
-/// reads each **node's** merged [`PlanCountersSnapshot`] plus its
-/// transports' latency/failure counters to decide which node each
-/// remote shard should live on. A
+/// The coordinator places remote shards from the statistics the
+/// runtime already collects: it reads each **node's**
+/// [`PlanCountersSnapshot`] (the plans' [`PlanCounters`], fetched by
+/// counters probes and by [`ServingRuntime::refresh_remote_counters`])
+/// plus its transports' latency/failure counters to decide which node
+/// each remote shard should live on. A
 /// [`rebalance`](ClusterCoordinator::rebalance) cycle migrates **at
 /// most one**
 /// shard (hottest node → coolest node) and only when the score gap

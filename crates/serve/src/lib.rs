@@ -20,27 +20,23 @@
 //! The runtime goes beyond the paper's single-predictor Clipper
 //! substrate:
 //!
-//! - **Named, versioned endpoints** ([`RuntimeBuilder::endpoint`]):
-//!   all six paper workloads — and several plan variants of each —
-//!   share one runtime, one worker pool, and one client. Unpinned
-//!   traffic splits across versions by weight (canary) or via a
-//!   [`ModelSelector`] bandit ([`RuntimeBuilder::version_policy`]);
-//!   **shadow** versions mirror traffic with responses discarded.
+//! - **Named endpoints** ([`RuntimeBuilder::endpoint`]): all six paper
+//!   workloads — and several plan variants of each — share one
+//!   runtime, one worker pool, and one client. Each name serves one
+//!   version; a request may pin it ([`Request::version`]), and every
+//!   response echoes the name and version that answered.
 //! - **Key-hash shard routing**: equal [`Request::key`]s always land
-//!   on the same shard ([`shard_for_key`]), and shards map onto
-//!   workers.
+//!   on the same shard ([`shard_for_key`]), and local shards are placed
+//!   round-robin over the workers when the runtime is built.
 //! - **Cross-process sharding** ([`WorkerTransport`]): a shard can be
 //!   served by a *remote runtime* — an [`RemoteRuntimeNode`]-hosted
 //!   process reached over TCP by a [`RemoteWorker`]
 //!   ([`EndpointBuilder::shard_remote`]) — behind the same admission
 //!   path, with per-shard transport latency in [`EndpointStats`],
 //!   automatic fail-over to surviving shards, and remote plan
-//!   counters folded into the scheduler's view
-//!   ([`ServingRuntime::refresh_remote_counters`]).
-//! - **Statistics-aware scheduling** ([`SchedulerPolicy`]): the
-//!   scheduler reads each plan's `PlanCounters` (the `ServingPlan`
-//!   IR's per-stage introspection) and gives escalation-heavy
-//!   endpoints a dedicated tail of the worker pool.
+//!   counters folded into each endpoint's view
+//!   ([`ServingRuntime::refresh_remote_counters`],
+//!   [`Endpoint::merged_counters`]).
 //!
 //! A request without an endpoint name goes to [`DEFAULT_ENDPOINT`], so
 //! a single-predictor deployment is one
@@ -49,16 +45,10 @@
 //! even while client handles are still alive (see
 //! [`ServingRuntime::shutdown`]).
 //!
-//! The crate also reproduces Clipper's *model selection layer*
-//! (paper §7): [`ModelSelector`] routes queries across several
-//! [`Servable`]s with a multi-armed bandit ([`SelectionPolicy`]) —
-//! standalone, or wired into the runtime as a version router.
-//!
 //! Every `willump::ServingPlan` is [`Servable`], so any lowered
 //! optimization — or composition of optimizations (a cascade behind
 //! an end-to-end cache with a top-K filter, say) — serves as one
-//! endpoint, and [`ModelSelector::from_plans`] bandit-routes across
-//! whole plans.
+//! endpoint.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -73,7 +63,6 @@ mod protocol;
 mod readiness;
 mod remote;
 mod runtime;
-mod selection;
 mod server;
 pub mod wire2;
 
@@ -94,8 +83,7 @@ pub use remote::{
 };
 pub use runtime::{
     shard_for_key, table_row_to_wire, AdmissionPolicy, Endpoint, EndpointBuilder, EndpointStats,
-    EndpointStatsSnapshot, RuntimeBuilder, RuntimeClient, SchedulerPolicy, ServerStats,
-    ServerStatsSnapshot, ServingRuntime, DEFAULT_ENDPOINT,
+    EndpointStatsSnapshot, RuntimeBuilder, RuntimeClient, ServerStats, ServerStatsSnapshot,
+    ServingRuntime, DEFAULT_ENDPOINT,
 };
-pub use selection::{ArmStats, ModelSelector, SelectionPolicy};
 pub use server::{Servable, ServerConfig, ServerConfigBuilder};

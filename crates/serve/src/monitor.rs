@@ -92,7 +92,7 @@ pub struct MonitorSample {
     pub at_nanos: u64,
     /// The runtime's global counters at sample time.
     pub server: ServerStatsSnapshot,
-    /// Per-endpoint observations, primaries then shadows per group.
+    /// Per-endpoint observations, in registration order.
     pub endpoints: Vec<EndpointSample>,
 }
 

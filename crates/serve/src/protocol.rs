@@ -32,9 +32,8 @@
 //!   rows: [`ControlRequest::Counters`] asks the node for a
 //!   [`Response::counters`] report — one [`EndpointCounters`] per
 //!   registered endpoint, carrying that plan's
-//!   [`willump::PlanCountersSnapshot`] — which is how a parent's
-//!   escalation-aware scheduler reads statistics that accumulated in
-//!   another process.
+//!   [`willump::PlanCountersSnapshot`] — which is how a parent reads
+//!   statistics that accumulated in another process.
 //!
 //! # Admission-control markers
 //!
@@ -79,8 +78,9 @@ pub struct Request {
     /// Target endpoint name; `None` routes to the runtime's default
     /// endpoint.
     pub endpoint: Option<String>,
-    /// Pin a specific endpoint version; `None` lets the endpoint's
-    /// version router (weighted canary split or bandit) choose.
+    /// Pin the endpoint version: a version the endpoint does not serve
+    /// is a route error. `None` takes the one version the endpoint
+    /// serves.
     pub version: Option<u32>,
     /// Shard-routing key: requests with equal keys always land on the
     /// same shard of the target endpoint. `None` spreads requests
@@ -141,7 +141,7 @@ impl Request {
 pub enum ControlRequest {
     /// Report every endpoint's [`PlanCountersSnapshot`] in
     /// [`Response::counters`] — the cross-process statistics feed for
-    /// the escalation-aware scheduler.
+    /// a parent's merged counters and the cluster coordinator.
     Counters,
     /// (Re-)enter service: clear the node's draining flag so new
     /// prediction requests are admitted again.

@@ -6,7 +6,7 @@
 //! hop **pluggable**, so one endpoint can mix in-process shards with
 //! shards served by *other runtimes* — in the same process or across
 //! a TCP boundary in another process — behind the same admission
-//! path, key-hash routing, canary/version selection, and
+//! path, key-hash routing, version pinning, and
 //! [`crate::EndpointStats`] accounting.
 //!
 //! Three pieces:
@@ -178,8 +178,8 @@ pub trait WorkerTransport: Send + Sync {
     /// [`PlanCountersSnapshot`] via a
     /// [`crate::ControlRequest::Counters`] probe.
     ///
-    /// This is how a parent's escalation-aware scheduler reads plan
-    /// statistics that accumulated in another process (see
+    /// This is how a parent reads plan statistics that accumulated in
+    /// another process (see
     /// [`ServingRuntime::refresh_remote_counters`]).
     ///
     /// # Errors
@@ -1981,7 +1981,7 @@ fn lead<'a>(
 /// something for it.
 ///
 /// Frames the node serves run through the runtime's **full admission
-/// path** — shedding, canary split, key routing — exactly like local
+/// path** — shedding, version check, key routing — exactly like local
 /// frames; the `forwarded` marker pins them to local shards so a node
 /// that itself has remote shards never creates a forwarding loop.
 pub struct RemoteRuntimeNode {

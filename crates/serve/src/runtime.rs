@@ -1,28 +1,19 @@
-//! The multi-endpoint serving runtime: named, versioned, shard-routed
-//! deployments behind one worker pool.
+//! The multi-endpoint serving runtime: named, shard-routed deployments
+//! behind one worker pool.
 //!
 //! Paper Table 6 fronts one pipeline per Clipper deployment; here the
 //! paper's six workloads — and the cascade / top-K / cached plan
-//! variants of each — share one runtime, are A/B'd, and are scheduled
-//! by their cost profiles. A [`ServingRuntime`] serves a **registry of
-//! endpoints**:
+//! variants of each — share one runtime, one endpoint per pipeline. A
+//! [`ServingRuntime`] serves a **registry of endpoints**:
 //!
-//! - each endpoint has a **name** and a **version** (several versions
-//!   of one name coexist; unpinned traffic splits across them by
-//!   weight, or via a [`ModelSelector`] bandit — Clipper's selection
-//!   layer reused as a canary router);
+//! - each endpoint has a **name** and serves exactly one **version**;
+//!   a request may pin the version ([`crate::Request::version`]), and
+//!   the response echoes the name and version that answered it;
 //! - each endpoint is divided into **shards**: the runtime hashes a
 //!   request's routing key ([`crate::Request::key`]) so equal keys
 //!   always land on the same shard (unkeyed requests spread
-//!   round-robin), and shards map onto workers;
-//! - a **statistics-aware scheduler** ([`SchedulerPolicy`]) reads
-//!   each plan's [`PlanCounters`] (the per-stage introspection the
-//!   `ServingPlan` IR accumulates) and routes escalation-heavy
-//!   endpoints to a dedicated tail of the worker pool, so their
-//!   expensive full-model traffic cannot starve cheap endpoints;
-//! - **shadow** endpoints receive a mirrored copy of their group's
-//!   traffic with the response discarded — deployment validation at
-//!   serving time;
+//!   round-robin), and local shards are placed round-robin over the
+//!   workers once, when the runtime is built;
 //! - a **statistical admission layer** ([`AdmissionPolicy`], set with
 //!   [`RuntimeBuilder::admission`]) keeps per-endpoint streaming
 //!   telemetry — arrival rate (windowed EWMA), service-time quantiles
@@ -53,7 +44,6 @@
 //! let mut b = ServingRuntime::builder();
 //! b.config(ServerConfig::builder().workers(4).build());
 //! b.plan("music", cascade_plan).shards(4);
-//! b.plan("music", canary_plan).version(2).weight(0.25);
 //! b.plan("toxic", topk_plan).shards(2);
 //! let runtime = b.build()?;
 //! let client = runtime.client();
@@ -78,7 +68,6 @@ use willump_data::{Column, DataType, Table};
 
 use crate::protocol::{ControlRequest, EndpointCounters, Request, Response, WireRow};
 use crate::remote::{BreakerState, RemoteWorker, TransportStats, WorkerTransport};
-use crate::selection::{ModelSelector, SelectionPolicy};
 use crate::server::{Servable, ServerConfig};
 use crate::ServeError;
 
@@ -115,8 +104,7 @@ willump::counter_set! {
     #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
     pub struct ServerStatsSnapshot {
         /// Requests received, including ones that failed to decode or
-        /// route. Shadow-mirrored copies are *not* counted here (they are
-        /// counted on the shadow endpoint's own [`EndpointStats`]).
+        /// route.
         sum requests,
         /// Total input rows across successfully decoded *and routed*
         /// requests (rows of requests addressing an unknown endpoint or
@@ -224,8 +212,7 @@ willump::counter_set! {
     /// shard counts still merge.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
     pub struct EndpointStatsSnapshot {
-        /// Requests routed to this endpoint (shadow copies included on
-        /// shadow endpoints).
+        /// Requests routed to this endpoint.
         sum requests,
         /// Input rows routed to this endpoint.
         sum rows,
@@ -577,8 +564,8 @@ impl RemoteTopology {
 
 // ---- endpoints -----------------------------------------------------
 
-/// One registered endpoint: a named, versioned, sharded deployment of
-/// a [`Servable`].
+/// One registered endpoint: a named, sharded deployment of one
+/// version of a [`Servable`].
 ///
 /// Shards `0..local_shards` run on the runtime's own worker pool;
 /// shards `local_shards..shards()` are **remote**, each backed by a
@@ -605,10 +592,8 @@ pub struct Endpoint {
     local_shards: usize,
     /// Live remote shard slots (shared with [`EndpointStats`]).
     remote: Arc<RemoteTopology>,
-    weight: f64,
-    shadow: bool,
-    /// Local shard -> worker index, rewritten by the scheduler.
-    assignment: Vec<AtomicUsize>,
+    /// Local shard -> worker index, fixed when the runtime is built.
+    assignment: Vec<usize>,
     /// Round-robin cursor for unkeyed plain requests (full domain).
     next_shard: AtomicUsize,
     /// Round-robin cursor for unkeyed forwarded frames (local-shard
@@ -628,8 +613,6 @@ impl std::fmt::Debug for Endpoint {
             .field("name", &self.name)
             .field("version", &self.version)
             .field("shards", &self.shards())
-            .field("weight", &self.weight)
-            .field("shadow", &self.shadow)
             .finish_non_exhaustive()
     }
 }
@@ -697,33 +680,20 @@ impl Endpoint {
         self.remote.slots()
     }
 
-    /// Traffic weight among unpinned requests to this endpoint name.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-
-    /// Whether this endpoint only receives mirrored shadow traffic.
-    pub fn is_shadow(&self) -> bool {
-        self.shadow
-    }
-
     /// Serving counters for this endpoint.
     pub fn stats(&self) -> &EndpointStats {
         &self.stats
     }
 
-    /// The current local-shard -> worker assignment (one entry per
-    /// local shard; remote shards have no worker).
+    /// The local-shard -> worker assignment (one entry per local
+    /// shard; remote shards have no worker).
     pub fn assignment(&self) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect()
+        self.assignment.clone()
     }
 
-    /// This endpoint's plan counters as seen by the scheduler: the
-    /// attached local [`PlanCounters`] merged with the last snapshot
-    /// fetched from each remote shard (see
+    /// This endpoint's plan counters: the attached local
+    /// [`PlanCounters`] merged with the last snapshot fetched from
+    /// each remote shard (see
     /// [`ServingRuntime::refresh_remote_counters`]).
     pub fn merged_counters(&self) -> PlanCountersSnapshot {
         let local = self
@@ -745,12 +715,6 @@ impl Endpoint {
             seen.push(who);
         }
         acc
-    }
-
-    /// Escalation rate over the merged local + remote counters
-    /// (0 when the endpoint has none or no rows ran yet).
-    pub fn escalation_rate(&self) -> f64 {
-        self.merged_counters().escalation_rate()
     }
 
     /// Whether admission control can degrade this endpoint instead of
@@ -785,77 +749,6 @@ impl Endpoint {
     }
 }
 
-/// Smooth weighted round-robin state (the nginx algorithm):
-/// deterministic and exactly proportional over any window.
-struct Wrr {
-    current: Vec<f64>,
-}
-
-enum Router {
-    /// A single primary version: nothing to route.
-    Single,
-    /// Weighted canary split across versions.
-    Weighted(Mutex<Wrr>),
-    /// Bandit-routed canary: the [`ModelSelector`]'s arms are the
-    /// versions; feed rewards through the selector handle.
-    Bandit(Arc<ModelSelector>),
-}
-
-struct Group {
-    name: String,
-    primaries: Vec<Arc<Endpoint>>,
-    shadows: Vec<Arc<Endpoint>>,
-    router: Router,
-}
-
-impl Group {
-    fn pick_version(&self) -> usize {
-        match &self.router {
-            Router::Single => 0,
-            Router::Weighted(wrr) => {
-                let mut st = wrr.lock();
-                let total: f64 = self.primaries.iter().map(|e| e.weight).sum();
-                let mut best = 0;
-                let mut best_v = f64::NEG_INFINITY;
-                for (i, e) in self.primaries.iter().enumerate() {
-                    st.current[i] += e.weight;
-                    if st.current[i] > best_v {
-                        best_v = st.current[i];
-                        best = i;
-                    }
-                }
-                st.current[best] -= total;
-                best
-            }
-            Router::Bandit(sel) => sel.select_pull(),
-        }
-    }
-}
-
-// ---- scheduling ----------------------------------------------------
-
-/// How the runtime maps (endpoint, shard) pairs onto workers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SchedulerPolicy {
-    /// Spread every endpoint's shards round-robin across all workers.
-    Static,
-    /// Statistics-aware: endpoints whose [`PlanCounters`] escalation
-    /// rate exceeds `threshold` get the dedicated tail set of
-    /// `dedicated_workers` workers (capped to leave at least one
-    /// shared worker); everyone else shares the head of the pool.
-    /// Falls back to [`SchedulerPolicy::Static`] while no endpoint is
-    /// heavy, the pool has a single worker, or `dedicated_workers`
-    /// is 0.
-    EscalationAware {
-        /// Escalation-rate threshold in `[0, 1]` above which an
-        /// endpoint counts as heavy.
-        threshold: f64,
-        /// Workers reserved for heavy endpoints (0 disables the
-        /// reservation entirely).
-        dedicated_workers: usize,
-    },
-}
-
 // ---- plumbing ------------------------------------------------------
 
 /// A completion sink: called with the response on the thread that
@@ -874,12 +767,10 @@ enum Reply {
     Sink(ResponseSink),
 }
 
+/// A routed request, ready to serve.
 pub(crate) struct RoutedJob {
     req: Request,
     entry: Arc<Endpoint>,
-    /// `None` for shadow-mirrored copies (response discarded) and for
-    /// a job its caller runs inline (response returned).
-    reply: Option<Reply>,
     /// Admission control put this request in the degrade band: serve
     /// it with the endpoint's degraded lowering. Only ever `true`
     /// when the endpoint has one.
@@ -887,7 +778,8 @@ pub(crate) struct RoutedJob {
 }
 
 enum Job {
-    Request(RoutedJob),
+    /// A request for a worker, and where its answer goes.
+    Request(RoutedJob, Reply),
     Shutdown,
 }
 
@@ -1023,18 +915,17 @@ impl Drop for Slot<'_> {
 }
 
 pub(crate) struct Shared {
-    groups: Vec<Group>,
-    default_group: usize,
+    /// Every endpoint, in registration order; names are unique.
+    endpoints: Vec<Arc<Endpoint>>,
+    /// Index into `endpoints` of the one unaddressed requests go to.
+    default_endpoint: usize,
     config: ServerConfig,
-    scheduler: SchedulerPolicy,
-    rebalance_every: u64,
     admission: Option<AdmissionPolicy>,
     /// Monotonic origin for admission telemetry timestamps.
     started: Instant,
     /// Sender clones used only to read queue depths lock-free (the
     /// authoritative senders live behind the gate).
     queue_probes: Vec<Sender<Job>>,
-    admitted: AtomicU64,
     gate: Mutex<GateState>,
     slots: Slots,
     /// Blocking callers between a local hop and their answer. Only
@@ -1065,8 +956,18 @@ pub(crate) struct Routed {
     /// frames), snapshotted once so topology changes cannot touch a
     /// request in flight.
     remote_active: Vec<Arc<RemoteShard>>,
-    shadow_jobs: Vec<(usize, RoutedJob)>,
     degraded: bool,
+}
+
+impl Routed {
+    /// The job a worker — or the caller, inline — serves.
+    fn into_job(self) -> RoutedJob {
+        RoutedJob {
+            req: self.req,
+            entry: self.entry,
+            degraded: self.degraded,
+        }
+    }
 }
 
 /// What routing one request decided.
@@ -1095,9 +996,9 @@ pub(crate) enum Submitted<'a> {
 /// A submitted request routed to a remote shard, not yet forwarded.
 pub(crate) struct Forward(Routed, ResponseSink);
 
-/// A submitted request whose worker queue was full: the job and the
-/// worker.
-pub(crate) struct Queued(RoutedJob, usize);
+/// A submitted request whose worker queue was full: the job, where its
+/// answer goes, and the worker.
+pub(crate) struct Queued(RoutedJob, Reply, usize);
 
 /// A submitted request that may run right now on the thread that
 /// submitted it, by the rule a blocking caller's request runs by: the
@@ -1137,7 +1038,6 @@ impl Runnable<'_> {
             sink(resp);
         }
         drop(slot);
-        shared.maybe_rebalance();
     }
 
     /// Give the slot back and queue the request for its worker
@@ -1150,13 +1050,12 @@ impl Runnable<'_> {
         let Runnable {
             shared,
             slot,
-            mut job,
+            job,
             worker,
             sink,
         } = self;
         drop(slot);
-        job.reply = Some(Reply::Sink(sink));
-        shared.requeue(Queued(job, worker))
+        shared.requeue(Queued(job, Reply::Sink(sink), worker))
     }
 }
 
@@ -1170,14 +1069,10 @@ impl Shared {
         self.gate.lock()
     }
 
-    /// Every endpoint (primaries then shadows per group) — the
-    /// cluster prober's sweep list.
+    /// Every endpoint, in registration order — the cluster prober's
+    /// sweep list.
     pub(crate) fn all_endpoints(&self) -> Vec<Arc<Endpoint>> {
-        self.groups
-            .iter()
-            .flat_map(|g| g.primaries.iter().chain(g.shadows.iter()))
-            .map(Arc::clone)
-            .collect()
+        self.endpoints.clone()
     }
 
     /// Global server counters (probe accounting for the cluster
@@ -1186,59 +1081,11 @@ impl Shared {
         &self.stats
     }
 
-    fn find_group(&self, name: Option<&str>) -> Option<&Group> {
+    /// The endpoint named `name`, or the default one for `None`.
+    fn find_endpoint(&self, name: Option<&str>) -> Option<&Arc<Endpoint>> {
         match name {
-            None => self.groups.get(self.default_group),
-            Some(n) => self.groups.iter().find(|g| g.name == n),
-        }
-    }
-
-    /// Recompute every endpoint's shard -> worker assignment from the
-    /// scheduler policy and current plan statistics.
-    fn rebalance(&self) {
-        let entries: Vec<&Arc<Endpoint>> = self
-            .groups
-            .iter()
-            .flat_map(|g| g.primaries.iter().chain(g.shadows.iter()))
-            .collect();
-        let n = self.n_workers;
-        let heavy: Vec<bool> = match self.scheduler {
-            SchedulerPolicy::Static => vec![false; entries.len()],
-            SchedulerPolicy::EscalationAware { threshold, .. } => entries
-                .iter()
-                .map(|e| e.escalation_rate() > threshold)
-                .collect(),
-        };
-        let dedicated = match self.scheduler {
-            // `dedicated_workers: 0` means "detect but never reserve";
-            // otherwise always leave at least one shared worker.
-            SchedulerPolicy::EscalationAware {
-                dedicated_workers, ..
-            } if n > 1 && dedicated_workers > 0 && heavy.iter().any(|&h| h) => {
-                dedicated_workers.min(n - 1)
-            }
-            _ => 0,
-        };
-        // Heavy endpoints round-robin over the dedicated tail
-        // [n - dedicated, n); everyone else over the shared head.
-        // Only local shards have workers; remote shards are placed by
-        // their own node's scheduler.
-        let shared_workers = n - dedicated;
-        let mut next_shared = 0usize;
-        let mut next_dedicated = 0usize;
-        for (e, &is_heavy) in entries.iter().zip(&heavy) {
-            for shard in 0..e.local_shards {
-                let w = if is_heavy && dedicated > 0 {
-                    let w = shared_workers + (next_dedicated % dedicated);
-                    next_dedicated += 1;
-                    w
-                } else {
-                    let w = next_shared % shared_workers.max(1);
-                    next_shared += 1;
-                    w
-                };
-                e.assignment[shard].store(w, Ordering::Relaxed);
-            }
+            None => self.endpoints.get(self.default_endpoint),
+            Some(n) => self.endpoints.iter().find(|e| e.name == n),
         }
     }
 
@@ -1247,9 +1094,8 @@ impl Shared {
     /// attached counters).
     fn counters_report(&self, id: u64) -> Response {
         let report: Vec<EndpointCounters> = self
-            .groups
+            .endpoints
             .iter()
-            .flat_map(|g| g.primaries.iter().chain(g.shadows.iter()))
             .map(|e| EndpointCounters {
                 endpoint: e.name.clone(),
                 version: e.version,
@@ -1305,7 +1151,7 @@ impl Shared {
     /// Count one arriving request — unless the runtime is closed,
     /// which fails fast before any side effect: a closed runtime
     /// admits nothing and records nothing, so post-shutdown retries
-    /// cannot skew stats or version-router state.
+    /// cannot skew stats.
     fn count_request(&self) -> Result<(), ServeError> {
         if self.gate().closed {
             return Err(ServeError::Disconnected);
@@ -1326,11 +1172,6 @@ impl Shared {
             Ok(worker) => worker,
             Err(resp) => return Ok(resp),
         };
-        // The shadows take the gate, so they go before any slot does: a
-        // thread holding a slot never waits for the gate, which
-        // `shutdown` holds while its sentinels wait for queue room that
-        // only a worker with a slot makes.
-        self.send_shadows(std::mem::take(&mut routed.shadow_jobs));
         let others = self.local_callers.fetch_add(1, Ordering::Relaxed);
         let served = self.serve_local(routed, worker, others < self.n_workers);
         self.local_callers.fetch_sub(1, Ordering::Relaxed);
@@ -1357,10 +1198,8 @@ impl Shared {
             None
         };
         if let Some(slot) = slot {
-            let job = self.job_for(routed, None);
-            let served = self.serve_here(&job, worker);
+            let served = self.serve_here(&routed.into_job(), worker);
             drop(slot);
-            self.maybe_rebalance();
             return served.map_err(|_| ServeError::Disconnected);
         }
         let (reply_tx, reply_rx) = bounded(1);
@@ -1410,7 +1249,7 @@ impl Shared {
         may_run: bool,
     ) -> Result<Submitted<'_>, ServeError> {
         self.count_request()?;
-        let mut routed = match self.plan_route(req) {
+        let routed = match self.plan_route(req) {
             Planned::Answered(resp) => {
                 sink(resp);
                 return Ok(Submitted::Done);
@@ -1420,25 +1259,20 @@ impl Shared {
         if routed.shard >= routed.entry.local_shards {
             return Ok(Submitted::Forward(Forward(routed, sink)));
         }
-        let worker = routed.entry.assignment[routed.shard].load(Ordering::Relaxed);
+        let worker = routed.entry.assignment[routed.shard];
         if may_run {
-            // The shadows take the gate, so they go before the slot.
-            self.send_shadows(std::mem::take(&mut routed.shadow_jobs));
             if let Some(slot) = self.inline_slot(worker)? {
                 return Ok(Submitted::Runnable(Runnable {
                     shared: self,
                     slot,
-                    job: self.job_for(routed, None),
+                    job: routed.into_job(),
                     worker,
                     sink,
                 }));
             }
         }
-        let job = self.job_for(routed, Some(Reply::Sink(sink)));
-        Ok(match self.enqueue_job(job, worker, false)? {
-            None => Submitted::Done,
-            Some(job) => Submitted::Full(Queued(job, worker)),
-        })
+        self.requeue(Queued(routed.into_job(), Reply::Sink(sink), worker))
+            .map(|full| full.map_or(Submitted::Done, Submitted::Full))
     }
 
     /// Forward a [`submit`](Self::submit)ted request to its remote
@@ -1458,14 +1292,14 @@ impl Shared {
     /// Try once more to queue a [`submit`](Self::submit)ted request
     /// whose worker queue was full; `Some` while it still is.
     fn requeue(&self, queued: Queued) -> Result<Option<Queued>, ServeError> {
-        let Queued(job, worker) = queued;
+        let Queued(job, reply, worker) = queued;
         Ok(self
-            .enqueue_job(job, worker, false)?
-            .map(|job| Queued(job, worker)))
+            .enqueue_job(job, reply, worker, false)?
+            .map(|(job, reply)| Queued(job, reply, worker)))
     }
 
-    /// Control frames, routing, admission control and shadow
-    /// mirroring: every step of admission that never waits.
+    /// Control frames, routing and admission control: every step of
+    /// admission that never waits.
     fn plan_route(&self, req: Request) -> Planned {
         // Control frames are answered at admission — they never touch
         // worker queues or row counters.
@@ -1484,7 +1318,7 @@ impl Shared {
             resp.overloaded = true;
             return Planned::Answered(resp);
         }
-        let Some(group) = self.find_group(req.endpoint.as_deref()) else {
+        let Some(entry) = self.find_endpoint(req.endpoint.as_deref()) else {
             self.stats.route_errors.fetch_add(1, Ordering::Relaxed);
             let name = req.endpoint.as_deref().unwrap_or(DEFAULT_ENDPOINT);
             return Planned::Answered(Response::failure(
@@ -1492,19 +1326,14 @@ impl Shared {
                 format!("unknown endpoint `{name}`"),
             ));
         };
-        let entry = match req.version {
-            Some(v) => match group.primaries.iter().find(|e| e.version == v) {
-                Some(e) => Arc::clone(e),
-                None => {
-                    self.stats.route_errors.fetch_add(1, Ordering::Relaxed);
-                    return Planned::Answered(Response::failure(
-                        req.id,
-                        format!("endpoint `{}` has no version {v}", group.name),
-                    ));
-                }
-            },
-            None => Arc::clone(&group.primaries[group.pick_version()]),
-        };
+        if let Some(v) = req.version.filter(|&v| v != entry.version) {
+            self.stats.route_errors.fetch_add(1, Ordering::Relaxed);
+            return Planned::Answered(Response::failure(
+                req.id,
+                format!("endpoint `{}` has no version {v}", entry.name),
+            ));
+        }
+        let entry = Arc::clone(entry);
 
         // ---- statistical admission telemetry -----------------------
         // Record the arrival and test the routing key for heat. A hot
@@ -1535,27 +1364,6 @@ impl Shared {
         }
 
         let key = if hot { None } else { req.key.clone() };
-        // Shadow mirrors route over their *local* shards only (a
-        // remote mirror would stall admission on a network round
-        // trip); an all-remote shadow drops the copy.
-        let shadow_jobs: Vec<(usize, RoutedJob)> = group
-            .shadows
-            .iter()
-            .filter(|shadow| shadow.local_shards > 0)
-            .map(|shadow| {
-                let shard = pick_shard(shadow, key.as_deref(), shadow.local_shards, false);
-                record_route(shadow, shard, &[], &req);
-                (
-                    shadow.assignment[shard].load(Ordering::Relaxed),
-                    RoutedJob {
-                        req: req.clone(),
-                        entry: Arc::clone(shadow),
-                        reply: None,
-                        degraded: false,
-                    },
-                )
-            })
-            .collect();
 
         // Forwarded frames stay on local shards (the forwarding-loop
         // guard); plain frames route uniformly over local shards plus
@@ -1592,8 +1400,7 @@ impl Shared {
         // requests are judged by the remote node's own policy.
         let mut degraded = false;
         if shard < entry.local_shards {
-            let routed_worker = entry.assignment[shard].load(Ordering::Relaxed);
-            match self.admission_decision(&entry, routed_worker) {
+            match self.admission_decision(&entry, entry.assignment[shard]) {
                 AdmissionDecision::Accept => {}
                 AdmissionDecision::Degrade => {
                     // Endpoints without a degraded lowering stay on
@@ -1607,9 +1414,7 @@ impl Shared {
                 AdmissionDecision::Shed => {
                     self.stats.shed.fetch_add(1, Ordering::Relaxed);
                     entry.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    // Shed requests are not routed (no row counters)
-                    // and not mirrored: shadows exist to validate
-                    // serving, and nothing was served.
+                    // Shed requests are not routed (no row counters).
                     let resp = Response::shed(req.id, &entry.name, entry.version);
                     return Planned::Answered(resp);
                 }
@@ -1625,7 +1430,6 @@ impl Shared {
             entry,
             shard,
             remote_active,
-            shadow_jobs,
             degraded,
         })
     }
@@ -1634,72 +1438,50 @@ impl Shared {
     /// is a lookup; for a remote shard it **blocks** for the forward,
     /// and the answer — or, when every transport failed and there is
     /// no local shard to fail over to, the failure — comes back as
-    /// `Err` with the shadow mirrors already sent.
+    /// `Err`.
     fn resolve_hop(&self, routed: &mut Routed) -> Result<usize, Response> {
         let entry = &routed.entry;
         if routed.shard < entry.local_shards {
-            return Ok(entry.assignment[routed.shard].load(Ordering::Relaxed));
+            return Ok(entry.assignment[routed.shard]);
         }
         let outcome =
             self.forward_remote(entry, routed.shard, &routed.remote_active, &mut routed.req);
         match outcome {
-            RemoteOutcome::Served(response) => {
-                // The remote node already executed this request;
-                // its answer must reach the caller even when the
-                // gate closed mid-round-trip, so the (best-effort
-                // anyway) shadow mirrors cannot fail it.
-                self.send_shadows(std::mem::take(&mut routed.shadow_jobs));
-                self.maybe_rebalance();
-                Err(response)
-            }
-            RemoteOutcome::AllFailed if entry.local_shards == 0 => {
-                self.send_shadows(std::mem::take(&mut routed.shadow_jobs));
-                Err(Response::failure(
-                    routed.req.id,
-                    format!(
-                        "endpoint `{}`: every remote shard's transport failed",
-                        entry.name
-                    ),
-                ))
-            }
+            RemoteOutcome::Served(response) => Err(response),
+            RemoteOutcome::AllFailed if entry.local_shards == 0 => Err(Response::failure(
+                routed.req.id,
+                format!(
+                    "endpoint `{}`: every remote shard's transport failed",
+                    entry.name
+                ),
+            )),
             RemoteOutcome::AllFailed => {
                 // Fail over onto the local shards, round-robin.
                 entry.stats.failovers.fetch_add(1, Ordering::Relaxed);
                 self.stats.failovers.fetch_add(1, Ordering::Relaxed);
                 let fallback =
                     entry.next_failover.fetch_add(1, Ordering::Relaxed) % entry.local_shards;
-                Ok(entry.assignment[fallback].load(Ordering::Relaxed))
+                Ok(entry.assignment[fallback])
             }
-        }
-    }
-
-    /// Send the shadow mirrors and turn a routed request into the job
-    /// a worker serves — or, with no `reply`, the caller runs itself.
-    fn job_for(&self, routed: Routed, reply: Option<Reply>) -> RoutedJob {
-        self.send_shadows(routed.shadow_jobs);
-        RoutedJob {
-            req: routed.req,
-            entry: routed.entry,
-            reply,
-            degraded: routed.degraded,
         }
     }
 
     /// Put `routed` on `worker`'s queue, sleeping while it is full.
     fn enqueue(&self, routed: Routed, reply: Reply, worker: usize) -> Result<(), ServeError> {
-        let job = self.job_for(routed, Some(reply));
-        self.enqueue_job(job, worker, true).map(|_| ())
+        self.enqueue_job(routed.into_job(), reply, worker, true)
+            .map(|_| ())
     }
 
-    /// Put `job` on `worker`'s queue. A full queue hands the job back
-    /// unless `may_block`, in which case the send is retried until it
-    /// fits.
+    /// Put `job` on `worker`'s queue. A full queue hands the job and
+    /// its reply back unless `may_block`, in which case the send is
+    /// retried until it fits.
     fn enqueue_job(
         &self,
         mut job: RoutedJob,
+        mut reply: Reply,
         worker: usize,
         may_block: bool,
-    ) -> Result<Option<RoutedJob>, ServeError> {
+    ) -> Result<Option<(RoutedJob, Reply)>, ServeError> {
         loop {
             let gate = self.gate();
             if gate.closed {
@@ -1713,37 +1495,18 @@ impl Shared {
             // a sleep-poll with no FIFO fairness among blocked
             // senders; that is the price of not holding the global
             // gate while a queue is full.
-            match gate.senders[worker].try_send(Job::Request(job)) {
-                Ok(()) => break,
-                Err(crossbeam::channel::TrySendError::Full(Job::Request(back))) => {
+            match gate.senders[worker].try_send(Job::Request(job, reply)) {
+                Ok(()) => return Ok(None),
+                Err(crossbeam::channel::TrySendError::Full(Job::Request(back, back_reply))) => {
                     drop(gate);
                     if !may_block {
-                        return Ok(Some(back));
+                        return Ok(Some((back, back_reply)));
                     }
-                    job = back;
+                    (job, reply) = (back, back_reply);
                     std::thread::sleep(std::time::Duration::from_micros(100));
                 }
                 Err(_) => return Err(ServeError::Disconnected),
             }
-        }
-        self.maybe_rebalance();
-        Ok(None)
-    }
-
-    /// Enqueue shadow-mirror copies, best-effort: a full shadow
-    /// queue — or a gate that closed while the primary was in
-    /// flight — drops the copy rather than failing or stalling the
-    /// primary.
-    fn send_shadows(&self, shadow_jobs: Vec<(usize, RoutedJob)>) {
-        if shadow_jobs.is_empty() {
-            return;
-        }
-        let gate = self.gate();
-        if gate.closed {
-            return;
-        }
-        for (w, job) in shadow_jobs {
-            let _ = gate.senders[w].try_send(Job::Request(job));
         }
     }
 
@@ -1858,16 +1621,6 @@ impl Shared {
             }
         }
         RemoteOutcome::AllFailed
-    }
-
-    fn maybe_rebalance(&self) {
-        if !matches!(self.scheduler, SchedulerPolicy::EscalationAware { .. }) {
-            return;
-        }
-        let n = self.admitted.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.rebalance_every > 0 && n.is_multiple_of(self.rebalance_every) {
-            self.rebalance();
-        }
     }
 
     /// Judge one locally-routed request against the admission policy:
@@ -2026,14 +1779,12 @@ fn request_schema(req: &Request) -> SchemaKey<'_> {
 /// Hand one response to whoever waits for it, as a decoded struct: the
 /// wire boundary encodes it only where the bytes
 /// actually leave the process — for a sink, right here on the worker.
-/// Shadow jobs (no reply) drop the response.
-fn respond(job: &RoutedJob, resp: Response) {
-    match &job.reply {
-        None => {}
-        Some(Reply::Channel(reply)) => {
+fn respond(reply: &Reply, resp: Response) {
+    match reply {
+        Reply::Channel(reply) => {
             let _ = reply.send(resp);
         }
-        Some(Reply::Sink(sink)) => sink(resp),
+        Reply::Sink(sink) => sink(resp),
     }
 }
 
@@ -2114,20 +1865,20 @@ fn endpoint_failure(entry: &Endpoint, id: u64, message: String) -> Response {
 /// model batch, scattering scores back per request; falls back to
 /// per-request dispatch when the merge or the batched prediction
 /// fails, so one bad request cannot poison its groupmates.
-fn serve_group(group: &[&RoutedJob], stats: &ServerStats) {
+fn serve_group(group: &[&(RoutedJob, Reply)], stats: &ServerStats) {
     // A lone request gains nothing from the merge path; dispatch it
     // directly so a failing prediction is not pointlessly retried.
-    if let [job] = group {
-        respond(job, handle_one(job, stats));
+    if let [(job, reply)] = group {
+        respond(reply, handle_one(job, stats));
         return;
     }
-    let entry = &group[0].entry;
-    let total: usize = group.iter().map(|j| j.req.rows.len()).sum();
+    let entry = &group[0].0.entry;
+    let total: usize = group.iter().map(|(j, _)| j.req.rows.len()).sum();
     // Grouping keys on the degrade marker, so the whole group shares
     // the first job's servable choice.
-    let degraded = group[0].degraded;
+    let degraded = group[0].0.degraded;
     let started = Instant::now();
-    let batched = rows_to_table(group.iter().flat_map(|j| &j.req.rows))
+    let batched = rows_to_table(group.iter().flat_map(|(j, _)| &j.req.rows))
         .map_err(|e| e.to_string())
         .and_then(|table| entry.active_servable(degraded).predict_table(&table))
         .ok()
@@ -2157,15 +1908,15 @@ fn serve_group(group: &[&RoutedJob], stats: &ServerStats) {
                 .coalesced_rows
                 .fetch_add(total as u64, Ordering::Relaxed);
             let mut offset = 0;
-            for job in group {
+            for (job, reply) in group {
                 let n = job.req.rows.len();
-                respond(job, scored(job, scores[offset..offset + n].to_vec()));
+                respond(reply, scored(job, scores[offset..offset + n].to_vec()));
                 offset += n;
             }
         }
         None => {
-            for job in group {
-                respond(job, handle_one(job, stats));
+            for (job, reply) in group {
+                respond(reply, handle_one(job, stats));
             }
         }
     }
@@ -2174,10 +1925,10 @@ fn serve_group(group: &[&RoutedJob], stats: &ServerStats) {
 /// One worker iteration over a drained batch of routed jobs: group by
 /// (endpoint, schema), serve each group coalesced (or per-request when
 /// coalescing is off).
-fn process_batch(jobs: &[RoutedJob], stats: &ServerStats, coalesce: bool) {
+fn process_batch(jobs: &[(RoutedJob, Reply)], stats: &ServerStats, coalesce: bool) {
     if !coalesce {
-        for job in jobs {
-            respond(job, handle_one(job, stats));
+        for (job, reply) in jobs {
+            respond(reply, handle_one(job, stats));
         }
         return;
     }
@@ -2186,16 +1937,17 @@ fn process_batch(jobs: &[RoutedJob], stats: &ServerStats, coalesce: bool) {
     // jobs of one endpoint run different servables, so they must not
     // merge).
     type GroupKey<'a> = (*const Endpoint, bool, SchemaKey<'a>);
-    let mut groups: Vec<(GroupKey<'_>, Vec<&RoutedJob>)> = Vec::new();
-    for job in jobs {
+    let mut groups: Vec<(GroupKey<'_>, Vec<&(RoutedJob, Reply)>)> = Vec::new();
+    for member in jobs {
+        let job = &member.0;
         let key: GroupKey<'_> = (
             Arc::as_ptr(&job.entry),
             job.degraded,
             request_schema(&job.req),
         );
         match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, members)) => members.push(job),
-            None => groups.push((key, vec![job])),
+            Some((_, members)) => members.push(member),
+            None => groups.push((key, vec![member])),
         }
     }
     for (_, members) in &groups {
@@ -2207,7 +1959,7 @@ fn worker_loop(shared: &Shared, wi: usize, rx: &Receiver<Job>) {
     let max_batch = shared.config.max_batch_requests.max(1);
     loop {
         let first = match rx.recv() {
-            Ok(Job::Request(job)) => job,
+            Ok(Job::Request(job, reply)) => (job, reply),
             // The sentinel (or a fully-dropped channel) ends this
             // worker; each worker's queue carries exactly one.
             Ok(Job::Shutdown) | Err(_) => return,
@@ -2222,7 +1974,7 @@ fn worker_loop(shared: &Shared, wi: usize, rx: &Receiver<Job>) {
         let mut shutting_down = false;
         while jobs.len() < max_batch {
             match rx.try_recv() {
-                Ok(Job::Request(job)) => jobs.push(job),
+                Ok(Job::Request(job, reply)) => jobs.push((job, reply)),
                 Ok(Job::Shutdown) => {
                     shutting_down = true;
                     break;
@@ -2249,17 +2001,16 @@ struct EndpointSpec {
     counters: Option<Arc<PlanCounters>>,
     shards: usize,
     transports: Vec<Arc<dyn WorkerTransport>>,
-    weight: f64,
-    shadow: bool,
 }
 
-/// Builder for a [`ServingRuntime`]: register named, versioned,
-/// sharded endpoints, then [`build`](RuntimeBuilder::build).
+/// Builder for a [`ServingRuntime`]: register named, sharded
+/// endpoints — one version per name — then
+/// [`build`](RuntimeBuilder::build).
 ///
 /// # Examples
 ///
-/// Two endpoints — one canaried across two versions, one mixing
-/// local and remote shards:
+/// Two named endpoints, one of them sharded, and a call pinned to a
+/// version:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -2276,51 +2027,34 @@ struct EndpointSpec {
 /// # fn main() -> Result<(), willump_serve::ServeError> {
 /// let mut b = ServingRuntime::builder();
 /// b.config(ServerConfig::builder().workers(2).build());
-/// b.endpoint("stable", Arc::new(Constant(1.0))).shards(2).weight(9.0);
-/// b.endpoint("stable", Arc::new(Constant(2.0))).version(2).weight(1.0);
+/// b.endpoint("stable", Arc::new(Constant(1.0))).shards(2);
 /// // Remote shards live behind `RemoteRuntimeNode`s; see
 /// // `shard_remote` for the TCP form.
-/// b.endpoint("experimental", Arc::new(Constant(0.0)));
+/// b.endpoint("experimental", Arc::new(Constant(0.0))).version(2);
 /// let runtime = b.build()?;
 ///
 /// let client = runtime.client();
 /// let rows = vec![vec![("x".to_string(), willump_data::Value::Float(0.0))]];
-/// // ~10% of unpinned `stable` traffic reaches version 2.
-/// let score = client.predict_endpoint("stable", rows)?[0];
-/// assert!(score == 1.0 || score == 2.0);
+/// assert_eq!(client.predict_endpoint("stable", rows.clone())?, vec![1.0]);
+/// // A pin must name the endpoint's one version.
+/// assert_eq!(client.predict_version("experimental", 2, rows.clone())?, vec![0.0]);
+/// assert!(client.predict_version("experimental", 1, rows).is_err());
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
+#[derive(Default)]
 pub struct RuntimeBuilder {
     config: ServerConfig,
-    scheduler: SchedulerPolicy,
-    rebalance_every: u64,
     admission: Option<AdmissionPolicy>,
     endpoints: Vec<EndpointSpec>,
     default_endpoint: Option<String>,
-    version_policies: Vec<(String, SelectionPolicy, u64)>,
-}
-
-impl Default for RuntimeBuilder {
-    fn default() -> Self {
-        RuntimeBuilder {
-            config: ServerConfig::default(),
-            scheduler: SchedulerPolicy::Static,
-            rebalance_every: 256,
-            admission: None,
-            endpoints: Vec::new(),
-            default_endpoint: None,
-            version_policies: Vec::new(),
-        }
-    }
 }
 
 impl std::fmt::Debug for RuntimeBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuntimeBuilder")
             .field("config", &self.config)
-            .field("scheduler", &self.scheduler)
             .field("endpoints", &self.endpoints.len())
             .finish_non_exhaustive()
     }
@@ -2335,22 +2069,6 @@ impl RuntimeBuilder {
     /// Set the worker-pool / batching configuration.
     pub fn config(&mut self, config: ServerConfig) -> &mut RuntimeBuilder {
         self.config = config;
-        self
-    }
-
-    /// Set the shard -> worker scheduling policy (default
-    /// [`SchedulerPolicy::Static`]).
-    pub fn scheduler(&mut self, policy: SchedulerPolicy) -> &mut RuntimeBuilder {
-        self.scheduler = policy;
-        self
-    }
-
-    /// Under [`SchedulerPolicy::EscalationAware`], re-read plan
-    /// statistics and rebalance assignments every `every` admitted
-    /// requests (0 disables automatic rebalancing; default 256).
-    /// [`ServingRuntime::rebalance`] always works manually.
-    pub fn rebalance_every(&mut self, every: u64) -> &mut RuntimeBuilder {
-        self.rebalance_every = every;
         self
     }
 
@@ -2373,22 +2091,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Route unpinned traffic for endpoint `name` across its versions
-    /// with a [`ModelSelector`] bandit instead of the weighted split.
-    /// Read the selector back with [`ServingRuntime::version_selector`]
-    /// to feed rewards.
-    pub fn version_policy(
-        &mut self,
-        name: &str,
-        policy: SelectionPolicy,
-        seed: u64,
-    ) -> &mut RuntimeBuilder {
-        self.version_policies.push((name.to_string(), policy, seed));
-        self
-    }
-
     /// Register an endpoint serving `servable` under `name`; chain
-    /// [`EndpointBuilder`] calls to set version, shards, and weight.
+    /// [`EndpointBuilder`] calls to set its version and shards.
     pub fn endpoint(&mut self, name: &str, servable: Arc<dyn Servable>) -> EndpointBuilder<'_> {
         self.endpoints.push(EndpointSpec {
             name: name.to_string(),
@@ -2398,8 +2102,6 @@ impl RuntimeBuilder {
             counters: None,
             shards: 1,
             transports: Vec::new(),
-            weight: 1.0,
-            shadow: false,
         });
         EndpointBuilder {
             spec: self.endpoints.last_mut().expect("just pushed"),
@@ -2407,8 +2109,9 @@ impl RuntimeBuilder {
     }
 
     /// Register a [`willump::ServingPlan`] endpoint, automatically
-    /// attaching its [`PlanCounters`] so the escalation-aware
-    /// scheduler can read the plan's statistics — and, when the plan
+    /// attaching its [`PlanCounters`] so
+    /// [`Endpoint::merged_counters`] and counters probes report the
+    /// plan's statistics — and, when the plan
     /// [`can_degrade`](willump::ServingPlan::can_degrade), its
     /// [`degraded`](willump::ServingPlan::degraded) lowering so
     /// admission control can degrade before shedding.
@@ -2426,9 +2129,8 @@ impl RuntimeBuilder {
     ///
     /// # Errors
     /// Returns [`ServeError::BadRequest`] when no endpoints are
-    /// registered, a (name, version) pair repeats, a weight is
-    /// invalid, a version policy names an unknown endpoint, or the
-    /// default endpoint does not exist.
+    /// registered, a name is registered twice (whatever the
+    /// versions), or the default endpoint does not exist.
     pub fn build(self) -> Result<ServingRuntime, ServeError> {
         let bad = |reason: String| ServeError::BadRequest { reason };
         if self.endpoints.is_empty() {
@@ -2437,15 +2139,14 @@ impl RuntimeBuilder {
         let n_workers = self.config.workers.max(1);
         let with_admission = self.admission.is_some();
 
-        // Assemble groups in registration order.
-        let mut groups: Vec<Group> = Vec::new();
+        // Local shards go round-robin over the workers, in
+        // registration order; remote shards are placed by their own
+        // node.
+        let mut placed = 0;
+        let mut endpoints: Vec<Arc<Endpoint>> = Vec::with_capacity(self.endpoints.len());
         for spec in self.endpoints {
-            let weight_ok = spec.weight.is_finite() && spec.weight > 0.0;
-            if !weight_ok && !spec.shadow {
-                return Err(bad(format!(
-                    "endpoint `{}` v{} has non-positive weight {}",
-                    spec.name, spec.version, spec.weight
-                )));
+            if endpoints.iter().any(|e| e.name == spec.name) {
+                return Err(bad(format!("endpoint `{}` registered twice", spec.name)));
             }
             // Remote shards allow an all-remote endpoint (0 local
             // shards); without them at least one local shard exists.
@@ -2462,8 +2163,8 @@ impl RuntimeBuilder {
                         .collect(),
                 ),
             });
-            let entry = Arc::new(Endpoint {
-                name: spec.name.clone(),
+            endpoints.push(Arc::new(Endpoint {
+                name: spec.name,
                 version: spec.version,
                 servable: spec.servable,
                 degraded_servable: spec.degraded,
@@ -2471,85 +2172,23 @@ impl RuntimeBuilder {
                 counters: spec.counters,
                 local_shards,
                 remote: Arc::clone(&remote),
-                weight: spec.weight,
-                shadow: spec.shadow,
-                assignment: (0..local_shards).map(|_| AtomicUsize::new(0)).collect(),
+                assignment: (placed..placed + local_shards)
+                    .map(|w| w % n_workers)
+                    .collect(),
                 next_shard: AtomicUsize::new(0),
                 next_forwarded: AtomicUsize::new(0),
                 next_failover: AtomicUsize::new(0),
                 remote_in_flight: AtomicUsize::new(0),
                 stats: EndpointStats::new(local_shards, remote),
-            });
-            let group = match groups.iter_mut().find(|g| g.name == spec.name) {
-                Some(g) => g,
-                None => {
-                    groups.push(Group {
-                        name: spec.name.clone(),
-                        primaries: Vec::new(),
-                        shadows: Vec::new(),
-                        router: Router::Single,
-                    });
-                    groups.last_mut().expect("just pushed")
-                }
-            };
-            if group
-                .primaries
-                .iter()
-                .chain(group.shadows.iter())
-                .any(|e| e.version == entry.version)
-            {
-                return Err(bad(format!(
-                    "endpoint `{}` v{} registered twice",
-                    entry.name, entry.version
-                )));
-            }
-            if entry.shadow {
-                group.shadows.push(entry);
-            } else {
-                group.primaries.push(entry);
-            }
-        }
-        for g in &groups {
-            if g.primaries.is_empty() {
-                return Err(bad(format!(
-                    "endpoint `{}` has only shadow versions",
-                    g.name
-                )));
-            }
+            }));
+            placed += local_shards;
         }
 
-        // Version routers: explicit bandit policies first, weighted
-        // splits for any remaining multi-version group.
-        for (name, policy, seed) in self.version_policies {
-            let group = groups
-                .iter_mut()
-                .find(|g| g.name == name)
-                .ok_or_else(|| bad(format!("version policy for unknown endpoint `{name}`")))?;
-            let arms = group
-                .primaries
-                .iter()
-                .map(|e| {
-                    (
-                        format!("{}@v{}", e.name, e.version),
-                        Arc::clone(&e.servable),
-                    )
-                })
-                .collect();
-            group.router = Router::Bandit(Arc::new(ModelSelector::new(arms, policy, seed)?));
-        }
-        for g in &mut groups {
-            if g.primaries.len() > 1 && matches!(g.router, Router::Single) {
-                g.router = Router::Weighted(Mutex::new(Wrr {
-                    current: vec![0.0; g.primaries.len()],
-                }));
-            }
-        }
-
-        let default_group = match &self.default_endpoint {
+        let default_endpoint = match &self.default_endpoint {
             None => 0,
-            Some(name) => groups
+            Some(name) => endpoints
                 .iter()
-                .position(|g| g.name == *name)
+                .position(|e| e.name == *name)
                 .ok_or_else(|| bad(format!("default endpoint `{name}` is not registered")))?,
         };
 
@@ -2561,15 +2200,12 @@ impl RuntimeBuilder {
             receivers.push(rx);
         }
         let shared = Arc::new(Shared {
-            groups,
-            default_group,
+            endpoints,
+            default_endpoint,
             config: self.config,
-            scheduler: self.scheduler,
-            rebalance_every: self.rebalance_every,
             admission: self.admission,
             started: Instant::now(),
             queue_probes: senders.clone(),
-            admitted: AtomicU64::new(0),
             gate: Mutex::new(GateState {
                 senders,
                 closed: false,
@@ -2581,8 +2217,6 @@ impl RuntimeBuilder {
             stats: ServerStats::new(n_workers),
             n_workers,
         });
-        // Initial placement before any request can be admitted.
-        shared.rebalance();
         let workers = receivers
             .into_iter()
             .enumerate()
@@ -2612,7 +2246,8 @@ impl std::fmt::Debug for EndpointSpec {
 }
 
 impl EndpointBuilder<'_> {
-    /// Set the endpoint version (default 1).
+    /// Set the endpoint's version (default 1): the one a pinned
+    /// [`crate::Request::version`] must name, echoed in every response.
     pub fn version(self, version: u32) -> Self {
         self.spec.version = version;
         self
@@ -2649,24 +2284,9 @@ impl EndpointBuilder<'_> {
         self
     }
 
-    /// Set the traffic weight among unpinned requests to this
-    /// endpoint name (default 1.0; must be finite and positive).
-    pub fn weight(self, weight: f64) -> Self {
-        self.spec.weight = weight;
-        self
-    }
-
-    /// Mark this version as a shadow: it receives a mirrored copy of
-    /// every request admitted to its endpoint name, and its responses
-    /// are discarded. Shadows serve no primary traffic and cannot be
-    /// pinned by [`crate::Request::version`].
-    pub fn shadow(self) -> Self {
-        self.spec.shadow = true;
-        self
-    }
-
-    /// Attach [`PlanCounters`] the escalation-aware scheduler should
-    /// read for this endpoint ([`RuntimeBuilder::plan`] does this
+    /// Attach the [`PlanCounters`] that
+    /// [`Endpoint::merged_counters`] and counters probes report for
+    /// this endpoint ([`RuntimeBuilder::plan`] does this
     /// automatically).
     pub fn counters(self, counters: Arc<PlanCounters>) -> Self {
         self.spec.counters = Some(counters);
@@ -2773,25 +2393,18 @@ impl ServingRuntime {
 
     /// The name unaddressed requests route to.
     pub fn default_endpoint(&self) -> &str {
-        &self.shared.groups[self.shared.default_group].name
+        &self.shared.endpoints[self.shared.default_endpoint].name
     }
 
-    /// Every registered endpoint (primaries then shadows per group,
-    /// groups in registration order).
+    /// Every registered endpoint, in registration order.
     pub fn endpoints(&self) -> Vec<Arc<Endpoint>> {
-        self.shared
-            .groups
-            .iter()
-            .flat_map(|g| g.primaries.iter().chain(g.shadows.iter()))
-            .map(Arc::clone)
-            .collect()
+        self.shared.all_endpoints()
     }
 
     /// Every endpoint's counters merged into one workload-wide
-    /// [`EndpointStatsSnapshot`] (shadows included — their traffic is
-    /// real work even though their responses are discarded). The
-    /// additive fields of the result reconcile with the global
-    /// [`stats`](Self::stats) view; high-water marks take the max.
+    /// [`EndpointStatsSnapshot`]. The additive fields of the result
+    /// reconcile with the global [`stats`](Self::stats) view;
+    /// high-water marks take the max.
     pub fn summed_endpoint_stats(&self) -> EndpointStatsSnapshot {
         self.endpoints()
             .iter()
@@ -2799,52 +2412,28 @@ impl ServingRuntime {
             .fold(EndpointStatsSnapshot::default(), |acc, s| acc.merged(&s))
     }
 
-    /// Look up one primary endpoint by name and version.
+    /// Look up the endpoint named `name`, when it serves `version`.
     pub fn endpoint(&self, name: &str, version: u32) -> Option<Arc<Endpoint>> {
         self.shared
-            .groups
+            .endpoints
             .iter()
-            .find(|g| g.name == name)?
-            .primaries
-            .iter()
-            .find(|e| e.version == version)
+            .find(|e| e.name == name && e.version == version)
             .map(Arc::clone)
-    }
-
-    /// The bandit selector routing unpinned traffic for `name`, when
-    /// a [`RuntimeBuilder::version_policy`] was installed. Arms are
-    /// the endpoint's primary versions in registration order; feed
-    /// rewards through [`ModelSelector::reward`].
-    pub fn version_selector(&self, name: &str) -> Option<Arc<ModelSelector>> {
-        let group = self.shared.groups.iter().find(|g| g.name == name)?;
-        match &group.router {
-            Router::Bandit(sel) => Some(Arc::clone(sel)),
-            _ => None,
-        }
-    }
-
-    /// Recompute every endpoint's shard -> worker assignment from the
-    /// scheduler policy and the plans' current [`PlanCounters`].
-    /// Under [`SchedulerPolicy::EscalationAware`] this also runs
-    /// automatically every [`RuntimeBuilder::rebalance_every`]
-    /// admitted requests.
-    pub fn rebalance(&self) {
-        self.shared.rebalance();
     }
 
     /// Poll every remote shard for its node's plan counters
     /// ([`crate::ControlRequest::Counters`] probes) and cache the
-    /// snapshots, so [`Endpoint::escalation_rate`] — and therefore
-    /// the escalation-aware scheduler — sees statistics that
+    /// snapshots, so [`Endpoint::merged_counters`] and the
+    /// per-shard views the [`crate::ClusterCoordinator`] scores
+    /// ([`Endpoint::remote_shard_views`]) see statistics that
     /// accumulated in other processes. Returns how many shards
     /// answered.
     ///
     /// Best-effort and synchronous: each probe is one transport round
     /// trip, and unreachable shards are skipped (their last snapshot
-    /// stays). Automatic [`rebalance`](Self::rebalance) does *not*
-    /// poll remotes — call this first (e.g. from a periodic
-    /// maintenance thread) when remote counters should influence
-    /// placement.
+    /// stays). The cluster prober refreshes a shard's snapshot on
+    /// every successful health probe; call this (e.g. from a periodic
+    /// maintenance thread) for a fresh view of every shard at once.
     pub fn refresh_remote_counters(&self) -> usize {
         let mut updated = 0;
         for e in self.endpoints() {
@@ -2873,7 +2462,7 @@ impl ServingRuntime {
     /// index (`local_shards()..` at the instant of the splice).
     ///
     /// # Errors
-    /// [`ServeError::BadRequest`] when no primary endpoint matches
+    /// [`ServeError::BadRequest`] when no endpoint matches
     /// `name`/`version`.
     pub fn add_remote_shard(
         &self,
@@ -3076,8 +2665,7 @@ impl RuntimeClient {
             .and_then(Self::scores)
     }
 
-    /// Predict through a named endpoint (version chosen by its
-    /// router).
+    /// Predict through a named endpoint, whichever version it serves.
     ///
     /// # Errors
     /// Same conditions as [`predict`](RuntimeClient::predict), plus an
@@ -3114,8 +2702,8 @@ impl RuntimeClient {
         .and_then(Self::scores)
     }
 
-    /// Predict through one pinned version of a named endpoint,
-    /// bypassing the version router.
+    /// Predict through a named endpoint pinned to `version`: a version
+    /// the endpoint does not serve is a route error.
     ///
     /// # Errors
     /// Same conditions as
@@ -3353,117 +2941,21 @@ mod tests {
     }
 
     #[test]
-    fn weighted_canary_split_is_proportional() {
-        let mut b = ServingRuntime::builder();
-        b.endpoint("m", Arc::new(Scaler(1.0))).weight(3.0);
-        b.endpoint("m", Arc::new(Scaler(10.0)))
-            .version(2)
-            .weight(1.0);
-        let rt = b.build().unwrap();
-        let client = rt.client();
-        for _ in 0..200 {
-            client.predict_endpoint("m", wire_rows(&[1.0])).unwrap();
-        }
-        let v1 = rt.endpoint("m", 1).unwrap().stats().requests();
-        let v2 = rt.endpoint("m", 2).unwrap().stats().requests();
-        assert_eq!(v1 + v2, 200);
-        assert_eq!(v1, 150, "smooth WRR is exactly proportional");
-        assert_eq!(v2, 50);
-        // Pinning bypasses the router.
-        assert_eq!(
-            client.predict_version("m", 2, wire_rows(&[2.0])).unwrap(),
-            vec![20.0]
-        );
-    }
-
-    #[test]
-    fn bandit_version_policy_routes_and_rewards() {
-        let mut b = ServingRuntime::builder();
-        b.endpoint("m", Arc::new(Scaler(0.0)));
-        b.endpoint("m", Arc::new(Scaler(1.0))).version(2);
-        b.version_policy("m", SelectionPolicy::EpsilonGreedy { epsilon: 0.1 }, 7);
-        let rt = b.build().unwrap();
-        let sel = rt.version_selector("m").expect("bandit installed");
-        let client = rt.client();
-        let mut late_v2 = 0;
-        for i in 0..300 {
-            let resp = client
-                .call(Request {
-                    endpoint: Some("m".to_string()),
-                    ..Request::new(i + 1, wire_rows(&[1.0]))
-                })
-                .unwrap();
-            let v = resp.version.unwrap();
-            let arm = (v - 1) as usize;
-            sel.reward(arm, if v == 2 { 0.9 } else { 0.1 });
-            if i >= 150 && v == 2 {
-                late_v2 += 1;
-            }
-        }
-        assert!(
-            late_v2 > 120,
-            "bandit should converge to the rewarded version, got {late_v2}/150"
-        );
-        assert_eq!(sel.arm_stats().iter().map(|a| a.pulls).sum::<u64>(), 300);
-    }
-
-    #[test]
-    fn shadow_versions_mirror_traffic_without_serving() {
-        struct Failing;
-        impl Servable for Failing {
-            fn predict_table(&self, _t: &Table) -> Result<Vec<f64>, String> {
-                Err("shadow failure must stay invisible".to_string())
-            }
-        }
-        let mut b = ServingRuntime::builder();
-        b.endpoint("m", Arc::new(Scaler(2.0)));
-        b.endpoint("m", Arc::new(Failing)).version(2).shadow();
-        let rt = b.build().unwrap();
-        let client = rt.client();
-        for i in 0..10 {
-            // Shadow failures never affect the primary answer.
-            assert_eq!(
-                client
-                    .predict_endpoint("m", wire_rows(&[i as f64]))
-                    .unwrap(),
-                vec![2.0 * i as f64]
-            );
-        }
-        // Both endpoints saw the traffic; only the primary counted
-        // globally.
-        let eps = rt.endpoints();
-        let shadow = eps.iter().find(|e| e.is_shadow()).unwrap();
-        assert_eq!(shadow.stats().requests(), 10);
-        assert_eq!(rt.endpoint("m", 1).unwrap().stats().requests(), 10);
-        assert_eq!(rt.stats().requests(), 10);
-    }
-
-    #[test]
     fn builder_rejects_bad_registrations() {
         // No endpoints.
         assert!(ServingRuntime::builder().build().is_err());
-        // Duplicate (name, version).
-        let mut b = ServingRuntime::builder();
-        b.endpoint("m", Arc::new(Scaler(1.0)));
-        b.endpoint("m", Arc::new(Scaler(2.0)));
-        assert!(b.build().is_err());
-        // Bad weight.
-        let mut b = ServingRuntime::builder();
-        b.endpoint("m", Arc::new(Scaler(1.0))).weight(0.0);
-        assert!(b.build().is_err());
+        // A name registered twice, under the same version or another.
+        for version in [1, 2] {
+            let mut b = ServingRuntime::builder();
+            b.endpoint("m", Arc::new(Scaler(1.0)));
+            b.endpoint("m", Arc::new(Scaler(2.0))).version(version);
+            let reason = "endpoint `m` registered twice".to_string();
+            assert_eq!(b.build().err(), Some(ServeError::BadRequest { reason }));
+        }
         // Unknown default endpoint.
         let mut b = ServingRuntime::builder();
         b.endpoint("m", Arc::new(Scaler(1.0)));
         b.default_endpoint("nope");
-        assert!(b.build().is_err());
-        // Version policy for unknown endpoint.
-        let mut b = ServingRuntime::builder();
-        b.endpoint("m", Arc::new(Scaler(1.0)));
-        b.version_policy("other", SelectionPolicy::Ucb1, 1);
-        assert!(b.build().is_err());
-        // Shadow-only group.
-        let mut b = ServingRuntime::builder();
-        b.endpoint("m", Arc::new(Scaler(1.0))).shadow();
         assert!(b.build().is_err());
     }
 
@@ -3780,21 +3272,20 @@ mod tests {
             });
         }
 
-        /// Shutdown against inline callers of an endpoint with a
-        /// shadow, on one worker with a one-job queue. Shutdown holds
+        /// Shutdown against inline callers, on one worker with a
+        /// one-job queue. Shutdown holds
         /// the gate while a sentinel waits for room in a queue that a
         /// worker drains only once it has a slot, so a caller that
         /// waited for the gate while holding its slot would hang all
         /// three. The race is rare; the check in [`Shared::gate`] fails
         /// the first caller that takes the gate under its slot.
         #[test]
-        fn shutdown_racing_inline_callers_with_a_shadow_returns() {
+        fn shutdown_racing_inline_callers_returns() {
             under_watchdog(|| {
                 for _ in 0..200 {
                     let mut b = ServingRuntime::builder();
                     b.config(ServerConfig::builder().workers(1).queue_capacity(1).build());
                     b.endpoint("m", Arc::new(Scaler(2.0)));
-                    b.endpoint("m", Arc::new(Scaler(3.0))).version(2).shadow();
                     let mut rt = b.build().unwrap();
                     let callers: Vec<_> = (0..3)
                         .map(|_| {

@@ -60,8 +60,8 @@ impl Servable for willump::ServingPlan {
 /// [`crate::ServingRuntime`].
 ///
 /// Construct with [`ServerConfig::builder`] (the struct is
-/// `#[non_exhaustive]`, so future fields — scheduler knobs, shard
-/// defaults — are non-breaking) or start from
+/// `#[non_exhaustive]`, so future fields — shard defaults, say — are
+/// non-breaking) or start from
 /// [`ServerConfig::default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]

@@ -2,7 +2,7 @@
 //! frame round-trips (property-based), local-vs-remote prediction
 //! equivalence over real TCP, kill-the-node fail-over, the
 //! forwarding-loop guard, and the remote plan-counters feed for the
-//! escalation-aware scheduler.
+//! parent's merged counters.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -499,7 +499,7 @@ fn remote_counters_reach_the_parent_scheduler() {
     assert!(snap.rows > 0, "child plan ran rows");
     assert_eq!(snap.escalated, snap.rows, "child escalates everything");
 
-    // …and refreshing folds them into the parent's scheduler view.
+    // …and refreshing folds them into the parent endpoint's merged view.
     // Both remote shards answer, but they are ONE node: its counters
     // must merge once, not once per shard.
     assert_eq!(parent.refresh_remote_counters(), 2);
@@ -509,9 +509,9 @@ fn remote_counters_reach_the_parent_scheduler() {
         "same-node shards must not double-count"
     );
     assert!(
-        ep.escalation_rate() > 0.3,
+        merged.escalation_rate() > 0.3,
         "remote escalations must raise the merged rate, got {}",
-        ep.escalation_rate()
+        merged.escalation_rate()
     );
 
     // Unknown endpoints are a clean probe error.

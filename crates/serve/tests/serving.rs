@@ -1,7 +1,7 @@
 //! Integration tests for the serving layer: wire-protocol round-trip
 //! properties (including the multi-endpoint addressing fields),
 //! coalesced-vs-sequential serving equivalence, and the
-//! `ServingRuntime`'s routing, sharding, and scheduling behavior.
+//! `ServingRuntime`'s routing and sharding behavior.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -130,17 +130,12 @@ fn wire_row(x: f64, y: f64) -> WireRow {
     ]
 }
 
-/// One of two identical runtimes: an endpoint split 3:1 over two
-/// versions, two shards, two workers.
+/// One of two identical runtimes: one endpoint, two shards, two
+/// workers.
 fn twin_runtime() -> ServingRuntime {
     let mut b = ServingRuntime::builder();
     b.config(ServerConfig::builder().workers(2).build());
-    b.endpoint("affine", Arc::new(AffineSummer))
-        .shards(2)
-        .weight(3.0);
-    b.endpoint("affine", Arc::new(AffineSummer))
-        .version(2)
-        .weight(1.0);
+    b.endpoint("affine", Arc::new(AffineSummer)).shards(2);
     b.build().expect("runtime builds")
 }
 
@@ -170,9 +165,9 @@ proptest! {
     /// a sequence of requests through `call`, its twin behind a node
     /// takes the same sequence as wire2 frames, and every response
     /// matches field for field, scores bit for bit. The twins route in
-    /// step (version split, round-robin cursors, drain latch), so the
-    /// sequence covers keyed and unkeyed requests, unknown endpoints,
-    /// pinned and unknown versions, control frames and a draining node.
+    /// step (round-robin cursors, drain latch), so the sequence covers
+    /// keyed and unkeyed requests, unknown endpoints, the pinned
+    /// version and unserved ones, control frames and a draining node.
     #[test]
     fn typed_call_answers_like_a_wire2_frame(
         frames in prop::collection::vec(
@@ -343,7 +338,6 @@ fn at_most_workers_predictions_run_at_once() {
 /// tests: FG0 carries the easy signal, FG1 is needed for hard rows.
 mod plan_fixture {
     use std::sync::Arc;
-    use willump::ServingPlan;
     use willump_data::{Column, Table};
     use willump_graph::{EngineMode, Executor, GraphBuilder, Operator};
     use willump_models::{LogisticParams, ModelSpec, TrainedModel};
@@ -394,15 +388,6 @@ mod plan_fixture {
                 .unwrap(),
         );
         (small, full)
-    }
-
-    /// A cascade plan with the given confidence threshold.
-    pub fn cascade(threshold: f64) -> (ServingPlan, Table) {
-        let exec = executor();
-        let (t, y) = table(120);
-        let (small, full) = models(&exec, &t, &y);
-        let plan = ServingPlan::cascade(exec, small, full, threshold, vec![0]).unwrap();
-        (plan, t)
     }
 }
 
@@ -455,79 +440,6 @@ fn runtime_serves_two_endpoints_identically_to_their_plans() {
         1
     );
     assert_eq!(runtime.endpoint("topk", 1).unwrap().stats().requests(), 1);
-}
-
-/// The statistics-aware scheduler: an endpoint whose `PlanCounters`
-/// show heavy escalation is moved onto the dedicated worker tail,
-/// disjoint from the light endpoint's workers.
-#[test]
-fn escalation_heavy_endpoint_gets_dedicated_workers() {
-    use willump_serve::SchedulerPolicy;
-
-    // Threshold 1.0: the gate `max(s, 1-s) > 1` never fires, so every
-    // row escalates (rate 1.0). Threshold 0.0: every row resolves at
-    // the gate (rate 0.0).
-    let (heavy_plan, heavy_t) = plan_fixture::cascade(1.0);
-    let (light_plan, light_t) = plan_fixture::cascade(0.0);
-
-    let mut b = ServingRuntime::builder();
-    b.config(ServerConfig::builder().workers(4).build());
-    b.scheduler(SchedulerPolicy::EscalationAware {
-        threshold: 0.5,
-        dedicated_workers: 2,
-    });
-    b.rebalance_every(0); // manual rebalance only, for determinism
-    b.plan("heavy", heavy_plan.clone()).shards(2);
-    b.plan("light", light_plan.clone()).shards(2);
-    let runtime = b.build().unwrap();
-
-    // Before any statistics: nobody is heavy, shards spread over the
-    // whole pool.
-    let initial: Vec<usize> = runtime
-        .endpoints()
-        .iter()
-        .flat_map(|e| e.assignment())
-        .collect();
-    assert_eq!(initial, vec![0, 1, 2, 3]);
-
-    // Drive traffic so the shared counters fill (plan clones share
-    // their `PlanCounters`, so running the local clones is equivalent
-    // to serving through the runtime).
-    heavy_plan.predict_batch(&heavy_t).unwrap();
-    light_plan.predict_batch(&light_t).unwrap();
-    let heavy_ep = runtime.endpoint("heavy", 1).unwrap();
-    let light_ep = runtime.endpoint("light", 1).unwrap();
-    assert!(heavy_ep.escalation_rate() > 0.99, "all rows escalate");
-    assert!(light_ep.escalation_rate() < 0.01, "no rows escalate");
-
-    runtime.rebalance();
-
-    // Heavy shards now live on the dedicated tail {2, 3}; light
-    // shards on the shared head {0, 1}; the sets are disjoint.
-    let heavy_workers = heavy_ep.assignment();
-    let light_workers = light_ep.assignment();
-    assert!(
-        heavy_workers.iter().all(|&w| w >= 2),
-        "heavy endpoint must use the dedicated tail, got {heavy_workers:?}"
-    );
-    assert!(
-        light_workers.iter().all(|&w| w < 2),
-        "light endpoint must stay on the shared head, got {light_workers:?}"
-    );
-
-    // Serving still works after the rebalance, on both endpoints.
-    let client = runtime.client();
-    let rows: Vec<WireRow> = (0..4)
-        .map(|r| willump_serve::table_row_to_wire(&heavy_t, r).unwrap())
-        .collect();
-    assert_eq!(
-        client
-            .predict_endpoint("heavy", rows.clone())
-            .unwrap()
-            .len(),
-        4
-    );
-    assert_eq!(client.predict_endpoint("light", rows).unwrap().len(), 4);
 }
 
 /// Per-endpoint counters must sum to the global counters under
@@ -762,66 +674,6 @@ fn composed_plan_serves_through_clipper_server() {
         "repeat batch should hit the e2e cache for every row"
     );
     assert_eq!(server.stats().requests(), 2);
-}
-
-/// Bandit-routed selection across whole serving plans: two lowered
-/// full-model plans behind a `ModelSelector`, served as one
-/// `Servable`.
-#[test]
-fn model_selector_routes_across_plans() {
-    use willump::ServingPlan;
-    use willump_data::Column;
-    use willump_graph::{EngineMode, Executor, GraphBuilder, Operator};
-    use willump_models::{LogisticParams, ModelSpec};
-    use willump_serve::{table_row_to_wire, ModelSelector, SelectionPolicy};
-
-    let mut b = GraphBuilder::new();
-    let a = b.source("a");
-    let f0 = b.add("f0", Operator::NumericColumn, [a]).unwrap();
-    let graph = Arc::new(b.finish_with_concat("cat", [f0]).unwrap());
-    let exec = Executor::new(graph, EngineMode::Compiled).unwrap();
-
-    let mut t = Table::new();
-    let avals: Vec<f64> = (0..80)
-        .map(|i| if i % 2 == 0 { -1.0 } else { 1.0 })
-        .collect();
-    let y: Vec<f64> = (0..80).map(|i| (i % 2) as f64).collect();
-    let y_flip: Vec<f64> = y.iter().map(|v| 1.0 - v).collect();
-    t.add_column("a", Column::from(avals)).unwrap();
-
-    let feats = exec.features_batch(&t, None).unwrap();
-    let good = Arc::new(
-        ModelSpec::Logistic(LogisticParams::default())
-            .fit(&feats, &y, 1)
-            .unwrap(),
-    );
-    let bad = Arc::new(
-        ModelSpec::Logistic(LogisticParams::default())
-            .fit(&feats, &y_flip, 1)
-            .unwrap(),
-    );
-    let selector = ModelSelector::from_plans(
-        vec![
-            (
-                "good".to_string(),
-                ServingPlan::full_model_plan(exec.clone(), good),
-            ),
-            ("bad".to_string(), ServingPlan::full_model_plan(exec, bad)),
-        ],
-        SelectionPolicy::Ucb1,
-        7,
-    )
-    .unwrap();
-    assert_eq!(selector.n_models(), 2);
-
-    let server = one_endpoint(Arc::new(selector), ServerConfig::default());
-    let client = server.client();
-    let rows: Vec<WireRow> = (0..4).map(|r| table_row_to_wire(&t, r).unwrap()).collect();
-    for _ in 0..3 {
-        let scores = client.predict(rows.clone()).unwrap();
-        assert_eq!(scores.len(), 4);
-    }
-    assert_eq!(server.stats().requests(), 3);
 }
 
 /// Shutting down under load: every admitted request is answered, and

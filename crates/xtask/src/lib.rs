@@ -130,6 +130,42 @@ impl SourceFile {
     }
 }
 
+/// The `.rs` files under `dir` as sorted paths relative to `root`
+/// (none when `dir` is missing). Hidden directories, `target` (build
+/// output) and `tests` (integration tests and lint fixtures) are not
+/// entered.
+fn rust_files(root: &Path, dir: &Path) -> io::Result<Vec<String>> {
+    fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
+        for entry in fs::read_dir(dir)? {
+            let path = entry?.path();
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if path.is_dir() {
+                if !(name.starts_with('.') || name == "target" || name == "tests") {
+                    walk(&path, files)?;
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+        Ok(())
+    }
+    let mut files = Vec::new();
+    if dir.is_dir() {
+        walk(dir, &mut files)?;
+    }
+    let mut rels: Vec<String> = files
+        .iter()
+        .map(|path| {
+            path.strip_prefix(root)
+                .unwrap_or(path)
+                .to_string_lossy()
+                .replace('\\', "/")
+        })
+        .collect();
+    rels.sort();
+    Ok(rels)
+}
+
 /// Blank out comments, string/char literals, and raw strings,
 /// preserving every newline (so byte offsets map to the original line
 /// numbers) and the delimiting quotes (so string positions stay
@@ -572,31 +608,8 @@ const GUARDED_METHODS: &[(&str, bool)] = &[
 const HOT_PATH_DIRS: &[&str] = &["crates/serve/src", "crates/core/src"];
 
 fn rule_no_lock_unwrap(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
-    fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
-        for entry in fs::read_dir(dir)? {
-            let path = entry?.path();
-            if path.is_dir() {
-                walk(&path, files)?;
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                files.push(path);
-            }
-        }
-        Ok(())
-    }
     for dir in HOT_PATH_DIRS {
-        let abs = root.join(dir);
-        if !abs.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        walk(&abs, &mut files)?;
-        files.sort();
-        for path in files {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
+        for rel in rust_files(root, &root.join(dir))? {
             let Some(src) = SourceFile::load(root, &rel)? else {
                 continue;
             };
@@ -1048,6 +1061,27 @@ fn rule_vendor_hygiene(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> 
         }
     }
     Ok(())
+}
+
+// ---- production lines -----------------------------------------------
+
+/// Production line counts (`cargo run -p xtask -- lines`): every Rust
+/// source file under `root` with its number of lines outside
+/// `#[cfg(test)] mod … { … }` blocks, sorted by path relative to
+/// `root`. Integration tests (`tests/` directories), build output
+/// (`target/`) and hidden directories are skipped.
+///
+/// # Errors
+/// Returns any I/O error encountered while reading the tree.
+pub fn production_lines(root: &Path) -> io::Result<Vec<(String, usize)>> {
+    let mut counts = Vec::new();
+    for rel in rust_files(root, root)? {
+        if let Some(src) = SourceFile::load(root, &rel)? {
+            let lines = src.test_mask.iter().filter(|&&test| !test).count();
+            counts.push((rel, lines));
+        }
+    }
+    Ok(counts)
 }
 
 // ---- driver ---------------------------------------------------------

@@ -1,14 +1,18 @@
 //! `cargo run -p xtask -- lint [--root PATH]`
+//! `cargo run -p xtask -- lines [--root PATH]`
 //!
-//! Exit code 0 when the workspace satisfies every invariant, 1 when
-//! violations remain, 2 on usage or I/O errors.
+//! `lint` exits 0 when the workspace satisfies every invariant, 1 when
+//! violations remain, 2 on usage or I/O errors. `lines` prints each
+//! Rust source file's production line count (lines outside
+//! `#[cfg(test)] mod` blocks) and their total.
 
 use std::env;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!("usage: cargo run -p xtask -- lint [--root PATH]");
+    eprintln!("       cargo run -p xtask -- lines [--root PATH]");
     eprintln!();
     eprintln!("rules:");
     for r in xtask::RULES {
@@ -44,7 +48,7 @@ fn main() -> ExitCode {
     let Some(cmd) = args.next() else {
         return usage();
     };
-    if cmd != "lint" {
+    if cmd != "lint" && cmd != "lines" {
         return usage();
     }
     let mut root_arg: Option<PathBuf> = None;
@@ -59,7 +63,31 @@ fn main() -> ExitCode {
     }
 
     let root = workspace_root(root_arg);
-    let violations = match xtask::lint(&root) {
+    if cmd == "lines" {
+        lines(&root)
+    } else {
+        lint(&root)
+    }
+}
+
+fn lines(root: &Path) -> ExitCode {
+    let counts = match xtask::production_lines(root) {
+        Ok(counts) => counts,
+        Err(e) => {
+            eprintln!("xtask lines: I/O error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    for (file, n) in &counts {
+        println!("{n:>7}  {file}");
+    }
+    let total: usize = counts.iter().map(|(_, n)| n).sum();
+    println!("{total:>7}  total");
+    ExitCode::SUCCESS
+}
+
+fn lint(root: &Path) -> ExitCode {
+    let violations = match xtask::lint(root) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("xtask lint: I/O error: {e}");

@@ -148,3 +148,22 @@ fn rule_table_is_consistent() {
     assert_eq!(names.len(), xtask::RULES.len());
     assert!(xtask::RULES.iter().all(|r| !r.summary.is_empty()));
 }
+
+/// `lines` counts a file's lines outside its `#[cfg(test)] mod`: the
+/// WL003 fixture's 36 lines end in a 10-line test module.
+#[test]
+fn lines_skips_the_test_module() {
+    let root = fixture("no-lock-unwrap");
+    let counts = xtask::production_lines(&root).expect("count fixture");
+    assert_eq!(counts, [("crates/serve/src/hot.rs".to_string(), 26)]);
+    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
+        .args(["lines", "--root"])
+        .arg(&root)
+        .output()
+        .expect("run xtask lines");
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "     26  crates/serve/src/hot.rs\n     26  total\n"
+    );
+}

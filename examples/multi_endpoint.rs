@@ -1,14 +1,14 @@
-//! The multi-endpoint `ServingRuntime`: several paper workloads —
-//! and several *versions* of one of them — served as named, sharded
-//! endpoints behind a single worker pool and client.
+//! The multi-endpoint `ServingRuntime`: two paper workloads served as
+//! named, sharded endpoints behind a single worker pool and client.
 //!
-//! Demonstrates the full builder surface:
-//! - named endpoints (`product`, `toxic`) with shard counts,
-//! - a weighted canary (`product` v2 takes ~25% of unpinned traffic),
-//! - key-hash shard routing (equal keys stick to one shard),
-//! - the statistics-aware scheduler reading each plan's
-//!   `PlanCounters` and giving the escalation-heavy endpoint a
-//!   dedicated worker tail.
+//! Demonstrates the builder surface:
+//! - named plan endpoints (`product`, `toxic`) with shard counts, one
+//!   version each;
+//! - key-hash shard routing (equal keys stick to one shard), unkeyed
+//!   round-robin, and version pinning (a pin to a version the endpoint
+//!   does not serve is a route error);
+//! - per-endpoint stats, the fixed shard -> worker assignment, and the
+//!   plans' escalation rates read from their `PlanCounters`.
 //!
 //! ```text
 //! cargo run --release --example multi_endpoint
@@ -18,9 +18,9 @@ use std::error::Error;
 
 use willump_repro::prelude::*;
 
-fn optimize(w: &Workload, cascades: bool) -> Result<ServingPlan, Box<dyn Error>> {
+fn optimize(w: &Workload) -> Result<ServingPlan, Box<dyn Error>> {
     let cfg = WillumpConfig {
-        cascades,
+        cascades: true,
         ..WillumpConfig::default()
     };
     let opt =
@@ -39,97 +39,57 @@ fn main() -> Result<(), Box<dyn Error>> {
     let product = WorkloadKind::Product.generate(&cfg)?;
     let toxic = WorkloadKind::Toxic.generate(&cfg)?;
 
-    // Two plan variants of the product pipeline: the compiled plan
-    // (v1) and the cascade plan (v2, canary at 25% of traffic).
-    let product_v1 = optimize(&product, false)?;
-    let product_v2 = optimize(&product, true)?;
-    let mut toxic_plan = optimize(&toxic, true)?;
-    // Tighten the toxic cascade's confidence gate so most rows
-    // escalate to the full model: a deliberately escalation-heavy
-    // endpoint the scheduler should isolate.
-    toxic_plan.set_threshold(0.995);
-
     let mut builder = ServingRuntime::builder();
     builder.config(ServerConfig::builder().workers(4).build());
-    builder.scheduler(SchedulerPolicy::EscalationAware {
-        threshold: 0.25,
-        dedicated_workers: 2,
-    });
-    builder.rebalance_every(0); // rebalance manually below
-    builder.plan("product", product_v1).shards(2).weight(3.0);
+    builder.plan("product", optimize(&product)?).shards(2);
     builder
-        .plan("product", product_v2)
+        .plan("toxic", optimize(&toxic)?)
         .version(2)
-        .shards(2)
-        .weight(1.0);
-    builder.plan("toxic", toxic_plan).shards(2);
+        .shards(2);
     let runtime = builder.build()?;
     let client = runtime.client();
 
-    println!("one runtime, three endpoint deployments:\n");
+    println!("one runtime, two endpoints:\n");
     for e in runtime.endpoints() {
-        println!(
-            "  {}@v{}  shards={} weight={}",
-            e.name(),
-            e.version(),
-            e.shards(),
-            e.weight()
-        );
+        println!("  {}@v{}  shards={}", e.name(), e.version(), e.shards());
     }
 
-    // Unpinned traffic splits 3:1 across product versions; pinned
-    // traffic bypasses the router; keyed traffic sticks to a shard.
+    // Keyed traffic sticks to a shard; unkeyed traffic spreads
+    // round-robin; pinned traffic must name the endpoint's version.
     for r in 0..120 {
         let row = table_row_to_wire(&product.test, r % product.test.n_rows())?;
         client.predict_keyed("product", &format!("user-{}", r % 10), vec![row])?;
-    }
-    for r in 0..40 {
-        let row = table_row_to_wire(&product.test, r)?;
-        client.predict_version("product", 2, vec![row])?;
     }
     for r in 0..60 {
         let row = table_row_to_wire(&toxic.test, r)?;
         client.predict_endpoint("toxic", vec![row])?;
     }
+    for r in 0..40 {
+        let row = table_row_to_wire(&toxic.test, r)?;
+        client.predict_version("toxic", 2, vec![row])?;
+    }
+    let row = table_row_to_wire(&toxic.test, 0)?;
+    let refused = client.predict_version("toxic", 1, vec![row]);
+    println!("\na pin to toxic@v1: {}", refused.unwrap_err());
 
-    println!("\ntraffic after 120 canary-split + 40 pinned + 60 toxic requests:\n");
+    println!("\ntraffic after 120 keyed + 60 unkeyed + 40 pinned requests:\n");
     for e in runtime.endpoints() {
         println!(
-            "  {}@v{}  requests={:<4} rows={:<4} per-shard={:?}  escalation={:.2}",
+            "  {}@v{}  requests={:<4} rows={:<4} per-shard={:?}  workers={:?}  escalation={:.2}",
             e.name(),
             e.version(),
             e.stats().requests(),
             e.stats().rows(),
             e.stats().shard_requests(),
-            e.escalation_rate(),
-        );
-    }
-
-    // The scheduler moves escalation-heavy endpoints onto a dedicated
-    // worker tail once their PlanCounters show heavy escalation.
-    println!("\nshard->worker assignment before rebalance:");
-    for e in runtime.endpoints() {
-        println!("  {}@v{}: {:?}", e.name(), e.version(), e.assignment());
-    }
-    runtime.rebalance();
-    println!("after rebalance (escalation-aware, 2 dedicated workers):");
-    for e in runtime.endpoints() {
-        println!(
-            "  {}@v{}: {:?}{}",
-            e.name(),
-            e.version(),
             e.assignment(),
-            if e.escalation_rate() > 0.25 {
-                "  <- dedicated tail"
-            } else {
-                ""
-            }
+            e.merged_counters().escalation_rate(),
         );
     }
 
     println!(
-        "\nglobal: requests={} rows={} batches={} coalesced_rows={}",
+        "\nglobal: requests={} route_errors={} rows={} batches={} coalesced_rows={}",
         runtime.stats().requests(),
+        runtime.stats().route_errors(),
         runtime.stats().rows(),
         runtime.stats().batches(),
         runtime.stats().coalesced_rows(),
