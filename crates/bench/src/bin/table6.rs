@@ -307,23 +307,13 @@ fn remote_shard_table(smoke: bool) -> String {
             let mut base_tput = None;
             for &(label, local, remote) in deployments {
                 // The child node serves the same plan behind its own
-                // 2-worker pool; one node hosts all remote shards. The
-                // dispatch pool is widened to 8 so that under 8-way
-                // client load as many forwards sit inside the node's
-                // runtime as the local baseline queues at its workers
-                // — otherwise the node coalesces smaller model batches
-                // than the parent and the comparison measures queue
-                // shaping, not the transport.
+                // 2-worker pool; one node hosts all remote shards.
                 let node = (remote > 0).then(|| {
                     let mut nb = ServingRuntime::builder();
                     nb.config(ServerConfig::builder().workers(2).build());
                     nb.endpoint("bench", optimized.clone()).shards(2);
-                    RemoteRuntimeNode::bind_with_workers(
-                        "127.0.0.1:0",
-                        nb.build().expect("node runtime builds"),
-                        8,
-                    )
-                    .expect("node binds")
+                    RemoteRuntimeNode::bind("127.0.0.1:0", nb.build().expect("node runtime builds"))
+                        .expect("node binds")
                 });
                 let mut b = ServingRuntime::builder();
                 b.config(ServerConfig::builder().workers(2).build());

@@ -35,16 +35,16 @@
 //!   shard stays dead.
 //! - [`RemoteRuntimeNode`]: the host side. Binds a listener and
 //!   exposes a whole [`crate::ServingRuntime`] — all of its endpoints
-//!   — to parent routers. A small pool of threads takes turns holding
-//!   one `poll(2)` set over nonblocking sockets (leader/followers; no
-//!   thread-per-connection): the holder checks that each connection
-//!   opens with the wire2 preamble (anything else is counted in
-//!   `decode_errors` and closed), reassembles frames with a bounded
-//!   read (an oversized or corrupt length prefix is counted and
-//!   refused, never trusted), decodes requests in place and admits
-//!   them into the hosted runtime itself. A request that may run at
-//!   once it runs on its own thread, after handing the poll set to
-//!   another; the rest are queued for the runtime's workers. Whichever
+//!   — to parent routers. The hosted runtime's threads, and one more,
+//!   take turns holding one `poll(2)` set over nonblocking sockets
+//!   (leader/followers; no thread-per-connection): the holder checks
+//!   that each connection opens with the wire2 preamble (anything
+//!   else is counted in `decode_errors` and closed), reassembles
+//!   frames with a bounded read (an oversized or corrupt length prefix
+//!   is counted and refused, never trusted), decodes requests in place
+//!   and admits them into the runtime itself. A request that may run
+//!   at once it runs on its own thread, after handing the poll set
+//!   back; the rest are queued for the runtime's threads. Whichever
 //!   thread serves a request encodes the response and writes it
 //!   straight through to the connection.
 //!
@@ -100,12 +100,11 @@
 //! ```
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -115,7 +114,7 @@ use willump::PlanCountersSnapshot;
 
 use crate::protocol::{Request, Response, ERROR_RESPONSE_ID};
 use crate::readiness::{self, Interest, PollSet, WakeListener, Waker};
-use crate::runtime::{Forward, Queued, Runnable, RuntimeClient, ServingRuntime, Submitted};
+use crate::runtime::{Runnable, RuntimeClient, ServingRuntime, Shared};
 use crate::wire2::{
     decode_header, decode_request_payload, decode_response_payload, encode_frame,
     encode_request_payload, encode_response_frame, FrameHeader, FrameType, WIRE2_HEADER_LEN,
@@ -1348,8 +1347,8 @@ impl NodeConn {
 /// What the node's threads, every completion and the node handle
 /// share.
 ///
-/// The leader blocks in `poll` (with no timeout unless a request waits
-/// for queue room), and a completion that leaves it something to do —
+/// The leader blocks in `poll`, with no timeout, and a completion that
+/// leaves it something to do —
 /// bytes the socket did not take, a draining connection's last answer
 /// — changes state `poll` cannot see, so `attention`, `parked` and
 /// `waker` close the gap. The leader stores `parked = true`, looks at
@@ -1491,16 +1490,12 @@ fn node_read(conn: &mut NodeConn, counters: &TransportCounters) -> bool {
     any
 }
 
-/// Where the leader sends what it parses: the hosted runtime for
-/// everything it can admit without blocking, the pool's forward queue
-/// for frames routed onward, and back to the leader what it keeps.
+/// Where the leader sends what it parses: the hosted runtime, which
+/// answers or queues whatever it does not hand back to run.
 struct NodeLanes<'l, 'a> {
     shared: &'l Arc<NodeShared>,
-    pool: &'a Pool,
-    client: &'a RuntimeClient,
-    /// Requests whose worker queue was full.
-    full: &'l mut VecDeque<Queued>,
-    /// A request to run once the poll set is handed over; parsing
+    runtime: &'a Shared,
+    /// A request to run once the poll set is handed back; parsing
     /// stops as soon as there is one.
     runnable: Option<Runnable<'a>>,
 }
@@ -1510,9 +1505,9 @@ impl NodeLanes<'_, '_> {
     /// it here; its sink encodes the response and writes it through to
     /// the connection on whichever thread serves it, so the leader
     /// hears of the request again only when it may run right now — the
-    /// leader keeps it to run after handing the poll set over — or its
-    /// worker queue is full, when the leader keeps it to retry. A
-    /// frame routed onward to a remote shard goes to a follower.
+    /// leader then ends its turn, and its thread runs it. A frame
+    /// routed onward to a remote shard, or to a worker whose queue is
+    /// not empty, is queued for the runtime's threads.
     ///
     /// Only a request that is `alone` — nothing else buffered behind
     /// it on its connection — may run on the leader's thread: the
@@ -1521,14 +1516,10 @@ impl NodeLanes<'_, '_> {
     fn admit(&mut self, conn: &Arc<ConnShared>, mux_id: u32, req: Request, alone: bool) {
         let ticket = InFlight::begin(conn, self.shared);
         let sink = Box::new(move |resp: Response| ticket.complete(mux_id, &resp));
-        let may_run = alone && self.pool.size > 1;
         // A runtime that has shut down drops the sink, which drains
         // the connection.
-        match self.client.submit(req, sink, may_run) {
-            Ok(Submitted::Runnable(runnable)) => self.runnable = Some(runnable),
-            Ok(Submitted::Full(queued)) => self.full.push_back(queued),
-            Ok(Submitted::Forward(forward)) => self.pool.forward(forward, self.client),
-            Ok(Submitted::Done) | Err(_) => {}
+        if let Ok(Some(runnable)) = self.runtime.submit(req, sink, alone) {
+            self.runnable = Some(runnable);
         }
     }
 }
@@ -1620,7 +1611,7 @@ fn node_parse_one(conn: &mut NodeConn, lanes: &mut NodeLanes<'_, '_>) -> bool {
                         // is bad — so answer in band and keep the
                         // connection in service.
                         counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        lanes.client.count_decode_error();
+                        lanes.runtime.count_decode_error();
                         let resp = Response::failure(
                             ERROR_RESPONSE_ID,
                             format!("binary request decode failed: {e}"),
@@ -1680,21 +1671,19 @@ fn node_accept(
     }
 }
 
-/// How long a parked leader waits before it retries requests whose
-/// worker queue was full: a worker taking work off its queue wakes
-/// nobody.
-const FULL_QUEUE_RETRY: Duration = Duration::from_millis(1);
-
 /// The poll set and everything only the thread holding it touches. It
-/// moves between the pool's threads: whoever holds it is the leader.
-struct EventLoop {
+/// is lent to the hosted runtime, whose threads take turns holding it:
+/// whoever holds it is the leader.
+pub(crate) struct EventLoop {
+    shared: Arc<NodeShared>,
     listener: TcpListener,
+    /// The listener may hold connections not accepted yet: set at
+    /// first and when a park reports it ready, cleared once `accept`
+    /// drains it — as [`NodeConn::readable`] is for a connection.
+    acceptable: bool,
     wake: WakeListener,
     conns: Vec<Option<NodeConn>>,
     poll: PollSet,
-    /// Admitted requests whose worker queue was full, retried every
-    /// sweep.
-    full: VecDeque<Queued>,
     /// Where the next sweep starts: after the connection whose request
     /// ended the last turn, so that one connection's frames do not
     /// keep overtaking every other connection's.
@@ -1702,25 +1691,7 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    /// Retry every request waiting for queue room, without blocking.
-    /// Returns true when any left the list.
-    fn retry_full(&mut self, client: &RuntimeClient) -> bool {
-        let mut progress = false;
-        for _ in 0..self.full.len() {
-            let Some(waiting) = self.full.pop_front() else {
-                break;
-            };
-            match client.requeue(waiting) {
-                Ok(Some(still)) => self.full.push_back(still),
-                // Queued — or the runtime shut down, which drops the
-                // sink and so drains its connection.
-                Ok(None) | Err(_) => progress = true,
-            }
-        }
-        progress
-    }
-
-    /// Hang up every connection. A completion may outlive the pool
+    /// Hang up every connection. A completion may outlive the poll set
     /// holding its connection's half; the peer must see the hang-up
     /// now, not when it finishes.
     fn close(&self) {
@@ -1728,256 +1699,142 @@ impl EventLoop {
             conn.shared.close();
         }
     }
-}
 
-/// The node's threads, which take turns holding the [`EventLoop`]
-/// (leader/followers). The leader reads, parses and admits; a request
-/// that may run at once it runs itself, after handing the poll set to
-/// a waiting follower, so the thread woken by a request's bytes is the
-/// one that serves it. Followers wait for the poll set or for a frame
-/// routed onward, which they forward (a round trip that blocks).
-struct Pool {
-    state: std::sync::Mutex<PoolState>,
-    /// Where followers wait.
-    turn: Condvar,
-    /// Threads in the pool.
-    size: usize,
-}
-
-struct PoolState {
-    /// The event loop, while no thread leads.
-    events: Option<EventLoop>,
-    /// Frames routed onward to a remote shard, waiting for a follower.
-    forwards: VecDeque<Forward>,
-    /// Followers waiting on `turn`.
-    idle: usize,
-}
-
-impl Pool {
-    /// No code runs under this lock but the moves and counts below,
-    /// each of which leaves the state valid, so a poisoned lock is
-    /// sound.
-    fn lock(&self) -> MutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Leave the poll set to a waiting follower and wake it; with none
-    /// waiting, hand it back.
-    fn hand_over(&self, events: EventLoop) -> Result<(), EventLoop> {
-        let mut state = self.lock();
-        if state.idle == 0 {
-            return Err(events);
-        }
-        state.events = Some(events);
-        drop(state);
-        self.turn.notify_one();
-        Ok(())
-    }
-
-    /// Queue a frame routed onward for a follower. A pool of one thread
-    /// has no follower: its leader forwards the frame itself, and
-    /// admits nothing else until the round trip is over.
-    fn forward(&self, forward: Forward, client: &RuntimeClient) {
-        if self.size == 1 {
-            // On failure the sink inside is dropped unanswered, which
-            // drains its connection.
-            let _ = client.forward(forward);
-            return;
-        }
-        let mut state = self.lock();
-        state.forwards.push_back(forward);
-        let waiting = state.idle > 0;
-        drop(state);
-        if waiting {
-            self.turn.notify_one();
-        }
-    }
-}
-
-/// One thread of the pool: lead while the poll set is free, run the
-/// request a turn ends with, forward what waits to be forwarded, and
-/// otherwise wait for either. Exits once the node shuts down and the
-/// forward queue is empty.
-fn node_thread(shared: &Arc<NodeShared>, pool: &Pool, client: &RuntimeClient) {
-    let mut state = pool.lock();
-    state.idle += 1;
-    loop {
-        if let Some(events) = state.events.take() {
-            state.idle -= 1;
-            drop(state);
-            let Some(runnable) = lead(shared, pool, client, events) else {
-                return;
+    /// One thread's turn holding the poll set: accept connections, read
+    /// and parse ready sockets, admit the requests they carry into the
+    /// hosted runtime, and flush what a completion's write-through left
+    /// behind.
+    ///
+    /// Readiness-driven: the leader sweeps until a sweep makes no
+    /// progress, then parks in `poll` — with no timeout — on the
+    /// listener, the waker and every connection it has business with,
+    /// following the `parked` protocol described on [`NodeShared`]. An
+    /// idle node makes no iterations at all.
+    ///
+    /// The turn ends at the first request that may run right now, which
+    /// the runtime runs on this thread once it has put the poll set
+    /// back for another. The thread holding the poll set never runs a
+    /// servable and never blocks on anything but `poll`. `None`: the
+    /// node shut down, and every connection is hung up.
+    pub(crate) fn lead<'a>(&mut self, runtime: &'a Shared) -> Option<Runnable<'a>> {
+        let shared = &self.shared;
+        let counters = &shared.counters;
+        while !shared.shutdown.load(Ordering::SeqCst) {
+            shared.sweeps.fetch_add(1, Ordering::Relaxed);
+            // Cleared before the sweep looks at anything: whatever a
+            // completion publishes from here on either is seen by this
+            // sweep or sets the flag again.
+            shared.attention.store(false, Ordering::SeqCst);
+            let mut progress = false;
+            let mut accepting = true;
+            if self.acceptable {
+                accepting = node_accept(&self.listener, &mut self.conns, &mut progress);
+                // Drained, the listener waits for a park to report it
+                // ready; failing, it is tried again next sweep.
+                self.acceptable = !accepting;
+            }
+            let mut lanes = NodeLanes {
+                shared,
+                runtime,
+                runnable: None,
             };
-            // Free again before the answer goes out: the request it
-            // lets in may be handed this thread's turn.
-            runnable.run(|| pool.lock().idle += 1);
-        } else if let Some(forward) = state.forwards.pop_front() {
-            state.idle -= 1;
-            drop(state);
-            // On failure the sink inside is dropped unanswered, which
-            // drains its connection.
-            let _ = client.forward(forward);
-            state = pool.lock();
-            state.idle += 1;
-            continue;
-        } else if shared.shutdown.load(Ordering::SeqCst) {
-            state.idle -= 1;
-            return;
-        } else {
-            state = pool
-                .turn
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-            continue;
-        }
-        state = pool.lock();
-    }
-}
-
-/// One thread's turn holding the poll set: accept connections, read
-/// and parse ready sockets, admit the requests they carry into the
-/// hosted runtime, retry the ones whose worker queue was full, and
-/// flush what a completion's write-through left behind.
-///
-/// Readiness-driven: the leader sweeps until a sweep makes no
-/// progress, then parks in `poll` — with no timeout unless a request
-/// waits for queue room — on the listener, the waker and every
-/// connection it has business with, following the `parked` protocol
-/// described on [`NodeShared`]. An idle node makes no iterations at
-/// all.
-///
-/// The turn ends at the first request that may run right now: the
-/// leader hands the poll set to a waiting follower and returns the
-/// request, for its thread to run. With no follower waiting, the
-/// request is queued for its runtime worker instead and the turn goes
-/// on, so the thread holding the poll set never runs a servable and
-/// never blocks (a pool of one thread forwarding onward excepted; see
-/// [`Pool::forward`]). `None`: the node shut down.
-fn lead<'a>(
-    shared: &Arc<NodeShared>,
-    pool: &'a Pool,
-    client: &'a RuntimeClient,
-    mut events: EventLoop,
-) -> Option<Runnable<'a>> {
-    let counters = &shared.counters;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        shared.sweeps.fetch_add(1, Ordering::Relaxed);
-        // Cleared before the sweep looks at anything: whatever a
-        // completion publishes from here on either is seen by this
-        // sweep or sets the flag again.
-        shared.attention.store(false, Ordering::SeqCst);
-        let mut progress = events.retry_full(client);
-        let accepting = node_accept(&events.listener, &mut events.conns, &mut progress);
-        let mut lanes = NodeLanes {
-            shared,
-            pool,
-            client,
-            full: &mut events.full,
-            runnable: None,
-        };
-        let n = events.conns.len();
-        for i in 0..n {
-            let index = (events.next + i) % n;
-            let entry = &mut events.conns[index];
-            let Some(conn) = entry.as_mut() else {
-                continue;
-            };
-            if !conn.fatal && !conn.draining() && node_read(conn, counters) {
-                progress = true;
-            }
-            if !conn.fatal {
-                node_parse(conn, &mut lanes);
-            }
-            if conn.fatal || conn.finished(counters) {
-                conn.shared.close();
-                *entry = None;
-                progress = true;
-            }
-            if lanes.runnable.is_some() {
-                events.next = index + 1;
-                break;
-            }
-        }
-        if let Some(runnable) = lanes.runnable {
-            match pool.hand_over(events) {
-                Ok(()) => return Some(runnable),
-                Err(back) => {
-                    events = back;
-                    if let Ok(Some(full)) = runnable.queue() {
-                        events.full.push_back(full);
-                    }
+            let n = self.conns.len();
+            for i in 0..n {
+                let index = (self.next + i) % n;
+                let entry = &mut self.conns[index];
+                let Some(conn) = entry.as_mut() else {
                     continue;
+                };
+                if !conn.fatal && !conn.draining() && node_read(conn, counters) {
+                    progress = true;
+                }
+                if !conn.fatal {
+                    node_parse(conn, &mut lanes);
+                }
+                if conn.fatal || conn.finished(counters) {
+                    conn.shared.close();
+                    *entry = None;
+                    progress = true;
+                }
+                if lanes.runnable.is_some() {
+                    self.next = index + 1;
+                    break;
                 }
             }
-        }
-        if progress {
-            continue;
-        }
+            if lanes.runnable.is_some() {
+                return lanes.runnable;
+            }
+            if progress {
+                continue;
+            }
 
-        shared.parked.store(true, Ordering::SeqCst);
-        if shared.attention.load(Ordering::SeqCst) {
+            shared.parked.store(true, Ordering::SeqCst);
+            if shared.attention.load(Ordering::SeqCst) {
+                shared.parked.store(false, Ordering::SeqCst);
+                continue;
+            }
+            let EventLoop {
+                listener,
+                acceptable,
+                wake,
+                conns,
+                poll,
+                ..
+            } = self;
+            poll.clear();
+            let wake_entry = poll.push(wake, Interest::Read);
+            let listener_entry = accepting.then(|| poll.push(listener, Interest::Read));
+            for conn in conns.iter_mut().flatten() {
+                conn.polled = conn
+                    .interest()
+                    .map(|interest| poll.push(&conn.shared.stream, interest));
+            }
+            let waited = poll.wait(None);
             shared.parked.store(false, Ordering::SeqCst);
-            continue;
+            *acceptable |= waited.is_err() || listener_entry.is_some_and(|i| poll.is_ready(i));
+            for conn in conns.iter_mut().flatten() {
+                // `poll` itself failing (out of kernel memory) leaves the
+                // node serving by sweeping instead of parking.
+                conn.readable |= waited.is_err() || conn.polled.is_some_and(|i| poll.is_ready(i));
+            }
+            if waited.is_err() {
+                std::thread::yield_now();
+            } else if poll.is_ready(wake_entry) {
+                wake.drain();
+            }
         }
-        let EventLoop {
-            listener,
-            wake,
-            conns,
-            poll,
-            full,
-            ..
-        } = &mut events;
-        poll.clear();
-        let wake_entry = poll.push(wake, Interest::Read);
-        if accepting {
-            poll.push(listener, Interest::Read);
-        }
-        for conn in conns.iter_mut().flatten() {
-            conn.polled = conn
-                .interest()
-                .map(|interest| poll.push(&conn.shared.stream, interest));
-        }
-        let waited = poll.wait((!full.is_empty()).then_some(FULL_QUEUE_RETRY));
-        shared.parked.store(false, Ordering::SeqCst);
-        for conn in conns.iter_mut().flatten() {
-            // `poll` itself failing (out of kernel memory) leaves the
-            // node serving by sweeping instead of parking.
-            conn.readable |= waited.is_err() || conn.polled.is_some_and(|i| poll.is_ready(i));
-        }
-        if waited.is_err() {
-            std::thread::yield_now();
-        } else if poll.is_ready(wake_entry) {
-            wake.drain();
-        }
+        self.close();
+        None
     }
-    events.close();
-    None
 }
 
 /// Hosts a whole [`ServingRuntime`] behind a TCP listener for
 /// [`RemoteWorker`] peers — the other process in the cross-process
 /// sharding story.
 ///
-/// A small pool of threads serves every accepted connection over
-/// nonblocking sockets, taking turns holding one `poll(2)` set
-/// (leader/followers): the leader refuses a connection that does not
-/// open with the wire2 preamble, reassembles frames with a bounded
-/// read, decodes each request where it lies and admits it into the
-/// runtime without blocking. A request that may run at once — its
-/// worker has nothing queued and an execution slot is free, the rule a
-/// blocking in-process caller runs by — the leader runs itself, after
-/// handing the poll set to a waiting follower; any other request is
-/// queued for the runtime worker that owns its shard, which coalesces
-/// it with what waits there. Either way the thread that produced the
-/// response encodes the frame and writes it through the connection's
-/// shared write half, so a back-to-back request wakes one node thread
-/// on its path — the leader, on the bytes — and the poll set's next
-/// holder beside it. The thread holding the poll set never runs a
-/// servable and never blocks, so a probe is answered while servables
-/// are held. A frame this node routes onward to a remote shard of its
-/// own waits for a follower to forward it. There is no
+/// The node has no threads of its own but one: it lends one `poll(2)`
+/// set over nonblocking sockets to the runtime it hosts, whose threads
+/// — the `workers` plus `willump-node-0`, so that the poll set has a
+/// holder while every execution slot runs — take turns holding it
+/// (leader/followers) between draining worker queues. The leader
+/// refuses a connection that does not open with the wire2 preamble,
+/// reassembles frames with a bounded read, decodes each request where
+/// it lies and admits it into the runtime without blocking. A request
+/// that may run at once — its worker has nothing queued and an
+/// execution slot is free, the rule a blocking in-process caller runs
+/// by — the leader's thread runs itself, after putting the poll set
+/// back and waking a sleeping thread, if one sleeps, to take it; any
+/// other request is queued for the runtime's threads, which coalesce
+/// what waits in one worker's queue. Either way the thread that
+/// produced the response encodes the frame and writes it through the
+/// connection's shared write half, so a back-to-back request wakes one
+/// thread on its path — the leader, on the bytes — and the poll set's
+/// next holder beside it. The thread holding the poll set never runs a
+/// servable and never blocks, so a probe is answered while every slot
+/// is held. A frame this node routes onward to a remote shard of its
+/// own is queued for a runtime thread to forward. There is no
 /// thread-per-connection: hundreds of idle multiplexed clients cost
-/// nothing, and an idle pool sleeps in the kernel until a socket has
+/// nothing, and an idle node sleeps in the kernel until a socket has
 /// something for it.
 ///
 /// Frames the node serves run through the runtime's **full admission
@@ -1988,8 +1845,6 @@ pub struct RemoteRuntimeNode {
     runtime: ServingRuntime,
     addr: SocketAddr,
     shared: Arc<NodeShared>,
-    pool: Arc<Pool>,
-    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for RemoteRuntimeNode {
@@ -2002,33 +1857,13 @@ impl std::fmt::Debug for RemoteRuntimeNode {
 
 impl RemoteRuntimeNode {
     /// Bind `addr` (use port 0 for an ephemeral port) and start
-    /// serving `runtime` with the default pool: twice the runtime's
-    /// worker count, at least 4 — enough that a leader usually finds a
-    /// follower to hand the poll set to while others run requests or
-    /// wait on a downstream shard.
+    /// serving `runtime`: its poll set goes to the runtime's threads,
+    /// and one more thread, `willump-node-0`, joins them.
     ///
     /// # Errors
     /// Returns [`ServeError::Transport`] when the listener cannot be
-    /// bound or threads cannot be spawned.
+    /// bound or the thread cannot be spawned.
     pub fn bind(addr: &str, runtime: ServingRuntime) -> Result<RemoteRuntimeNode, ServeError> {
-        let threads = (runtime.n_workers() * 2).max(4);
-        RemoteRuntimeNode::bind_with_workers(addr, runtime, threads)
-    }
-
-    /// [`bind`](Self::bind) with an explicit pool size (minimum 1). A
-    /// pool of one thread has nobody to hand the poll set to: it runs
-    /// no request itself — every one is queued for the runtime's
-    /// workers — and it forwards a frame routed onward to a remote
-    /// shard of this node's own before it admits anything else.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Transport`] when the listener cannot be
-    /// bound or threads cannot be spawned.
-    pub fn bind_with_workers(
-        addr: &str,
-        runtime: ServingRuntime,
-        workers: usize,
-    ) -> Result<RemoteRuntimeNode, ServeError> {
         let io = |e: std::io::Error| ServeError::Transport(format!("bind {addr}: {e}"));
         let listener = TcpListener::bind(addr).map_err(io)?;
         let local = listener.local_addr().map_err(io)?;
@@ -2044,41 +1879,22 @@ impl RemoteRuntimeNode {
             sweeps: AtomicU64::new(0),
         });
         let events = EventLoop {
+            shared: Arc::clone(&shared),
             listener,
+            acceptable: true,
             wake,
             conns: Vec::new(),
             poll: PollSet::default(),
-            full: VecDeque::new(),
             next: 0,
         };
-        let size = workers.max(1);
-        let pool = Arc::new(Pool {
-            state: std::sync::Mutex::new(PoolState {
-                events: Some(events),
-                forwards: VecDeque::new(),
-                idle: 0,
-            }),
-            turn: Condvar::new(),
-            size,
-        });
-        // Should a spawn fail, dropping the node shuts down the
-        // threads already started.
+        // Should the spawn fail, dropping the node takes the lent poll
+        // set down with the runtime.
         let mut node = RemoteRuntimeNode {
             runtime,
             addr: local,
             shared,
-            pool,
-            threads: Vec::with_capacity(size),
         };
-        for i in 0..size {
-            let (shared, pool) = (Arc::clone(&node.shared), Arc::clone(&node.pool));
-            let client = node.runtime.client();
-            let handle = std::thread::Builder::new()
-                .name(format!("willump-node-{i}"))
-                .spawn(move || node_thread(&shared, &pool, &client))
-                .map_err(|e| ServeError::Transport(format!("spawn node thread: {e}")))?;
-            node.threads.push(handle);
-        }
+        node.runtime.lend_poll_set(events)?;
         Ok(node)
     }
 
@@ -2102,11 +1918,10 @@ impl RemoteRuntimeNode {
         self.shared.counters.snapshot()
     }
 
-    /// Stop accepting, hang up every connection, let the pool finish
-    /// the requests it is running and the frames it has to forward,
-    /// join its threads, and shut the hosted runtime down. Idempotent;
-    /// also runs on drop. Parked client connections are dropped, not
-    /// waited for.
+    /// Stop accepting, hang up every connection, and shut the hosted
+    /// runtime down: its threads finish the requests they run and the
+    /// frames they forward and are joined. Idempotent; also runs on
+    /// drop. Parked client connections are dropped, not waited for.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -2114,14 +1929,6 @@ impl RemoteRuntimeNode {
         // The ring outlives a leader that is not parked yet: the byte
         // stays in the waker until its next `poll` finds it.
         self.shared.waker.ring();
-        // A follower reads the flag under the pool lock before it
-        // waits, so once the lock has been through this thread's hands
-        // every follower either saw the flag or waits for this.
-        drop(self.pool.lock());
-        self.pool.turn.notify_all();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
         self.runtime.shutdown();
     }
 }
@@ -2147,6 +1954,7 @@ mod tests {
     use crate::wire2::{encode_header, read_frame, MAX_FRAME_PAYLOAD};
     use crossbeam::channel::unbounded;
     use std::io::{BufRead, BufReader};
+    use std::thread::JoinHandle;
     use willump_data::{Table, Value};
 
     struct Scaler(f64);
@@ -2442,7 +2250,7 @@ mod tests {
             node.shutdown(); // idempotent
             node
         });
-        assert!(node.threads.is_empty());
+        assert!(node.runtime().client().call(request(1, 1.0)).is_err());
         closed_rx
             .recv_timeout(WATCHDOG)
             .expect("node shutdown must close idle connections");
@@ -2613,8 +2421,7 @@ mod tests {
 
     /// Blocks inside `predict_table` until released; once the release
     /// sender is dropped every call passes straight through. On entry
-    /// it sends the name of the thread running it (empty for an
-    /// unnamed one, such as a runtime worker).
+    /// it sends the name of the thread running it.
     struct Gated {
         entered: Sender<String>,
         release: Receiver<()>,
@@ -2630,21 +2437,12 @@ mod tests {
         }
     }
 
-    /// A node serving `scale` through a [`Gated`] doubler, with the
-    /// default pool, the receiver of its `entered` signals, and the
-    /// release sender. Bind them in this order: the sender is then
-    /// dropped before the node, so a failing assertion cannot leave
-    /// the node's drop joining a thread that still waits at the gate.
+    /// A node serving `scale` through a [`Gated`] doubler, the receiver
+    /// of its `entered` signals, and the release sender. Bind them in
+    /// this order: the sender is then dropped before the node, so a
+    /// failing assertion cannot leave the node's drop joining a thread
+    /// that still waits at the gate.
     fn gated_node(config: ServerConfig) -> (RemoteRuntimeNode, Receiver<String>, Sender<()>) {
-        gated_node_with_pool(config, None)
-    }
-
-    /// [`gated_node`] with a pool of `pool` threads (`None`: the
-    /// default).
-    fn gated_node_with_pool(
-        config: ServerConfig,
-        pool: Option<usize>,
-    ) -> (RemoteRuntimeNode, Receiver<String>, Sender<()>) {
         let (entered_tx, entered_rx) = unbounded();
         let (release_tx, release_rx) = unbounded();
         let mut b = ServingRuntime::builder();
@@ -2656,12 +2454,8 @@ mod tests {
                 release: release_rx,
             }),
         );
-        let runtime = b.build().unwrap();
-        let node = match pool {
-            None => RemoteRuntimeNode::bind("127.0.0.1:0", runtime),
-            Some(threads) => RemoteRuntimeNode::bind_with_workers("127.0.0.1:0", runtime, threads),
-        };
-        (node.expect("binds"), entered_rx, release_tx)
+        let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
+        (node, entered_rx, release_tx)
     }
 
     fn bin_frame(mux_id: u32, req: &Request) -> Vec<u8> {
@@ -2805,26 +2599,22 @@ mod tests {
 
     #[test]
     fn a_saturated_queue_never_blocks_the_loop() {
-        // The default pool, one with nobody to hand the poll set to, and
-        // one whose only follower ends up holding the servable.
-        for pool in [None, Some(1), Some(2)] {
-            under_watchdog(move || saturate(pool));
+        for workers in [1, 2] {
+            under_watchdog(move || saturate(workers));
         }
     }
 
-    /// [`a_saturated_queue_never_blocks_the_loop`] on a pool of `pool`
-    /// threads.
-    fn saturate(pool: Option<usize>) {
-        // One request fits the worker, one the queue; every other
-        // one has to wait its turn somewhere that is not the thread
-        // holding the poll set.
-        let (node, entered_rx, release_tx) = gated_node_with_pool(
+    /// [`a_saturated_queue_never_blocks_the_loop`] on `workers` workers.
+    fn saturate(workers: usize) {
+        // One request fits each slot, and the queue takes one more;
+        // every other one has to wait its turn somewhere that is not
+        // the thread holding the poll set.
+        let (node, entered_rx, release_tx) = gated_node(
             ServerConfig::builder()
-                .workers(1)
+                .workers(workers)
                 .queue_capacity(1)
                 .max_batch_requests(1)
                 .build(),
-            pool,
         );
         const REQUESTS: u32 = 32;
         let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
@@ -2834,14 +2624,18 @@ mod tests {
             sent += frame.len() as u64;
             writer.write_all(&frame).expect("writes");
         }
-        entered_rx.recv_timeout(WATCHDOG).expect("admitted");
+        for _ in 0..workers {
+            let runs_on = entered_rx.recv_timeout(WATCHDOG).expect("admitted");
+            assert!(runs_on.starts_with("willump-"), "ran on {runs_on:?}");
+        }
         while node.transport_stats().bytes_received < sent {
             std::thread::yield_now();
         }
 
-        // The leader has taken in all of them, the servable has not
-        // let go of the first: a control frame on a second
-        // connection is answered all the same, by the leader itself.
+        // The leader has taken in all of them, and every slot holds
+        // one the servable has not let go of: a control frame on a
+        // second connection is answered all the same, by the leader
+        // itself.
         let (mut control, mut control_reader) = raw_wire2_client(node.local_addr());
         control
             .write_all(&bin_frame(7, &Request::counters_probe(99)))
@@ -2906,8 +2700,8 @@ mod tests {
                 .find(|k| crate::shard_for_key(k, 2) == 1)
                 .expect("some key routes to the remote shard");
 
-            // A plain frame routed to the remote shard: its admission
-            // blocks on the downstream, on a follower.
+            // A plain frame routed to the remote shard: its forward
+            // blocks on the downstream, on a runtime thread.
             let (mut plain, mut plain_reader) = raw_wire2_client(node.local_addr());
             let onward = Request {
                 key: Some(key),
@@ -3329,28 +3123,42 @@ mod tests {
     }
 
     #[test]
-    fn a_pool_of_one_thread_queues_every_request_and_still_answers_probes() {
-        under_watchdog(|| {
-            let (node, entered_rx, release_tx) =
-                gated_node_with_pool(ServerConfig::builder().workers(1).build(), Some(1));
-            let (mut writer, mut reader) = raw_wire2_client(node.local_addr());
-            writer
-                .write_all(&bin_frame(1, &request(1, 1.0)))
-                .expect("writes");
-            // Nobody to hand the poll set to: the runtime worker (an
-            // unnamed thread) holds the request, not the pool's thread.
-            let runs_on = entered_rx.recv_timeout(WATCHDOG).expect("admitted");
-            assert!(!runs_on.starts_with("willump-node"), "ran on {runs_on}");
-            let (mut control, mut control_reader) = raw_wire2_client(node.local_addr());
-            control
-                .write_all(&bin_frame(7, &Request::counters_probe(99)))
-                .expect("writes");
-            let (mux_id, resp) = read_response(&mut control_reader);
-            assert_eq!((mux_id, resp.id), (7, 99));
-            drop(release_tx);
-            let (mux_id, resp) = read_response(&mut reader);
-            assert_eq!((mux_id, resp.scores), (1, vec![2.0]));
-        });
+    fn with_every_slot_held_by_the_thread_that_read_its_request_a_probe_is_answered() {
+        for workers in [1, 2] {
+            under_watchdog(move || {
+                let (node, entered_rx, release_tx) =
+                    gated_node(ServerConfig::builder().workers(workers).build());
+                // One request per slot, each alone on its connection and
+                // sent once the one before holds its slot: each runs on
+                // the thread that read it.
+                let mut clients = Vec::new();
+                for mux_id in 1..=workers as u32 {
+                    let (mut writer, reader) = raw_wire2_client(node.local_addr());
+                    writer
+                        .write_all(&bin_frame(mux_id, &request(1, f64::from(mux_id))))
+                        .expect("writes");
+                    let runs_on = entered_rx.recv_timeout(WATCHDOG).expect("admitted");
+                    assert!(runs_on.starts_with("willump-"), "ran on {runs_on:?}");
+                    clients.push((writer, reader, mux_id));
+                }
+                assert_eq!(
+                    node.runtime().stats().worker_batches().iter().sum::<u64>(),
+                    workers as u64
+                );
+                // The thread beyond the workers holds the poll set.
+                let (mut control, mut control_reader) = raw_wire2_client(node.local_addr());
+                control
+                    .write_all(&bin_frame(7, &Request::counters_probe(99)))
+                    .expect("writes");
+                let (mux_id, resp) = read_response(&mut control_reader);
+                assert_eq!((mux_id, resp.id), (7, 99));
+                drop(release_tx);
+                for (_writer, mut reader, sent) in clients {
+                    let (mux_id, resp) = read_response(&mut reader);
+                    assert_eq!((mux_id, resp.scores), (sent, vec![2.0 * f64::from(sent)]));
+                }
+            });
+        }
     }
 
     #[test]
@@ -3363,9 +3171,9 @@ mod tests {
                 .write_all(&bin_frame(1, &request(1, 1.0)))
                 .expect("writes");
             // The worker had nothing queued and the slot was free: the
-            // pool thread that read the request runs it...
+            // thread that read the request runs it...
             let runs_on = entered_rx.recv_timeout(WATCHDOG).expect("admitted");
-            assert!(runs_on.starts_with("willump-node-"), "ran on {runs_on:?}");
+            assert!(runs_on.starts_with("willump-"), "ran on {runs_on:?}");
             // ...having handed the poll set to another, which answers a
             // probe while the servable is held.
             let (mut control, mut control_reader) = raw_wire2_client(node.local_addr());

@@ -32,11 +32,13 @@
 //! holding one of as many execution slots. While blocking in-process
 //! callers number no more than the workers, a call whose routed worker
 //! has nothing queued runs on the calling thread when a slot is free,
-//! waking no thread; otherwise it is queued, and
-//! workers keep the coalescing behavior paper Table 6 measures: each
-//! worker drains its queue up to [`ServerConfig::max_batch_requests`]
-//! envelopes and merges same-endpoint, same-schema requests into one
-//! model-level `predict_table` call.
+//! waking no thread; otherwise it is queued on its worker's queue, and
+//! the runtime's threads (`willump-worker-{i}`, one per worker) keep
+//! the coalescing behavior paper Table 6 measures: a free thread
+//! drains a queue up to [`ServerConfig::max_batch_requests`] envelopes
+//! and merges same-endpoint, same-schema requests into one
+//! model-level `predict_table` call. A [`crate::RemoteRuntimeNode`]
+//! lends its poll set to those threads and adds one more.
 //!
 //! Build a runtime with [`ServingRuntime::builder`]:
 //!
@@ -51,6 +53,7 @@
 //! ```
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -58,7 +61,7 @@ use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use willump::{
@@ -67,7 +70,7 @@ use willump::{
 use willump_data::{Column, DataType, Table};
 
 use crate::protocol::{ControlRequest, EndpointCounters, Request, Response, WireRow};
-use crate::remote::{BreakerState, RemoteWorker, TransportStats, WorkerTransport};
+use crate::remote::{BreakerState, EventLoop, RemoteWorker, TransportStats, WorkerTransport};
 use crate::server::{Servable, ServerConfig};
 use crate::ServeError;
 
@@ -167,7 +170,7 @@ willump::counter_set! {
         /// Health probes the probed node answered (each closes the
         /// shard's circuit breaker, re-admitting the node).
         sum probes_ok,
-        /// Worker-iteration counts, one entry per worker thread.
+        /// Batches served, one entry per worker (per worker queue).
         sum worker_batches: Vec<AtomicU64> = zeroed(workers)
             => Vec<u64> = |s| s.worker_batches(),
     }
@@ -175,7 +178,7 @@ willump::counter_set! {
 
 impl ServerStats {
     /// [`batches`](ServerStats::batches) per worker, one entry per
-    /// worker thread; they sum to `batches`.
+    /// worker queue; they sum to `batches`.
     pub fn worker_batches(&self) -> Vec<u64> {
         self.worker_batches
             .iter()
@@ -752,9 +755,8 @@ impl Endpoint {
 // ---- plumbing ------------------------------------------------------
 
 /// A completion sink: called with the response on the thread that
-/// produced it — a runtime worker, the thread that ran a
-/// [`Runnable`], or the submitting thread itself when admission
-/// answers — so it must not block. A sink dropped
+/// produced it — a runtime thread, or the submitting thread itself
+/// when admission answers — so it must not block. A sink dropped
 /// without being called means the runtime shut down (or a predictor
 /// panicked) before the request was answered.
 pub(crate) type ResponseSink = Box<dyn Fn(Response) + Send>;
@@ -763,7 +765,7 @@ pub(crate) type ResponseSink = Box<dyn Fn(Response) + Send>;
 enum Reply {
     /// To the admitting caller, which blocks on the other end.
     Channel(Sender<Response>),
-    /// Into a sink handed to [`RuntimeClient::submit`].
+    /// Into a sink handed to [`Shared::submit`].
     Sink(ResponseSink),
 }
 
@@ -777,139 +779,74 @@ pub(crate) struct RoutedJob {
     degraded: bool,
 }
 
-enum Job {
-    /// A request for a worker, and where its answer goes.
-    Request(RoutedJob, Reply),
-    Shutdown,
-}
-
-/// Admission gate shared by the runtime and every client: sends
-/// happen under the lock, so once `closed` flips no message can slip
-/// into any worker queue after that worker's shutdown sentinel (FIFO
-/// order then guarantees every admitted request is answered before
-/// the workers exit).
-struct GateState {
-    senders: Vec<Sender<Job>>,
-    closed: bool,
-}
-
-/// The runtime's `workers` execution slots. A prediction runs — on a
-/// worker thread, or inline on the thread that called — only while it
-/// holds a slot, so at most `workers` run at once, whoever runs them.
+/// The runtime's queued work and the counts its threads go by, under
+/// one lock ([`Shared::work`]).
 ///
-/// A worker waits for a slot after it received a job and before it
-/// drains the rest of its queue. A caller never waits: it takes a free
-/// slot that no waiting thread is owed, or queues its request. Callers
-/// take theirs under the admission gate (gate → slots, never the
-/// reverse), so once the gate is closed no prediction starts inline.
-struct Slots {
-    /// Free slots, and threads waiting on `freed` — workers for a slot,
-    /// [`ServingRuntime::shutdown`] for all of them.
-    state: std::sync::Mutex<(usize, usize)>,
-    freed: Condvar,
+/// A runtime thread that is free does the first of these that
+/// applies: drain a worker queue that has requests while an execution
+/// slot is free, coalescing what is queued there; forward a frame
+/// routed onward (a round trip, which needs a thread but no slot);
+/// take a node's poll set while nobody holds it; sleep on
+/// [`Shared::wake`]. Whoever adds work that can start now wakes one
+/// sleeping thread, so nothing that could start waits while a thread
+/// sleeps; work that cannot start yet waits for the next thread that
+/// finishes, which looks here before it sleeps.
+struct Work {
+    /// Per worker, the requests routed to its shards, oldest first.
+    queues: Vec<VecDeque<(RoutedJob, Reply)>>,
+    /// Execution slots nobody holds. A prediction runs — on a runtime
+    /// thread, or inline on the thread that called — only while it
+    /// holds one, so at most `workers` run at once, whoever runs them.
+    free: usize,
+    /// Frames routed onward to a remote shard, each waiting for a
+    /// thread to forward it.
+    onward: VecDeque<Forward>,
+    /// A node's poll set while no thread holds it.
+    poll: Option<EventLoop>,
+    /// Threads asleep on `wake`.
+    idle: usize,
+    /// Shut down: nothing more is admitted, and the threads exit once
+    /// what was admitted is served.
+    closed: bool,
+    /// The queue the next drain looks at first, so that one busy
+    /// queue does not keep the others waiting.
+    next: usize,
 }
 
-impl Slots {
-    fn new(n: usize) -> Slots {
-        Slots {
-            state: std::sync::Mutex::new((n, 0)),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// No code runs under this lock but the count updates below, each
-    /// of which leaves the counts valid, so a poisoned lock is sound.
-    fn lock(&self) -> MutexGuard<'_, (usize, usize)> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Wait, counted as waiting, until `ready` holds for the counts.
-    fn wait_until(
-        &self,
-        ready: impl Fn(&(usize, usize)) -> bool,
-    ) -> MutexGuard<'_, (usize, usize)> {
-        let mut state = self.lock();
-        state.1 += 1;
-        while !ready(&state) {
-            state = self
-                .freed
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        state.1 -= 1;
-        state
-    }
-
-    /// A worker's slot: waits until one is free.
-    fn acquire(&self) -> Slot<'_> {
-        self.wait_until(|&(free, _)| free > 0).0 -= 1;
-        Slot::held(self)
-    }
-
-    /// A caller's slot: one that is free while no thread waits.
-    fn try_acquire(&self) -> Option<Slot<'_>> {
-        let mut state = self.lock();
-        if state.0 == 0 || state.1 > 0 {
+impl Work {
+    /// A worker queue that has requests, when a slot is free to serve
+    /// them.
+    fn ready(&self) -> Option<usize> {
+        let n = self.queues.len();
+        if self.free == 0 {
             return None;
         }
-        state.0 -= 1;
-        Some(Slot::held(self))
+        (0..n)
+            .map(|i| (self.next + i) % n)
+            .find(|&w| !self.queues[w].is_empty())
     }
 
-    /// Wait until all `n` slots are free: nothing is executing.
-    fn wait_idle(&self, n: usize) {
-        drop(self.wait_until(|&(free, _)| free == n));
+    /// Whether anything admitted still waits for a thread.
+    fn pending(&self) -> bool {
+        !self.onward.is_empty() || self.queues.iter().any(|q| !q.is_empty())
     }
 }
 
 /// A held execution slot, given back on drop — also when a servable
-/// panics on a worker thread, so the dead worker takes no slot from the
-/// runtime.
-struct Slot<'a>(&'a Slots);
-
-#[cfg(test)]
-thread_local! {
-    /// Whether this thread holds a slot: the unit tests check that no
-    /// thread takes the gate while it does.
-    static HOLDS_SLOT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-impl<'a> Slot<'a> {
-    fn held(slots: &'a Slots) -> Slot<'a> {
-        #[cfg(test)]
-        HOLDS_SLOT.set(true);
-        Slot(slots)
-    }
-
-    /// Give the slot back now unless a thread waits for one; a waiter
-    /// keeps it held.
-    fn give_back_unless_awaited(self) -> Option<Slot<'a>> {
-        let mut state = self.0.lock();
-        if state.1 > 0 {
-            drop(state);
-            return Some(self);
-        }
-        state.0 += 1;
-        drop(state);
-        #[cfg(test)]
-        HOLDS_SLOT.set(false);
-        std::mem::forget(self);
-        None
-    }
-}
+/// panics — waking a sleeping thread when queued work was waiting for
+/// a slot.
+struct Slot<'a>(&'a Shared);
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        #[cfg(test)]
-        HOLDS_SLOT.set(false);
-        let mut state = self.0.lock();
-        state.0 += 1;
-        let waiting = state.1 > 0;
-        drop(state);
-        // Waiters differ in what they wait for, so wake them all; with
-        // none waiting, skip the system call.
-        if waiting {
-            self.0.freed.notify_all();
+        let shared = self.0;
+        let mut work = shared.lock_work();
+        work.free += 1;
+        if work.closed {
+            // Shutdown waits for every slot.
+            shared.wake.notify_all();
+        } else if work.ready().is_some() {
+            shared.wake_one(work);
         }
     }
 }
@@ -923,11 +860,11 @@ pub(crate) struct Shared {
     admission: Option<AdmissionPolicy>,
     /// Monotonic origin for admission telemetry timestamps.
     started: Instant,
-    /// Sender clones used only to read queue depths lock-free (the
-    /// authoritative senders live behind the gate).
-    queue_probes: Vec<Sender<Job>>,
-    gate: Mutex<GateState>,
-    slots: Slots,
+    /// Queued work, free slots and sleeping threads.
+    work: std::sync::Mutex<Work>,
+    /// Where free runtime threads sleep, and where shutdown waits for
+    /// the slots.
+    wake: Condvar,
     /// Blocking callers between a local hop and their answer. Only
     /// while they number no more than the workers may one run its
     /// request itself.
@@ -960,7 +897,7 @@ pub(crate) struct Routed {
 }
 
 impl Routed {
-    /// The job a worker — or the caller, inline — serves.
+    /// The job a runtime thread — or the caller, inline — serves.
     fn into_job(self) -> RoutedJob {
         RoutedJob {
             req: self.req,
@@ -978,35 +915,16 @@ enum Planned {
     Routed(Routed),
 }
 
-/// What [`RuntimeClient::submit`] did with a request.
-pub(crate) enum Submitted<'a> {
-    /// Answered at admission, or queued for the worker that owns its
-    /// shard: the sink has the response or will get it.
-    Done,
-    /// Free to run on the submitting thread right now.
-    Runnable(Runnable<'a>),
-    /// Routed to a remote shard: the forward is a network round trip,
-    /// for [`RuntimeClient::forward`] on a thread that may block.
-    Forward(Forward),
-    /// Routed to a worker whose queue is full: for
-    /// [`RuntimeClient::requeue`] to try again.
-    Full(Queued),
-}
-
-/// A submitted request routed to a remote shard, not yet forwarded.
-pub(crate) struct Forward(Routed, ResponseSink);
-
-/// A submitted request whose worker queue was full: the job, where its
-/// answer goes, and the worker.
-pub(crate) struct Queued(RoutedJob, Reply, usize);
+/// A submitted request routed to a remote shard, waiting for a
+/// runtime thread to forward it.
+struct Forward(Routed, ResponseSink);
 
 /// A submitted request that may run right now on the thread that
 /// submitted it, by the rule a blocking caller's request runs by: the
-/// worker that owns its shard has nothing queued, and it holds one of
-/// the runtime's execution slots. Run it with [`run`](Self::run), or
-/// give the slot back and queue it with [`queue`](Self::queue).
+/// worker queue of its shard is empty, and it holds one of the
+/// runtime's execution slots. The runtime thread that holds a node's
+/// poll set hands it back, and then runs it.
 pub(crate) struct Runnable<'a> {
-    shared: &'a Shared,
     slot: Slot<'a>,
     /// The request; its response goes to `sink`.
     job: RoutedJob,
@@ -1016,57 +934,42 @@ pub(crate) struct Runnable<'a> {
 
 impl Runnable<'_> {
     /// Serve the request on this thread, exactly as a blocking
-    /// caller's is served inline, and hand the response to the sink;
-    /// `answering` runs in between, once the servable has returned. The
-    /// slot goes back before the sink gets the response, so the
-    /// request the answer lets in finds it free — unless a thread waits
-    /// for a slot: then the answer goes out first, before anything the
-    /// slot lets run. A servable that panics is caught: the sink is
+    /// caller's is served inline, and hand the response to the sink.
+    /// The slot goes back first, so the request the answer lets in
+    /// finds it free. A servable that panics is caught: the sink is
     /// then dropped unanswered.
-    pub(crate) fn run(self, answering: impl FnOnce()) {
+    fn run(self) {
         let Runnable {
-            shared,
             slot,
             job,
             worker,
             sink,
         } = self;
-        let served = shared.serve_here(&job, worker);
-        answering();
-        let slot = slot.give_back_unless_awaited();
+        let served = slot.0.serve_here(&job, worker);
+        drop(slot);
         if let Ok(resp) = served {
             sink(resp);
         }
-        drop(slot);
-    }
-
-    /// Give the slot back and queue the request for its worker
-    /// without blocking; a full queue hands it back.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Disconnected`] when the runtime has shut
-    /// down; the sink is dropped uncalled.
-    pub(crate) fn queue(self) -> Result<Option<Queued>, ServeError> {
-        let Runnable {
-            shared,
-            slot,
-            job,
-            worker,
-            sink,
-        } = self;
-        drop(slot);
-        shared.requeue(Queued(job, Reply::Sink(sink), worker))
     }
 }
 
 impl Shared {
-    /// The admission gate. No thread takes it while holding a slot:
-    /// [`ServingRuntime::shutdown`] holds it while its sentinels wait
-    /// for queue room, which only a worker that gets a slot makes.
-    fn gate(&self) -> parking_lot::MutexGuard<'_, GateState> {
-        #[cfg(test)]
-        assert!(!HOLDS_SLOT.get(), "the gate was taken under a slot");
-        self.gate.lock()
+    /// No code runs under this lock but queue moves and count updates,
+    /// each of which leaves [`Work`] valid, so a poisoned lock is
+    /// sound.
+    fn lock_work(&self) -> MutexGuard<'_, Work> {
+        self.work.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wake one sleeping runtime thread, if one sleeps, for work that
+    /// can start now — once the lock is let go, so that the thread
+    /// woken does not go back to sleep on the lock at once.
+    fn wake_one(&self, work: MutexGuard<'_, Work>) {
+        let sleeping = work.idle > 0;
+        drop(work);
+        if sleeping {
+            self.wake.notify_one();
+        }
     }
 
     /// Every endpoint, in registration order — the cluster prober's
@@ -1134,7 +1037,7 @@ impl Shared {
 
     /// Count a request frame that arrived but could not be decoded —
     /// unless the runtime is closed, which records nothing.
-    fn count_decode_error(&self) {
+    pub(crate) fn count_decode_error(&self) {
         if self.count_request().is_ok() {
             self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -1153,7 +1056,7 @@ impl Shared {
     /// admits nothing and records nothing, so post-shutdown retries
     /// cannot skew stats.
     fn count_request(&self) -> Result<(), ServeError> {
-        if self.gate().closed {
+        if self.lock_work().closed {
             return Err(ServeError::Disconnected);
         }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -1173,22 +1076,22 @@ impl Shared {
             Err(resp) => return Ok(resp),
         };
         let others = self.local_callers.fetch_add(1, Ordering::Relaxed);
-        let served = self.serve_local(routed, worker, others < self.n_workers);
+        let served = self.serve_local(routed.into_job(), worker, others < self.n_workers);
         self.local_callers.fetch_sub(1, Ordering::Relaxed);
         served
     }
 
     /// Run a locally routed request right here when `may_run_inline`
     /// and [`inline_slot`](Self::inline_slot) gives a slot; otherwise
-    /// enqueue it on `worker`, sleeping while the queue is full, and
-    /// wait for the worker's answer. Callers that outnumber the workers
-    /// never run inline, so they queue and coalesce as they did when
-    /// workers ran every request: a request run alone in a slot costs a
-    /// batch's fixed cost — a feature store's round trip — for its rows
-    /// only.
+    /// queue it for `worker`, sleeping while the queue is full, and
+    /// wait for a runtime thread's answer. Callers that outnumber the
+    /// workers never run inline, so they queue and coalesce as they did
+    /// when runtime threads ran every request: a request run alone in a
+    /// slot costs a batch's fixed cost — a feature store's round trip —
+    /// for its rows only.
     fn serve_local(
         &self,
-        routed: Routed,
+        job: RoutedJob,
         worker: usize,
         may_run_inline: bool,
     ) -> Result<Response, ServeError> {
@@ -1198,20 +1101,19 @@ impl Shared {
             None
         };
         if let Some(slot) = slot {
-            let served = self.serve_here(&routed.into_job(), worker);
+            let served = self.serve_here(&job, worker);
             drop(slot);
             return served.map_err(|_| ServeError::Disconnected);
         }
         let (reply_tx, reply_rx) = bounded(1);
-        self.enqueue(routed, Reply::Channel(reply_tx), worker)?;
+        self.enqueue(job, Reply::Channel(reply_tx), worker)?;
         reply_rx.recv().map_err(|_| ServeError::Disconnected)
     }
 
     /// Serve `job` on the calling thread, which holds a slot, as one
-    /// batch of `worker`. A servable that panics on a worker thread
-    /// ends that worker and its caller reads `Disconnected`; one that
-    /// panics here is caught, so no caller of `call` — the forwarding
-    /// and node paths included — ever unwinds.
+    /// batch of `worker`. A servable that panics is caught, so no
+    /// caller of `call` — the forwarding and node paths included —
+    /// ever unwinds.
     fn serve_here(&self, job: &RoutedJob, worker: usize) -> std::thread::Result<Response> {
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.stats.worker_batches[worker].fetch_add(1, Ordering::Relaxed);
@@ -1220,82 +1122,85 @@ impl Shared {
 
     /// A slot for running a request routed to `worker` on the calling
     /// thread, given only while that worker's queue is empty — nothing
-    /// to coalesce with or to overtake — and a slot is free that no
-    /// waiting thread is owed. Taken under the gate, so a closed
-    /// runtime starts nothing.
+    /// to coalesce with or to overtake — and a slot is free. Taken
+    /// under the work lock, so a closed runtime starts nothing.
     fn inline_slot(&self, worker: usize) -> Result<Option<Slot<'_>>, ServeError> {
-        let gate = self.gate();
-        if gate.closed {
+        let mut work = self.lock_work();
+        if work.closed {
             return Err(ServeError::Disconnected);
         }
-        if !self.queue_probes[worker].is_empty() {
+        if work.free == 0 || !work.queues[worker].is_empty() {
             return Ok(None);
         }
-        Ok(self.slots.try_acquire())
+        work.free -= 1;
+        Ok(Some(Slot(self)))
     }
 
     /// [`route_request`](Self::route_request) for a caller that must
-    /// not block: everything up to the hop runs here, and whatever
-    /// could block comes back undone ([`Submitted::Forward`],
-    /// [`Submitted::Full`]) with every counter already recorded exactly
-    /// once. A local hop is one `try_send` — unless `may_run` and the
-    /// request could run inline by [`inline_slot`](Self::inline_slot)'s
-    /// rule, in which case it comes back [`Runnable`], holding the slot,
-    /// and nothing runs here.
-    fn submit(
+    /// not block — the thread holding a node's poll set: every counter
+    /// is recorded here exactly once, and the response goes to `sink`
+    /// (on whichever thread serves the request, or right here when
+    /// admission itself answers) instead of a channel this thread would
+    /// wait on. A request routed to a remote shard is queued for a
+    /// runtime thread to forward, and a local one for its worker —
+    /// unless `may_run` and it could run inline by
+    /// [`inline_slot`](Self::inline_slot)'s rule: then it comes back
+    /// [`Runnable`], holding the slot. Nothing runs or waits here, and
+    /// no queue is too full for a submitted request.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::Disconnected`] when the runtime has shut
+    /// down; the sink is dropped uncalled.
+    pub(crate) fn submit(
         &self,
         req: Request,
         sink: ResponseSink,
         may_run: bool,
-    ) -> Result<Submitted<'_>, ServeError> {
+    ) -> Result<Option<Runnable<'_>>, ServeError> {
         self.count_request()?;
         let routed = match self.plan_route(req) {
             Planned::Answered(resp) => {
                 sink(resp);
-                return Ok(Submitted::Done);
+                return Ok(None);
             }
             Planned::Routed(routed) => routed,
         };
+        let mut work = self.lock_work();
+        if work.closed {
+            return Err(ServeError::Disconnected);
+        }
         if routed.shard >= routed.entry.local_shards {
-            return Ok(Submitted::Forward(Forward(routed, sink)));
+            work.onward.push_back(Forward(routed, sink));
+            self.wake_one(work);
+            return Ok(None);
         }
         let worker = routed.entry.assignment[routed.shard];
-        if may_run {
-            if let Some(slot) = self.inline_slot(worker)? {
-                return Ok(Submitted::Runnable(Runnable {
-                    shared: self,
-                    slot,
-                    job: routed.into_job(),
-                    worker,
-                    sink,
-                }));
-            }
+        let job = routed.into_job();
+        if may_run && work.free > 0 && work.queues[worker].is_empty() {
+            work.free -= 1;
+            return Ok(Some(Runnable {
+                slot: Slot(self),
+                job,
+                worker,
+                sink,
+            }));
         }
-        self.requeue(Queued(routed.into_job(), Reply::Sink(sink), worker))
-            .map(|full| full.map_or(Submitted::Done, Submitted::Full))
+        self.push(work, job, Reply::Sink(sink), worker);
+        Ok(None)
     }
 
     /// Forward a [`submit`](Self::submit)ted request to its remote
-    /// shard, on a thread that may block, and — when every transport
-    /// failed — fail it over onto a local worker's queue.
-    fn forward(&self, forward: Forward) -> Result<(), ServeError> {
+    /// shard, on a runtime thread, and — when every transport failed —
+    /// fail it over onto a local worker's queue. On shutdown the sink
+    /// is dropped unanswered.
+    fn forward(&self, forward: Forward) {
         let Forward(mut routed, sink) = forward;
         match self.resolve_hop(&mut routed) {
-            Ok(worker) => self.enqueue(routed, Reply::Sink(sink), worker),
-            Err(resp) => {
-                sink(resp);
-                Ok(())
+            Ok(worker) => {
+                let _ = self.enqueue(routed.into_job(), Reply::Sink(sink), worker);
             }
+            Err(resp) => sink(resp),
         }
-    }
-
-    /// Try once more to queue a [`submit`](Self::submit)ted request
-    /// whose worker queue was full; `Some` while it still is.
-    fn requeue(&self, queued: Queued) -> Result<Option<Queued>, ServeError> {
-        let Queued(job, reply, worker) = queued;
-        Ok(self
-            .enqueue_job(job, reply, worker, false)?
-            .map(|(job, reply)| Queued(job, reply, worker)))
     }
 
     /// Control frames, routing and admission control: every step of
@@ -1466,47 +1371,38 @@ impl Shared {
         }
     }
 
-    /// Put `routed` on `worker`'s queue, sleeping while it is full.
-    fn enqueue(&self, routed: Routed, reply: Reply, worker: usize) -> Result<(), ServeError> {
-        self.enqueue_job(routed.into_job(), reply, worker, true)
-            .map(|_| ())
-    }
-
-    /// Put `job` on `worker`'s queue. A full queue hands the job and
-    /// its reply back unless `may_block`, in which case the send is
-    /// retried until it fits.
-    fn enqueue_job(
-        &self,
-        mut job: RoutedJob,
-        mut reply: Reply,
-        worker: usize,
-        may_block: bool,
-    ) -> Result<Option<(RoutedJob, Reply)>, ServeError> {
+    /// Queue `job` for `worker`. A blocking caller (`Reply::Channel`)
+    /// sleeps while the queue holds [`ServerConfig::queue_capacity`]
+    /// requests, retrying without holding the lock, so one slow
+    /// endpoint cannot stall admissions to every other endpoint; a
+    /// sink never waits — the runtime's own threads queue through
+    /// sinks, and one that waited for room it drains itself could wait
+    /// for ever.
+    fn enqueue(&self, job: RoutedJob, reply: Reply, worker: usize) -> Result<(), ServeError> {
+        let capacity = match reply {
+            Reply::Channel(_) => self.config.queue_capacity.max(1),
+            Reply::Sink(_) => usize::MAX,
+        };
         loop {
-            let gate = self.gate();
-            if gate.closed {
+            let work = self.lock_work();
+            if work.closed {
                 return Err(ServeError::Disconnected);
             }
-            // Sends happen only under the gate lock with the gate
-            // open, so no job can land behind a shutdown sentinel —
-            // but a *full* target queue releases the lock and retries,
-            // so one slow endpoint cannot stall admissions to every
-            // other endpoint. Under sustained saturation the retry is
-            // a sleep-poll with no FIFO fairness among blocked
-            // senders; that is the price of not holding the global
-            // gate while a queue is full.
-            match gate.senders[worker].try_send(Job::Request(job, reply)) {
-                Ok(()) => return Ok(None),
-                Err(crossbeam::channel::TrySendError::Full(Job::Request(back, back_reply))) => {
-                    drop(gate);
-                    if !may_block {
-                        return Ok(Some((back, back_reply)));
-                    }
-                    (job, reply) = (back, back_reply);
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-                Err(_) => return Err(ServeError::Disconnected),
+            if work.queues[worker].len() < capacity {
+                self.push(work, job, reply, worker);
+                return Ok(());
             }
+            drop(work);
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+
+    /// Append to `worker`'s queue, waking a sleeping thread when a slot
+    /// is free to serve it.
+    fn push(&self, mut work: MutexGuard<'_, Work>, job: RoutedJob, reply: Reply, worker: usize) {
+        work.queues[worker].push_back((job, reply));
+        if work.free > 0 {
+            self.wake_one(work);
         }
     }
 
@@ -1646,7 +1542,7 @@ impl Shared {
         let Some(p99) = p99 else {
             return AdmissionDecision::Accept;
         };
-        let depth = self.queue_probes[worker].len() as u64;
+        let depth = self.lock_work().queues[worker].len() as u64;
         let estimate = p99.saturating_mul(depth + 1);
         if estimate as f64 > policy.slo_p99_nanos as f64 * policy.shed_factor {
             AdmissionDecision::Shed
@@ -1955,38 +1851,61 @@ fn process_batch(jobs: &[(RoutedJob, Reply)], stats: &ServerStats, coalesce: boo
     }
 }
 
-fn worker_loop(shared: &Shared, wi: usize, rx: &Receiver<Job>) {
+/// A runtime thread: does what [`Work`] says a free thread does, until
+/// the runtime has shut down and nothing admitted is left.
+///
+/// A batch is drained from one worker queue, up to
+/// [`ServerConfig::max_batch_requests`] requests, and served under one
+/// slot; a servable that panics is caught, and the batch's callers read
+/// `Disconnected`. A node's poll set is held by one thread at a time
+/// ([`EventLoop::lead`]); that thread runs no servable until it has put
+/// the poll set back and woken a sleeping thread, if one sleeps, to
+/// take it. With none asleep, every other thread is busy, and the poll
+/// set waits for the next one that finishes.
+fn worker_loop(shared: &Shared) {
     let max_batch = shared.config.max_batch_requests.max(1);
+    let mut work = shared.lock_work();
     loop {
-        let first = match rx.recv() {
-            Ok(Job::Request(job, reply)) => (job, reply),
-            // The sentinel (or a fully-dropped channel) ends this
-            // worker; each worker's queue carries exactly one.
-            Ok(Job::Shutdown) | Err(_) => return,
-        };
-        // While this waits for a slot, the queue fills and coalesces
-        // into one batch.
-        let _slot = shared.slots.acquire();
-        // Adaptive batching: drain whatever else is queued, stopping
-        // at the shutdown sentinel (FIFO guarantees every admitted
-        // request precedes it).
-        let mut jobs = vec![first];
-        let mut shutting_down = false;
-        while jobs.len() < max_batch {
-            match rx.try_recv() {
-                Ok(Job::Request(job, reply)) => jobs.push((job, reply)),
-                Ok(Job::Shutdown) => {
-                    shutting_down = true;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        shared.stats.worker_batches[wi].fetch_add(1, Ordering::Relaxed);
-        process_batch(&jobs, &shared.stats, shared.config.coalesce);
-        if shutting_down {
+        if let Some(worker) = work.ready() {
+            work.free -= 1;
+            work.next = worker + 1;
+            let n = work.queues[worker].len().min(max_batch);
+            let jobs: Vec<_> = work.queues[worker].drain(..n).collect();
+            drop(work);
+            shared.stats.batches.fetch_add(1, Ordering::Relaxed);
+            shared.stats.worker_batches[worker].fetch_add(1, Ordering::Relaxed);
+            let coalesce = shared.config.coalesce;
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                process_batch(&jobs, &shared.stats, coalesce);
+            }));
+            drop(jobs);
+            work = shared.lock_work();
+            work.free += 1;
+        } else if let Some(forward) = work.onward.pop_front() {
+            drop(work);
+            shared.forward(forward);
+            work = shared.lock_work();
+        } else if let Some(mut events) = work.poll.take() {
+            drop(work);
+            let Some(runnable) = events.lead(shared) else {
+                drop(events);
+                work = shared.lock_work();
+                continue;
+            };
+            work = shared.lock_work();
+            work.poll = Some(events);
+            shared.wake_one(work);
+            runnable.run();
+            work = shared.lock_work();
+        } else if work.closed && !work.pending() {
             return;
+        } else {
+            work.idle += 1;
+            work = shared
+                .wake
+                .wait(work)
+                .unwrap_or_else(PoisonError::into_inner);
+            work.idle -= 1;
         }
     }
 }
@@ -2192,40 +2111,36 @@ impl RuntimeBuilder {
                 .ok_or_else(|| bad(format!("default endpoint `{name}` is not registered")))?,
         };
 
-        let mut senders = Vec::with_capacity(n_workers);
-        let mut receivers = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            let (tx, rx) = bounded(self.config.queue_capacity.max(1));
-            senders.push(tx);
-            receivers.push(rx);
-        }
         let shared = Arc::new(Shared {
             endpoints,
             default_endpoint,
             config: self.config,
             admission: self.admission,
             started: Instant::now(),
-            queue_probes: senders.clone(),
-            gate: Mutex::new(GateState {
-                senders,
+            work: std::sync::Mutex::new(Work {
+                queues: (0..n_workers).map(|_| VecDeque::new()).collect(),
+                free: n_workers,
+                onward: VecDeque::new(),
+                poll: None,
+                idle: 0,
                 closed: false,
+                next: 0,
             }),
-            slots: Slots::new(n_workers),
+            wake: Condvar::new(),
             local_callers: AtomicUsize::new(0),
             remote_in_flight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             stats: ServerStats::new(n_workers),
             n_workers,
         });
-        let workers = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(wi, rx)| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, wi, &rx))
-            })
-            .collect();
-        Ok(ServingRuntime { shared, workers })
+        let mut runtime = ServingRuntime {
+            shared,
+            threads: Vec::with_capacity(n_workers),
+        };
+        for wi in 0..n_workers {
+            runtime.spawn(format!("willump-worker-{wi}"))?;
+        }
+        Ok(runtime)
     }
 }
 
@@ -2311,7 +2226,7 @@ impl EndpointBuilder<'_> {
 ///
 /// Requests are admitted as typed [`Request`]s, are routed
 /// by endpoint name, version, and shard key at admission,
-/// and are handled by [`ServerConfig::workers`] executor threads with
+/// and are handled by [`ServerConfig::workers`] threads with
 /// adaptive, coalescing batching (per endpoint + schema) — or, while
 /// blocking callers number no more than `workers`, the routed worker
 /// has nothing queued and fewer than `workers` predictions run, by the
@@ -2355,22 +2270,24 @@ impl EndpointBuilder<'_> {
 /// # Shutdown semantics
 ///
 /// [`shutdown`](ServingRuntime::shutdown) (idempotent, also invoked by
-/// `Drop`) closes the admission gate, enqueues one sentinel per
-/// worker, joins the workers, and waits until no caller runs a request
-/// inline. Requests admitted before the gate closed are all answered;
+/// `Drop`) closes admission, lets the runtime's threads serve what is
+/// queued, joins them, and waits until no caller runs a request
+/// inline. Requests admitted before admission closed are all answered;
 /// client calls issued afterwards return
 /// [`ServeError::Disconnected`]. Live clients never prevent the
 /// runtime from shutting down.
 pub struct ServingRuntime {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    /// `willump-worker-{i}` for each of the workers, and
+    /// `willump-node-0` once a node lends its poll set.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ServingRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServingRuntime")
             .field("endpoints", &self.endpoints())
-            .field("workers", &self.workers.len())
+            .field("workers", &self.shared.n_workers)
             .finish_non_exhaustive()
     }
 }
@@ -2386,9 +2303,10 @@ impl ServingRuntime {
         &self.shared.stats
     }
 
-    /// Number of executor threads.
+    /// Number of workers: execution slots, worker queues, and threads
+    /// started for them.
     pub fn n_workers(&self) -> usize {
-        self.workers.len()
+        self.shared.n_workers
     }
 
     /// The name unaddressed requests route to.
@@ -2576,28 +2494,49 @@ impl ServingRuntime {
         }
     }
 
-    /// Shut the runtime down: close the admission gate, signal every
-    /// worker, join them, and wait for the requests callers are running
-    /// inline. Idempotent; invoked automatically on drop. Requests
-    /// admitted before the call are still answered, and when it returns
-    /// no prediction is executing; later client calls return
-    /// [`ServeError::Disconnected`].
+    /// Start one more runtime thread, named `name`.
+    fn spawn(&mut self, name: String) -> Result<(), ServeError> {
+        let shared = Arc::clone(&self.shared);
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || worker_loop(&shared))
+            .map_err(|e| ServeError::Transport(format!("spawn a runtime thread: {e}")))?;
+        self.threads.push(handle);
+        Ok(())
+    }
+
+    /// Lend a node's poll set to this runtime's threads, and start one
+    /// more, `willump-node-0`: with every slot held there is still a
+    /// thread to hold the poll set.
+    pub(crate) fn lend_poll_set(&mut self, events: EventLoop) -> Result<(), ServeError> {
+        let mut work = self.shared.lock_work();
+        work.poll = Some(events);
+        self.shared.wake_one(work);
+        self.spawn("willump-node-0".to_string())
+    }
+
+    /// Shut the runtime down: close admission, let the threads serve
+    /// what is queued and exit, join them, and wait for the requests
+    /// callers are running inline. Idempotent; invoked automatically on
+    /// drop. Requests admitted before the call are still answered, and
+    /// when it returns no prediction is executing; later client calls
+    /// return [`ServeError::Disconnected`]. A lent poll set must be
+    /// done with first: its holder leaves only when its node shuts
+    /// down.
     pub fn shutdown(&mut self) {
-        {
-            let mut gate = self.shared.gate();
-            if !gate.closed {
-                gate.closed = true;
-                for sender in &gate.senders {
-                    // send only fails if the worker already exited, in
-                    // which case there is nobody left to signal.
-                    let _ = sender.send(Job::Shutdown);
-                }
-            }
-        }
-        for handle in self.workers.drain(..) {
+        self.shared.lock_work().closed = true;
+        self.shared.wake.notify_all();
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        self.shared.slots.wait_idle(self.shared.n_workers);
+        let mut work = self.shared.lock_work();
+        while work.free < self.shared.n_workers {
+            work = self
+                .shared
+                .wake
+                .wait(work)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
@@ -2736,63 +2675,13 @@ impl RuntimeClient {
     ///
     /// # Errors
     /// Returns [`ServeError::Disconnected`] when the runtime has shut
-    /// down, or when the servable panicked while serving this request
-    /// — on a worker thread, which the panic ends, or on this one, where
-    /// it is caught and the runtime keeps serving. A predictor-side
+    /// down, or when the servable panicked while serving this request —
+    /// on a runtime thread or on this one; the panic is caught either
+    /// way and the runtime keeps serving. A predictor-side
     /// failure is *not* an `Err` here; it arrives as
     /// [`Response::error`].
     pub fn call(&self, req: Request) -> Result<Response, ServeError> {
         self.shared.admit_request(req)
-    }
-
-    /// [`call`](Self::call) for a thread that must never block — the
-    /// node thread holding the poll set: the request is routed and
-    /// admitted here exactly as there, but its response goes to `sink`
-    /// (on whichever thread serves it, or right here when admission
-    /// itself answers) instead of a channel this thread would wait on.
-    /// With `may_run`, a request that [`call`](Self::call) would run
-    /// on its caller's thread comes back [`Submitted::Runnable`]
-    /// instead of queued; [`Submitted::Forward`] and
-    /// [`Submitted::Full`] are the parts of admission that could block
-    /// — a forward to a remote shard, a full worker queue — left
-    /// undone. This never runs a servable.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Disconnected`] when the runtime has shut
-    /// down; the sink is dropped uncalled.
-    pub(crate) fn submit(
-        &self,
-        req: Request,
-        sink: ResponseSink,
-        may_run: bool,
-    ) -> Result<Submitted<'_>, ServeError> {
-        self.shared.submit(req, sink, may_run)
-    }
-
-    /// Forward what [`submit`](Self::submit) routed to a remote shard,
-    /// blocking for the round trip.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Disconnected`] when the runtime has shut
-    /// down; the sink is dropped uncalled.
-    pub(crate) fn forward(&self, forward: Forward) -> Result<(), ServeError> {
-        self.shared.forward(forward)
-    }
-
-    /// Queue what [`submit`](Self::submit) found the worker queue full
-    /// for, if it has room now; `Some` hands it back.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Disconnected`] when the runtime has shut
-    /// down; the sink is dropped uncalled.
-    pub(crate) fn requeue(&self, queued: Queued) -> Result<Option<Queued>, ServeError> {
-        self.shared.requeue(queued)
-    }
-
-    /// Count a request frame the node could not decode (see
-    /// [`ServerStats::decode_errors`]).
-    pub(crate) fn count_decode_error(&self) {
-        self.shared.count_decode_error();
     }
 
     fn scores(resp: Response) -> Result<Vec<f64>, ServeError> {
@@ -3257,8 +3146,8 @@ mod tests {
                 b.endpoint("m", Arc::new(PanicsOnNegative));
                 let rt = b.build().unwrap();
                 let client = rt.client();
-                // The caller runs it, and reads what a worker's panic
-                // would have given it.
+                // The caller runs it, and reads what a panic on a
+                // runtime thread gives a queued caller.
                 assert_eq!(
                     client.predict(wire_rows(&[-1.0])),
                     Err(ServeError::Disconnected)
@@ -3272,13 +3161,34 @@ mod tests {
             });
         }
 
+        /// A servable that panics on a runtime thread fails the batch it
+        /// was serving, and the thread serves on: with one worker, the
+        /// next queued request would otherwise never be answered.
+        #[test]
+        fn a_queued_panic_answers_disconnected_and_the_thread_serves_on() {
+            under_watchdog(|| {
+                let mut b = ServingRuntime::builder();
+                b.config(ServerConfig::builder().workers(1).build());
+                b.endpoint("m", Arc::new(PanicsOnNegative));
+                let rt = b.build().unwrap();
+                // Counted beside another caller, every call queues.
+                rt.shared.local_callers.store(1, Ordering::SeqCst);
+                let client = rt.client();
+                assert_eq!(
+                    client.predict(wire_rows(&[-1.0])),
+                    Err(ServeError::Disconnected)
+                );
+                assert_eq!(client.predict(wire_rows(&[3.0])).unwrap(), vec![6.0]);
+                assert_eq!(rt.stats().worker_batches(), vec![2]);
+                rt.shared.local_callers.store(0, Ordering::SeqCst);
+                drop(rt);
+            });
+        }
+
         /// Shutdown against inline callers, on one worker with a
-        /// one-job queue. Shutdown holds
-        /// the gate while a sentinel waits for room in a queue that a
-        /// worker drains only once it has a slot, so a caller that
-        /// waited for the gate while holding its slot would hang all
-        /// three. The race is rare; the check in [`Shared::gate`] fails
-        /// the first caller that takes the gate under its slot.
+        /// one-job queue: shutdown closes admission while callers run
+        /// inline, queue, or wait for queue room, and must return once
+        /// every slot is back, with every caller answered or refused.
         #[test]
         fn shutdown_racing_inline_callers_returns() {
             under_watchdog(|| {
@@ -3373,77 +3283,34 @@ mod tests {
         }
 
         /// Callers that outnumber the workers queue even while a slot
-        /// is free: on two workers, with worker 0 busy and two callers
-        /// queued behind it, a third caller, routed to the idle worker
-        /// 1, is served by that worker rather than on its own thread.
+        /// is free: on two workers, with two other callers counted as
+        /// waiting for local answers, a caller whose worker has nothing
+        /// queued is served by a runtime thread rather than on its own.
         #[test]
         fn callers_that_outnumber_the_workers_queue() {
             under_watchdog(|| {
-                let (g, g_entered, g_open) = gated();
                 let (t, t_entered, t_open) = gated();
                 let mut b = ServingRuntime::builder();
-                b.config(
-                    ServerConfig::builder()
-                        .workers(2)
-                        .max_batch_requests(1)
-                        .build(),
-                );
-                b.endpoint("g", g as Arc<dyn Servable>).shards(2);
+                b.config(ServerConfig::builder().workers(2).build());
                 b.endpoint("t", t as Arc<dyn Servable>).shards(2);
                 let rt = b.build().unwrap();
-                // A key of `endpoint` that routes to `worker`.
-                let key = |endpoint: &str, worker: usize| {
-                    let assignment = rt.endpoint(endpoint, 1).unwrap().assignment();
-                    (0..)
-                        .map(|i| format!("k{i}"))
-                        .find(|k| assignment[shard_for_key(k, 2)] == worker)
-                        .unwrap()
-                };
-                let (g0, k0, k1) = (key("g", 0), key("t", 0), key("t", 1));
+                drop(t_open);
 
-                // Submissions never run inline: the first holds worker 0
-                // and a slot, the second waits in worker 0's queue.
-                let client = rt.client();
-                for id in 1..=2 {
-                    let req = Request {
-                        endpoint: Some("g".into()),
-                        key: Some(g0.clone()),
-                        ..Request::new(id, wire_rows(&[1.0]))
-                    };
-                    let submitted = client.submit(req, Box::new(|_| {}), false).unwrap();
-                    assert!(matches!(submitted, Submitted::Done));
-                }
-                // Worker 0 has taken the first off its queue: the queue
-                // below counts the second and the two callers only.
-                g_entered.recv().unwrap();
-                let callers: Vec<_> = (0..2)
-                    .map(|_| {
-                        let client = rt.client();
-                        let k0 = k0.clone();
-                        std::thread::spawn(move || {
-                            client.predict_keyed("t", &k0, wire_rows(&[1.0]))
-                        })
-                    })
-                    .collect();
-                while rt.shared.queue_probes[0].len() < 3 {
-                    std::thread::yield_now();
-                }
-
+                rt.shared.local_callers.store(2, Ordering::SeqCst);
                 let client = rt.client();
                 let third =
-                    std::thread::spawn(move || client.predict_keyed("t", &k1, wire_rows(&[1.0])));
+                    std::thread::spawn(move || client.predict_endpoint("t", wire_rows(&[1.0])));
                 let runs_on = t_entered.recv().unwrap();
                 assert_ne!(runs_on, third.thread().id(), "the third caller ran it");
-                for _ in 0..2 {
-                    g_open.send(()).unwrap();
-                }
-                for _ in 0..3 {
-                    t_open.send(()).unwrap();
-                }
                 assert_eq!(third.join().unwrap(), Ok(vec![2.0]));
-                for caller in callers {
-                    assert_eq!(caller.join().unwrap(), Ok(vec![2.0]));
-                }
+
+                // Counted alone, the caller runs its request itself.
+                rt.shared.local_callers.store(0, Ordering::SeqCst);
+                let client = rt.client();
+                let alone =
+                    std::thread::spawn(move || client.predict_endpoint("t", wire_rows(&[1.0])));
+                assert_eq!(t_entered.recv().unwrap(), alone.thread().id());
+                assert_eq!(alone.join().unwrap(), Ok(vec![2.0]));
             });
         }
     }

@@ -70,10 +70,11 @@ pub struct ServerConfig {
     /// batching: the queue is drained up to this bound without
     /// waiting). Values below 1 are treated as 1.
     pub max_batch_requests: usize,
-    /// Per-worker queue capacity before senders block.
+    /// Per-worker queue capacity before a blocking caller waits for
+    /// room. Requests a node admits never wait: they queue past it.
     pub queue_capacity: usize,
-    /// Number of executor threads pulling from the worker queues.
-    /// Values below 1 are treated as 1.
+    /// Number of workers: execution slots, worker queues, and threads
+    /// draining them. Values below 1 are treated as 1.
     pub workers: usize,
     /// Merge same-endpoint, same-schema requests drained in one
     /// iteration into a single model-level batch (one `predict_table`

@@ -131,6 +131,36 @@ fn one_row(x: f64) -> Vec<WireRow> {
     vec![vec![("x".to_string(), Value::Float(x))]]
 }
 
+/// Wait until the runtime's `n` threads have started and gone to
+/// sleep: a thread's first run allocates, once, and that must not land
+/// in a request's count. Every warm-up request may have run on its
+/// caller, so a runtime thread need not have run yet.
+fn runtime_threads_asleep(n: usize) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let asleep = std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .filter(|task| {
+                let dir = task.as_ref().expect("entry").path();
+                let name = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+                let status = std::fs::read_to_string(dir.join("status")).unwrap_or_default();
+                name.starts_with("willump-worker-")
+                    && status
+                        .lines()
+                        .any(|line| line.starts_with("State:") && line.contains("(sleeping)"))
+            })
+            .count();
+        if asleep == n {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{asleep} of {n} runtime threads asleep"
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// Allocations, in every thread, of one warmed-up 1-row
 /// `predict_keyed` that its caller runs: 10, in debug and release
 /// builds alike.
@@ -169,6 +199,7 @@ fn inline_counts() -> Vec<u64> {
         let scores = client.predict_keyed("m", "k", one_row(f64::from(i)));
         assert_eq!(scores, Ok(vec![2.0 * f64::from(i)]));
     }
+    runtime_threads_asleep(2);
     // The rows are the caller's input, built before the count starts.
     (0..32)
         .map(|i| {

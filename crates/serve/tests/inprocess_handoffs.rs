@@ -6,9 +6,9 @@
 //! The kernel keeps the count: a thread's `voluntary_ctxt_switches`
 //! goes up by one each time it blocks, which is once per wake-up.
 //!
-//! This file holds a single test because it tells the runtime's worker
-//! threads apart by name: unnamed threads inherit the name of the
-//! thread that spawned them, so the workers share the test thread's.
+//! This file holds a single test because it tells the runtime's
+//! threads apart by name, and every runtime in a process names its
+//! threads the same.
 
 use std::sync::Arc;
 
@@ -27,17 +27,13 @@ impl Servable for Doubler {
     }
 }
 
-/// How often each thread named like this one — the runtime's workers —
-/// has blocked so far, this thread left out.
+/// How often each of the runtime's threads has blocked so far.
 fn worker_blocks() -> Vec<u64> {
-    let me = std::fs::read_link("/proc/thread-self").expect("procfs");
-    let name = std::fs::read_to_string("/proc/thread-self/comm").expect("procfs");
     let mut blocked = Vec::new();
     for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
         let dir = task.expect("entry").path();
-        if dir.file_name() == me.file_name()
-            || std::fs::read_to_string(dir.join("comm")).unwrap_or_default() != name
-        {
+        let name = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        if !name.starts_with("willump-worker-") {
             continue;
         }
         let status = std::fs::read_to_string(dir.join("status")).unwrap_or_default();
@@ -64,6 +60,17 @@ fn back_to_back_calls_wake_no_runtime_worker() {
         client
             .predict_keyed("double", &format!("k{i}"), row(1.0))
             .expect("warms up");
+    }
+
+    // A worker names itself once it first runs, which it need not
+    // have done yet: every warm-up call ran on this thread.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while worker_blocks().len() < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the count never saw both workers"
+        );
+        std::thread::yield_now();
     }
 
     const N: u64 = 2000;

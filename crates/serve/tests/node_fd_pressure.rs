@@ -38,38 +38,72 @@ fn request(id: u64, x: f64) -> Request {
     }
 }
 
-/// The `stat` files of this process's threads whose name starts with
-/// `prefix` (the kernel keeps 15 bytes of a thread name).
-fn thread_stats(prefix: &str) -> Vec<File> {
+/// The `stat` and `status` files of one thread.
+struct ThreadFiles {
+    stat: File,
+    status: File,
+}
+
+/// What a set of threads has used together so far.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct ThreadUse {
+    /// CPU time in clock ticks (user + system).
+    cpu_ticks: u64,
+    /// Times a thread blocked: once per wake-up.
+    voluntary_switches: u64,
+    /// Times a thread was preempted while it could still run.
+    involuntary_switches: u64,
+}
+
+/// The files of this process's threads whose name starts with `prefix`
+/// (the kernel keeps 15 bytes of a thread name).
+fn thread_stats(prefix: &str) -> Vec<ThreadFiles> {
     let mut stats = Vec::new();
     for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
         let dir = task.expect("entry").path();
         let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
         if comm.starts_with(prefix) {
-            stats.push(File::open(dir.join("stat")).expect("opens"));
+            stats.push(ThreadFiles {
+                stat: File::open(dir.join("stat")).expect("opens"),
+                status: File::open(dir.join("status")).expect("opens"),
+            });
         }
     }
     assert!(!stats.is_empty(), "no thread named {prefix}*");
     stats
 }
 
-/// CPU time the threads have used together, in clock ticks (user +
-/// system).
-fn cpu_ticks(stats: &mut [File]) -> u64 {
-    stats
-        .iter_mut()
-        .map(|stat| {
-            let mut text = String::new();
-            stat.seek(SeekFrom::Start(0)).expect("seeks");
-            stat.read_to_string(&mut text).expect("reads");
-            // Fields after the parenthesised name; utime and stime are
-            // the 14th and 15th of the line, so the 12th and 13th
-            // after `)`.
-            let after = &text[text.rfind(')').expect("comm") + 1..];
-            let fields: Vec<&str> = after.split_whitespace().collect();
-            fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
-        })
-        .sum()
+/// A file's whole text, read again from the start.
+fn reread(file: &mut File) -> String {
+    let mut text = String::new();
+    file.seek(SeekFrom::Start(0)).expect("seeks");
+    file.read_to_string(&mut text).expect("reads");
+    text
+}
+
+/// What the threads have used together so far.
+fn thread_use(stats: &mut [ThreadFiles]) -> ThreadUse {
+    let mut sum = ThreadUse::default();
+    for thread in stats {
+        let stat = reread(&mut thread.stat);
+        // Fields after the parenthesised name; utime and stime are the
+        // 14th and 15th of the line, so the 12th and 13th after `)`.
+        let after = &stat[stat.rfind(')').expect("comm") + 1..];
+        let fields: Vec<&str> = after.split_whitespace().collect();
+        sum.cpu_ticks +=
+            fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
+        let status = reread(&mut thread.status);
+        let switches = |key: &str| {
+            status
+                .lines()
+                .find_map(|line| line.strip_prefix(key))
+                .and_then(|n| n.trim().parse::<u64>().ok())
+                .expect("a switch count")
+        };
+        sum.voluntary_switches += switches("voluntary_ctxt_switches:");
+        sum.involuntary_switches += switches("nonvoluntary_ctxt_switches:");
+    }
+    sum
 }
 
 #[test]
@@ -83,8 +117,8 @@ fn accept_failing_with_emfile_neither_spins_nor_stops_the_node() {
         .forward_request(&request(1, 1.0))
         .expect("served");
     assert_eq!(reply.response.scores, vec![2.0]);
-    // Every thread of the node's pool: whichever holds the poll set.
-    let mut stats = thread_stats("willump-node-");
+    // Every thread of the node: whichever holds the poll set.
+    let mut stats = thread_stats("willump-");
 
     // Use up every descriptor, then hand exactly one back for the
     // client side of a new connection: the node has none to accept it.
@@ -117,12 +151,14 @@ fn accept_failing_with_emfile_neither_spins_nor_stops_the_node() {
             .expect("served under descriptor pressure");
         assert_eq!(reply.response.scores, vec![2.0 * i as f64]);
     }
-    let before = cpu_ticks(&mut stats);
+    let before = thread_use(&mut stats);
     std::thread::sleep(Duration::from_millis(300));
-    let burned = cpu_ticks(&mut stats) - before;
+    let after = thread_use(&mut stats);
+    let burned = after.cpu_ticks - before.cpu_ticks;
     assert!(
         burned <= 5,
-        "the node's threads used {burned} ticks while accept kept failing"
+        "the node's threads used {burned} ticks while accept kept failing \
+         ({before:?} before the window, {after:?} after)"
     );
 
     // Descriptors come back; the next event of any kind — here a

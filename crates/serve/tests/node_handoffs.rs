@@ -1,9 +1,8 @@
 //! One request path through a node, counted in threads woken: a wire2
-//! request on a warmed-up idle node wakes the pool thread that holds
-//! the poll set (on the bytes), which hands the poll set to another
-//! pool thread and serves the request itself — the runtime's worker
-//! never wakes, and the response is written by the thread that read
-//! the request.
+//! request on a warmed-up idle node wakes the runtime thread that
+//! holds the poll set (on the bytes), which hands the poll set to the
+//! node's other thread and serves the request itself — the response
+//! is written by the thread that read the request.
 //!
 //! The kernel keeps the count: a thread's `voluntary_ctxt_switches`
 //! goes up by one each time it blocks, which is once per wake-up.
@@ -41,20 +40,17 @@ fn request(id: u64, forwarded: bool) -> Request {
     }
 }
 
-/// How often each thread of this process has blocked so far, by
-/// thread name (the kernel keeps 15 bytes of it), summed over the
-/// threads sharing a name. The calling thread is left out: an unnamed
-/// thread — the runtime's workers are — inherits the name of the
-/// thread that spawned it, which is this one.
+/// How often each of the node's threads — the runtime's
+/// `willump-worker-*` and `willump-node-0` — has blocked so far, by
+/// thread name (the kernel keeps 15 bytes of it).
 fn blocked_by_name() -> std::collections::HashMap<String, u64> {
-    let me = std::fs::read_link("/proc/thread-self").expect("procfs");
     let mut counts = std::collections::HashMap::new();
     for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
         let dir = task.expect("entry").path();
-        if dir.file_name() == me.file_name() {
+        let name = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        if !name.starts_with("willump-") {
             continue;
         }
-        let name = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
         let status = std::fs::read_to_string(dir.join("status")).unwrap_or_default();
         let blocked = status
             .lines()
@@ -68,8 +64,8 @@ fn blocked_by_name() -> std::collections::HashMap<String, u64> {
 
 /// Whether every other thread of this process is asleep. None is
 /// runnable, so each has parked where it waits for work: one that has
-/// not started yet — still wearing its parent's name — or one still
-/// holding a lock another waits for would be running.
+/// not started yet, or one still holding a lock another waits for,
+/// would be running.
 fn others_asleep() -> bool {
     let me = std::fs::read_link("/proc/thread-self").expect("procfs");
     std::fs::read_dir("/proc/self/task")
@@ -94,15 +90,13 @@ fn one_remote_request_wakes_one_node_thread_on_its_path() {
     for i in 0..100 {
         worker.forward_request(&request(i, true)).expect("warms up");
     }
-    let unnamed = std::fs::read_to_string("/proc/thread-self/comm").expect("procfs");
-    let unnamed = unnamed.trim_end();
 
     const N: u64 = 2000;
     let batches =
         |node: &RemoteRuntimeNode| -> u64 { node.runtime().stats().worker_batches().iter().sum() };
-    // A thread's first park is not a wake-up. On a busy host a pool
+    // A thread's first park is not a wake-up. On a busy host a node
     // thread may not have run yet, or may still be on its way to its
-    // first wait behind another on the pool's lock, and would park
+    // first wait behind another on the runtime's lock, and would park
     // inside the counting window. Count from a moment every thread is
     // asleep and no count moves.
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -120,7 +114,7 @@ fn one_remote_request_wakes_one_node_thread_on_its_path() {
     let batches_before = batches(&node);
     // Back to back, a forwarded frame and a plain one alternating:
     // with no remote shard behind this node both are admitted by the
-    // pool thread holding the poll set.
+    // thread holding the poll set.
     for i in 0..N {
         let reply = worker
             .forward_request(&request(i, i % 2 == 0))
@@ -130,23 +124,23 @@ fn one_remote_request_wakes_one_node_thread_on_its_path() {
     let (after, batches_after) = (blocked_by_name(), batches(&node));
     let woken = |name: &str| after.get(name).copied().unwrap_or(0) - before[name];
 
-    // Every request was one batch of the one runtime worker's, served
-    // by a pool thread: the worker never woke up.
-    assert_eq!(batches_after - batches_before, N);
-    assert_eq!(woken(unnamed), 0, "the runtime worker woke up");
-    // The pool threads woke once per request on the bytes, and once
+    // Every request was one batch of the one worker's. The node's
+    // threads woke once per request on the bytes, and at most once
     // more for the thread the poll set was handed to — two per
-    // request together, where the loop and the runtime worker made it
-    // two on the path.
-    let pool: Vec<&String> = before
-        .keys()
-        .filter(|name| name.starts_with("willump-node-"))
-        .collect();
-    assert_eq!(pool.len(), 4, "the default pool");
-    let pool_woken: u64 = pool.iter().map(|name| woken(name)).sum();
-    assert!(
-        pool_woken <= 2 * N + N / 10,
-        "{pool_woken} pool wake-ups for {N}"
+    // request together.
+    assert_eq!(batches_after - batches_before, N);
+    let mut threads: Vec<&String> = before.keys().collect();
+    threads.sort();
+    // `willump-worker-0` is one byte over what the kernel keeps.
+    assert_eq!(
+        threads,
+        ["willump-node-0", "willump-worker-"],
+        "the worker and the node's thread"
     );
-    assert!(pool_woken >= N, "the count saw no pool thread");
+    let node_woken: u64 = threads.iter().map(|name| woken(name)).sum();
+    assert!(
+        node_woken <= 2 * N + N / 10,
+        "{node_woken} node-thread wake-ups for {N}"
+    );
+    assert!(node_woken >= N, "the count saw no node thread");
 }
