@@ -108,7 +108,12 @@ pub struct WillumpConfig {
     pub caching: Option<CachingConfig>,
     /// Calibrate small-model confidences before threshold comparison.
     pub calibration: Calibration,
-    /// Threads for query-aware parallelization (1 = off).
+    /// Threads for per-input parallelization of example-at-a-time
+    /// queries (paper §4.4): one input's feature generators run on
+    /// this many threads (1 = off). Batch and top-K queries ignore it;
+    /// batch parallelism has no setting — a large batch of a row-local
+    /// plan is split across the host's cores by
+    /// [`PlanExecutor::run_batch`](crate::plan::PlanExecutor::run_batch).
     pub threads: usize,
     /// Seed for model training and validation shuffling.
     pub seed: u64,

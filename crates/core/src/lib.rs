@@ -16,8 +16,12 @@
 //! - **Automatic top-K filter models** (§4.3): reuse the small-model
 //!   construction as a filter that discards low-scoring inputs before
 //!   the full model ranks the survivors.
-//! - **Query-aware parallelization** (§4.4) and **feature-level
-//!   caching** (§4.5) via the underlying executor.
+//! - **Query-aware parallelization** (§4.4): a large batch of a
+//!   row-local plan runs as row chunks on every core
+//!   ([`plan::PlanExecutor::run_batch`]); one input's feature
+//!   generators run concurrently through the executor's per-input
+//!   parallelism. **Feature-level caching** (§4.5) is the
+//!   executor's too.
 //! - **End-to-end compilation** (§5): the optimized pipeline runs on
 //!   the compiled engine; the original runs on the interpreted
 //!   engine (`Pipeline::baseline`).

@@ -89,11 +89,12 @@ impl Willump {
         let cfg = &self.config;
 
         // Compilation: the optimized pipeline always runs on the
-        // compiled engine with the configured parallelism.
+        // compiled engine, with per-input parallelism for
+        // example-at-a-time queries (batch queries are split into row
+        // chunks by the plan executor).
         let parallelism = match (cfg.mode, cfg.threads) {
-            (_, 1) => Parallelism::None,
-            (QueryMode::ExampleAtATime, t) => Parallelism::PerInput(t),
-            (_, t) => Parallelism::Batch(t),
+            (QueryMode::ExampleAtATime, t) if t > 1 => Parallelism::PerInput(t),
+            _ => Parallelism::None,
         };
         let mut exec = Executor::new(pipeline.graph().clone(), EngineMode::Compiled)?
             .with_parallelism(parallelism);

@@ -19,14 +19,15 @@
 //! [`crate::Willump::optimize`] lowers its decisions into plans, and
 //! [`crate::OptimizedPipeline`] serves through them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use willump_data::{FeatureMatrix, Table};
-use willump_graph::{Executor, InputRow};
+use willump_graph::{Executor, InputRow, Operator};
 use willump_models::{metrics, Task, TrainedModel};
 use willump_store::LruCache;
 
@@ -325,6 +326,14 @@ impl StageMeters {
         self.rows_in[stage].fetch_add(rows as u64, Ordering::Relaxed);
         self.runs[stage].fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Nanoseconds the plan has spent per input row, over every stage
+    /// and every run so far; `None` before the first run.
+    fn nanos_per_row(&self) -> Option<f64> {
+        let rows = self.rows_in.first()?.load(Ordering::Relaxed);
+        let nanos: u64 = self.nanos.iter().map(|n| n.load(Ordering::Relaxed)).sum();
+        (rows > 0).then(|| nanos as f64 / rows as f64)
+    }
 }
 
 /// A stage's cumulative execution profile (see
@@ -337,7 +346,9 @@ pub struct StageProfile {
     pub runs: u64,
     /// Total rows entering the stage.
     pub rows_in: u64,
-    /// Total wall-clock seconds spent in the stage.
+    /// Total seconds spent in the stage. This is a cost, not a wall
+    /// time: a batch run in chunks adds up the seconds of its chunks,
+    /// which ran at the same time on different threads.
     pub seconds: f64,
 }
 
@@ -350,7 +361,8 @@ pub struct StageTrace {
     pub rows_in: usize,
     /// Rows still in flight afterwards.
     pub rows_out: usize,
-    /// Wall-clock seconds the stage took.
+    /// Seconds the stage took. A batch run in chunks reports the sum
+    /// over its chunks: a cost, not a wall time.
     pub seconds: f64,
 }
 
@@ -373,6 +385,31 @@ pub struct PlanRunReport {
     pub filter_kept: Option<usize>,
     /// The arm a [`PlanStage::SelectArm`] picked, when one ran.
     pub selected_arm: Option<usize>,
+    /// Row chunks the batch ran as (1: in one piece; see
+    /// [`PlanExecutor::run_batch`]).
+    pub chunks: usize,
+    /// Threads that ran chunks beside the calling one, all joined
+    /// before the run returned.
+    pub helpers: usize,
+}
+
+impl PlanRunReport {
+    /// Add a chunk's report of the same plan to this one. Only the
+    /// counts a row-local plan produces are summed: chunked plans have
+    /// no cache, filter or arm stage.
+    fn absorb(&mut self, chunk: PlanRunReport) {
+        if self.stages.is_empty() {
+            *self = chunk;
+            return;
+        }
+        for (total, part) in self.stages.iter_mut().zip(chunk.stages) {
+            total.rows_in += part.rows_in;
+            total.rows_out += part.rows_out;
+            total.seconds += part.seconds;
+        }
+        self.gate_resolved += chunk.gate_resolved;
+        self.escalated += chunk.escalated;
+    }
 }
 
 /// The result of one batch run.
@@ -1078,7 +1115,9 @@ impl ServingPlan {
     }
 
     /// Run the plan over a batch with the full outcome (scores,
-    /// ranking, stage report).
+    /// ranking, stage report). A large batch of a row-local plan runs
+    /// as row chunks on every core, with the same scores and counts as
+    /// one piece (see [`PlanExecutor::run_batch`]).
     ///
     /// # Errors
     /// Propagates execution failures.
@@ -1175,6 +1214,130 @@ impl ServingPlan {
             None => score,
         }
     }
+
+    /// Whether each input row's score depends on that row alone, so a
+    /// batch can run in pieces. A top-K filter ranks the whole batch,
+    /// the cache and arm stages share state across the batch, and a
+    /// store lookup batches its keys into one round trip per node.
+    fn is_row_local(&self) -> bool {
+        let shared_stage = self.stages.iter().any(|s| {
+            matches!(
+                s,
+                PlanStage::TopKFilter { .. }
+                    | PlanStage::CacheLookup
+                    | PlanStage::CacheFill
+                    | PlanStage::SelectArm
+            )
+        });
+        let store_lookup = self
+            .exec
+            .graph()
+            .nodes()
+            .iter()
+            .any(|node| matches!(node.op, Operator::StoreLookup(_)));
+        !shared_stage && !store_lookup
+    }
+}
+
+/// Rows per chunk when [`PlanExecutor::run_batch`] splits a batch:
+/// small enough that a chunk's intermediates stay small, large enough
+/// that a chunk's fixed costs vanish in its rows.
+const CHUNK_ROWS: usize = 256;
+
+/// The least estimated cost of a batch worth splitting. Starting and
+/// joining a scoped thread costs about 40 µs, so from here the spawn
+/// stays under 4 % of the work.
+const CHUNK_MIN_NANOS: f64 = 1e6;
+
+/// Cores this process may run on (read once).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Run `run` — the plan's stages — over `table` as
+/// [`CHUNK_ROWS`]-row chunks on the calling thread and `helpers`
+/// scoped threads, which take chunks in turn until none is left or
+/// one has failed. Each chunk writes its scores into its own slice
+/// of the output.
+fn run_in_chunks(
+    table: &Table,
+    helpers: usize,
+    run: impl Fn(&Table) -> Result<PlanOutcome, WillumpError> + Sync,
+) -> Result<PlanOutcome, WillumpError> {
+    type Share = Result<Option<PlanRunReport>, (usize, WillumpError)>;
+    let n = table.n_rows();
+    let chunks = n.div_ceil(CHUNK_ROWS);
+    let mut scores = vec![0.0; n];
+    let (mine, theirs) = {
+        let claims = Mutex::new(scores.chunks_mut(CHUNK_ROWS).enumerate());
+        let failed = AtomicBool::new(false);
+        let work = || -> Share {
+            let mut share: Option<PlanRunReport> = None;
+            while !failed.load(Ordering::Relaxed) {
+                let Some((c, out)) = claims.lock().next() else {
+                    break;
+                };
+                let rows: Vec<usize> = (c * CHUNK_ROWS..c * CHUNK_ROWS + out.len()).collect();
+                match run(&table.take_rows(&rows)) {
+                    Ok(chunk) => {
+                        out.copy_from_slice(&chunk.scores);
+                        share
+                            .get_or_insert_with(PlanRunReport::default)
+                            .absorb(chunk.report);
+                    }
+                    Err(e) => {
+                        failed.store(true, Ordering::Relaxed);
+                        return Err((c, e));
+                    }
+                }
+            }
+            Ok(share)
+        };
+        std::thread::scope(|scope| {
+            // A helper that cannot be started leaves its chunks to
+            // the others.
+            let handles: Vec<_> = (0..helpers.min(chunks.saturating_sub(1)))
+                .map_while(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("willump-batch-{i}"))
+                        .spawn_scoped(scope, work)
+                        .ok()
+                })
+                .collect();
+            let mine = work();
+            let theirs: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            (mine, theirs)
+        })
+    };
+    let helpers = theirs.len();
+    let mut report = PlanRunReport::default();
+    let mut first_error: Option<(usize, WillumpError)> = None;
+    let shares = std::iter::once(mine).chain(
+        theirs
+            .into_iter()
+            .map(|joined| joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic))),
+    );
+    for share in shares {
+        match share {
+            Ok(part) => report.absorb(part.unwrap_or_default()),
+            Err((c, e)) => {
+                if first_error.as_ref().is_none_or(|(first, _)| c < *first) {
+                    first_error = Some((c, e));
+                }
+            }
+        }
+    }
+    if let Some((_, e)) = first_error {
+        return Err(e);
+    }
+    report.chunks = chunks;
+    report.helpers = helpers;
+    Ok(PlanOutcome {
+        scores,
+        ranked: None,
+        report,
+    })
 }
 
 /// Which feature matrix is current for the next predict stage.
@@ -1226,9 +1389,88 @@ impl<'p> PlanExecutor<'p> {
     /// Run the plan over a batch. `k_override` replaces every
     /// [`PlanStage::TopKFilter`]'s default K for this run.
     ///
+    /// A large batch of a *row-local* plan — no top-K filter, cache or
+    /// arm stage, and no store lookup in the graph — runs as 256-row
+    /// chunks (paper §4.4: different data inputs on different
+    /// threads). The calling thread and up to one scoped helper per
+    /// further core claim chunks in turn, and each runs the whole plan
+    /// on its chunk, so every row's score is the one the batch gives
+    /// in one piece. A batch is split only when it makes at least two
+    /// chunks and the plan's own measured cost per row
+    /// ([`ServingPlan::stage_profiles`]) puts it at 1 ms or more; a
+    /// plan that has never run runs in one piece. The report's stage
+    /// rows and counts, and the [`PlanCounters`] deltas, are those of
+    /// one piece; its stage seconds are summed over the chunks. The
+    /// first failing chunk's error is returned, and a panic on a
+    /// helper resumes on the caller.
+    ///
     /// # Errors
     /// Propagates feature computation and cache-key failures.
     pub fn run_batch(
+        &self,
+        table: &Table,
+        k_override: Option<usize>,
+    ) -> Result<PlanOutcome, WillumpError> {
+        let helpers = self.helpers_for(table.n_rows());
+        self.run_batch_with(table, k_override, (helpers > 0).then_some(helpers))
+    }
+
+    /// Run a batch as chunks with exactly `helpers` helper threads
+    /// (fewer when there are fewer chunks), whatever its size or cost;
+    /// a plan that is not row-local runs in one piece. This exists so
+    /// tests can drive the chunked path on any host.
+    #[doc(hidden)]
+    pub fn run_batch_in_chunks(
+        &self,
+        table: &Table,
+        helpers: usize,
+    ) -> Result<PlanOutcome, WillumpError> {
+        let chunked = self.plan.is_row_local() && table.n_rows() > 0;
+        self.run_batch_with(table, None, chunked.then_some(helpers))
+    }
+
+    /// Helper threads worth starting for a batch of `rows` (see
+    /// [`run_batch`](PlanExecutor::run_batch)); 0 runs it in one piece.
+    fn helpers_for(&self, rows: usize) -> usize {
+        let chunks = rows.div_ceil(CHUNK_ROWS);
+        if chunks < 2 || !self.plan.is_row_local() {
+            return 0;
+        }
+        match self.plan.meters.nanos_per_row() {
+            Some(per_row) if per_row * rows as f64 >= CHUNK_MIN_NANOS => {
+                (cores() - 1).min(chunks - 1)
+            }
+            _ => 0,
+        }
+    }
+
+    /// Run a batch in one piece (`helpers: None`) or in chunks, and
+    /// record each stage's meters once.
+    fn run_batch_with(
+        &self,
+        table: &Table,
+        k_override: Option<usize>,
+        helpers: Option<usize>,
+    ) -> Result<PlanOutcome, WillumpError> {
+        let out = match helpers {
+            None => {
+                let mut out = self.run_stages(table, k_override)?;
+                out.report.chunks = 1;
+                out
+            }
+            Some(helpers) => run_in_chunks(table, helpers, |chunk| self.run_stages(chunk, None))?,
+        };
+        for (si, trace) in out.report.stages.iter().enumerate() {
+            self.plan
+                .meters
+                .record(si, trace.rows_in, (trace.seconds * 1e9) as u64);
+        }
+        Ok(out)
+    }
+
+    /// The plan's stages over one batch in one piece: the serial loop
+    /// every chunk runs. Stage meters are left to the caller.
+    fn run_stages(
         &self,
         table: &Table,
         k_override: Option<usize>,
@@ -1261,7 +1503,7 @@ impl<'p> PlanExecutor<'p> {
         let mut candidates: Option<Vec<usize>> = None;
         let mut report = PlanRunReport::default();
 
-        for (si, stage) in plan.stages.iter().enumerate() {
+        for stage in &plan.stages {
             let rows_in = active.len();
             let started = Instant::now();
             match stage {
@@ -1430,7 +1672,6 @@ impl<'p> PlanExecutor<'p> {
                 }
             }
             let seconds = started.elapsed().as_secs_f64();
-            plan.meters.record(si, rows_in, (seconds * 1e9) as u64);
             report.stages.push(StageTrace {
                 label: stage.label(),
                 rows_in,
@@ -1937,6 +2178,114 @@ mod tests {
                 .unwrap(),
         );
         assert!(ServingPlan::cascade(exec, lin_small, lin_full, 0.8, vec![0]).is_err());
+    }
+
+    /// A 600-row table in the shape of [`setup`]'s (three chunks).
+    fn long_table() -> Table {
+        let mut t = Table::new();
+        let a: Vec<f64> = (0..600).map(|i| f64::from(i % 7) - 3.0).collect();
+        let b: Vec<f64> = (0..600).map(|i| f64::from(i % 5) - 2.0).collect();
+        t.add_column("a", Column::from(a)).unwrap();
+        t.add_column("b", Column::from(b)).unwrap();
+        t
+    }
+
+    #[test]
+    fn a_failing_chunk_returns_its_error_and_stops_the_claims() {
+        let (exec, t, y) = setup();
+        let (_, full) = train(&exec, &t, &y);
+        let plan = ServingPlan::full_model_plan(exec, full);
+        let runner = PlanExecutor::new(&plan);
+        let ran = AtomicU64::new(0);
+        let err = run_in_chunks(&long_table(), 0, |chunk| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            let first = chunk.value(0, "a").expect("column a").to_string();
+            Err(WillumpError::BadData {
+                reason: format!("chunk starting at a = {first}"),
+            })
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, WillumpError::BadData { reason } if reason == "chunk starting at a = -3"),
+            "{err}"
+        );
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            1,
+            "no chunk claimed after a failure"
+        );
+
+        // Only the second chunk fails: its error comes back, whichever
+        // thread ran it.
+        let err = run_in_chunks(&long_table(), 2, |chunk| {
+            let second = chunk.value(0, "b").expect("column b").to_string();
+            if second == "-1" {
+                return Err(WillumpError::BadData {
+                    reason: "the second chunk".into(),
+                });
+            }
+            runner.run_stages(chunk, None)
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, WillumpError::BadData { reason } if reason == "the second chunk"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_resumes_on_the_caller() {
+        let (exec, t, y) = setup();
+        let (_, full) = train(&exec, &t, &y);
+        let plan = ServingPlan::full_model_plan(exec, full);
+        let runner = PlanExecutor::new(&plan);
+        let helper_ran = AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_in_chunks(&long_table(), 1, |chunk| {
+                let name = std::thread::current().name().map(str::to_string);
+                if name.is_some_and(|n| n.starts_with("willump-batch-")) {
+                    helper_ran.store(true, Ordering::SeqCst);
+                    panic!("a helper's chunk");
+                }
+                // The caller's chunks succeed; it waits for the helper
+                // to take one, so the panic is the helper's alone.
+                let waited = Instant::now();
+                while !helper_ran.load(Ordering::SeqCst) && waited.elapsed().as_secs() < 10 {
+                    std::thread::yield_now();
+                }
+                runner.run_stages(chunk, None)
+            })
+        }));
+        assert!(helper_ran.load(Ordering::SeqCst));
+        let payload = caught.expect_err("the helper's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a helper's chunk"));
+    }
+
+    #[test]
+    fn chunk_reports_add_up_to_the_one_piece_report() {
+        let (exec, t, y) = setup();
+        let (small, full) = train(&exec, &t, &y);
+        let one_piece =
+            ServingPlan::cascade(exec.clone(), small.clone(), full.clone(), 0.8, vec![0])
+                .unwrap()
+                .run_batch(&long_table())
+                .unwrap();
+        assert_eq!((one_piece.report.chunks, one_piece.report.helpers), (1, 0));
+        let plan = ServingPlan::cascade(exec, small, full, 0.8, vec![0]).unwrap();
+        let chunked = PlanExecutor::new(&plan)
+            .run_batch_in_chunks(&long_table(), 1)
+            .unwrap();
+        assert_eq!(chunked.report.chunks, 3);
+        assert_eq!(chunked.scores, one_piece.scores);
+        let rows = |r: &PlanRunReport| -> Vec<(usize, usize)> {
+            r.stages.iter().map(|s| (s.rows_in, s.rows_out)).collect()
+        };
+        assert_eq!(rows(&chunked.report), rows(&one_piece.report));
+        assert_eq!(chunked.report.gate_resolved, one_piece.report.gate_resolved);
+        assert_eq!(chunked.report.escalated, one_piece.report.escalated);
+        // Meters record each stage once per batch.
+        assert!(plan.stage_profiles().iter().all(|p| p.runs == 1));
+        assert!(plan.stage_profiles().iter().all(|p| p.rows_in > 0));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::cache::{source_key, FeatureCaches};
 use crate::graph::{NodeId, TransformGraph};
 use crate::interp;
 use crate::op::{BatchOut, RowOut};
-use crate::parallel::{lpt_assign, row_chunks};
+use crate::parallel::lpt_assign;
 use crate::row::{InputRow, RowFeatures};
 use crate::{GraphError, Operator};
 
@@ -24,13 +24,18 @@ pub enum EngineMode {
     Compiled,
 }
 
-/// Parallelization strategy (paper §4.4: query-aware parallelization).
+/// Per-input parallelization (paper §4.4: query-aware
+/// parallelization, the example-at-a-time half).
+///
+/// The batch half — different data inputs on different threads — is
+/// not an executor setting: `willump::PlanExecutor::run_batch` splits a
+/// large batch of a row-local plan into row chunks and runs the whole
+/// plan on each, so model scoring and escalation run in parallel too,
+/// not only feature computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
     /// Single-threaded.
     None,
-    /// Batch queries: different data inputs on different threads.
-    Batch(usize),
     /// Example-at-a-time queries: one input's feature generators run
     /// concurrently, statically LPT-assigned by cost.
     PerInput(usize),
@@ -235,12 +240,7 @@ impl Executor {
         self.check_subset(subset)?;
         match self.mode {
             EngineMode::Interpreted => interp::features_batch(self, table, subset),
-            EngineMode::Compiled => match self.parallelism {
-                Parallelism::Batch(threads) if threads > 1 && table.n_rows() > 1 => {
-                    self.compiled_batch_parallel(table, subset, threads)
-                }
-                _ => self.compiled_batch(table, subset),
-            },
+            EngineMode::Compiled => self.compiled_batch(table, subset),
         }
     }
 
@@ -351,55 +351,6 @@ impl Executor {
         Ok(FeatureMatrix::hstack(&parts)?)
     }
 
-    fn compiled_batch_parallel(
-        &self,
-        table: &Table,
-        subset: &[usize],
-        threads: usize,
-    ) -> Result<FeatureMatrix, GraphError> {
-        let chunks = row_chunks(table.n_rows(), threads);
-        if chunks.len() <= 1 {
-            return self.compiled_batch(table, subset);
-        }
-        let results: Vec<Result<FeatureMatrix, GraphError>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(start, end)| {
-                    let sub_rows: Vec<usize> = (start..end).collect();
-                    let chunk_table = table.take_rows(&sub_rows);
-                    scope.spawn(move |_| self.compiled_batch(&chunk_table, subset))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("no panics"))
-                .collect()
-        })
-        .expect("scope does not panic");
-        let mats: Result<Vec<FeatureMatrix>, GraphError> = results.into_iter().collect();
-        let mats = mats?;
-        // Vertically stack chunk results back together.
-        let dense_all = mats.iter().all(|m| matches!(m, FeatureMatrix::Dense(_)));
-        if dense_all {
-            let parts: Vec<willump_data::Matrix> = mats.iter().map(|m| m.to_dense()).collect();
-            let refs: Vec<&willump_data::Matrix> = parts.iter().collect();
-            Ok(FeatureMatrix::Dense(willump_data::Matrix::vstack(&refs)?))
-        } else {
-            // Sparse vstack via row re-push.
-            let width = mats[0].n_cols();
-            let mut b = willump_data::SparseRowBuilder::new(width);
-            let mut row = Vec::new();
-            for m in &mats {
-                for r in 0..m.n_rows() {
-                    row.clear();
-                    m.for_each_entry(r, |c, v| row.push((c, v)));
-                    b.push_row(&row);
-                }
-            }
-            Ok(FeatureMatrix::Sparse(b.finish()))
-        }
-    }
-
     // ----- compiled single-input path -------------------------------
 
     /// Evaluate one generator for one input, going through the feature
@@ -502,7 +453,7 @@ impl Executor {
         // heaviest items first, so group 0 is the largest load.
         type GroupResult = Result<Vec<(usize, Vec<(usize, f64)>)>, GraphError>;
         let main_group = groups.remove(0);
-        let (tx, rx) = crossbeam::channel::bounded::<GroupResult>(groups.len().max(1));
+        let (tx, rx) = std::sync::mpsc::sync_channel::<GroupResult>(groups.len().max(1));
         for grp in &groups {
             // Jobs must be 'static: clone the (cheap, Arc-backed)
             // executor and the input row into the closure.
@@ -750,26 +701,6 @@ mod tests {
         ));
         let input = InputRow::new([("title", Value::from("x"))]);
         assert!(exec.features_one(&input, None).is_err());
-    }
-
-    #[test]
-    fn parallel_batch_matches_serial() {
-        let exec = Executor::new(sample_graph(), EngineMode::Compiled).unwrap();
-        let par = exec.clone().with_parallelism(Parallelism::Batch(3));
-        let t = {
-            let mut t = Table::new();
-            let titles: Vec<String> = (0..17).map(|i| format!("title {i}!")).collect();
-            let bodies: Vec<String> = (0..17).map(|i| format!("body text {i}")).collect();
-            t.add_column("title", Column::from(titles)).unwrap();
-            t.add_column("body", Column::from(bodies)).unwrap();
-            t
-        };
-        let serial = exec.features_batch(&t, None).unwrap();
-        let parallel = par.features_batch(&t, None).unwrap();
-        assert_eq!(serial.n_rows(), parallel.n_rows());
-        for r in 0..t.n_rows() {
-            assert_eq!(serial.row_entries(r), parallel.row_entries(r));
-        }
     }
 
     #[test]

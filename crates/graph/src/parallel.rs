@@ -13,7 +13,8 @@
 //! a generator costs a channel send rather than an OS thread spawn.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A boxed unit of work for the pool.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -22,10 +23,11 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 ///
 /// Spawning an OS thread costs tens of microseconds — more than most
 /// feature generators — so per-query spawning inverts the gains of
-/// parallelization. The pool spawns its workers once; each dispatch is
-/// one channel send.
+/// parallelization. The pool spawns its workers (`willump-pool-{i}`)
+/// once; each dispatch is one channel send. Idle workers take turns
+/// waiting on the one receiver.
 pub struct WorkerPool {
-    sender: Option<crossbeam::channel::Sender<Job>>,
+    sender: Option<Sender<Job>>,
     n_threads: usize,
 }
 
@@ -33,17 +35,21 @@ impl WorkerPool {
     /// Start a pool with `n_threads` workers.
     ///
     /// # Panics
-    /// Panics if `n_threads == 0`.
+    /// Panics if `n_threads == 0` or a worker thread cannot be spawned.
     pub fn new(n_threads: usize) -> Arc<WorkerPool> {
         assert!(n_threads > 0, "need at least one thread");
-        let (sender, receiver) = crossbeam::channel::unbounded::<Job>();
-        for _ in 0..n_threads {
-            let rx = receiver.clone();
-            std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job();
-                }
-            });
+        let (sender, receiver) = mpsc::channel::<Job>();
+        let receiver = Arc::new(Mutex::new(receiver));
+        for i in 0..n_threads {
+            let rx = Arc::clone(&receiver);
+            std::thread::Builder::new()
+                .name(format!("willump-pool-{i}"))
+                .spawn(move || {
+                    while let Some(job) = next_job(&rx) {
+                        job();
+                    }
+                })
+                .expect("spawn a pool worker");
         }
         Arc::new(WorkerPool {
             sender: Some(sender),
@@ -64,6 +70,17 @@ impl WorkerPool {
             let _ = s.send(job);
         }
     }
+}
+
+/// The next job for a worker, or `None` once the pool is dropped. The
+/// lock is held only while waiting, never while a job runs, so a
+/// panicking job cannot poison it; a poisoned lock still hands out
+/// the receiver.
+fn next_job(rx: &Mutex<Receiver<Job>>) -> Option<Job> {
+    rx.lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .recv()
+        .ok()
 }
 
 impl fmt::Debug for WorkerPool {
@@ -119,31 +136,6 @@ pub fn makespan(costs: &[f64], groups: &[Vec<usize>]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Split `n` rows into up to `n_threads` contiguous chunks of nearly
-/// equal size (batch-query parallelism: different inputs on different
-/// threads). Returns `(start, end)` half-open ranges; never returns
-/// empty chunks.
-///
-/// # Panics
-/// Panics if `n_threads == 0`.
-pub fn row_chunks(n: usize, n_threads: usize) -> Vec<(usize, usize)> {
-    assert!(n_threads > 0, "need at least one thread");
-    let k = n_threads.min(n.max(1));
-    let base = n / k;
-    let extra = n % k;
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0;
-    for i in 0..k {
-        let len = base + usize::from(i < extra);
-        if len == 0 {
-            break;
-        }
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +146,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         assert_eq!(pool.n_threads(), 3);
         let counter = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = crossbeam::channel::bounded(16);
+        let (tx, rx) = std::sync::mpsc::sync_channel(16);
         for _ in 0..16 {
             let c = Arc::clone(&counter);
             let tx = tx.clone();
@@ -176,7 +168,7 @@ mod tests {
         // One dispatch round trip should cost microseconds, not the
         // tens of microseconds an OS thread spawn costs.
         let pool = WorkerPool::new(2);
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         // Warm up.
         let t0 = {
             let tx = tx.clone();
@@ -237,25 +229,5 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn lpt_zero_threads_panics() {
         let _ = lpt_assign(&[1.0], 0);
-    }
-
-    #[test]
-    fn chunks_partition_rows() {
-        let chunks = row_chunks(10, 3);
-        assert_eq!(chunks, vec![(0, 4), (4, 7), (7, 10)]);
-        let chunks = row_chunks(2, 8);
-        assert_eq!(chunks, vec![(0, 1), (1, 2)]);
-        assert!(row_chunks(0, 3).is_empty());
-    }
-
-    #[test]
-    fn chunks_never_empty() {
-        for n in 0..30 {
-            for t in 1..6 {
-                for (s, e) in row_chunks(n, t) {
-                    assert!(e > s);
-                }
-            }
-        }
     }
 }

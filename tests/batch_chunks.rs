@@ -1,0 +1,270 @@
+//! When `PlanExecutor::run_batch` runs a batch as row chunks on helper
+//! threads, and what a failing or panicking chunk does.
+//!
+//! A batch is split only when it makes at least two 256-row chunks,
+//! the plan is row-local, and the plan's own measured cost per row puts
+//! the batch at 1 ms or more. `PlanRunReport::helpers` counts the
+//! threads a run started (all joined before it returned), so "starts no
+//! thread" is `helpers == 0`.
+
+use std::sync::Arc;
+
+use willump::{PlanExecutor, QueryMode, ServingPlan, TopKConfig, Willump, WillumpConfig};
+use willump_data::{Column, Table};
+use willump_graph::{EngineMode, Executor, GraphBuilder, Operator};
+use willump_models::{LogisticParams, ModelSpec, TrainedModel};
+use willump_serve::{
+    table_row_to_wire, Servable, ServeError, ServerConfig, ServingRuntime, DEFAULT_ENDPOINT,
+};
+use willump_workloads::{WorkloadConfig, WorkloadKind};
+
+/// `n` rows of two numeric inputs: `a` alone separates most of them.
+fn rows(n: usize) -> (Table, Vec<f64>) {
+    let mut a = Vec::with_capacity(n);
+    let mut b = Vec::with_capacity(n);
+    let mut y = Vec::with_capacity(n);
+    for i in 0..n {
+        let label = (i % 2) as f64;
+        let sign = if label > 0.5 { 1.0 } else { -1.0 };
+        if i % 3 == 0 {
+            a.push(0.0);
+            b.push(2.0 * sign);
+        } else {
+            a.push(3.0 * sign);
+            b.push(0.0);
+        }
+        y.push(label);
+    }
+    let mut t = Table::new();
+    t.add_column("a", Column::from(a)).unwrap();
+    t.add_column("b", Column::from(b)).unwrap();
+    (t, y)
+}
+
+/// An executor over two numeric feature generators and a small/full
+/// logistic pair fitted on it.
+fn fitted() -> (Executor, Arc<TrainedModel>, Arc<TrainedModel>) {
+    let mut g = GraphBuilder::new();
+    let a = g.source("a");
+    let b = g.source("b");
+    let f0 = g.add("f0", Operator::NumericColumn, [a]).unwrap();
+    let f1 = g.add("f1", Operator::NumericColumn, [b]).unwrap();
+    let graph = Arc::new(g.finish_with_concat("cat", [f0, f1]).unwrap());
+    let exec = Executor::new(graph, EngineMode::Compiled).unwrap();
+    let (t, y) = rows(300);
+    let fit = |subset: Option<&[usize]>| {
+        let feats = exec.features_batch(&t, subset).unwrap();
+        Arc::new(
+            ModelSpec::Logistic(LogisticParams::default())
+                .fit(&feats, &y, 1)
+                .unwrap(),
+        )
+    };
+    let (small, full) = (fit(Some(&[0])), fit(None));
+    (exec, small, full)
+}
+
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The plan's measured cost of one row so far: every stage's seconds
+/// over the rows that entered its first stage.
+fn seconds_per_row(plan: &ServingPlan) -> f64 {
+    let profiles = plan.stage_profiles();
+    let seconds: f64 = profiles.iter().map(|p| p.seconds).sum();
+    seconds / profiles[0].rows_in as f64
+}
+
+#[test]
+fn a_fresh_plans_first_batch_starts_no_thread() {
+    let (exec, small, full) = fitted();
+    let plan = ServingPlan::cascade(exec, small, full, 0.9, vec![0]).unwrap();
+    let out = plan.run_batch(&rows(20_000).0).unwrap();
+    assert_eq!((out.report.chunks, out.report.helpers), (1, 0));
+}
+
+/// Each batch is split exactly when the rule says so, judged from the
+/// cost the plan has measured right before it runs.
+#[test]
+fn a_batch_splits_only_when_its_estimated_cost_reaches_a_millisecond() {
+    let (exec, small, full) = fitted();
+    let plan = ServingPlan::cascade(exec, small, full, 0.9, vec![0]).unwrap();
+    plan.run_batch(&rows(2_000).0).unwrap();
+    let per_row = seconds_per_row(&plan);
+    // Well under the floor (when even two chunks' worth is), and over
+    // it.
+    let under = ((0.25e-3 / per_row) as usize).max(257);
+    let over = ((2e-3 / per_row).ceil() as usize).clamp(513, 200_000);
+    let mut judged_under = false;
+    for n in [256, under, over, under, over] {
+        let estimate = seconds_per_row(&plan) * n as f64;
+        let out = plan.run_batch(&rows(n).0).unwrap();
+        let split = n > 256 && estimate >= 1e-3 && cores() > 1;
+        assert_eq!(out.report.helpers > 0, split, "{n} rows, {estimate} s");
+        if split {
+            assert_eq!(out.report.chunks, n.div_ceil(256));
+            assert!(out.report.helpers < cores());
+        } else {
+            assert_eq!((out.report.chunks, out.report.helpers), (1, 0));
+            judged_under |= n > 256;
+        }
+    }
+    assert!(
+        judged_under || seconds_per_row(&plan) * 257.0 >= 0.25e-3,
+        "no batch of two chunks ran under the floor"
+    );
+}
+
+/// A top-K filter ranks the whole batch, a cache or an arm choice is
+/// state shared across it: such plans run every batch in one piece.
+#[test]
+fn plans_with_batch_wide_stages_never_split() {
+    let (exec, small, full) = fitted();
+    let (t, _) = rows(2_001);
+    let plans = [
+        ServingPlan::top_k_filter(
+            exec.clone(),
+            small.clone(),
+            full.clone(),
+            10,
+            TopKConfig::default(),
+            vec![0],
+        )
+        .unwrap(),
+        ServingPlan::cascade(exec.clone(), small.clone(), full.clone(), 0.9, vec![0])
+            .unwrap()
+            .with_e2e_cache(vec!["a".into(), "b".into()], None)
+            .unwrap(),
+        ServingPlan::full_model_plan(exec, full.clone())
+            .with_arms(vec![full.clone(), full], 4)
+            .unwrap(),
+    ];
+    for plan in &plans {
+        for _ in 0..3 {
+            let out = plan.run_batch(&t).unwrap();
+            assert_eq!((out.report.chunks, out.report.helpers), (1, 0));
+        }
+        let forced = PlanExecutor::new(plan).run_batch_in_chunks(&t, 3).unwrap();
+        assert_eq!(
+            (forced.report.chunks, forced.report.helpers),
+            (1, 0),
+            "{:?}",
+            plan.describe()
+        );
+    }
+}
+
+/// A store lookup batches a batch's keys into one round trip per lookup
+/// node, so a plan over one is never split: the music top-K query keeps
+/// its five round trips per query, and so does a full-model batch.
+#[test]
+fn store_lookup_plans_never_split() {
+    let w = WorkloadKind::Music
+        .generate(&WorkloadConfig::small())
+        .expect("generates");
+    let store = w.store.clone().expect("music has a store");
+    let trips = || store.stats().round_trips();
+
+    let opt = Willump::new(WillumpConfig {
+        mode: QueryMode::TopK { k: 20 },
+        ..WillumpConfig::default()
+    })
+    .optimize(&w.pipeline, &w.train, &w.train_y, &w.valid, &w.valid_y)
+    .expect("optimizes");
+    let plan = opt.serving_plan();
+    for _ in 0..3 {
+        let before = trips();
+        plan.top_k(&w.test, 20).expect("top-K query");
+        assert_eq!(trips() - before, 5);
+    }
+
+    let full = ServingPlan::full_model_plan(plan.executor().clone(), plan.full_model().clone());
+    for _ in 0..3 {
+        let before = trips();
+        let out = PlanExecutor::new(&full)
+            .run_batch_in_chunks(&w.test, 3)
+            .unwrap();
+        assert_eq!((out.report.chunks, out.report.helpers), (1, 0));
+        assert_eq!(trips() - before, 5);
+    }
+}
+
+/// A batch whose chunks fail returns the failure, as one piece would.
+#[test]
+fn a_failing_chunk_returns_its_error() {
+    let (exec, _, full) = fitted();
+    let plan = ServingPlan::full_model_plan(exec, full);
+    // Input `b` is missing.
+    let mut t = Table::new();
+    t.add_column("a", Column::from(vec![1.0; 2_001])).unwrap();
+    let one_piece = plan.run_batch(&t).unwrap_err().to_string();
+    for helpers in 0..=3 {
+        let chunked = PlanExecutor::new(&plan)
+            .run_batch_in_chunks(&t, helpers)
+            .unwrap_err();
+        assert_eq!(chunked.to_string(), one_piece);
+    }
+}
+
+/// Serves the batch in chunks on three helpers, whatever its cost.
+struct InChunks(ServingPlan);
+
+impl Servable for InChunks {
+    fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
+        PlanExecutor::new(&self.0)
+            .run_batch_in_chunks(table, 3)
+            .map(|out| out.scores)
+            .map_err(|e| e.to_string())
+    }
+}
+
+/// A chunk that panics on a helper thread panics the call on the
+/// thread that ran it, where the runtime catches it: the caller reads
+/// `Disconnected`, and the runtime serves on.
+#[test]
+fn a_panicking_chunk_reads_disconnected_through_the_runtime() {
+    use willump_featurize::{TfIdfVectorizer, VectorizerConfig};
+
+    // Sparse text features scored by a model fitted on one column: the
+    // sparse dot product panics on its too-short weights.
+    let docs: Vec<String> = (0..1_000)
+        .map(|i| format!("word{} common", i % 50))
+        .collect();
+    let mut vectorizer = TfIdfVectorizer::new(VectorizerConfig::default()).unwrap();
+    vectorizer.fit(&docs);
+    let mut g = GraphBuilder::new();
+    let text = g.source("text");
+    let tfidf = g
+        .add("tfidf", Operator::TfIdf(Arc::new(vectorizer)), [text])
+        .unwrap();
+    let graph = Arc::new(g.finish_with_concat("features", [tfidf]).unwrap());
+    let exec = Executor::new(graph, EngineMode::Compiled).unwrap();
+    let (_, small, _) = fitted();
+    let mut t = Table::new();
+    t.add_column("text", Column::from(docs)).unwrap();
+    let panics = ServingPlan::full_model_plan(exec, small);
+
+    let (exec, _, full) = fitted();
+    let mut b = ServingRuntime::builder();
+    b.config(ServerConfig::builder().workers(2).build());
+    b.endpoint(DEFAULT_ENDPOINT, Arc::new(InChunks(panics)));
+    b.endpoint(
+        "serves",
+        Arc::new(InChunks(ServingPlan::full_model_plan(exec, full))),
+    );
+    let rt = b.build().unwrap();
+    let client = rt.client();
+    let wire = |table: &Table| -> Vec<_> {
+        (0..table.n_rows())
+            .map(|r| table_row_to_wire(table, r).unwrap())
+            .collect()
+    };
+    assert_eq!(client.predict(wire(&t)), Err(ServeError::Disconnected));
+    let (numbers, _) = rows(600);
+    let scores = client
+        .predict_endpoint("serves", wire(&numbers))
+        .expect("the runtime serves on");
+    assert_eq!(scores.len(), 600);
+    drop(rt);
+}

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 use willump::cascade::THRESHOLD_CANDIDATES;
-use willump::{ServingPlan, TopKConfig};
+use willump::{PlanExecutor, PlanRunReport, ServingPlan, TopKConfig};
 use willump_data::{Column, Table};
 use willump_graph::{EngineMode, Executor, GraphBuilder, InputRow, TransformGraph};
 use willump_models::{metrics, LinearParams, LogisticParams, ModelSpec, TrainedModel};
@@ -391,4 +391,118 @@ fn serving_plan_follows_sweeps_through_the_mutable_accessors() {
         plan_report.filter_kept,
         pipeline_report.expect("filter ran").filter_kept
     );
+}
+
+/// Batch sizes around the edges of the plan executor's 256-row chunks.
+const CHUNK_EDGE_SIZES: [usize; 9] = [1, 255, 256, 257, 511, 512, 513, 2_000, 2_001];
+
+/// `n` rows spread over the fixture's input range, easy and hard alike.
+fn spread_rows(n: usize) -> Table {
+    let rows: Vec<(f64, f64)> = (0..n)
+        .map(|i| {
+            let a = ((i * 7_919) % 1_000) as f64 / 100.0 - 5.0;
+            let b = ((i * 104_729) % 1_000) as f64 / 100.0 - 5.0;
+            (a, b)
+        })
+        .collect();
+    table_from_pairs(&rows)
+}
+
+fn stage_rows(report: &PlanRunReport) -> Vec<(usize, usize)> {
+    report
+        .stages
+        .iter()
+        .map(|s| (s.rows_in, s.rows_out))
+        .collect()
+}
+
+/// Run a fresh plan from `make` over `table` in one piece (a plan's
+/// first batch is never split) and fresh plans in chunks with 0 to 3
+/// helper threads: the chunked runs give the same score bits, stage
+/// rows, gate and escalation counts and counter deltas.
+fn assert_chunks_match_one_piece(make: impl Fn() -> ServingPlan, table: &Table) {
+    let n = table.n_rows();
+    let chunks = n.div_ceil(256);
+    let fresh = make();
+    let one = fresh.run_batch(table).unwrap();
+    assert_eq!(
+        one.report.chunks, 1,
+        "a plan's first batch runs in one piece"
+    );
+    assert_eq!(one.report.helpers, 0);
+    let one_counts = fresh.counters().snapshot();
+    for helpers in 0..=3 {
+        let plan = make();
+        let out = PlanExecutor::new(&plan)
+            .run_batch_in_chunks(table, helpers)
+            .unwrap();
+        let at = format!("n = {n}, {helpers} helpers");
+        assert_eq!(out.report.chunks, chunks, "{at}");
+        assert_eq!(out.report.helpers, helpers.min(chunks - 1), "{at}");
+        assert_eq!(bits(&out.scores), bits(&one.scores), "{at}");
+        assert_eq!(stage_rows(&out.report), stage_rows(&one.report), "{at}");
+        assert_eq!(out.report.gate_resolved, one.report.gate_resolved, "{at}");
+        assert_eq!(out.report.escalated, one.report.escalated, "{at}");
+        assert_eq!(plan.counters().snapshot(), one_counts, "{at}");
+    }
+}
+
+/// The cascade and the full-model plan give the same answers and
+/// counts in 256-row chunks as in one piece, at every chunk edge.
+#[test]
+fn chunked_batches_match_one_piece_at_every_chunk_edge() {
+    let fx = fixture();
+    let cascade = || {
+        ServingPlan::cascade(
+            fx.exec.clone(),
+            fx.small.clone(),
+            fx.full.clone(),
+            0.9,
+            vec![0],
+        )
+        .unwrap()
+    };
+    let full = || ServingPlan::full_model_plan(fx.exec.clone(), fx.full.clone());
+    for n in CHUNK_EDGE_SIZES {
+        let t = spread_rows(n);
+        assert_chunks_match_one_piece(cascade, &t);
+        assert_chunks_match_one_piece(full, &t);
+    }
+    // The big batch both resolves and escalates rows.
+    let out = cascade().run_batch(&spread_rows(2_001)).unwrap();
+    assert!(out.report.gate_resolved > 0 && out.report.escalated > 0);
+}
+
+/// The toxic cascade — sparse text features, escalation merging the
+/// efficient and inefficient blocks — and its full-model plan give the
+/// same answers in chunks as in one piece. (Restates the graph-level
+/// batch-parallel check at plan level, where chunks now run.)
+#[test]
+fn chunked_text_plans_match_one_piece() {
+    use willump_workloads::{WorkloadConfig, WorkloadKind};
+
+    let w = WorkloadKind::Toxic
+        .generate(&WorkloadConfig {
+            n_train: 400,
+            n_valid: 100,
+            n_test: 2_001,
+            seed: 7,
+            remote: None,
+        })
+        .expect("generates");
+    let exec = Executor::new(w.pipeline.graph().clone(), EngineMode::Compiled).unwrap();
+    let fit = |subset: Option<&[usize]>| {
+        let feats = exec.features_batch(&w.train, subset).unwrap();
+        Arc::new(w.pipeline.spec().fit(&feats, &w.train_y, 1).unwrap())
+    };
+    let (small, full) = (fit(Some(&[0])), fit(None));
+    let cascade =
+        || ServingPlan::cascade(exec.clone(), small.clone(), full.clone(), 0.9, vec![0]).unwrap();
+    assert_chunks_match_one_piece(cascade, &w.test);
+    assert_chunks_match_one_piece(
+        || ServingPlan::full_model_plan(exec.clone(), full.clone()),
+        &w.test,
+    );
+    let out = cascade().run_batch(&w.test).unwrap();
+    assert!(out.report.escalated > 0, "{:?}", out.report);
 }
