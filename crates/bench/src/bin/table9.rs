@@ -7,9 +7,7 @@
 //! (degrade to the small-model plan form past the SLO, shed past
 //! `shed_factor` x SLO). Latency is measured from each request's
 //! *scheduled* arrival time — not its send time — so queue-induced
-//! send delay counts (no coordinated omission). A second cell replays
-//! a single heavy-hitter key and reports how the hot-key sketch
-//! spreads it round-robin across shards.
+//! send delay counts (no coordinated omission).
 //!
 //! Flags (mirroring the other recording binaries):
 //!
@@ -109,21 +107,6 @@ fn run_cell(runtime: &ServingRuntime, arrivals: &[f64], threads: usize) -> LoadR
     report
 }
 
-/// Replay one heavy-hitter key through an admission runtime and
-/// report how its traffic spread over the endpoint's shards.
-fn hot_key_spread(n: usize) -> (Vec<u64>, u64) {
-    let runtime = build_runtime(true);
-    let client = runtime.client();
-    for i in 0..n {
-        client
-            .predict_keyed("model", "viral-item", one_row(i as f64))
-            .expect("hot-key request serves");
-    }
-    let ep = runtime.endpoint("model", 1).expect("endpoint exists");
-    let spread = ep.stats().shard_requests();
-    (spread, runtime.stats().hot_keys())
-}
-
 fn fmt_ms(seconds: f64) -> String {
     format!("{:.1}ms", seconds * 1e3)
 }
@@ -174,15 +157,7 @@ fn sweep(smoke: bool) -> (String, String) {
         );
     }
 
-    let hot_n = if smoke { 100 } else { 400 };
-    let (spread, hot_hits) = hot_key_spread(hot_n);
-    let spread_shards = spread.iter().filter(|&&c| c > 0).count();
-    assert!(
-        spread_shards >= 2,
-        "hot key never spread: {spread:?} (sketch hits {hot_hits})"
-    );
-
-    let table = format_table(
+    let output = format_table(
         "Table 9: open-loop Poisson overload, admission control on/off",
         &[
             "offered load",
@@ -195,11 +170,6 @@ fn sweep(smoke: bool) -> (String, String) {
         ],
         &rows,
     );
-    let hot_line = format!(
-        "\nHot-key telemetry: one key, {hot_n} requests -> shard spread \
-         {spread:?} ({spread_shards}/{SHARDS} shards, {hot_hits} sketch hits).\n"
-    );
-    let output = format!("{table}{hot_line}");
     let body = format!(
         "Statistically-aware admission control (repo extension beyond\n\
          the paper): open-loop Poisson traffic at fractions of nominal\n\

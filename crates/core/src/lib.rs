@@ -49,7 +49,6 @@ mod layout;
 mod optimize;
 mod pipeline;
 pub mod plan;
-pub mod sketch;
 pub mod stats;
 pub mod topk;
 
@@ -63,5 +62,4 @@ pub use plan::{
     FeatureSet, ModelSlot, PlanCounters, PlanCountersSnapshot, PlanExecutor, PlanOutcome,
     PlanRunReport, PlanStage, RowOutcome, ServingPlan, StageProfile, StageTrace,
 };
-pub use sketch::CountMinSketch;
 pub use stats::{IfvStats, LatencyHistogram, RateEstimator};

@@ -266,9 +266,7 @@ crate::counter_set! {
 
 impl PlanCounters {
     /// Fraction of rows escalated to the full feature layout
-    /// (0 before any rows have run). This is the statistic a serving
-    /// scheduler reads to give escalation-heavy plans dedicated
-    /// workers.
+    /// (0 before any rows have run).
     pub fn escalation_rate(&self) -> f64 {
         let rows = self.rows();
         if rows == 0 {
@@ -289,18 +287,6 @@ impl PlanCountersSnapshot {
         } else {
             self.escalated as f64 / self.rows as f64
         }
-    }
-
-    /// Scalar placement-pressure score for cluster scheduling: rows
-    /// served, weighted up by the escalated fraction (an
-    /// escalation-heavy node does disproportionate work per row — the
-    /// same signal the escalation-aware worker scheduler keys on),
-    /// in kilo-rows so it blends with latency/failure penalties.
-    /// Zero for an idle node; monotone in both traffic volume and
-    /// escalation share.
-    #[must_use]
-    pub fn placement_pressure(&self) -> f64 {
-        self.rows as f64 * (1.0 + self.escalation_rate()) / 1000.0
     }
 }
 
@@ -1050,36 +1036,6 @@ impl ServingPlan {
         if let Some(c) = &self.cache {
             c.store.lock().clear();
         }
-    }
-
-    /// Pin the end-to-end cache entries backing `table`'s rows against
-    /// LRU eviction, returning how many entries were newly pinned.
-    ///
-    /// The serving runtime calls this for rows belonging to
-    /// heavy-hitter routing keys, so a burst of cold traffic cannot
-    /// evict the answers the hottest keys keep asking for. A no-op
-    /// without a cache, for rows not currently cached, and for rows
-    /// missing a cache source column.
-    pub fn pin_cache_rows(&self, table: &Table) -> usize {
-        let Some(cache) = &self.cache else { return 0 };
-        let mut store = cache.store.lock();
-        let mut pinned = 0;
-        for r in 0..table.n_rows() {
-            let Ok(key) = self.cache_key_row(table, r) else {
-                continue;
-            };
-            if !store.is_pinned(&key) && store.pin(&key) {
-                pinned += 1;
-            }
-        }
-        pinned
-    }
-
-    /// End-to-end cache entries currently pinned (0 without a cache).
-    pub fn cache_pinned(&self) -> usize {
-        self.cache
-            .as_ref()
-            .map_or(0, |c| c.store.lock().pinned_len())
     }
 
     /// Feed reward in `[0, 1]` (clamped) for `arm` back into the
@@ -1860,32 +1816,6 @@ mod tests {
     }
 
     #[test]
-    fn placement_pressure_tracks_volume_and_escalation_share() {
-        let idle = PlanCountersSnapshot::default();
-        assert_eq!(idle.placement_pressure(), 0.0);
-
-        let calm = PlanCountersSnapshot {
-            rows: 1000,
-            gate_resolved: 1000,
-            escalated: 0,
-            filter_dropped: 0,
-        };
-        let busy = PlanCountersSnapshot { rows: 2000, ..calm };
-        let escalating = PlanCountersSnapshot {
-            escalated: 1000,
-            gate_resolved: 0,
-            ..calm
-        };
-        // Monotone in volume and in escalation share: a node doing
-        // twice the rows — or escalating every row — scores hotter
-        // than a calm one.
-        assert!(busy.placement_pressure() > calm.placement_pressure());
-        assert!(escalating.placement_pressure() > calm.placement_pressure());
-        assert_eq!(calm.placement_pressure(), 1.0);
-        assert_eq!(escalating.placement_pressure(), 2.0);
-    }
-
-    #[test]
     fn full_plan_matches_direct_prediction() {
         let (exec, t, y) = setup();
         let (_, full) = train(&exec, &t, &y);
@@ -1983,37 +1913,6 @@ mod tests {
         assert!(d2.cache_hit, "degraded view shares the plan's cache");
         assert!((d2.score - f.score).abs() < 1e-12);
         let _ = d;
-    }
-
-    #[test]
-    fn pinned_hot_rows_survive_cache_churn() {
-        let (exec, t, y) = setup();
-        let (small, full) = train(&exec, &t, &y);
-        let plan = ServingPlan::cascade(exec, small, full, 0.8, vec![0])
-            .unwrap()
-            .with_e2e_cache(vec!["a".to_string(), "b".to_string()], Some(2))
-            .unwrap();
-        let row = |a: f64, b: f64| {
-            let mut one = Table::new();
-            one.add_column("a", Column::from(vec![a])).unwrap();
-            one.add_column("b", Column::from(vec![b])).unwrap();
-            one
-        };
-        let hot = row(3.0, 0.0);
-        // Pinning before the row is cached is a no-op…
-        assert_eq!(plan.pin_cache_rows(&hot), 0);
-        let first = plan.predict_batch(&hot).unwrap()[0];
-        // …once cached, the pin takes, exactly once.
-        assert_eq!(plan.pin_cache_rows(&hot), 1);
-        assert_eq!(plan.pin_cache_rows(&hot), 0);
-        assert_eq!(plan.cache_pinned(), 1);
-        // Churn the 2-entry cache well past capacity with cold rows.
-        for i in 0..8 {
-            let _ = plan.predict_batch(&row(-3.0, f64::from(i))).unwrap();
-        }
-        let hits = plan.cache_hits();
-        assert!((plan.predict_batch(&hot).unwrap()[0] - first).abs() < 1e-12);
-        assert_eq!(plan.cache_hits(), hits + 1, "pinned hot row was evicted");
     }
 
     #[test]

@@ -386,8 +386,8 @@ impl LatencyHistogram {
         self.quantile(0.999)
     }
 
-    /// Halve every bucket count, aging out stale samples (the
-    /// exponential-decay trick shared with the admission sketch).
+    /// Halve every bucket count, aging out stale samples (an
+    /// exponential decay).
     pub fn halve(&mut self) {
         self.total = 0;
         for c in &mut self.counts {

@@ -66,7 +66,7 @@ mod runtime;
 mod server;
 pub mod wire2;
 
-pub use cluster::{ClusterConfig, ClusterCoordinator, ClusterHandle, Migration, RemoteShardView};
+pub use cluster::{ClusterConfig, ClusterHandle};
 pub use e2e_cache::E2eCachedPredictor;
 pub use error::ServeError;
 pub use monitor::{

@@ -19,17 +19,13 @@
 //!   consecutive topology snapshots (keyed on stable slot ids, which
 //!   survive index shifts as slots splice in and out) to detect
 //!   breaker transitions, shard add/drain/remove, and SLO shed
-//!   episodes. [`ClusterCoordinator::with_monitor`] additionally
-//!   publishes applied migrations into the same feed.
+//!   episodes.
 //!
 //! The history is the ops contract: a cluster lifecycle — node death,
-//! breaker opening, prober re-admission, live drain, coordinator
-//! migration — must be reconstructable purely from
-//! [`StatsHub::samples`] and [`StatsHub::events`], with no direct
-//! runtime inspection. The soak test in `tests/monitor.rs` holds the
-//! crate to exactly that.
-//!
-//! [`ClusterCoordinator::with_monitor`]: crate::ClusterCoordinator::with_monitor
+//! breaker opening, prober re-admission, live drain, removal — must
+//! be reconstructable purely from [`StatsHub::samples`] and
+//! [`StatsHub::events`], with no direct runtime inspection. The soak
+//! test in `tests/monitor.rs` holds the crate to exactly that.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,9 +37,10 @@ use parking_lot::Mutex;
 
 use willump::{Clock, SystemClock};
 
-use crate::cluster::Migration;
 use crate::remote::{BreakerState, TransportStats};
-use crate::runtime::{EndpointStatsSnapshot, ServerStatsSnapshot, ServingRuntime, Shared};
+use crate::runtime::{
+    Endpoint, EndpointStatsSnapshot, ServerStatsSnapshot, ServingRuntime, Shared,
+};
 
 /// Events are small and drops are costly (a missed `ShardRemoved`
 /// breaks lifecycle reconstruction), so the event ring holds this
@@ -215,8 +212,9 @@ impl EndpointSample {
 /// One remote shard's slice of an [`EndpointSample`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSample {
-    /// Stable slot id (survives index shifts; see
-    /// [`crate::RemoteShardView::slot_id`]).
+    /// Process-wide unique slot id, stable for the slot's lifetime
+    /// (shard *indices* shift as slots splice in and out; event
+    /// detection keys on this).
     pub slot_id: u64,
     /// Global shard index (`local_shards()..`) at sample time.
     pub shard: usize,
@@ -230,11 +228,31 @@ pub struct ShardSample {
     pub stats: TransportStats,
 }
 
+/// `endpoint`'s remote shards in shard order, snapshotted from one
+/// coherent slot list (unlike combining
+/// [`Endpoint::transport_stats`] and friends, which each re-read the
+/// live topology).
+fn shard_samples(endpoint: &Endpoint) -> Vec<ShardSample> {
+    let local = endpoint.local_shards();
+    endpoint
+        .remote_slots()
+        .iter()
+        .enumerate()
+        .map(|(i, slot)| ShardSample {
+            slot_id: slot.id,
+            shard: local + i,
+            description: slot.transport.describe(),
+            breaker: slot.transport.breaker_state(),
+            draining: slot.is_draining(),
+            stats: slot.transport.stats(),
+        })
+        .collect()
+}
+
 // ---- events --------------------------------------------------------
 
-/// A state change derived by the monitor (or published into it by the
-/// cluster coordinator). The sampler emits these by diffing
-/// consecutive samples, so an event's resolution is one sampling
+/// A state change derived by the monitor. The sampler emits these by
+/// diffing consecutive samples, so an event's resolution is one sampling
 /// interval: a breaker that opened and closed entirely between two
 /// ticks is invisible, exactly as it would be to a polling operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -290,9 +308,6 @@ pub enum MonitorEvent {
         /// Transport description.
         description: String,
     },
-    /// The cluster coordinator applied a shard migration (published
-    /// by [`crate::ClusterCoordinator::with_monitor`]).
-    Migration(Migration),
     /// An endpoint began shedding at admission (its shed counter
     /// moved during the last interval after being still).
     ShedStarted {
@@ -365,8 +380,8 @@ struct HubInner {
 
 /// The monitor's shared state: a bounded ring of [`MonitorSample`]s
 /// plus a bounded [`TimedEvent`] feed. Cloning is cheap (shared
-/// state): the background sampler, the cluster coordinator, and any
-/// number of readers hold handles to the same hub.
+/// state): the background sampler and any number of readers hold
+/// handles to the same hub.
 ///
 /// Feed it from a background sampler
 /// ([`ServingRuntime::start_monitor`]) or manually
@@ -419,18 +434,7 @@ impl StatsHub {
         let server = core.server_stats().snapshot();
         let mut endpoints = Vec::new();
         for endpoint in core.all_endpoints() {
-            let shards = endpoint
-                .remote_shard_views()
-                .into_iter()
-                .map(|v| ShardSample {
-                    slot_id: v.slot_id,
-                    shard: v.shard,
-                    description: v.description,
-                    breaker: v.breaker,
-                    draining: v.draining,
-                    stats: v.stats,
-                })
-                .collect();
+            let shards = shard_samples(&endpoint);
             endpoints.push(EndpointSample {
                 name: endpoint.name().to_string(),
                 version: endpoint.version(),
@@ -542,14 +546,6 @@ impl StatsHub {
         for event in pending {
             Self::push_event(&self.inner, st, event, at_nanos);
         }
-    }
-
-    /// Publish an externally-detected event (e.g. a coordinator
-    /// migration) into the feed, stamped with the hub's clock.
-    pub fn record_event(&self, event: MonitorEvent) {
-        let at_nanos = self.inner.clock.now_nanos();
-        let mut st = self.inner.state.lock();
-        Self::push_event(&self.inner, &mut st, event, at_nanos);
     }
 
     fn push_event(inner: &HubInner, st: &mut HubState, event: MonitorEvent, at_nanos: u64) {

@@ -141,7 +141,7 @@ impl Request {
 pub enum ControlRequest {
     /// Report every endpoint's [`PlanCountersSnapshot`] in
     /// [`Response::counters`] — the cross-process statistics feed for
-    /// a parent's merged counters and the cluster coordinator.
+    /// a parent's merged counters and the cluster prober.
     Counters,
     /// (Re-)enter service: clear the node's draining flag so new
     /// prediction requests are admitted again.
@@ -152,7 +152,7 @@ pub enum ControlRequest {
     Drain,
     /// Announce an imminent detach. Semantically `Drain` plus the
     /// intent not to return; the answering node treats it as `Drain`
-    /// today, and the distinction lets coordinators tell a temporary
+    /// today, and the distinction lets a parent tell a temporary
     /// drain from a permanent departure.
     Leave,
 }

@@ -22,11 +22,9 @@
 //!   **degrades** plan endpoints to their small-model lowering
 //!   ([`willump::ServingPlan::degraded`]) and only past the shed
 //!   threshold **sheds** with an explicit
-//!   [`Response::overloaded`] marker. A Count-Min Sketch tracks
-//!   per-key frequency at admission: heavy-hitter keys are routed
-//!   round-robin across shards instead of key-hash (one worker cannot
-//!   absorb a viral key) and get their end-to-end cache entries
-//!   pinned against LRU eviction.
+//!   [`Response::overloaded`] marker. Admission never re-routes: a
+//!   keyed request lands on its key-hash shard however hot its key
+//!   runs, so that shard's feature caches keep serving it.
 //!
 //! At most [`ServerConfig::workers`] predictions run at once, each
 //! holding one of as many execution slots. While blocking in-process
@@ -64,9 +62,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use willump::{
-    CountMinSketch, LatencyHistogram, PlanCounters, PlanCountersSnapshot, RateEstimator,
-};
+use willump::{LatencyHistogram, PlanCounters, PlanCountersSnapshot, RateEstimator};
 use willump_data::{Column, DataType, Table};
 
 use crate::protocol::{ControlRequest, EndpointCounters, Request, Response, WireRow};
@@ -159,10 +155,6 @@ willump::counter_set! {
         /// marker (no prediction ran; not counted in
         /// [`rows`](ServerStats::rows)).
         sum shed,
-        /// Requests whose routing key tested as a heavy hitter at
-        /// admission (routed round-robin instead of key-hash, cache
-        /// entries pinned).
-        sum hot_keys,
         /// Health probes sent by the cluster control plane (counter
         /// probes against open-breaker shards; never counted as
         /// [`remote_forwards`](ServerStats::remote_forwards)).
@@ -248,9 +240,6 @@ willump::counter_set! {
         /// Requests shed at admission (answered with
         /// [`Response::overloaded`], no prediction ran).
         sum shed,
-        /// Requests whose routing key tested as a heavy hitter at
-        /// admission.
-        sum hot_keys,
         /// Health probes sent against this endpoint's remote shards.
         sum probes_sent,
         /// Health probes this endpoint's remote shards answered.
@@ -327,11 +316,9 @@ impl EndpointStats {
 ///    answered immediately with [`Response::overloaded`] and an
 ///    explicit error; no prediction runs.
 ///
-/// Independently, a Count-Min Sketch tracks routing-key frequency:
-/// keys above [`hot_key_fraction`](Self::hot_key_fraction) of an
-/// endpoint's traffic are routed round-robin across shards instead of
-/// key-hash, and their end-to-end cache entries are pinned against
-/// LRU eviction ([`willump::ServingPlan::pin_cache_rows`]).
+/// Admission never changes where a request goes: a keyed request
+/// always lands on its key-hash shard, so the shard's feature caches
+/// keep serving that key.
 ///
 /// Decisions apply to locally-served traffic; requests routed to a
 /// remote shard are forwarded and subject to the *remote* node's own
@@ -340,13 +327,12 @@ impl EndpointStats {
 pub struct AdmissionPolicy {
     slo_p99_nanos: u64,
     shed_factor: f64,
-    hot_key_fraction: f64,
     min_samples: u64,
 }
 
 impl AdmissionPolicy {
     /// A policy targeting the given p99 latency SLO, with defaults:
-    /// shed factor 2.0, hot-key fraction 0.5, 32 minimum samples.
+    /// shed factor 2.0, 32 minimum samples.
     ///
     /// # Panics
     /// Panics on a zero SLO.
@@ -357,7 +343,6 @@ impl AdmissionPolicy {
         AdmissionPolicy {
             slo_p99_nanos: nanos,
             shed_factor: 2.0,
-            hot_key_fraction: 0.5,
             min_samples: 32,
         }
     }
@@ -378,24 +363,8 @@ impl AdmissionPolicy {
         self
     }
 
-    /// Fraction of an endpoint's traffic above which a routing key
-    /// counts as a heavy hitter. Default 0.5.
-    ///
-    /// # Panics
-    /// Panics unless `0 < fraction <= 1`.
-    #[must_use]
-    pub fn hot_key_fraction(mut self, fraction: f64) -> AdmissionPolicy {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "hot_key_fraction must be in (0, 1], got {fraction}"
-        );
-        self.hot_key_fraction = fraction;
-        self
-    }
-
-    /// Minimum telemetry samples (service-time observations for SLO
-    /// decisions, sketch increments for heavy-hitter tests) before
-    /// the policy acts. Default 32.
+    /// Minimum service-time observations before the policy degrades
+    /// or sheds anything; until then it accepts. Default 32.
     #[must_use]
     pub fn min_samples(mut self, n: u64) -> AdmissionPolicy {
         self.min_samples = n;
@@ -413,10 +382,6 @@ impl AdmissionPolicy {
 /// track the recent regime instead of averaging over all history.
 const SERVICE_HISTORY_LIMIT: u64 = 8192;
 
-/// Key-frequency sketches halve at this total, aging out keys whose
-/// traffic moved on.
-const SKETCH_DECAY_EVERY: u64 = 65536;
-
 /// Per-endpoint streaming telemetry backing admission decisions
 /// (allocated only when the runtime has an [`AdmissionPolicy`]).
 struct Telemetry {
@@ -424,8 +389,6 @@ struct Telemetry {
     arrivals: Mutex<RateEstimator>,
     /// Service-time distribution of completed local predictions.
     service: Mutex<LatencyHistogram>,
-    /// Routing-key frequency sketch for heavy-hitter detection.
-    sketch: Mutex<CountMinSketch>,
 }
 
 impl Telemetry {
@@ -436,7 +399,6 @@ impl Telemetry {
             arrivals: Mutex::new(RateEstimator::new(100_000_000, 0.3)),
             // 26 exponential buckets from 1µs: covers ~1µs..34s.
             service: Mutex::new(LatencyHistogram::exponential(1_000, 2.0, 26)),
-            sketch: Mutex::new(CountMinSketch::new(512, 4)),
         }
     }
 }
@@ -1241,34 +1203,10 @@ impl Shared {
         let entry = Arc::clone(entry);
 
         // ---- statistical admission telemetry -----------------------
-        // Record the arrival and test the routing key for heat. A hot
-        // key routes round-robin (key = None below) so one worker
-        // cannot absorb a viral key, and its cached answers get
-        // pinned against eviction.
-        let mut hot = false;
-        if let (Some(policy), Some(tel)) = (&self.admission, &entry.telemetry) {
+        if let Some(tel) = &entry.telemetry {
             let now = self.started.elapsed().as_nanos() as u64;
             tel.arrivals.lock().record(now);
-            if let Some(k) = req.key.as_deref() {
-                let mut sketch = tel.sketch.lock();
-                sketch.record(k);
-                if sketch.total() >= SKETCH_DECAY_EVERY {
-                    sketch.halve();
-                }
-                hot = sketch.total() >= policy.min_samples
-                    && sketch.is_heavy(k, policy.hot_key_fraction);
-                drop(sketch);
-                if hot {
-                    self.stats.hot_keys.fetch_add(1, Ordering::Relaxed);
-                    entry.stats.hot_keys.fetch_add(1, Ordering::Relaxed);
-                    if let Ok(table) = rows_to_table(&req.rows) {
-                        let _ = entry.servable.pin_hot_rows(&table);
-                    }
-                }
-            }
         }
-
-        let key = if hot { None } else { req.key.clone() };
 
         // Forwarded frames stay on local shards (the forwarding-loop
         // guard); plain frames route uniformly over local shards plus
@@ -1295,7 +1233,7 @@ impl Shared {
                 format!("endpoint `{}` has {why}", entry.name),
             ));
         }
-        let shard = pick_shard(&entry, key.as_deref(), domain, req.forwarded);
+        let shard = pick_shard(&entry, req.key.as_deref(), domain, req.forwarded);
 
         // ---- degrade-then-shed decision ----------------------------
         // Locally-routed requests pass the admission policy before
@@ -1994,10 +1932,9 @@ impl RuntimeBuilder {
     /// Install a statistical [`AdmissionPolicy`]: the runtime keeps
     /// per-endpoint telemetry (arrival rate, service-time quantiles,
     /// queue depth) and degrades — then sheds — requests whose
-    /// estimated p99 latency breaches the policy's SLO. Heavy-hitter
-    /// routing keys spread round-robin across shards and get their
-    /// cache entries pinned. Without a policy (the default), every
-    /// request is accepted and no telemetry is recorded.
+    /// estimated p99 latency breaches the policy's SLO. Without a
+    /// policy (the default), every request is accepted and no
+    /// telemetry is recorded.
     pub fn admission(&mut self, policy: AdmissionPolicy) -> &mut RuntimeBuilder {
         self.admission = Some(policy);
         self
@@ -2341,10 +2278,8 @@ impl ServingRuntime {
 
     /// Poll every remote shard for its node's plan counters
     /// ([`crate::ControlRequest::Counters`] probes) and cache the
-    /// snapshots, so [`Endpoint::merged_counters`] and the
-    /// per-shard views the [`crate::ClusterCoordinator`] scores
-    /// ([`Endpoint::remote_shard_views`]) see statistics that
-    /// accumulated in other processes. Returns how many shards
+    /// snapshots, so [`Endpoint::merged_counters`] sees statistics
+    /// that accumulated in other processes. Returns how many shards
     /// answered.
     ///
     /// Best-effort and synchronous: each probe is one transport round
@@ -3000,59 +2935,27 @@ mod tests {
         assert_eq!(rt.stats().shed(), 0);
     }
 
-    /// A servable that counts how often the admission layer asks it to
-    /// pin hot rows.
-    struct PinProbe {
-        pins: AtomicU64,
-    }
-    impl Servable for PinProbe {
-        fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
-            Ok(vec![1.0; table.n_rows()])
-        }
-        fn pin_hot_rows(&self, table: &Table) -> usize {
-            self.pins.fetch_add(1, Ordering::Relaxed);
-            table.n_rows()
-        }
-    }
-
     #[test]
-    fn hot_keys_spread_across_shards_and_pin() {
-        let probe = Arc::new(PinProbe {
-            pins: AtomicU64::new(0),
-        });
+    fn dominant_key_stays_on_its_key_hash_shard() {
         let mut b = ServingRuntime::builder();
         b.config(ServerConfig::builder().workers(2).build());
-        // A far-away SLO: only the hot-key logic is active.
-        b.admission(
-            AdmissionPolicy::with_slo_p99(Duration::from_secs(60))
-                .min_samples(4)
-                .hot_key_fraction(0.5),
-        );
-        b.endpoint("hot", probe.clone() as Arc<dyn Servable>)
-            .shards(2);
+        // A far-away SLO: admission records telemetry but never
+        // degrades or sheds.
+        b.admission(AdmissionPolicy::with_slo_p99(Duration::from_secs(60)).min_samples(4));
+        b.endpoint("hot", Arc::new(Scaler(2.0))).shards(2);
         let rt = b.build().unwrap();
         let client = rt.client();
-        // One key dominating the stream: key-hash routing would pin it
-        // to a single shard, so the admission layer must flip it to
-        // round-robin once the sketch flags it heavy.
+        // One key dominating the stream keeps landing on its key-hash
+        // shard, where that shard's caches hold its features.
         for i in 0..40 {
             client
-                .predict_keyed("hot", "viral-item", wire_rows(&[i as f64]))
+                .predict_keyed("hot", "viral-item", wire_rows(&[f64::from(i)]))
                 .unwrap();
         }
         let ep = rt.endpoint("hot", 1).unwrap();
-        let per_shard = ep.stats().shard_requests();
-        assert_eq!(per_shard.iter().sum::<u64>(), 40);
-        assert!(
-            per_shard.iter().all(|&c| c > 0),
-            "hot key stuck to one shard: {per_shard:?}"
-        );
-        assert!(rt.stats().hot_keys() >= 36);
-        assert!(ep.stats().hot_keys() >= 36);
-        assert!(
-            probe.pins.load(Ordering::Relaxed) > 0,
-            "hot rows were never offered for cache pinning"
-        );
+        let mut expected = vec![0; 2];
+        expected[shard_for_key("viral-item", 2)] = 40;
+        assert_eq!(ep.stats().shard_requests(), expected);
         assert_eq!(rt.stats().shed(), 0);
         assert_eq!(rt.stats().degraded(), 0);
     }
@@ -3061,22 +2964,20 @@ mod tests {
     fn cold_keys_keep_key_hash_affinity_under_admission() {
         let mut b = ServingRuntime::builder();
         b.config(ServerConfig::builder().workers(2).build());
-        b.admission(
-            AdmissionPolicy::with_slo_p99(Duration::from_secs(60))
-                .min_samples(4)
-                .hot_key_fraction(0.9),
-        );
+        b.admission(AdmissionPolicy::with_slo_p99(Duration::from_secs(60)).min_samples(4));
         b.endpoint("m", Arc::new(Scaler(2.0))).shards(2);
         let rt = b.build().unwrap();
         let client = rt.client();
-        // A spread of distinct keys: none crosses the 90% heavy-hitter
-        // bar, so every one keeps deterministic key-hash affinity.
+        // A spread of distinct keys: each keeps deterministic key-hash
+        // affinity while admission records telemetry.
         for i in 0..24 {
-            client
-                .predict_keyed("m", &format!("user-{}", i % 6), wire_rows(&[1.0]))
-                .unwrap();
+            let key = format!("user-{}", i % 6);
+            let shard = shard_for_key(&key, 2);
+            let before = rt.endpoint("m", 1).unwrap().stats().shard_requests();
+            client.predict_keyed("m", &key, wire_rows(&[1.0])).unwrap();
+            let after = rt.endpoint("m", 1).unwrap().stats().shard_requests();
+            assert_eq!(after[shard], before[shard] + 1);
         }
-        assert_eq!(rt.stats().hot_keys(), 0);
         // Replaying one of those keys lands on its key-hash shard.
         let expect = shard_for_key("user-3", 2);
         let before = rt.endpoint("m", 1).unwrap().stats().shard_requests();
@@ -3085,6 +2986,7 @@ mod tests {
             .unwrap();
         let after = rt.endpoint("m", 1).unwrap().stats().shard_requests();
         assert_eq!(after[expect], before[expect] + 1);
+        assert_eq!(rt.stats().shed(), 0);
     }
 
     #[test]

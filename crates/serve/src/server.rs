@@ -18,16 +18,6 @@ pub trait Servable: Send + Sync {
     /// Returns a display string on failure (crossing the serving
     /// boundary erases error types, as an RPC would).
     fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String>;
-
-    /// Pin any cached artifacts backing these rows against eviction.
-    ///
-    /// The runtime's admission layer calls this for rows belonging to
-    /// heavy-hitter routing keys, so hot answers stay resident under
-    /// cache churn. Returns how many entries were newly pinned.
-    /// Default: no cache, nothing to pin.
-    fn pin_hot_rows(&self, _table: &Table) -> usize {
-        0
-    }
 }
 
 impl Servable for willump::BaselinePipeline {
@@ -49,10 +39,6 @@ impl Servable for willump::OptimizedPipeline {
 impl Servable for willump::ServingPlan {
     fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
         self.predict_batch(table).map_err(|e| e.to_string())
-    }
-
-    fn pin_hot_rows(&self, table: &Table) -> usize {
-        self.pin_cache_rows(table)
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! A warmed-up 1-row `predict_keyed` on an idle 2-worker runtime runs
 //! on the calling thread and allocates a fixed number of times: the
-//! request's endpoint and key strings, the key's copy routing keeps,
-//! the table (a column of values, the column name twice — in the table
+//! request's endpoint and key strings, the table (a column of values,
+//! the column name twice — in the table
 //! and in its name index — the column list and the index), the scores
 //! and the endpoint name the response echoes. A JSON round trip on that
 //! path, a reply channel, or a new per-request collection shows here
@@ -162,15 +162,15 @@ fn runtime_threads_asleep(n: usize) {
 }
 
 /// Allocations, in every thread, of one warmed-up 1-row
-/// `predict_keyed` that its caller runs: 10, in debug and release
+/// `predict_keyed` that its caller runs: 9, in debug and release
 /// builds alike.
-const ONE_REQUEST: u64 = 10;
+const ONE_REQUEST: u64 = 9;
 
 /// Allocations, in every thread, of one warmed-up 1-row
 /// `predict_keyed` that finds no free slot and is served by a worker:
-/// 16, in debug and release builds alike (95 while the call was a JSON
+/// 15, in debug and release builds alike (95 while the call was a JSON
 /// round trip inside the process).
-const ONE_QUEUED_REQUEST: u64 = 16;
+const ONE_QUEUED_REQUEST: u64 = 15;
 
 #[test]
 fn one_warmed_request_stays_within_its_allocation_budget() {

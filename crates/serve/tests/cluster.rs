@@ -1,8 +1,7 @@
 //! Integration tests for the cluster control plane: automatic
 //! re-admission of a killed-then-recovered node by the health prober,
 //! live topology mutation (add/drain/remove) with zero in-flight
-//! loss, node-level drain/join control frames, and the
-//! statistics-driven coordinator's one-migration-per-cycle rule.
+//! loss, and node-level drain/join control frames.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -12,9 +11,8 @@ use std::time::{Duration, Instant};
 use willump_data::{Table, Value};
 use willump_serve::wire2::{decode_request_payload, encode_request_payload};
 use willump_serve::{
-    BreakerState, ClusterConfig, ClusterCoordinator, ControlRequest, InProcessWorker,
-    RemoteRuntimeNode, RemoteWorker, Request, Servable, ServeError, ServerConfig, ServingRuntime,
-    WireRow,
+    BreakerState, ClusterConfig, ControlRequest, InProcessWorker, RemoteRuntimeNode, RemoteWorker,
+    Request, Servable, ServeError, ServerConfig, ServingRuntime, WireRow,
 };
 
 /// Deterministic predictor shared with the remote.rs suite: local and
@@ -382,84 +380,6 @@ fn drain_and_join_control_frames_flip_node_admission() {
         .call(Request::control_frame(11, ControlRequest::Leave))
         .expect("leave frame answered");
     assert!(runtime.is_draining());
-}
-
-/// The coordinator migrates **at most one** shard per rebalance
-/// cycle: with both remote shards on a dead node and a healthy spare
-/// registered, the first cycle moves exactly one shard, the second
-/// moves the other.
-#[test]
-fn coordinator_migrates_at_most_one_shard_per_cycle() {
-    let mut node_a = spawn_node("affine", 2);
-    let addr_a = node_a.local_addr().to_string();
-    let node_b = spawn_node("affine", 2);
-    let addr_b = node_b.local_addr().to_string();
-
-    let long = Duration::from_secs(600);
-    let mut b = ServingRuntime::builder();
-    b.config(ServerConfig::builder().workers(2).build());
-    b.endpoint("affine", Arc::new(Affine))
-        .shards(2)
-        .shard_transport(Arc::new(
-            RemoteWorker::new(&addr_a)
-                .with_timeout(Duration::from_secs(2))
-                .with_breaker(2, long),
-        ))
-        .shard_transport(Arc::new(
-            RemoteWorker::new(&addr_a)
-                .with_timeout(Duration::from_secs(2))
-                .with_breaker(2, long),
-        ));
-    let runtime = b.build().expect("runtime builds");
-    let ep = runtime.endpoint("affine", 1).expect("endpoint exists");
-    let client = runtime.client();
-
-    // Kill node A and open its breakers with a few failed forwards.
-    node_a.shutdown();
-    let remote_key = key_for_shard(2, 4);
-    for i in 0..3 {
-        client
-            .predict_keyed("affine", &remote_key, wire_rows(&[i as f64]))
-            .expect("fail-over keeps serving");
-    }
-    assert!(ep.transport_breaker_states().contains(&BreakerState::Open));
-
-    let mut coordinator = ClusterCoordinator::new();
-    coordinator
-        .register_node(&addr_a)
-        .register_node(&addr_b)
-        .drain_timeout(Duration::from_secs(2));
-
-    // Cycle 1: exactly one shard leaves the dead node.
-    let migration = coordinator
-        .rebalance(&runtime)
-        .expect("imbalance must trigger a migration");
-    assert_eq!(migration.from, addr_a);
-    assert_eq!(migration.to, addr_b);
-    assert_eq!(migration.endpoint, "affine");
-    let descs = ep.transport_descriptions();
-    assert_eq!(descs.iter().filter(|d| d.contains(&addr_a)).count(), 1);
-    assert_eq!(descs.iter().filter(|d| d.contains(&addr_b)).count(), 1);
-
-    // Cycle 2: the remaining shard follows.
-    coordinator
-        .rebalance(&runtime)
-        .expect("the dead node still scores hotter");
-    let descs = ep.transport_descriptions();
-    assert_eq!(descs.iter().filter(|d| d.contains(&addr_a)).count(), 0);
-    assert_eq!(descs.iter().filter(|d| d.contains(&addr_b)).count(), 2);
-
-    // Balanced now (node A hosts nothing): no further migration.
-    assert_eq!(coordinator.rebalance(&runtime), None);
-
-    // The migrated shards actually serve on node B.
-    assert_eq!(
-        client
-            .predict_keyed("affine", &key_for_shard(2, 4), wire_rows(&[5.0]))
-            .expect("migrated shard serves"),
-        vec![14.0]
-    );
-    drop(node_b);
 }
 
 proptest! {

@@ -539,7 +539,7 @@ fn stats_snapshot_json_keys_are_stable() {
         "{\"requests\":0,\"rows\":0,\"batches\":0,\"decode_errors\":0,\"route_errors\":0,\
          \"coalesced_rows\":0,\"max_batch_rows\":0,\"remote_forwards\":0,\
          \"remote_bytes_sent\":0,\"remote_bytes_received\":0,\"remote_max_in_flight\":0,\
-         \"transport_errors\":0,\"failovers\":0,\"degraded\":0,\"shed\":0,\"hot_keys\":0,\
+         \"transport_errors\":0,\"failovers\":0,\"degraded\":0,\"shed\":0,\
          \"probes_sent\":0,\"probes_ok\":0,\"worker_batches\":[]}"
     );
     assert_eq!(
@@ -547,7 +547,7 @@ fn stats_snapshot_json_keys_are_stable() {
         "{\"requests\":0,\"rows\":0,\"coalesced_rows\":0,\"max_batch_rows\":0,\
          \"shard_requests\":0,\"shard_transport_nanos\":0,\"remote_bytes_sent\":0,\
          \"remote_bytes_received\":0,\"remote_max_in_flight\":0,\"transport_errors\":0,\
-         \"failovers\":0,\"degraded\":0,\"shed\":0,\"hot_keys\":0,\"probes_sent\":0,\
+         \"failovers\":0,\"degraded\":0,\"shed\":0,\"probes_sent\":0,\
          \"probes_ok\":0}"
     );
     assert_eq!(

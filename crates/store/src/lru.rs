@@ -16,7 +16,6 @@ struct Entry<K, V> {
     value: V,
     prev: usize,
     next: usize,
-    pinned: bool,
 }
 
 const NIL: usize = usize::MAX;
@@ -48,7 +47,6 @@ pub struct LruCache<K, V> {
     capacity: Option<usize>,
     hits: u64,
     misses: u64,
-    pinned: usize,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
@@ -76,7 +74,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             capacity,
             hits: 0,
             misses: 0,
-            pinned: 0,
         }
     }
 
@@ -113,56 +110,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Number of currently pinned entries.
-    pub fn pinned_len(&self) -> usize {
-        self.pinned
-    }
-
-    /// Pin `key` against eviction; returns `false` if absent.
-    ///
-    /// Pinned entries are skipped by capacity eviction (hot keys stay
-    /// resident no matter how cold the rest of the cache runs). The
-    /// capacity bound still holds: inserting into a cache whose other
-    /// entries are all pinned evicts the least-recent *unpinned*
-    /// entry, which may be the incoming one.
-    pub fn pin(&mut self, key: &K) -> bool {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                let e = self.slab[idx].as_mut().expect("mapped slot occupied");
-                if !e.pinned {
-                    e.pinned = true;
-                    self.pinned += 1;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Unpin `key`, making it evictable again; returns `false` if
-    /// absent.
-    pub fn unpin(&mut self, key: &K) -> bool {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                let e = self.slab[idx].as_mut().expect("mapped slot occupied");
-                if e.pinned {
-                    e.pinned = false;
-                    self.pinned -= 1;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether `key` is present and pinned.
-    pub fn is_pinned(&self, key: &K) -> bool {
-        self.map
-            .get(key)
-            .and_then(|&idx| self.slab[idx].as_ref())
-            .is_some_and(|e| e.pinned)
     }
 
     /// Look up `key`, marking it most-recently used on hit.
@@ -203,7 +150,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             value,
             prev: NIL,
             next: NIL,
-            pinned: false,
         };
         let idx = match self.free.pop() {
             Some(i) => {
@@ -219,7 +165,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.push_front(idx);
         if let Some(cap) = self.capacity {
             if self.map.len() > cap {
-                return self.evict_lru();
+                return Some(self.evict_lru());
             }
         }
         None
@@ -234,28 +180,17 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.tail = NIL;
         self.hits = 0;
         self.misses = 0;
-        self.pinned = 0;
     }
 
-    fn evict_lru(&mut self) -> Option<(K, V)> {
-        // Walk from the LRU end toward the head, skipping pinned
-        // entries; evict the least-recent *unpinned* entry.
-        let mut idx = self.tail;
-        while idx != NIL {
-            let e = self.slab[idx].as_ref().expect("linked slot occupied");
-            if !e.pinned {
-                break;
-            }
-            idx = e.prev;
-        }
-        if idx == NIL {
-            return None;
-        }
+    /// Evict the tail (least-recently used) entry; only called on a
+    /// non-empty cache.
+    fn evict_lru(&mut self) -> (K, V) {
+        let idx = self.tail;
         self.detach(idx);
         let entry = self.slab[idx].take().expect("evicted slot occupied");
         self.map.remove(&entry.key);
         self.free.push(idx);
-        Some((entry.key, entry.value))
+        (entry.key, entry.value)
     }
 
     fn links(&self, idx: usize) -> (usize, usize) {
@@ -405,69 +340,6 @@ mod tests {
         }
         assert_eq!(c.get(&49), Some(&"value-49".to_string()));
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn pinned_entries_survive_eviction_pressure() {
-        let mut c = LruCache::with_capacity(3);
-        c.put("hot", 0);
-        assert!(c.pin(&"hot"));
-        assert!(c.is_pinned(&"hot"));
-        assert_eq!(c.pinned_len(), 1);
-        // A long cold scan: "hot" is always the LRU candidate yet
-        // never evicted.
-        for i in 0..100 {
-            c.put("cold", i);
-            c.put("colder", i);
-            c.put("coldest", i);
-            assert_eq!(c.peek(&"hot"), Some(&0));
-        }
-        assert!(c.len() <= 3);
-    }
-
-    #[test]
-    fn unpin_restores_lru_eviction() {
-        let mut c = LruCache::with_capacity(2);
-        c.put(1, 1);
-        c.pin(&1);
-        c.put(2, 2);
-        assert_eq!(c.put(3, 3), Some((2, 2)), "unpinned neighbour evicts");
-        assert!(c.unpin(&1));
-        assert_eq!(c.pinned_len(), 0);
-        c.put(4, 4); // 1 is now the LRU and evictable again
-        assert_eq!(c.peek(&1), None);
-        assert_eq!(c.peek(&3), Some(&3));
-        assert_eq!(c.peek(&4), Some(&4));
-    }
-
-    #[test]
-    fn fully_pinned_cache_bounces_new_inserts() {
-        let mut c = LruCache::with_capacity(2);
-        c.put(1, 1);
-        c.put(2, 2);
-        c.pin(&1);
-        c.pin(&2);
-        // Every other entry is pinned: the only eviction candidate is
-        // the incoming entry itself, so capacity still holds.
-        assert_eq!(c.put(3, 3), Some((3, 3)));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.peek(&1), Some(&1));
-        assert_eq!(c.peek(&2), Some(&2));
-    }
-
-    #[test]
-    fn pin_missing_key_is_a_noop() {
-        let mut c: LruCache<i32, i32> = LruCache::with_capacity(2);
-        assert!(!c.pin(&7));
-        assert!(!c.unpin(&7));
-        assert!(!c.is_pinned(&7));
-        assert_eq!(c.pinned_len(), 0);
-        c.put(7, 7);
-        c.pin(&7);
-        c.pin(&7); // double-pin counts once
-        assert_eq!(c.pinned_len(), 1);
-        c.clear();
-        assert_eq!(c.pinned_len(), 0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Cluster lifecycle: kill a node and watch the health prober
-//! re-admit it, then live-drain a shard under load and let the
-//! coordinator rebalance onto a spare node.
+//! re-admit it, then live-drain a shard under load and rejoin it.
 //!
 //! Like `cross_process`, this example really crosses process
 //! boundaries: it re-executes its own binary with `--node NAME`, and
@@ -15,10 +14,7 @@
 //!    of the parent, no manual call;
 //! 3. live-drains one remote shard under continuous load
 //!    (`drain_shard`: zero in-flight loss, key-hash domain shrinks
-//!    atomically) and rejoins it (`add_remote_shard`);
-//! 4. hands the topology to a `ClusterCoordinator` with a spare node B
-//!    registered, kills node A for good, and shows `rebalance()`
-//!    migrating one shard per cycle onto B.
+//!    atomically) and rejoins it (`add_remote_shard`).
 //!
 //! ```text
 //! cargo run --release --example cluster_lifecycle
@@ -220,39 +216,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rejoined = runtime.add_remote_shard("affine", 1, Arc::new(RemoteWorker::new(&addr_a)))?;
     println!("shard {rejoined} rejoined; shards back to {}", ep.shards());
 
-    // ---- coordinator: kill A for good, rebalance onto spare B ------
-    let (node_b, addr_b) = spawn_node("127.0.0.1:0")?;
-    println!("\nspare node B listening on {addr_b}; killing node A for good…");
-    kill(node_a)?;
-    for i in 0..8 {
-        client.predict_keyed("affine", &format!("user-{i}"), wire_rows(&[i as f64]))?;
-    }
-
-    let mut coordinator = ClusterCoordinator::new();
-    coordinator
-        .register_node(&addr_a)
-        .register_node(&addr_b)
-        .drain_timeout(Duration::from_secs(2));
-    for cycle in 1.. {
-        match coordinator.rebalance(&runtime) {
-            Some(m) => println!(
-                "cycle {cycle}: migrated `{}` v{} shard {} from {} to {}",
-                m.endpoint, m.version, m.shard, m.from, m.to
-            ),
-            None => {
-                println!("cycle {cycle}: balanced, nothing to migrate");
-                break;
-            }
-        }
-    }
-    let descs = ep.transport_descriptions();
-    assert!(descs.iter().all(|d| d.contains(&addr_b)));
     let scores = client.predict_keyed("affine", "user-1", wire_rows(&[5.0]))?;
     assert_eq!(scores, vec![14.0]);
-    println!("all remote shards now on node B; traffic verified end to end");
 
     cluster.stop();
-    kill(node_b)?;
+    kill(node_a)?;
     println!("\ncluster lifecycle OK");
     Ok(())
 }

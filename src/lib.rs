@@ -59,11 +59,11 @@ pub mod prelude {
     };
     pub use willump_data::{Table, Value};
     pub use willump_serve::{
-        shard_for_key, table_row_to_wire, BreakerState, ClusterConfig, ClusterCoordinator,
-        ClusterHandle, Endpoint, InProcessWorker, MonitorConfig, MonitorEvent, MonitorHandle,
-        MonitorSample, RemoteRuntimeNode, RemoteWorker, Request, Response, RuntimeBuilder,
-        RuntimeClient, Servable, ServeError, ServerConfig, ServingRuntime, StatsHub, TimedEvent,
-        TransportStats, WireRow, WorkerTransport, DEFAULT_ENDPOINT,
+        shard_for_key, table_row_to_wire, BreakerState, ClusterConfig, ClusterHandle, Endpoint,
+        InProcessWorker, MonitorConfig, MonitorEvent, MonitorHandle, MonitorSample,
+        RemoteRuntimeNode, RemoteWorker, Request, Response, RuntimeBuilder, RuntimeClient,
+        Servable, ServeError, ServerConfig, ServingRuntime, StatsHub, TimedEvent, TransportStats,
+        WireRow, WorkerTransport, DEFAULT_ENDPOINT,
     };
     pub use willump_workloads::{Workload, WorkloadConfig, WorkloadKind};
 }
