@@ -118,14 +118,8 @@ impl Request {
     /// prediction.
     #[must_use]
     pub fn counters_probe(id: u64) -> Request {
-        Request::control_frame(id, ControlRequest::Counters)
-    }
-
-    /// A control frame carrying `op` instead of prediction rows.
-    #[must_use]
-    pub fn control_frame(id: u64, op: ControlRequest) -> Request {
         Request {
-            control: Some(op),
+            control: Some(ControlRequest::Counters),
             ..Request::new(id, Vec::new())
         }
     }
@@ -133,28 +127,15 @@ impl Request {
 
 /// A non-prediction operation carried by [`Request::control`].
 ///
-/// `Counters` is the original control op; the cluster lifecycle ops
-/// (`Join`/`Drain`/`Leave`) arrived with the control plane in wire2
-/// version 3, and a peer that does not know a tag rejects the frame
-/// as a codec error.
+/// `Counters` is the only one. A node never refuses its own traffic:
+/// draining is per slot, on the parent's side
+/// ([`crate::ServingRuntime::drain_shard`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlRequest {
     /// Report every endpoint's [`PlanCountersSnapshot`] in
     /// [`Response::counters`] — the cross-process statistics feed for
     /// a parent's merged counters and the cluster prober.
     Counters,
-    /// (Re-)enter service: clear the node's draining flag so new
-    /// prediction requests are admitted again.
-    Join,
-    /// Stop admitting new prediction requests (in-flight work
-    /// finishes; control frames still answer) — the first half of a
-    /// graceful detach.
-    Drain,
-    /// Announce an imminent detach. Semantically `Drain` plus the
-    /// intent not to return; the answering node treats it as `Drain`
-    /// today, and the distinction lets a parent tell a temporary
-    /// drain from a permanent departure.
-    Leave,
 }
 
 /// One endpoint's plan statistics in a [`ControlRequest::Counters`]

@@ -834,12 +834,6 @@ pub(crate) struct Shared {
     /// Remote forwards currently in flight runtime-wide (feeds the
     /// global `remote_max_in_flight` high-water mark).
     remote_in_flight: AtomicUsize,
-    /// Node-level drain latch, flipped by [`ControlRequest::Drain`] /
-    /// [`ControlRequest::Leave`] and cleared by
-    /// [`ControlRequest::Join`]: while set, new predictions are
-    /// refused with an [`Response::overloaded`] marker but control
-    /// frames and in-flight work keep completing.
-    draining: AtomicBool,
     stats: ServerStats,
     n_workers: usize,
 }
@@ -976,24 +970,6 @@ impl Shared {
             counters: Some(report),
             degraded: false,
             overloaded: false,
-        }
-    }
-
-    /// Answer one lifecycle/observability control frame.
-    fn control_response(&self, id: u64, op: ControlRequest) -> Response {
-        match op {
-            ControlRequest::Counters => self.counters_report(id),
-            ControlRequest::Join => {
-                self.draining.store(false, Ordering::Relaxed);
-                control_ack(id)
-            }
-            // Leave is Drain plus a permanent-departure intent; the
-            // node-side effect is identical (the *parent* decides
-            // whether to re-admit the peer later).
-            ControlRequest::Drain | ControlRequest::Leave => {
-                self.draining.store(true, Ordering::Relaxed);
-                control_ack(id)
-            }
         }
     }
 
@@ -1168,22 +1144,10 @@ impl Shared {
     /// Control frames, routing and admission control: every step of
     /// admission that never waits.
     fn plan_route(&self, req: Request) -> Planned {
-        // Control frames are answered at admission — they never touch
+        // A counters probe is answered at admission — it never touches
         // worker queues or row counters.
-        if let Some(op) = req.control {
-            return Planned::Answered(self.control_response(req.id, op));
-        }
-        // A draining node refuses new predictions; control frames are
-        // answered above so a parent can keep polling counters while
-        // the node winds down. The Overloaded marker lets the parent
-        // relay the refusal without treating the node as dead.
-        if self.draining.load(Ordering::Relaxed) {
-            let mut resp = Response::failure(
-                req.id,
-                "node is draining: new requests are not admitted".to_string(),
-            );
-            resp.overloaded = true;
-            return Planned::Answered(resp);
+        if let Some(ControlRequest::Counters) = req.control {
+            return Planned::Answered(self.counters_report(req.id));
         }
         let Some(entry) = self.find_endpoint(req.endpoint.as_deref()) else {
             self.stats.route_errors.fetch_add(1, Ordering::Relaxed);
@@ -1536,20 +1500,6 @@ fn record_route(entry: &Endpoint, shard: usize, remote: &[Arc<RemoteShard>], req
         remote[shard - entry.local_shards]
             .requests
             .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Empty success response acknowledging a lifecycle control frame.
-fn control_ack(id: u64) -> Response {
-    Response {
-        id,
-        scores: Vec::new(),
-        error: None,
-        endpoint: None,
-        version: None,
-        counters: None,
-        degraded: false,
-        overloaded: false,
     }
 }
 
@@ -2066,7 +2016,6 @@ impl RuntimeBuilder {
             wake: Condvar::new(),
             local_callers: AtomicUsize::new(0),
             remote_in_flight: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
             stats: ServerStats::new(n_workers),
             n_workers,
         });
@@ -2300,15 +2249,6 @@ impl ServingRuntime {
         updated
     }
 
-    /// Whether this runtime is draining (a [`ControlRequest::Drain`]
-    /// or [`ControlRequest::Leave`] frame arrived and no
-    /// [`ControlRequest::Join`] has cleared it): new predictions are
-    /// refused with an [`Response::overloaded`] marker while
-    /// in-flight work and control frames keep completing.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Relaxed)
-    }
-
     /// Attach a new remote shard to a running endpoint. The shard
     /// joins the key-hash routing domain with the next admitted
     /// request; no restart, no queue flush. Returns the new shard
@@ -2349,9 +2289,9 @@ impl ServingRuntime {
         Ok(())
     }
 
-    /// Drain remote shard `shard` (a `local_shards()..shards()`
-    /// index) of `name`/`version`: stop admitting new requests to it
-    /// at once, wait until its in-flight forwards complete (up to
+    /// Take remote shard `shard` (a `local_shards()..shards()` index)
+    /// of `name`/`version` out of service: stop admitting new requests
+    /// to it at once, wait until its in-flight forwards complete (up to
     /// `timeout`), then detach it. Zero in-flight loss: every request
     /// that picked the slot holds its own `Arc` and completes
     /// normally.

@@ -75,15 +75,17 @@ pub const WIRE2_MAGIC: u8 = 0xB2;
 /// MUST be bumped whenever [`WIRE2_LAYOUT`] changes (`xtask lint`
 /// rule WL001 enforces it).
 ///
-/// v3 added the cluster-lifecycle control tags
-/// (`ControlRequest::{Join, Drain, Leave}`); every v2 frame is
-/// bit-identical under v3, so readers accept
-/// [`WIRE2_MIN_VERSION`]`..=`[`WIRE2_VERSION`].
-pub const WIRE2_VERSION: u8 = 3;
+/// v4 drops v3's node-lifecycle control tags 1–3: [`ControlRequest`]
+/// is `Counters` (tag 0) alone. Prediction frames and the counters
+/// probe are byte-identical from v2 to v4, so v2 and v3 frames still
+/// decode; a v3 tag 1–3 gets an in-band `unknown control tag` reply,
+/// counts in `decode_errors`, and the connection stays open. A v2 or
+/// v3 peer rejects every v4 header, though (it accepts versions up
+/// to 3): upgrade all processes together.
+pub const WIRE2_VERSION: u8 = 4;
 
-/// Oldest frame version this build still decodes. v2 is a strict
-/// subset of v3 (same layout, fewer control tags), so v2 frames from
-/// older peers decode unchanged.
+/// Oldest frame version this build still decodes (see
+/// [`WIRE2_VERSION`] for what v2 and v3 frames keep).
 pub const WIRE2_MIN_VERSION: u8 = 2;
 
 /// Size of the fixed frame header in bytes.
@@ -135,7 +137,7 @@ pub const WIRE2_LAYOUT: &[(&str, &[&str])] = &[
         &["rows", "gate_resolved", "escalated", "filter_dropped"],
     ),
     ("Value", &["Null", "Bool", "Int", "Float", "Str"]),
-    ("ControlRequest", &["Counters", "Join", "Drain", "Leave"]),
+    ("ControlRequest", &["Counters"]),
 ];
 
 /// The kind of one v2 frame (byte 2 of the header).
@@ -487,16 +489,8 @@ pub fn encode_request_payload(req: &Request) -> Vec<u8> {
     out.push(u8::from(req.forwarded));
     match req.control {
         None => out.push(0),
-        Some(op) => {
-            out.push(1);
-            // Variant-tag order frozen in WIRE2_LAYOUT ("ControlRequest").
-            out.push(match op {
-                ControlRequest::Counters => 0,
-                ControlRequest::Join => 1,
-                ControlRequest::Drain => 2,
-                ControlRequest::Leave => 3,
-            });
-        }
+        // Presence byte, then the variant tag frozen in WIRE2_LAYOUT.
+        Some(ControlRequest::Counters) => out.extend_from_slice(&[1, 0]),
     }
     out
 }
@@ -533,9 +527,6 @@ pub fn decode_request_payload(buf: &[u8]) -> Result<Request, ServeError> {
         0 => None,
         1 => match c.u8()? {
             0 => Some(ControlRequest::Counters),
-            1 => Some(ControlRequest::Join),
-            2 => Some(ControlRequest::Drain),
-            3 => Some(ControlRequest::Leave),
             t => return Err(ServeError::Codec(format!("unknown control tag {t}"))),
         },
         b => return Err(ServeError::Codec(format!("invalid option byte {b}"))),
@@ -858,34 +849,36 @@ mod tests {
         assert_eq!(WIRE2_LAYOUT[1].1.len(), 8, "Response encodes 8 fields");
         assert_eq!(
             WIRE2_LAYOUT[5].1.len(),
-            4,
-            "ControlRequest encodes 4 variant tags"
+            1,
+            "ControlRequest encodes 1 variant tag"
         );
     }
 
     #[test]
     fn control_variants_round_trip_and_v2_frames_still_decode() {
-        for op in [
-            ControlRequest::Counters,
-            ControlRequest::Join,
-            ControlRequest::Drain,
-            ControlRequest::Leave,
-        ] {
-            let req = Request::control_frame(5, op);
-            let buf = encode_request_payload(&req);
-            assert_eq!(decode_request_payload(&buf).unwrap(), req);
+        let probe = Request::counters_probe(5);
+        let buf = encode_request_payload(&probe);
+        // The probe's bytes are the same in every version since v2:
+        // id, no rows, three absent options, not forwarded, tag 0.
+        let id = 5u64.to_le_bytes();
+        assert_eq!(buf, [&id[..], &[0, 0, 0, 0, 0, 0, 0, 0, 1, 0]].concat());
+        assert_eq!(decode_request_payload(&buf).unwrap(), probe);
+        // v3's lifecycle tags 1–3, and any unknown tag, are codec
+        // errors, not panics.
+        for tag in [1, 2, 3, 9] {
+            let mut buf = buf.clone();
+            *buf.last_mut().unwrap() = tag;
+            assert!(decode_request_payload(&buf)
+                .unwrap_err()
+                .to_string()
+                .contains("control tag"));
         }
-        // An unknown future tag is a codec error, not a panic.
-        let mut buf = encode_request_payload(&Request::control_frame(5, ControlRequest::Leave));
-        *buf.last_mut().unwrap() = 9;
-        assert!(decode_request_payload(&buf)
-            .unwrap_err()
-            .to_string()
-            .contains("control tag"));
-        // A v2 header (older peer) still decodes under this build.
-        let mut h = encode_header(FrameType::BinRequest, 1, 0);
-        h[1] = WIRE2_MIN_VERSION;
-        assert_eq!(decode_header(&h).unwrap().payload_len, 0);
+        // v2 and v3 headers (older peers) still decode under this build.
+        for version in WIRE2_MIN_VERSION..=3 {
+            let mut h = encode_header(FrameType::BinRequest, 1, 0);
+            h[1] = version;
+            assert_eq!(decode_header(&h).unwrap().payload_len, 0);
+        }
         let mut h = encode_header(FrameType::BinRequest, 1, 0);
         h[1] = WIRE2_MIN_VERSION - 1;
         assert!(decode_header(&h)

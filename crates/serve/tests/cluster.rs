@@ -1,7 +1,7 @@
 //! Integration tests for the cluster control plane: automatic
 //! re-admission of a killed-then-recovered node by the health prober,
 //! live topology mutation (add/drain/remove) with zero in-flight
-//! loss, and node-level drain/join control frames.
+//! loss, and the counters probe's binary codec.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -323,87 +323,23 @@ fn add_drain_remove_validate_shard_indices() {
     );
 }
 
-/// Drain / Join control frames flip node-level admission: a draining
-/// node refuses new predictions with the Overloaded marker (so a
-/// parent relays rather than fail-over-storms), keeps answering
-/// control frames, and resumes on Join.
-#[test]
-fn drain_and_join_control_frames_flip_node_admission() {
-    let mut b = ServingRuntime::builder();
-    b.endpoint("affine", Arc::new(Affine)).shards(1);
-    let runtime = b.build().expect("runtime builds");
-    let client = runtime.client();
-
-    assert!(!runtime.is_draining());
-    let ack = client
-        .call(Request::control_frame(7, ControlRequest::Drain))
-        .expect("drain frame answered");
-    assert_eq!(ack.id, 7);
-    assert_eq!(ack.error, None);
-    assert!(runtime.is_draining());
-
-    // New predictions are refused with the Overloaded marker...
-    let refused = client
-        .call(Request {
-            endpoint: Some("affine".to_string()),
-            ..Request::new(8, wire_rows(&[1.0]))
-        })
-        .expect("draining node still answers");
-    assert!(refused.overloaded);
-    assert!(refused
-        .error
-        .expect("refusal names the cause")
-        .contains("draining"));
-
-    // ...while control frames still work (a parent can keep polling
-    // counters during the wind-down).
-    let counters = client
-        .call(Request::control_frame(9, ControlRequest::Counters))
-        .expect("counters probe answered while draining");
-    assert!(counters.counters.is_some());
-
-    // Join re-admits.
-    let ack = client
-        .call(Request::control_frame(10, ControlRequest::Join))
-        .expect("join frame answered");
-    assert_eq!(ack.error, None);
-    assert!(!runtime.is_draining());
-    assert_eq!(
-        client
-            .predict_keyed("affine", "k", wire_rows(&[2.0]))
-            .expect("node serves again after Join"),
-        vec![5.0]
-    );
-
-    // Leave behaves as Drain today (permanent-departure intent).
-    client
-        .call(Request::control_frame(11, ControlRequest::Leave))
-        .expect("leave frame answered");
-    assert!(runtime.is_draining());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every lifecycle control frame survives the binary codec, and
-    /// an unknown control tag from a *newer* peer is a codec error on
-    /// this build, not a silent misroute.
+    /// The counters probe survives the binary codec, and any other
+    /// control tag — v3's retired lifecycle tags 1–3 or one from a
+    /// newer peer — is a codec error on this build, not a silent
+    /// misroute.
     #[test]
     fn control_frames_round_trip_the_binary_codec(
         id in 1u64..u64::MAX,
-        op in prop_oneof![
-            Just(ControlRequest::Counters),
-            Just(ControlRequest::Join),
-            Just(ControlRequest::Drain),
-            Just(ControlRequest::Leave),
-        ],
-        unknown_tag in 4u32..256,
+        unknown_tag in 1u32..256,
     ) {
-        let req = Request::control_frame(id, op);
+        let req = Request::counters_probe(id);
         let mut wire = encode_request_payload(&req);
         let back = decode_request_payload(&wire).expect("decodable");
         prop_assert_eq!(&back, &req);
-        prop_assert_eq!(back.control, Some(op));
+        prop_assert_eq!(back.control, Some(ControlRequest::Counters));
 
         // The control tag is the frame's last byte.
         *wire.last_mut().expect("non-empty frame") = unknown_tag as u8;

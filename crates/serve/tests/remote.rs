@@ -5,13 +5,15 @@
 //! parent's merged counters.
 
 use proptest::prelude::*;
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use willump_data::{Table, Value};
 use willump_serve::wire2::{
-    decode_request_payload, decode_response_payload, encode_request_payload, encode_response_frame,
-    encode_response_payload, read_frame, FrameType,
+    decode_request_payload, decode_response_payload, encode_frame, encode_request_payload,
+    encode_response_frame, encode_response_payload, read_frame, FrameType, WIRE2_PREAMBLE,
 };
 use willump_serve::{
     ControlRequest, EndpointCounters, ForwardReply, InProcessWorker, RemoteRuntimeNode,
@@ -597,6 +599,55 @@ fn remote_shed_responses_skip_transport_latency_accounting() {
     );
 }
 
+/// A v3 `Drain` frame (control tag 2) is a codec error since wire2 v4:
+/// the node answers it in band, counts one `decode_errors`, and keeps
+/// serving predictions on the same connection — nothing latches it
+/// shut.
+#[test]
+fn a_former_drain_tag_is_answered_in_band_and_the_node_keeps_serving() {
+    let node = spawn_node("affine", 1);
+    // One connection, opened the way a `RemoteWorker` opens it.
+    let stream = TcpStream::connect(node.local_addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clones");
+    let mut reader = BufReader::new(stream);
+    writer.write_all(WIRE2_PREAMBLE).expect("preamble");
+    let (hdr, _) = read_frame(&mut reader).expect("ack").expect("not eof");
+    assert_eq!(hdr.frame_type, FrameType::HelloAck);
+    let mut round_trip = |mux_id: u32, payload: &[u8]| {
+        let frame = encode_frame(FrameType::BinRequest, mux_id, payload).expect("encodes");
+        writer.write_all(&frame).expect("writes");
+        let (hdr, payload) = read_frame(&mut reader).expect("frame").expect("not eof");
+        assert_eq!(
+            (hdr.frame_type, hdr.request_id),
+            (FrameType::BinResponse, mux_id)
+        );
+        decode_response_payload(&payload).expect("decodes")
+    };
+
+    // What a v3 `Drain` encodes: a counters probe whose control tag,
+    // the payload's last byte, is 2.
+    let mut drain = encode_request_payload(&Request::counters_probe(7));
+    *drain.last_mut().expect("non-empty payload") = 2;
+    let before = node.transport_stats().decode_errors;
+    let refused = round_trip(1, &drain);
+    assert!(refused
+        .error
+        .expect("an in-band error")
+        .contains("control tag"));
+    assert_eq!(node.transport_stats().decode_errors, before + 1);
+
+    let predict = Request {
+        endpoint: Some("affine".to_string()),
+        ..Request::new(8, wire_rows(&[2.0]))
+    };
+    let served = round_trip(2, &encode_request_payload(&predict));
+    assert!(!served.overloaded, "the node refused: {:?}", served.error);
+    assert_eq!((served.error, served.scores), (None, vec![5.0]));
+}
+
 // ---- wire2 round trips over arbitrary frames -------------------------
 
 /// A strategy over wire rows exercising every `Value` variant.
@@ -622,12 +673,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
         prop::option::of(0u32..u32::MAX),
         prop::option::of(".{0,12}"),
         any::<bool>(),
-        prop::option::of(prop_oneof![
-            Just(ControlRequest::Counters),
-            Just(ControlRequest::Join),
-            Just(ControlRequest::Drain),
-            Just(ControlRequest::Leave),
-        ]),
+        prop::option::of(Just(ControlRequest::Counters)),
     )
         .prop_map(
             |(id, rows, endpoint, version, key, forwarded, control)| Request {

@@ -440,11 +440,11 @@ const WIRE2_V2_LAYOUT: &[&str] = &[
     "Str",
 ];
 
-/// The frozen v3 binary layout: v2 plus the `ControlRequest`
-/// variant-tag order (the cluster-lifecycle control frames). Same
-/// discipline as [`WIRE2_V2_LAYOUT`] — while `WIRE2_VERSION == 3` the
+/// The frozen v4 binary layout: v2 plus the `ControlRequest`
+/// variant-tag order, which holds the counters probe alone. Same
+/// discipline as [`WIRE2_V2_LAYOUT`] — while `WIRE2_VERSION == 4` the
 /// source manifest must match this copy exactly.
-const WIRE2_V3_LAYOUT: &[&str] = &[
+const WIRE2_V4_LAYOUT: &[&str] = &[
     "Request",
     "id",
     "rows",
@@ -479,14 +479,11 @@ const WIRE2_V3_LAYOUT: &[&str] = &[
     "Str",
     "ControlRequest",
     "Counters",
-    "Join",
-    "Drain",
-    "Leave",
 ];
 
 /// WL001: the source's `WIRE2_LAYOUT` manifest must match the frozen
 /// copy for its declared `WIRE2_VERSION`
-/// ([`WIRE2_V2_LAYOUT`] / [`WIRE2_V3_LAYOUT`]) exactly; any drift
+/// ([`WIRE2_V2_LAYOUT`] / [`WIRE2_V4_LAYOUT`]) exactly; any drift
 /// means the binary encoding changed shape and the version byte must
 /// be bumped (a new version is accepted — its layout gets frozen in
 /// the PR that bumps).
@@ -517,7 +514,7 @@ fn rule_wire_compat(root: &Path, out: &mut Vec<Violation>) -> io::Result<()> {
     };
     let frozen: &[&str] = match version {
         2 => WIRE2_V2_LAYOUT,
-        3 => WIRE2_V3_LAYOUT,
+        4 => WIRE2_V4_LAYOUT,
         // A version this linter has no freeze for: the bumping PR
         // re-freezes the new layout here.
         _ => return Ok(()),
