@@ -112,7 +112,8 @@ pub struct WillumpConfig {
     /// queries (paper §4.4): one input's feature generators run on
     /// this many threads (1 = off). Batch and top-K queries ignore it;
     /// batch parallelism has no setting — a large batch of a row-local
-    /// plan is split across the host's cores by
+    /// plan, or a large model stage of any other plan, is split across
+    /// the host's cores by
     /// [`PlanExecutor::run_batch`](crate::plan::PlanExecutor::run_batch).
     pub threads: usize,
     /// Seed for model training and validation shuffling.

@@ -17,7 +17,8 @@
 //!   construction as a filter that discards low-scoring inputs before
 //!   the full model ranks the survivors.
 //! - **Query-aware parallelization** (§4.4): a large batch of a
-//!   row-local plan runs as row chunks on every core
+//!   row-local plan runs as row chunks on every core, and so does a
+//!   large model stage of a top-K or store-lookup plan
 //!   ([`plan::PlanExecutor::run_batch`]); one input's feature
 //!   generators run concurrently through the executor's per-input
 //!   parallelism. **Feature-level caching** (§4.5) is the

@@ -20,6 +20,7 @@
 //! [`crate::OptimizedPipeline`] serves through them.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -320,6 +321,14 @@ impl StageMeters {
         let nanos: u64 = self.nanos.iter().map(|n| n.load(Ordering::Relaxed)).sum();
         (rows > 0).then(|| nanos as f64 / rows as f64)
     }
+
+    /// Nanoseconds one stage has spent per row entering it, over every
+    /// run so far; `None` before any row entered it.
+    fn stage_nanos_per_row(&self, stage: usize) -> Option<f64> {
+        let rows = self.rows_in[stage].load(Ordering::Relaxed);
+        let nanos = self.nanos[stage].load(Ordering::Relaxed);
+        (rows > 0).then(|| nanos as f64 / rows as f64)
+    }
 }
 
 /// A stage's cumulative execution profile (see
@@ -347,9 +356,15 @@ pub struct StageTrace {
     pub rows_in: usize,
     /// Rows still in flight afterwards.
     pub rows_out: usize,
-    /// Seconds the stage took. A batch run in chunks reports the sum
-    /// over its chunks: a cost, not a wall time.
+    /// Seconds the stage took. A batch run in chunks, or a model stage
+    /// scored in chunks, reports the sum over its chunks: a cost, not
+    /// a wall time.
     pub seconds: f64,
+    /// Threads that scored this stage's row chunks beside the calling
+    /// one, all joined before the stage ended (0 unless a
+    /// [`PlanStage::PredictModel`] stage split; see
+    /// [`PlanExecutor::run_batch`]).
+    pub helpers: usize,
 }
 
 /// What one batch run did, stage by stage.
@@ -372,10 +387,11 @@ pub struct PlanRunReport {
     /// The arm a [`PlanStage::SelectArm`] picked, when one ran.
     pub selected_arm: Option<usize>,
     /// Row chunks the batch ran as (1: in one piece; see
-    /// [`PlanExecutor::run_batch`]).
+    /// [`PlanExecutor::run_batch`]). A stage that split on its own
+    /// counts in its [`StageTrace::helpers`], not here.
     pub chunks: usize,
-    /// Threads that ran chunks beside the calling one, all joined
-    /// before the run returned.
+    /// Threads that ran batch chunks beside the calling one, all
+    /// joined before the run returned.
     pub helpers: usize,
 }
 
@@ -392,6 +408,7 @@ impl PlanRunReport {
             total.rows_in += part.rows_in;
             total.rows_out += part.rows_out;
             total.seconds += part.seconds;
+            total.helpers += part.helpers;
         }
         self.gate_resolved += chunk.gate_resolved;
         self.escalated += chunk.escalated;
@@ -1072,8 +1089,10 @@ impl ServingPlan {
 
     /// Run the plan over a batch with the full outcome (scores,
     /// ranking, stage report). A large batch of a row-local plan runs
-    /// as row chunks on every core, with the same scores and counts as
-    /// one piece (see [`PlanExecutor::run_batch`]).
+    /// as row chunks on every core, and a large model stage of any
+    /// other plan scores its rows in chunks on every core, with the
+    /// same scores and counts as one piece (see
+    /// [`PlanExecutor::run_batch`]).
     ///
     /// # Errors
     /// Propagates execution failures.
@@ -1195,15 +1214,19 @@ impl ServingPlan {
     }
 }
 
-/// Rows per chunk when [`PlanExecutor::run_batch`] splits a batch:
-/// small enough that a chunk's intermediates stay small, large enough
-/// that a chunk's fixed costs vanish in its rows.
+/// Rows per chunk when [`PlanExecutor::run_batch`] splits a batch or
+/// a model stage: small enough that a chunk's intermediates stay
+/// small, large enough that a chunk's fixed costs vanish in its rows.
 const CHUNK_ROWS: usize = 256;
 
-/// The least estimated cost of a batch worth splitting. Starting and
-/// joining a scoped thread costs about 40 µs, so from here the spawn
-/// stays under 4 % of the work.
-const CHUNK_MIN_NANOS: f64 = 1e6;
+/// The least estimated cost of a batch or a model stage worth
+/// splitting. On a 2-vCPU host, starting and joining an empty scoped
+/// thread took 24–28 µs back to back, but 50–145 µs right after a
+/// 3 ms serial run, because the idle vCPU has to wake up first. From
+/// 0.5 ms a helper that takes half the rows still saves more than its
+/// start costs, and the music filter stage (0.87–1.7 ms, with the
+/// host's speed) splits whatever speed the host runs at.
+const CHUNK_MIN_NANOS: f64 = 0.5e6;
 
 /// Cores this process may run on (read once).
 fn cores() -> usize {
@@ -1211,72 +1234,75 @@ fn cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// Run `run` — the plan's stages — over `table` as
-/// [`CHUNK_ROWS`]-row chunks on the calling thread and `helpers`
-/// scoped threads, which take chunks in turn until none is left or
-/// one has failed. Each chunk writes its scores into its own slice
-/// of the output.
-fn run_in_chunks(
-    table: &Table,
+/// Helper threads worth starting for `rows` rows that cost an
+/// estimated `nanos_per_row` each (`None`: never measured): one per
+/// further core, at most one per chunk past the first, when the rows
+/// make at least two chunks and cost at least [`CHUNK_MIN_NANOS`];
+/// else 0.
+fn helpers_for(rows: usize, nanos_per_row: Option<f64>) -> usize {
+    let chunks = rows.div_ceil(CHUNK_ROWS);
+    match nanos_per_row {
+        Some(per_row) if chunks >= 2 && per_row * rows as f64 >= CHUNK_MIN_NANOS => {
+            (cores() - 1).min(chunks - 1)
+        }
+        _ => 0,
+    }
+}
+
+/// Run `work` over `out` as [`CHUNK_ROWS`]-row chunks on the calling
+/// thread and up to `helpers` scoped threads, which claim chunks in
+/// turn until none is left or one has failed. `work` gets a chunk's
+/// row range, that range's slice of `out`, and the claiming thread's
+/// own share to add to. Returns every claimer's share (the caller's
+/// first) and the number of helpers started. The failing chunk with
+/// the lowest index gives the error, and a helper's panic resumes on
+/// the caller once every helper has joined.
+fn claim_chunks<S: Default + Send>(
+    out: &mut [f64],
     helpers: usize,
-    run: impl Fn(&Table) -> Result<PlanOutcome, WillumpError> + Sync,
-) -> Result<PlanOutcome, WillumpError> {
-    type Share = Result<Option<PlanRunReport>, (usize, WillumpError)>;
-    let n = table.n_rows();
-    let chunks = n.div_ceil(CHUNK_ROWS);
-    let mut scores = vec![0.0; n];
-    let (mine, theirs) = {
-        let claims = Mutex::new(scores.chunks_mut(CHUNK_ROWS).enumerate());
-        let failed = AtomicBool::new(false);
-        let work = || -> Share {
-            let mut share: Option<PlanRunReport> = None;
-            while !failed.load(Ordering::Relaxed) {
-                let Some((c, out)) = claims.lock().next() else {
-                    break;
-                };
-                let rows: Vec<usize> = (c * CHUNK_ROWS..c * CHUNK_ROWS + out.len()).collect();
-                match run(&table.take_rows(&rows)) {
-                    Ok(chunk) => {
-                        out.copy_from_slice(&chunk.scores);
-                        share
-                            .get_or_insert_with(PlanRunReport::default)
-                            .absorb(chunk.report);
-                    }
-                    Err(e) => {
-                        failed.store(true, Ordering::Relaxed);
-                        return Err((c, e));
-                    }
-                }
+    work: impl Fn(Range<usize>, &mut [f64], &mut S) -> Result<(), WillumpError> + Sync,
+) -> Result<(Vec<S>, usize), WillumpError> {
+    let chunks = out.len().div_ceil(CHUNK_ROWS);
+    let claims = Mutex::new(out.chunks_mut(CHUNK_ROWS).enumerate());
+    let failed = AtomicBool::new(false);
+    let claim = || -> Result<S, (usize, WillumpError)> {
+        let mut share = S::default();
+        while !failed.load(Ordering::Relaxed) {
+            let Some((c, slice)) = claims.lock().next() else {
+                break;
+            };
+            let first = c * CHUNK_ROWS;
+            if let Err(e) = work(first..first + slice.len(), slice, &mut share) {
+                failed.store(true, Ordering::Relaxed);
+                return Err((c, e));
             }
-            Ok(share)
-        };
-        std::thread::scope(|scope| {
-            // A helper that cannot be started leaves its chunks to
-            // the others.
-            let handles: Vec<_> = (0..helpers.min(chunks.saturating_sub(1)))
-                .map_while(|i| {
-                    std::thread::Builder::new()
-                        .name(format!("willump-batch-{i}"))
-                        .spawn_scoped(scope, work)
-                        .ok()
-                })
-                .collect();
-            let mine = work();
-            let theirs: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            (mine, theirs)
-        })
+        }
+        Ok(share)
     };
+    let (mine, theirs) = std::thread::scope(|scope| {
+        // A helper that cannot be started leaves its chunks to the
+        // others.
+        let handles: Vec<_> = (0..helpers.min(chunks.saturating_sub(1)))
+            .map_while(|i| {
+                std::thread::Builder::new()
+                    .name(format!("willump-batch-{i}"))
+                    .spawn_scoped(scope, claim)
+                    .ok()
+            })
+            .collect();
+        let mine = claim();
+        let theirs: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        (mine, theirs)
+    });
     let helpers = theirs.len();
-    let mut report = PlanRunReport::default();
+    let mut shares = Vec::with_capacity(helpers + 1);
     let mut first_error: Option<(usize, WillumpError)> = None;
-    let shares = std::iter::once(mine).chain(
-        theirs
-            .into_iter()
-            .map(|joined| joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic))),
-    );
-    for share in shares {
+    let joined = theirs
+        .into_iter()
+        .map(|joined| joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+    for share in std::iter::once(mine).chain(joined) {
         match share {
-            Ok(part) => report.absorb(part.unwrap_or_default()),
+            Ok(share) => shares.push(share),
             Err((c, e)) => {
                 if first_error.as_ref().is_none_or(|(first, _)| c < *first) {
                     first_error = Some((c, e));
@@ -1284,16 +1310,10 @@ fn run_in_chunks(
             }
         }
     }
-    if let Some((_, e)) = first_error {
-        return Err(e);
+    match first_error {
+        Some((_, e)) => Err(e),
+        None => Ok((shares, helpers)),
     }
-    report.chunks = chunks;
-    report.helpers = helpers;
-    Ok(PlanOutcome {
-        scores,
-        ranked: None,
-        report,
-    })
 }
 
 /// Which feature matrix is current for the next predict stage.
@@ -1345,20 +1365,35 @@ impl<'p> PlanExecutor<'p> {
     /// Run the plan over a batch. `k_override` replaces every
     /// [`PlanStage::TopKFilter`]'s default K for this run.
     ///
-    /// A large batch of a *row-local* plan — no top-K filter, cache or
-    /// arm stage, and no store lookup in the graph — runs as 256-row
-    /// chunks (paper §4.4: different data inputs on different
-    /// threads). The calling thread and up to one scoped helper per
-    /// further core claim chunks in turn, and each runs the whole plan
-    /// on its chunk, so every row's score is the one the batch gives
-    /// in one piece. A batch is split only when it makes at least two
-    /// chunks and the plan's own measured cost per row
-    /// ([`ServingPlan::stage_profiles`]) puts it at 1 ms or more; a
-    /// plan that has never run runs in one piece. The report's stage
-    /// rows and counts, and the [`PlanCounters`] deltas, are those of
-    /// one piece; its stage seconds are summed over the chunks. The
-    /// first failing chunk's error is returned, and a panic on a
-    /// helper resumes on the caller.
+    /// Large batches use every core (paper §4.4: different data inputs
+    /// on different threads), in 256-row chunks that the calling
+    /// thread and up to one scoped helper per further core claim in
+    /// turn. Each chunk writes its own slice of the output, so every
+    /// row's score is the one the batch gives in one piece.
+    ///
+    /// - A *row-local* plan (no top-K filter, cache or arm stage, and
+    ///   no store lookup in the graph) runs the whole plan on each
+    ///   chunk of the batch.
+    /// - Any other plan — a top-K query, a cached, arm or store-lookup
+    ///   plan — runs its batch in one piece, and only a
+    ///   [`PlanStage::PredictModel`] stage splits: its model scores
+    ///   the chunks of the stage's feature matrix (tree ensembles read
+    ///   dense rows in place), while the store lookups, the top-K
+    ///   selection and every other stage run whole. A row-local
+    ///   plan's batch that does not split itself may split its model
+    ///   stages the same way.
+    ///
+    /// A batch or a stage splits only when it makes at least two
+    /// chunks and its measured cost per row
+    /// ([`ServingPlan::stage_profiles`]: the plan's, or the stage's
+    /// own) puts it at 0.5 ms or more, so a plan that has never run
+    /// starts no thread. The report's stage rows and counts, and the
+    /// [`PlanCounters`] deltas, are those of one piece; the stage
+    /// seconds of a split batch or stage are summed over its chunks.
+    /// [`PlanRunReport::helpers`] counts a split batch's helpers and
+    /// [`StageTrace::helpers`] a split stage's. The first failing
+    /// chunk's error is returned, and a panic on a helper resumes on
+    /// the caller.
     ///
     /// # Errors
     /// Propagates feature computation and cache-key failures.
@@ -1367,69 +1402,85 @@ impl<'p> PlanExecutor<'p> {
         table: &Table,
         k_override: Option<usize>,
     ) -> Result<PlanOutcome, WillumpError> {
-        let helpers = self.helpers_for(table.n_rows());
-        self.run_batch_with(table, k_override, (helpers > 0).then_some(helpers))
+        let helpers = if self.plan.is_row_local() {
+            helpers_for(table.n_rows(), self.plan.meters.nanos_per_row())
+        } else {
+            0
+        };
+        let out = if helpers > 0 {
+            self.run_in_chunks(table, helpers)?
+        } else {
+            self.run_stages(table, k_override, None)?
+        };
+        Ok(self.recorded(out))
     }
 
-    /// Run a batch as chunks with exactly `helpers` helper threads
-    /// (fewer when there are fewer chunks), whatever its size or cost;
-    /// a plan that is not row-local runs in one piece. This exists so
-    /// tests can drive the chunked path on any host.
+    /// Run a batch split with exactly `helpers` helper threads (fewer
+    /// when there are fewer chunks), whatever its size or cost: a
+    /// row-local plan as batch chunks, any other plan in one piece
+    /// with every model stage split. This exists so tests can drive
+    /// both splits on any host.
     #[doc(hidden)]
     pub fn run_batch_in_chunks(
         &self,
         table: &Table,
         helpers: usize,
     ) -> Result<PlanOutcome, WillumpError> {
-        let chunked = self.plan.is_row_local() && table.n_rows() > 0;
-        self.run_batch_with(table, None, chunked.then_some(helpers))
-    }
-
-    /// Helper threads worth starting for a batch of `rows` (see
-    /// [`run_batch`](PlanExecutor::run_batch)); 0 runs it in one piece.
-    fn helpers_for(&self, rows: usize) -> usize {
-        let chunks = rows.div_ceil(CHUNK_ROWS);
-        if chunks < 2 || !self.plan.is_row_local() {
-            return 0;
-        }
-        match self.plan.meters.nanos_per_row() {
-            Some(per_row) if per_row * rows as f64 >= CHUNK_MIN_NANOS => {
-                (cores() - 1).min(chunks - 1)
-            }
-            _ => 0,
-        }
-    }
-
-    /// Run a batch in one piece (`helpers: None`) or in chunks, and
-    /// record each stage's meters once.
-    fn run_batch_with(
-        &self,
-        table: &Table,
-        k_override: Option<usize>,
-        helpers: Option<usize>,
-    ) -> Result<PlanOutcome, WillumpError> {
-        let out = match helpers {
-            None => {
-                let mut out = self.run_stages(table, k_override)?;
-                out.report.chunks = 1;
-                out
-            }
-            Some(helpers) => run_in_chunks(table, helpers, |chunk| self.run_stages(chunk, None))?,
+        let out = if self.plan.is_row_local() && table.n_rows() > 0 {
+            self.run_in_chunks(table, helpers)?
+        } else {
+            self.run_stages(table, None, Some(helpers))?
         };
+        Ok(self.recorded(out))
+    }
+
+    /// Record each stage's meters once for a finished batch.
+    fn recorded(&self, out: PlanOutcome) -> PlanOutcome {
         for (si, trace) in out.report.stages.iter().enumerate() {
             self.plan
                 .meters
                 .record(si, trace.rows_in, (trace.seconds * 1e9) as u64);
         }
-        Ok(out)
+        out
+    }
+
+    /// The plan's stages over `table` as batch chunks on the calling
+    /// thread and `helpers` scoped threads (see
+    /// [`run_batch`](PlanExecutor::run_batch)).
+    fn run_in_chunks(&self, table: &Table, helpers: usize) -> Result<PlanOutcome, WillumpError> {
+        let mut scores = vec![0.0; table.n_rows()];
+        let (shares, helpers) = claim_chunks(
+            &mut scores,
+            helpers,
+            |rows, out, share: &mut PlanRunReport| {
+                let chunk = self.run_stages(&table.slice_rows(rows), None, None)?;
+                out.copy_from_slice(&chunk.scores);
+                share.absorb(chunk.report);
+                Ok(())
+            },
+        )?;
+        let mut report = PlanRunReport::default();
+        for share in shares {
+            report.absorb(share);
+        }
+        report.chunks = table.n_rows().div_ceil(CHUNK_ROWS);
+        report.helpers = helpers;
+        Ok(PlanOutcome {
+            scores,
+            ranked: None,
+            report,
+        })
     }
 
     /// The plan's stages over one batch in one piece: the serial loop
-    /// every chunk runs. Stage meters are left to the caller.
+    /// every batch chunk runs. A model stage splits when its own
+    /// estimate says so, or always with `stage_helpers` helpers when
+    /// that is given. Stage meters are left to the caller.
     fn run_stages(
         &self,
         table: &Table,
         k_override: Option<usize>,
+        stage_helpers: Option<usize>,
     ) -> Result<PlanOutcome, WillumpError> {
         let plan = self.plan;
         let n = table.n_rows();
@@ -1459,9 +1510,12 @@ impl<'p> PlanExecutor<'p> {
         let mut candidates: Option<Vec<usize>> = None;
         let mut report = PlanRunReport::default();
 
-        for stage in &plan.stages {
+        for (si, stage) in plan.stages.iter().enumerate() {
             let rows_in = active.len();
             let started = Instant::now();
+            // What a split stage's chunks cost beyond the wall time of
+            // its split, and its helpers.
+            let mut split = (0.0, 0);
             match stage {
                 PlanStage::ComputeFeatures { subset } => {
                     let cols: Option<&[usize]> = match subset {
@@ -1533,13 +1587,12 @@ impl<'p> PlanExecutor<'p> {
                     };
                     if let Some(m) = m {
                         if m.n_rows() > 0 {
-                            let model = plan.model(*slot, selected_arm);
-                            let mut s = model.predict_scores(m);
-                            if *slot == ModelSlot::Small {
-                                for v in &mut s {
-                                    *v = plan.calibrated(*v);
-                                }
-                            }
+                            let helpers = stage_helpers.or_else(|| {
+                                let estimate = plan.meters.stage_nanos_per_row(si);
+                                Some(helpers_for(m.n_rows(), estimate)).filter(|&h| h > 0)
+                            });
+                            let s;
+                            (s, split) = self.score(*slot, selected_arm, m, helpers)?;
                             for (j, &r) in rows.iter().enumerate() {
                                 if is_active[r] {
                                     scores[r] = s[j];
@@ -1627,14 +1680,15 @@ impl<'p> PlanExecutor<'p> {
                     report.selected_arm = Some(arm);
                 }
             }
-            let seconds = started.elapsed().as_secs_f64();
             report.stages.push(StageTrace {
                 label: stage.label(),
                 rows_in,
                 rows_out: active.len(),
-                seconds,
+                seconds: started.elapsed().as_secs_f64() + split.0,
+                helpers: split.1,
             });
         }
+        report.chunks = 1;
         plan.counters.rows.fetch_add(n as u64, Ordering::Relaxed);
 
         let ranked = ranked_k.map(|k| {
@@ -1655,6 +1709,44 @@ impl<'p> PlanExecutor<'p> {
             ranked,
             report,
         })
+    }
+
+    /// Score every row of `m` with the `slot` model, small-model scores
+    /// calibrated: in one piece (`helpers: None`), or as chunks on the
+    /// calling thread and `helpers` scoped threads. Also returns what a
+    /// split's chunks cost beyond its wall time, since a split stage
+    /// reports their summed seconds, and the helpers it started.
+    fn score(
+        &self,
+        slot: ModelSlot,
+        selected_arm: Option<usize>,
+        m: &FeatureMatrix,
+        helpers: Option<usize>,
+    ) -> Result<(Vec<f64>, (f64, usize)), WillumpError> {
+        let model = self.plan.model(slot, selected_arm);
+        let calibrate = |s: &mut [f64]| {
+            if slot == ModelSlot::Small {
+                for v in s {
+                    *v = self.plan.calibrated(*v);
+                }
+            }
+        };
+        let Some(helpers) = helpers else {
+            let mut s = model.predict_scores(m);
+            calibrate(&mut s);
+            return Ok((s, (0.0, 0)));
+        };
+        let wall = Instant::now();
+        let mut s = vec![0.0; m.n_rows()];
+        let (nanos, helpers) = claim_chunks(&mut s, helpers, |rows, out, nanos: &mut u64| {
+            let chunk = Instant::now();
+            model.predict_scores_into(m, rows.start, out);
+            calibrate(out);
+            *nanos += chunk.elapsed().as_nanos() as u64;
+            Ok(())
+        })?;
+        let cost = nanos.iter().sum::<u64>() as f64 / 1e9;
+        Ok((s, (cost - wall.elapsed().as_secs_f64(), helpers)))
     }
 
     /// Run the plan row-wise for one input (the example-at-a-time
@@ -2089,15 +2181,30 @@ mod tests {
         t
     }
 
+    /// Score `rows` of `table` with `runner`'s stages into `out`.
+    fn run_rows(
+        runner: &PlanExecutor<'_>,
+        table: &Table,
+        rows: Range<usize>,
+        out: &mut [f64],
+    ) -> Result<(), WillumpError> {
+        let chunk = runner.run_stages(&table.slice_rows(rows), None, None)?;
+        out.copy_from_slice(&chunk.scores);
+        Ok(())
+    }
+
     #[test]
     fn a_failing_chunk_returns_its_error_and_stops_the_claims() {
         let (exec, t, y) = setup();
         let (_, full) = train(&exec, &t, &y);
         let plan = ServingPlan::full_model_plan(exec, full);
         let runner = PlanExecutor::new(&plan);
+        let table = long_table();
+        let mut scores = vec![0.0; table.n_rows()];
         let ran = AtomicU64::new(0);
-        let err = run_in_chunks(&long_table(), 0, |chunk| {
+        let err = claim_chunks(&mut scores, 0, |rows, _, _: &mut ()| {
             ran.fetch_add(1, Ordering::Relaxed);
+            let chunk = table.slice_rows(rows);
             let first = chunk.value(0, "a").expect("column a").to_string();
             Err(WillumpError::BadData {
                 reason: format!("chunk starting at a = {first}"),
@@ -2116,14 +2223,14 @@ mod tests {
 
         // Only the second chunk fails: its error comes back, whichever
         // thread ran it.
-        let err = run_in_chunks(&long_table(), 2, |chunk| {
-            let second = chunk.value(0, "b").expect("column b").to_string();
-            if second == "-1" {
+        let err = claim_chunks(&mut scores, 2, |rows, out, _: &mut ()| {
+            let second = table.slice_rows(rows.clone());
+            if second.value(0, "b").expect("column b").to_string() == "-1" {
                 return Err(WillumpError::BadData {
                     reason: "the second chunk".into(),
                 });
             }
-            runner.run_stages(chunk, None)
+            run_rows(&runner, &table, rows, out)
         })
         .unwrap_err();
         assert!(
@@ -2138,9 +2245,11 @@ mod tests {
         let (_, full) = train(&exec, &t, &y);
         let plan = ServingPlan::full_model_plan(exec, full);
         let runner = PlanExecutor::new(&plan);
+        let table = long_table();
+        let mut scores = vec![0.0; table.n_rows()];
         let helper_ran = AtomicBool::new(false);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_in_chunks(&long_table(), 1, |chunk| {
+            claim_chunks(&mut scores, 1, |rows, out, _: &mut ()| {
                 let name = std::thread::current().name().map(str::to_string);
                 if name.is_some_and(|n| n.starts_with("willump-batch-")) {
                     helper_ran.store(true, Ordering::SeqCst);
@@ -2152,7 +2261,7 @@ mod tests {
                 while !helper_ran.load(Ordering::SeqCst) && waited.elapsed().as_secs() < 10 {
                     std::thread::yield_now();
                 }
-                runner.run_stages(chunk, None)
+                run_rows(&runner, &table, rows, out)
             })
         }));
         assert!(helper_ran.load(Ordering::SeqCst));

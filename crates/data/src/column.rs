@@ -1,6 +1,7 @@
 //! Typed columns: the building block of [`crate::Table`].
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::{DataError, DataType, Value};
@@ -130,6 +131,19 @@ impl Column {
             Column::Int(v) => Column::Int(rows.iter().map(|&r| v[r]).collect()),
             Column::Float(v) => Column::Float(rows.iter().map(|&r| v[r]).collect()),
             Column::Str(v) => Column::Str(rows.iter().map(|&r| Arc::clone(&v[r])).collect()),
+        }
+    }
+
+    /// Copy the contiguous rows `rows` into a new column.
+    ///
+    /// # Panics
+    /// Panics if `rows` runs past the last row.
+    pub fn slice(&self, rows: Range<usize>) -> Column {
+        match self {
+            Column::Bool(v) => Column::Bool(v[rows].to_vec()),
+            Column::Int(v) => Column::Int(v[rows].to_vec()),
+            Column::Float(v) => Column::Float(v[rows].to_vec()),
+            Column::Str(v) => Column::Str(v[rows].to_vec()),
         }
     }
 

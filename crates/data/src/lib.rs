@@ -26,6 +26,7 @@
 #![deny(unsafe_code)]
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 mod column;
 mod error;
@@ -200,6 +201,17 @@ impl FeatureMatrix {
             FeatureMatrix::Sparse(m) => FeatureMatrix::Sparse(m.take_rows(rows)),
         }
     }
+
+    /// Copy the contiguous rows `rows` into a new matrix.
+    ///
+    /// # Panics
+    /// Panics if `rows` runs past the last row.
+    pub fn slice_rows(&self, rows: Range<usize>) -> FeatureMatrix {
+        match self {
+            FeatureMatrix::Dense(m) => FeatureMatrix::Dense(m.slice_rows(rows)),
+            FeatureMatrix::Sparse(m) => FeatureMatrix::Sparse(m.slice_rows(rows)),
+        }
+    }
 }
 
 impl From<Matrix> for FeatureMatrix {
@@ -238,6 +250,26 @@ mod tests {
         let out = FeatureMatrix::hstack(&[&a.into(), &b.into()]).unwrap();
         assert!(matches!(out, FeatureMatrix::Dense(_)));
         assert_eq!(out.to_dense().row(0), &[1.0, 3.0]);
+    }
+
+    #[test]
+    fn slice_rows_matches_take_rows_of_the_range() {
+        let d = Matrix::from_rows(&[
+            vec![1.0, 0.0],
+            vec![0.0, 2.0],
+            vec![3.0, 4.0],
+            vec![0.0, 0.0],
+        ]);
+        let mut b = SparseRowBuilder::new(3);
+        for entries in [&[(0, 5.0)][..], &[], &[(1, 6.0), (2, 7.0)], &[(2, 8.0)]] {
+            b.push_row(entries);
+        }
+        for m in [FeatureMatrix::from(d), FeatureMatrix::from(b.finish())] {
+            for (lo, hi) in [(0, 4), (1, 3), (2, 2), (3, 4)] {
+                let rows: Vec<usize> = (lo..hi).collect();
+                assert_eq!(m.slice_rows(lo..hi), m.take_rows(&rows), "{lo}..{hi}");
+            }
+        }
     }
 
     #[test]

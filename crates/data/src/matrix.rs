@@ -1,5 +1,7 @@
 //! Row-major dense matrices: the feature vectors consumed by models.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::DataError;
@@ -226,6 +228,18 @@ impl Matrix {
             out.row_mut(i).copy_from_slice(self.row(r));
         }
         out
+    }
+
+    /// Copy the contiguous rows `rows` into a new matrix.
+    ///
+    /// # Panics
+    /// Panics if `rows` runs past the last row.
+    pub fn slice_rows(&self, rows: Range<usize>) -> Matrix {
+        Matrix {
+            data: self.data[rows.start * self.cols..rows.end * self.cols].to_vec(),
+            rows: rows.len(),
+            cols: self.cols,
+        }
     }
 
     /// Matrix-vector product `self * v`.

@@ -5,6 +5,8 @@
 //! which only dozens are nonzero; CSR keeps the compiled engine's
 //! memory traffic proportional to the nonzeros.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::{DataError, Matrix};
@@ -258,6 +260,23 @@ impl SparseMatrix {
             out.indptr.push(out.indices.len());
         }
         out
+    }
+
+    /// Copy the contiguous rows `rows` into a new matrix.
+    ///
+    /// # Panics
+    /// Panics if `rows` runs past the last row.
+    pub fn slice_rows(&self, rows: Range<usize>) -> SparseMatrix {
+        let (lo, hi) = (self.indptr[rows.start], self.indptr[rows.end]);
+        SparseMatrix {
+            indptr: self.indptr[rows.start..=rows.end]
+                .iter()
+                .map(|&p| p - lo)
+                .collect(),
+            indices: self.indices[lo..hi].to_vec(),
+            data: self.data[lo..hi].to_vec(),
+            cols: self.cols,
+        }
     }
 
     /// Per-column mean absolute values over all rows (implicit zeros

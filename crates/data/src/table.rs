@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::{Column, DataError, DataType, Value};
 
@@ -145,6 +146,19 @@ impl Table {
         t
     }
 
+    /// Copy the contiguous rows `rows` into a new table.
+    ///
+    /// # Panics
+    /// Panics if `rows` runs past the last row.
+    pub fn slice_rows(&self, rows: Range<usize>) -> Table {
+        let mut t = Table::new();
+        for (name, col) in &self.columns {
+            t.add_column(name.clone(), col.slice(rows.clone()))
+                .expect("sliced columns share length");
+        }
+        t
+    }
+
     /// Keep only the named columns, in the given order.
     ///
     /// # Errors
@@ -195,6 +209,13 @@ mod tests {
         assert_eq!(t.value(2, "s"), Some(Value::from("c")));
         assert_eq!(t.value(3, "s"), None);
         assert!(t.column("missing").is_none());
+    }
+
+    #[test]
+    fn slice_rows_matches_take_rows_of_the_range() {
+        let t = sample();
+        assert_eq!(t.slice_rows(1..3), t.take_rows(&[1, 2]));
+        assert_eq!(t.slice_rows(0..0).n_rows(), 0);
     }
 
     #[test]

@@ -166,11 +166,26 @@ impl TreeEnsemble {
     /// # Panics
     /// Panics if `x` is narrower than [`Self::n_features`].
     pub fn sum_rows(&self, x: &Matrix) -> Vec<f64> {
-        let (n, width) = (x.n_rows(), x.n_cols());
+        let mut sums = vec![ZERO; x.n_rows()];
+        self.sum_rows_into(x, 0, &mut sums);
+        sums
+    }
+
+    /// [`Self::sum_row`] for rows `first..first + sums.len()` of `x`,
+    /// written into `sums` and read where they lie in `x`: no copy and
+    /// no allocation. Each row's sum is the one [`Self::sum_rows`]
+    /// gives it, whatever rows surround it.
+    ///
+    /// # Panics
+    /// Panics if `x` is narrower than [`Self::n_features`] or the rows
+    /// run past its end.
+    pub fn sum_rows_into(&self, x: &Matrix, first: usize, sums: &mut [f64]) {
+        let width = x.n_cols();
         assert!(width >= self.n_features(), "matrix narrower than model");
-        let data = x.as_slice();
+        let n = sums.len();
+        let data = &x.as_slice()[first * width..(first + n) * width];
         let nodes = self.nodes.as_slice();
-        let mut sums = vec![ZERO; n];
+        sums.fill(ZERO);
         for tile in (0..n).step_by(TILE) {
             let tile_end = (tile + TILE).min(n);
             let blocks_end = tile_end - (tile_end - tile) % BLOCK;
@@ -193,7 +208,6 @@ impl TreeEnsemble {
                 }
             }
         }
-        sums
     }
 
     /// The value of the leaf `row` reaches from `root`.

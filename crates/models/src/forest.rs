@@ -203,11 +203,19 @@ impl RandomForest {
 
     /// Score every row of a dense matrix without conversion.
     pub fn predict_dense(&self, x: &Matrix) -> Vec<f64> {
-        let mut scores = self.ensemble.sum_rows(x);
-        for s in &mut scores {
+        let mut scores = vec![0.0; x.n_rows()];
+        self.predict_dense_into(x, 0, &mut scores);
+        scores
+    }
+
+    /// Score rows `first..first + out.len()` of a dense matrix into
+    /// `out`, reading them in place; each score is the one
+    /// [`Self::predict_dense`] gives the row.
+    pub fn predict_dense_into(&self, x: &Matrix, first: usize, out: &mut [f64]) {
+        self.ensemble.sum_rows_into(x, first, out);
+        for s in out {
             *s = self.score(*s);
         }
-        scores
     }
 
     /// Gain-based feature importances, normalized to sum to 1.

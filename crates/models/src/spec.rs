@@ -162,6 +162,24 @@ impl TrainedModel {
         }
     }
 
+    /// Score rows `first..first + out.len()` of `x` into `out`, each
+    /// with the score [`Self::predict_scores`] gives it: every family
+    /// scores a row by itself, whatever rows surround it. Tree
+    /// ensembles read dense rows where they lie, without allocating;
+    /// other inputs are scored from a copy of those rows.
+    ///
+    /// # Panics
+    /// Panics if the rows run past the end of `x`.
+    pub fn predict_scores_into(&self, x: &FeatureMatrix, first: usize, out: &mut [f64]) {
+        match (self, x) {
+            (TrainedModel::Gbdt(m), FeatureMatrix::Dense(d)) => m.predict_dense_into(d, first, out),
+            (TrainedModel::Forest(m), FeatureMatrix::Dense(d)) => {
+                m.predict_dense_into(d, first, out);
+            }
+            _ => out.copy_from_slice(&self.predict_scores(&x.slice_rows(first..first + out.len()))),
+        }
+    }
+
     /// Score one row given sparse `(column, value)` entries.
     ///
     /// Trees index features positionally, so for GBDTs and forests the

@@ -118,7 +118,7 @@ use crate::runtime::{Runnable, RuntimeClient, ServingRuntime, Shared};
 use crate::wire2::{
     decode_header, decode_request_payload, decode_response_payload, encode_frame,
     encode_request_payload, encode_response_frame, FrameHeader, FrameType, WIRE2_HEADER_LEN,
-    WIRE2_MAGIC, WIRE2_PREAMBLE, WIRE2_VERSION,
+    WIRE2_MAGIC, WIRE2_MIN_VERSION, WIRE2_PREAMBLE, WIRE2_VERSION,
 };
 use crate::ServeError;
 
@@ -1567,13 +1567,14 @@ fn node_parse_one(conn: &mut NodeConn, lanes: &mut NodeLanes<'_, '_>) -> bool {
                 Err(_) => {
                     counters.decode_errors.fetch_add(1, Ordering::Relaxed);
                     // When the magic/version/type bytes are intact
-                    // only the length prefix is hostile and the mux
-                    // id is still trustworthy: the client gets an
-                    // in-band error before the connection drains.
-                    // Anything else means the stream is
-                    // desynchronized — drop it.
+                    // (any version this build decodes) only the
+                    // length prefix is hostile and the mux id is
+                    // still trustworthy: the client gets an in-band
+                    // error before the connection drains. Anything
+                    // else means the stream is desynchronized — drop
+                    // it.
                     if header[0] == WIRE2_MAGIC
-                        && header[1] == WIRE2_VERSION
+                        && (WIRE2_MIN_VERSION..=WIRE2_VERSION).contains(&header[1])
                         && FrameType::from_byte(header[2]).is_some()
                     {
                         let mux_id =

@@ -12,8 +12,9 @@ use std::time::Duration;
 
 use willump_data::{Table, Value};
 use willump_serve::wire2::{
-    decode_request_payload, decode_response_payload, encode_frame, encode_request_payload,
-    encode_response_frame, encode_response_payload, read_frame, FrameType, WIRE2_PREAMBLE,
+    decode_request_payload, decode_response_payload, encode_frame, encode_header,
+    encode_request_payload, encode_response_frame, encode_response_payload, read_frame, FrameType,
+    MAX_FRAME_PAYLOAD, WIRE2_MIN_VERSION, WIRE2_PREAMBLE,
 };
 use willump_serve::{
     ControlRequest, EndpointCounters, ForwardReply, InProcessWorker, RemoteRuntimeNode,
@@ -646,6 +647,41 @@ fn a_former_drain_tag_is_answered_in_band_and_the_node_keeps_serving() {
     let served = round_trip(2, &encode_request_payload(&predict));
     assert!(!served.overloaded, "the node refused: {:?}", served.error);
     assert_eq!((served.error, served.scores), (None, vec![5.0]));
+}
+
+/// A header of the oldest version the node decodes, whose length
+/// prefix exceeds the frame bound, is answered in band on its mux id
+/// like a current-version one, and then the connection drains.
+#[test]
+fn an_oversized_frame_of_an_older_version_is_answered_in_band() {
+    let node = spawn_node("affine", 1);
+    let stream = TcpStream::connect(node.local_addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clones");
+    let mut reader = BufReader::new(stream);
+    writer.write_all(WIRE2_PREAMBLE).expect("preamble");
+    let (hdr, _) = read_frame(&mut reader).expect("ack").expect("not eof");
+    assert_eq!(hdr.frame_type, FrameType::HelloAck);
+
+    let mut header = encode_header(FrameType::BinRequest, 9, MAX_FRAME_PAYLOAD + 1);
+    header[1] = WIRE2_MIN_VERSION;
+    writer.write_all(&header).expect("writes");
+    let (hdr, payload) = read_frame(&mut reader)
+        .expect("frame")
+        .expect("an in-band reply, not EOF");
+    assert_eq!(
+        (hdr.frame_type, hdr.request_id),
+        (FrameType::BinResponse, 9)
+    );
+    let err = decode_response_payload(&payload)
+        .expect("decodes")
+        .error
+        .expect("is an error");
+    assert!(err.contains("exceeds the frame bound"), "got: {err}");
+    assert!(matches!(read_frame(&mut reader), Ok(None)));
+    assert_eq!(node.transport_stats().decode_errors, 1);
 }
 
 // ---- wire2 round trips over arbitrary frames -------------------------

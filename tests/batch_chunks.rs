@@ -1,15 +1,22 @@
-//! When `PlanExecutor::run_batch` runs a batch as row chunks on helper
-//! threads, and what a failing or panicking chunk does.
+//! When `PlanExecutor::run_batch` runs a batch, or one model stage of
+//! it, as row chunks on helper threads, and what a failing or
+//! panicking chunk does.
 //!
 //! A batch is split only when it makes at least two 256-row chunks,
 //! the plan is row-local, and the plan's own measured cost per row puts
-//! the batch at 1 ms or more. `PlanRunReport::helpers` counts the
-//! threads a run started (all joined before it returned), so "starts no
-//! thread" is `helpers == 0`.
+//! the batch at 0.5 ms or more. A plan that does not split its batch —
+//! top-K, cached, arm and store-lookup plans among them — splits a
+//! model stage by the same rule, judged from that stage's own measured
+//! cost per row. `PlanRunReport::helpers` counts the threads a split
+//! batch started and `StageTrace::helpers` those a split stage started
+//! (all joined before the run returned), so "starts no thread" is both
+//! at 0.
 
 use std::sync::Arc;
 
-use willump::{PlanExecutor, QueryMode, ServingPlan, TopKConfig, Willump, WillumpConfig};
+use willump::{
+    PlanExecutor, PlanRunReport, QueryMode, ServingPlan, TopKConfig, Willump, WillumpConfig,
+};
 use willump_data::{Column, Table};
 use willump_graph::{EngineMode, Executor, GraphBuilder, Operator};
 use willump_models::{LogisticParams, ModelSpec, TrainedModel};
@@ -68,6 +75,10 @@ fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// The least estimated cost, in seconds, of a batch or a stage that
+/// splits.
+const FLOOR: f64 = 0.5e-3;
+
 /// The plan's measured cost of one row so far: every stage's seconds
 /// over the rows that entered its first stage.
 fn seconds_per_row(plan: &ServingPlan) -> f64 {
@@ -76,31 +87,74 @@ fn seconds_per_row(plan: &ServingPlan) -> f64 {
     seconds / profiles[0].rows_in as f64
 }
 
+/// One stage's measured cost of a row entering it so far.
+fn stage_seconds_per_row(plan: &ServingPlan, stage: usize) -> f64 {
+    let profile = &plan.stage_profiles()[stage];
+    profile.seconds / profile.rows_in as f64
+}
+
+/// Threads a run started, for its batch and for all its stages.
+fn threads_started(report: &PlanRunReport) -> usize {
+    report.helpers + report.stages.iter().map(|s| s.helpers).sum::<usize>()
+}
+
+/// The music workload and its optimizer-lowered top-K plan.
+fn music_top_k() -> (willump_workloads::Workload, ServingPlan) {
+    let w = WorkloadKind::Music
+        .generate(&WorkloadConfig::small())
+        .expect("generates");
+    let plan = Willump::new(WillumpConfig {
+        mode: QueryMode::TopK { k: 20 },
+        ..WillumpConfig::default()
+    })
+    .optimize(&w.pipeline, &w.train, &w.train_y, &w.valid, &w.valid_y)
+    .expect("optimizes")
+    .serving_plan();
+    (w, plan)
+}
+
 #[test]
 fn a_fresh_plans_first_batch_starts_no_thread() {
     let (exec, small, full) = fitted();
     let plan = ServingPlan::cascade(exec, small, full, 0.9, vec![0]).unwrap();
     let out = plan.run_batch(&rows(20_000).0).unwrap();
     assert_eq!((out.report.chunks, out.report.helpers), (1, 0));
+    assert_eq!(threads_started(&out.report), 0);
+}
+
+/// A top-K plan's first query measures its stages before any of them
+/// may split: it starts no thread.
+#[test]
+fn a_fresh_top_k_plans_first_query_starts_no_thread() {
+    let (w, plan) = music_top_k();
+    let (_, report) = plan.top_k(&w.test, 20).expect("top-K query");
+    assert_eq!((report.chunks, report.helpers), (1, 0));
+    assert_eq!(threads_started(&report), 0);
+
+    let (exec, small, full) = fitted();
+    let plan =
+        ServingPlan::top_k_filter(exec, small, full, 10, TopKConfig::default(), vec![0]).unwrap();
+    let (_, report) = plan.top_k(&rows(20_000).0, 10).expect("top-K query");
+    assert_eq!(threads_started(&report), 0);
 }
 
 /// Each batch is split exactly when the rule says so, judged from the
 /// cost the plan has measured right before it runs.
 #[test]
-fn a_batch_splits_only_when_its_estimated_cost_reaches_a_millisecond() {
+fn a_batch_splits_only_when_its_estimated_cost_reaches_half_a_millisecond() {
     let (exec, small, full) = fitted();
     let plan = ServingPlan::cascade(exec, small, full, 0.9, vec![0]).unwrap();
     plan.run_batch(&rows(2_000).0).unwrap();
     let per_row = seconds_per_row(&plan);
     // Well under the floor (when even two chunks' worth is), and over
     // it.
-    let under = ((0.25e-3 / per_row) as usize).max(257);
-    let over = ((2e-3 / per_row).ceil() as usize).clamp(513, 200_000);
+    let under = ((FLOOR / 4.0 / per_row) as usize).max(257);
+    let over = ((2.0 * FLOOR / per_row).ceil() as usize).clamp(513, 200_000);
     let mut judged_under = false;
     for n in [256, under, over, under, over] {
         let estimate = seconds_per_row(&plan) * n as f64;
         let out = plan.run_batch(&rows(n).0).unwrap();
-        let split = n > 256 && estimate >= 1e-3 && cores() > 1;
+        let split = n > 256 && estimate >= FLOOR && cores() > 1;
         assert_eq!(out.report.helpers > 0, split, "{n} rows, {estimate} s");
         if split {
             assert_eq!(out.report.chunks, n.div_ceil(256));
@@ -111,9 +165,87 @@ fn a_batch_splits_only_when_its_estimated_cost_reaches_a_millisecond() {
         }
     }
     assert!(
-        judged_under || seconds_per_row(&plan) * 257.0 >= 0.25e-3,
+        judged_under || seconds_per_row(&plan) * 257.0 >= FLOOR / 4.0,
         "no batch of two chunks ran under the floor"
     );
+}
+
+/// A top-K plan's filter stage splits exactly when its own estimate
+/// says so, judged from the stage's cost measured right before each
+/// query; the batch itself never splits.
+#[test]
+fn a_large_filter_stage_splits_only_when_its_estimated_cost_reaches_half_a_millisecond() {
+    let (exec, small, full) = fitted();
+    let plan =
+        ServingPlan::top_k_filter(exec, small, full, 10, TopKConfig::default(), vec![0]).unwrap();
+    let filter = plan
+        .describe()
+        .iter()
+        .position(|label| label == "predict(small)")
+        .expect("a filter stage");
+    plan.top_k(&rows(2_000).0, 10).unwrap();
+    let per_row = stage_seconds_per_row(&plan, filter);
+    let under = ((FLOOR / 4.0 / per_row) as usize).clamp(257, 200_000);
+    let over = ((2.0 * FLOOR / per_row).ceil() as usize).clamp(513, 400_000);
+    let mut judged = [false; 2];
+    for n in [256, under, over, under, over] {
+        let estimate = stage_seconds_per_row(&plan, filter) * n as f64;
+        let (_, report) = plan.top_k(&rows(n).0, 10).unwrap();
+        assert_eq!((report.chunks, report.helpers), (1, 0), "{n} rows");
+        let stage = &report.stages[filter];
+        assert_eq!(stage.rows_in, n);
+        let split = n > 256 && estimate >= FLOOR && cores() > 1;
+        assert_eq!(stage.helpers > 0, split, "{n} rows, {estimate} s");
+        if split {
+            assert!(stage.helpers < cores().min(n.div_ceil(256)));
+        }
+        judged[usize::from(split)] |= n > 256;
+        // No other stage splits.
+        assert_eq!(threads_started(&report), stage.helpers, "{n} rows");
+    }
+    assert!(
+        judged[0] || stage_seconds_per_row(&plan, filter) * 257.0 >= FLOOR / 4.0,
+        "no filter stage of two chunks ran under the floor"
+    );
+    assert!(
+        judged[1] || cores() == 1 || stage_seconds_per_row(&plan, filter) * 400_000.0 < FLOOR,
+        "no filter stage ran over the floor"
+    );
+}
+
+/// The music top-K query keeps its five store round trips per query
+/// while its filter stage splits: a split stage scores the features
+/// the whole batch's lookups fetched.
+#[test]
+fn the_music_top_k_query_keeps_five_round_trips_while_its_filter_stage_splits() {
+    let (w, plan) = music_top_k();
+    let store = w.store.clone().expect("music has a store");
+    let trips = || store.stats().round_trips();
+    let filter = plan
+        .describe()
+        .iter()
+        .position(|label| label == "predict(small)")
+        .expect("a filter stage");
+    for helpers in 1..=3 {
+        let before = trips();
+        let out = PlanExecutor::new(&plan)
+            .run_batch_in_chunks(&w.test, helpers)
+            .unwrap();
+        assert!(out.ranked.is_some());
+        assert_eq!((out.report.chunks, out.report.helpers), (1, 0));
+        let chunks = w.test.n_rows().div_ceil(256);
+        assert_eq!(out.report.stages[filter].helpers, helpers.min(chunks - 1));
+        assert_eq!(trips() - before, 5);
+    }
+    // Queries split their filter stage by the rule alone.
+    for _ in 0..3 {
+        let estimate = stage_seconds_per_row(&plan, filter) * w.test.n_rows() as f64;
+        let before = trips();
+        let (_, report) = plan.top_k(&w.test, 20).expect("top-K query");
+        assert_eq!(trips() - before, 5);
+        let split = w.test.n_rows() > 256 && estimate >= FLOOR && cores() > 1;
+        assert_eq!(report.stages[filter].helpers > 0, split, "{estimate} s");
+    }
 }
 
 /// A top-K filter ranks the whole batch, a cache or an arm choice is

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 use willump::cascade::THRESHOLD_CANDIDATES;
-use willump::{PlanExecutor, PlanRunReport, ServingPlan, TopKConfig};
+use willump::{PlanExecutor, PlanRunReport, PlanStage, ServingPlan, TopKConfig};
 use willump_data::{Column, Table};
 use willump_graph::{EngineMode, Executor, GraphBuilder, InputRow, TransformGraph};
 use willump_models::{metrics, LinearParams, LogisticParams, ModelSpec, TrainedModel};
@@ -476,7 +476,9 @@ fn chunked_batches_match_one_piece_at_every_chunk_edge() {
 /// The toxic cascade — sparse text features, escalation merging the
 /// efficient and inefficient blocks — and its full-model plan give the
 /// same answers in chunks as in one piece. (Restates the graph-level
-/// batch-parallel check at plan level, where chunks now run.)
+/// batch-parallel check at plan level, where chunks now run.) So does
+/// a top-K plan whose filter scores sparse word TF-IDF features in
+/// split chunks.
 #[test]
 fn chunked_text_plans_match_one_piece() {
     use willump_workloads::{WorkloadConfig, WorkloadKind};
@@ -505,4 +507,136 @@ fn chunked_text_plans_match_one_piece() {
     );
     let out = cascade().run_batch(&w.test).unwrap();
     assert!(out.report.escalated > 0, "{:?}", out.report);
+
+    let generators = &exec.analysis().generators;
+    let word = (0..generators.len())
+        .find(|&g| exec.graph().node(generators[g].root).name == "word_tfidf")
+        .expect("a word TF-IDF generator");
+    let words = exec.features_batch(&w.test, Some(&[word])).unwrap();
+    assert!(matches!(words, willump_data::FeatureMatrix::Sparse(_)));
+    let filter = fit(Some(&[word]));
+    assert_split_stages_match_one_piece(
+        || {
+            ServingPlan::top_k_filter(
+                exec.clone(),
+                filter.clone(),
+                full.clone(),
+                20,
+                TopKConfig::default(),
+                vec![word],
+            )
+            .unwrap()
+        },
+        &w.test,
+    );
+}
+
+/// Run a fresh plan from `make` over `table` in one piece (a plan's
+/// first batch starts no thread) and fresh plans in one piece with
+/// every model stage split over 0 to 3 helper threads: the split runs
+/// give the same score bits, ranking, stage rows and counter deltas,
+/// and each model stage starts one helper per chunk past its first,
+/// up to the helpers given.
+fn assert_split_stages_match_one_piece(make: impl Fn() -> ServingPlan, table: &Table) {
+    let n = table.n_rows();
+    let fresh = make();
+    let one = fresh.run_batch(table).unwrap();
+    assert_eq!((one.report.chunks, one.report.helpers), (1, 0));
+    assert!(
+        one.report.stages.iter().all(|s| s.helpers == 0),
+        "a plan's first batch starts no thread"
+    );
+    let one_counts = fresh.counters().snapshot();
+    for helpers in 0..=3 {
+        let plan = make();
+        let out = PlanExecutor::new(&plan)
+            .run_batch_in_chunks(table, helpers)
+            .unwrap();
+        let at = format!("{:?}, n = {n}, {helpers} helpers", plan.describe());
+        assert_eq!((out.report.chunks, out.report.helpers), (1, 0), "{at}");
+        assert_eq!(bits(&out.scores), bits(&one.scores), "{at}");
+        assert_eq!(out.ranked, one.ranked, "{at}");
+        assert_eq!(stage_rows(&out.report), stage_rows(&one.report), "{at}");
+        assert_eq!(plan.counters().snapshot(), one_counts, "{at}");
+        for stage in &out.report.stages {
+            let split = stage.label.starts_with("predict(");
+            let chunks = if split {
+                stage.rows_in.div_ceil(256)
+            } else {
+                0
+            };
+            assert_eq!(
+                stage.helpers,
+                helpers.min(chunks.saturating_sub(1)),
+                "{at}: {}",
+                stage.label
+            );
+        }
+    }
+}
+
+/// Top-K and store-lookup plans split only their model stages, and
+/// give the same scores, rankings and counts as one piece at every
+/// chunk edge: the music top-K query (a GBDT filter over dense joined
+/// features, scored in place), its full-model plan over the same store
+/// lookups, and a logistic top-K plan (scored from row copies).
+#[test]
+fn split_model_stages_match_one_piece_at_every_chunk_edge() {
+    use willump::{QueryMode, Willump, WillumpConfig};
+    use willump_workloads::{WorkloadConfig, WorkloadKind};
+
+    let w = WorkloadKind::Music
+        .generate(&WorkloadConfig {
+            n_test: 2_001,
+            ..WorkloadConfig::small()
+        })
+        .expect("generates");
+    let deployed = Willump::new(WillumpConfig {
+        mode: QueryMode::TopK { k: 20 },
+        ..WillumpConfig::default()
+    })
+    .optimize(&w.pipeline, &w.train, &w.train_y, &w.valid, &w.valid_y)
+    .expect("optimizes")
+    .serving_plan();
+    let k = deployed
+        .stages()
+        .iter()
+        .find_map(|s| match s {
+            PlanStage::TopKFilter { k, .. } => Some(*k),
+            _ => None,
+        })
+        .expect("a top-K plan");
+    let top_k = || {
+        ServingPlan::top_k_filter(
+            deployed.executor().clone(),
+            deployed.small_model().expect("a filter model").clone(),
+            deployed.full_model().clone(),
+            k,
+            deployed.topk_config().expect("a top-K config"),
+            deployed.efficient_set().expect("an efficient set").to_vec(),
+        )
+        .unwrap()
+        .with_calibrator(deployed.calibrator().cloned())
+    };
+    assert_eq!(top_k().describe(), deployed.describe());
+    let full =
+        || ServingPlan::full_model_plan(deployed.executor().clone(), deployed.full_model().clone());
+    let fx = fixture();
+    let logistic_top_k = || {
+        ServingPlan::top_k_filter(
+            fx.exec.clone(),
+            fx.small.clone(),
+            fx.full.clone(),
+            10,
+            TopKConfig::default(),
+            vec![0],
+        )
+        .unwrap()
+    };
+    for n in CHUNK_EDGE_SIZES {
+        let music = w.test.slice_rows(0..n);
+        assert_split_stages_match_one_piece(top_k, &music);
+        assert_split_stages_match_one_piece(full, &music);
+        assert_split_stages_match_one_piece(logistic_top_k, &spread_rows(n));
+    }
 }
