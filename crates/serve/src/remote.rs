@@ -105,9 +105,9 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use willump::PlanCountersSnapshot;
@@ -395,16 +395,120 @@ impl WorkerTransport for InProcessWorker {
 
 // ---- the TCP transport ---------------------------------------------
 
-/// One message to a forward waiting for its answer.
-enum MuxEvent {
-    /// A response payload arrived for this waiter's mux id.
-    Frame(Vec<u8>),
-    /// The connection died before the response arrived; the response
-    /// can no longer arrive here, so a fresh-connection retry is safe.
+/// Where one forward waiting on a mux connection stands. Changed only
+/// by the [`Waiters`] transitions, under the connection's waiters lock.
+#[derive(Clone, Debug, PartialEq)]
+enum WaiterState {
+    /// Waiting for its answer, or for the reading turn.
+    Waiting,
+    /// Handed the reading turn: it takes the read half when it wakes,
+    /// unless another forward took it first — that one hands the turn
+    /// on when its own ends.
+    HasTurn,
+    /// Its response payload, routed to it by the reading forward.
+    Answered(Vec<u8>),
+    /// The connection died first: the response can no longer arrive
+    /// here, so a fresh-connection retry is safe.
     Dropped,
-    /// The forward that was reading the socket ended its turn: take
-    /// the turn over.
-    Turn,
+}
+
+impl WaiterState {
+    /// Neither answered nor dropped.
+    fn waits(&self) -> bool {
+        matches!(self, WaiterState::Waiting | WaiterState::HasTurn)
+    }
+}
+
+/// One forward on the table, and the thread to wake when its state
+/// changes.
+struct Waiter {
+    state: WaiterState,
+    thread: Thread,
+}
+
+/// The forwards waiting on one mux connection, by mux id. Each
+/// transition returns the threads of the waiters whose state it
+/// changed, for the caller to wake once the lock is let go: one event
+/// wakes exactly the threads it concerns.
+#[derive(Default)]
+struct Waiters {
+    /// Set once the connection is torn down (end of stream, I/O error,
+    /// corrupt frame) or killed; no forward boards after this.
+    dead: bool,
+    map: HashMap<u32, Waiter>,
+}
+
+impl Waiters {
+    /// Put the forward `id`, running on `thread`, on the table as
+    /// [`WaiterState::Waiting`]; on a dead connection it is
+    /// [`WaiterState::Dropped`] at once and not put on.
+    fn board(&mut self, id: u32, thread: Thread) -> WaiterState {
+        if self.dead {
+            return WaiterState::Dropped;
+        }
+        let state = WaiterState::Waiting;
+        self.map.insert(id, Waiter { state, thread });
+        WaiterState::Waiting
+    }
+
+    /// Hand the reading turn to one waiter: one still `Waiting` if
+    /// there is one, else one handed the turn earlier that found the
+    /// read half taken — whoever took it calls this when its turn ends.
+    fn pass_turn(&mut self) -> Option<Thread> {
+        let waiter = self
+            .map
+            .values_mut()
+            .filter(|w| w.state.waits())
+            .min_by_key(|w| w.state == WaiterState::HasTurn)?;
+        waiter.state = WaiterState::HasTurn;
+        Some(waiter.thread.clone())
+    }
+
+    /// Route a response payload to the forward `id`. A frame for an id
+    /// that no longer waits is dropped: the late response of a forward
+    /// that timed out (never resent, by design), or a second answer.
+    fn route(&mut self, id: u32, body: Vec<u8>) -> Option<Thread> {
+        let waiter = self.map.get_mut(&id).filter(|w| w.state.waits())?;
+        waiter.state = WaiterState::Answered(body);
+        Some(waiter.thread.clone())
+    }
+
+    /// Mark the connection dead and every waiter still waiting
+    /// `Dropped`; an answer already routed stays for its forward.
+    fn tear_down(&mut self) -> Vec<Thread> {
+        self.dead = true;
+        self.map
+            .values_mut()
+            .filter(|w| w.state.waits())
+            .map(|w| {
+                w.state = WaiterState::Dropped;
+                w.thread.clone()
+            })
+            .collect()
+    }
+
+    /// Take the forward `id` off the table and return its last state.
+    /// A waiter that was handed the turn passes it on.
+    fn leave(&mut self, id: u32) -> (Option<WaiterState>, Option<Thread>) {
+        let state = self.map.remove(&id).map(|w| w.state);
+        let next = match state {
+            Some(WaiterState::HasTurn) => self.pass_turn(),
+            _ => None,
+        };
+        (state, next)
+    }
+
+    /// Whether the forward `id` is off the table, answered or dropped.
+    fn settled(&self, id: u32) -> bool {
+        !self.map.get(&id).is_some_and(|w| w.state.waits())
+    }
+}
+
+/// Wake the thread a transition handed something to, if any.
+fn wake(thread: Option<Thread>) {
+    if let Some(thread) = thread {
+        thread.unpark();
+    }
 }
 
 /// Why a turn at the socket produced no frame.
@@ -479,7 +583,7 @@ impl MuxReader {
 /// reads it: a forward that has written its frame reads the socket
 /// itself when no other forward is reading, and routes every frame it
 /// reads to the forward waiting under that frame's mux id; otherwise
-/// it waits for its answer, or for the reading turn.
+/// it parks until its state on the waiters table changes.
 ///
 /// The turn is never lost while forwards wait: the reader passes it to
 /// one waiter when its own turn ends, and a waiter handed the turn
@@ -495,81 +599,33 @@ struct MuxConn {
     /// Extra handle used to `shutdown()` the socket, which ends the
     /// reading forward's read at once.
     wake: TcpStream,
-    /// Forwards waiting for their answer, by mux id. A waiter's
-    /// channel holds at most one `Turn` and then its answer.
-    waiters: Mutex<HashMap<u32, Sender<MuxEvent>>>,
+    /// The forwards waiting for their answer or the reading turn.
+    waiters: Mutex<Waiters>,
     /// Next mux correlation id (wraps; ids are transient).
     next_id: AtomicU32,
-    /// Set once the connection is torn down (end of stream, I/O error,
-    /// corrupt frame) or killed; no new forwards board after this.
-    dead: AtomicBool,
 }
 
 impl MuxConn {
     fn kill(&self) {
-        self.dead.store(true, Ordering::Relaxed);
+        self.waiters.lock().dead = true;
         let _ = self.wake.shutdown(Shutdown::Both);
     }
 
-    /// Tell every waiter that its answer can no longer arrive. Order
-    /// matters: `dead` is set before the drain (both sides touch the
-    /// waiters map under its lock), so a forward either boards in time
-    /// to be drained or observes `dead` after boarding.
-    fn tear_down(&self) {
-        self.dead.store(true, Ordering::Relaxed);
-        let waiters: Vec<(u32, Sender<MuxEvent>)> = self.waiters.lock().drain().collect();
-        for (_, tx) in waiters {
-            let _ = tx.try_send(MuxEvent::Dropped);
-        }
-    }
-
-    /// Hand the reading turn to one waiting forward, if any. One whose
-    /// channel is empty is picked: a waiter holding a `Turn` already
-    /// acts on it.
-    fn pass_turn(&self) {
-        let waiters = self.waiters.lock();
-        if let Some(tx) = waiters.values().find(|tx| tx.is_empty()) {
-            let _ = tx.try_send(MuxEvent::Turn);
-        }
-    }
-
-    /// Take a forward that gives up without its answer off the waiters
-    /// map. Nobody can hand it the turn after that; if somebody did
-    /// before, the turn is passed on.
-    fn leave(&self, id: u32, rx: &Receiver<MuxEvent>) {
-        self.waiters.lock().remove(&id);
-        let mut turn = false;
-        while let Ok(event) = rx.try_recv() {
-            turn |= matches!(event, MuxEvent::Turn);
-        }
-        if turn {
-            self.pass_turn();
-        }
-    }
-
-    /// One turn at the socket for the forward waiting under `id`: read
-    /// frames and route each to its waiter — an id with none is a
-    /// response whose forward timed out, dropped by design, because
-    /// that forward was never resent — until this forward's own answer
-    /// arrives. Stops early at the forward's deadline
-    /// ([`ReadStop::TimedOut`]) or when the connection is gone
-    /// ([`ReadStop::Closed`], after every waiter was told).
+    /// One turn at the socket for the forward `id`: read frames and
+    /// route each to its waiter until `id` itself is answered —
+    /// perhaps already, by the forward that read before this one.
+    /// Stops early at the forward's deadline, or when the connection
+    /// is gone (after every waiter was told). Where it stopped is `id`'s
+    /// state on the table.
     fn read_turn(
         &self,
         reader: &mut MuxReader,
         id: u32,
-        rx: &Receiver<MuxEvent>,
         deadline: Instant,
         counters: &TransportCounters,
-    ) -> Result<Vec<u8>, ReadStop> {
-        // The forward that read before this one may have routed this
-        // one's answer already: it did so before it gave up the turn.
-        while let Ok(event) = rx.try_recv() {
-            match event {
-                MuxEvent::Frame(body) => return Ok(body),
-                MuxEvent::Dropped => return Err(ReadStop::Closed),
-                MuxEvent::Turn => {}
-            }
+    ) {
+        if self.waiters.lock().settled(id) {
+            return;
         }
         loop {
             let stop = match reader.next_frame(deadline) {
@@ -579,13 +635,11 @@ impl MuxConn {
                         .fetch_add((WIRE2_HEADER_LEN + body.len()) as u64, Ordering::Relaxed);
                     match hdr.frame_type {
                         FrameType::BinResponse => {
-                            let waiter = self.waiters.lock().remove(&hdr.request_id);
+                            let woken = self.waiters.lock().route(hdr.request_id, body);
                             if hdr.request_id == id {
-                                return Ok(body);
+                                return;
                             }
-                            if let Some(tx) = waiter {
-                                let _ = tx.try_send(MuxEvent::Frame(body));
-                            }
+                            wake(woken);
                             continue;
                         }
                         FrameType::HelloAck => continue,
@@ -594,17 +648,16 @@ impl MuxConn {
                         FrameType::BinRequest => ReadStop::Corrupt,
                     }
                 }
-                Err(ReadStop::TimedOut) => {
-                    self.waiters.lock().remove(&id);
-                    return Err(ReadStop::TimedOut);
-                }
+                Err(ReadStop::TimedOut) => return,
                 Err(stop) => stop,
             };
             if matches!(stop, ReadStop::Corrupt) {
                 counters.decode_errors.fetch_add(1, Ordering::Relaxed);
             }
-            self.tear_down();
-            return Err(ReadStop::Closed);
+            for thread in self.waiters.lock().tear_down() {
+                thread.unpark();
+            }
+            return;
         }
     }
 }
@@ -784,9 +837,8 @@ impl RemoteWorker {
             writer: Mutex::new(writer),
             reader: Mutex::new(reader),
             wake,
-            waiters: Mutex::new(HashMap::new()),
+            waiters: Mutex::new(Waiters::default()),
             next_id: AtomicU32::new(1),
-            dead: AtomicBool::new(false),
         }))
     }
 
@@ -853,7 +905,7 @@ impl RemoteWorker {
     fn mux_establish(&self) -> Result<Arc<MuxConn>, ServeError> {
         let mut slot = self.mux.lock();
         if let Some(conn) = slot.as_ref() {
-            if !conn.dead.load(Ordering::Relaxed) {
+            if !conn.waiters.lock().dead {
                 return Ok(Arc::clone(conn));
             }
             // The connection died since the last successful dial
@@ -888,15 +940,7 @@ impl RemoteWorker {
             timed_out: false,
             error: e,
         })?;
-        // Room for one `Turn` and the answer.
-        let (tx, rx) = bounded(2);
-        conn.waiters.lock().insert(id, tx);
-        // The connection is torn down with `dead` set before the
-        // waiters are drained (both under the waiters lock), so either
-        // this waiter will be told, or this check observes `dead` —
-        // never neither.
-        if conn.dead.load(Ordering::Relaxed) {
-            conn.leave(id, &rx);
+        if conn.waiters.lock().board(id, std::thread::current()) == WaiterState::Dropped {
             return Err(MuxFailure {
                 retryable: true,
                 timed_out: false,
@@ -905,7 +949,8 @@ impl RemoteWorker {
         }
         let write_result = { conn.writer.lock().write_all(&frame) };
         if let Err(e) = write_result {
-            conn.leave(id, &rx);
+            let (_, next) = conn.waiters.lock().leave(id);
+            wake(next);
             conn.kill();
             let timed_out = matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
             return Err(MuxFailure {
@@ -919,33 +964,36 @@ impl RemoteWorker {
         let sent = frame.len() as u64;
         self.counters.bytes_sent.fetch_add(sent, Ordering::Relaxed);
         let deadline = Instant::now() + self.timeout;
-        let answer = loop {
+        let (state, next) = loop {
             if let Some(mut reader) = conn.reader.try_lock() {
-                let answer = conn.read_turn(&mut reader, id, &rx, deadline, &self.counters);
+                conn.read_turn(&mut reader, id, deadline, &self.counters);
                 drop(reader);
-                conn.pass_turn();
-                break answer;
+                // The turn ends with this forward's: hand it on.
+                let mut waiters = conn.waiters.lock();
+                let (state, next) = waiters.leave(id);
+                break (state, next.or_else(|| waiters.pass_turn()));
             }
-            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                Ok(MuxEvent::Frame(body)) => break Ok(body),
-                Ok(MuxEvent::Dropped) => break Err(ReadStop::Closed),
-                // The reader's turn ended: try to take it.
-                Ok(MuxEvent::Turn) => {}
-                Err(_) => {
-                    conn.leave(id, &rx);
-                    break Err(ReadStop::TimedOut);
+            let left = deadline.saturating_duration_since(Instant::now());
+            {
+                let mut waiters = conn.waiters.lock();
+                if waiters.settled(id) || left.is_zero() {
+                    break waiters.leave(id);
                 }
             }
+            // Woken when this waiter's state changes, or for nothing:
+            // the loop looks again either way.
+            std::thread::park_timeout(left);
         };
-        match answer {
-            Ok(body) => {
+        wake(next);
+        match state {
+            Some(WaiterState::Answered(body)) => {
                 let received = (WIRE2_HEADER_LEN + body.len()) as u64;
                 Ok((body, sent, received))
             }
-            // The node may still be executing this request: do NOT
-            // resend it. The connection stays in service; a late
-            // response is discarded by mux id.
-            Err(ReadStop::TimedOut) => Err(MuxFailure {
+            // Still waiting at its deadline. The node may still be
+            // executing this request: do NOT resend it. The connection
+            // stays in service; a late response is dropped by mux id.
+            Some(WaiterState::Waiting | WaiterState::HasTurn) => Err(MuxFailure {
                 retryable: false,
                 timed_out: true,
                 error: ServeError::Transport(format!(
@@ -953,7 +1001,7 @@ impl RemoteWorker {
                     self.addr, self.timeout
                 )),
             }),
-            Err(_) => Err(MuxFailure {
+            _ => Err(MuxFailure {
                 retryable: true,
                 timed_out: false,
                 error: ServeError::Transport(format!(
@@ -988,7 +1036,7 @@ impl RemoteWorker {
         let start = Instant::now();
         // Attempt 1: the live multiplexed connection, if any.
         let existing = { self.mux.lock().clone() };
-        if let Some(conn) = existing.filter(|c| !c.dead.load(Ordering::Relaxed)) {
+        if let Some(conn) = existing {
             match self.mux_round(&conn, payload) {
                 Ok(reply) => {
                     if record {
@@ -1953,8 +2001,8 @@ mod tests {
     use super::*;
     use crate::server::{Servable, ServerConfig};
     use crate::wire2::{encode_header, read_frame, MAX_FRAME_PAYLOAD};
-    use crossbeam::channel::unbounded;
     use std::io::{BufRead, BufReader};
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::thread::JoinHandle;
     use willump_data::{Table, Value};
 
@@ -2425,7 +2473,7 @@ mod tests {
     /// it sends the name of the thread running it.
     struct Gated {
         entered: Sender<String>,
-        release: Receiver<()>,
+        release: std::sync::Mutex<Receiver<()>>,
     }
     impl Servable for Gated {
         fn predict_table(&self, table: &Table) -> Result<Vec<f64>, String> {
@@ -2433,7 +2481,7 @@ mod tests {
             let _ = self
                 .entered
                 .send(thread.name().unwrap_or_default().to_string());
-            let _ = self.release.recv();
+            let _ = self.release.lock().map(|release| release.recv());
             Scaler(2.0).predict_table(table)
         }
     }
@@ -2444,15 +2492,15 @@ mod tests {
     /// failing assertion cannot leave the node's drop joining a thread
     /// that still waits at the gate.
     fn gated_node(config: ServerConfig) -> (RemoteRuntimeNode, Receiver<String>, Sender<()>) {
-        let (entered_tx, entered_rx) = unbounded();
-        let (release_tx, release_rx) = unbounded();
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
         let mut b = ServingRuntime::builder();
         b.config(config);
         b.endpoint(
             "scale",
             Arc::new(Gated {
                 entered: entered_tx,
-                release: release_rx,
+                release: std::sync::Mutex::new(release_rx),
             }),
         );
         let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
@@ -2668,12 +2716,12 @@ mod tests {
         /// the forward fails once the test lets go.
         struct Stuck {
             entered: Sender<()>,
-            release: Receiver<()>,
+            release: std::sync::Mutex<Receiver<()>>,
         }
         impl WorkerTransport for Stuck {
             fn forward_request(&self, _: &Request) -> Result<ForwardReply, ServeError> {
                 let _ = self.entered.send(());
-                let _ = self.release.recv();
+                let _ = self.release.lock().map(|release| release.recv());
                 Err(ServeError::Transport("downstream is dead".to_string()))
             }
             fn describe(&self) -> String {
@@ -2684,15 +2732,15 @@ mod tests {
             }
         }
         under_watchdog(|| {
-            let (entered_tx, entered_rx) = unbounded();
-            let (release_tx, release_rx) = unbounded::<()>();
+            let (entered_tx, entered_rx) = channel();
+            let (release_tx, release_rx) = channel::<()>();
             let mut b = ServingRuntime::builder();
             b.config(ServerConfig::builder().workers(1).build());
             b.endpoint("scale", Arc::new(Scaler(2.0)))
                 .shards(1)
                 .shard_transport(Arc::new(Stuck {
                     entered: entered_tx,
-                    release: release_rx,
+                    release: std::sync::Mutex::new(release_rx),
                 }));
             let node = RemoteRuntimeNode::bind("127.0.0.1:0", b.build().unwrap()).expect("binds");
             // Shard 1 of the endpoint's two is the remote one.
@@ -3058,6 +3106,234 @@ mod tests {
         });
         assert_eq!((stats.forwards, stats.failures), (THREADS * N, 0));
         assert!(stats.max_in_flight >= 2, "forwards overlapped");
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum TableEvent {
+        /// A new forward boards.
+        Board,
+        /// The reading forward's turn ends.
+        PassTurn,
+        /// The reader routes a frame to `ME`.
+        RouteMine,
+        /// The reader routes a frame to `OTHER`.
+        RouteOther,
+        TearDown,
+        /// `ME` gives up without reading: a failed write, or its
+        /// deadline while parked.
+        Leave,
+        /// `ME`'s deadline while it reads: it leaves and hands the
+        /// turn on.
+        Deadline,
+    }
+
+    const ME: u32 = 1;
+    const OTHER: u32 = 2;
+    const NEW: u32 = 3;
+
+    /// Every event on the waiters table, from every state of one
+    /// forward and of a second one, on a live and a dead connection.
+    #[test]
+    fn the_waiter_table_keeps_the_turn_and_answers_each_forward_once() {
+        use TableEvent::*;
+        use WaiterState::*;
+        // Handles named by mux id whose threads have ended, so waking
+        // one is a no-op.
+        let threads = [ME, OTHER, NEW].map(|id| {
+            let handle = std::thread::Builder::new()
+                .name(id.to_string())
+                .spawn(|| {})
+                .expect("spawns");
+            let thread = handle.thread().clone();
+            handle.join().expect("joins");
+            thread
+        });
+        let states = [
+            None,
+            Some(Waiting),
+            Some(HasTurn),
+            Some(Answered(vec![1])),
+            Some(Dropped),
+        ];
+        let events = [
+            Board, PassTurn, RouteMine, RouteOther, TearDown, Leave, Deadline,
+        ];
+        let mut cases = 0;
+        for mine in &states {
+            for other in &states {
+                for dead in [false, true] {
+                    for event in events {
+                        check_table_event(&threads, [mine, other], dead, event);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 5 * 5 * 2 * 7);
+    }
+
+    /// One event on a table holding `ME` and `OTHER` in `states` (none:
+    /// not on it): the turn is never lost while a forward waits, no
+    /// forward is answered twice, a frame for an id that does not wait
+    /// is dropped, a dead table boards nobody, and each event wakes one
+    /// thread at most — a teardown every forward it drops.
+    fn check_table_event(
+        threads: &[Thread; 3],
+        states: [&Option<WaiterState>; 2],
+        dead: bool,
+        event: TableEvent,
+    ) {
+        use TableEvent::*;
+        use WaiterState::*;
+        let case = format!(
+            "me {:?}, other {:?}, dead {dead}: {event:?}",
+            states[0], states[1]
+        );
+        let mut table = Waiters {
+            dead,
+            map: HashMap::new(),
+        };
+        for (id, state) in [ME, OTHER].into_iter().zip(states) {
+            if let Some(state) = state.clone() {
+                let thread = threads[id as usize - 1].clone();
+                table.map.insert(id, Waiter { state, thread });
+            }
+        }
+        let snapshot = |table: &Waiters| {
+            let mut entries: Vec<(u32, WaiterState)> = table
+                .map
+                .iter()
+                .map(|(id, w)| (*id, w.state.clone()))
+                .collect();
+            entries.sort_by_key(|(id, _)| *id);
+            entries
+        };
+        let waiting = |entries: &[(u32, WaiterState)]| -> Vec<u32> {
+            entries
+                .iter()
+                .filter(|(_, s)| s.waits())
+                .map(|(id, _)| *id)
+                .collect()
+        };
+        let set = |entries: &mut Vec<(u32, WaiterState)>, id: u32, state: WaiterState| {
+            entries
+                .iter_mut()
+                .filter(|(i, _)| *i == id)
+                .for_each(|(_, s)| *s = state.clone());
+        };
+        let before = snapshot(&table);
+        let mut left = None;
+        let woken: Vec<Thread> = match event {
+            Board => {
+                let boarded = table.board(NEW, threads[2].clone());
+                assert_eq!(boarded, if dead { Dropped } else { Waiting }, "{case}");
+                Vec::new()
+            }
+            PassTurn => table.pass_turn().into_iter().collect(),
+            RouteMine => table.route(ME, vec![2]).into_iter().collect(),
+            RouteOther => table.route(OTHER, vec![2]).into_iter().collect(),
+            TearDown => table.tear_down(),
+            Leave | Deadline => {
+                let (state, next) = table.leave(ME);
+                left = Some(state);
+                let next = if event == Deadline {
+                    next.or_else(|| table.pass_turn())
+                } else {
+                    next
+                };
+                next.into_iter().collect()
+            }
+        };
+        let after = snapshot(&table);
+        let mut woken: Vec<u32> = woken
+            .iter()
+            .map(|t| t.name().and_then(|n| n.parse().ok()).expect("a mux id"))
+            .collect();
+        woken.sort_unstable();
+        if event != TearDown {
+            assert!(woken.len() <= 1, "{case}: woke {woken:?}");
+            assert_eq!(table.dead, dead, "{case}");
+        }
+        let hands_on = match event {
+            PassTurn | Deadline => true,
+            Leave => *states[0] == Some(HasTurn),
+            _ => false,
+        };
+        if hands_on && !waiting(&after).is_empty() {
+            assert_eq!(woken.len(), 1, "{case}: the turn was lost");
+            // A waiter not yet handed the turn goes first.
+            let fresh = before
+                .iter()
+                .any(|(id, s)| *s == Waiting && (*id != ME || event == PassTurn));
+            if fresh {
+                assert!(waiting(&before).contains(&woken[0]), "{case}");
+                assert!(before.contains(&(woken[0], Waiting)), "{case}");
+            }
+        }
+        // What each event may change; anything else stays, so an
+        // answer is never replaced by a second one.
+        let mut expected = before.clone();
+        match event {
+            Board if !dead => expected.push((NEW, Waiting)),
+            Board => {}
+            PassTurn | Leave | Deadline => {
+                if event != PassTurn {
+                    expected.retain(|(id, _)| *id != ME);
+                    assert_eq!(left, Some(states[0].clone()), "{case}");
+                }
+                if let Some(to) = woken.first() {
+                    assert!(waiting(&expected).contains(to), "{case}");
+                    set(&mut expected, *to, HasTurn);
+                }
+            }
+            RouteMine | RouteOther => {
+                let to = if event == RouteMine { ME } else { OTHER };
+                if waiting(&before).contains(&to) {
+                    assert_eq!(woken, vec![to], "{case}");
+                    set(&mut expected, to, Answered(vec![2]));
+                } else {
+                    assert!(woken.is_empty(), "{case}: a frame for {to} went somewhere");
+                }
+            }
+            TearDown => {
+                assert!(table.dead, "{case}");
+                assert_eq!(woken, waiting(&before), "{case}");
+                for id in waiting(&before) {
+                    set(&mut expected, id, Dropped);
+                }
+            }
+        }
+        assert_eq!(after, expected, "{case}");
+    }
+
+    #[test]
+    fn a_forward_that_boards_a_torn_down_connection_fails_retryable_at_once() {
+        let node = RemoteRuntimeNode::bind("127.0.0.1:0", runtime(2.0)).expect("binds");
+        let worker = RemoteWorker::new(&node.local_addr().to_string());
+        assert_eq!(scores(&worker, 1, 1.0), vec![2.0]);
+        // A forward that picked up the connection before it was torn
+        // down boards it after.
+        let conn = worker.mux.lock().clone().expect("connected");
+        conn.waiters.lock().tear_down();
+        let start = Instant::now();
+        let payload = encode_request_payload(&request(2, 2.0));
+        let failure = worker.mux_round(&conn, &payload).expect_err("fails");
+        assert!(
+            start.elapsed() < REMOTE_WORKER_TIMEOUT / 100,
+            "{:?}",
+            start.elapsed()
+        );
+        assert!(failure.retryable && !failure.timed_out);
+        assert!(
+            failure.error.to_string().contains("connection dropped"),
+            "{}",
+            failure.error
+        );
+        assert!(conn.waiters.lock().map.is_empty(), "nobody stays on board");
+        // The forward path retries it on a fresh connection.
+        assert_eq!(scores(&worker, 3, 3.0), vec![6.0]);
+        let stats = worker.stats();
+        assert_eq!((stats.reconnects, stats.failures), (1, 0));
     }
 
     #[test]

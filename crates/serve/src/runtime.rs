@@ -55,11 +55,11 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use willump::{LatencyHistogram, PlanCounters, PlanCountersSnapshot, RateEstimator};
@@ -726,7 +726,7 @@ pub(crate) type ResponseSink = Box<dyn Fn(Response) + Send>;
 /// Where a routed job's response goes.
 enum Reply {
     /// To the admitting caller, which blocks on the other end.
-    Channel(Sender<Response>),
+    Channel(SyncSender<Response>),
     /// Into a sink handed to [`Shared::submit`].
     Sink(ResponseSink),
 }
@@ -1043,7 +1043,10 @@ impl Shared {
             drop(slot);
             return served.map_err(|_| ServeError::Disconnected);
         }
-        let (reply_tx, reply_rx) = bounded(1);
+        // Capacity 0: this thread waits in `recv` from right after the
+        // enqueue, so the answer goes straight into it and the channel
+        // allocates no buffer.
+        let (reply_tx, reply_rx) = sync_channel(0);
         self.enqueue(job, Reply::Channel(reply_tx), worker)?;
         reply_rx.recv().map_err(|_| ServeError::Disconnected)
     }

@@ -12,7 +12,7 @@
 //! | ID | name | invariant |
 //! |----|------|-----------|
 //! | WL001 | `wire-compat` | `crates/serve/src/wire2.rs`'s binary `WIRE2_LAYOUT` matches its frozen per-version copy, so layout changes must bump `WIRE2_VERSION` |
-//! | WL003 | `no-lock-unwrap` | no `.unwrap()`/`.expect()` on lock or channel results in `crates/serve`/`crates/core` non-test code |
+//! | WL003 | `no-lock-unwrap` | no `.unwrap()`/`.expect()` on lock, condvar-wait or channel results in `crates/serve`/`crates/core` non-test code |
 //! | WL004 | `schema-registration` | every recording bench binary's schema header is registered in `RECORDED_SCHEMAS`, no registry entry is stale, every registered section exists in `EXPERIMENTS.md`, and no section there carries an older version of a registered schema |
 //! | WL005 | `vendor-hygiene` | every dependency across workspace manifests resolves to a path inside `vendor/` or `crates/` (no registry/git deps — the build env is offline) |
 //!
@@ -51,7 +51,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "WL003",
         name: "no-lock-unwrap",
-        summary: "no .unwrap()/.expect() on lock or channel results in serve/core non-test code",
+        summary: "no .unwrap()/.expect() on lock, condvar-wait or channel results in serve/core non-test code",
     },
     Rule {
         id: "WL004",
@@ -599,6 +599,9 @@ const GUARDED_METHODS: &[(&str, bool)] = &[
     ("send", false),
     ("try_send", false),
     ("recv_timeout", false),
+    ("wait", false),
+    ("wait_timeout", false),
+    ("wait_while", false),
 ];
 
 /// The crate sources WL003 sweeps (unit-test modules excluded).
@@ -1173,7 +1176,8 @@ mod tests {
         scan_guarded_unwraps(&mk("tx.send(job).expect(\"send\");\n"), &mut v);
         scan_guarded_unwraps(&mk("let n = file.read(&mut buf).unwrap();\n"), &mut v);
         scan_guarded_unwraps(&mk("let x = rx.recv()\n    .unwrap();\n"), &mut v);
-        assert_eq!(v.len(), 3, "{v:?}");
+        scan_guarded_unwraps(&mk("let g = cv.wait(g).unwrap();\n"), &mut v);
+        assert_eq!(v.len(), 4, "{v:?}");
         assert!(v.iter().all(|x| x.rule == "WL003"));
     }
 
