@@ -109,8 +109,9 @@ pub struct WillumpConfig {
     /// Calibrate small-model confidences before threshold comparison.
     pub calibration: Calibration,
     /// Threads for per-input parallelization of example-at-a-time
-    /// queries (paper §4.4): one input's feature generators run on
-    /// this many threads (1 = off). Batch and top-K queries ignore it;
+    /// queries (paper §4.4): one input's feature generators run as
+    /// this many LPT groups, which the calling thread and the
+    /// process's helper pool claim in turn (1 = off). Batch and top-K queries ignore it;
     /// batch parallelism has no setting — a large batch of a row-local
     /// plan, or a large model stage of any other plan, is split across
     /// the host's cores by

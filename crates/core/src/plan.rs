@@ -12,22 +12,22 @@
 //! explicit as a sequence of [`PlanStage`]s over shared resources
 //! (executor, models, layouts, cache), so optimizations *compose*: a
 //! cascade behind an end-to-end cache, a top-K filter with a
-//! confidence gate, an arm-selected full model — all execute through
-//! the same [`PlanExecutor`], batch-wise or row-wise, and all report
-//! per-stage cost and row counters the serving layer can inspect.
+//! confidence gate — all execute through the same [`PlanExecutor`],
+//! batch-wise or row-wise, and all report per-stage cost and row
+//! counters the serving layer can inspect.
 //!
 //! [`crate::Willump::optimize`] lowers its decisions into plans, and
 //! [`crate::OptimizedPipeline`] serves through them.
 
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use willump_data::{FeatureMatrix, Table};
+use willump_graph::parallel::{claim, cores};
 use willump_graph::{Executor, InputRow, Operator};
 use willump_models::{metrics, Task, TrainedModel};
 use willump_store::LruCache;
@@ -54,9 +54,6 @@ pub enum ModelSlot {
     Small,
     /// The full model trained on the complete feature layout.
     Full,
-    /// The arm chosen by the nearest preceding
-    /// [`PlanStage::SelectArm`] (full-layout models).
-    Selected,
 }
 
 /// One stage of a [`ServingPlan`].
@@ -99,11 +96,6 @@ pub enum PlanStage {
     /// and merge them with the already-computed efficient block into
     /// the full layout (paper Figure 3: escalation never recomputes).
     Escalate,
-    /// Pick which arm model subsequent
-    /// [`ModelSlot::Selected`] predictions use (deterministic
-    /// epsilon-greedy over reward feedback; see
-    /// [`ServingPlan::reward`]).
-    SelectArm,
 }
 
 impl PlanStage {
@@ -121,7 +113,6 @@ impl PlanStage {
             PlanStage::PredictModel { slot } => match slot {
                 ModelSlot::Small => "predict(small)".to_string(),
                 ModelSlot::Full => "predict(full)".to_string(),
-                ModelSlot::Selected => "predict(selected)".to_string(),
             },
             PlanStage::ConfidenceGate { threshold } => {
                 format!("confidence_gate(t={threshold})")
@@ -130,7 +121,6 @@ impl PlanStage {
                 format!("topk_filter(k={k}, ck={})", config.ck)
             }
             PlanStage::Escalate => "escalate".to_string(),
-            PlanStage::SelectArm => "select_arm".to_string(),
         }
     }
 }
@@ -179,43 +169,6 @@ impl SubsetLayouts {
 struct PlanCache {
     sources: Vec<String>,
     store: Arc<Mutex<LruCache<Vec<String>, f64>>>,
-}
-
-/// Deterministic epsilon-greedy bandit state for
-/// [`PlanStage::SelectArm`]: every `explore_every`-th pick plays arms
-/// round-robin; all other picks exploit the best empirical mean.
-/// Deterministic (no RNG) so serving runs are reproducible.
-#[derive(Debug)]
-struct ArmState {
-    pulls: Vec<u64>,
-    rewards: Vec<f64>,
-    explore_every: u64,
-    total: u64,
-}
-
-impl ArmState {
-    fn pick(&mut self) -> usize {
-        self.total += 1;
-        let n = self.pulls.len();
-        let arm = if let Some(unplayed) = self.pulls.iter().position(|&p| p == 0) {
-            unplayed
-        } else if self.explore_every > 0 && self.total.is_multiple_of(self.explore_every) {
-            ((self.total / self.explore_every) % n as u64) as usize
-        } else {
-            let mut best = 0;
-            let mut best_mean = f64::NEG_INFINITY;
-            for i in 0..n {
-                let mean = self.rewards[i] / self.pulls[i] as f64;
-                if mean > best_mean {
-                    best_mean = mean;
-                    best = i;
-                }
-            }
-            best
-        };
-        self.pulls[arm] += 1;
-        arm
-    }
 }
 
 crate::counter_set! {
@@ -360,10 +313,11 @@ pub struct StageTrace {
     /// scored in chunks, reports the sum over its chunks: a cost, not
     /// a wall time.
     pub seconds: f64,
-    /// Threads that scored this stage's row chunks beside the calling
-    /// one, all joined before the stage ended (0 unless a
+    /// Claim jobs this stage handed the helper pool to score its row
+    /// chunks beside the calling thread (0 unless a
     /// [`PlanStage::PredictModel`] stage split; see
-    /// [`PlanExecutor::run_batch`]).
+    /// [`PlanExecutor::run_batch`]). Every chunk a helper claimed was
+    /// done before the stage ended.
     pub helpers: usize,
 }
 
@@ -384,21 +338,20 @@ pub struct PlanRunReport {
     pub filter_batch: Option<usize>,
     /// Candidates the top-K filter kept, when one ran.
     pub filter_kept: Option<usize>,
-    /// The arm a [`PlanStage::SelectArm`] picked, when one ran.
-    pub selected_arm: Option<usize>,
     /// Row chunks the batch ran as (1: in one piece; see
     /// [`PlanExecutor::run_batch`]). A stage that split on its own
     /// counts in its [`StageTrace::helpers`], not here.
     pub chunks: usize,
-    /// Threads that ran batch chunks beside the calling one, all
-    /// joined before the run returned.
+    /// Claim jobs the batch handed the helper pool to run its chunks
+    /// beside the calling thread. Every chunk a helper claimed was
+    /// done before the run returned.
     pub helpers: usize,
 }
 
 impl PlanRunReport {
     /// Add a chunk's report of the same plan to this one. Only the
     /// counts a row-local plan produces are summed: chunked plans have
-    /// no cache, filter or arm stage.
+    /// no cache or filter stage.
     fn absorb(&mut self, chunk: PlanRunReport) {
         if self.stages.is_empty() {
             *self = chunk;
@@ -436,17 +389,15 @@ pub struct RowOutcome {
     pub escalated: bool,
     /// Whether the end-to-end cache answered the input.
     pub cache_hit: bool,
-    /// The arm a [`PlanStage::SelectArm`] picked, when one ran.
-    pub selected_arm: Option<usize>,
 }
 
 /// An executable serving plan: stages plus the shared resources they
 /// reference.
 ///
-/// Clones share the cache, bandit state, and counters (they are views
-/// of one serving artifact); stage lists are cloned by value, so
+/// Clones share the cache and counters (they are views of one serving
+/// artifact); stage lists are cloned by value, so
 /// [`set_threshold`](ServingPlan::set_threshold)-style edits are
-/// per-clone.
+/// per-clone. A clone costs one reference count until it is edited.
 ///
 /// # Examples
 ///
@@ -490,11 +441,17 @@ pub struct RowOutcome {
 /// ```
 #[derive(Clone)]
 pub struct ServingPlan {
+    /// Shared by clones until one is edited (`Arc::make_mut`), so a
+    /// split batch hands the helper pool the plan without copying it.
+    inner: Arc<PlanParts>,
+}
+
+/// What a [`ServingPlan`] is made of.
+#[derive(Clone)]
+struct PlanParts {
     exec: Executor,
     full: Arc<TrainedModel>,
     small: Option<Arc<TrainedModel>>,
-    arms: Vec<Arc<TrainedModel>>,
-    arm_state: Option<Arc<Mutex<ArmState>>>,
     calibrator: Option<ScoreCalibrator>,
     subsets: Option<SubsetLayouts>,
     cache: Option<PlanCache>,
@@ -507,8 +464,7 @@ impl std::fmt::Debug for ServingPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServingPlan")
             .field("stages", &self.describe())
-            .field("arms", &self.arms.len())
-            .field("cached", &self.cache.is_some())
+            .field("cached", &self.inner.cache.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -522,12 +478,10 @@ impl ServingPlan {
         stages: Vec<PlanStage>,
     ) -> Result<ServingPlan, WillumpError> {
         let meters = Arc::new(StageMeters::new(stages.len()));
-        let plan = ServingPlan {
+        let parts = PlanParts {
             exec,
             full,
             small,
-            arms: Vec::new(),
-            arm_state: None,
             calibrator: None,
             subsets,
             cache: None,
@@ -535,8 +489,10 @@ impl ServingPlan {
             counters: Arc::new(PlanCounters::default()),
             meters,
         };
-        plan.validate()?;
-        Ok(plan)
+        parts.validate()?;
+        Ok(ServingPlan {
+            inner: Arc::new(parts),
+        })
     }
 
     /// The trivial plan: compute all features, predict with the full
@@ -642,7 +598,7 @@ impl ServingPlan {
     /// through it before gates and when returned as predictions.
     #[must_use]
     pub fn with_calibrator(mut self, calibrator: Option<ScoreCalibrator>) -> ServingPlan {
-        self.calibrator = calibrator;
+        Arc::make_mut(&mut self.inner).calibrator = calibrator;
         self
     }
 
@@ -661,7 +617,7 @@ impl ServingPlan {
         sources: Vec<String>,
         capacity: Option<usize>,
     ) -> Result<ServingPlan, WillumpError> {
-        if self.cache.is_some() {
+        if self.inner.cache.is_some() {
             return Err(WillumpError::BadConfig {
                 reason: "plan already has an end-to-end cache".into(),
             });
@@ -670,17 +626,15 @@ impl ServingPlan {
             Some(c) => LruCache::with_capacity(c),
             None => LruCache::unbounded(),
         };
-        self.cache = Some(PlanCache {
+        let parts = Arc::make_mut(&mut self.inner);
+        parts.cache = Some(PlanCache {
             sources,
             store: Arc::new(Mutex::new(store)),
         });
-        let mut stages = Vec::with_capacity(self.stages.len() + 2);
-        stages.push(PlanStage::CacheLookup);
-        stages.append(&mut self.stages);
-        stages.push(PlanStage::CacheFill);
-        self.stages = stages;
-        self.meters = Arc::new(StageMeters::new(self.stages.len()));
-        self.validate()?;
+        parts.stages.insert(0, PlanStage::CacheLookup);
+        parts.stages.push(PlanStage::CacheFill);
+        parts.meters = Arc::new(StageMeters::new(parts.stages.len()));
+        parts.validate()?;
         Ok(self)
     }
 
@@ -694,6 +648,7 @@ impl ServingPlan {
     /// escalation stage or no small model.
     pub fn with_confidence_gate(mut self, threshold: f64) -> Result<ServingPlan, WillumpError> {
         let Some(pos) = self
+            .inner
             .stages
             .iter()
             .position(|s| matches!(s, PlanStage::Escalate))
@@ -702,69 +657,26 @@ impl ServingPlan {
                 reason: "confidence gate needs an escalating plan".into(),
             });
         };
-        self.stages
+        let parts = Arc::make_mut(&mut self.inner);
+        parts
+            .stages
             .insert(pos, PlanStage::ConfidenceGate { threshold });
-        self.meters = Arc::new(StageMeters::new(self.stages.len()));
-        self.validate()?;
-        Ok(self)
-    }
-
-    /// Compose arm selection over full-layout model variants: a
-    /// [`PlanStage::SelectArm`] runs first and every
-    /// [`ModelSlot::Full`] prediction is rebound to
-    /// [`ModelSlot::Selected`]. Selection is deterministic
-    /// epsilon-greedy: every `explore_every`-th query explores arms
-    /// round-robin (0 disables exploration after the initial sweep);
-    /// feed accuracy feedback through [`reward`](ServingPlan::reward).
-    ///
-    /// # Errors
-    /// Returns [`WillumpError::BadConfig`] when `arms` is empty.
-    pub fn with_arms(
-        mut self,
-        arms: Vec<Arc<TrainedModel>>,
-        explore_every: u64,
-    ) -> Result<ServingPlan, WillumpError> {
-        if arms.is_empty() {
-            return Err(WillumpError::BadConfig {
-                reason: "arm selection needs at least one arm".into(),
-            });
-        }
-        let n = arms.len();
-        self.arms = arms;
-        self.arm_state = Some(Arc::new(Mutex::new(ArmState {
-            pulls: vec![0; n],
-            rewards: vec![0.0; n],
-            explore_every,
-            total: 0,
-        })));
-        for stage in &mut self.stages {
-            if matches!(
-                stage,
-                PlanStage::PredictModel {
-                    slot: ModelSlot::Full
-                }
-            ) {
-                *stage = PlanStage::PredictModel {
-                    slot: ModelSlot::Selected,
-                };
-            }
-        }
-        self.stages.insert(0, PlanStage::SelectArm);
-        self.meters = Arc::new(StageMeters::new(self.stages.len()));
-        self.validate()?;
+        parts.meters = Arc::new(StageMeters::new(parts.stages.len()));
+        parts.validate()?;
         Ok(self)
     }
 
     /// Whether [`degraded`](ServingPlan::degraded) can produce a
     /// cheaper form of this plan.
     pub fn can_degrade(&self) -> bool {
-        self.small.is_some()
-            && self.subsets.is_some()
-            && self.stages.iter().any(|s| {
+        let plan = &self.inner;
+        plan.small.is_some()
+            && plan.subsets.is_some()
+            && plan.stages.iter().any(|s| {
                 matches!(
                     s,
                     PlanStage::PredictModel {
-                        slot: ModelSlot::Full | ModelSlot::Selected,
+                        slot: ModelSlot::Full
                     }
                 )
             })
@@ -796,7 +708,7 @@ impl ServingPlan {
         }
         let mut p = self.clone();
         let mut stages = Vec::with_capacity(4);
-        if p.cache.is_some() {
+        if p.inner.cache.is_some() {
             stages.push(PlanStage::CacheLookup);
         }
         stages.push(PlanStage::ComputeFeatures {
@@ -806,165 +718,62 @@ impl ServingPlan {
             slot: ModelSlot::Small,
         });
         if let Some(filter) = self
+            .inner
             .stages
             .iter()
             .find(|s| matches!(s, PlanStage::TopKFilter { .. }))
         {
             stages.push(filter.clone());
         }
-        p.stages = stages;
-        p.meters = Arc::new(StageMeters::new(p.stages.len()));
-        p.validate()
+        let parts = Arc::make_mut(&mut p.inner);
+        parts.meters = Arc::new(StageMeters::new(stages.len()));
+        parts.stages = stages;
+        parts
+            .validate()
             .expect("the degraded lowering is structurally valid");
         Some(p)
-    }
-
-    /// Structural validation: every stage's prerequisites must be
-    /// satisfied by the stages before it and the attached resources.
-    fn validate(&self) -> Result<(), WillumpError> {
-        let bad = |reason: String| -> WillumpError { WillumpError::BadConfig { reason } };
-        if self.stages.is_empty() {
-            return Err(bad("a serving plan needs at least one stage".into()));
-        }
-        let mut has_feats = false;
-        let mut has_eff = false;
-        let mut has_scores = false;
-        let mut arm_selected = false;
-        let mut last_slot: Option<ModelSlot> = None;
-        for stage in &self.stages {
-            match stage {
-                PlanStage::ComputeFeatures { subset } => {
-                    if *subset == FeatureSet::Efficient && self.subsets.is_none() {
-                        return Err(bad("efficient features need a subset plan".into()));
-                    }
-                    has_feats = true;
-                    has_eff = *subset == FeatureSet::Efficient;
-                }
-                PlanStage::CacheLookup | PlanStage::CacheFill => {
-                    if self.cache.is_none() {
-                        return Err(bad(format!(
-                            "{} needs an attached cache (with_e2e_cache)",
-                            stage.label()
-                        )));
-                    }
-                    if matches!(stage, PlanStage::CacheFill) && !has_scores {
-                        return Err(bad("cache_fill must follow a predict stage".into()));
-                    }
-                }
-                PlanStage::PredictModel { slot } => {
-                    if !has_feats {
-                        return Err(bad(format!(
-                            "{} has no computed features to read",
-                            stage.label()
-                        )));
-                    }
-                    match slot {
-                        ModelSlot::Small if self.small.is_none() => {
-                            return Err(bad("predict(small) needs a small model".into()));
-                        }
-                        ModelSlot::Selected if !arm_selected => {
-                            return Err(bad(
-                                "predict(selected) needs a preceding select_arm".into()
-                            ));
-                        }
-                        _ => {}
-                    }
-                    has_scores = true;
-                    last_slot = Some(*slot);
-                }
-                PlanStage::ConfidenceGate { threshold } => {
-                    if !has_scores {
-                        return Err(bad("confidence_gate must follow a predict stage".into()));
-                    }
-                    if !(0.0..=1.0).contains(threshold) {
-                        return Err(bad(format!("threshold {threshold} not in [0, 1]")));
-                    }
-                    // `max(s, 1 - s)` only means confidence for
-                    // classification probabilities; gating unbounded
-                    // regression scores would silently "pass" anything
-                    // far from [0, 1].
-                    let gated = match last_slot.expect("has_scores implies a predict ran") {
-                        ModelSlot::Small => self.small.as_ref().expect("validated small model"),
-                        ModelSlot::Full => &self.full,
-                        ModelSlot::Selected => &self.arms[0],
-                    };
-                    if gated.task() != Task::BinaryClassification {
-                        return Err(bad("confidence gates require classification scores".into()));
-                    }
-                }
-                PlanStage::TopKFilter { k, config } => {
-                    if !has_scores {
-                        return Err(bad("topk_filter must follow a predict stage".into()));
-                    }
-                    if *k == 0 || config.ck == 0 {
-                        return Err(bad("top-K stages require k >= 1 and ck >= 1".into()));
-                    }
-                    if !(0.0..=1.0).contains(&config.min_subset_frac) {
-                        return Err(bad(format!(
-                            "min_subset_frac {} not in [0, 1]",
-                            config.min_subset_frac
-                        )));
-                    }
-                }
-                PlanStage::Escalate => {
-                    if !has_eff || self.subsets.is_none() {
-                        return Err(bad(
-                            "escalate needs previously computed efficient features".into()
-                        ));
-                    }
-                    has_feats = true;
-                }
-                PlanStage::SelectArm => {
-                    if self.arms.is_empty() {
-                        return Err(bad("select_arm needs attached arms (with_arms)".into()));
-                    }
-                    arm_selected = true;
-                }
-            }
-        }
-        Ok(())
     }
 
     // ----- accessors & mutators ------------------------------------
 
     /// The stage sequence.
     pub fn stages(&self) -> &[PlanStage] {
-        &self.stages
+        &self.inner.stages
     }
 
     /// Stage labels in execution order (debugging, docs, logs).
     pub fn describe(&self) -> Vec<String> {
-        self.stages.iter().map(PlanStage::label).collect()
+        self.inner.stages.iter().map(PlanStage::label).collect()
     }
 
     /// The executor used for feature computation.
     pub fn executor(&self) -> &Executor {
-        &self.exec
+        &self.inner.exec
     }
 
     /// The full model.
     pub fn full_model(&self) -> &Arc<TrainedModel> {
-        &self.full
+        &self.inner.full
     }
 
     /// The small/filter model, when the plan has one.
     pub fn small_model(&self) -> Option<&Arc<TrainedModel>> {
-        self.small.as_ref()
+        self.inner.small.as_ref()
     }
 
     /// The attached calibrator, if any.
     pub fn calibrator(&self) -> Option<&ScoreCalibrator> {
-        self.calibrator.as_ref()
+        self.inner.calibrator.as_ref()
     }
 
     /// The efficient generator subset, when the plan has one.
     pub fn efficient_set(&self) -> Option<&[usize]> {
-        self.subsets.as_ref().map(|s| s.efficient.as_slice())
+        self.inner.subsets.as_ref().map(|s| s.efficient.as_slice())
     }
 
     /// The first confidence-gate threshold, when the plan has one.
     pub fn threshold(&self) -> Option<f64> {
-        self.stages.iter().find_map(|s| match s {
+        self.inner.stages.iter().find_map(|s| match s {
             PlanStage::ConfidenceGate { threshold } => Some(*threshold),
             _ => None,
         })
@@ -974,7 +783,7 @@ impl ServingPlan {
     /// Returns whether any gate was present.
     pub fn set_threshold(&mut self, tc: f64) -> bool {
         let mut found = false;
-        for stage in &mut self.stages {
+        for stage in &mut Arc::make_mut(&mut self.inner).stages {
             if let PlanStage::ConfidenceGate { threshold } = stage {
                 *threshold = tc;
                 found = true;
@@ -985,7 +794,7 @@ impl ServingPlan {
 
     /// The first top-K filter configuration, when the plan has one.
     pub fn topk_config(&self) -> Option<TopKConfig> {
-        self.stages.iter().find_map(|s| match s {
+        self.inner.stages.iter().find_map(|s| match s {
             PlanStage::TopKFilter { config, .. } => Some(*config),
             _ => None,
         })
@@ -995,7 +804,7 @@ impl ServingPlan {
     /// Returns whether any filter stage was present.
     pub fn set_topk_config(&mut self, new: TopKConfig) -> bool {
         let mut found = false;
-        for stage in &mut self.stages {
+        for stage in &mut Arc::make_mut(&mut self.inner).stages {
             if let PlanStage::TopKFilter { config, .. } = stage {
                 *config = new;
                 found = true;
@@ -1006,7 +815,7 @@ impl ServingPlan {
 
     /// Cumulative counters (shared across clones).
     pub fn counters(&self) -> &PlanCounters {
-        &self.counters
+        &self.inner.counters
     }
 
     /// An owning handle to the shared counters, outliving this clone.
@@ -1014,67 +823,53 @@ impl ServingPlan {
     /// The serving layer attaches this to an endpoint so its scheduler
     /// can read escalation statistics without holding the plan itself.
     pub fn counters_handle(&self) -> Arc<PlanCounters> {
-        Arc::clone(&self.counters)
+        Arc::clone(&self.inner.counters)
     }
 
     /// Cumulative per-stage execution profiles (shared across clones).
     pub fn stage_profiles(&self) -> Vec<StageProfile> {
-        self.stages
+        self.inner
+            .stages
             .iter()
             .enumerate()
             .map(|(i, s)| StageProfile {
                 label: s.label(),
-                runs: self.meters.runs[i].load(Ordering::Relaxed),
-                rows_in: self.meters.rows_in[i].load(Ordering::Relaxed),
-                seconds: self.meters.nanos[i].load(Ordering::Relaxed) as f64 / 1e9,
+                runs: self.inner.meters.runs[i].load(Ordering::Relaxed),
+                rows_in: self.inner.meters.rows_in[i].load(Ordering::Relaxed),
+                seconds: self.inner.meters.nanos[i].load(Ordering::Relaxed) as f64 / 1e9,
             })
             .collect()
     }
 
     /// End-to-end cache hits so far (0 without a cache).
     pub fn cache_hits(&self) -> u64 {
-        self.cache.as_ref().map_or(0, |c| c.store.lock().hits())
+        self.inner
+            .cache
+            .as_ref()
+            .map_or(0, |c| c.store.lock().hits())
     }
 
     /// End-to-end cache misses so far (0 without a cache).
     pub fn cache_misses(&self) -> u64 {
-        self.cache.as_ref().map_or(0, |c| c.store.lock().misses())
+        self.inner
+            .cache
+            .as_ref()
+            .map_or(0, |c| c.store.lock().misses())
     }
 
     /// End-to-end cache hit rate (0 without a cache or lookups).
     pub fn cache_hit_rate(&self) -> f64 {
-        self.cache
+        self.inner
+            .cache
             .as_ref()
             .map_or(0.0, |c| c.store.lock().hit_rate())
     }
 
     /// Clear the end-to-end cache's contents and counters.
     pub fn clear_cache(&self) {
-        if let Some(c) = &self.cache {
+        if let Some(c) = &self.inner.cache {
             c.store.lock().clear();
         }
-    }
-
-    /// Feed reward in `[0, 1]` (clamped) for `arm` back into the
-    /// selection policy.
-    ///
-    /// # Panics
-    /// Panics when the plan has no arms or `arm` is out of range.
-    pub fn reward(&self, arm: usize, reward: f64) {
-        let state = self
-            .arm_state
-            .as_ref()
-            .expect("reward requires a plan with arms");
-        let mut st = state.lock();
-        assert!(arm < st.pulls.len(), "arm {arm} out of range");
-        st.rewards[arm] += reward.clamp(0.0, 1.0);
-    }
-
-    /// Per-arm pull counts (empty without arms).
-    pub fn arm_pulls(&self) -> Vec<u64> {
-        self.arm_state
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.lock().pulls.clone())
     }
 
     // ----- execution conveniences ----------------------------------
@@ -1139,6 +934,95 @@ impl ServingPlan {
         })?;
         Ok((ranked, out.report))
     }
+}
+
+impl PlanParts {
+    /// Structural validation: every stage's prerequisites must be
+    /// satisfied by the stages before it and the attached resources.
+    fn validate(&self) -> Result<(), WillumpError> {
+        let bad = |reason: String| -> WillumpError { WillumpError::BadConfig { reason } };
+        if self.stages.is_empty() {
+            return Err(bad("a serving plan needs at least one stage".into()));
+        }
+        let mut has_feats = false;
+        let mut has_eff = false;
+        let mut has_scores = false;
+        let mut last_slot: Option<ModelSlot> = None;
+        for stage in &self.stages {
+            match stage {
+                PlanStage::ComputeFeatures { subset } => {
+                    if *subset == FeatureSet::Efficient && self.subsets.is_none() {
+                        return Err(bad("efficient features need a subset plan".into()));
+                    }
+                    has_feats = true;
+                    has_eff = *subset == FeatureSet::Efficient;
+                }
+                PlanStage::CacheLookup | PlanStage::CacheFill => {
+                    if self.cache.is_none() {
+                        return Err(bad(format!(
+                            "{} needs an attached cache (with_e2e_cache)",
+                            stage.label()
+                        )));
+                    }
+                    if matches!(stage, PlanStage::CacheFill) && !has_scores {
+                        return Err(bad("cache_fill must follow a predict stage".into()));
+                    }
+                }
+                PlanStage::PredictModel { slot } => {
+                    if !has_feats {
+                        return Err(bad(format!(
+                            "{} has no computed features to read",
+                            stage.label()
+                        )));
+                    }
+                    if *slot == ModelSlot::Small && self.small.is_none() {
+                        return Err(bad("predict(small) needs a small model".into()));
+                    }
+                    has_scores = true;
+                    last_slot = Some(*slot);
+                }
+                PlanStage::ConfidenceGate { threshold } => {
+                    if !has_scores {
+                        return Err(bad("confidence_gate must follow a predict stage".into()));
+                    }
+                    if !(0.0..=1.0).contains(threshold) {
+                        return Err(bad(format!("threshold {threshold} not in [0, 1]")));
+                    }
+                    // `max(s, 1 - s)` only means confidence for
+                    // classification probabilities; gating unbounded
+                    // regression scores would silently "pass" anything
+                    // far from [0, 1].
+                    let gated = self.model(last_slot.expect("has_scores implies a predict ran"));
+                    if gated.task() != Task::BinaryClassification {
+                        return Err(bad("confidence gates require classification scores".into()));
+                    }
+                }
+                PlanStage::TopKFilter { k, config } => {
+                    if !has_scores {
+                        return Err(bad("topk_filter must follow a predict stage".into()));
+                    }
+                    if *k == 0 || config.ck == 0 {
+                        return Err(bad("top-K stages require k >= 1 and ck >= 1".into()));
+                    }
+                    if !(0.0..=1.0).contains(&config.min_subset_frac) {
+                        return Err(bad(format!(
+                            "min_subset_frac {} not in [0, 1]",
+                            config.min_subset_frac
+                        )));
+                    }
+                }
+                PlanStage::Escalate => {
+                    if !has_eff || self.subsets.is_none() {
+                        return Err(bad(
+                            "escalate needs previously computed efficient features".into()
+                        ));
+                    }
+                    has_feats = true;
+                }
+            }
+        }
+        Ok(())
+    }
 
     fn cache_key_row(&self, table: &Table, r: usize) -> Result<Vec<String>, WillumpError> {
         let cache = self.cache.as_ref().expect("validated cache");
@@ -1172,14 +1056,10 @@ impl ServingPlan {
             .collect()
     }
 
-    fn model(&self, slot: ModelSlot, selected: Option<usize>) -> &Arc<TrainedModel> {
+    fn model(&self, slot: ModelSlot) -> &Arc<TrainedModel> {
         match slot {
             ModelSlot::Small => self.small.as_ref().expect("validated small model"),
             ModelSlot::Full => &self.full,
-            ModelSlot::Selected => {
-                let arm = selected.expect("validated select_arm precedes predict(selected)");
-                &self.arms[arm]
-            }
         }
     }
 
@@ -1192,16 +1072,13 @@ impl ServingPlan {
 
     /// Whether each input row's score depends on that row alone, so a
     /// batch can run in pieces. A top-K filter ranks the whole batch,
-    /// the cache and arm stages share state across the batch, and a
-    /// store lookup batches its keys into one round trip per node.
+    /// the cache stages share state across the batch, and a store
+    /// lookup batches its keys into one round trip per node.
     fn is_row_local(&self) -> bool {
         let shared_stage = self.stages.iter().any(|s| {
             matches!(
                 s,
-                PlanStage::TopKFilter { .. }
-                    | PlanStage::CacheLookup
-                    | PlanStage::CacheFill
-                    | PlanStage::SelectArm
+                PlanStage::TopKFilter { .. } | PlanStage::CacheLookup | PlanStage::CacheFill
             )
         });
         let store_lookup = self
@@ -1220,25 +1097,20 @@ impl ServingPlan {
 const CHUNK_ROWS: usize = 256;
 
 /// The least estimated cost of a batch or a model stage worth
-/// splitting. On a 2-vCPU host, starting and joining an empty scoped
-/// thread took 24–28 µs back to back, but 50–145 µs right after a
-/// 3 ms serial run, because the idle vCPU has to wake up first. From
-/// 0.5 ms a helper that takes half the rows still saves more than its
-/// start costs, and the music filter stage (0.87–1.7 ms, with the
-/// host's speed) splits whatever speed the host runs at.
+/// splitting, set when every split spawned its helpers: on a 2-vCPU
+/// host a scoped thread's start and join took 24–28 µs back to back,
+/// 50–145 µs right after a 3 ms serial run (the idle vCPU wakes up
+/// first). From 0.5 ms a helper taking half the rows saved more than
+/// that, and the music filter stage (0.87–1.7 ms) splits at any host
+/// speed. A split now queues a job on lasting helpers instead; the
+/// value stays until it is derived again from that dispatch cost, as
+/// the benchmark measures it.
 const CHUNK_MIN_NANOS: f64 = 0.5e6;
 
-/// Cores this process may run on (read once).
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
-/// Helper threads worth starting for `rows` rows that cost an
-/// estimated `nanos_per_row` each (`None`: never measured): one per
-/// further core, at most one per chunk past the first, when the rows
-/// make at least two chunks and cost at least [`CHUNK_MIN_NANOS`];
-/// else 0.
+/// Helper jobs worth queuing for `rows` rows that cost an estimated
+/// `nanos_per_row` each (`None`: never measured): one per further
+/// core, at most one per chunk past the first, when the rows make at
+/// least two chunks and cost at least [`CHUNK_MIN_NANOS`]; else 0.
 fn helpers_for(rows: usize, nanos_per_row: Option<f64>) -> usize {
     let chunks = rows.div_ceil(CHUNK_ROWS);
     match nanos_per_row {
@@ -1249,79 +1121,17 @@ fn helpers_for(rows: usize, nanos_per_row: Option<f64>) -> usize {
     }
 }
 
-/// Run `work` over `out` as [`CHUNK_ROWS`]-row chunks on the calling
-/// thread and up to `helpers` scoped threads, which claim chunks in
-/// turn until none is left or one has failed. `work` gets a chunk's
-/// row range, that range's slice of `out`, and the claiming thread's
-/// own share to add to. Returns every claimer's share (the caller's
-/// first) and the number of helpers started. The failing chunk with
-/// the lowest index gives the error, and a helper's panic resumes on
-/// the caller once every helper has joined.
-fn claim_chunks<S: Default + Send>(
-    out: &mut [f64],
+/// [`claim`] over the [`CHUNK_ROWS`]-row chunks of `rows` rows: the
+/// calling thread and up to `helpers` pool jobs run `work` on each
+/// chunk's row range; results come back in row order.
+fn claim_chunks<T: Send + 'static>(
+    rows: usize,
     helpers: usize,
-    work: impl Fn(Range<usize>, &mut [f64], &mut S) -> Result<(), WillumpError> + Sync,
-) -> Result<(Vec<S>, usize), WillumpError> {
-    let chunks = out.len().div_ceil(CHUNK_ROWS);
-    let claims = Mutex::new(out.chunks_mut(CHUNK_ROWS).enumerate());
-    let failed = AtomicBool::new(false);
-    let claim = || -> Result<S, (usize, WillumpError)> {
-        let mut share = S::default();
-        while !failed.load(Ordering::Relaxed) {
-            let Some((c, slice)) = claims.lock().next() else {
-                break;
-            };
-            let first = c * CHUNK_ROWS;
-            if let Err(e) = work(first..first + slice.len(), slice, &mut share) {
-                failed.store(true, Ordering::Relaxed);
-                return Err((c, e));
-            }
-        }
-        Ok(share)
-    };
-    let (mine, theirs) = std::thread::scope(|scope| {
-        // A helper that cannot be started leaves its chunks to the
-        // others.
-        let handles: Vec<_> = (0..helpers.min(chunks.saturating_sub(1)))
-            .map_while(|i| {
-                std::thread::Builder::new()
-                    .name(format!("willump-batch-{i}"))
-                    .spawn_scoped(scope, claim)
-                    .ok()
-            })
-            .collect();
-        let mine = claim();
-        let theirs: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        (mine, theirs)
-    });
-    let helpers = theirs.len();
-    let mut shares = Vec::with_capacity(helpers + 1);
-    let mut first_error: Option<(usize, WillumpError)> = None;
-    let joined = theirs
-        .into_iter()
-        .map(|joined| joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-    for share in std::iter::once(mine).chain(joined) {
-        match share {
-            Ok(share) => shares.push(share),
-            Err((c, e)) => {
-                if first_error.as_ref().is_none_or(|(first, _)| c < *first) {
-                    first_error = Some((c, e));
-                }
-            }
-        }
-    }
-    match first_error {
-        Some((_, e)) => Err(e),
-        None => Ok((shares, helpers)),
-    }
-}
-
-/// Which feature matrix is current for the next predict stage.
-#[derive(Clone, Copy, PartialEq)]
-enum CurrentFeats {
-    None,
-    Efficient,
-    Other,
+    work: impl Fn(Range<usize>) -> Result<T, WillumpError> + Send + Sync + 'static,
+) -> Result<(Vec<T>, usize), WillumpError> {
+    claim(rows.div_ceil(CHUNK_ROWS), helpers, move |c| {
+        work(c * CHUNK_ROWS..rows.min((c + 1) * CHUNK_ROWS))
+    })
 }
 
 /// Runs any [`ServingPlan`] batch-wise ([`run_batch`]) or row-wise
@@ -1367,14 +1177,14 @@ impl<'p> PlanExecutor<'p> {
     ///
     /// Large batches use every core (paper §4.4: different data inputs
     /// on different threads), in 256-row chunks that the calling
-    /// thread and up to one scoped helper per further core claim in
-    /// turn. Each chunk writes its own slice of the output, so every
-    /// row's score is the one the batch gives in one piece.
+    /// thread and up to one job per further core on the process's
+    /// helper pool claim in turn. Each chunk scores its own rows, so
+    /// every row's score is the one the batch gives in one piece.
     ///
-    /// - A *row-local* plan (no top-K filter, cache or arm stage, and
-    ///   no store lookup in the graph) runs the whole plan on each
-    ///   chunk of the batch.
-    /// - Any other plan — a top-K query, a cached, arm or store-lookup
+    /// - A *row-local* plan (no top-K filter or cache stage, and no
+    ///   store lookup in the graph) runs the whole plan on each chunk
+    ///   of the batch.
+    /// - Any other plan — a top-K query, a cached or store-lookup
     ///   plan — runs its batch in one piece, and only a
     ///   [`PlanStage::PredictModel`] stage splits: its model scores
     ///   the chunks of the stage's feature matrix (tree ensembles read
@@ -1387,13 +1197,13 @@ impl<'p> PlanExecutor<'p> {
     /// chunks and its measured cost per row
     /// ([`ServingPlan::stage_profiles`]: the plan's, or the stage's
     /// own) puts it at 0.5 ms or more, so a plan that has never run
-    /// starts no thread. The report's stage rows and counts, and the
+    /// hands the pool no job. The report's stage rows and counts, and the
     /// [`PlanCounters`] deltas, are those of one piece; the stage
     /// seconds of a split batch or stage are summed over its chunks.
-    /// [`PlanRunReport::helpers`] counts a split batch's helpers and
-    /// [`StageTrace::helpers`] a split stage's. The first failing
-    /// chunk's error is returned, and a panic on a helper resumes on
-    /// the caller.
+    /// [`PlanRunReport::helpers`] counts the jobs a split batch handed
+    /// the pool and [`StageTrace::helpers`] a split stage's. The first
+    /// failing chunk's error is returned, and a panic on a helper
+    /// resumes on the caller.
     ///
     /// # Errors
     /// Propagates feature computation and cache-key failures.
@@ -1402,8 +1212,8 @@ impl<'p> PlanExecutor<'p> {
         table: &Table,
         k_override: Option<usize>,
     ) -> Result<PlanOutcome, WillumpError> {
-        let helpers = if self.plan.is_row_local() {
-            helpers_for(table.n_rows(), self.plan.meters.nanos_per_row())
+        let helpers = if self.plan.inner.is_row_local() {
+            helpers_for(table.n_rows(), self.plan.inner.meters.nanos_per_row())
         } else {
             0
         };
@@ -1415,8 +1225,9 @@ impl<'p> PlanExecutor<'p> {
         Ok(self.recorded(out))
     }
 
-    /// Run a batch split with exactly `helpers` helper threads (fewer
-    /// when there are fewer chunks), whatever its size or cost: a
+    /// Run a batch split with exactly `helpers` jobs handed to the
+    /// helper pool (fewer when there are fewer chunks), whatever its
+    /// size or cost: a
     /// row-local plan as batch chunks, any other plan in one piece
     /// with every model stage split. This exists so tests can drive
     /// both splits on any host.
@@ -1426,7 +1237,7 @@ impl<'p> PlanExecutor<'p> {
         table: &Table,
         helpers: usize,
     ) -> Result<PlanOutcome, WillumpError> {
-        let out = if self.plan.is_row_local() && table.n_rows() > 0 {
+        let out = if self.plan.inner.is_row_local() && table.n_rows() > 0 {
             self.run_in_chunks(table, helpers)?
         } else {
             self.run_stages(table, None, Some(helpers))?
@@ -1438,6 +1249,7 @@ impl<'p> PlanExecutor<'p> {
     fn recorded(&self, out: PlanOutcome) -> PlanOutcome {
         for (si, trace) in out.report.stages.iter().enumerate() {
             self.plan
+                .inner
                 .meters
                 .record(si, trace.rows_in, (trace.seconds * 1e9) as u64);
         }
@@ -1445,23 +1257,20 @@ impl<'p> PlanExecutor<'p> {
     }
 
     /// The plan's stages over `table` as batch chunks on the calling
-    /// thread and `helpers` scoped threads (see
-    /// [`run_batch`](PlanExecutor::run_batch)).
+    /// thread and `helpers` pool jobs (see
+    /// [`run_batch`](PlanExecutor::run_batch)), which share one copy
+    /// of the table and the plan.
     fn run_in_chunks(&self, table: &Table, helpers: usize) -> Result<PlanOutcome, WillumpError> {
-        let mut scores = vec![0.0; table.n_rows()];
-        let (shares, helpers) = claim_chunks(
-            &mut scores,
-            helpers,
-            |rows, out, share: &mut PlanRunReport| {
-                let chunk = self.run_stages(&table.slice_rows(rows), None, None)?;
-                out.copy_from_slice(&chunk.scores);
-                share.absorb(chunk.report);
-                Ok(())
-            },
-        )?;
+        let plan = self.plan.clone();
+        let shared = Arc::new(table.clone());
+        let (chunks, helpers) = claim_chunks(table.n_rows(), helpers, move |rows| {
+            PlanExecutor::new(&plan).run_stages(&shared.slice_rows(rows), None, None)
+        })?;
+        let mut scores = Vec::with_capacity(table.n_rows());
         let mut report = PlanRunReport::default();
-        for share in shares {
-            report.absorb(share);
+        for chunk in chunks {
+            scores.extend_from_slice(&chunk.scores);
+            report.absorb(chunk.report);
         }
         report.chunks = table.n_rows().div_ceil(CHUNK_ROWS);
         report.helpers = helpers;
@@ -1482,7 +1291,7 @@ impl<'p> PlanExecutor<'p> {
         k_override: Option<usize>,
         stage_helpers: Option<usize>,
     ) -> Result<PlanOutcome, WillumpError> {
-        let plan = self.plan;
+        let plan = &*self.plan.inner;
         let n = table.n_rows();
         let mut scores = vec![0.0; n];
         let mut active: Vec<usize> = (0..n).collect();
@@ -1496,12 +1305,13 @@ impl<'p> PlanExecutor<'p> {
         let mut other_m: Option<FeatureMatrix> = None;
         let mut other_rows: Vec<usize> = Vec::new();
         let mut eff_rows: Vec<usize> = Vec::new();
-        let mut current = CurrentFeats::None;
+        // Whether the next predict stage reads the efficient block, else
+        // `other_m` (`None` before any features are computed).
+        let mut efficient_current = false;
 
         let mut missed: Vec<(usize, Vec<String>)> = Vec::new();
         let mut dropped_by_filter = vec![false; n];
         let mut cache_resolved: Vec<usize> = Vec::new();
-        let mut selected_arm: Option<usize> = None;
         let mut ranked_k: Option<usize> = None;
         // Candidate list captured by the (last) top-K filter, in kept
         // (descending filter-score) order. Rows that resolve early —
@@ -1537,12 +1347,12 @@ impl<'p> PlanExecutor<'p> {
                             }
                             eff_rows = active.clone();
                             eff_m = Some(m);
-                            current = CurrentFeats::Efficient;
+                            efficient_current = true;
                         }
                         FeatureSet::Full => {
                             other_rows = active.clone();
                             other_m = Some(m);
-                            current = CurrentFeats::Other;
+                            efficient_current = false;
                         }
                     }
                 }
@@ -1580,19 +1390,19 @@ impl<'p> PlanExecutor<'p> {
                     }
                 }
                 PlanStage::PredictModel { slot } => {
-                    let (m, rows) = match current {
-                        CurrentFeats::Efficient => (eff_m.as_ref(), &eff_rows),
-                        CurrentFeats::Other => (other_m.as_ref(), &other_rows),
-                        CurrentFeats::None => (None, &other_rows),
+                    let (m, rows) = if efficient_current {
+                        (&mut eff_m, &eff_rows)
+                    } else {
+                        (&mut other_m, &other_rows)
                     };
-                    if let Some(m) = m {
-                        if m.n_rows() > 0 {
+                    if let Some(n_rows) = m.as_ref().map(FeatureMatrix::n_rows) {
+                        if n_rows > 0 {
                             let helpers = stage_helpers.or_else(|| {
                                 let estimate = plan.meters.stage_nanos_per_row(si);
-                                Some(helpers_for(m.n_rows(), estimate)).filter(|&h| h > 0)
+                                Some(helpers_for(n_rows, estimate)).filter(|&h| h > 0)
                             });
                             let s;
-                            (s, split) = self.score(*slot, selected_arm, m, helpers)?;
+                            (s, split) = self.score(*slot, m, helpers)?;
                             for (j, &r) in rows.iter().enumerate() {
                                 if is_active[r] {
                                     scores[r] = s[j];
@@ -1651,7 +1461,7 @@ impl<'p> PlanExecutor<'p> {
                     if active.is_empty() {
                         other_m = None;
                         other_rows.clear();
-                        current = CurrentFeats::Other;
+                        efficient_current = false;
                     } else {
                         let sub = table.take_rows(&active);
                         let ineff = plan.exec.features_batch(&sub, Some(&subsets.inefficient))?;
@@ -1670,14 +1480,8 @@ impl<'p> PlanExecutor<'p> {
                         );
                         other_m = Some(merged);
                         other_rows = active.clone();
-                        current = CurrentFeats::Other;
+                        efficient_current = false;
                     }
-                }
-                PlanStage::SelectArm => {
-                    let state = plan.arm_state.as_ref().expect("validated arms");
-                    let arm = state.lock().pick();
-                    selected_arm = Some(arm);
-                    report.selected_arm = Some(arm);
                 }
             }
             report.stages.push(StageTrace {
@@ -1711,42 +1515,47 @@ impl<'p> PlanExecutor<'p> {
         })
     }
 
-    /// Score every row of `m` with the `slot` model, small-model scores
-    /// calibrated: in one piece (`helpers: None`), or as chunks on the
-    /// calling thread and `helpers` scoped threads. Also returns what a
-    /// split's chunks cost beyond its wall time, since a split stage
-    /// reports their summed seconds, and the helpers it started.
+    /// Score every row of the matrix in `m` with the `slot` model,
+    /// small-model scores calibrated: in one piece (`helpers: None`),
+    /// or as chunks on the calling thread and `helpers` pool jobs that
+    /// share the matrix. Also returns what a split's chunks cost beyond
+    /// its wall time (a split stage reports their summed seconds), and
+    /// the jobs it handed the pool.
     fn score(
         &self,
         slot: ModelSlot,
-        selected_arm: Option<usize>,
-        m: &FeatureMatrix,
+        m: &mut Option<FeatureMatrix>,
         helpers: Option<usize>,
     ) -> Result<(Vec<f64>, (f64, usize)), WillumpError> {
-        let model = self.plan.model(slot, selected_arm);
-        let calibrate = |s: &mut [f64]| {
+        let (plan, model) = (self.plan.clone(), Arc::clone(self.plan.inner.model(slot)));
+        let calibrated = move |mut s: Vec<f64>| {
             if slot == ModelSlot::Small {
-                for v in s {
-                    *v = self.plan.calibrated(*v);
-                }
+                s.iter_mut().for_each(|v| *v = plan.inner.calibrated(*v));
             }
+            s
         };
         let Some(helpers) = helpers else {
-            let mut s = model.predict_scores(m);
-            calibrate(&mut s);
-            return Ok((s, (0.0, 0)));
+            let s = model.predict_scores(m.as_ref().expect("a matrix to score"));
+            return Ok((calibrated(s), (0.0, 0)));
         };
-        let wall = Instant::now();
-        let mut s = vec![0.0; m.n_rows()];
-        let (nanos, helpers) = claim_chunks(&mut s, helpers, |rows, out, nanos: &mut u64| {
-            let chunk = Instant::now();
-            model.predict_scores_into(m, rows.start, out);
-            calibrate(out);
-            *nanos += chunk.elapsed().as_nanos() as u64;
-            Ok(())
+        let (wall, shared) = (
+            Instant::now(),
+            Arc::new(m.take().expect("a matrix to score")),
+        );
+        let matrix = Arc::clone(&shared);
+        let (chunks, helpers) = claim_chunks(shared.n_rows(), helpers, move |rows| {
+            let (chunk, mut out) = (Instant::now(), vec![0.0; rows.len()]);
+            model.predict_scores_into(&matrix, rows.start, &mut out);
+            Ok((calibrated(out), chunk.elapsed().as_nanos() as u64))
         })?;
+        // The settled claim has dropped its work and its hold on the matrix.
+        *m = Some(Arc::try_unwrap(shared).unwrap_or_else(|m| FeatureMatrix::clone(&m)));
+        let (scores, nanos): (Vec<Vec<f64>>, Vec<u64>) = chunks.into_iter().unzip();
         let cost = nanos.iter().sum::<u64>() as f64 / 1e9;
-        Ok((s, (cost - wall.elapsed().as_secs_f64(), helpers)))
+        Ok((
+            scores.concat(),
+            (cost - wall.elapsed().as_secs_f64(), helpers),
+        ))
     }
 
     /// Run the plan row-wise for one input (the example-at-a-time
@@ -1759,13 +1568,12 @@ impl<'p> PlanExecutor<'p> {
     /// # Errors
     /// Propagates feature computation and cache-key failures.
     pub fn run_row(&self, input: &InputRow) -> Result<RowOutcome, WillumpError> {
-        let plan = self.plan;
+        let plan = &*self.plan.inner;
         let mut score = 0.0;
         let mut resolved = false;
         let mut escalated = false;
         let mut cache_hit = false;
         let mut missed_key: Option<Vec<String>> = None;
-        let mut selected_arm: Option<usize> = None;
 
         let mut eff_entries: Vec<(usize, f64)> = Vec::new();
         let mut entries: Vec<(usize, f64)> = Vec::new();
@@ -1812,8 +1620,7 @@ impl<'p> PlanExecutor<'p> {
                     }
                 }
                 PlanStage::PredictModel { slot } => {
-                    let model = plan.model(*slot, selected_arm);
-                    score = model.predict_score_row(&entries, width);
+                    score = plan.model(*slot).predict_score_row(&entries, width);
                     if *slot == ModelSlot::Small {
                         score = plan.calibrated(score);
                     }
@@ -1839,10 +1646,6 @@ impl<'p> PlanExecutor<'p> {
                     escalated = true;
                     plan.counters.escalated.fetch_add(1, Ordering::Relaxed);
                 }
-                PlanStage::SelectArm => {
-                    let state = plan.arm_state.as_ref().expect("validated arms");
-                    selected_arm = Some(state.lock().pick());
-                }
             }
             plan.meters
                 .record(si, rows_in, started.elapsed().as_nanos() as u64);
@@ -1852,7 +1655,6 @@ impl<'p> PlanExecutor<'p> {
             score,
             escalated,
             cache_hit,
-            selected_arm,
         })
     }
 }
@@ -1860,6 +1662,7 @@ impl<'p> PlanExecutor<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use willump_data::{Column, Value};
     use willump_graph::{EngineMode, GraphBuilder, Operator};
     use willump_models::{LinearParams, LogisticParams, ModelSpec};
@@ -2095,24 +1898,6 @@ mod tests {
     }
 
     #[test]
-    fn select_arm_converges_on_rewarded_arm() {
-        let (exec, t, y) = setup();
-        let (_, full) = train(&exec, &t, &y);
-        let plan = ServingPlan::full_model_plan(exec, full.clone())
-            .with_arms(vec![full.clone(), full], 8)
-            .unwrap();
-        let input = InputRow::from_table(&t, 0).unwrap();
-        for _ in 0..100 {
-            let out = plan.run_one(&input).unwrap();
-            let arm = out.selected_arm.unwrap();
-            plan.reward(arm, if arm == 1 { 0.9 } else { 0.1 });
-        }
-        let pulls = plan.arm_pulls();
-        assert_eq!(pulls.iter().sum::<u64>(), 100);
-        assert!(pulls[1] > pulls[0], "pulls {pulls:?}");
-    }
-
-    #[test]
     fn invalid_plans_rejected() {
         let (exec, t, y) = setup();
         let (small, full) = train(&exec, &t, &y);
@@ -2148,10 +1933,6 @@ mod tests {
             .unwrap()
             .with_e2e_cache(vec!["a".into()], None)
             .is_err());
-        // Empty arms.
-        assert!(ServingPlan::full_model_plan(exec.clone(), full.clone())
-            .with_arms(vec![], 4)
-            .is_err());
         // Top-K queries need a filter stage and k >= 1.
         let plain = ServingPlan::full_model_plan(exec.clone(), full.clone());
         assert!(plain.top_k(&t, 5).is_err());
@@ -2181,16 +1962,14 @@ mod tests {
         t
     }
 
-    /// Score `rows` of `table` with `runner`'s stages into `out`.
+    /// Score `rows` of `table` with `plan`'s stages.
     fn run_rows(
-        runner: &PlanExecutor<'_>,
+        plan: &ServingPlan,
         table: &Table,
         rows: Range<usize>,
-        out: &mut [f64],
-    ) -> Result<(), WillumpError> {
-        let chunk = runner.run_stages(&table.slice_rows(rows), None, None)?;
-        out.copy_from_slice(&chunk.scores);
-        Ok(())
+    ) -> Result<Vec<f64>, WillumpError> {
+        let chunk = PlanExecutor::new(plan).run_stages(&table.slice_rows(rows), None, None)?;
+        Ok(chunk.scores)
     }
 
     #[test]
@@ -2198,13 +1977,12 @@ mod tests {
         let (exec, t, y) = setup();
         let (_, full) = train(&exec, &t, &y);
         let plan = ServingPlan::full_model_plan(exec, full);
-        let runner = PlanExecutor::new(&plan);
-        let table = long_table();
-        let mut scores = vec![0.0; table.n_rows()];
-        let ran = AtomicU64::new(0);
-        let err = claim_chunks(&mut scores, 0, |rows, _, _: &mut ()| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            let chunk = table.slice_rows(rows);
+        let table = Arc::new(long_table());
+        let ran = Arc::new(AtomicU64::new(0));
+        let (counter, chunks) = (Arc::clone(&ran), Arc::clone(&table));
+        let err = claim_chunks(table.n_rows(), 0, move |rows| -> Result<(), _> {
+            counter.fetch_add(1, Ordering::Relaxed);
+            let chunk = chunks.slice_rows(rows);
             let first = chunk.value(0, "a").expect("column a").to_string();
             Err(WillumpError::BadData {
                 reason: format!("chunk starting at a = {first}"),
@@ -2223,14 +2001,15 @@ mod tests {
 
         // Only the second chunk fails: its error comes back, whichever
         // thread ran it.
-        let err = claim_chunks(&mut scores, 2, |rows, out, _: &mut ()| {
-            let second = table.slice_rows(rows.clone());
+        let chunks = Arc::clone(&table);
+        let err = claim_chunks(table.n_rows(), 2, move |rows| {
+            let second = chunks.slice_rows(rows.clone());
             if second.value(0, "b").expect("column b").to_string() == "-1" {
                 return Err(WillumpError::BadData {
                     reason: "the second chunk".into(),
                 });
             }
-            run_rows(&runner, &table, rows, out)
+            run_rows(&plan, &chunks, rows)
         })
         .unwrap_err();
         assert!(
@@ -2244,26 +2023,25 @@ mod tests {
         let (exec, t, y) = setup();
         let (_, full) = train(&exec, &t, &y);
         let plan = ServingPlan::full_model_plan(exec, full);
-        let runner = PlanExecutor::new(&plan);
         let table = long_table();
-        let mut scores = vec![0.0; table.n_rows()];
-        let helper_ran = AtomicBool::new(false);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            claim_chunks(&mut scores, 1, |rows, out, _: &mut ()| {
+        let helper_ran = Arc::new(AtomicBool::new(false));
+        let ran = Arc::clone(&helper_ran);
+        let caught = std::panic::catch_unwind(move || {
+            claim_chunks(table.n_rows(), 1, move |rows| {
                 let name = std::thread::current().name().map(str::to_string);
-                if name.is_some_and(|n| n.starts_with("willump-batch-")) {
-                    helper_ran.store(true, Ordering::SeqCst);
+                if name.is_some_and(|n| n.starts_with("willump-helper-")) {
+                    ran.store(true, Ordering::SeqCst);
                     panic!("a helper's chunk");
                 }
                 // The caller's chunks succeed; it waits for the helper
                 // to take one, so the panic is the helper's alone.
                 let waited = Instant::now();
-                while !helper_ran.load(Ordering::SeqCst) && waited.elapsed().as_secs() < 10 {
+                while !ran.load(Ordering::SeqCst) && waited.elapsed().as_secs() < 10 {
                     std::thread::yield_now();
                 }
-                run_rows(&runner, &table, rows, out)
+                run_rows(&plan, &table, rows)
             })
-        }));
+        });
         assert!(helper_ran.load(Ordering::SeqCst));
         let payload = caught.expect_err("the helper's panic reaches the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"a helper's chunk"));

@@ -10,7 +10,7 @@ use crate::cache::{source_key, FeatureCaches};
 use crate::graph::{NodeId, TransformGraph};
 use crate::interp;
 use crate::op::{BatchOut, RowOut};
-use crate::parallel::lpt_assign;
+use crate::parallel::{claim, lpt_assign};
 use crate::row::{InputRow, RowFeatures};
 use crate::{GraphError, Operator};
 
@@ -37,7 +37,9 @@ pub enum Parallelism {
     /// Single-threaded.
     None,
     /// Example-at-a-time queries: one input's feature generators run
-    /// concurrently, statically LPT-assigned by cost.
+    /// concurrently as this many groups, statically LPT-assigned by
+    /// cost, which the calling thread and the process's helper pool
+    /// claim in turn (see [`crate::parallel`]).
     PerInput(usize),
 }
 
@@ -72,7 +74,7 @@ impl ExecStats {
 #[derive(Debug, Clone)]
 pub struct Executor {
     graph: Arc<TransformGraph>,
-    analysis: IfvAnalysis,
+    analysis: Arc<IfvAnalysis>,
     mode: EngineMode,
     parallelism: Parallelism,
     caches: Option<FeatureCaches>,
@@ -86,9 +88,6 @@ pub struct Executor {
     widths: Arc<Vec<usize>>,
     /// Per-generator per-row costs (seconds) for LPT assignment.
     generator_costs: Option<Arc<Vec<f64>>>,
-    /// Persistent workers for per-input parallelism (created by
-    /// `with_parallelism`).
-    pool: Option<Arc<crate::parallel::WorkerPool>>,
     stats: Arc<ExecStats>,
 }
 
@@ -134,7 +133,7 @@ impl Executor {
         );
         Ok(Executor {
             graph,
-            analysis,
+            analysis: Arc::new(analysis),
             mode,
             parallelism: Parallelism::None,
             caches: None,
@@ -142,7 +141,6 @@ impl Executor {
             row_orders,
             widths,
             generator_costs: None,
-            pool: None,
             stats: Arc::new(ExecStats::default()),
         })
     }
@@ -169,14 +167,10 @@ impl Executor {
 
     /// Set the parallelization strategy (compiled engine only; the
     /// interpreted engine models a GIL-bound runtime and ignores it).
-    /// `PerInput(t)` with `t > 1` starts a persistent worker pool so
-    /// per-query dispatch costs a channel send, not a thread spawn.
+    /// Starts no thread: the groups of a `PerInput(t)` query run on the
+    /// process's helper pool, started by its first job.
     pub fn with_parallelism(mut self, p: Parallelism) -> Executor {
         self.parallelism = p;
-        self.pool = match p {
-            Parallelism::PerInput(t) if t > 1 => Some(crate::parallel::WorkerPool::new(t)),
-            _ => None,
-        };
         self
     }
 
@@ -439,59 +433,31 @@ impl Executor {
                 .collect(),
             None => vec![1.0; subset.len()],
         };
-        let groups = lpt_assign(&costs, threads.min(subset.len()));
-        let mut groups: Vec<Vec<usize>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
-        let Some(pool) = &self.pool else {
-            // No pool (e.g. threads collapsed to 1): run sequentially.
-            return self.compiled_one(input, subset);
-        };
-
-        // Dispatch all but the heaviest group to pool workers; the
-        // main thread computes the heaviest group itself and then
-        // combines (paper §5.2: workers compute feature generators
-        // concurrently, the main thread combines). LPT puts the
-        // heaviest items first, so group 0 is the largest load.
-        type GroupResult = Result<Vec<(usize, Vec<(usize, f64)>)>, GraphError>;
-        let main_group = groups.remove(0);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<GroupResult>(groups.len().max(1));
-        for grp in &groups {
-            // Jobs must be 'static: clone the (cheap, Arc-backed)
-            // executor and the input row into the closure.
-            let exec = self.clone();
-            let input = input.clone();
-            let grp = grp.clone();
-            let subset: Vec<usize> = subset.to_vec();
-            let tx = tx.clone();
-            pool.execute(Box::new(move || {
-                let compute = || -> GroupResult {
-                    let mut out = Vec::with_capacity(grp.len());
-                    for &pos in &grp {
-                        out.push((pos, exec.compute_generator_row(&input, subset[pos])?));
-                    }
-                    Ok(out)
-                };
-                let _ = tx.send(compute());
-            }));
-        }
-        let mut per_position: Vec<Option<Vec<(usize, f64)>>> = vec![None; subset.len()];
-        for &pos in &main_group {
-            per_position[pos] = Some(self.compute_generator_row(input, subset[pos])?);
-        }
-        for _ in 0..groups.len() {
-            let r = rx
-                .recv()
-                .map_err(|_| GraphError::Data("worker pool disconnected mid-query".into()))?;
-            for (pos, feats) in r? {
-                per_position[pos] = Some(feats);
-            }
-        }
-        let mut entries = Vec::new();
-        let mut width = 0;
-        for (feats, &g) in per_position.into_iter().zip(subset) {
-            let feats = feats.expect("all positions computed");
-            entries.extend(feats.into_iter().map(|(c, v)| (c + width, v)));
+        // The caller and the helper pool claim the groups in turn (paper
+        // §5.2: threads compute feature generators concurrently, the
+        // main thread combines). LPT puts the heaviest items first, so
+        // group 0, claimed first, carries the largest load. The work
+        // owns what it reads: an (Arc-backed) executor clone, the input
+        // row, the subset and each position's column offset.
+        let groups: Vec<Vec<usize>> = lpt_assign(&costs, threads.min(subset.len()))
+            .into_iter()
+            .filter(|g| !g.is_empty())
+            .collect();
+        let (mut offsets, mut width) = (Vec::with_capacity(subset.len()), 0);
+        for &g in subset {
+            offsets.push(width);
             width += self.widths[g];
         }
+        let (exec, input, subset) = (self.clone(), input.clone(), subset.to_vec());
+        let (per_group, _) = claim(groups.len(), groups.len() - 1, move |i| {
+            let mut entries = Vec::new();
+            for &pos in &groups[i] {
+                let feats = exec.compute_generator_row(&input, subset[pos])?;
+                entries.extend(feats.into_iter().map(|(c, v)| (c + offsets[pos], v)));
+            }
+            Ok::<_, GraphError>(entries)
+        })?;
+        let mut entries = per_group.concat();
         entries.sort_unstable_by_key(|(c, _)| *c);
         Ok(RowFeatures::new(entries, width))
     }

@@ -5,20 +5,24 @@
 //! A batch is split only when it makes at least two 256-row chunks,
 //! the plan is row-local, and the plan's own measured cost per row puts
 //! the batch at 0.5 ms or more. A plan that does not split its batch —
-//! top-K, cached, arm and store-lookup plans among them — splits a
-//! model stage by the same rule, judged from that stage's own measured
-//! cost per row. `PlanRunReport::helpers` counts the threads a split
-//! batch started and `StageTrace::helpers` those a split stage started
-//! (all joined before the run returned), so "starts no thread" is both
-//! at 0.
+//! top-K, cached and store-lookup plans among them — splits a model
+//! stage by the same rule, judged from that stage's own measured cost
+//! per row. `PlanRunReport::helpers` counts the jobs a split batch
+//! handed the process's helper pool and `StageTrace::helpers` those a
+//! split stage handed it (every chunk a helper claimed is done before
+//! the run returns), so "starts no thread" is both at 0. The pool's
+//! threads (`willump-helper-*`) start with its first job and serve
+//! every later split.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use willump::{
     PlanExecutor, PlanRunReport, QueryMode, ServingPlan, TopKConfig, Willump, WillumpConfig,
 };
 use willump_data::{Column, Table};
-use willump_graph::{EngineMode, Executor, GraphBuilder, Operator};
+use willump_graph::{EngineMode, Executor, GraphBuilder, Operator, Parallelism};
 use willump_models::{LogisticParams, ModelSpec, TrainedModel};
 use willump_serve::{
     table_row_to_wire, Servable, ServeError, ServerConfig, ServingRuntime, DEFAULT_ENDPOINT,
@@ -93,7 +97,8 @@ fn stage_seconds_per_row(plan: &ServingPlan, stage: usize) -> f64 {
     profile.seconds / profile.rows_in as f64
 }
 
-/// Threads a run started, for its batch and for all its stages.
+/// Jobs a run handed the helper pool, for its batch and for all its
+/// stages.
 fn threads_started(report: &PlanRunReport) -> usize {
     report.helpers + report.stages.iter().map(|s| s.helpers).sum::<usize>()
 }
@@ -248,8 +253,8 @@ fn the_music_top_k_query_keeps_five_round_trips_while_its_filter_stage_splits() 
     }
 }
 
-/// A top-K filter ranks the whole batch, a cache or an arm choice is
-/// state shared across it: such plans run every batch in one piece.
+/// A top-K filter ranks the whole batch and a cache is state shared
+/// across it: such plans run every batch in one piece.
 #[test]
 fn plans_with_batch_wide_stages_never_split() {
     let (exec, small, full) = fitted();
@@ -264,12 +269,9 @@ fn plans_with_batch_wide_stages_never_split() {
             vec![0],
         )
         .unwrap(),
-        ServingPlan::cascade(exec.clone(), small.clone(), full.clone(), 0.9, vec![0])
+        ServingPlan::cascade(exec, small, full, 0.9, vec![0])
             .unwrap()
             .with_e2e_cache(vec!["a".into(), "b".into()], None)
-            .unwrap(),
-        ServingPlan::full_model_plan(exec, full.clone())
-            .with_arms(vec![full.clone(), full], 4)
             .unwrap(),
     ];
     for plan in &plans {
@@ -339,7 +341,7 @@ fn a_failing_chunk_returns_its_error() {
     }
 }
 
-/// Serves the batch in chunks on three helpers, whatever its cost.
+/// Serves the batch in chunks with three helper jobs, whatever its cost.
 struct InChunks(ServingPlan);
 
 impl Servable for InChunks {
@@ -399,4 +401,89 @@ fn a_panicking_chunk_reads_disconnected_through_the_runtime() {
         .expect("the runtime serves on");
     assert_eq!(scores.len(), 600);
     drop(rt);
+}
+
+/// This process's threads as `(tid, name)`; the kernel keeps 15 bytes
+/// of a name, so every helper reads `willump-helper-`.
+fn threads() -> Vec<(String, String)> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| {
+            let task = task.ok()?;
+            let name = std::fs::read_to_string(task.path().join("comm")).ok()?;
+            let tid = task.file_name().to_string_lossy().into_owned();
+            Some((tid, name.trim_end().to_string()))
+        })
+        .collect()
+}
+
+/// Fails if a thread of a kind the helper pool replaced is listed: an
+/// executor's own pool or a batch's scoped helpers.
+fn no_pool_or_batch_threads() {
+    let threads = threads();
+    assert!(
+        !threads
+            .iter()
+            .any(|(_, name)| name.starts_with("willump-pool") || name.starts_with("willump-batch")),
+        "{threads:?}"
+    );
+}
+
+/// The tids of the helper pool, once exactly `n` helpers are listed (a
+/// new thread names itself only once it runs).
+fn helper_tids(n: usize) -> BTreeSet<String> {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        no_pool_or_batch_threads();
+        let threads = threads();
+        let helpers: BTreeSet<String> = threads
+            .iter()
+            .filter(|(_, name)| name.starts_with("willump-helper"))
+            .map(|(tid, _)| tid.clone())
+            .collect();
+        if helpers.len() == n {
+            return helpers;
+        }
+        assert!(Instant::now() < deadline, "not {n} helpers: {threads:?}");
+        std::thread::yield_now();
+    }
+}
+
+/// The helpers outlive the splits that start them: 100 large batches of
+/// a row-local plan and then 100 music top-K queries run on the same
+/// `max(1, cores − 1)` helper threads, and neither an executor's own
+/// pool nor a batch's scoped helpers ever shows up. Building per-input
+/// executors starts no thread.
+#[test]
+fn every_split_runs_on_the_same_lasting_helpers() {
+    let (exec, small, full) = fitted();
+    let per_input: Vec<Executor> = (0..10)
+        .map(|_| exec.clone().with_parallelism(Parallelism::PerInput(4)))
+        .collect();
+    no_pool_or_batch_threads();
+    drop(per_input);
+
+    let pool = cores().saturating_sub(1).max(1);
+    let mut first: Option<BTreeSet<String>> = None;
+    let mut census = |split: bool| {
+        if split {
+            let now = helper_tids(pool);
+            assert_eq!(first.get_or_insert_with(|| now.clone()), &now);
+        } else {
+            no_pool_or_batch_threads();
+        }
+    };
+    let plan = ServingPlan::cascade(exec, small, full, 0.9, vec![0]).unwrap();
+    let (t, _) = rows(20_000);
+    for _ in 0..100 {
+        let out = plan.run_batch(&t).unwrap();
+        census(threads_started(&out.report) > 0);
+    }
+    let (w, music) = music_top_k();
+    for _ in 0..100 {
+        let (_, report) = music.top_k(&w.test, 20).expect("top-K query");
+        census(threads_started(&report) > 0);
+    }
+    // On one core nothing splits by the rule.
+    assert_eq!(first.is_some(), cores() > 1);
 }
