@@ -52,7 +52,7 @@ fn throughput_table(smoke: bool) -> String {
             t0.elapsed().as_secs_f64()
         );
 
-        let compiled = optimize_level(&w, OptLevel::Compiled, QueryMode::Batch, None, 1);
+        let compiled = optimize_level(&w, OptLevel::Compiled, QueryMode::Batch, None);
         let c_tp = batch_throughput(&w, reps, || {
             compiled.predict_batch(&w.test).expect("compiled predicts");
         });
@@ -63,7 +63,7 @@ fn throughput_table(smoke: bool) -> String {
         );
 
         let (casc_cell, casc_speedup) = if kind.is_classification() {
-            let cascades = optimize_level(&w, OptLevel::Cascades, QueryMode::Batch, None, 1);
+            let cascades = optimize_level(&w, OptLevel::Cascades, QueryMode::Batch, None);
             let k_tp = batch_throughput(&w, reps, || {
                 cascades.predict_batch(&w.test).expect("cascade predicts");
             });

@@ -41,14 +41,13 @@ fn latency_table(smoke: bool) -> String {
             python.predict_one(input).expect("baseline predicts")
         });
 
-        let compiled = optimize_level(&w, OptLevel::Compiled, QueryMode::ExampleAtATime, None, 1);
+        let compiled = optimize_level(&w, OptLevel::Compiled, QueryMode::ExampleAtATime, None);
         let c_lat = per_input_latency(&w, n, |input| {
             compiled.predict_one(input).expect("compiled predicts")
         });
 
         let (casc_cell, casc_speedup) = if kind.is_classification() {
-            let cascades =
-                optimize_level(&w, OptLevel::Cascades, QueryMode::ExampleAtATime, None, 1);
+            let cascades = optimize_level(&w, OptLevel::Cascades, QueryMode::ExampleAtATime, None);
             let k_lat = per_input_latency(&w, n, |input| {
                 cascades.predict_one(input).expect("cascade predicts")
             });

@@ -3,6 +3,10 @@
 //! Right: a synthetic pipeline of four identical TF-IDF feature
 //! generators, which parallelizes nearly linearly.
 //!
+//! Each row forces one input's generators into that many groups
+//! (`Executor::features_one_in_groups`), whatever they cost; a serving
+//! plan's `PlanExecutor::run_row` computes one input serially.
+//!
 //! Flags:
 //!
 //! - `--smoke`: tiny workloads, corpora, and input counts — a
@@ -18,7 +22,7 @@ use willump_data::text::SyntheticVocab;
 use willump_data::{Column, Table};
 use willump_featurize::{Analyzer, TfIdfVectorizer, VectorizerConfig};
 use willump_graph::cost::measure_costs;
-use willump_graph::{EngineMode, Executor, GraphBuilder, InputRow, Operator, Parallelism};
+use willump_graph::{EngineMode, Executor, GraphBuilder, InputRow, Operator};
 use willump_workloads::WorkloadKind;
 
 /// The schema header CI greps for in EXPERIMENTS.md; bump the version
@@ -26,17 +30,21 @@ use willump_workloads::WorkloadKind;
 const EXPERIMENTS_SCHEMA: &str = "<!-- schema: fig8-parallel-speedup v1 -->";
 const RECORD_CMD: &str = "cargo run --release -p willump-bench --bin fig8 -- --record";
 
-/// Mean feature-computation latency over `n` inputs at a parallelism
-/// level.
-fn latency(exec: &Executor, table: &Table, n: usize) -> f64 {
+/// Mean feature-computation latency over `n` inputs: serial (`None`),
+/// or split into this many generator groups whatever they cost.
+fn latency(exec: &Executor, table: &Table, n: usize, groups: Option<usize>) -> f64 {
     let n = n.min(table.n_rows());
     let inputs: Vec<InputRow> = (0..n)
         .map(|r| InputRow::from_table(table, r).expect("row"))
         .collect();
-    let _ = exec.features_one(&inputs[0], None);
+    let features = |input: &InputRow| match groups {
+        None => exec.features_one(input, None).map(drop),
+        Some(groups) => exec.features_one_in_groups(input, None, groups).map(drop),
+    };
+    let _ = features(&inputs[0]);
     let start = std::time::Instant::now();
     for input in &inputs {
-        exec.features_one(input, None).expect("features");
+        features(input).expect("features");
     }
     start.elapsed().as_secs_f64() / n as f64
 }
@@ -52,16 +60,13 @@ fn bench_real(kind: WorkloadKind, smoke: bool, rows: &mut Vec<Vec<String>>) {
         Executor::new(w.pipeline.graph().clone(), EngineMode::Compiled).expect("executor builds");
     let costs = measure_costs(&base_exec, &w.train).expect("costs measured");
     let n_fgs = base_exec.analysis().generators.len();
-    let serial = latency(&base_exec, &w.test, n);
-    for threads in 1..=n_fgs {
-        let exec = base_exec
-            .clone()
-            .with_generator_costs(costs.per_generator.clone())
-            .with_parallelism(Parallelism::PerInput(threads));
-        let lat = latency(&exec, &w.test, n);
+    let serial = latency(&base_exec, &w.test, n, None);
+    let exec = base_exec.with_generator_costs(costs.per_generator);
+    for groups in 1..=n_fgs {
+        let lat = latency(&exec, &w.test, n, Some(groups));
         rows.push(vec![
             kind.name().to_string(),
-            threads.to_string(),
+            groups.to_string(),
             fmt_speedup(serial / lat),
         ]);
     }
@@ -121,17 +126,14 @@ fn bench_synthetic(smoke: bool, rows: &mut Vec<Vec<String>>) {
             .expect("column added");
     }
 
-    let base = Executor::new(graph, EngineMode::Compiled).expect("executor builds");
-    let serial = latency(&base, &table, n_inputs);
-    for threads in 1..=4 {
-        let exec = base
-            .clone()
-            .with_generator_costs(vec![1.0; 4])
-            .with_parallelism(Parallelism::PerInput(threads));
-        let lat = latency(&exec, &table, n_inputs);
+    // Equal generators: LPT's uniform costs.
+    let exec = Executor::new(graph, EngineMode::Compiled).expect("executor builds");
+    let serial = latency(&exec, &table, n_inputs, None);
+    for groups in 1..=4 {
+        let lat = latency(&exec, &table, n_inputs, Some(groups));
         rows.push(vec![
             "synthetic-4xTFIDF".to_string(),
-            threads.to_string(),
+            groups.to_string(),
             fmt_speedup(serial / lat),
         ]);
     }

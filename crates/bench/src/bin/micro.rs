@@ -45,7 +45,7 @@ fn gamma_ablation() {
     // IFVs), disabling the gamma rule lowers the cascade speedup at
     // matched accuracy targets.
     let w = generate(WorkloadKind::Music, true);
-    let opt = optimize_level(&w, OptLevel::Compiled, QueryMode::Batch, None, 1);
+    let opt = optimize_level(&w, OptLevel::Compiled, QueryMode::Batch, None);
     let exec = opt.executor();
     let full_feats = exec.features_batch(&w.train, None).expect("features");
     let stats = compute_ifv_stats(
@@ -233,7 +233,7 @@ fn optimization_times() {
         } else {
             QueryMode::TopK { k: 100 }
         };
-        let opt = optimize_level(&w, OptLevel::Cascades, mode, None, 1);
+        let opt = optimize_level(&w, OptLevel::Cascades, mode, None);
         rows.push(vec![
             kind.name().to_string(),
             format!("{:.2}s", opt.report().optimization_seconds),

@@ -57,7 +57,7 @@ fn remote_request_table(smoke: bool) -> String {
         let w = generate_remote(kind, smoke);
 
         // Baseline: the plain compiled plan — no caching, no cascades.
-        let plain = optimize_level(&w, OptLevel::Compiled, QueryMode::ExampleAtATime, None, 1);
+        let plain = optimize_level(&w, OptLevel::Compiled, QueryMode::ExampleAtATime, None);
         let base_requests = serve_and_count(&w, &plain.serving_plan());
 
         // 1. End-to-end caching (Clipper-style): the same plan with
@@ -75,12 +75,11 @@ fn remote_request_table(smoke: bool) -> String {
             OptLevel::Compiled,
             QueryMode::ExampleAtATime,
             Some(CachingConfig { capacity: None }),
-            1,
         );
         let feat_requests = serve_and_count(&w, &feat.serving_plan());
 
         // 3. Cascades, no caching: the lowered cascade plan.
-        let casc = optimize_level(&w, OptLevel::Cascades, QueryMode::ExampleAtATime, None, 1);
+        let casc = optimize_level(&w, OptLevel::Cascades, QueryMode::ExampleAtATime, None);
         let casc_requests = serve_and_count(&w, &casc.serving_plan());
 
         // 4. Feature-level caching + cascades.
@@ -89,7 +88,6 @@ fn remote_request_table(smoke: bool) -> String {
             OptLevel::Cascades,
             QueryMode::ExampleAtATime,
             Some(CachingConfig { capacity: None }),
-            1,
         );
         let both_requests = serve_and_count(&w, &both.serving_plan());
 

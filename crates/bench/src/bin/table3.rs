@@ -45,7 +45,7 @@ fn latency_table(smoke: bool) -> String {
             python.predict_one(input).expect("prediction succeeds")
         });
 
-        let plain = optimize_level(&w, OptLevel::Compiled, QueryMode::ExampleAtATime, None, 1);
+        let plain = optimize_level(&w, OptLevel::Compiled, QueryMode::ExampleAtATime, None);
         let e2e = plain
             .serving_plan()
             .with_e2e_cache(w.source_columns(), None)
@@ -59,15 +59,14 @@ fn latency_table(smoke: bool) -> String {
             OptLevel::Compiled,
             QueryMode::ExampleAtATime,
             Some(CachingConfig { capacity: None }),
-            1,
         )
         .serving_plan();
         let lat_feat = per_input_latency(&w, n, |input| {
             feat.predict_one(input).expect("prediction succeeds")
         });
 
-        let casc = optimize_level(&w, OptLevel::Cascades, QueryMode::ExampleAtATime, None, 1)
-            .serving_plan();
+        let casc =
+            optimize_level(&w, OptLevel::Cascades, QueryMode::ExampleAtATime, None).serving_plan();
         let lat_casc = per_input_latency(&w, n, |input| {
             casc.predict_one(input).expect("prediction succeeds")
         });
@@ -77,7 +76,6 @@ fn latency_table(smoke: bool) -> String {
             OptLevel::Cascades,
             QueryMode::ExampleAtATime,
             Some(CachingConfig { capacity: None }),
-            1,
         )
         .serving_plan();
         let lat_both = per_input_latency(&w, n, |input| {

@@ -39,7 +39,7 @@ fn main() {
 
         // Compiled, exact top-K; its full-model scores are the exact
         // reference ranking.
-        let compiled = optimize_level(&w, OptLevel::Compiled, QueryMode::TopK { k: K }, None, 1);
+        let compiled = optimize_level(&w, OptLevel::Compiled, QueryMode::TopK { k: K }, None);
         let ref_feats = compiled
             .executor()
             .features_batch(&w.test, None)
@@ -54,7 +54,7 @@ fn main() {
         });
 
         // Compiled + filter model.
-        let filtered = optimize_level(&w, OptLevel::Cascades, QueryMode::TopK { k: K }, None, 1);
+        let filtered = optimize_level(&w, OptLevel::Cascades, QueryMode::TopK { k: K }, None);
         assert!(
             filtered.report().filter_deployed,
             "{}: filter must deploy",

@@ -25,7 +25,7 @@ fn main() {
 
         // Exact (compiled) scores define ground truth and the cost of
         // a full pass.
-        let compiled = optimize_level(&w, OptLevel::Compiled, QueryMode::TopK { k: K }, None, 1);
+        let compiled = optimize_level(&w, OptLevel::Compiled, QueryMode::TopK { k: K }, None);
         let exec = compiled.executor().clone();
         let full_model = compiled.full_model().clone();
         let (full_secs, exact_scores) = effective_seconds(&w, || {
@@ -35,7 +35,7 @@ fn main() {
         let exact_topk = metrics::top_k_indices(&exact_scores, K);
 
         // Filtered top-K and its cost.
-        let filtered = optimize_level(&w, OptLevel::Cascades, QueryMode::TopK { k: K }, None, 1);
+        let filtered = optimize_level(&w, OptLevel::Cascades, QueryMode::TopK { k: K }, None);
         let (filt_secs, approx_topk) =
             effective_seconds(&w, || filtered.top_k(&w.test, K).expect("filtered top-K").0);
 

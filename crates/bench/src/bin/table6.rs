@@ -115,7 +115,6 @@ fn latency_table(smoke: bool) -> String {
             OptLevel::Cascades,
             QueryMode::Batch,
             None,
-            1,
         ));
         for &batch in batches {
             let reqs = if smoke {
@@ -216,7 +215,6 @@ fn sweep_table(smoke: bool) -> String {
             OptLevel::Cascades,
             QueryMode::Batch,
             None,
-            1,
         ));
         for &batch in &scale.batches {
             let reqs =
@@ -289,7 +287,6 @@ fn remote_shard_table(smoke: bool) -> String {
         OptLevel::Cascades,
         QueryMode::Batch,
         None,
-        1,
     ));
     let (client_counts, reqs, batches): (Vec<usize>, usize, Vec<usize>) = if smoke {
         (vec![1, 2], 4, vec![4])

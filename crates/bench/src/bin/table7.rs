@@ -43,7 +43,7 @@ fn subset_tables(smoke: bool) -> String {
         let w = gen_workload(kind, smoke);
         let n = w.test.n_rows();
 
-        let mut opt = optimize_level(&w, OptLevel::Cascades, QueryMode::TopK { k }, None, 1);
+        let mut opt = optimize_level(&w, OptLevel::Cascades, QueryMode::TopK { k }, None);
 
         // Python-baseline throughput timed on a bounded sample; the
         // exact reference ranking comes from the compiled engine's

@@ -80,7 +80,7 @@ fn strategy_table(smoke: bool) -> String {
     let mut rows = Vec::new();
     for kind in kinds {
         let w = gen_workload(kind, smoke);
-        let opt = optimize_level(&w, OptLevel::Compiled, QueryMode::Batch, None, 1);
+        let opt = optimize_level(&w, OptLevel::Compiled, QueryMode::Batch, None);
         let orig_tp = batch_throughput(&w, 3, || {
             opt.predict_batch(&w.test).expect("compiled predicts");
         });

@@ -89,14 +89,12 @@ pub fn optimize_level(
     level: OptLevel,
     mode: QueryMode,
     caching: Option<CachingConfig>,
-    threads: usize,
 ) -> OptimizedPipeline {
     assert_ne!(level, OptLevel::Python, "Python level has no optimizer");
     let cfg = WillumpConfig {
         cascades: level == OptLevel::Cascades,
         mode,
         caching,
-        threads,
         ..WillumpConfig::default()
     };
     Willump::new(cfg)

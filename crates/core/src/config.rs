@@ -5,8 +5,8 @@
 pub enum QueryMode {
     /// High-throughput batch inference.
     Batch,
-    /// Low-latency single-input inference (enables per-input
-    /// parallelization of feature generators).
+    /// Low-latency single-input inference (feature costs are measured
+    /// per row, as the single-input path pays them).
     ExampleAtATime,
     /// Top-K ranking queries (enables the automatic filter model).
     TopK {
@@ -87,9 +87,6 @@ pub struct WillumpConfig {
     /// magnitude (string stats cost microseconds, TF-IDF milliseconds),
     /// so cost-effectiveness ratios are wide.
     pub gamma: f64,
-    /// The efficient set may cost at most this fraction of total
-    /// pipeline cost (Algorithm 1 line 11 uses 1/2).
-    pub max_cost_fraction: f64,
     /// Enable automatic end-to-end cascades (classification only).
     pub cascades: bool,
     /// Deploy cascades only when the expected per-row saving (kept
@@ -108,15 +105,6 @@ pub struct WillumpConfig {
     pub caching: Option<CachingConfig>,
     /// Calibrate small-model confidences before threshold comparison.
     pub calibration: Calibration,
-    /// Threads for per-input parallelization of example-at-a-time
-    /// queries (paper §4.4): one input's feature generators run as
-    /// this many LPT groups, which the calling thread and the
-    /// process's helper pool claim in turn (1 = off). Batch and top-K queries ignore it;
-    /// batch parallelism has no setting — a large batch of a row-local
-    /// plan, or a large model stage of any other plan, is split across
-    /// the host's cores by
-    /// [`PlanExecutor::run_batch`](crate::plan::PlanExecutor::run_batch).
-    pub threads: usize,
     /// Seed for model training and validation shuffling.
     pub seed: u64,
 }
@@ -126,14 +114,12 @@ impl Default for WillumpConfig {
         WillumpConfig {
             accuracy_target: 0.001,
             gamma: 0.02,
-            max_cost_fraction: 0.5,
             cascades: true,
             cascade_gate: true,
             mode: QueryMode::Batch,
             topk: TopKConfig::default(),
             caching: None,
             calibration: Calibration::None,
-            threads: 1,
             seed: 42,
         }
     }
@@ -154,16 +140,6 @@ impl WillumpConfig {
         if self.gamma < 0.0 {
             return Err(crate::WillumpError::BadConfig {
                 reason: format!("gamma {} must be non-negative", self.gamma),
-            });
-        }
-        if !(0.0..=1.0).contains(&self.max_cost_fraction) {
-            return Err(crate::WillumpError::BadConfig {
-                reason: format!("max_cost_fraction {} not in [0, 1]", self.max_cost_fraction),
-            });
-        }
-        if self.threads == 0 {
-            return Err(crate::WillumpError::BadConfig {
-                reason: "threads must be at least 1".into(),
             });
         }
         if let QueryMode::TopK { k } = self.mode {
@@ -212,11 +188,6 @@ mod tests {
         };
         assert!(bad.validate().is_err());
         let bad = WillumpConfig {
-            threads: 0,
-            ..WillumpConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = WillumpConfig {
             mode: QueryMode::TopK { k: 0 },
             ..WillumpConfig::default()
         };
@@ -247,7 +218,6 @@ mod tests {
         let c = WillumpConfig::default();
         assert_eq!(c.topk.ck, 10);
         assert!((c.topk.min_subset_frac - 0.05).abs() < 1e-12);
-        assert!((c.max_cost_fraction - 0.5).abs() < 1e-12);
         assert!((c.accuracy_target - 0.001).abs() < 1e-12);
     }
 }

@@ -19,10 +19,11 @@
 //! - **Query-aware parallelization** (§4.4): a large batch of a
 //!   row-local plan runs as row chunks on every core, and so does a
 //!   large model stage of a top-K or store-lookup plan
-//!   ([`plan::PlanExecutor::run_batch`]); one input's feature
-//!   generators run concurrently through the executor's per-input
-//!   parallelism. **Feature-level caching** (§4.5) is the
-//!   executor's too.
+//!   ([`plan::PlanExecutor::run_batch`]), each by the same rule on
+//!   the plan's measured cost; one input's feature generators can run
+//!   as LPT groups (`Executor::features_one_in_groups`), though
+//!   [`plan::PlanExecutor::run_row`] computes them serially.
+//!   **Feature-level caching** (§4.5) is the executor's.
 //! - **End-to-end compilation** (§5): the optimized pipeline runs on
 //!   the compiled engine; the original runs on the interpreted
 //!   engine (`Pipeline::baseline`).

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use willump_data::Table;
-use willump_graph::{EngineMode, Executor, FeatureCaches, InputRow, Parallelism};
+use willump_graph::{EngineMode, Executor, FeatureCaches, InputRow};
 use willump_models::{Task, TrainedModel};
 
 use crate::cascade::{select_threshold, ScoreCalibrator, ThresholdSelection};
@@ -15,6 +15,10 @@ use crate::pipeline::Pipeline;
 use crate::plan::{PlanRunReport, ServingPlan};
 use crate::stats::{compute_ifv_stats_with_basis, CostBasis, IfvStats};
 use crate::WillumpError;
+
+/// The efficient IFV set may cost at most this fraction of the whole
+/// pipeline's feature cost (paper Algorithm 1, line 11).
+const MAX_COST_FRACTION: f64 = 0.5;
 
 /// What the optimizer did and measured (paper §6.4's "optimization
 /// times" and the cascade microbenchmarks read this).
@@ -89,15 +93,10 @@ impl Willump {
         let cfg = &self.config;
 
         // Compilation: the optimized pipeline always runs on the
-        // compiled engine, with per-input parallelism for
-        // example-at-a-time queries (batch queries are split into row
-        // chunks by the plan executor).
-        let parallelism = match (cfg.mode, cfg.threads) {
-            (QueryMode::ExampleAtATime, t) if t > 1 => Parallelism::PerInput(t),
-            _ => Parallelism::None,
-        };
-        let mut exec = Executor::new(pipeline.graph().clone(), EngineMode::Compiled)?
-            .with_parallelism(parallelism);
+        // compiled engine. Whether a batch or a model stage runs on
+        // more than one core is the plan executor's decision, from
+        // measured cost.
+        let mut exec = Executor::new(pipeline.graph().clone(), EngineMode::Compiled)?;
         if let Some(caching) = cfg.caching {
             let n = exec.analysis().generators.len();
             exec = exec.with_caches(FeatureCaches::new(n, caching.capacity));
@@ -125,7 +124,8 @@ impl Willump {
             basis,
         )?;
 
-        // LPT thread assignment uses measured generator costs.
+        // LPT group assignment (one input split across cores) uses
+        // measured generator costs.
         exec = exec.with_generator_costs(ifv_stats.cost.clone());
 
         // Efficient IFV selection (Algorithm 1).
@@ -133,7 +133,7 @@ impl Willump {
             gamma: cfg.gamma,
             use_gamma_rule: true,
         };
-        let efficient = select_efficient_ifvs(&ifv_stats, strategy, cfg.max_cost_fraction);
+        let efficient = select_efficient_ifvs(&ifv_stats, strategy, MAX_COST_FRACTION);
         let n_fgs = exec.analysis().generators.len();
         let proper = !efficient.is_empty() && efficient.len() < n_fgs;
 

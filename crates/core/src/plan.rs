@@ -1559,8 +1559,9 @@ impl<'p> PlanExecutor<'p> {
     }
 
     /// Run the plan row-wise for one input (the example-at-a-time
-    /// serving path: per-input parallelism and feature-level caches in
-    /// the executor still apply).
+    /// serving path: the input's feature generators run serially on
+    /// the calling thread, and feature-level caches in the executor
+    /// apply).
     ///
     /// [`PlanStage::TopKFilter`] is a no-op row-wise — a single input
     /// is always its own candidate.

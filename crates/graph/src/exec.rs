@@ -24,25 +24,6 @@ pub enum EngineMode {
     Compiled,
 }
 
-/// Per-input parallelization (paper §4.4: query-aware
-/// parallelization, the example-at-a-time half).
-///
-/// The batch half — different data inputs on different threads — is
-/// not an executor setting: `willump::PlanExecutor::run_batch` splits a
-/// large batch of a row-local plan into row chunks and runs the whole
-/// plan on each, so model scoring and escalation run in parallel too,
-/// not only feature computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Single-threaded.
-    None,
-    /// Example-at-a-time queries: one input's feature generators run
-    /// concurrently as this many groups, statically LPT-assigned by
-    /// cost, which the calling thread and the process's helper pool
-    /// claim in turn (see [`crate::parallel`]).
-    PerInput(usize),
-}
-
 /// Execution counters (cache effectiveness, work performed).
 #[derive(Debug, Default)]
 pub struct ExecStats {
@@ -70,13 +51,15 @@ impl ExecStats {
 
 /// Executes a [`TransformGraph`] under a chosen engine, optionally
 /// restricted to a subset of feature generators (the mechanism behind
-/// cascades), with optional feature-level caching and parallelism.
+/// cascades), with optional feature-level caching. One input's
+/// generators run serially ([`Executor::features_one`]) or as the
+/// groups a caller asks for ([`Executor::features_one_in_groups`]):
+/// whether to split is the caller's decision.
 #[derive(Debug, Clone)]
 pub struct Executor {
     graph: Arc<TransformGraph>,
     analysis: Arc<IfvAnalysis>,
     mode: EngineMode,
-    parallelism: Parallelism,
     caches: Option<FeatureCaches>,
     /// Per-generator source columns the IFV depends on (cache keys;
     /// precomputed because the serving path consults them per row).
@@ -135,7 +118,6 @@ impl Executor {
             graph,
             analysis: Arc::new(analysis),
             mode,
-            parallelism: Parallelism::None,
             caches: None,
             key_columns,
             row_orders,
@@ -163,15 +145,6 @@ impl Executor {
     /// Execution counters.
     pub fn stats(&self) -> &ExecStats {
         &self.stats
-    }
-
-    /// Set the parallelization strategy (compiled engine only; the
-    /// interpreted engine models a GIL-bound runtime and ignores it).
-    /// Starts no thread: the groups of a `PerInput(t)` query run on the
-    /// process's helper pool, started by its first job.
-    pub fn with_parallelism(mut self, p: Parallelism) -> Executor {
-        self.parallelism = p;
-        self
     }
 
     /// Attach per-IFV feature caches (paper §4.5). Effective on the
@@ -253,13 +226,33 @@ impl Executor {
         self.check_subset(subset)?;
         match self.mode {
             EngineMode::Interpreted => interp::features_one(self, input, subset),
-            EngineMode::Compiled => match self.parallelism {
-                Parallelism::PerInput(threads) if threads > 1 && subset.len() > 1 => {
-                    self.compiled_one_parallel(input, subset, threads)
-                }
-                _ => self.compiled_one(input, subset),
-            },
+            EngineMode::Compiled => self.compiled_one(input, subset),
         }
+    }
+
+    /// [`features_one`](Executor::features_one) split into up to
+    /// `groups` LPT groups by generator cost (paper §4.4/§5.2), which the
+    /// caller and helper-pool jobs claim ([`crate::parallel::claim`]).
+    /// Bit-identical to the serial features; the interpreted engine
+    /// ignores `groups`.
+    ///
+    /// # Errors
+    /// As [`features_one`](Executor::features_one); of failing groups,
+    /// the first in claim order.
+    pub fn features_one_in_groups(
+        &self,
+        input: &InputRow,
+        subset: Option<&[usize]>,
+        groups: usize,
+    ) -> Result<RowFeatures, GraphError> {
+        let groups = groups.min(subset.map_or(self.widths.len(), <[usize]>::len));
+        if groups <= 1 || self.mode == EngineMode::Interpreted {
+            return self.features_one(input, subset);
+        }
+        let full = self.full_subset();
+        let subset: &[usize] = subset.unwrap_or(&full);
+        self.check_subset(subset)?;
+        self.compiled_one_in_groups(input, subset, groups)
     }
 
     /// Reject generator indices the graph does not have, before any
@@ -418,13 +411,13 @@ impl Executor {
         Ok(RowFeatures::new(entries, width))
     }
 
-    fn compiled_one_parallel(
+    fn compiled_one_in_groups(
         &self,
         input: &InputRow,
         subset: &[usize],
-        threads: usize,
+        groups: usize,
     ) -> Result<RowFeatures, GraphError> {
-        // LPT-assign generators to threads by measured cost (uniform
+        // LPT-assign generators to groups by measured cost (uniform
         // when no costs were provided).
         let costs: Vec<f64> = match &self.generator_costs {
             Some(c) => subset
@@ -439,7 +432,7 @@ impl Executor {
         // group 0, claimed first, carries the largest load. The work
         // owns what it reads: an (Arc-backed) executor clone, the input
         // row, the subset and each position's column offset.
-        let groups: Vec<Vec<usize>> = lpt_assign(&costs, threads.min(subset.len()))
+        let groups: Vec<Vec<usize>> = lpt_assign(&costs, groups)
             .into_iter()
             .filter(|g| !g.is_empty())
             .collect();
@@ -671,18 +664,30 @@ mod tests {
 
     #[test]
     fn parallel_per_input_matches_serial() {
-        let exec = Executor::new(sample_graph(), EngineMode::Compiled).unwrap();
-        let par = exec
-            .clone()
-            .with_parallelism(Parallelism::PerInput(2))
-            .with_generator_costs(vec![2.0, 1.0]);
-        let t = sample_table();
-        for r in 0..t.n_rows() {
-            let input = InputRow::from_table(&t, r).unwrap();
-            let a = exec.features_one(&input, None).unwrap();
-            let b = par.features_one(&input, None).unwrap();
-            assert_eq!(a, b);
+        let (g, t) = text_graph_and_table();
+        let exec = Executor::new(g, EngineMode::Compiled)
+            .unwrap()
+            .with_generator_costs(vec![1.0, 3.0, 2.0]);
+        let n_fgs = exec.analysis().generators.len();
+        let subsets: [Option<&[usize]>; 4] = [None, Some(&[2, 0]), Some(&[1]), Some(&[])];
+        for subset in subsets {
+            for r in 0..t.n_rows() {
+                let input = InputRow::from_table(&t, r).unwrap();
+                let serial = exec.features_one(&input, subset).unwrap();
+                let bits = |f: &RowFeatures| -> Vec<(usize, u64)> {
+                    f.entries.iter().map(|&(c, v)| (c, v.to_bits())).collect()
+                };
+                for groups in 1..=n_fgs + 1 {
+                    let split = exec.features_one_in_groups(&input, subset, groups).unwrap();
+                    assert_eq!(split.width, serial.width, "{subset:?} {groups}");
+                    assert_eq!(bits(&split), bits(&serial), "{subset:?} {groups}");
+                }
+            }
         }
+        assert!(matches!(
+            exec.features_one_in_groups(&InputRow::from_table(&t, 0).unwrap(), Some(&[0, 7]), 2),
+            Err(GraphError::BadSubset { index: 7, .. })
+        ));
     }
 
     #[test]

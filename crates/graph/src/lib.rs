@@ -16,7 +16,8 @@
 //! - [`Executor`]: two execution engines over the same graph — an
 //!   **interpreted** engine with boxed dynamic values and row-at-a-time
 //!   dispatch (the Python-baseline stand-in) and a **compiled** engine
-//!   with columnar, batched, cache- and parallelism-aware execution
+//!   with columnar, batched, cache-aware execution and one input's
+//!   generators optionally split into groups
 //!   (the Weld stand-in),
 //! - [`cost`]: per-node cost measurement used by the optimizer's IFV
 //!   statistics (§4.2).
@@ -57,7 +58,7 @@ mod row;
 
 pub use cache::FeatureCaches;
 pub use error::GraphError;
-pub use exec::{EngineMode, ExecStats, Executor, Parallelism};
+pub use exec::{EngineMode, ExecStats, Executor};
 pub use graph::{GraphBuilder, Node, NodeId, TransformGraph};
 pub use op::Operator;
 pub use parse::parse_pipeline;

@@ -13,7 +13,8 @@
 //! process starts `max(1, cores − 1)` helpers (`willump-helper-{i}`)
 //! once, with its first job, and they keep their thread-local scratch.
 //! One input's LPT groups and a batch's or a model stage's row chunks
-//! all run through one claim loop, [`claim`].
+//! all run through one claim loop, [`claim`]; the plan executor splits
+//! a batch or a model stage when its measured cost says so.
 
 use std::any::Any;
 use std::collections::VecDeque;

@@ -80,6 +80,26 @@ fn others_asleep() -> bool {
         })
 }
 
+/// The node's threads' counts at a moment every other thread is asleep
+/// and no count moves. A thread's first park is not a wake-up: on a
+/// busy host a node thread may not have run yet, or may still be on its
+/// way to its first wait behind another on the runtime's lock, and
+/// would park inside the counting window.
+fn settled() -> std::collections::HashMap<String, u64> {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let counts = blocked_by_name();
+        if others_asleep() && blocked_by_name() == counts {
+            return counts;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "threads never settled: {counts:?}"
+        );
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn one_remote_request_wakes_one_node_thread_on_its_path() {
     let mut b = ServingRuntime::builder();
@@ -94,32 +114,20 @@ fn one_remote_request_wakes_one_node_thread_on_its_path() {
     const N: u64 = 2000;
     let batches =
         |node: &RemoteRuntimeNode| -> u64 { node.runtime().stats().worker_batches().iter().sum() };
-    // A thread's first park is not a wake-up. On a busy host a node
-    // thread may not have run yet, or may still be on its way to its
-    // first wait behind another on the runtime's lock, and would park
-    // inside the counting window. Count from a moment every thread is
-    // asleep and no count moves.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let before = loop {
-        let counts = blocked_by_name();
-        if others_asleep() && blocked_by_name() == counts {
-            break counts;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "threads never settled: {counts:?}"
-        );
-        std::thread::yield_now();
-    };
+    let before = settled();
     let batches_before = batches(&node);
-    // Back to back, a forwarded frame and a plain one alternating:
+    // One at a time, each sent to an idle node — once every thread is
+    // asleep again — a forwarded frame and a plain one alternating:
     // with no remote shard behind this node both are admitted by the
-    // thread holding the poll set.
+    // thread holding the poll set. Sent back to back instead, on a
+    // host whose cores were busy, the node's threads blocked less than
+    // once per request together in some runs.
     for i in 0..N {
         let reply = worker
             .forward_request(&request(i, i % 2 == 0))
             .expect("served");
         assert_eq!(reply.response.scores, vec![2.0 * i as f64]);
+        settled();
     }
     let (after, batches_after) = (blocked_by_name(), batches(&node));
     let woken = |name: &str| after.get(name).copied().unwrap_or(0) - before[name];
@@ -142,5 +150,7 @@ fn one_remote_request_wakes_one_node_thread_on_its_path() {
         node_woken <= 2 * N + N / 10,
         "{node_woken} node-thread wake-ups for {N}"
     );
+    // Each request found the poll set's holder asleep in `poll`, and
+    // it was asleep again before the next: at least one per request.
     assert!(node_woken >= N, "the count saw no node thread");
 }

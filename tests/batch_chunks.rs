@@ -22,7 +22,7 @@ use willump::{
     PlanExecutor, PlanRunReport, QueryMode, ServingPlan, TopKConfig, Willump, WillumpConfig,
 };
 use willump_data::{Column, Table};
-use willump_graph::{EngineMode, Executor, GraphBuilder, Operator, Parallelism};
+use willump_graph::{EngineMode, Executor, GraphBuilder, Operator};
 use willump_models::{LogisticParams, ModelSpec, TrainedModel};
 use willump_serve::{
     table_row_to_wire, Servable, ServeError, ServerConfig, ServingRuntime, DEFAULT_ENDPOINT,
@@ -452,16 +452,20 @@ fn helper_tids(n: usize) -> BTreeSet<String> {
 /// The helpers outlive the splits that start them: 100 large batches of
 /// a row-local plan and then 100 music top-K queries run on the same
 /// `max(1, cores − 1)` helper threads, and neither an executor's own
-/// pool nor a batch's scoped helpers ever shows up. Building per-input
-/// executors starts no thread.
+/// pool nor a batch's scoped helpers ever shows up. Building executors
+/// starts no thread.
 #[test]
 fn every_split_runs_on_the_same_lasting_helpers() {
     let (exec, small, full) = fitted();
-    let per_input: Vec<Executor> = (0..10)
-        .map(|_| exec.clone().with_parallelism(Parallelism::PerInput(4)))
+    let built: Vec<Executor> = (0..10)
+        .map(|_| {
+            Executor::new(Arc::new(exec.graph().clone()), EngineMode::Compiled)
+                .unwrap()
+                .with_generator_costs(vec![2.0, 1.0])
+        })
         .collect();
     no_pool_or_batch_threads();
-    drop(per_input);
+    drop(built);
 
     let pool = cores().saturating_sub(1).max(1);
     let mut first: Option<BTreeSet<String>> = None;
